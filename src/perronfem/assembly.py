@@ -28,6 +28,7 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -278,6 +279,13 @@ class DiscreteOperator:
         d = self.stiffness - self.stiffness.getH()
         scale = max(1.0, abs(self.stiffness).max())
         return bool(abs(d).max() <= 1e-12 * scale) if d.nnz else True
+
+    @cached_property
+    def solver_cache(self) -> dict:
+        """Factorizations and graph data derived from this operator on
+        first use (semigroup keys its step matrices by scheme, dt and
+        mass)."""
+        return {}
 
     def expand(self, u: np.ndarray) -> np.ndarray:
         """Dof vector -> full nodal vector with exact zeros at constraints."""

@@ -25,10 +25,10 @@ from .mesh import MeshError, generate_structured, load_mesh, quality, \
     save_mesh
 from .parabolic import BoundaryData, make_test_bank, solve_mild, \
     strong_positivity_check, very_weak_residual
-from .semigroup import EvolutionConfig, MassKind, Scheme, evolve, kernel, \
-    kernel_positivity_report
-from .spectral import REGION_FOR_MODE, certify_positivity, principal_eig, \
-    spectral_gap
+from .semigroup import EvolutionConfig, MassKind, Scheme, default_evolution, \
+    evolve, kernel, kernel_positivity_report
+from .spectral import REGION_FOR_MODE, SolverError, certify_positivity, \
+    principal_eig, spectral_gap
 from .svgplot import emit_heatmap, render_strip
 from .verification import Problem, run_suite
 
@@ -93,15 +93,10 @@ def _resolve_coefficients(spec, base: Path, mesh):
 def _resolve_evolution(spec, mesh) -> EvolutionConfig:
     spec = dict(spec or {})
     _check_keys(spec, {"scheme", "dt", "t_end", "mass"}, "evolution")
-    dt = spec.get("dt")
-    if dt is None:
-        dt = mesh.h_max ** 2 / 4.0
-    t_end = spec.get("t_end")
-    if t_end is None:
-        t_end = 80 * dt
-    return EvolutionConfig(scheme=Scheme(spec.get("scheme", "implicit_euler")),
-                           dt=float(dt), t_end=float(t_end),
-                           mass=MassKind(spec.get("mass", "lumped")))
+    return default_evolution(
+        mesh, dt=spec.get("dt"), t_end=spec.get("t_end"),
+        scheme=Scheme(spec.get("scheme", "implicit_euler")),
+        mass=MassKind(spec.get("mass", "lumped")))
 
 
 def _out_dir(cfg: dict, base: Path) -> Path:
@@ -480,10 +475,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (MeshError, AssemblyError, ValueError, KeyError) as exc:
+    except (CliError, MeshError, AssemblyError, SolverError, OSError,
+            ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

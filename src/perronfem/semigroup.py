@@ -62,9 +62,25 @@ class EvolutionConfig:
         return int(math.floor(self.t_end / self.dt + 1e-9))
 
 
+#: steps in the default horizon, unless the propagation threshold needs more
+DEFAULT_STEPS = 80
+
+
 def default_dt(mesh) -> float:
     """Step size balancing damping error against step count: h_max^2 / 4."""
     return mesh.h_max ** 2 / 4.0
+
+
+def default_evolution(mesh, dt: float | None = None,
+                      t_end: float | None = None, min_steps: int = 0,
+                      **kwargs) -> EvolutionConfig:
+    """Fill in the defaults: dt = h_max^2 / 4 and a horizon of
+    max(80, min_steps) steps. Pass the propagation threshold as min_steps
+    when the horizon must carry a positivity certificate."""
+    dt = default_dt(mesh) if dt is None else float(dt)
+    if t_end is None:
+        t_end = max(DEFAULT_STEPS, min_steps) * dt
+    return EvolutionConfig(dt=dt, t_end=float(t_end), **kwargs)
 
 
 @dataclass(frozen=True)
@@ -72,17 +88,14 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray  # (n_steps + 1, n_dof)
 
-    @property
-    def final(self) -> np.ndarray:
-        return self.states[-1]
-
 
 class Stepper:
-    """One factorized time step, reusable across solves and kernel columns."""
+    """One factorized time step. step() takes a state vector or a block of
+    states, one per column; SuperLU treats each column exactly as it treats
+    a single vector, so a block march is bitwise equal to column marches.
+    """
 
     def __init__(self, op: DiscreteOperator, cfg: EvolutionConfig):
-        self.op = op
-        self.cfg = cfg
         M = sp.diags(op.mass_lumped).tocsr() if cfg.mass is MassKind.LUMPED \
             else op.mass
         A = op.stiffness
@@ -96,10 +109,18 @@ class Stepper:
             self._lu = spla.splu(lhs)
         except RuntimeError as exc:
             raise RuntimeError(f"singular step matrix: {exc}") from exc
-        self.step_matrix = lhs
 
     def step(self, u: np.ndarray) -> np.ndarray:
         return self._lu.solve(self._rhs @ u)
+
+
+def _stepper(op: DiscreteOperator, cfg: EvolutionConfig) -> Stepper:
+    """The step of op under cfg's scheme, dt and mass, factorized once per
+    operator and shared by every march with that configuration."""
+    key = ("step", cfg.scheme, cfg.dt, cfg.mass)
+    if key not in op.solver_cache:
+        op.solver_cache[key] = Stepper(op, cfg)
+    return op.solver_cache[key]
 
 
 def evolve(op: DiscreteOperator, u0: np.ndarray,
@@ -109,14 +130,14 @@ def evolve(op: DiscreteOperator, u0: np.ndarray,
     u0 = np.asarray(u0, dtype=complex if op.is_complex else float)
     if u0.shape != (op.n_dof,):
         raise ValueError(f"u0 must have length n_dof = {op.n_dof}")
-    stepper = Stepper(op, cfg)
+    step = _stepper(op, cfg).step
     n = cfg.n_steps
     states = np.empty((n + 1, op.n_dof), dtype=u0.dtype)
     states[0] = u0
     u = u0
     for k in range(1, n + 1):
         try:
-            u = stepper.step(u)
+            u = step(u)
         except Exception as exc:
             raise RuntimeError(f"linear solve failed at step {k}: {exc}") \
                 from exc
@@ -133,8 +154,14 @@ def propagation_threshold(op: DiscreteOperator) -> int:
 
     Support propagates only along nonzero couplings, so this graph (not
     the mesh edge graph, which may contain zero-weight diagonals) governs
-    how many steps full support provably takes.
+    how many steps full support provably takes. Computed once per operator.
     """
+    if "propagation_threshold" not in op.solver_cache:
+        op.solver_cache["propagation_threshold"] = _graph_diameter(op)
+    return op.solver_cache["propagation_threshold"]
+
+
+def _graph_diameter(op: DiscreteOperator) -> int:
     coo = op.stiffness.tocoo()
     mask = (coo.row != coo.col) & (coo.data != 0)
     pattern = sp.coo_matrix((np.ones(mask.sum()),
@@ -225,33 +252,29 @@ def positivity_improving_check(op: DiscreteOperator, cfg: EvolutionConfig,
             reason="region contains vertices pinned to zero by the "
                    "boundary constraints")
 
-    stepper = Stepper(op, cfg)
+    # all trials march together, one unit indicator per column
     region_dofs = op.dof_map[nodes]
-    outcomes = []
-    all_ok = True
-    for t in range(trials):
-        dof = t % op.n_dof
-        vertex = int(free[dof])
-        u = np.zeros(op.n_dof)
-        u[dof] = 1.0
-        first_pos = -1
-        ok = True
-        for k in range(1, n_steps + 1):
-            u = stepper.step(u)
-            tol = POSITIVITY_REL_TOL * float(np.abs(u).max())
-            fully = bool(np.all(u[region_dofs] >= tol))
-            if fully and first_pos < 0:
-                first_pos = k
-            if k >= threshold and not fully:
-                ok = False
-        min_end = float(u[region_dofs].min())
-        ok = ok and first_pos >= 0 and first_pos <= threshold
-        all_ok = all_ok and ok
-        outcomes.append(TrialOutcome(node=vertex,
-                                     first_fully_positive=first_pos,
-                                     min_at_end=min_end, ok=ok))
+    cols = np.arange(trials)
+    dofs = cols % op.n_dof
+    U = np.zeros((op.n_dof, trials))
+    U[dofs, cols] = 1.0
+    first_pos = np.full(trials, -1)
+    ok = np.ones(trials, dtype=bool)
+    step = _stepper(op, cfg).step
+    for k in range(1, n_steps + 1):
+        U = step(U)
+        tol = POSITIVITY_REL_TOL * np.abs(U).max(axis=0)
+        fully = np.all(U[region_dofs] >= tol, axis=0)
+        first_pos[fully & (first_pos < 0)] = k
+        if k >= threshold:
+            ok &= fully
+    min_end = U[region_dofs].min(axis=0)
+    ok &= (first_pos >= 0) & (first_pos <= threshold)
+    outcomes = [TrialOutcome(node=int(free[d]), first_fully_positive=int(f),
+                             min_at_end=float(m), ok=bool(o))
+                for d, f, m, o in zip(dofs, first_pos, min_end, ok)]
     return PositivityImprovingReport(
-        verdict=Verdict.PASS if all_ok else Verdict.FAIL,
+        verdict=Verdict.PASS if ok.all() else Verdict.FAIL,
         region=region, threshold_step=threshold, trials=tuple(outcomes))
 
 
@@ -286,28 +309,39 @@ class KernelPositivityReport:
     reason: str = ""
 
 
-def kernel(op: DiscreteOperator, t: float, cfg: EvolutionConfig,
-           ) -> KernelMatrix:
-    """Evolve every unit point mass to time t and collect the columns."""
-    cfg_t = EvolutionConfig(scheme=cfg.scheme, dt=cfg.dt, t_end=t,
-                            mass=cfg.mass)
-    n_steps = cfg_t.n_steps
-    stepper = Stepper(op, cfg_t)
+def kernel(op: DiscreteOperator, t: float | tuple, cfg: EvolutionConfig):
+    """Evolve every unit point mass to time t and collect the columns.
+
+    The point masses march together as one dense block, one multi-column
+    solve per step. t may be a tuple of times: the block then marches once,
+    to the latest of them, and one KernelMatrix per time comes back in the
+    order given.
+    """
+    single = not isinstance(t, (tuple, list))
+    steps = [EvolutionConfig(scheme=cfg.scheme, dt=cfg.dt, t_end=ti,
+                             mass=cfg.mass).n_steps
+             for ti in ((t,) if single else t)]
+    step = _stepper(op, cfg).step
     nv = op.mesh.n_vertices
-    entries = np.zeros((nv, nv),
-                       dtype=complex if op.is_complex else float)
     free = op.free_vertices
     lumped_full = np.zeros(nv)
     lumped_full[free] = op.mass_lumped
-    for dof, vertex in enumerate(free):
-        u = np.zeros(op.n_dof, dtype=entries.dtype)
-        u[dof] = 1.0 / op.mass_lumped[dof]
-        for _ in range(n_steps):
-            u = stepper.step(u)
-        entries[free, vertex] = u
-    return KernelMatrix(t=n_steps * cfg.dt, entries=entries, mode=op.mode,
-                        constrained=op.constrained_vertices,
-                        lumped_mass_full=lumped_full)
+    U = np.diag(1.0 / op.mass_lumped).astype(
+        complex if op.is_complex else float)
+    snapshots = {}
+    for k in range(1, max(steps) + 1):
+        U = step(U)
+        if k in steps:
+            snapshots[k] = U
+    kernels = []
+    for n_steps in steps:
+        entries = np.zeros((nv, nv), dtype=U.dtype)
+        entries[np.ix_(free, free)] = snapshots[n_steps]
+        kernels.append(KernelMatrix(
+            t=n_steps * cfg.dt, entries=entries, mode=op.mode,
+            constrained=op.constrained_vertices,
+            lumped_mass_full=lumped_full))
+    return kernels[0] if single else tuple(kernels)
 
 
 def kernel_positivity_report(K: KernelMatrix, mode: BoundaryMode | None = None,

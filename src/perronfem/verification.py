@@ -21,8 +21,9 @@ from . import lattice
 from .assembly import BoundaryMode, CoefficientSet, DiscreteOperator, \
     assemble, ellipticity_check, mmatrix_report
 from .mesh import TriMesh, check_corkscrew
-from .semigroup import EvolutionConfig, Verdict, kernel, \
-    kernel_positivity_report, positivity_improving_check
+from .semigroup import EvolutionConfig, Verdict, default_evolution, \
+    kernel, kernel_positivity_report, positivity_improving_check, \
+    propagation_threshold
 from .spectral import REGION_FOR_MODE, certify_positivity, \
     complex_robin_bound, principal_eig, spectral_gap
 
@@ -58,15 +59,21 @@ class Problem:
     def evolution_cfg(self) -> EvolutionConfig:
         if self.evolution is not None:
             return self.evolution
-        # 80 steps of the default dt covers the propagation threshold of
-        # structured meshes up to n = 40
-        dt = self.mesh.h_max ** 2 / 4.0
-        return EvolutionConfig(dt=dt, t_end=80 * dt)
+        # the default horizon reaches the propagation threshold, so the
+        # positivity-improving certificate always has the steps it needs
+        try:
+            threshold = propagation_threshold(self.op)
+        except RuntimeError:  # disconnected: no horizon certifies positivity
+            threshold = 0
+        return default_evolution(self.mesh, min_steps=threshold)
 
     @cached_property
-    def kernel_at_end(self):
+    def kernels(self) -> tuple:
+        """K(t) at the horizon t and K(2t), from one march of the block of
+        all unit point masses."""
         cfg = self.evolution_cfg
-        return kernel(self.op, cfg.t_end, cfg)
+        return kernel(self.op, (cfg.t_end, 2.0 * (cfg.n_steps * cfg.dt)),
+                      cfg)
 
     @property
     def is_positivity_mode(self) -> bool:
@@ -158,7 +165,7 @@ def _check_positivity_improving(p: Problem):
 def _check_kernel_positivity(p: Problem):
     if not p.is_positivity_mode or p.op.is_complex:
         return Verdict.NOT_APPLICABLE, {"reason": "no positivity region"}
-    K = p.kernel_at_end
+    K = p.kernels[0]
     rep = kernel_positivity_report(K)
     return rep.verdict, {"t": K.t, "min_entry": rep.min_entry,
                          "witness": list(rep.witness),
@@ -168,7 +175,7 @@ def _check_kernel_positivity(p: Problem):
 def _check_kernel_symmetry(p: Problem):
     if p.op.is_complex or not p.op.is_hermitian:
         return Verdict.NOT_APPLICABLE, {"reason": "operator not self-adjoint"}
-    K = p.kernel_at_end
+    K = p.kernels[0]
     dev = float(np.abs(K.entries - K.entries.T).max())
     scale = max(1.0, float(np.abs(K.entries).max()))
     ok = dev <= 1e-8 * scale
@@ -179,9 +186,7 @@ def _check_kernel_symmetry(p: Problem):
 def _check_chapman_kolmogorov(p: Problem):
     if p.op.is_complex:
         return Verdict.NOT_APPLICABLE, {"reason": "complex operator"}
-    cfg = p.evolution_cfg
-    K1 = p.kernel_at_end
-    K2 = kernel(p.op, 2.0 * K1.t, cfg)
+    K1, K2 = p.kernels
     comp = K1.entries @ (K1.lumped_mass_full[:, None] * K1.entries)
     dev = float(np.abs(K2.entries - comp).max())
     scale = max(1.0, float(np.abs(K2.entries).max()))

@@ -291,6 +291,78 @@ def test_cli_usage_error_exit_code(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+def test_cli_missing_mesh_file_is_an_error(tmp_path, capsys):
+    path = write_config(tmp_path / "c.json", {
+        "mesh": {"path": "absent.mesh"}, "coefficients": {"mode": "robin"}})
+    assert main(["verify", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "absent.mesh" in err
+    assert "Traceback" not in err
+
+
+def test_cli_solver_error_is_an_error(tmp_path, capsys, monkeypatch):
+    # a non-symmetric convection term above the dense cutoff has no
+    # spectral-gap solver
+    import perronfem.spectral
+    monkeypatch.setattr(perronfem.spectral, "DENSE_CUTOFF", 10)
+    path = write_config(tmp_path / "c.json", {
+        "mesh": {"shape": "unit_square", "n": 4, "tags": "N"},
+        "coefficients": {"b": [1.0, 0.0], "mode": "neumann"}})
+    assert main(["eig", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "dense cutoff" in err
+
+
+def test_cli_default_horizon_covers_the_graph_diameter(tmp_path):
+    # n = 44 has a stiffness-graph diameter of 88 > 80 default steps
+    cfg = {"mesh": {"shape": "unit_square", "n": 44, "tags": "N"},
+           "coefficients": {"beta": 1.0, "mode": "robin"}}
+    path = write_config(tmp_path / "c.json", cfg)
+    assert main(["verify", "--config", path,
+                 "--only", "positivity-improving"]) == 0
+    report = json.loads((tmp_path / "verification_report.json").read_text())
+    (result,) = report["results"]
+    assert result["verdict"] == "pass"
+    assert result["payload"]["threshold_step"] == 88
+
+
+# verification_report.json bytes of two fixed configs, recorded before the
+# kernel checks moved to one block march; the march must not move a bit
+PINNED_REPORTS = {
+    "robin6": ({
+        "mesh": {"shape": "unit_square", "n": 6, "tags": "N"},
+        "coefficients": {"beta": 1.5, "mode": "robin"},
+        "oracle": {"matrix": [[-2.0, 1.0, 0.0], [0.0, -2.0, 1.0],
+                              [0.5, 0.0, -2.0]],
+                   "expect_irreducible": True},
+    }, "b8b1fde3942fbd69be47cd109c4afadf851e86e0061d00ccb535a6190ca7735c"),
+    "dirichlet6": ({
+        "mesh": {"shape": "unit_square", "n": 6, "tags": "D"},
+        "coefficients": {"mode": "dirichlet"},
+    }, "22d7be10d97add83ec80db4a7d2766475affb292ad9b290e6455b93bd6af2ac1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
+def test_cli_verify_report_bytes_pinned(tmp_path, name):
+    import hashlib
+    cfg, digest = PINNED_REPORTS[name]
+
+    def run(out, *only):
+        path = write_config(tmp_path / f"{out}.json",
+                            dict(cfg, output_dir=out))
+        assert main(["verify", "--config", path, *only]) == 0
+        return (tmp_path / out / "verification_report.json").read_bytes()
+
+    full = run("full")
+    assert hashlib.sha256(full).hexdigest() == digest
+    by_label = {r["label"]: r for r in json.loads(full)["results"]}
+    # a single kernel check marches the same block as the whole suite
+    for label in ("kernel-positivity", "chapman-kolmogorov"):
+        (alone,) = json.loads(run(label, "--only", label))["results"]
+        assert alone == by_label[label]
+
+
 # -- SVG ---------------------------------------------------------------------------
 
 def test_heatmap_constant_field_single_color(robin_mesh8):

@@ -297,3 +297,143 @@ def test_neumann_kernel_rank_one_limit(neumann_op8):
     cfg = EvolutionConfig(dt=0.25, t_end=50.0, mass=MassKind.LUMPED)
     K = kernel(neumann_op8, 50.0, cfg)
     assert np.abs(K.entries - 1.0).max() <= 0.01  # 1 / |Omega| with |Omega|=1
+
+
+# -- block march against per-column reference marches ---------------------------
+
+def _reference_step(op, cfg):
+    """Independent sparse step, factorized the way a column march needs."""
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+    M = sp.diags(op.mass_lumped).tocsr() if cfg.mass is MassKind.LUMPED \
+        else op.mass
+    theta = 1.0 if cfg.scheme is Scheme.IMPLICIT_EULER else 0.5
+    lu = spla.splu((M + theta * cfg.dt * op.stiffness).tocsc())
+    rhs = (M - (1.0 - theta) * cfg.dt * op.stiffness).tocsr() \
+        if theta < 1.0 else M.tocsr()
+    return lambda u: lu.solve(rhs @ u)
+
+
+def _reference_kernel(op, n_steps, cfg):
+    """Kernel entries from one march per unit point mass."""
+    step = _reference_step(op, cfg)
+    nv = op.mesh.n_vertices
+    entries = np.zeros((nv, nv), dtype=complex if op.is_complex else float)
+    for dof, vertex in enumerate(op.free_vertices):
+        u = np.zeros(op.n_dof, dtype=entries.dtype)
+        u[dof] = 1.0 / op.mass_lumped[dof]
+        for _ in range(n_steps):
+            u = step(u)
+        entries[op.free_vertices, vertex] = u
+    return entries
+
+
+def _small_op(case):
+    from perronfem import generate_structured
+    if case == "dirichlet":
+        mesh = generate_structured("unit_square", 5, "dirichlet")
+        return assemble(mesh, CoefficientSet.constant(mesh),
+                        BoundaryMode.DIRICHLET)
+    mesh = generate_structured("unit_square", 6, "flux")
+    if case == "complex_robin":
+        return assemble(mesh, CoefficientSet.constant(mesh, beta=1.0 + 0.5j),
+                        BoundaryMode.COMPLEX_ROBIN)
+    return assemble(mesh, CoefficientSet.constant(mesh, beta=1.5),
+                    BoundaryMode.ROBIN)
+
+
+@pytest.mark.parametrize("case,scheme,mass", [
+    ("robin", Scheme.IMPLICIT_EULER, MassKind.LUMPED),
+    ("dirichlet", Scheme.IMPLICIT_EULER, MassKind.LUMPED),
+    ("complex_robin", Scheme.IMPLICIT_EULER, MassKind.LUMPED),
+    ("robin", Scheme.CRANK_NICOLSON, MassKind.LUMPED),
+    ("robin", Scheme.IMPLICIT_EULER, MassKind.CONSISTENT),
+])
+def test_block_kernel_equals_column_marches(case, scheme, mass):
+    op = _small_op(case)
+    cfg = EvolutionConfig(scheme=scheme, dt=default_dt(op.mesh), t_end=1.0,
+                          mass=mass)
+    K = kernel(op, 12 * cfg.dt, cfg)
+    assert np.array_equal(K.entries, _reference_kernel(op, 12, cfg))
+    assert K.entries.dtype == (complex if case == "complex_robin" else float)
+    b = op.constrained_vertices
+    if case == "dirichlet":
+        assert b.size
+    assert np.all(K.entries[b, :] == 0.0)
+    assert np.all(K.entries[:, b] == 0.0)
+
+
+def test_kernel_time_tuple_equals_separate_calls(robin_op8):
+    cfg = lumped_cfg(robin_op8.mesh, t_end=0.25)
+    t = 7 * cfg.dt
+    K1, K2 = kernel(robin_op8, (t, 2 * t), cfg)
+    for K, single in ((K1, kernel(robin_op8, t, cfg)),
+                      (K2, kernel(robin_op8, 2 * t, cfg))):
+        assert K.t == single.t
+        assert np.array_equal(K.entries, single.entries)
+    assert K2.t == 2 * K1.t
+    # times come back in the order given
+    late, early = kernel(robin_op8, (2 * t, t), cfg)
+    assert np.array_equal(late.entries, K2.entries)
+    assert np.array_equal(early.entries, K1.entries)
+
+
+def test_kernel_and_trials_share_one_factorization(monkeypatch):
+    import scipy.sparse.linalg as spla
+    factorizations = []
+    splu = spla.splu
+    monkeypatch.setattr(spla, "splu",
+                        lambda A: factorizations.append(A) or splu(A))
+    op = _small_op("robin")
+    cfg = lumped_cfg(op.mesh, t_end=40 * default_dt(op.mesh))
+    kernel(op, (cfg.t_end, 2 * cfg.t_end), cfg)
+    positivity_improving_check(op, cfg, trials=4)
+    evolve(op, np.ones(op.n_dof), cfg)
+    assert len(factorizations) == 1
+    # another dt is another step matrix
+    kernel(op, cfg.t_end, EvolutionConfig(dt=cfg.dt / 2, t_end=cfg.t_end,
+                                          mass=MassKind.LUMPED))
+    assert len(factorizations) == 2
+
+
+@pytest.mark.parametrize("case,trials", [("robin", 32), ("dirichlet", 9),
+                                         ("tiny", 7)])
+def test_blocked_trials_match_per_trial_marches(case, trials):
+    from perronfem.spectral import POSITIVITY_REL_TOL, REGION_FOR_MODE, \
+        region_vertices
+    if case == "tiny":
+        # fewer dofs than trials: trial t carries the mass at dof t % n_dof
+        verts = [(0, 0), (1, 0), (1, 1), (0, 1)]
+        mesh = TriMesh(verts, [(0, 1, 2), (0, 2, 3)],
+                       [(0, 1), (1, 2), (2, 3), (0, 3)],
+                       (BoundaryTag.FLUX,) * 4)
+        op = assemble(mesh, CoefficientSet.constant(mesh, beta=1.0),
+                      BoundaryMode.ROBIN)
+    else:
+        op = _small_op(case)
+    cfg = lumped_cfg(op.mesh, t_end=30 * default_dt(op.mesh))
+    rep = positivity_improving_check(op, cfg, trials=trials)
+    assert rep.verdict is Verdict.PASS
+    assert len(rep.trials) == trials
+
+    step = _reference_step(op, cfg)
+    region_dofs = op.dof_map[region_vertices(op, REGION_FOR_MODE[op.mode])]
+    threshold = propagation_threshold(op)
+    for t, outcome in enumerate(rep.trials):
+        dof = t % op.n_dof
+        u = np.zeros(op.n_dof)
+        u[dof] = 1.0
+        first, ok = -1, True
+        for k in range(1, cfg.n_steps + 1):
+            u = step(u)
+            tol = POSITIVITY_REL_TOL * float(np.abs(u).max())
+            fully = bool(np.all(u[region_dofs] >= tol))
+            if fully and first < 0:
+                first = k
+            if k >= threshold and not fully:
+                ok = False
+        ok = ok and 0 <= first <= threshold
+        assert outcome.node == op.free_vertices[dof]
+        assert outcome.first_fully_positive == first
+        assert outcome.min_at_end == float(u[region_dofs].min())
+        assert outcome.ok is ok

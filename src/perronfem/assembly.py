@@ -243,14 +243,12 @@ class DiscreteOperator:
 
     dof_map maps mesh vertices to degree-of-freedom indices (-1 for
     constrained vertices). stiffness/mass/mass_lumped act on the free
-    dofs; boundary_mass is the (unweighted, lumped) trace mass diagonal
-    over free dofs, for diagnostics.
+    dofs.
     """
 
     stiffness: sp.csr_matrix
     mass: sp.csr_matrix
     mass_lumped: np.ndarray
-    boundary_mass: np.ndarray
     dof_map: np.ndarray
     mode: BoundaryMode
     mesh: TriMesh
@@ -346,7 +344,7 @@ def assemble(mesh: TriMesh, coeffs: CoefficientSet, mode: BoundaryMode, *,
                 or np.any(coeffs.c0 != 0):
             raise AssemblyError("MIXED mode requires b = c = c0 = 0")
         if not corkscrew_checked:
-            warnings.warn("MIXED assembly without a corkscrew check; "
+            warnings.warn("MIXED assembly without a passed corkscrew check; "
                           "mixed-boundary positivity claims may not apply",
                           stacklevel=2)
 
@@ -362,12 +360,6 @@ def assemble(mesh: TriMesh, coeffs: CoefficientSet, mode: BoundaryMode, *,
         bterm = _boundary_term(mesh, beta, nv, lump_boundary)
         stiffness = (stiffness.astype(bterm.dtype) + bterm).tocsr()
 
-    boundary_mass = np.zeros(nv)
-    for (i, j) in mesh.boundary_edges:
-        length = float(np.linalg.norm(mesh.vertices[i] - mesh.vertices[j]))
-        boundary_mass[i] += length / 2.0
-        boundary_mass[j] += length / 2.0
-
     constrained = _constrained_vertices(mesh, mode)
     dof_map = np.full(nv, -1, dtype=np.int64)
     free = np.setdiff1d(np.arange(nv), constrained)
@@ -377,7 +369,7 @@ def assemble(mesh: TriMesh, coeffs: CoefficientSet, mode: BoundaryMode, *,
     mass = mass[free][:, free].tocsr()
     return DiscreteOperator(
         stiffness=stiffness, mass=mass, mass_lumped=mass_lumped[free],
-        boundary_mass=boundary_mass[free], dof_map=dof_map, mode=mode,
+        dof_map=dof_map, mode=mode,
         mesh=mesh, coeffs=coeffs, lump_reaction=lump_reaction,
         lump_boundary=lump_boundary)
 

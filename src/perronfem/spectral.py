@@ -20,8 +20,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import BoundaryMode, CoefficientSet, DiscreteOperator, assemble
-from .mesh import TriMesh
+from .assembly import BoundaryMode, DiscreteOperator, assemble
 
 #: a nodal value counts as strictly positive when >= this times max |u|
 POSITIVITY_REL_TOL = 1e-12
@@ -209,11 +208,32 @@ def _pencil_mass(op: DiscreteOperator, mass: str):
     raise ValueError(f"mass must be 'consistent' or 'lumped', got {mass!r}")
 
 
-def _dense_sorted_spectrum(op: DiscreteOperator, M):
-    A = op.stiffness.toarray()
-    values, vectors = sla.eig(A, M.toarray())
-    order = np.lexsort((values.imag, values.real))
-    return values[order], vectors[:, order]
+def _solve_once(op: DiscreteOperator, key: tuple, solve):
+    """The arrays ``solve()`` returns, computed once per operator and key
+    and shared read-only by every caller."""
+    if key not in op.solver_cache:
+        op.solver_cache[key] = arrays = solve()
+        for a in arrays:
+            a.flags.writeable = False
+    return op.solver_cache[key]
+
+
+def _pencil_pairs(op: DiscreteOperator, mass: str, k: int, tol: float):
+    """``_hermitian_pairs`` once per operator, mass kind, k and tol."""
+    return _solve_once(op, ("hermitian_pairs", mass, k, tol), lambda: (
+        _hermitian_pairs(op.stiffness, _pencil_mass(op, mass),
+                         op.mass_lumped, k, tol)))
+
+
+def _dense_sorted_spectrum(op: DiscreteOperator, mass: str):
+    """Spectrum sorted by real, then imaginary part: one dense QZ solve
+    per operator and mass kind."""
+    def solve():
+        values, vectors = sla.eig(op.stiffness.toarray(),
+                                  _pencil_mass(op, mass).toarray())
+        order = np.lexsort((values.imag, values.real))
+        return values[order], vectors[:, order]
+    return _solve_once(op, ("dense_spectrum", mass), solve)
 
 
 def _arnoldi_smallest_real(op: DiscreteOperator, M, k: int, tol: float):
@@ -239,15 +259,14 @@ def principal_eig(op: DiscreteOperator, tol: float = 1e-10,
     M = _pencil_mass(op, mass)
     if op.is_hermitian and not op.is_complex:
         k = min(2, op.n_dof)
-        values, vectors, residuals = _hermitian_pairs(
-            op.stiffness, M, op.mass_lumped, k, tol)
+        values, vectors, residuals = _pencil_pairs(op, mass, k, tol)
         lam1 = complex(values[0])
         vector = _fix_sign(vectors[:, 0], op.mass_lumped)
         residual = float(residuals[0])
         gap = float(values[1] - values[0]) if k == 2 else math.inf
     else:
         if op.n_dof <= DENSE_CUTOFF:
-            values, vectors = _dense_sorted_spectrum(op, M)
+            values, vectors = _dense_sorted_spectrum(op, mass)
         else:
             values, vectors = _arnoldi_smallest_real(op, M, k=6, tol=tol)
         lam1 = complex(values[0])
@@ -276,14 +295,13 @@ def spectral_gap(op: DiscreteOperator, k: int, tol: float = 1e-10,
         raise ValueError(f"k = {k} exceeds n_dof = {op.n_dof}")
     M = _pencil_mass(op, mass)
     if op.is_hermitian and not op.is_complex:
-        values, vectors, residuals = _hermitian_pairs(
-            op.stiffness, M, op.mass_lumped, k, tol)
+        values, vectors, residuals = _pencil_pairs(op, mass, k, tol)
         values = values.astype(float)
     else:
         if op.n_dof > DENSE_CUTOFF:
             raise SolverError(f"n_dof = {op.n_dof} exceeds the dense cutoff "
                               f"{DENSE_CUTOFF} for non-Hermitian spectra")
-        values, vectors = _dense_sorted_spectrum(op, M)
+        values, vectors = _dense_sorted_spectrum(op, mass)
         values, vectors = values[:k], vectors[:, :k]
         residuals = np.array([
             float(np.linalg.norm(op.stiffness @ vectors[:, j]
@@ -340,35 +358,36 @@ def certify_positivity(report: EigenReport,
                                  passed=min_value >= tol)
 
 
-def complex_robin_bound(mesh: TriMesh, coeffs: CoefficientSet,
-                        tol: float = 1e-9, *,
-                        lump_boundary: bool = True,
+def complex_robin_bound(op: DiscreteOperator, tol: float = 1e-9, *,
                         use_arnoldi: bool = False) -> ComplexRobinBound:
-    """Compare the bottom of Re(spectrum) under a complex boundary
-    coefficient with the bottom of the spectrum of the real-part problem.
+    """Compare the bottom of Re(spectrum) of an assembled COMPLEX_ROBIN
+    operator with the bottom of the spectrum of the real-part problem,
+    assembled on the same mesh with the same lumping.
 
     The real parts of the complex-problem eigenvalues always dominate the
     real-part problem's minimum; the inequality is strict exactly when the
     imaginary part of beta is genuinely active.
     """
-    beta = np.asarray(coeffs.beta, dtype=complex)
-    op_c = assemble(mesh, coeffs, BoundaryMode.COMPLEX_ROBIN,
-                    lump_boundary=lump_boundary)
-    if op_c.n_dof > DENSE_CUTOFF and not use_arnoldi:
+    if op.mode is not BoundaryMode.COMPLEX_ROBIN:
+        raise ValueError(f"expected a complex_robin operator, got "
+                         f"{op.mode.value}")
+    if op.n_dof > DENSE_CUTOFF and not use_arnoldi:
         raise SolverError(
-            f"n_dof = {op_c.n_dof} exceeds the dense cutoff {DENSE_CUTOFF}; "
+            f"n_dof = {op.n_dof} exceeds the dense cutoff {DENSE_CUTOFF}; "
             "pass use_arnoldi=True to enable the iterative fallback")
 
-    coeffs_re = replace(coeffs, beta=beta.real.copy(), validate=False)
+    beta = np.asarray(op.coeffs.beta, dtype=complex)
+    coeffs_re = replace(op.coeffs, beta=beta.real.copy(), validate=False)
     mode_re = BoundaryMode.NEUMANN if np.all(beta.real == 0) \
         else BoundaryMode.ROBIN
-    op_r = assemble(mesh, coeffs_re, mode_re, lump_boundary=lump_boundary)
+    op_r = assemble(op.mesh, coeffs_re, mode_re,
+                    lump_reaction=op.lump_reaction,
+                    lump_boundary=op.lump_boundary)
 
-    M = op_c.mass
-    if op_c.n_dof <= DENSE_CUTOFF:
-        values, _ = _dense_sorted_spectrum(op_c, M)
+    if op.n_dof <= DENSE_CUTOFF:
+        values, _ = _dense_sorted_spectrum(op, "consistent")
     else:
-        values, _ = _arnoldi_smallest_real(op_c, M, k=8, tol=1e-12)
+        values, _ = _arnoldi_smallest_real(op, op.mass, k=8, tol=1e-12)
     re_min = float(values.real.min())
 
     lam1 = principal_eig(op_r, tol=1e-12).lambda1.real

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -36,20 +36,22 @@ class Problem:
     coeffs: CoefficientSet
     mode: BoundaryMode
     solver_tol: float = 1e-10
-    evolution: EvolutionConfig | None = None
+    #: a config, or a partial call completing one from min_steps
+    evolution: EvolutionConfig | partial | None = None
     corkscrew_delta: float = 0.1
-    seed: int = 0
     oracle_matrix: np.ndarray | None = None
     expect_irreducible: bool | None = None
 
     @cached_property
+    def corkscrew(self):
+        """The corkscrew check; assembly warns in MIXED mode if it fails."""
+        return check_corkscrew(self.mesh, self.corkscrew_delta)
+
+    @cached_property
     def op(self) -> DiscreteOperator:
-        corkscrew_ok = True
-        if self.mode is BoundaryMode.MIXED:
-            corkscrew_ok = bool(check_corkscrew(self.mesh,
-                                                self.corkscrew_delta))
+        checked = self.mode is not BoundaryMode.MIXED or self.corkscrew.ok
         return assemble(self.mesh, self.coeffs, self.mode,
-                        corkscrew_checked=corkscrew_ok)
+                        corkscrew_checked=checked)
 
     @cached_property
     def principal(self):
@@ -57,15 +59,16 @@ class Problem:
 
     @cached_property
     def evolution_cfg(self) -> EvolutionConfig:
-        if self.evolution is not None:
+        if isinstance(self.evolution, EvolutionConfig):
             return self.evolution
-        # the default horizon reaches the propagation threshold, so the
+        # an open horizon reaches the propagation threshold, so the
         # positivity-improving certificate always has the steps it needs
         try:
             threshold = propagation_threshold(self.op)
         except RuntimeError:  # disconnected: no horizon certifies positivity
             threshold = 0
-        return default_evolution(self.mesh, min_steps=threshold)
+        complete = self.evolution or partial(default_evolution, self.mesh)
+        return complete(min_steps=threshold)
 
     @cached_property
     def kernels(self) -> tuple:
@@ -98,7 +101,7 @@ def _check_mmatrix(p: Problem):
 
 
 def _check_corkscrew(p: Problem):
-    res = check_corkscrew(p.mesh, p.corkscrew_delta)
+    res = p.corkscrew
     payload = {"delta": p.corkscrew_delta,
                "checked_pairs": len(res.witnesses)}
     if not res.ok:
@@ -203,7 +206,7 @@ def _check_complex_robin(p: Problem):
         return Verdict.NOT_APPLICABLE, {
             "reason": "imaginary part of beta vanishes; strictness "
                       "hypothesis unmet"}
-    bound = complex_robin_bound(p.mesh, p.coeffs)
+    bound = complex_robin_bound(p.op)
     return (Verdict.PASS if bound.strict else Verdict.FAIL,
             {"re_min_complex": bound.re_min_complex,
              "min_real_part_problem": bound.min_real_part_problem,
@@ -317,7 +320,7 @@ class VerificationSuiteReport:
         # runtimes are excluded so reports replay byte-identically
         return {"results": [
             {"label": r.label, "verdict": r.verdict.value,
-             "payload": _jsonable(r.payload)}
+             "payload": jsonable(r.payload)}
             for r in self.results]}
 
     def to_text(self) -> str:
@@ -332,18 +335,22 @@ class VerificationSuiteReport:
         return "\n".join(lines) + "\n"
 
 
-def _jsonable(obj):
+def jsonable(obj):
+    """Strict-JSON values: numpy scalars and arrays as Python ones, complex
+    numbers as {"re", "im"}, non-finite floats as their repr."""
     if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
+        return {k: jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+        return [jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return jsonable(obj.tolist())
+    if isinstance(obj, complex):
+        return {"re": jsonable(obj.real), "im": jsonable(obj.imag)}
     if isinstance(obj, (np.floating, float)):
         v = float(obj)
         return v if math.isfinite(v) else repr(v)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
+    if isinstance(obj, (np.integer, np.bool_)):
+        return obj.item()
     return obj
 
 

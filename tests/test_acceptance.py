@@ -97,13 +97,15 @@ def test_criterion_3_mixed_boundary_positivity():
 
 def test_criterion_4_complex_robin_bound():
     mesh = generate_structured("unit_square", 16, "flux")
-    strict = complex_robin_bound(
-        mesh, CoefficientSet.constant(mesh, beta=1.0 + 1.0j))
+    strict = complex_robin_bound(assemble(
+        mesh, CoefficientSet.constant(mesh, beta=1.0 + 1.0j),
+        BoundaryMode.COMPLEX_ROBIN))
     assert strict.strict
     assert strict.margin > 1e-6
 
-    degenerate = complex_robin_bound(
-        mesh, CoefficientSet.constant(mesh, beta=1.0 + 0.0j))
+    degenerate = complex_robin_bound(assemble(
+        mesh, CoefficientSet.constant(mesh, beta=1.0 + 0.0j),
+        BoundaryMode.COMPLEX_ROBIN))
     assert abs(degenerate.margin) <= 1e-10
     report(4, f"complex Robin margin {strict.margin:.4f} > 1e-6; real beta "
               f"margin {degenerate.margin:.2e} within 1e-10")

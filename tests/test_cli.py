@@ -326,8 +326,13 @@ def test_cli_default_horizon_covers_the_graph_diameter(tmp_path):
     assert result["payload"]["threshold_step"] == 88
 
 
-# verification_report.json bytes of two fixed configs, recorded before the
-# kernel checks moved to one block march; the march must not move a bit
+LSHAPE_MIXED_TAGS = {"bottom": "D", "right": "N", "inner_h": "N",
+                     "inner_v": "N", "top": "N", "left": "N"}
+
+# verification_report.json bytes of fixed configs: robin6 and dirichlet6
+# recorded before the kernel checks moved to one block march, complex6 and
+# lshape4 before the spectral checks shared one solve per operator; neither
+# change may move a bit
 PINNED_REPORTS = {
     "robin6": ({
         "mesh": {"shape": "unit_square", "n": 6, "tags": "N"},
@@ -340,6 +345,15 @@ PINNED_REPORTS = {
         "mesh": {"shape": "unit_square", "n": 6, "tags": "D"},
         "coefficients": {"mode": "dirichlet"},
     }, "22d7be10d97add83ec80db4a7d2766475affb292ad9b290e6455b93bd6af2ac1"),
+    "complex6": ({
+        "mesh": {"shape": "unit_square", "n": 6, "tags": "N"},
+        "coefficients": {"beta": {"re": 1.0, "im": 0.5},
+                         "mode": "complex_robin"},
+    }, "e55d35f724876b6b8bf3e4124e4262a0f40a268511729de7c85a4ad182936430"),
+    "lshape4": ({
+        "mesh": {"shape": "l_shape", "n": 4, "tags": LSHAPE_MIXED_TAGS},
+        "coefficients": {"mode": "mixed"},
+    }, "53d5c2ec0086648e9bb767ff1bc8922ab23acbcac8f1ac1bf07bdeb3661bbffb"),
 }
 
 
@@ -361,6 +375,131 @@ def test_cli_verify_report_bytes_pinned(tmp_path, name):
     for label in ("kernel-positivity", "chapman-kolmogorov"):
         (alone,) = json.loads(run(label, "--only", label))["results"]
         assert alone == by_label[label]
+
+
+# eig_report.json bytes, recorded before the CLI and the suite shared one
+# JSON conversion
+PINNED_EIG_REPORTS = {
+    "robin6": (
+        {"beta": 1.5, "mode": "robin"},
+        "2c501b084df0b15ce987ecd232fe3f33b4898c37c4ae2cf8e2d09c3b7b296800"),
+    "complex6": (
+        {"beta": {"re": 1.0, "im": 0.5}, "mode": "complex_robin"},
+        "1070c2667f76ec6093b70320dc62747f99cf690ce59313066d331e5f749753d0"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_EIG_REPORTS))
+def test_cli_eig_report_bytes_pinned(tmp_path, name):
+    import hashlib
+    coefficients, digest = PINNED_EIG_REPORTS[name]
+    path = write_config(tmp_path / "c.json", {
+        "mesh": {"shape": "unit_square", "n": 6, "tags": "N"},
+        "coefficients": coefficients, "gap_count": 3, "output_dir": "out",
+        "emit_csv": False, "emit_svg": False})
+    assert main(["eig", "--config", path]) == 0
+    blob = (tmp_path / "out" / "eig_report.json").read_bytes()
+    assert hashlib.sha256(blob).hexdigest() == digest
+
+
+def test_jsonable_gives_strict_json():
+    from perronfem.verification import jsonable
+    obj = jsonable({"x": np.float64(0.5), "inf": np.inf, "z": 1.0 + 2.0j,
+                    "v": np.arange(2), "n": np.int64(3), "b": np.bool_(True),
+                    "t": (np.nan,)})
+    assert obj == {"x": 0.5, "inf": "inf", "z": {"re": 1.0, "im": 2.0},
+                   "v": [0, 1], "n": 3, "b": True, "t": ["nan"]}
+    json.dumps(obj, allow_nan=False)
+
+
+# -- one solve per operator --------------------------------------------------------
+
+def test_complex_verify_runs_one_dense_eigensolve(tmp_path, monkeypatch):
+    import scipy.linalg
+    calls = []
+    eig = scipy.linalg.eig
+    monkeypatch.setattr(scipy.linalg, "eig",
+                        lambda *a, **kw: calls.append(1) or eig(*a, **kw))
+    cfg, _ = PINNED_REPORTS["complex6"]
+    path = write_config(tmp_path / "c.json", dict(cfg, output_dir="out"))
+    assert main(["verify", "--config", path]) == 0
+    assert len(calls) == 1
+
+
+def test_verify_factorizes_each_pencil_once(monkeypatch):
+    import scipy.sparse.linalg
+    calls = []
+    splu = scipy.sparse.linalg.splu
+    monkeypatch.setattr(scipy.sparse.linalg, "splu",
+                        lambda *a, **kw: calls.append(1) or splu(*a, **kw))
+    problem = make_problem("robin")
+    for label in ("principal-positivity", "spectral-gap"):
+        (result,) = run_suite(problem, only=label).results
+        assert result.verdict is Verdict.PASS
+    assert len(calls) == 1  # the consistent pencil
+    run_suite(problem, only="perron-sign-structure")
+    assert len(calls) == 2  # plus the lumped pencil
+
+
+def test_verify_runs_the_corkscrew_check_once(monkeypatch):
+    import perronfem.verification as verification
+    calls = []
+    check = verification.check_corkscrew
+    monkeypatch.setattr(verification, "check_corkscrew",
+                        lambda *a: calls.append(1) or check(*a))
+    report = run_suite(make_problem("mixed"))
+    assert not report.failed
+    assert len(calls) == 1
+
+
+def test_cli_eig_warns_when_the_corkscrew_check_fails(tmp_path):
+    import warnings
+    from perronfem.mesh import BoundaryTag, TriMesh, check_corkscrew, \
+        save_mesh
+    mesh = generate_structured("unit_square", 8, "N")
+    # a single Dirichlet edge of length 1/8: none of its points is 0.1 away
+    # from the flux part, so the check fails at r = 1
+    tags = (BoundaryTag.DIRICHLET,) + mesh.boundary_tags[1:]
+    thin = TriMesh(mesh.vertices, mesh.triangles, mesh.boundary_edges, tags)
+    assert not check_corkscrew(thin, 0.1).ok
+    (tmp_path / "thin.txt").write_text(save_mesh(thin), encoding="utf-8")
+    cfg = {"mesh": {"path": "thin.txt"}, "coefficients": {"mode": "mixed"},
+           "emit_csv": False, "emit_svg": False}
+    path = write_config(tmp_path / "thin.json", cfg)
+    with pytest.warns(UserWarning, match="corkscrew"):
+        assert main(["eig", "--config", path]) == 0
+
+    cfg["mesh"] = {"shape": "unit_square", "n": 8,
+                   "tags": {"bottom": "D", "right": "N", "top": "N",
+                            "left": "N"}}
+    path = write_config(tmp_path / "thick.json", cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["eig", "--config", path]) == 0
+
+
+def test_cli_verify_evolution_block_without_t_end_covers_the_diameter(
+        tmp_path):
+    # n = 44 needs 88 steps; an evolution block that leaves t_end open gets
+    # the propagation threshold as its horizon, as no block at all does
+    cfg = {"mesh": {"shape": "unit_square", "n": 44, "tags": "N"},
+           "coefficients": {"beta": 1.0, "mode": "robin"},
+           "evolution": {"scheme": "implicit_euler"}}
+    path = write_config(tmp_path / "c.json", cfg)
+    assert main(["verify", "--config", path,
+                 "--only", "positivity-improving"]) == 0
+    report = json.loads((tmp_path / "verification_report.json").read_text())
+    (result,) = report["results"]
+    assert result["verdict"] == "pass"
+    assert result["payload"]["threshold_step"] == 88
+
+    # evolve keeps the plain 80-step default horizon
+    cfg = {**ROBIN_PROBLEM, "evolution": {"scheme": "implicit_euler"},
+           "output_dir": "run"}
+    path = write_config(tmp_path / "evolve.json", cfg)
+    assert main(["evolve", "--config", path]) == 0
+    csv = (tmp_path / "run" / "trajectory.csv").read_text().splitlines()
+    assert len(csv) == 1 + 81
 
 
 # -- SVG ---------------------------------------------------------------------------

@@ -271,7 +271,8 @@ def test_spectral_gap_non_hermitian_sorted(robin_mesh8):
 
 def test_complex_robin_real_beta_margin_zero(robin_mesh8):
     coeffs = CoefficientSet.constant(robin_mesh8, beta=1.0 + 0.0j)
-    bound = complex_robin_bound(robin_mesh8, coeffs)
+    bound = complex_robin_bound(
+        assemble(robin_mesh8, coeffs, BoundaryMode.COMPLEX_ROBIN))
     assert not bound.strict
     assert abs(bound.margin) <= 1e-10
 
@@ -279,7 +280,8 @@ def test_complex_robin_real_beta_margin_zero(robin_mesh8):
 def test_complex_robin_strict_bound():
     mesh = generate_structured("unit_square", 16, "flux")
     coeffs = CoefficientSet.constant(mesh, beta=1.0 + 1.0j)
-    bound = complex_robin_bound(mesh, coeffs)
+    bound = complex_robin_bound(
+        assemble(mesh, coeffs, BoundaryMode.COMPLEX_ROBIN))
     assert bound.strict
     assert bound.margin > 0
     assert bound.re_min_complex > bound.min_real_part_problem
@@ -289,7 +291,8 @@ def test_complex_robin_margin_decreases_with_imaginary_part(robin_mesh8):
     margins = []
     for gamma in (0.5, 0.25, 0.125):
         coeffs = CoefficientSet.constant(robin_mesh8, beta=1.0 + 1j * gamma)
-        margins.append(complex_robin_bound(robin_mesh8, coeffs).margin)
+        op = assemble(robin_mesh8, coeffs, BoundaryMode.COMPLEX_ROBIN)
+        margins.append(complex_robin_bound(op).margin)
     assert margins[0] > margins[1] > margins[2] > 0
 
 
@@ -354,7 +357,7 @@ def test_arnoldi_fallback_agrees_with_dense(robin_mesh8):
         _dense_sorted_spectrum
     coeffs = CoefficientSet.constant(robin_mesh8, beta=1.0 + 1.0j)
     op = assemble(robin_mesh8, coeffs, BoundaryMode.COMPLEX_ROBIN)
-    dense_vals, _ = _dense_sorted_spectrum(op, op.mass)
+    dense_vals, _ = _dense_sorted_spectrum(op, "consistent")
     arn_vals, _ = _arnoldi_smallest_real(op, op.mass, k=4, tol=1e-12)
     np.testing.assert_allclose(np.sort(arn_vals.real)[:3],
                                np.sort(dense_vals.real)[:3], rtol=1e-8)
@@ -363,12 +366,65 @@ def test_arnoldi_fallback_agrees_with_dense(robin_mesh8):
 def test_dense_cutoff_error_without_arnoldi(robin_mesh8):
     import perronfem.spectral as spectral
     coeffs = CoefficientSet.constant(robin_mesh8, beta=1.0 + 1.0j)
+    op = assemble(robin_mesh8, coeffs, BoundaryMode.COMPLEX_ROBIN)
     original = spectral.DENSE_CUTOFF
     spectral.DENSE_CUTOFF = 10
     try:
         with pytest.raises(SolverError, match="use_arnoldi"):
-            complex_robin_bound(robin_mesh8, coeffs)
-        bound = complex_robin_bound(robin_mesh8, coeffs, use_arnoldi=True)
+            complex_robin_bound(op)
+        bound = complex_robin_bound(op, use_arnoldi=True)
         assert bound.strict
     finally:
         spectral.DENSE_CUTOFF = original
+
+
+# -- one solve per operator ------------------------------------------------------
+
+def _fresh(op):
+    return assemble(op.mesh, op.coeffs, op.mode)
+
+
+@pytest.mark.parametrize("beta", [1.0, 1.0 + 1.0j])
+def test_spectral_gap_after_principal_eig_is_bitwise_a_fresh_solve(
+        robin_mesh8, beta):
+    coeffs = CoefficientSet.constant(robin_mesh8, beta=beta)
+    mode = BoundaryMode.ROBIN if beta == 1.0 else BoundaryMode.COMPLEX_ROBIN
+    op = assemble(robin_mesh8, coeffs, mode)
+    principal = principal_eig(op)
+    shared = spectral_gap(op, 2)
+    alone = spectral_gap(_fresh(op), 2)
+    assert np.array_equal(shared.values, alone.values)
+    assert np.array_equal(shared.vectors, alone.vectors)
+    assert np.array_equal(shared.residuals, alone.residuals)
+    assert shared.gap == alone.gap == principal.gap
+    assert principal.lambda1 == principal_eig(_fresh(op)).lambda1
+
+
+def test_complex_robin_bound_reads_the_suite_spectrum(robin_mesh8):
+    coeffs = CoefficientSet.constant(robin_mesh8, beta=1.0 + 0.5j)
+    op = assemble(robin_mesh8, coeffs, BoundaryMode.COMPLEX_ROBIN)
+    rep = principal_eig(op)
+    bound = complex_robin_bound(op)
+    assert bound == complex_robin_bound(_fresh(op))
+    assert bound.re_min_complex == rep.lambda1.real
+
+
+def test_shared_solves_are_read_only(robin_op8, robin_mesh8):
+    from perronfem.spectral import _dense_sorted_spectrum
+    gap = spectral_gap(robin_op8, 3)
+    with pytest.raises(ValueError, match="read-only"):
+        gap.residuals[0] = 0.0
+    op = assemble(robin_mesh8,
+                  CoefficientSet.constant(robin_mesh8, beta=1.0 + 1.0j),
+                  BoundaryMode.COMPLEX_ROBIN)
+    values, vectors = _dense_sorted_spectrum(op, "consistent")
+    assert _dense_sorted_spectrum(op, "consistent")[0] is values
+    with pytest.raises(ValueError, match="read-only"):
+        values[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        vectors[:, 0] *= 2.0
+
+
+def test_complex_robin_bound_needs_the_complex_operator(robin_op8):
+    with pytest.raises(ValueError, match="complex_robin"):
+        complex_robin_bound(robin_op8)

@@ -114,16 +114,23 @@ class CoefficientSet:
     @classmethod
     def constant(cls, mesh: TriMesh, a=None, b=(0.0, 0.0), c=(0.0, 0.0),
                  c0=0.0, beta=0.0, mu=1.0, validate=True) -> "CoefficientSet":
-        """Broadcast global coefficient values over a mesh."""
+        """Broadcast global coefficient values over a mesh: a is one 2x2
+        matrix or one per triangle, beta a scalar or one value per boundary
+        edge."""
         nt = mesh.n_triangles
         nb = len(mesh.boundary_edges)
         a = np.eye(2) if a is None else np.asarray(a, dtype=float)
+        if a.shape not in ((2, 2), (nt, 2, 2)):
+            raise AssemblyError("a must be a 2x2 matrix or one per triangle")
         if a.shape == (2, 2):
             a = np.broadcast_to(a, (nt, 2, 2)).copy()
         b = np.broadcast_to(np.asarray(b, dtype=float), (nt, 2)).copy()
         c = np.broadcast_to(np.asarray(c, dtype=float), (nt, 2)).copy()
         c0 = np.broadcast_to(np.asarray(c0, dtype=float), (nt,)).copy()
         beta_arr = np.asarray(beta)
+        if beta_arr.ndim != 0 and beta_arr.shape != (nb,):
+            raise AssemblyError(f"beta must be scalar or one value per "
+                                f"boundary edge ({nb})")
         dtype = complex if np.iscomplexobj(beta_arr) else float
         beta_full = np.broadcast_to(beta_arr.astype(dtype), (nb,)).copy()
         return cls(a=a, b=b, c=c, c0=c0, beta=beta_full, mu=mu,
@@ -428,27 +435,10 @@ def coefficients_from_dict(data: dict, mesh: TriMesh) -> tuple:
             return np.array([parse_beta(x) for x in raw])
         return float(raw)
 
-    a = np.asarray(data.get("a", np.eye(2).tolist()), dtype=float)
-    b = np.asarray(data.get("b", [0.0, 0.0]), dtype=float)
-    c = np.asarray(data.get("c", [0.0, 0.0]), dtype=float)
-    c0 = np.asarray(data.get("c0", 0.0), dtype=float)
-    beta = parse_beta(data.get("beta", 0.0))
-    mu = float(data.get("mu", 1.0))
     mode = BoundaryMode(data.get("mode", "robin"))
-
-    nt, nb = mesh.n_triangles, len(mesh.boundary_edges)
-    if a.shape not in ((2, 2), (nt, 2, 2)):
-        raise AssemblyError("a must be a 2x2 matrix or one per triangle")
-    if a.shape == (2, 2):
-        a = np.broadcast_to(a, (nt, 2, 2)).copy()
-    b = np.broadcast_to(b, (nt, 2)).copy()
-    c = np.broadcast_to(c, (nt, 2)).copy()
-    c0 = np.broadcast_to(c0, (nt,)).copy()
-    beta_arr = np.asarray(beta)
-    if beta_arr.ndim == 0:
-        beta_arr = np.broadcast_to(beta_arr, (nb,)).copy()
-    elif beta_arr.shape != (nb,):
-        raise AssemblyError(f"beta must be scalar or one value per boundary "
-                            f"edge ({nb})")
-    coeffs = CoefficientSet(a=a, b=b, c=c, c0=c0, beta=beta_arr, mu=mu)
+    coeffs = CoefficientSet.constant(
+        mesh, a=np.asarray(data.get("a", np.eye(2)), dtype=float),
+        b=data.get("b", (0.0, 0.0)), c=data.get("c", (0.0, 0.0)),
+        c0=data.get("c0", 0.0), beta=parse_beta(data.get("beta", 0.0)),
+        mu=float(data.get("mu", 1.0)))
     return coeffs, mode

@@ -12,11 +12,13 @@ A plain text format is supported for interchange, see :func:`save_mesh`.
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 
 class MeshError(ValueError):
@@ -128,7 +130,7 @@ class TriMesh:
             out[:, k] = np.linalg.norm(p[:, i] - p[:, j], axis=1)
         return out
 
-    @property
+    @cached_property
     def h_max(self) -> float:
         return float(self.edge_lengths().max())
 
@@ -138,10 +140,7 @@ class TriMesh:
 
     def dirichlet_vertices(self) -> np.ndarray:
         """Vertices on the closed Dirichlet part (endpoints of D-edges)."""
-        mask = [tag is BoundaryTag.DIRICHLET for tag in self.boundary_tags]
-        if not any(mask):
-            return np.array([], dtype=np.int64)
-        return np.unique(self.boundary_edges[np.asarray(mask)])
+        return np.unique(self.edges_with_tag(BoundaryTag.DIRICHLET))
 
     def edges_with_tag(self, tag: BoundaryTag) -> np.ndarray:
         mask = [t is tag for t in self.boundary_tags]
@@ -150,18 +149,11 @@ class TriMesh:
 
     def vertex_adjacency(self):
         """Sparse symmetric vertex-vertex adjacency over triangle edges."""
-        import scipy.sparse as sp
-
-        rows, cols = [], []
-        for a, b in ((0, 1), (1, 2), (2, 0)):
-            rows.extend(self.triangles[:, a])
-            cols.extend(self.triangles[:, b])
-        data = np.ones(len(rows))
-        adj = sp.coo_matrix((data, (rows, cols)),
-                            shape=(self.n_vertices, self.n_vertices))
-        adj = adj + adj.T
-        adj.data[:] = 1.0
-        return adj.tocsr()
+        edges, _, _ = _edge_table(self.triangles, self.n_vertices)
+        rows = np.concatenate((edges[:, 0], edges[:, 1]))
+        cols = np.concatenate((edges[:, 1], edges[:, 0]))
+        return sp.coo_matrix((np.ones(len(rows)), (rows, cols)),
+                             shape=(self.n_vertices, self.n_vertices)).tocsr()
 
     # -- validation ----------------------------------------------------------
 
@@ -185,59 +177,58 @@ class TriMesh:
                 f"triangle {bad[0]} has nonpositive signed area "
                 f"({areas[bad[0]]:.3e}); vertices must be counterclockwise")
 
-        counts = Counter()
-        for tri in self.triangles:
-            for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-                if a == b:
-                    raise MeshError(f"degenerate edge in triangle {tri}")
-                counts[frozenset((int(a), int(b)))] += 1
-        over = [e for e, c in counts.items() if c > 2]
-        if over:
-            raise MeshError(f"edge {sorted(over[0])} shared by more than two "
+        edges, counts, side_edge = _edge_table(self.triangles, nv)
+        over = edges[counts > 2]
+        if len(over):
+            raise MeshError(f"edge {over[0].tolist()} shared by more than two "
                             "triangles; mesh is not conforming")
 
-        expected_boundary = {e for e, c in counts.items() if c == 1}
-        given = [frozenset((int(a), int(b))) for a, b in self.boundary_edges]
-        dup = Counter(given)
-        worst = dup.most_common(1)
-        if worst and worst[0][1] > 1:
-            raise MeshError(f"boundary edge {sorted(worst[0][0])} listed "
-                            "more than once (duplicate tag)")
-        if set(given) != expected_boundary:
-            missing = expected_boundary - set(given)
-            extra = set(given) - expected_boundary
+        given, repeats = np.unique(np.sort(self.boundary_edges, axis=1),
+                                   axis=0, return_counts=True)
+        if np.any(repeats > 1):
+            raise MeshError(f"boundary edge {given[repeats > 1][0].tolist()} "
+                            "listed more than once (duplicate tag)")
+        # both lists are sorted, so they are equal exactly when the sets are
+        expected = edges[counts == 1]
+        if not np.array_equal(given, expected):
+            listed = set(map(tuple, given.tolist()))
+            wanted = set(map(tuple, expected.tolist()))
             detail = []
-            if missing:
-                detail.append(f"untagged boundary edge {sorted(next(iter(missing)))}")
-            if extra:
-                detail.append(f"edge {sorted(next(iter(extra)))} is not a boundary edge")
+            if wanted - listed:
+                detail.append(f"untagged boundary edge "
+                              f"{list(min(wanted - listed))}")
+            if listed - wanted:
+                detail.append(f"edge {list(min(listed - wanted))} is not a "
+                              "boundary edge")
             raise MeshError("; ".join(detail))
         if len(self.boundary_tags) != len(self.boundary_edges):
             raise MeshError("one tag required per boundary edge")
 
-        self._check_connected(counts)
-
-    def _check_connected(self, edge_counts):
-        # triangle adjacency through shared edges
-        edge_to_tris = {}
-        for ti, tri in enumerate(self.triangles):
-            for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-                edge_to_tris.setdefault(frozenset((int(a), int(b))), []).append(ti)
-        seen = {0}
-        queue = deque([0])
-        neighbours = [[] for _ in range(self.n_triangles)]
-        for tris in edge_to_tris.values():
-            if len(tris) == 2:
-                neighbours[tris[0]].append(tris[1])
-                neighbours[tris[1]].append(tris[0])
-        while queue:
-            ti = queue.popleft()
-            for tj in neighbours[ti]:
-                if tj not in seen:
-                    seen.add(tj)
-                    queue.append(tj)
-        if len(seen) != self.n_triangles:
+        # triangles joined to their edges: a boundary edge hangs off one
+        # triangle and an interior edge links two, so this graph is
+        # connected exactly when the triangle adjacency graph is
+        nt = self.n_triangles
+        graph = sp.coo_matrix(
+            (np.ones(3 * nt), (np.repeat(np.arange(nt), 3), nt + side_edge)),
+            shape=(nt + len(edges),) * 2)
+        if connected_components(graph, directed=False)[0] != 1:
             raise MeshError("triangle adjacency graph is not connected")
+
+
+def _edge_table(triangles: np.ndarray, nv: int):
+    """The distinct edges of a triangulation, listed once.
+
+    Returns (edges, counts, side_edge): the (ne, 2) vertex pairs, smaller
+    index first, in lexicographic order; how many triangles contain each
+    edge; and for each of the 3*nt triangle sides (sides 01, 12, 20 of
+    triangle 0, then of triangle 1, ...) the row of its edge.
+    """
+    sides = np.sort(triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    keys, side_edge, counts = np.unique(sides[:, 0] * nv + sides[:, 1],
+                                        return_inverse=True,
+                                        return_counts=True)
+    edges = np.column_stack((keys // nv, keys % nv))
+    return edges, counts, side_edge.ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -362,11 +353,8 @@ def generate_structured(shape: str, n: int, tags="flux", *,
         verts, tris = _grid_mesh(2 * n, 2 * n, 2.0, 2.0,
                                  lambda i, j: i < n or j < n)
 
-    counts = Counter()
-    for tri in tris:
-        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            counts[frozenset((int(a), int(b)))] += 1
-    bedges = sorted(tuple(sorted(e)) for e, c in counts.items() if c == 1)
+    edges, counts, _ = _edge_table(tris, len(verts))
+    bedges = edges[counts == 1]
     btags = []
     for a, b in bedges:
         mid = 0.5 * (verts[a] + verts[b])
@@ -376,8 +364,8 @@ def generate_structured(shape: str, n: int, tags="flux", *,
         btags.append(rule[seg])
 
     label = shape if shape != "rectangle" else f"rectangle({w}x{h})"
-    return TriMesh(verts, tris, np.array(bedges, dtype=np.int64),
-                   tuple(btags), domain_label=f"{label} n={n}")
+    return TriMesh(verts, tris, bedges, tuple(btags),
+                   domain_label=f"{label} n={n}")
 
 
 # ---------------------------------------------------------------------------

@@ -28,11 +28,11 @@ from enum import Enum
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.sparse.csgraph import shortest_path
 
 from .assembly import CoefficientSet, assemble_volume
 from .mesh import TriMesh
-from .semigroup import EvolutionConfig, MassKind, Scheme, Verdict
+from .semigroup import EvolutionConfig, MassKind, Scheme, Verdict, \
+    graph_diameter
 from .spectral import POSITIVITY_REL_TOL
 
 COMPATIBILITY_TOL = 1e-10
@@ -106,7 +106,8 @@ class BoundaryData:
 
 @dataclass(frozen=True)
 class MildSolution:
-    """Trajectory of nodal fields on all mesh vertices, boundary included."""
+    """Trajectory of nodal fields on all mesh vertices, boundary included,
+    with the volume matrices it was marched with (assembled if left out)."""
 
     times: np.ndarray
     fields: np.ndarray          # (n_steps + 1, n_vertices)
@@ -116,16 +117,23 @@ class MildSolution:
     boundary: np.ndarray        # sorted boundary vertex indices
     interior: np.ndarray
     phi: BoundaryData
+    stiffness: sp.csr_matrix | None = None
+    mass_lumped: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.stiffness is None or self.mass_lumped is None:
+            A, _, ML = assemble_volume(self.mesh, self.coeffs)
+            for name, value in (("stiffness", A), ("mass_lumped", ML)):
+                if getattr(self, name) is None:
+                    object.__setattr__(self, name, value)
 
     @property
     def u0(self) -> np.ndarray:
         return self.fields[0]
 
 
-def _volume_matrices(mesh, coeffs, mass_kind):
-    A, M, ML = assemble_volume(mesh, coeffs)
-    M_used = sp.diags(ML).tocsr() if mass_kind is MassKind.LUMPED else M
-    return A.tocsr(), M_used, ML
+def _min_row_sum(A) -> float:
+    return float((A @ np.ones(A.shape[0])).min())
 
 
 def coefficient_sign_condition(mesh: TriMesh,
@@ -138,7 +146,7 @@ def coefficient_sign_condition(mesh: TriMesh,
     nonnegative data yield nonnegative solutions.
     """
     A, _, _ = assemble_volume(mesh, coeffs)
-    return float((A @ np.ones(mesh.n_vertices)).min())
+    return _min_row_sum(A)
 
 
 def solve_mild(mesh: TriMesh, coeffs: CoefficientSet, u0: np.ndarray,
@@ -168,7 +176,8 @@ def solve_mild(mesh: TriMesh, coeffs: CoefficientSet, u0: np.ndarray,
             f"initial datum disagrees with phi(0) by {mismatch:.3e} "
             f"(> {COMPATIBILITY_TOL:.0e})")
 
-    worst = coefficient_sign_condition(mesh, coeffs)
+    A, M, ML = assemble_volume(mesh, coeffs)
+    worst = _min_row_sum(A)
     scale = max(1.0, float(np.abs(coeffs.c0).max()),
                 float(np.abs(coeffs.b).max()))
     if worst < -1e-10 * scale:
@@ -176,17 +185,25 @@ def solve_mild(mesh: TriMesh, coeffs: CoefficientSet, u0: np.ndarray,
             f"coefficient sign condition fails (min row value {worst:.3e}); "
             "positivity conclusions do not apply", stacklevel=2)
 
-    A, M, _ = _volume_matrices(mesh, coeffs, cfg.mass)
+    if cfg.mass is MassKind.LUMPED:
+        M = sp.diags(ML).tocsr()
     A_II = A[interior][:, interior]
     A_IB = A[interior][:, boundary]
     M_II = M[interior][:, interior]
     M_IB = M[interior][:, boundary]
 
+    # each step solves lhs u_I(k+1) = explicit_I u_I(k) + explicit_B u_B(k)
+    #                                 - implicit_B u_B(k+1)
     dt = cfg.dt
     if cfg.scheme is Scheme.IMPLICIT_EULER:
         lhs = (M_II + dt * A_II).tocsc()
+        explicit_I, explicit_B = M_II, M_IB
+        implicit_B = M_IB + dt * A_IB
     else:
         lhs = (M_II + 0.5 * dt * A_II).tocsc()
+        explicit_I = M_II - 0.5 * dt * A_II
+        explicit_B = M_IB - 0.5 * dt * A_IB
+        implicit_B = M_IB + 0.5 * dt * A_IB
     lu = spla.splu(lhs)
 
     n = cfg.n_steps
@@ -197,35 +214,23 @@ def solve_mild(mesh: TriMesh, coeffs: CoefficientSet, u0: np.ndarray,
         t_new = k * dt
         g_old = fields[k - 1, boundary]
         g_new = phi.at(t_new)
-        u_old = fields[k - 1, interior]
-        if cfg.scheme is Scheme.IMPLICIT_EULER:
-            rhs = M_II @ u_old + M_IB @ g_old - (M_IB + dt * A_IB) @ g_new
-        else:
-            rhs = (M_II - 0.5 * dt * A_II) @ u_old \
-                + (M_IB - 0.5 * dt * A_IB) @ g_old \
-                - (M_IB + 0.5 * dt * A_IB) @ g_new
+        rhs = explicit_I @ fields[k - 1, interior] + explicit_B @ g_old \
+            - implicit_B @ g_new
         fields[k, interior] = lu.solve(rhs)
         fields[k, boundary] = g_new
     times = dt * np.arange(n + 1)
     return MildSolution(times=times, fields=fields, mesh=mesh, coeffs=coeffs,
                         cfg=cfg, boundary=boundary, interior=interior,
-                        phi=phi)
+                        phi=phi, stiffness=A, mass_lumped=ML)
 
 
 # ---------------------------------------------------------------------------
 # strong positivity
 
 def _interior_threshold(sol: MildSolution) -> int:
-    A, _, _ = assemble_volume(sol.mesh, sol.coeffs)
-    A_II = A[sol.interior][:, sol.interior].tocoo()
-    mask = (A_II.row != A_II.col) & (A_II.data != 0)
-    pattern = sp.coo_matrix((np.ones(mask.sum()),
-                             (A_II.row[mask], A_II.col[mask])),
-                            shape=A_II.shape).tocsr()
-    dist = shortest_path(pattern, method="D", unweighted=True, directed=False)
-    if np.isinf(dist).any():
-        raise ParabolicError("interior coupling graph is disconnected")
-    return int(dist.max())
+    return graph_diameter(
+        sol.stiffness[sol.interior][:, sol.interior],
+        ParabolicError("interior coupling graph is disconnected"))
 
 
 @dataclass(frozen=True)
@@ -300,9 +305,14 @@ def conserves_constants(mesh: TriMesh, coeffs: CoefficientSet,
                         tol: float = 1e-10) -> bool:
     """Whether the volume operator annihilates constants on interior rows."""
     A, _, _ = assemble_volume(mesh, coeffs)
-    boundary = mesh.boundary_vertices()
-    interior = np.setdiff1d(np.arange(mesh.n_vertices), boundary)
-    r = A @ np.ones(mesh.n_vertices)
+    interior = np.setdiff1d(np.arange(mesh.n_vertices),
+                            mesh.boundary_vertices())
+    return _annihilates_constants(A, interior, tol)
+
+
+def _annihilates_constants(A, interior: np.ndarray,
+                           tol: float = 1e-10) -> bool:
+    r = A @ np.ones(A.shape[0])
     scale = max(1.0, float(np.abs(A).max()))
     return bool(np.abs(r[interior]).max() <= tol * scale)
 
@@ -311,7 +321,7 @@ def constancy_principle_check(sol: MildSolution, t0: float, x0: int,
                               ) -> tuple[ConstancyVerdict, dict]:
     """If an interior node attains the running space-time maximum at t0,
     the trajectory must have been constant up to t0."""
-    if not conserves_constants(sol.mesh, sol.coeffs):
+    if not _annihilates_constants(sol.stiffness, sol.interior):
         raise ParabolicError("constancy principle needs an operator that "
                              "annihilates constants")
     if x0 in sol.boundary:
@@ -419,8 +429,8 @@ def very_weak_residual(sol: MildSolution, test_bank) -> float:
     residual of an exact trajectory vanishes; the discrete one decays
     with dt and mesh refinement.
     """
-    A, _, ML = assemble_volume(sol.mesh, sol.coeffs)
-    AT = A.T.tocsr()
+    ML = sol.mass_lumped
+    AT = sol.stiffness.T.tocsr()
     times = sol.times
     if len(times) < 2:
         raise ParabolicError("need at least one time step")
@@ -492,7 +502,7 @@ def elliptic_strong_max_check(mesh: TriMesh, coeffs: CoefficientSet,
         positivity = Verdict.NOT_APPLICABLE
 
     spread = float(u.max() - u.min())
-    if conserves_constants(mesh, coeffs) and interior.size \
+    if interior.size and _annihilates_constants(A, interior) \
             and float(u[interior].max()) >= float(u.max()) - near:
         constancy = Verdict.PASS if spread <= near else Verdict.FAIL
     else:

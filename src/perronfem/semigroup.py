@@ -157,19 +157,24 @@ def propagation_threshold(op: DiscreteOperator) -> int:
     how many steps full support provably takes. Computed once per operator.
     """
     if "propagation_threshold" not in op.solver_cache:
-        op.solver_cache["propagation_threshold"] = _graph_diameter(op)
+        op.solver_cache["propagation_threshold"] = graph_diameter(
+            op.stiffness,
+            RuntimeError("operator sparsity graph is disconnected"))
     return op.solver_cache["propagation_threshold"]
 
 
-def _graph_diameter(op: DiscreteOperator) -> int:
-    coo = op.stiffness.tocoo()
+def graph_diameter(matrix: sp.spmatrix, disconnected: Exception) -> int:
+    """Diameter of the undirected graph of a square matrix's nonzero
+    off-diagonal entries; raises ``disconnected`` when the graph has more
+    than one component."""
+    coo = matrix.tocoo()
     mask = (coo.row != coo.col) & (coo.data != 0)
     pattern = sp.coo_matrix((np.ones(mask.sum()),
                              (coo.row[mask], coo.col[mask])),
                             shape=coo.shape).tocsr()
     dist = shortest_path(pattern, method="D", unweighted=True, directed=False)
     if np.isinf(dist).any():
-        raise RuntimeError("operator sparsity graph is disconnected")
+        raise disconnected
     return int(dist.max())
 
 

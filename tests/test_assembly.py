@@ -350,3 +350,29 @@ def test_coefficients_from_dict(robin_mesh8):
 def test_coefficients_from_dict_rejects_unknown_keys(robin_mesh8):
     with pytest.raises(AssemblyError, match="unknown"):
         coefficients_from_dict({"alpha": 1.0}, robin_mesh8)
+
+
+def test_constant_rejects_misshapen_a_and_beta(robin_mesh8):
+    with pytest.raises(AssemblyError, match="a must be a 2x2 matrix"):
+        CoefficientSet.constant(robin_mesh8, a=np.eye(3))
+    nb = len(robin_mesh8.boundary_edges)
+    with pytest.raises(AssemblyError, match=f"boundary edge \\({nb}\\)"):
+        CoefficientSet.constant(robin_mesh8, beta=np.ones(nb + 1))
+    per_edge = CoefficientSet.constant(robin_mesh8, beta=np.arange(nb) + 1.0)
+    assert np.array_equal(per_edge.beta, np.arange(nb) + 1.0)
+
+
+def test_coefficients_from_dict_equals_constant(robin_mesh8):
+    nb = len(robin_mesh8.boundary_edges)
+    data = {"a": [[2, 0.5], [0.5, 3]], "c": [0.25, 0], "c0": 1,
+            "beta": [{"re": 1.0, "im": 0.5}] + [2.0] * (nb - 1), "mu": 1.5}
+    coeffs, mode = coefficients_from_dict(data, robin_mesh8)
+    reference = CoefficientSet.constant(
+        robin_mesh8, a=[[2.0, 0.5], [0.5, 3.0]], c=(0.25, 0.0), c0=1.0,
+        beta=np.array([1.0 + 0.5j] + [2.0] * (nb - 1)), mu=1.5)
+    assert mode is BoundaryMode.ROBIN
+    for field in ("a", "b", "c", "c0", "beta"):
+        got, want = getattr(coeffs, field), getattr(reference, field)
+        assert got.dtype == want.dtype and np.array_equal(got, want), field
+    with pytest.raises(AssemblyError, match="beta must be scalar"):
+        coefficients_from_dict({"beta": [1.0, 2.0]}, robin_mesh8)

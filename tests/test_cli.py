@@ -216,6 +216,76 @@ def test_cli_parabolic(tmp_path):
     assert (tmp_path / "par" / "strip.svg").exists()
 
 
+
+# parabolic output bytes, recorded while solve_mild, the positivity check and
+# the weak residual each assembled the volume matrices themselves
+PINNED_PARABOLIC = {
+    "implicit-euler": ({
+        "mesh": {"shape": "unit_square", "n": 6, "tags": "D"},
+        "coefficients": {"mode": "dirichlet", "c": [0.5, 0.25], "c0": 0.25},
+        "evolution": {"dt": 0.01, "t_end": 0.4},
+        "u0": "x*(1-x)*y*(1-y)",
+        "phi": {"samples": [{"t": 0.0, "expr": "0"},
+                            {"t": 0.1, "expr": "1+x"},
+                            {"t": 0.4, "expr": "y"}]},
+        "test_bank_size": 8, "seed": 3,
+    }, {
+        "verdict.json":
+            "3b10f70dc6b7d34860864e44fbf3c9ce3ed93c5e3bf64c7bea5b9712ab894186",
+        "trajectory.csv":
+            "0f2fffe7b5a3c37cd377d841af0555f6f424edb1325d5c6f9a3d466f2627f58a",
+        "strip.svg":
+            "6f634de627fea91b3603d76346a122a500f4a426289326dcb7a361e24bab8819",
+    }),
+    "crank-nicolson": ({
+        "mesh": {"shape": "rectangle", "n": 5, "width": 2.0, "height": 1.0,
+                 "tags": "D"},
+        "coefficients": {"mode": "dirichlet"},
+        "evolution": {"scheme": "crank_nicolson", "mass": "consistent",
+                      "dt": 0.01, "t_end": 0.32},
+        "u0": "sin(3.141592653589793*x/2)*sin(3.141592653589793*y)",
+        "phi": {"samples": [{"t": 0.0, "expr": "0"},
+                            {"t": 0.32, "expr": "y"}]},
+        "test_bank_size": 8, "seed": 1,
+    }, {
+        "verdict.json":
+            "f853858273fce82f2398e29c7cd708a061c9f2a5a7a1e6fb5d9412deaa42a832",
+        "trajectory.csv":
+            "7a60461575d047ca882dff56535fb55d191d74d299e4d371bc9f9c1eb825ceeb",
+        "strip.svg":
+            "f4f8a2b2775ce1f10b92fcc2bdeaa118609d10c471048461064b2e6ec876e2f2",
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_PARABOLIC))
+def test_cli_parabolic_output_bytes_pinned(tmp_path, name):
+    import hashlib
+    cfg, digests = PINNED_PARABOLIC[name]
+    path = write_config(tmp_path / "p.json", dict(cfg, output_dir="out"))
+    assert main(["parabolic", "--config", path]) == 0
+    for filename, digest in digests.items():
+        blob = (tmp_path / "out" / filename).read_bytes()
+        assert hashlib.sha256(blob).hexdigest() == digest, filename
+
+
+def test_cli_parabolic_assembles_the_volume_once(tmp_path, monkeypatch):
+    import perronfem.assembly
+    import perronfem.parabolic
+    calls = []
+    assemble_volume = perronfem.assembly.assemble_volume
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return assemble_volume(*args, **kwargs)
+
+    for module in (perronfem.assembly, perronfem.parabolic):
+        monkeypatch.setattr(module, "assemble_volume", counted)
+    cfg, _ = PINNED_PARABOLIC["implicit-euler"]
+    path = write_config(tmp_path / "p.json", dict(cfg, output_dir="out"))
+    assert main(["parabolic", "--config", path]) == 0
+    assert len(calls) == 1
+
 def test_kernel_dump_rejects_bad_magic(tmp_path):
     from perronfem.cli import CliError
     bad = tmp_path / "bad.bin"

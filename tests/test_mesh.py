@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perronfem.mesh import BoundaryTag, MeshError, TriMesh, check_corkscrew, \
-    generate_structured, load_mesh, quality, save_mesh
+from perronfem.mesh import BoundaryTag, MeshError, TriMesh, _edge_table, \
+    check_corkscrew, generate_structured, load_mesh, quality, save_mesh
 
 
 def edge_set(triangles):
@@ -288,3 +288,99 @@ def test_constructor_rejects_disconnected_mesh():
     edges = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
     with pytest.raises(MeshError, match="connected"):
         TriMesh(verts, tris, edges, (BoundaryTag.FLUX,) * 6)
+
+
+def test_constructor_rejects_edge_in_three_triangles():
+    # three counterclockwise triangles stacked on the edge (0, 1)
+    verts = [(0, 0), (1, 0), (0.5, 1), (0.5, -1), (0.5, 2)]
+    tris = [(0, 1, 2), (1, 0, 3), (0, 1, 4)]
+    edges = [(1, 2), (2, 0), (0, 3), (3, 1), (1, 4), (4, 0)]
+    with pytest.raises(MeshError, match=r"edge \[0, 1\] shared by more "
+                                        "than two triangles"):
+        TriMesh(verts, tris, edges, (BoundaryTag.FLUX,) * 6)
+
+
+def test_constructor_rejects_listed_interior_edge():
+    verts = [(0, 0), (1, 0), (1, 1), (0, 1)]
+    tris = [(0, 1, 2), (0, 2, 3)]
+    edges = [(0, 1), (1, 2), (2, 3), (3, 0), (2, 0)]
+    with pytest.raises(MeshError,
+                       match=r"edge \[0, 2\] is not a boundary edge"):
+        TriMesh(verts, tris, edges, (BoundaryTag.FLUX,) * 5)
+
+
+def test_constructor_rejects_out_of_range_boundary_edge():
+    # (0, 5) must not pass for the edge with the same key i * nv + j, (1, 2)
+    verts = [(0, 0), (1, 0), (0, 1)]
+    with pytest.raises(MeshError, match=r"untagged boundary edge \[1, 2\]; "
+                                        r"edge \[0, 5\] is not a boundary"):
+        TriMesh(verts, [(0, 1, 2)], [(0, 1), (2, 0), (0, 5)],
+                (BoundaryTag.FLUX,) * 3)
+
+
+def test_constructor_rejects_repeated_vertex():
+    # a repeated vertex makes the signed area exactly zero
+    verts = [(0, 0), (1, 0), (0, 1)]
+    with pytest.raises(MeshError, match="triangle 0 has nonpositive signed "
+                                        r"area \(0.000e\+00\)"):
+        TriMesh(verts, [(0, 1, 1)], [(0, 1), (1, 2), (2, 0)],
+                (BoundaryTag.FLUX,) * 3)
+
+
+@pytest.mark.parametrize("shape, n", [("unit_square", 3), ("l_shape", 2),
+                                      ("rectangle", 4)])
+def test_edge_table_matches_counted_edges(shape, n):
+    mesh = generate_structured(shape, n, "flux")
+    edges, counts, side_edge = _edge_table(mesh.triangles, mesh.n_vertices)
+    reference = edge_set(mesh.triangles)
+    assert edges.tolist() == sorted(sorted(e) for e in reference)
+    assert counts.tolist() == [reference[frozenset(e)] for e in
+                               edges.tolist()]
+    sides = mesh.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    assert np.array_equal(np.sort(sides, axis=1), edges[side_edge])
+    assert np.array_equal(mesh.boundary_edges, edges[counts == 1])
+
+
+def test_h_max_is_computed_once(monkeypatch):
+    calls = []
+    lengths = TriMesh.edge_lengths
+    monkeypatch.setattr(TriMesh, "edge_lengths",
+                        lambda self: calls.append(1) or lengths(self))
+    mesh = generate_structured("unit_square", 4,
+                               {"bottom": "D", "right": "N", "top": "N",
+                                "left": "N"})
+    check_corkscrew(mesh, 0.1)
+    assert mesh.h_max == 0.25 * math.sqrt(2)
+    assert len(calls) == 1
+
+
+# save_mesh bytes of generated meshes, recorded before the edge listing was
+# vectorised
+MIXED_L = {"bottom": "D", "right": "N", "inner_h": "N", "inner_v": "N",
+           "top": "N", "left": "N"}
+PINNED_MESHES = {
+    "square-n7-N": (
+        ("unit_square", 7, "N"), {},
+        "5f986093287e4e7efcc75ea5f4f3b84ef6c9f3ea62fffc970f445d4f8bc64089"),
+    "square-n24-D": (
+        ("unit_square", 24, "D"), {},
+        "ee39f8bbfa1445b08481a0b20b4abe6cd3c276fb07591f9ca2798fb0e0e6bfc1"),
+    "rectangle-n5-mixed": (
+        ("rectangle", 5, {"bottom": "D", "right": "N", "top": "N",
+                          "left": "D"}), {"width": 2.0, "height": 0.5},
+        "04130770f5420617733f88690779393aceb34c8ff31a4a35a900a570a500518d"),
+    "lshape-n9-mixed": (
+        ("l_shape", 9, MIXED_L), {},
+        "2cbe4ea5b0fb4edfcdb3a3fdd52b4a1259dcd19972e541dceaa12dd9eaaec6ca"),
+    "lshape-n40-mixed": (
+        ("l_shape", 40, MIXED_L), {},
+        "e6a7b68c161ea2a5081bb196e448a9a089d0a9fa7519b34c282ef3e5fceb81a7"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_MESHES))
+def test_generated_mesh_bytes_pinned(name):
+    import hashlib
+    args, kwargs, digest = PINNED_MESHES[name]
+    text = save_mesh(generate_structured(*args, **kwargs))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

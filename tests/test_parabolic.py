@@ -8,7 +8,8 @@ from perronfem.parabolic import BoundaryData, ConstancyVerdict, \
     conserves_constants, constancy_principle_check, \
     elliptic_strong_max_check, make_test_bank, solve_mild, \
     strong_positivity_check, very_weak_residual
-from perronfem.semigroup import EvolutionConfig, MassKind, Verdict
+from perronfem.semigroup import EvolutionConfig, MassKind, Verdict, \
+    graph_diameter
 from perronfem.spectral import principal_eig
 
 
@@ -406,3 +407,64 @@ def test_elliptic_rejects_non_solution(dirichlet_mesh8):
     rep = elliptic_strong_max_check(mesh, laplace_coeffs(mesh), u)
     assert not rep.is_solution
     assert rep.positivity is Verdict.NOT_APPLICABLE
+
+
+def test_elliptic_check_on_a_mesh_without_interior_vertices():
+    mesh = generate_structured("unit_square", 1, "dirichlet")
+    rep = elliptic_strong_max_check(mesh, laplace_coeffs(mesh),
+                                    np.ones(mesh.n_vertices))
+    assert rep.is_solution
+    assert rep.constancy is Verdict.NOT_APPLICABLE
+
+
+# -- one graph diameter, one assembly per run --------------------------------------
+
+def test_graph_diameter_raises_on_a_disconnected_pattern():
+    import scipy.sparse as sp
+    path = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(4, 4))
+    assert graph_diameter(path, RuntimeError("disconnected")) == 3
+    with pytest.raises(ValueError, match="split"):
+        graph_diameter(sp.block_diag([path, path]), ValueError("split"))
+
+
+def test_disconnected_graphs_keep_each_callers_error(dirichlet_mesh8,
+                                                     dirichlet_op8):
+    import dataclasses
+    import scipy.sparse as sp
+    from perronfem.semigroup import propagation_threshold
+    split = sp.block_diag([dirichlet_op8.stiffness[:10, :10]] * 2).tocsr()
+    op = dataclasses.replace(dirichlet_op8, stiffness=split)
+    with pytest.raises(RuntimeError,
+                       match="operator sparsity graph is disconnected"):
+        propagation_threshold(op)
+
+    mesh = dirichlet_mesh8
+    sol = solve_mild(mesh, laplace_coeffs(mesh), np.ones(mesh.n_vertices),
+                     BoundaryData.constant(mesh, 1.0, 0.1),
+                     cfg_for(mesh, 0.1, 10))
+    A = sol.stiffness.tolil()
+    A[sol.interior[:10, None], sol.interior[10:]] = 0.0
+    A[sol.interior[10:, None], sol.interior[:10]] = 0.0
+    cut = dataclasses.replace(sol, stiffness=A.tocsr())
+    with pytest.raises(ParabolicError,
+                       match="interior coupling graph is disconnected"):
+        strong_positivity_check(cut)
+
+
+def test_mild_solution_assembles_missing_volume_matrices(dirichlet_mesh8):
+    mesh = dirichlet_mesh8
+    sol = solve_mild(mesh, laplace_coeffs(mesh), np.ones(mesh.n_vertices),
+                     BoundaryData.constant(mesh, 1.0, 0.1),
+                     cfg_for(mesh, 0.1, 10))
+    bare = MildSolution(times=sol.times, fields=sol.fields, mesh=mesh,
+                        coeffs=sol.coeffs, cfg=sol.cfg, boundary=sol.boundary,
+                        interior=sol.interior, phi=sol.phi)
+    A, _, ML = assemble_volume(mesh, sol.coeffs)
+    assert (bare.stiffness != A).nnz == 0
+    assert (sol.stiffness != A).nnz == 0
+    assert np.array_equal(bare.mass_lumped, ML)
+    assert np.array_equal(sol.mass_lumped, ML)
+    import dataclasses
+    doubled = dataclasses.replace(bare, stiffness=2 * A, mass_lumped=None)
+    assert (doubled.stiffness != 2 * A).nnz == 0
+    assert np.array_equal(doubled.mass_lumped, ML)

@@ -258,35 +258,33 @@ def _resolve_tag_rule(shape: str, tags) -> dict:
 
 
 def _grid_mesh(nx, ny, width, height, keep_cell):
-    """Right-triangle mesh over grid cells selected by ``keep_cell(i, j)``.
+    """Right-triangle mesh over grid cells selected by ``keep_cell(i, j)``,
+    a predicate on arrays of cell indices.
 
     Each kept cell is split along the diagonal from its lower-left to its
     upper-right corner, producing counterclockwise right triangles.
-    Coordinates are (i * width) / nx so that grid points shared between a
-    mesh and its refinement coincide bitwise.
+    Vertices are numbered in the order a row-major sweep of the kept cells
+    first meets them, corners taken as (i, j), (i+1, j), (i, j+1),
+    (i+1, j+1); that order fixes every downstream byte. Coordinates are
+    (i * width) / nx so that grid points shared between a mesh and its
+    refinement coincide bitwise.
     """
-    used = {}
-    verts = []
-
-    def vid(i, j):
-        key = (i, j)
-        if key not in used:
-            used[key] = len(verts)
-            verts.append(((i * width) / nx, (j * height) / ny))
-        return used[key]
-
-    tris = []
-    for j in range(ny):
-        for i in range(nx):
-            if not keep_cell(i, j):
-                continue
-            v00 = vid(i, j)
-            v10 = vid(i + 1, j)
-            v01 = vid(i, j + 1)
-            v11 = vid(i + 1, j + 1)
-            tris.append((v00, v10, v11))
-            tris.append((v00, v11, v01))
-    return np.array(verts, dtype=float), np.array(tris, dtype=np.int64)
+    j, i = np.divmod(np.arange(nx * ny), nx)
+    kept = keep_cell(i, j)
+    i, j = i[kept], j[kept]
+    key = j * (nx + 1) + i   # grid point (i, j)
+    keys = np.stack([key, key + 1, key + nx + 1, key + nx + 2],
+                    axis=1).ravel()
+    _, first, inverse = np.unique(keys, return_index=True,
+                                  return_inverse=True)
+    visit = np.argsort(first)
+    number = np.empty_like(visit)
+    number[visit] = np.arange(visit.size)
+    v00, v10, v01, v11 = number[inverse.ravel()].reshape(-1, 4).T
+    vj, vi = np.divmod(keys[first[visit]], nx + 1)
+    verts = np.stack([(vi * width) / nx, (vj * height) / ny], axis=1)
+    tris = np.stack([v00, v10, v11, v00, v11, v01], axis=1).reshape(-1, 3)
+    return verts, tris
 
 
 def _segment_of_point(shape, x, y, w, h):
@@ -342,16 +340,18 @@ def generate_structured(shape: str, n: int, tags="flux", *,
 
     if shape == "unit_square":
         w = h = 1.0
-        verts, tris = _grid_mesh(n, n, 1.0, 1.0, lambda i, j: True)
+        verts, tris = _grid_mesh(n, n, 1.0, 1.0,
+                                 lambda i, j: np.full(i.shape, True))
     elif shape == "rectangle":
         if width <= 0 or height <= 0:
             raise MeshError("rectangle needs positive width and height")
         w, h = float(width), float(height)
-        verts, tris = _grid_mesh(n, n, w, h, lambda i, j: True)
+        verts, tris = _grid_mesh(n, n, w, h,
+                                 lambda i, j: np.full(i.shape, True))
     else:
         w = h = 2.0
         verts, tris = _grid_mesh(2 * n, 2 * n, 2.0, 2.0,
-                                 lambda i, j: i < n or j < n)
+                                 lambda i, j: (i < n) | (j < n))
 
     edges, counts, _ = _edge_table(tris, len(verts))
     bedges = edges[counts == 1]

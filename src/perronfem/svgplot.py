@@ -34,6 +34,21 @@ def _color(s: float) -> str:
     return "#%02x%02x%02x" % _RAMP[-1][1]
 
 
+def _triangle_points(mesh: TriMesh, x0: float, y0: float, lo: np.ndarray,
+                     hi: np.ndarray, scale: float) -> list[str]:
+    """SVG ``points`` of every triangle, with the mesh's bounding box
+    [lo, hi] scaled by ``scale`` and its top-left corner at (x0, y0).
+
+    Each vertex is formatted once; the elementwise array arithmetic rounds
+    exactly as the scalar expression would.
+    """
+    x = x0 + (mesh.vertices[:, 0] - lo[0]) * scale
+    y = y0 + (hi[1] - mesh.vertices[:, 1]) * scale  # SVG y grows downward
+    pairs = ["%.3f,%.3f" % p for p in zip(x.tolist(), y.tolist())]
+    return [f"{pairs[a]} {pairs[b]} {pairs[c]}"
+            for a, b, c in mesh.triangles.tolist()]
+
+
 def render_heatmap(field: np.ndarray, mesh: TriMesh) -> str:
     """SVG document for a nodal field; a constant field renders in the low
     ramp color with the (equal) min and max annotated."""
@@ -46,11 +61,6 @@ def render_heatmap(field: np.ndarray, mesh: TriMesh) -> str:
     hi = mesh.vertices.max(axis=0)
     span = hi - lo
     scale = (_CANVAS - 2 * _MARGIN) / max(span[0], span[1], 1e-300)
-
-    def to_px(p):
-        x = _MARGIN + (p[0] - lo[0]) * scale
-        y = _MARGIN + (hi[1] - p[1]) * scale  # flip: SVG y grows downward
-        return x, y
 
     vmin = float(field.min())
     vmax = float(field.max())
@@ -68,9 +78,9 @@ def render_heatmap(field: np.ndarray, mesh: TriMesh) -> str:
         f'<rect width="{width:.1f}" height="{height:.1f}" fill="white"/>',
     ]
     means = field[mesh.triangles].mean(axis=1)
-    for tri, mean in zip(mesh.triangles, means):
+    points = _triangle_points(mesh, _MARGIN, _MARGIN, lo, hi, scale)
+    for pts, mean in zip(points, means):
         s = 1.0 if vmax == lo_anchor else (mean - lo_anchor) / (vmax - lo_anchor)
-        pts = " ".join("%.3f,%.3f" % to_px(mesh.vertices[v]) for v in tri)
         parts.append(f'<polygon points="{pts}" fill="{_color(float(s))}" '
                      f'stroke="none"/>')
     label = (f"min = max = {vmin!r}" if vmin == vmax
@@ -118,12 +128,9 @@ def render_strip(fields: np.ndarray, times: np.ndarray, mesh: TriMesh,
         x0 = frame * cell + pad
         field = fields[k]
         means = field[mesh.triangles].mean(axis=1)
-        for tri, mean in zip(mesh.triangles, means):
+        points = _triangle_points(mesh, x0, pad, lo, hi, scale)
+        for pts, mean in zip(points, means):
             s = 0.0 if vmax == vmin else (mean - vmin) / (vmax - vmin)
-            pts = " ".join(
-                "%.3f,%.3f" % (x0 + (mesh.vertices[v][0] - lo[0]) * scale,
-                               pad + (hi[1] - mesh.vertices[v][1]) * scale)
-                for v in tri)
             parts.append(f'<polygon points="{pts}" '
                          f'fill="{_color(float(s))}" stroke="none"/>')
         parts.append(f'<text x="{x0:.1f}" y="{height - 6.0:.1f}" '

@@ -468,3 +468,9 @@ def test_mild_solution_assembles_missing_volume_matrices(dirichlet_mesh8):
     doubled = dataclasses.replace(bare, stiffness=2 * A, mass_lumped=None)
     assert (doubled.stiffness != 2 * A).nnz == 0
     assert np.array_equal(doubled.mass_lumped, ML)
+
+
+def test_conserves_constants_on_a_mesh_without_interior_vertices():
+    # no interior rows: vacuously true, not numpy's zero-size error
+    mesh = generate_structured("unit_square", 1, "dirichlet")
+    assert conserves_constants(mesh, laplace_coeffs(mesh))

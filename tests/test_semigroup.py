@@ -2,11 +2,16 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from perronfem.assembly import BoundaryMode, CoefficientSet, assemble
-from perronfem.mesh import BoundaryTag, TriMesh
+from perronfem.assembly import BoundaryMode, CoefficientSet, assemble, \
+    assemble_volume
+from perronfem.mesh import _SHAPE_SEGMENTS, BoundaryTag, TriMesh, \
+    generate_structured
 from perronfem.semigroup import EvolutionConfig, MassKind, Scheme, Verdict, \
-    default_dt, evolve, kernel, kernel_positivity_report, \
+    default_dt, evolve, graph_diameter, kernel, kernel_positivity_report, \
     positivity_improving_check, propagation_threshold
 from perronfem.spectral import principal_eig
 from tests.conftest import dense_ie_step
@@ -437,3 +442,114 @@ def test_blocked_trials_match_per_trial_marches(case, trials):
         assert outcome.first_fully_positive == first
         assert outcome.min_at_end == float(u[region_dofs].min())
         assert outcome.ok is ok
+
+
+# -- graph diameter against an all-pairs reference -------------------------------
+
+def _all_pairs_diameter(matrix):
+    """Reference: all-pairs BFS over the nonzero off-diagonal pattern;
+    None when the graph is disconnected."""
+    from scipy.sparse.csgraph import shortest_path
+    dense = matrix.toarray()
+    adjacency = (dense != 0) | (dense.T != 0)
+    np.fill_diagonal(adjacency, False)
+    dist = shortest_path(adjacency.astype(float), unweighted=True,
+                         directed=False)
+    return None if np.isinf(dist).any() else int(dist.max())
+
+
+def _mixed_tags(shape):
+    return {seg: "D" if seg == "bottom" else "N"
+            for seg in _SHAPE_SEGMENTS[shape]}
+
+
+@pytest.mark.parametrize("shape", ["unit_square", "rectangle", "l_shape"])
+@pytest.mark.parametrize("tags", ["D", "N", "mixed"])
+@pytest.mark.parametrize("n", [1, 5, 12])
+def test_graph_diameter_matches_all_pairs_on_meshes(shape, tags, n):
+    mesh = generate_structured(shape, n,
+                               _mixed_tags(shape) if tags == "mixed" else tags,
+                               width=1.5, height=0.5)
+    mode = {"D": BoundaryMode.DIRICHLET, "N": BoundaryMode.ROBIN,
+            "mixed": BoundaryMode.MIXED}[tags]
+    interior = np.setdiff1d(np.arange(mesh.n_vertices),
+                            mesh.boundary_vertices())
+    # the Laplacian leaves the diagonal couplings at zero; the anisotropic
+    # tensor makes them nonzero
+    for a in (np.eye(2), np.array([[2.0, 0.5], [0.5, 1.0]])):
+        coeffs = CoefficientSet.constant(mesh, a=a, beta=1.0, mu=0.5)
+        A, _, _ = assemble_volume(mesh, coeffs)
+        blocks = [A[interior][:, interior]] if interior.size else []
+        op = assemble(mesh, coeffs, mode, corkscrew_checked=True)
+        if op.n_dof:
+            blocks.append(op.stiffness)
+        for block in blocks:
+            assert graph_diameter(block, RuntimeError("split")) \
+                == _all_pairs_diameter(block)
+
+
+def test_graph_diameter_of_an_empty_graph_is_an_error():
+    with pytest.raises(ValueError, match="no diameter"):
+        graph_diameter(sp.csr_matrix((0, 0)), RuntimeError("split"))
+
+
+@st.composite
+def _sparse_patterns(draw):
+    n = draw(st.integers(1, 24))
+    entries = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                      st.integers(0, n - 1),
+                                      st.sampled_from([0.0, -1.0, 2.5])),
+                            max_size=3 * n, unique_by=lambda e: e[:2]))
+    rows, cols, data = (list(x) for x in zip(*entries)) if entries \
+        else ([], [], [])
+    fmt = draw(st.sampled_from(["coo", "csr", "csc"]))
+    return sp.coo_matrix((data, (rows, cols)), shape=(n, n)).asformat(fmt)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sparse_patterns())
+@example(sp.csr_matrix(np.array([[3.0]])))
+@example(sp.coo_matrix(([-1.0, 0.0], ([0, 1], [1, 2])), shape=(3, 3)))
+def test_graph_diameter_matches_all_pairs_on_sparse_patterns(matrix):
+    # stored zeros and one-sided (asymmetric) storage included; the second
+    # example is disconnected only through its stored zero
+    expected = _all_pairs_diameter(matrix)
+    if expected is None:
+        with pytest.raises(RuntimeError, match="split"):
+            graph_diameter(matrix, RuntimeError("split"))
+    else:
+        assert graph_diameter(matrix, RuntimeError("split")) == expected
+
+
+@pytest.mark.parametrize("shape,n", [("unit_square", 64), ("l_shape", 32)])
+def test_graph_diameter_takes_a_handful_of_sweeps(monkeypatch, shape, n):
+    import perronfem.semigroup as semigroup
+    sweeps = []
+    bfs = semigroup.dijkstra
+    monkeypatch.setattr(semigroup, "dijkstra",
+                        lambda *a, **kw: sweeps.append(1) or bfs(*a, **kw))
+    mesh = generate_structured(shape, n, "dirichlet")
+    A, _, _ = assemble_volume(mesh, CoefficientSet.constant(mesh))
+    interior = np.setdiff1d(np.arange(mesh.n_vertices),
+                            mesh.boundary_vertices())
+    diameter = semigroup.graph_diameter(A[interior][:, interior],
+                                        RuntimeError("split"))
+    # 5-point coupling graph of the interior grid: opposite corners
+    assert diameter == (2 * n if shape == "unit_square" else 4 * n) - 4
+    assert len(sweeps) <= 10
+
+
+def test_propagation_threshold_memory_is_linear():
+    import tracemalloc
+    mesh = generate_structured("unit_square", 128, "flux")
+    op = assemble(mesh, CoefficientSet.constant(mesh, beta=1.0),
+                  BoundaryMode.ROBIN)
+    tracemalloc.start()
+    try:
+        threshold = propagation_threshold(op)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert threshold == 256
+    # an all-pairs distance matrix would take 16,641^2 * 8 B = 2.2 GB
+    assert peak < 32 * 2 ** 20

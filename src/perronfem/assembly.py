@@ -316,8 +316,9 @@ def assemble(mesh: TriMesh, coeffs: CoefficientSet, mode: BoundaryMode, *,
              corkscrew_checked: bool = False) -> DiscreteOperator:
     """Assemble the operator for a boundary mode.
 
-    Raises AssemblyError on mode/tag mismatches, ellipticity violations,
-    or complex beta outside COMPLEX_ROBIN mode.
+    Raises AssemblyError on mode/tag mismatches, complex beta outside
+    COMPLEX_ROBIN mode, or a mesh that leaves no degree of freedom free.
+    Ellipticity is enforced when the coefficient set is built.
     """
     mode = BoundaryMode(mode)
     tags = set(mesh.boundary_tags)
@@ -355,21 +356,18 @@ def assemble(mesh: TriMesh, coeffs: CoefficientSet, mode: BoundaryMode, *,
                           "mixed-boundary positivity claims may not apply",
                           stacklevel=2)
 
-    report = ellipticity_check(coeffs)
-    if not report.passed:
-        raise AssemblyError(f"ellipticity violated: mu_actual = "
-                            f"{report.mu_actual:.6g} < mu = {coeffs.mu:.6g}")
-
     nv = mesh.n_vertices
+    free = np.setdiff1d(np.arange(nv), _constrained_vertices(mesh, mode))
+    if not free.size:
+        raise AssemblyError("no degree of freedom is free: every vertex "
+                            "is Dirichlet-constrained")
     stiffness, mass, mass_lumped = assemble_volume(
         mesh, coeffs, lump_reaction=lump_reaction)
     if mode in _ROBIN_FAMILY:
         bterm = _boundary_term(mesh, beta, nv, lump_boundary)
         stiffness = (stiffness.astype(bterm.dtype) + bterm).tocsr()
 
-    constrained = _constrained_vertices(mesh, mode)
     dof_map = np.full(nv, -1, dtype=np.int64)
-    free = np.setdiff1d(np.arange(nv), constrained)
     dof_map[free] = np.arange(len(free))
 
     stiffness = stiffness[free][:, free].tocsr()

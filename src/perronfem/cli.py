@@ -396,6 +396,7 @@ def _cmd_verify(args) -> int:
         evolution=evolution,
         corkscrew_delta=float(cfg.get("corkscrew_delta", 0.1)),
         oracle_matrix=oracle_matrix, expect_irreducible=expect_irr)
+    problem.op  # an invalid problem is an error, not a suite of FAILs
     report = run_suite(problem, only=args.only)
     _write_json(out / "verification_report.json", report.to_jsonable())
     (out / "verification_report.txt").write_text(

@@ -206,14 +206,6 @@ def schaefer_approx_check(u: np.ndarray, v: np.ndarray) -> bool:
     return bool(np.all(v[u == 0.0] == 0.0))
 
 
-def is_quasi_interior(u: np.ndarray) -> bool:
-    """Full support: min(v, k*u) -> v for every nonnegative v."""
-    u = np.asarray(u, dtype=float)
-    if u.min() < 0:
-        raise LatticeError("u must be nonnegative")
-    return bool(np.all(u > 0.0))
-
-
 def random_metzler(rng: np.random.Generator, n: int | None = None,
                    max_dim: int = EXHAUSTIVE_DIM) -> MetzlerGenerator:
     """Seeded generator sampler mixing sparse and dense coupling patterns."""

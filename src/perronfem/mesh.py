@@ -147,14 +147,6 @@ class TriMesh:
         return self.boundary_edges[np.asarray(mask, dtype=bool)] if mask else \
             np.empty((0, 2), dtype=np.int64)
 
-    def vertex_adjacency(self):
-        """Sparse symmetric vertex-vertex adjacency over triangle edges."""
-        edges, _, _ = _edge_table(self.triangles, self.n_vertices)
-        rows = np.concatenate((edges[:, 0], edges[:, 1]))
-        cols = np.concatenate((edges[:, 1], edges[:, 0]))
-        return sp.coo_matrix((np.ones(len(rows)), (rows, cols)),
-                             shape=(self.n_vertices, self.n_vertices)).tocsr()
-
     # -- validation ----------------------------------------------------------
 
     def _validate(self):

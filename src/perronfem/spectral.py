@@ -4,9 +4,9 @@ Hermitian pencils (stiffness, mass) are solved by block inverse iteration
 with a Rayleigh-Ritz extraction; the shift is deterministic and sits
 certifiably below the bottom of the spectrum, so the factorization is
 reused across all sweeps and runs reproduce bitwise. Non-Hermitian
-problems (complex Robin, or convection with b != c) fall back to a dense
-solve of the full spectrum up to a dimension cap, with a shift-invert
-Arnoldi escape hatch above it.
+problems (complex Robin, or convection with b != c) get a dense solve of
+the full spectrum up to ``DENSE_CUTOFF`` dofs and shift-invert Arnoldi
+above it. ``_lowest_pairs`` is the one place that picks the path.
 """
 
 from __future__ import annotations
@@ -240,10 +240,42 @@ def _arnoldi_smallest_real(op: DiscreteOperator, M, k: int, tol: float):
     """Shift-invert Arnoldi near a certified lower bound of Re(spectrum)."""
     sigma = _shift_below_spectrum(op.stiffness.real.tocsr(), op.mass_lumped)
     v0 = _start_vector(op.n_dof)
-    values, vectors = spla.eigs(op.stiffness, k=k, M=M, sigma=sigma,
-                                which="LM", v0=v0, tol=tol)
+    try:
+        values, vectors = spla.eigs(op.stiffness, k=k, M=M, sigma=sigma,
+                                    which="LM", v0=v0, tol=tol)
+    except spla.ArpackError as exc:
+        raise SolverError(f"shift-invert Arnoldi failed: {exc}") from exc
     order = np.lexsort((values.imag, values.real))
     return values[order], vectors[:, order]
+
+
+def _lowest_pairs(op: DiscreteOperator, mass: str, k: int, tol: float):
+    """The k eigenpairs of least real part of the pencil (stiffness, mass),
+    sorted by real, then imaginary part: the values, the vectors signed by
+    ``_fix_sign``, and the relative residuals.
+
+    The operator alone picks the solver: a real Hermitian operator gets
+    block inverse iteration, any other operator the dense QZ spectrum up
+    to ``DENSE_CUTOFF`` dofs and shift-invert Arnoldi above it. Each solve
+    runs once per operator and is shared by every caller.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if op.is_hermitian and not op.is_complex:
+        values, vectors, residuals = _pencil_pairs(op, mass, k, tol)
+        return values, [_fix_sign(v, op.mass_lumped) for v in vectors.T], \
+            residuals
+    M = _pencil_mass(op, mass)
+    if op.n_dof <= DENSE_CUTOFF:
+        values, vectors = _dense_sorted_spectrum(op, mass)
+    else:  # two guard pairs, as in the Hermitian block
+        values, vectors = _solve_once(op, ("arnoldi", mass, k, tol), lambda: (
+            _arnoldi_smallest_real(op, M, min(k + 2, op.n_dof - 2), tol)))
+    signed = [_fix_sign(vectors[:, j], op.mass_lumped) for j in range(k)]
+    residuals = np.array([
+        float(np.linalg.norm(op.stiffness @ v - lam * (M @ v))
+              / np.linalg.norm(M @ v)) for lam, v in zip(values, signed)])
+    return values[:k], signed, residuals
 
 
 def principal_eig(op: DiscreteOperator, tol: float = 1e-10,
@@ -254,34 +286,18 @@ def principal_eig(op: DiscreteOperator, tol: float = 1e-10,
     from above) or the lumped pencil (used by the sign-structure
     certificates).
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    M = _pencil_mass(op, mass)
-    if op.is_hermitian and not op.is_complex:
-        k = min(2, op.n_dof)
-        values, vectors, residuals = _pencil_pairs(op, mass, k, tol)
-        lam1 = complex(values[0])
-        vector = _fix_sign(vectors[:, 0], op.mass_lumped)
-        residual = float(residuals[0])
-        gap = float(values[1] - values[0]) if k == 2 else math.inf
-    else:
-        if op.n_dof <= DENSE_CUTOFF:
-            values, vectors = _dense_sorted_spectrum(op, mass)
-        else:
-            values, vectors = _arnoldi_smallest_real(op, M, k=6, tol=tol)
-        lam1 = complex(values[0])
-        vector = _fix_sign(vectors[:, 0], op.mass_lumped)
-        Mv = M @ vector
-        residual = float(np.linalg.norm(op.stiffness @ vector - lam1 * Mv)
-                         / np.linalg.norm(Mv))
-        gap = float(values[1].real - values[0].real) if len(values) > 1 \
-            else math.inf
-        if residual > max(tol, 1e-9):
-            raise SolverError(f"dense eigensolve residual {residual:.3e} "
-                              f"exceeds tolerance")
+    values, vectors, residuals = _lowest_pairs(op, mass, min(2, op.n_dof),
+                                               tol)
+    lam1 = complex(values[0])
+    residual = float(residuals[0])
+    if residual > max(tol, 1e-9):
+        raise SolverError(f"eigensolve residual {residual:.3e} exceeds "
+                          f"tolerance")
+    gap = float(values[1].real - values[0].real) if len(values) > 1 \
+        else math.inf
     scale = max(1.0, abs(lam1))
     multiplicity_flag = gap <= 100.0 * tol * scale
-    return EigenReport(lambda1=lam1, vector=vector, residual=residual,
+    return EigenReport(lambda1=lam1, vector=vectors[0], residual=residual,
                        gap=gap, multiplicity_flag=multiplicity_flag,
                        mode=op.mode)
 
@@ -293,26 +309,10 @@ def spectral_gap(op: DiscreteOperator, k: int, tol: float = 1e-10,
         raise ValueError("k must be at least 2")
     if k > op.n_dof:
         raise ValueError(f"k = {k} exceeds n_dof = {op.n_dof}")
-    M = _pencil_mass(op, mass)
-    if op.is_hermitian and not op.is_complex:
-        values, vectors, residuals = _pencil_pairs(op, mass, k, tol)
-        values = values.astype(float)
-    else:
-        if op.n_dof > DENSE_CUTOFF:
-            raise SolverError(f"n_dof = {op.n_dof} exceeds the dense cutoff "
-                              f"{DENSE_CUTOFF} for non-Hermitian spectra")
-        values, vectors = _dense_sorted_spectrum(op, mass)
-        values, vectors = values[:k], vectors[:, :k]
-        residuals = np.array([
-            float(np.linalg.norm(op.stiffness @ vectors[:, j]
-                                 - values[j] * (M @ vectors[:, j]))
-                  / np.linalg.norm(M @ vectors[:, j]))
-            for j in range(k)])
-    vectors = np.column_stack([_fix_sign(vectors[:, j], op.mass_lumped)
-                               for j in range(k)])
+    values, vectors, residuals = _lowest_pairs(op, mass, k, tol)
     gap = float(np.real(values[1]) - np.real(values[0]))
-    return GapReport(values=values, vectors=vectors, gap=gap,
-                     residuals=residuals)
+    return GapReport(values=values, vectors=np.column_stack(vectors),
+                     gap=gap, residuals=residuals)
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +358,8 @@ def certify_positivity(report: EigenReport,
                                  passed=min_value >= tol)
 
 
-def complex_robin_bound(op: DiscreteOperator, tol: float = 1e-9, *,
-                        use_arnoldi: bool = False) -> ComplexRobinBound:
+def complex_robin_bound(op: DiscreteOperator,
+                        tol: float = 1e-9) -> ComplexRobinBound:
     """Compare the bottom of Re(spectrum) of an assembled COMPLEX_ROBIN
     operator with the bottom of the spectrum of the real-part problem,
     assembled on the same mesh with the same lumping.
@@ -371,11 +371,6 @@ def complex_robin_bound(op: DiscreteOperator, tol: float = 1e-9, *,
     if op.mode is not BoundaryMode.COMPLEX_ROBIN:
         raise ValueError(f"expected a complex_robin operator, got "
                          f"{op.mode.value}")
-    if op.n_dof > DENSE_CUTOFF and not use_arnoldi:
-        raise SolverError(
-            f"n_dof = {op.n_dof} exceeds the dense cutoff {DENSE_CUTOFF}; "
-            "pass use_arnoldi=True to enable the iterative fallback")
-
     beta = np.asarray(op.coeffs.beta, dtype=complex)
     coeffs_re = replace(op.coeffs, beta=beta.real.copy(), validate=False)
     mode_re = BoundaryMode.NEUMANN if np.all(beta.real == 0) \
@@ -384,14 +379,9 @@ def complex_robin_bound(op: DiscreteOperator, tol: float = 1e-9, *,
                     lump_reaction=op.lump_reaction,
                     lump_boundary=op.lump_boundary)
 
-    if op.n_dof <= DENSE_CUTOFF:
-        values, _ = _dense_sorted_spectrum(op, "consistent")
-    else:
-        values, _ = _arnoldi_smallest_real(op, op.mass, k=8, tol=1e-12)
-    re_min = float(values.real.min())
-
-    lam1 = principal_eig(op_r, tol=1e-12).lambda1.real
+    re_min = principal_eig(op).lambda1.real
+    lam1 = principal_eig(op_r).lambda1.real
     margin = re_min - lam1
     return ComplexRobinBound(re_min_complex=re_min,
-                             min_real_part_problem=float(lam1),
-                             strict=margin > tol, margin=float(margin))
+                             min_real_part_problem=lam1,
+                             strict=margin > tol, margin=margin)

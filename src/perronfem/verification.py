@@ -249,7 +249,8 @@ class RegistryEntry:
 REGISTRY = (
     RegistryEntry("ellipticity",
                   "second-order coefficients are uniformly elliptic at the "
-                  "claimed constant", _check_ellipticity),
+                  "claimed constant (enforced when the coefficient set is "
+                  "built)", _check_ellipticity),
     RegistryEntry("mmatrix-compatible",
                   "stiffness off-diagonal entries are nonpositive",
                   _check_mmatrix),

@@ -107,6 +107,46 @@ def test_suite_complex_robin():
     assert by_label["principal-positivity"].verdict is Verdict.NOT_APPLICABLE
 
 
+@pytest.mark.parametrize("beta, b, mode", [
+    (1.0 + 1.0j, (0.0, 0.0), BoundaryMode.COMPLEX_ROBIN),
+    (1.0, (1.0, 0.0), BoundaryMode.ROBIN)])
+def test_suite_above_the_dense_cutoff_has_no_fail(monkeypatch, beta, b, mode):
+    import scipy.linalg
+    import scipy.sparse.linalg
+    import perronfem.spectral
+    mesh = generate_structured("unit_square", 6, "flux")
+    coeffs = CoefficientSet.constant(mesh, beta=beta, b=b)
+
+    def verdicts():
+        report = run_suite(Problem(mesh=mesh, coeffs=coeffs, mode=mode))
+        return {r.label: r.verdict for r in report.results}
+    dense = verdicts()
+
+    def no_dense_eig(*args, **kwargs):
+        raise AssertionError("dense eigensolve above the cutoff")
+    arnoldi_calls = []
+    eigs = scipy.sparse.linalg.eigs
+
+    def counted_eigs(*args, **kwargs):
+        arnoldi_calls.append(kwargs["k"])
+        return eigs(*args, **kwargs)
+    monkeypatch.setattr(scipy.linalg, "eig", no_dense_eig)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigs", counted_eigs)
+    monkeypatch.setattr(perronfem.spectral, "DENSE_CUTOFF", 10)
+    arnoldi = verdicts()
+    assert arnoldi == dense
+    assert arnoldi_calls == [4]  # one shared solve: two pairs, two guards
+    assert arnoldi["spectral-gap"] is Verdict.PASS
+    if mode is BoundaryMode.COMPLEX_ROBIN:
+        assert arnoldi["complex-robin-strict-bound"] is Verdict.PASS
+        assert Verdict.FAIL not in arnoldi.values()
+    else:
+        assert arnoldi["principal-positivity"] is Verdict.PASS
+        # convection gives the stiffness positive off-diagonal entries
+        assert [label for label, v in arnoldi.items()
+                if v is Verdict.FAIL] == ["mmatrix-compatible"]
+
+
 def test_suite_only_filter():
     report = run_suite(make_problem("robin"), only="ellipticity")
     assert len(report.results) == 1
@@ -370,17 +410,33 @@ def test_cli_missing_mesh_file_is_an_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_cli_solver_error_is_an_error(tmp_path, capsys, monkeypatch):
-    # a non-symmetric convection term above the dense cutoff has no
-    # spectral-gap solver
-    import perronfem.spectral
-    monkeypatch.setattr(perronfem.spectral, "DENSE_CUTOFF", 10)
+def test_cli_solver_error_is_an_error(tmp_path, capsys):
+    # inverse iteration cannot reach a residual of 1e-18
     path = write_config(tmp_path / "c.json", {
         "mesh": {"shape": "unit_square", "n": 4, "tags": "N"},
-        "coefficients": {"b": [1.0, 0.0], "mode": "neumann"}})
+        "coefficients": {"beta": 1.0, "mode": "robin"},
+        "solver": {"tol": 1e-18}})
     assert main(["eig", "--config", path]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "dense cutoff" in err
+    assert err.startswith("error: ") and "did not converge" in err
+
+
+@pytest.mark.parametrize("mesh, mode, message", [
+    ({"shape": "unit_square", "n": 1, "tags": "D"}, "dirichlet",
+     "no degree of freedom is free"),
+    ({"shape": "unit_square", "n": 4, "tags": "N"}, "dirichlet",
+     "requires all boundary edges tagged D")])
+def test_cli_verify_rejects_an_invalid_problem(tmp_path, capsys, mesh, mode,
+                                               message):
+    path = write_config(tmp_path / "c.json", {
+        "mesh": mesh, "coefficients": {"mode": mode}})
+    for command in ("verify", "eig"):
+        assert main([command, "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+    assert not (tmp_path / "verification_report.json").exists()
 
 
 def test_cli_default_horizon_covers_the_graph_diameter(tmp_path):

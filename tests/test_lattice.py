@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perronfem.lattice import LatticeError, MetzlerGenerator, \
-    invariant_masks, is_irreducible, is_quasi_interior, perron_report, \
+    invariant_masks, is_irreducible, perron_report, \
     point_positivity_theorem, positivity_improving_equiv, random_metzler, \
     schaefer_approx_check, semigroup_at
 
@@ -154,8 +154,6 @@ def test_schaefer_examples():
                                      np.array([0.0, 1.0]))
     assert schaefer_approx_check(np.array([1.0, 2.0, 0.0]),
                                  np.array([0.0, 3.0, 0.0]))
-    assert is_quasi_interior(ones)
-    assert not is_quasi_interior(np.array([1.0, 0.0]))
 
 
 nonneg_entry = st.one_of(st.just(0.0),

@@ -261,17 +261,6 @@ def test_corkscrew_monotone_in_delta(delta, shrink):
         assert check_corkscrew(mesh, delta * shrink).ok
 
 
-def test_vertex_adjacency_counts():
-    mesh = generate_structured("unit_square", 2, "flux")
-    adj = mesh.vertex_adjacency()
-    degrees = np.asarray(adj.sum(axis=1)).ravel()
-    # center vertex of the 3x3 grid touches all six triangle-edge neighbors
-    center = np.flatnonzero((mesh.vertices == 0.5).all(axis=1))[0]
-    assert degrees[center] == 6
-    # 2E entries, with 2E = 3T + B for a conforming triangulation
-    assert adj.nnz == 3 * mesh.n_triangles + len(mesh.boundary_edges)
-
-
 # -- invariant validation ---------------------------------------------------
 
 def test_constructor_rejects_nonconforming_boundary():

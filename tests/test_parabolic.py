@@ -57,15 +57,6 @@ def test_constants_are_equilibria_crank_nicolson(dirichlet_mesh8):
     assert np.abs(sol.fields - 1.0).max() <= 1e-12
 
 
-def test_boundary_data_from_function(dirichlet_mesh8):
-    phi = BoundaryData.from_function(
-        dirichlet_mesh8, [0.0, 1.0], lambda t, x, y: t * (x + y))
-    bv = dirichlet_mesh8.boundary_vertices()
-    xy = dirichlet_mesh8.vertices[bv]
-    np.testing.assert_allclose(phi.at(0.0), 0.0)
-    np.testing.assert_allclose(phi.at(0.5), 0.5 * (xy[:, 0] + xy[:, 1]))
-
-
 def test_boundary_values_pinned_exactly(dirichlet_mesh8):
     coeffs = laplace_coeffs(dirichlet_mesh8)
     t_end = 0.32
@@ -414,6 +405,7 @@ def test_elliptic_check_on_a_mesh_without_interior_vertices():
     rep = elliptic_strong_max_check(mesh, laplace_coeffs(mesh),
                                     np.ones(mesh.n_vertices))
     assert rep.is_solution
+    assert rep.positivity is Verdict.NOT_APPLICABLE
     assert rep.constancy is Verdict.NOT_APPLICABLE
 
 

@@ -363,19 +363,66 @@ def test_arnoldi_fallback_agrees_with_dense(robin_mesh8):
                                np.sort(dense_vals.real)[:3], rtol=1e-8)
 
 
-def test_dense_cutoff_error_without_arnoldi(robin_mesh8):
+def test_arnoldi_failure_is_a_solver_error(robin_mesh8, monkeypatch):
+    import scipy.sparse.linalg as spla
+    from perronfem.spectral import _arnoldi_smallest_real
+
+    def no_convergence(*args, **kwargs):
+        raise spla.ArpackNoConvergence("no convergence", np.empty(0),
+                                       np.empty((0, 0)))
+    monkeypatch.setattr(spla, "eigs", no_convergence)
+    op = assemble(robin_mesh8,
+                  CoefficientSet.constant(robin_mesh8, beta=1.0 + 1.0j),
+                  BoundaryMode.COMPLEX_ROBIN)
+    with pytest.raises(SolverError, match="Arnoldi failed"):
+        _arnoldi_smallest_real(op, op.mass, k=4, tol=1e-12)
+
+
+def test_complex_robin_bound_above_the_dense_cutoff_takes_no_flag(
+        robin_mesh8, monkeypatch):
     import perronfem.spectral as spectral
     coeffs = CoefficientSet.constant(robin_mesh8, beta=1.0 + 1.0j)
-    op = assemble(robin_mesh8, coeffs, BoundaryMode.COMPLEX_ROBIN)
-    original = spectral.DENSE_CUTOFF
-    spectral.DENSE_CUTOFF = 10
-    try:
-        with pytest.raises(SolverError, match="use_arnoldi"):
-            complex_robin_bound(op)
-        bound = complex_robin_bound(op, use_arnoldi=True)
-        assert bound.strict
-    finally:
-        spectral.DENSE_CUTOFF = original
+    dense = complex_robin_bound(
+        assemble(robin_mesh8, coeffs, BoundaryMode.COMPLEX_ROBIN))
+    monkeypatch.setattr(spectral, "DENSE_CUTOFF", 10)
+    bound = complex_robin_bound(
+        assemble(robin_mesh8, coeffs, BoundaryMode.COMPLEX_ROBIN))
+    assert bound.strict
+    assert bound.re_min_complex == pytest.approx(dense.re_min_complex,
+                                                 rel=1e-8)
+    assert bound.min_real_part_problem == dense.min_real_part_problem
+
+
+def test_complex_robin_bound_at_n38_above_the_dense_cutoff(monkeypatch):
+    # the real-part problem solves at principal_eig's tolerance: inverse
+    # iteration on this square cannot reach a residual of 1e-12
+    import perronfem.spectral as spectral
+    monkeypatch.setattr(spectral, "DENSE_CUTOFF", 10)
+    mesh = generate_structured("unit_square", 38, "flux")
+    op = assemble(mesh, CoefficientSet.constant(mesh, beta=1.0 + 1.0j),
+                  BoundaryMode.COMPLEX_ROBIN)
+    assert complex_robin_bound(op).strict
+
+
+@pytest.mark.parametrize("mode, beta, b", [
+    (BoundaryMode.COMPLEX_ROBIN, 1.0 + 1.0j, (0.0, 0.0)),
+    (BoundaryMode.ROBIN, 1.0, (1.0, 0.0))])
+def test_arnoldi_path_matches_the_dense_path(robin_mesh8, monkeypatch, mode,
+                                             beta, b):
+    import perronfem.spectral as spectral
+    coeffs = CoefficientSet.constant(robin_mesh8, beta=beta, b=b)
+    dense_eig = principal_eig(assemble(robin_mesh8, coeffs, mode))
+    dense_gap = spectral_gap(assemble(robin_mesh8, coeffs, mode), 3)
+    monkeypatch.setattr(spectral, "DENSE_CUTOFF", 10)
+    op = assemble(robin_mesh8, coeffs, mode)
+    rep = principal_eig(op)
+    gap = spectral_gap(op, 3)
+    assert rep.lambda1 == pytest.approx(dense_eig.lambda1, rel=1e-9)
+    assert rep.residual <= 1e-9
+    np.testing.assert_allclose(np.abs(rep.vector), np.abs(dense_eig.vector),
+                               atol=1e-7)
+    np.testing.assert_allclose(gap.values, dense_gap.values, rtol=1e-9)
+    assert np.all(gap.residuals <= 1e-8)
 
 
 # -- one solve per operator ------------------------------------------------------

@@ -13,6 +13,7 @@ from .assembly import (
     BoundaryMode,
     CoefficientSet,
     DiscreteOperator,
+    MassKind,
     apply_form,
     assemble,
     ellipticity_check,
@@ -49,7 +50,6 @@ from .parabolic import (
 from .semigroup import (
     EvolutionConfig,
     KernelMatrix,
-    MassKind,
     Scheme,
     Verdict,
     evolve,

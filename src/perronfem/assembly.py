@@ -52,6 +52,20 @@ _ROBIN_FAMILY = (BoundaryMode.ROBIN, BoundaryMode.NEUMANN,
                  BoundaryMode.COMPLEX_ROBIN)
 
 
+class MassKind(Enum):
+    CONSISTENT = "consistent"
+    LUMPED = "lumped"
+
+
+def mass_matrix(kind: MassKind | str, mass: sp.csr_matrix,
+                mass_lumped: np.ndarray) -> sp.csr_matrix:
+    """The consistent mass matrix, or the diagonal of the lumped one, as
+    ``kind`` (a MassKind or its value) selects."""
+    if MassKind(kind) is MassKind.CONSISTENT:
+        return mass
+    return sp.diags(mass_lumped).tocsr()
+
+
 def sym_min_eig(a: np.ndarray) -> np.ndarray:
     """Smallest eigenvalue of the symmetric part of 2x2 matrices (m, 2, 2)."""
     s01 = 0.5 * (a[:, 0, 1] + a[:, 1, 0])
@@ -287,10 +301,21 @@ class DiscreteOperator:
 
     @cached_property
     def solver_cache(self) -> dict:
-        """Factorizations and graph data derived from this operator on
-        first use (semigroup keys its step matrices by scheme, dt and
-        mass)."""
+        """Factorizations, spectra and graph data derived from this
+        operator, filled only through ``cached``: the step factorization
+        per scheme, dt and mass, the eigensolves per mass kind, k and tol,
+        and the propagation threshold."""
         return {}
+
+    def cached(self, key, compute):
+        """``compute()`` once per operator and key, shared by every
+        caller; the arrays of a tuple result are made read-only."""
+        if key not in self.solver_cache:
+            value = compute()
+            for array in value if isinstance(value, tuple) else ():
+                array.flags.writeable = False
+            self.solver_cache[key] = value
+        return self.solver_cache[key]
 
     def expand(self, u: np.ndarray) -> np.ndarray:
         """Dof vector -> full nodal vector with exact zeros at constraints."""

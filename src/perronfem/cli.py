@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import struct
 import sys
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +26,8 @@ from .mesh import MeshError, generate_structured, load_mesh, quality, \
     save_mesh
 from .parabolic import BoundaryData, make_test_bank, solve_mild, \
     strong_positivity_check, very_weak_residual
-from .semigroup import EvolutionConfig, MassKind, Scheme, default_evolution, \
-    evolve, kernel, kernel_positivity_report
+from .semigroup import default_evolution, evolve, kernel, \
+    kernel_positivity_report
 from .spectral import REGION_FOR_MODE, SolverError, certify_positivity, \
     principal_eig, spectral_gap
 from .svgplot import emit_heatmap, render_strip
@@ -43,10 +43,14 @@ class CliError(Exception):
 # ---------------------------------------------------------------------------
 # config plumbing
 
-def _check_keys(data: dict, allowed, context: str):
+def _check_keys(data, allowed, context: str) -> dict:
+    """data, once it is known to be an object with only allowed keys."""
+    if not isinstance(data, dict):
+        raise CliError(f"{context}: expected an object")
     unknown = set(data) - set(allowed)
     if unknown:
         raise CliError(f"{context}: unknown key(s) {sorted(unknown)}")
+    return data
 
 
 def _load_config(path: str) -> tuple[dict, Path]:
@@ -91,14 +95,18 @@ def _resolve_coefficients(spec, base: Path, mesh):
         raise CliError(f"coefficients: {exc}") from None
 
 
-def _resolve_evolution(spec, mesh, min_steps: int = 0) -> EvolutionConfig:
-    spec = dict(spec or {})
-    _check_keys(spec, {"scheme", "dt", "t_end", "mass"}, "evolution")
-    return default_evolution(
-        mesh, dt=spec.get("dt"), t_end=spec.get("t_end"),
-        min_steps=min_steps,
-        scheme=Scheme(spec.get("scheme", "implicit_euler")),
-        mass=MassKind(spec.get("mass", "lumped")))
+def _resolve_evolution(spec) -> dict:
+    """The evolution block as keyword arguments of default_evolution."""
+    return _check_keys({} if spec is None else spec,
+                       {"scheme", "dt", "t_end", "mass"}, "evolution")
+
+
+def _solver_tol(cfg: dict) -> float:
+    solver = _check_keys(cfg.get("solver", {}), {"tol"}, "solver")
+    tol = float(solver.get("tol", 1e-10))
+    if not (math.isfinite(tol) and tol > 0):
+        raise CliError(f"solver: tol must be positive and finite, got {tol}")
+    return tol
 
 
 def _out_dir(cfg: dict, base: Path) -> Path:
@@ -155,9 +163,7 @@ def _cmd_eig(args) -> int:
     mesh = _resolve_mesh(cfg.get("mesh", {}), base)
     coeffs, mode = _resolve_coefficients(cfg.get("coefficients", {}), base,
                                          mesh)
-    solver = dict(cfg.get("solver", {}))
-    _check_keys(solver, {"tol"}, "solver")
-    tol = float(solver.get("tol", 1e-10))
+    tol = _solver_tol(cfg)
     out = _out_dir(cfg, base)
 
     op = Problem(mesh=mesh, coeffs=coeffs, mode=mode).op  # corkscrew-checked
@@ -204,7 +210,7 @@ def _cmd_evolve(args) -> int:
     mesh = _resolve_mesh(cfg.get("mesh", {}), base)
     coeffs, mode = _resolve_coefficients(cfg.get("coefficients", {}), base,
                                          mesh)
-    ecfg = _resolve_evolution(cfg.get("evolution"), mesh)
+    ecfg = default_evolution(mesh, **_resolve_evolution(cfg.get("evolution")))
     out = _out_dir(cfg, base)
 
     op = Problem(mesh=mesh, coeffs=coeffs, mode=mode).op  # corkscrew-checked
@@ -228,7 +234,7 @@ def _cmd_kernel(args) -> int:
     mesh = _resolve_mesh(cfg.get("mesh", {}), base)
     coeffs, mode = _resolve_coefficients(cfg.get("coefficients", {}), base,
                                          mesh)
-    ecfg = _resolve_evolution(cfg.get("evolution"), mesh)
+    ecfg = default_evolution(mesh, **_resolve_evolution(cfg.get("evolution")))
     t = args.t if args.t is not None else ecfg.t_end
     out = _out_dir(cfg, base)
 
@@ -300,7 +306,7 @@ def _cmd_parabolic(args) -> int:
     mesh = _resolve_mesh(cfg.get("mesh", {}), base)
     coeffs, _mode = _resolve_coefficients(cfg.get("coefficients", {}), base,
                                           mesh)
-    ecfg = _resolve_evolution(cfg.get("evolution"), mesh)
+    ecfg = default_evolution(mesh, **_resolve_evolution(cfg.get("evolution")))
     seed = int(cfg.get("seed", 0))
     out = _out_dir(cfg, base)
 
@@ -373,26 +379,21 @@ def _cmd_verify(args) -> int:
     mesh = _resolve_mesh(cfg.get("mesh", {}), base)
     coeffs, mode = _resolve_coefficients(cfg.get("coefficients", {}), base,
                                          mesh)
-    solver = dict(cfg.get("solver", {}))
-    _check_keys(solver, {"tol"}, "solver")
-    evolution = None
-    if "evolution" in cfg:
-        spec = dict(cfg["evolution"] or {})
-        evolution = _resolve_evolution(spec, mesh)  # rejects a bad block
-        if spec.get("t_end") is None:  # wait for the propagation threshold
-            evolution = partial(_resolve_evolution, spec, mesh)
+    tol = _solver_tol(cfg)
+    evolution = _resolve_evolution(cfg.get("evolution"))
+    default_evolution(mesh, **evolution)  # rejects a bad block
     oracle_matrix = None
     expect_irr = None
     if "oracle" in cfg:
-        ospec = dict(cfg["oracle"])
-        _check_keys(ospec, {"matrix", "expect_irreducible"}, "oracle")
-        oracle_matrix = np.asarray(ospec["matrix"], dtype=float)
+        ospec = _check_keys(cfg["oracle"], {"matrix", "expect_irreducible"},
+                            "oracle")
+        oracle_matrix = MetzlerGenerator(
+            np.asarray(ospec["matrix"], dtype=float)).Q
         expect_irr = ospec.get("expect_irreducible")
     out = _out_dir(cfg, base)
 
     problem = Problem(
-        mesh=mesh, coeffs=coeffs, mode=mode,
-        solver_tol=float(solver.get("tol", 1e-10)),
+        mesh=mesh, coeffs=coeffs, mode=mode, solver_tol=tol,
         evolution=evolution,
         corkscrew_delta=float(cfg.get("corkscrew_delta", 0.1)),
         oracle_matrix=oracle_matrix, expect_irreducible=expect_irr)

@@ -42,6 +42,8 @@ def _evaluate(node, env):
             return left - right
         if isinstance(node.op, ast.Mult):
             return left * right
+        if np.any(np.asarray(right) == 0.0):
+            raise ExpressionError("division by zero")
         return left / right
     if isinstance(node, ast.UnaryOp) and isinstance(node.op,
                                                     (ast.UAdd, ast.USub)):
@@ -58,12 +60,16 @@ def _evaluate(node, env):
 
 def evaluate_field(expr: str, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Evaluate an expression at coordinate arrays; always returns an array
-    shaped like x (constants are broadcast)."""
+    shaped like x (constants are broadcast). A division by zero or a value
+    that is not finite (an overflow) raises ExpressionError."""
     expr = expr.replace("·", "*").replace("−", "-")
     try:
         tree = ast.parse(expr, mode="eval")
     except SyntaxError as exc:
         raise ExpressionError(f"cannot parse {expr!r}: {exc.msg}") from None
-    value = _evaluate(tree, {"x": np.asarray(x, dtype=float),
-                             "y": np.asarray(y, dtype=float)})
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = _evaluate(tree, {"x": np.asarray(x, dtype=float),
+                                 "y": np.asarray(y, dtype=float)})
+    if not np.all(np.isfinite(value)):
+        raise ExpressionError(f"{expr!r} is not finite at every point")
     return np.broadcast_to(np.asarray(value, dtype=float), np.shape(x)).copy()

@@ -29,10 +29,10 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import CoefficientSet, assemble_volume
+from .assembly import CoefficientSet, assemble_volume, mass_matrix
 from .mesh import TriMesh
-from .semigroup import EvolutionConfig, MassKind, Scheme, Verdict, \
-    graph_diameter
+from .semigroup import EvolutionConfig, Verdict, graph_diameter, \
+    step_matrices
 from .spectral import POSITIVITY_REL_TOL
 
 COMPATIBILITY_TOL = 1e-10
@@ -176,38 +176,26 @@ def solve_mild(mesh: TriMesh, coeffs: CoefficientSet, u0: np.ndarray,
             f"coefficient sign condition fails (min row value {worst:.3e}); "
             "positivity conclusions do not apply", stacklevel=2)
 
-    if cfg.mass is MassKind.LUMPED:
-        M = sp.diags(ML).tocsr()
-    A_II = A[interior][:, interior]
-    A_IB = A[interior][:, boundary]
-    M_II = M[interior][:, interior]
-    M_IB = M[interior][:, boundary]
+    # the interior rows of the step: each step solves
+    # lhs_II u_I(k+1) = rhs_II u_I(k) + rhs_IB u_B(k) - lhs_IB u_B(k+1)
+    lhs, rhs = step_matrices(A, mass_matrix(cfg.mass, M, ML), cfg.scheme,
+                             cfg.dt)
+    lhs, rhs = lhs[interior], rhs[interior]
+    lu = spla.splu(lhs[:, interior].tocsc())
+    lhs_IB = lhs[:, boundary]
+    rhs_II, rhs_IB = rhs[:, interior], rhs[:, boundary]
 
-    # each step solves lhs u_I(k+1) = explicit_I u_I(k) + explicit_B u_B(k)
-    #                                 - implicit_B u_B(k+1)
     dt = cfg.dt
-    if cfg.scheme is Scheme.IMPLICIT_EULER:
-        lhs = (M_II + dt * A_II).tocsc()
-        explicit_I, explicit_B = M_II, M_IB
-        implicit_B = M_IB + dt * A_IB
-    else:
-        lhs = (M_II + 0.5 * dt * A_II).tocsc()
-        explicit_I = M_II - 0.5 * dt * A_II
-        explicit_B = M_IB - 0.5 * dt * A_IB
-        implicit_B = M_IB + 0.5 * dt * A_IB
-    lu = spla.splu(lhs)
-
     n = cfg.n_steps
     fields = np.empty((n + 1, mesh.n_vertices))
     fields[0] = u0
     fields[0, boundary] = phi.at(0.0)
     for k in range(1, n + 1):
-        t_new = k * dt
         g_old = fields[k - 1, boundary]
-        g_new = phi.at(t_new)
-        rhs = explicit_I @ fields[k - 1, interior] + explicit_B @ g_old \
-            - implicit_B @ g_new
-        fields[k, interior] = lu.solve(rhs)
+        g_new = phi.at(k * dt)
+        fields[k, interior] = lu.solve(
+            rhs_II @ fields[k - 1, interior] + rhs_IB @ g_old
+            - lhs_IB @ g_new)
         fields[k, boundary] = g_new
     times = dt * np.arange(n + 1)
     return MildSolution(times=times, fields=fields, mesh=mesh, coeffs=coeffs,

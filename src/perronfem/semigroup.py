@@ -7,12 +7,17 @@ to nonnegative states. A single step already has global support in exact
 arithmetic, but values decay fast with graph distance, so full-support
 certificates only count from the step at which the propagation front has
 provably crossed the operator's sparsity graph (its diameter).
+
+``step_matrices`` is the one place a scheme becomes matrices; the
+boundary-pinned solve in ``parabolic`` slices its rows. ``march`` is the
+one step loop: it factorizes the step once per operator and (scheme, dt,
+mass) and serves ``evolve``, the positivity trials and ``kernel``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -20,19 +25,15 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import dijkstra
 
-from .assembly import BoundaryMode, DiscreteOperator, mmatrix_report
+from .assembly import DiscreteOperator, MassKind, mass_matrix, \
+    mmatrix_report
 from .spectral import POSITIVITY_REL_TOL, REGION_FOR_MODE, Region, \
-    region_vertices
+    SolverError, region_vertices
 
 
 class Scheme(Enum):
     IMPLICIT_EULER = "implicit_euler"
     CRANK_NICOLSON = "crank_nicolson"
-
-
-class MassKind(Enum):
-    CONSISTENT = "consistent"
-    LUMPED = "lumped"
 
 
 class Verdict(Enum):
@@ -89,6 +90,16 @@ class Trajectory:
     states: np.ndarray  # (n_steps + 1, n_dof)
 
 
+def step_matrices(A: sp.spmatrix, M: sp.spmatrix, scheme: Scheme,
+                  dt: float) -> tuple:
+    """(lhs, rhs) of the one-step scheme lhs u(k+1) = rhs u(k), in CSR:
+    (M + dt A, M) for implicit Euler, (M + dt/2 A, M - dt/2 A) for
+    Crank-Nicolson."""
+    if Scheme(scheme) is Scheme.IMPLICIT_EULER:
+        return (M + dt * A).tocsr(), M.tocsr()
+    return (M + 0.5 * dt * A).tocsr(), (M - 0.5 * dt * A).tocsr()
+
+
 class Stepper:
     """One factorized time step. step() takes a state vector or a block of
     states, one per column; SuperLU treats each column exactly as it treats
@@ -96,31 +107,33 @@ class Stepper:
     """
 
     def __init__(self, op: DiscreteOperator, cfg: EvolutionConfig):
-        M = sp.diags(op.mass_lumped).tocsr() if cfg.mass is MassKind.LUMPED \
-            else op.mass
-        A = op.stiffness
-        if cfg.scheme is Scheme.IMPLICIT_EULER:
-            lhs = (M + cfg.dt * A).tocsc()
-            self._rhs = M.tocsr()
-        else:
-            lhs = (M + 0.5 * cfg.dt * A).tocsc()
-            self._rhs = (M - 0.5 * cfg.dt * A).tocsr()
+        lhs, self._rhs = step_matrices(
+            op.stiffness, mass_matrix(cfg.mass, op.mass, op.mass_lumped),
+            cfg.scheme, cfg.dt)
         try:
-            self._lu = spla.splu(lhs)
+            self._lu = spla.splu(lhs.tocsc())
         except RuntimeError as exc:
-            raise RuntimeError(f"singular step matrix: {exc}") from exc
+            raise SolverError(f"singular step matrix: {exc}") from exc
 
     def step(self, u: np.ndarray) -> np.ndarray:
         return self._lu.solve(self._rhs @ u)
 
 
-def _stepper(op: DiscreteOperator, cfg: EvolutionConfig) -> Stepper:
-    """The step of op under cfg's scheme, dt and mass, factorized once per
-    operator and shared by every march with that configuration."""
-    key = ("step", cfg.scheme, cfg.dt, cfg.mass)
-    if key not in op.solver_cache:
-        op.solver_cache[key] = Stepper(op, cfg)
-    return op.solver_cache[key]
+def march(op: DiscreteOperator, cfg: EvolutionConfig, u: np.ndarray,
+          n_steps: int):
+    """Yield the states after steps 1..n_steps from u, a state or a block
+    of states (one per column). The step is factorized once per operator
+    and (scheme, dt, mass); a failed factorization or solve raises
+    SolverError."""
+    step = op.cached(("step", cfg.scheme, cfg.dt, cfg.mass),
+                     lambda: Stepper(op, cfg)).step
+    for k in range(1, n_steps + 1):
+        try:
+            u = step(u)
+        except RuntimeError as exc:
+            raise SolverError(f"linear solve failed at step {k}: {exc}") \
+                from exc
+        yield u
 
 
 def evolve(op: DiscreteOperator, u0: np.ndarray,
@@ -130,20 +143,8 @@ def evolve(op: DiscreteOperator, u0: np.ndarray,
     u0 = np.asarray(u0, dtype=complex if op.is_complex else float)
     if u0.shape != (op.n_dof,):
         raise ValueError(f"u0 must have length n_dof = {op.n_dof}")
-    step = _stepper(op, cfg).step
-    n = cfg.n_steps
-    states = np.empty((n + 1, op.n_dof), dtype=u0.dtype)
-    states[0] = u0
-    u = u0
-    for k in range(1, n + 1):
-        try:
-            u = step(u)
-        except Exception as exc:
-            raise RuntimeError(f"linear solve failed at step {k}: {exc}") \
-                from exc
-        states[k] = u
-    times = cfg.dt * np.arange(n + 1)
-    return Trajectory(times=times, states=states)
+    states = np.array([u0, *march(op, cfg, u0, cfg.n_steps)])
+    return Trajectory(times=cfg.dt * np.arange(len(states)), states=states)
 
 
 # ---------------------------------------------------------------------------
@@ -156,11 +157,8 @@ def propagation_threshold(op: DiscreteOperator) -> int:
     the mesh edge graph, which may contain zero-weight diagonals) governs
     how many steps full support provably takes. Computed once per operator.
     """
-    if "propagation_threshold" not in op.solver_cache:
-        op.solver_cache["propagation_threshold"] = graph_diameter(
-            op.stiffness,
-            RuntimeError("operator sparsity graph is disconnected"))
-    return op.solver_cache["propagation_threshold"]
+    return op.cached("propagation_threshold", lambda: graph_diameter(
+        op.stiffness, RuntimeError("operator sparsity graph is disconnected")))
 
 
 def graph_diameter(matrix: sp.spmatrix, disconnected: Exception) -> int:
@@ -287,9 +285,7 @@ def positivity_improving_check(op: DiscreteOperator, cfg: EvolutionConfig,
     U[dofs, cols] = 1.0
     first_pos = np.full(trials, -1)
     ok = np.ones(trials, dtype=bool)
-    step = _stepper(op, cfg).step
-    for k in range(1, n_steps + 1):
-        U = step(U)
+    for k, U in enumerate(march(op, cfg, U, n_steps), 1):
         tol = POSITIVITY_REL_TOL * np.abs(U).max(axis=0)
         fully = np.all(U[region_dofs] >= tol, axis=0)
         first_pos[fully & (first_pos < 0)] = k
@@ -319,7 +315,6 @@ class KernelMatrix:
 
     t: float
     entries: np.ndarray          # (n_vertices, n_vertices)
-    mode: BoundaryMode
     constrained: np.ndarray      # vertex indices with eliminated dofs
     lumped_mass_full: np.ndarray
 
@@ -345,37 +340,30 @@ def kernel(op: DiscreteOperator, t: float | tuple, cfg: EvolutionConfig):
     order given.
     """
     single = not isinstance(t, (tuple, list))
-    steps = [EvolutionConfig(scheme=cfg.scheme, dt=cfg.dt, t_end=ti,
-                             mass=cfg.mass).n_steps
-             for ti in ((t,) if single else t)]
-    step = _stepper(op, cfg).step
+    steps = [replace(cfg, t_end=ti).n_steps for ti in ((t,) if single else t)]
     nv = op.mesh.n_vertices
     free = op.free_vertices
     lumped_full = np.zeros(nv)
     lumped_full[free] = op.mass_lumped
-    U = np.diag(1.0 / op.mass_lumped).astype(
-        complex if op.is_complex else float)
-    snapshots = {}
-    for k in range(1, max(steps) + 1):
-        U = step(U)
-        if k in steps:
-            snapshots[k] = U
+    dtype = complex if op.is_complex else float
+    # the march holds the only reference to the initial block
+    point_masses = march(op, cfg, np.diag(1.0 / op.mass_lumped).astype(dtype),
+                         max(steps))
+    snapshots = {k: U for k, U in enumerate(point_masses, 1) if k in steps}
     kernels = []
     for n_steps in steps:
-        entries = np.zeros((nv, nv), dtype=U.dtype)
+        entries = np.zeros((nv, nv), dtype=dtype)
         entries[np.ix_(free, free)] = snapshots[n_steps]
         kernels.append(KernelMatrix(
-            t=n_steps * cfg.dt, entries=entries, mode=op.mode,
+            t=n_steps * cfg.dt, entries=entries,
             constrained=op.constrained_vertices,
             lumped_mass_full=lumped_full))
     return kernels[0] if single else tuple(kernels)
 
 
-def kernel_positivity_report(K: KernelMatrix, mode: BoundaryMode | None = None,
-                             ) -> KernelPositivityReport:
+def kernel_positivity_report(K: KernelMatrix) -> KernelPositivityReport:
     """Entrywise positivity over the pairs the boundary mode claims, with
     eliminated rows and columns checked to be exactly zero."""
-    mode = K.mode if mode is None else BoundaryMode(mode)
     nv = K.entries.shape[0]
     if np.iscomplexobj(K.entries):
         return KernelPositivityReport(Verdict.NOT_APPLICABLE, math.nan,

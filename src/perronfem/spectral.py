@@ -20,7 +20,8 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import BoundaryMode, DiscreteOperator, assemble
+from .assembly import BoundaryMode, DiscreteOperator, MassKind, assemble, \
+    mass_matrix
 
 #: a nodal value counts as strictly positive when >= this times max |u|
 POSITIVITY_REL_TOL = 1e-12
@@ -200,40 +201,16 @@ def _fix_sign(vector: np.ndarray, mass_lumped: np.ndarray) -> np.ndarray:
     return v
 
 
-def _pencil_mass(op: DiscreteOperator, mass: str):
-    if mass == "consistent":
-        return op.mass
-    if mass == "lumped":
-        return sp.diags(op.mass_lumped).tocsr()
-    raise ValueError(f"mass must be 'consistent' or 'lumped', got {mass!r}")
-
-
-def _solve_once(op: DiscreteOperator, key: tuple, solve):
-    """The arrays ``solve()`` returns, computed once per operator and key
-    and shared read-only by every caller."""
-    if key not in op.solver_cache:
-        op.solver_cache[key] = arrays = solve()
-        for a in arrays:
-            a.flags.writeable = False
-    return op.solver_cache[key]
-
-
-def _pencil_pairs(op: DiscreteOperator, mass: str, k: int, tol: float):
-    """``_hermitian_pairs`` once per operator, mass kind, k and tol."""
-    return _solve_once(op, ("hermitian_pairs", mass, k, tol), lambda: (
-        _hermitian_pairs(op.stiffness, _pencil_mass(op, mass),
-                         op.mass_lumped, k, tol)))
-
-
-def _dense_sorted_spectrum(op: DiscreteOperator, mass: str):
+def _dense_sorted_spectrum(op: DiscreteOperator, mass: MassKind):
     """Spectrum sorted by real, then imaginary part: one dense QZ solve
     per operator and mass kind."""
     def solve():
-        values, vectors = sla.eig(op.stiffness.toarray(),
-                                  _pencil_mass(op, mass).toarray())
+        values, vectors = sla.eig(
+            op.stiffness.toarray(),
+            mass_matrix(mass, op.mass, op.mass_lumped).toarray())
         order = np.lexsort((values.imag, values.real))
         return values[order], vectors[:, order]
-    return _solve_once(op, ("dense_spectrum", mass), solve)
+    return op.cached(("dense_spectrum", mass), solve)
 
 
 def _arnoldi_smallest_real(op: DiscreteOperator, M, k: int, tol: float):
@@ -249,7 +226,8 @@ def _arnoldi_smallest_real(op: DiscreteOperator, M, k: int, tol: float):
     return values[order], vectors[:, order]
 
 
-def _lowest_pairs(op: DiscreteOperator, mass: str, k: int, tol: float):
+def _lowest_pairs(op: DiscreteOperator, mass: MassKind | str, k: int,
+                  tol: float):
     """The k eigenpairs of least real part of the pencil (stiffness, mass),
     sorted by real, then imaginary part: the values, the vectors signed by
     ``_fix_sign``, and the relative residuals.
@@ -261,15 +239,18 @@ def _lowest_pairs(op: DiscreteOperator, mass: str, k: int, tol: float):
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    mass = MassKind(mass)
+    M = mass_matrix(mass, op.mass, op.mass_lumped)
     if op.is_hermitian and not op.is_complex:
-        values, vectors, residuals = _pencil_pairs(op, mass, k, tol)
+        values, vectors, residuals = op.cached(
+            ("hermitian_pairs", mass, k, tol), lambda: _hermitian_pairs(
+                op.stiffness, M, op.mass_lumped, k, tol))
         return values, [_fix_sign(v, op.mass_lumped) for v in vectors.T], \
             residuals
-    M = _pencil_mass(op, mass)
     if op.n_dof <= DENSE_CUTOFF:
         values, vectors = _dense_sorted_spectrum(op, mass)
     else:  # two guard pairs, as in the Hermitian block
-        values, vectors = _solve_once(op, ("arnoldi", mass, k, tol), lambda: (
+        values, vectors = op.cached(("arnoldi", mass, k, tol), lambda: (
             _arnoldi_smallest_real(op, M, min(k + 2, op.n_dof - 2), tol)))
     signed = [_fix_sign(vectors[:, j], op.mass_lumped) for j in range(k)]
     residuals = np.array([
@@ -279,7 +260,7 @@ def _lowest_pairs(op: DiscreteOperator, mass: str, k: int, tol: float):
 
 
 def principal_eig(op: DiscreteOperator, tol: float = 1e-10,
-                  mass: str = "consistent") -> EigenReport:
+                  mass: MassKind | str = MassKind.CONSISTENT) -> EigenReport:
     """Eigenpair of minimal real part for the pencil (stiffness, mass).
 
     ``mass`` selects the consistent pencil (default; eigenvalues converge
@@ -303,7 +284,7 @@ def principal_eig(op: DiscreteOperator, tol: float = 1e-10,
 
 
 def spectral_gap(op: DiscreteOperator, k: int, tol: float = 1e-10,
-                 mass: str = "consistent") -> GapReport:
+                 mass: MassKind | str = MassKind.CONSISTENT) -> GapReport:
     """k smallest-real-part eigenvalues, sorted; gap = Re l2 - Re l1."""
     if k < 2:
         raise ValueError("k must be at least 2")

@@ -13,13 +13,13 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
 from . import lattice
 from .assembly import BoundaryMode, CoefficientSet, DiscreteOperator, \
-    assemble, ellipticity_check, mmatrix_report
+    MassKind, assemble, ellipticity_check, mmatrix_report
 from .mesh import TriMesh, check_corkscrew
 from .semigroup import EvolutionConfig, Verdict, default_evolution, \
     kernel, kernel_positivity_report, positivity_improving_check, \
@@ -36,8 +36,9 @@ class Problem:
     coeffs: CoefficientSet
     mode: BoundaryMode
     solver_tol: float = 1e-10
-    #: a config, or a partial call completing one from min_steps
-    evolution: EvolutionConfig | partial | None = None
+    #: a config, or the keyword arguments of default_evolution (the
+    #: evolution block of a config file)
+    evolution: EvolutionConfig | dict | None = None
     corkscrew_delta: float = 0.1
     oracle_matrix: np.ndarray | None = None
     expect_irreducible: bool | None = None
@@ -67,8 +68,8 @@ class Problem:
             threshold = propagation_threshold(self.op)
         except RuntimeError:  # disconnected: no horizon certifies positivity
             threshold = 0
-        complete = self.evolution or partial(default_evolution, self.mesh)
-        return complete(min_steps=threshold)
+        return default_evolution(self.mesh, min_steps=threshold,
+                                 **(self.evolution or {}))
 
     @cached_property
     def kernels(self) -> tuple:
@@ -131,10 +132,12 @@ def _check_trace_zero(p: Problem):
 
 
 def _check_perron_sign(p: Problem):
-    if p.op.is_complex or not mmatrix_report(p.op).is_m_compatible:
+    if p.op.is_complex:
+        return Verdict.NOT_APPLICABLE, {"reason": "complex operator"}
+    if not mmatrix_report(p.op).is_m_compatible:
         return Verdict.NOT_APPLICABLE, {
             "reason": "positive off-diagonal stiffness entries"}
-    rep = principal_eig(p.op, tol=p.solver_tol, mass="lumped")
+    rep = principal_eig(p.op, tol=p.solver_tol, mass=MassKind.LUMPED)
     ok = bool(np.all(rep.vector >= 0.0))
     return (Verdict.PASS if ok else Verdict.FAIL,
             {"min_component": float(rep.vector.min()),
@@ -227,7 +230,8 @@ def _check_lattice_oracle(p: Problem):
         payload["lambda1"] = rep.lambda1
         payload["simple"] = rep.simple
         payload["gap"] = rep.gap
-        if not (rep.simple and rep.gap > 0
+        # a 1x1 generator has no second eigenvalue, so no gap to demand
+        if not (rep.simple and (g.n == 1 or rep.gap > 0)
                 and np.all(rep.vector > 0)):
             return Verdict.FAIL, payload
     if p.expect_irreducible is not None:

@@ -179,6 +179,17 @@ def test_suite_oracle_expected_negative():
     assert result.payload["irreducible"] is False
 
 
+@pytest.mark.parametrize("matrix", [[[1.0]], [[-5.0]]])
+def test_suite_oracle_passes_a_1x1_generator(matrix):
+    # irreducible with a simple eigenvalue and a positive vector; there is
+    # no second eigenvalue, so no gap
+    p = make_problem("robin", oracle_matrix=np.array(matrix))
+    (result,) = run_suite(p, only="lattice-oracle").results
+    assert result.verdict is Verdict.PASS
+    assert result.payload["irreducible"] is True
+    assert result.payload["gap"] == 0.0
+
+
 # -- CLI round trips --------------------------------------------------------------
 
 def test_cli_mesh_roundtrip(tmp_path, capsys):
@@ -439,6 +450,74 @@ def test_cli_verify_rejects_an_invalid_problem(tmp_path, capsys, mesh, mode,
     assert not (tmp_path / "verification_report.json").exists()
 
 
+PARABOLIC_PROBLEM = {
+    "mesh": {"shape": "unit_square", "n": 6, "tags": "D"},
+    "coefficients": {"mode": "dirichlet"},
+    "evolution": {"dt": 0.01, "t_end": 0.1},
+}
+
+
+def _assert_one_error_line(capsys, *fragments):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    for fragment in fragments:
+        assert fragment in err
+
+
+@pytest.mark.parametrize("command", ["evolve", "parabolic"])
+@pytest.mark.parametrize("expr", ["1/0", "x/0"])
+def test_cli_field_without_a_finite_value_is_an_error(tmp_path, capsys,
+                                                      command, expr):
+    base = ROBIN_PROBLEM if command == "evolve" else PARABOLIC_PROBLEM
+    path = write_config(tmp_path / "c.json",
+                        {**base, "u0": expr, "output_dir": "out"})
+    assert main([command, "--config", path]) == 2
+    _assert_one_error_line(capsys, "division by zero")
+    assert not (tmp_path / "out" / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("command, section, message", [
+    ("eig", {"solver": [1]}, "solver: expected an object"),
+    ("verify", {"solver": [1]}, "solver: expected an object"),
+    ("verify", {"solver": {"tol": -1}}, "tol must be positive"),
+    ("eig", {"solver": {"tol": float("inf")}}, "tol must be positive"),
+    ("evolve", {"evolution": [1]}, "evolution: expected an object"),
+    ("kernel", {"evolution": [1]}, "evolution: expected an object"),
+    ("parabolic", {"evolution": [1]}, "evolution: expected an object"),
+    ("verify", {"evolution": [1]}, "evolution: expected an object"),
+    ("verify", {"evolution": {"dt": 0.01, "t_end": 0.001}},
+     "t_end must be at least dt"),
+    ("verify", {"oracle": [1]}, "oracle: expected an object"),
+    ("verify", {"oracle": {"matrix": [[-1.0, -0.5], [1.0, -1.0]]}},
+     "is negative"),
+    ("parabolic", {"phi": {"samples": [1]}},
+     "phi sample: expected an object"),
+])
+def test_cli_malformed_section_is_an_error(tmp_path, capsys, command,
+                                           section, message):
+    base = PARABOLIC_PROBLEM if command == "parabolic" else ROBIN_PROBLEM
+    path = write_config(tmp_path / "c.json",
+                        {**base, **section, "output_dir": "out"})
+    assert main([command, "--config", path]) == 2
+    _assert_one_error_line(capsys, message)
+    assert not (tmp_path / "out" / "verification_report.json").exists()
+
+
+@pytest.mark.parametrize("command", ["evolve", "kernel"])
+def test_cli_failed_step_factorization_is_an_error(tmp_path, capsys,
+                                                   monkeypatch, command):
+    import scipy.sparse.linalg
+
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
+    path = write_config(tmp_path / "c.json",
+                        {**ROBIN_PROBLEM, "output_dir": "out"})
+    assert main([command, "--config", path]) == 2
+    _assert_one_error_line(capsys, "singular step matrix")
+
+
 def test_cli_default_horizon_covers_the_graph_diameter(tmp_path):
     # n = 44 has a stiffness-graph diameter of 88 > 80 default steps
     cfg = {"mesh": {"shape": "unit_square", "n": 44, "tags": "N"},
@@ -458,7 +537,9 @@ LSHAPE_MIXED_TAGS = {"bottom": "D", "right": "N", "inner_h": "N",
 # verification_report.json bytes of fixed configs: robin6 and dirichlet6
 # recorded before the kernel checks moved to one block march, complex6 and
 # lshape4 before the spectral checks shared one solve per operator; neither
-# change may move a bit
+# change may move a bit. complex6 was re-pinned when perron-sign-structure
+# began to give complex operators the reason "complex operator"; that
+# string is the only difference.
 PINNED_REPORTS = {
     "robin6": ({
         "mesh": {"shape": "unit_square", "n": 6, "tags": "N"},
@@ -475,7 +556,7 @@ PINNED_REPORTS = {
         "mesh": {"shape": "unit_square", "n": 6, "tags": "N"},
         "coefficients": {"beta": {"re": 1.0, "im": 0.5},
                          "mode": "complex_robin"},
-    }, "e55d35f724876b6b8bf3e4124e4262a0f40a268511729de7c85a4ad182936430"),
+    }, "f47e023d0a10f24fead26421a7e754030ebc12c64954bff7d127dee3d6016405"),
     "lshape4": ({
         "mesh": {"shape": "l_shape", "n": 4, "tags": LSHAPE_MIXED_TAGS},
         "coefficients": {"mode": "mixed"},

@@ -57,6 +57,67 @@ def test_constants_are_equilibria_crank_nicolson(dirichlet_mesh8):
     assert np.abs(sol.fields - 1.0).max() <= 1e-12
 
 
+def _block_march(mesh, coeffs, u0, phi, cfg):
+    """Reference: the boundary-pinned march from its own block formulas,
+    one branch per scheme."""
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+    from perronfem.semigroup import Scheme
+    A, M, ML = assemble_volume(mesh, coeffs)
+    if cfg.mass is MassKind.LUMPED:
+        M = sp.diags(ML).tocsr()
+    boundary = mesh.boundary_vertices()
+    interior = np.setdiff1d(np.arange(mesh.n_vertices), boundary)
+    A_II = A[interior][:, interior]
+    A_IB = A[interior][:, boundary]
+    M_II = M[interior][:, interior]
+    M_IB = M[interior][:, boundary]
+    dt = cfg.dt
+    if cfg.scheme is Scheme.IMPLICIT_EULER:
+        lhs = (M_II + dt * A_II).tocsc()
+        explicit_I, explicit_B = M_II, M_IB
+        implicit_B = M_IB + dt * A_IB
+    else:
+        lhs = (M_II + 0.5 * dt * A_II).tocsc()
+        explicit_I = M_II - 0.5 * dt * A_II
+        explicit_B = M_IB - 0.5 * dt * A_IB
+        implicit_B = M_IB + 0.5 * dt * A_IB
+    lu = spla.splu(lhs)
+    fields = np.empty((cfg.n_steps + 1, mesh.n_vertices))
+    fields[0] = u0
+    fields[0, boundary] = phi.at(0.0)
+    for k in range(1, cfg.n_steps + 1):
+        g_old = fields[k - 1, boundary]
+        g_new = phi.at(k * dt)
+        rhs = explicit_I @ fields[k - 1, interior] + explicit_B @ g_old \
+            - implicit_B @ g_new
+        fields[k, interior] = lu.solve(rhs)
+        fields[k, boundary] = g_new
+    return fields
+
+
+@pytest.mark.filterwarnings("ignore:coefficient sign condition")
+@pytest.mark.parametrize("scheme", ["implicit_euler", "crank_nicolson"])
+@pytest.mark.parametrize("mass", [MassKind.LUMPED, MassKind.CONSISTENT])
+def test_solve_mild_equals_the_block_formulas(scheme, mass):
+    mesh = generate_structured("l_shape", 6, "D")
+    coeffs = CoefficientSet.constant(mesh, b=(1.5, -0.5), c=(0.25, 1.0),
+                                     c0=0.5)
+    bv = mesh.boundary_vertices()
+    x, y = mesh.vertices[bv].T
+    # boundary data ramp up from zero through two further samples
+    phi = BoundaryData(times=np.array([0.0, 0.05, 0.2]),
+                       values=np.array([np.zeros_like(x), 0.5 * (1.0 + x),
+                                        (1.0 + x) * (2.0 - y)]),
+                       boundary_vertices=bv)
+    u0 = np.random.default_rng(4).uniform(0.0, 1.0, mesh.n_vertices)
+    u0[bv] = 0.0
+    cfg = EvolutionConfig(scheme=scheme, dt=0.01, t_end=0.25, mass=mass)
+    sol = solve_mild(mesh, coeffs, u0, phi, cfg)
+    assert np.array_equal(sol.fields, _block_march(mesh, coeffs, u0, phi,
+                                                   cfg))
+
+
 def test_boundary_values_pinned_exactly(dirichlet_mesh8):
     coeffs = laplace_coeffs(dirichlet_mesh8)
     t_end = 0.32

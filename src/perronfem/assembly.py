@@ -304,7 +304,7 @@ class DiscreteOperator:
         """Factorizations, spectra and graph data derived from this
         operator, filled only through ``cached``: the step factorization
         per scheme, dt and mass, the eigensolves per mass kind, k and tol,
-        and the propagation threshold."""
+        and the stiffness graph's diameter with its peripheral pair."""
         return {}
 
     def cached(self, key, compute):
@@ -313,7 +313,8 @@ class DiscreteOperator:
         if key not in self.solver_cache:
             value = compute()
             for array in value if isinstance(value, tuple) else ():
-                array.flags.writeable = False
+                if isinstance(array, np.ndarray):
+                    array.flags.writeable = False
             self.solver_cache[key] = value
         return self.solver_cache[key]
 

@@ -53,6 +53,23 @@ def _check_keys(data, allowed, context: str) -> dict:
     return data
 
 
+def _number(spec: dict, key: str, default, context: str, kind=float):
+    """spec[key] as a float or an int, or default when absent (required
+    when default is None); anything but a JSON number is a CliError naming
+    the section."""
+    value = spec.get(key, default) if default is not None \
+        else _required(spec, key, context)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise CliError(f"{context}: {key} must be a number, got {value!r}")
+    return kind(value)
+
+
+def _required(spec: dict, key: str, context: str):
+    if key not in spec:
+        raise CliError(f"{context}: missing key {key!r}")
+    return spec[key]
+
+
 def _load_config(path: str) -> tuple[dict, Path]:
     p = Path(path)
     try:
@@ -77,9 +94,10 @@ def _resolve_mesh(spec, base: Path):
     _check_keys(spec, {"shape", "n", "tags", "width", "height"}, "mesh")
     try:
         return generate_structured(
-            spec.get("shape", "unit_square"), int(spec.get("n", 8)),
-            spec.get("tags", "flux"), width=float(spec.get("width", 1.0)),
-            height=float(spec.get("height", 1.0)))
+            spec.get("shape", "unit_square"),
+            _number(spec, "n", 8, "mesh", int), spec.get("tags", "flux"),
+            width=_number(spec, "width", 1.0, "mesh"),
+            height=_number(spec, "height", 1.0, "mesh"))
     except MeshError as exc:
         raise CliError(f"mesh: {exc}") from None
 
@@ -97,13 +115,17 @@ def _resolve_coefficients(spec, base: Path, mesh):
 
 def _resolve_evolution(spec) -> dict:
     """The evolution block as keyword arguments of default_evolution."""
-    return _check_keys({} if spec is None else spec,
+    spec = _check_keys({} if spec is None else spec,
                        {"scheme", "dt", "t_end", "mass"}, "evolution")
+    for key in ("dt", "t_end"):
+        if key in spec:
+            _number(spec, key, None, "evolution")
+    return spec
 
 
 def _solver_tol(cfg: dict) -> float:
     solver = _check_keys(cfg.get("solver", {}), {"tol"}, "solver")
-    tol = float(solver.get("tol", 1e-10))
+    tol = _number(solver, "tol", 1e-10, "solver")
     if not (math.isfinite(tol) and tol > 0):
         raise CliError(f"solver: tol must be positive and finite, got {tol}")
     return tol
@@ -168,8 +190,8 @@ def _cmd_eig(args) -> int:
 
     op = Problem(mesh=mesh, coeffs=coeffs, mode=mode).op  # corkscrew-checked
     report = principal_eig(op, tol=tol)
-    gaps = spectral_gap(op, k=min(int(cfg.get("gap_count", 2)), op.n_dof),
-                        tol=tol)
+    gaps = spectral_gap(op, k=min(_number(cfg, "gap_count", 2, "config", int),
+                                  op.n_dof), tol=tol)
     payload = {
         "mode": mode.value,
         "n_dof": op.n_dof,
@@ -242,10 +264,13 @@ def _cmd_kernel(args) -> int:
     K = kernel(op, t, ecfg)
     write_kernel_dump(out / "kernel.bin", K)
     rep = kernel_positivity_report(K)
-    _write_json(out / "kernel_report.json", {
+    report = {
         "t": K.t, "n": K.entries.shape[0], "verdict": rep.verdict.value,
         "min_entry": rep.min_entry, "witness": list(rep.witness),
-        "boundary_rows_zero": rep.boundary_rows_zero})
+        "boundary_rows_zero": rep.boundary_rows_zero}
+    if rep.reason:
+        report["reason"] = rep.reason
+    _write_json(out / "kernel_report.json", report)
     emit_heatmap(np.diag(K.entries).real.copy(), mesh,
                  out / "kernel_diagonal.svg")
     print(f"kernel at t = {K.t:.6g}: min entry {rep.min_entry:.6g}, "
@@ -286,14 +311,19 @@ def _resolve_phi(spec, mesh, t_end) -> BoundaryData:
         return BoundaryData.constant(mesh, float(spec), t_end)
     _check_keys(spec, {"constant", "samples"}, "phi")
     if "constant" in spec:
-        return BoundaryData.constant(mesh, float(spec["constant"]), t_end)
+        return BoundaryData.constant(
+            mesh, _number(spec, "constant", None, "phi"), t_end)
+    samples = spec.get("samples", [])
+    if not isinstance(samples, list):
+        raise CliError(f"phi: samples must be a list, got {samples!r}")
     bv = mesh.boundary_vertices()
     xy = mesh.vertices[bv]
     times, rows = [], []
-    for sample in spec.get("samples", []):
+    for sample in samples:
         _check_keys(sample, {"t", "expr"}, "phi sample")
-        times.append(float(sample["t"]))
-        rows.append(evaluate_field(str(sample["expr"]), xy[:, 0], xy[:, 1]))
+        times.append(_number(sample, "t", None, "phi sample"))
+        expr = str(_required(sample, "expr", "phi sample"))
+        rows.append(evaluate_field(expr, xy[:, 0], xy[:, 1]))
     if not times:
         raise CliError("phi: need 'constant' or nonempty 'samples'")
     return BoundaryData(times=np.array(times), values=np.array(rows),
@@ -307,7 +337,7 @@ def _cmd_parabolic(args) -> int:
     coeffs, _mode = _resolve_coefficients(cfg.get("coefficients", {}), base,
                                           mesh)
     ecfg = default_evolution(mesh, **_resolve_evolution(cfg.get("evolution")))
-    seed = int(cfg.get("seed", 0))
+    seed = _number(cfg, "seed", 0, "config", int)
     out = _out_dir(cfg, base)
 
     u0 = evaluate_field(str(cfg.get("u0", "0")), mesh.vertices[:, 0],
@@ -321,8 +351,9 @@ def _cmd_parabolic(args) -> int:
         newline="\n")
 
     positivity = strong_positivity_check(sol)
-    bank = make_test_bank(mesh, sol.times,
-                          size=int(cfg.get("test_bank_size", 20)), seed=seed)
+    bank = make_test_bank(
+        mesh, sol.times, size=_number(cfg, "test_bank_size", 20, "config", int),
+        seed=seed)
     residual = very_weak_residual(sol, bank)
     _write_json(out / "verdict.json", {
         "strong_positivity": {
@@ -388,14 +419,14 @@ def _cmd_verify(args) -> int:
         ospec = _check_keys(cfg["oracle"], {"matrix", "expect_irreducible"},
                             "oracle")
         oracle_matrix = MetzlerGenerator(
-            np.asarray(ospec["matrix"], dtype=float)).Q
+            np.asarray(_required(ospec, "matrix", "oracle"), dtype=float)).Q
         expect_irr = ospec.get("expect_irreducible")
     out = _out_dir(cfg, base)
 
     problem = Problem(
         mesh=mesh, coeffs=coeffs, mode=mode, solver_tol=tol,
         evolution=evolution,
-        corkscrew_delta=float(cfg.get("corkscrew_delta", 0.1)),
+        corkscrew_delta=_number(cfg, "corkscrew_delta", 0.1, "config"),
         oracle_matrix=oracle_matrix, expect_irreducible=expect_irr)
     problem.op  # an invalid problem is an error, not a suite of FAILs
     report = run_suite(problem, only=args.only)

@@ -27,12 +27,11 @@ from enum import Enum
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .assembly import CoefficientSet, assemble_volume, mass_matrix
 from .mesh import TriMesh
-from .semigroup import EvolutionConfig, Verdict, graph_diameter, \
-    step_matrices
+from .semigroup import EvolutionConfig, Verdict, factorize, \
+    graph_diameter, step_matrices
 from .spectral import POSITIVITY_REL_TOL
 
 COMPATIBILITY_TOL = 1e-10
@@ -181,7 +180,7 @@ def solve_mild(mesh: TriMesh, coeffs: CoefficientSet, u0: np.ndarray,
     lhs, rhs = step_matrices(A, mass_matrix(cfg.mass, M, ML), cfg.scheme,
                              cfg.dt)
     lhs, rhs = lhs[interior], rhs[interior]
-    lu = spla.splu(lhs[:, interior].tocsc())
+    lu = factorize(lhs[:, interior])
     lhs_IB = lhs[:, boundary]
     rhs_II, rhs_IB = rhs[:, interior], rhs[:, boundary]
 
@@ -207,9 +206,10 @@ def solve_mild(mesh: TriMesh, coeffs: CoefficientSet, u0: np.ndarray,
 # strong positivity
 
 def _interior_threshold(sol: MildSolution) -> int:
-    return graph_diameter(
+    diameter, _ = graph_diameter(
         sol.stiffness[sol.interior][:, sol.interior],
         ParabolicError("interior coupling graph is disconnected"))
+    return diameter
 
 
 @dataclass(frozen=True)

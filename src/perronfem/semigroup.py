@@ -2,16 +2,24 @@
 
 The implicit Euler step with lumped mass is the workhorse for positivity:
 when the stiffness matrix has nonpositive off-diagonal entries, the step
-matrix (M_L + dt*A) is an M-matrix and every step maps nonnegative states
-to nonnegative states. A single step already has global support in exact
-arithmetic, but values decay fast with graph distance, so full-support
-certificates only count from the step at which the propagation front has
-provably crossed the operator's sparsity graph (its diameter).
+matrix B = M_L + dt*A is an M-matrix and every step maps nonnegative
+states to nonnegative states. If B is moreover irreducible (its
+off-diagonal graph is strongly connected) and B*1 > 0, its inverse is
+entrywise positive (Berman & Plemmons, *Nonnegative Matrices in the
+Mathematical Sciences*, ch. 6), so every kernel K(t) = (B^-1 M_L)^n M_L^-1
+is positive on the free pairs; ``kernel_certificate`` checks exactly these
+hypotheses. A single step therefore has global support in exact
+arithmetic, but values decay fast with graph distance, so the float
+positivity trials only count from the step at which the propagation
+front has provably crossed the operator's sparsity graph (its diameter).
 
 ``step_matrices`` is the one place a scheme becomes matrices; the
 boundary-pinned solve in ``parabolic`` slices its rows. ``march`` is the
-one step loop: it factorizes the step once per operator and (scheme, dt,
-mass) and serves ``evolve``, the positivity trials and ``kernel``.
+one step loop, forward or adjoint: it factorizes the step once per
+operator and (scheme, dt, mass) and serves ``evolve``, the positivity
+trials and ``kernel``. ``kernel`` applies K(t) or K(t)^T to a block of
+columns; only its dense form, on the block of all point masses, holds
+an n_dof x n_dof array.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from enum import Enum
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .assembly import DiscreteOperator, MassKind, mass_matrix, \
     mmatrix_report
@@ -100,33 +108,44 @@ def step_matrices(A: sp.spmatrix, M: sp.spmatrix, scheme: Scheme,
     return (M + 0.5 * dt * A).tocsr(), (M - 0.5 * dt * A).tocsr()
 
 
+def factorize(matrix: sp.spmatrix):
+    """SuperLU factorization of a step matrix; a singular one raises
+    SolverError."""
+    try:
+        return spla.splu(matrix.tocsc())
+    except RuntimeError as exc:
+        raise SolverError(f"singular step matrix: {exc}") from exc
+
+
 class Stepper:
     """One factorized time step. step() takes a state vector or a block of
     states, one per column; SuperLU treats each column exactly as it treats
     a single vector, so a block march is bitwise equal to column marches.
+    step_adjoint() applies the transposed step with the same factor.
     """
 
     def __init__(self, op: DiscreteOperator, cfg: EvolutionConfig):
         lhs, self._rhs = step_matrices(
             op.stiffness, mass_matrix(cfg.mass, op.mass, op.mass_lumped),
             cfg.scheme, cfg.dt)
-        try:
-            self._lu = spla.splu(lhs.tocsc())
-        except RuntimeError as exc:
-            raise SolverError(f"singular step matrix: {exc}") from exc
+        self._lu = factorize(lhs)
 
     def step(self, u: np.ndarray) -> np.ndarray:
         return self._lu.solve(self._rhs @ u)
 
+    def step_adjoint(self, u: np.ndarray) -> np.ndarray:
+        return self._rhs.T @ self._lu.solve(u, trans="T")
+
 
 def march(op: DiscreteOperator, cfg: EvolutionConfig, u: np.ndarray,
-          n_steps: int):
+          n_steps: int, adjoint: bool = False):
     """Yield the states after steps 1..n_steps from u, a state or a block
-    of states (one per column). The step is factorized once per operator
-    and (scheme, dt, mass); a failed factorization or solve raises
-    SolverError."""
-    step = op.cached(("step", cfg.scheme, cfg.dt, cfg.mass),
-                     lambda: Stepper(op, cfg)).step
+    of states (one per column); with ``adjoint``, steps of the transposed
+    scheme. The step is factorized once per operator and (scheme, dt,
+    mass); a failed factorization or solve raises SolverError."""
+    stepper = op.cached(("step", cfg.scheme, cfg.dt, cfg.mass),
+                        lambda: Stepper(op, cfg))
+    step = stepper.step_adjoint if adjoint else stepper.step
     for k in range(1, n_steps + 1):
         try:
             u = step(u)
@@ -157,14 +176,33 @@ def propagation_threshold(op: DiscreteOperator) -> int:
     the mesh edge graph, which may contain zero-weight diagonals) governs
     how many steps full support provably takes. Computed once per operator.
     """
-    return op.cached("propagation_threshold", lambda: graph_diameter(
+    return _stiffness_diameter(op)[0]
+
+
+def peripheral_pair(op: DiscreteOperator) -> tuple:
+    """Two free dofs at the stiffness graph's diameter from each other."""
+    return _stiffness_diameter(op)[1]
+
+
+def _stiffness_diameter(op: DiscreteOperator) -> tuple:
+    return op.cached("stiffness_diameter", lambda: graph_diameter(
         op.stiffness, RuntimeError("operator sparsity graph is disconnected")))
 
 
-def graph_diameter(matrix: sp.spmatrix, disconnected: Exception) -> int:
-    """Diameter of the undirected graph of a square matrix's nonzero
-    off-diagonal entries; raises ``disconnected`` when the graph has more
-    than one component.
+def _offdiagonal_pattern(matrix: sp.spmatrix) -> sp.csr_matrix:
+    """Unit entries at a square matrix's nonzero off-diagonal entries."""
+    coo = matrix.tocoo()
+    mask = (coo.row != coo.col) & (coo.data != 0)
+    return sp.coo_matrix((np.ones(mask.sum()),
+                          (coo.row[mask], coo.col[mask])),
+                         shape=coo.shape).tocsr()
+
+
+def graph_diameter(matrix: sp.spmatrix, disconnected: Exception) -> tuple:
+    """(diameter, (u, v)) of the undirected graph of a square matrix's
+    nonzero off-diagonal entries, with u and v at that distance from each
+    other; raises ``disconnected`` when the graph has more than one
+    component.
 
     Exact, by bounding eccentricities (Takes & Kosters, CIKM 2011): each
     breadth-first sweep from v, with eccentricity e and distances d, bounds
@@ -174,22 +212,18 @@ def graph_diameter(matrix: sp.spmatrix, disconnected: Exception) -> int:
     until none can. Memory is O(N); structured meshes take a handful of
     sweeps.
     """
-    coo = matrix.tocoo()
-    mask = (coo.row != coo.col) & (coo.data != 0)
-    pattern = sp.coo_matrix((np.ones(mask.sum()),
-                             (coo.row[mask], coo.col[mask])),
-                            shape=coo.shape).tocsr()
+    pattern = _offdiagonal_pattern(matrix)
     pattern = (pattern + pattern.T).tocsr()
     if pattern.shape[0] == 0:
         raise ValueError("a graph without vertices has no diameter")
     lo = np.zeros(pattern.shape[0])
     hi = np.full(pattern.shape[0], np.inf)
-    best = 0.0
+    best, ends = -1.0, None
     largest_hi = True
     while True:
         live = np.flatnonzero(hi > best)
         if live.size == 0:
-            return int(best)
+            return int(best), ends
         v = live[np.argmax(hi[live])] if largest_hi \
             else live[np.argmin(lo[live])]
         largest_hi = not largest_hi
@@ -198,13 +232,30 @@ def graph_diameter(matrix: sp.spmatrix, disconnected: Exception) -> int:
         e = d.max()
         if np.isinf(e):
             raise disconnected
-        best = max(best, e)
+        if e > best:
+            best, ends = e, (int(v), int(np.argmax(d)))
         lo = np.maximum(lo, np.maximum(d, e - d))
         hi = np.minimum(hi, e + d)
 
 
 # ---------------------------------------------------------------------------
 # positivity improving check
+
+def _m_step_reason(op: DiscreteOperator, cfg: EvolutionConfig) -> str:
+    """Why the implicit Euler lumped-mass step matrix M_L + dt*A is not an
+    M-matrix (nonpositive off-diagonal, positive diagonal), or "" when it
+    is."""
+    if cfg.scheme is not Scheme.IMPLICIT_EULER \
+            or cfg.mass is not MassKind.LUMPED:
+        return "positivity certificates need implicit Euler with lumped mass"
+    if op.is_complex or not mmatrix_report(op).is_m_compatible:
+        return "stiffness has positive off-diagonal entries"
+    # off-diagonals of M_L + dt*A are those of dt*A, nonpositive here, so
+    # the step matrix is an M-matrix exactly when its diagonal is positive
+    if not np.all(op.mass_lumped + cfg.dt * op.stiffness.diagonal() > 0.0):
+        return "step matrix is not an M-matrix at this dt"
+    return ""
+
 
 @dataclass(frozen=True)
 class TrialOutcome:
@@ -243,22 +294,10 @@ def positivity_improving_check(op: DiscreteOperator, cfg: EvolutionConfig,
             return PositivityImprovingReport(
                 Verdict.NOT_APPLICABLE, Region.CLOSURE, -1, (),
                 reason=f"no positivity region for mode {op.mode.value}")
-    if cfg.scheme is not Scheme.IMPLICIT_EULER \
-            or cfg.mass is not MassKind.LUMPED:
-        return PositivityImprovingReport(
-            Verdict.NOT_APPLICABLE, region, -1, (),
-            reason="positivity certificates need implicit Euler with "
-                   "lumped mass")
-    if op.is_complex or not mmatrix_report(op).is_m_compatible:
-        return PositivityImprovingReport(
-            Verdict.NOT_APPLICABLE, region, -1, (),
-            reason="stiffness has positive off-diagonal entries")
-    # off-diagonals of M_L + dt*A are those of dt*A, nonpositive here, so
-    # the step matrix is an M-matrix exactly when its diagonal is positive
-    if not np.all(op.mass_lumped + cfg.dt * op.stiffness.diagonal() > 0.0):
-        return PositivityImprovingReport(
-            Verdict.NOT_APPLICABLE, region, -1, (),
-            reason="step matrix is not an M-matrix at this dt")
+    reason = _m_step_reason(op, cfg)
+    if reason:
+        return PositivityImprovingReport(Verdict.NOT_APPLICABLE, region, -1,
+                                         (), reason=reason)
 
     threshold = propagation_threshold(op)
     n_steps = cfg.n_steps
@@ -304,22 +343,89 @@ def positivity_improving_check(op: DiscreteOperator, cfg: EvolutionConfig,
 # ---------------------------------------------------------------------------
 # kernels
 
+#: largest dense kernel march ``kernel`` starts, in estimated bytes
+DENSE_KERNEL_MAX_BYTES = 2 ** 30
+
+
+@dataclass(frozen=True)
+class KernelCertificate:
+    """Whether the step matrix B = M_L + dt*A is an irreducible nonsingular
+    M-matrix. Then B^-1 > 0 entrywise, so S = B^-1 M_L > 0 and every kernel
+    K(t) = S^n M_L^-1 of n >= 1 steps is positive on the free pairs.
+    ``reason`` names the first unmet hypothesis."""
+
+    holds: bool
+    min_row_sum: float = math.nan   # min(B*1), the margin of nonsingularity
+    reason: str = ""
+
+
+def kernel_certificate(op: DiscreteOperator,
+                       cfg: EvolutionConfig) -> KernelCertificate:
+    """Structural positivity certificate of the kernel: a real operator,
+    implicit Euler with lumped mass, an M-matrix step B with positive
+    diagonal, a strongly connected off-diagonal graph of B, and B*1 > 0
+    (Berman & Plemmons, ch. 6). One sparse mat-vec and one strong-component
+    sweep."""
+    if op.is_complex:
+        return KernelCertificate(False, reason="complex operator")
+    reason = _m_step_reason(op, cfg)
+    if reason:
+        return KernelCertificate(False, reason=reason)
+    B, _ = step_matrices(op.stiffness,
+                         mass_matrix(cfg.mass, op.mass, op.mass_lumped),
+                         cfg.scheme, cfg.dt)
+    # a non-symmetric A may couple i to j but not j to i, so the
+    # symmetrised graph of the diameter does not show irreducibility
+    n_strong, _ = connected_components(_offdiagonal_pattern(B),
+                                       directed=True, connection="strong")
+    if n_strong > 1:
+        return KernelCertificate(
+            False, reason=f"step matrix is reducible: its off-diagonal "
+                          f"graph has {n_strong} strong components")
+    min_row_sum = float((B @ np.ones(op.n_dof)).min())
+    if not min_row_sum > 0.0:
+        return KernelCertificate(
+            False, min_row_sum, reason="step matrix has a row sum <= 0")
+    return KernelCertificate(True, min_row_sum)
+
+
 @dataclass(frozen=True)
 class KernelMatrix:
-    """Discrete heat kernel at time t on the full vertex set.
+    """Point-mass columns of the discrete heat kernel at time t, on the
+    full vertex set.
 
-    Column j is the evolved unit point mass at vertex j (initial state
-    e_j / lumped_mass_j), so applying the kernel to the lumped-mass
-    weighted nodal values of u reproduces the evolution of u.
+    Column j is the evolved unit point mass at vertex columns[j] (initial
+    state e_v / lumped_mass_v); rows and columns of eliminated vertices
+    are exact zeros. The dense kernel has every vertex as a column, and
+    applied to the lumped-mass weighted nodal values of u it reproduces
+    the evolution of u.
     """
 
     t: float
-    entries: np.ndarray          # (n_vertices, n_vertices)
+    entries: np.ndarray          # (n_vertices, len(columns))
+    columns: np.ndarray          # vertex of each column
     constrained: np.ndarray      # vertex indices with eliminated dofs
     lumped_mass_full: np.ndarray
+    certificate: KernelCertificate
 
     def apply(self, u_full: np.ndarray) -> np.ndarray:
-        return self.entries @ (self.lumped_mass_full * u_full)
+        return self.entries @ (self.lumped_mass_full * u_full)[self.columns]
+
+
+def point_mass_columns(op: DiscreteOperator, t: float, values: np.ndarray,
+                       columns: np.ndarray,
+                       certificate: KernelCertificate) -> KernelMatrix:
+    """The KernelMatrix of the point masses at the vertices ``columns``,
+    from ``values``: K(t) on their free ones, in dof rows."""
+    nv = op.mesh.n_vertices
+    lumped_full = np.zeros(nv)
+    lumped_full[op.free_vertices] = op.mass_lumped
+    entries = np.zeros((nv, len(columns)), dtype=values.dtype)
+    entries[np.ix_(op.free_vertices,
+                   np.flatnonzero(op.dof_map[columns] >= 0))] = values
+    return KernelMatrix(t=t, entries=entries, columns=np.asarray(columns),
+                        constrained=op.constrained_vertices,
+                        lumped_mass_full=lumped_full, certificate=certificate)
 
 
 @dataclass(frozen=True)
@@ -331,57 +437,79 @@ class KernelPositivityReport:
     reason: str = ""
 
 
-def kernel(op: DiscreteOperator, t: float | tuple, cfg: EvolutionConfig):
-    """Evolve every unit point mass to time t and collect the columns.
+def kernel(op: DiscreteOperator, t: float | tuple, cfg: EvolutionConfig,
+           block: np.ndarray | None = None, adjoint: bool = False):
+    """The heat kernel K(t) applied to a block Z of dof-space columns:
+    K(t) Z, or K(t)^T Z with ``adjoint``, as an (n_dof, k) array.
 
-    The point masses march together as one dense block, one multi-column
-    solve per step. t may be a tuple of times: the block then marches once,
-    to the latest of them, and one KernelMatrix per time comes back in the
-    order given.
+    K(t) = S^n M_L^-1, with S the one-step matrix and n the steps to t.
+    The forward march starts from M_L^-1 Z; the adjoint march steps Z with
+    S^T, through the same factorization, and divides by M_L at the end.
+    SuperLU solves each column alone, so a column comes out bitwise the
+    same in any block. Without a block, Z is the identity: all unit point
+    masses march as one dense block, and the dense KernelMatrix comes back;
+    a ValueError refuses it before any allocation when its three largest
+    arrays (the marched block, a snapshot and the entries on the full
+    vertex set) would exceed DENSE_KERNEL_MAX_BYTES. t may be a tuple of
+    times: the block then marches once, to the latest of them, and one
+    result per time comes back in the order given.
     """
     single = not isinstance(t, (tuple, list))
     steps = [replace(cfg, t_end=ti).n_steps for ti in ((t,) if single else t)]
-    nv = op.mesh.n_vertices
-    free = op.free_vertices
-    lumped_full = np.zeros(nv)
-    lumped_full[free] = op.mass_lumped
-    dtype = complex if op.is_complex else float
-    # the march holds the only reference to the initial block
-    point_masses = march(op, cfg, np.diag(1.0 / op.mass_lumped).astype(dtype),
-                         max(steps))
-    snapshots = {k: U for k, U in enumerate(point_masses, 1) if k in steps}
-    kernels = []
-    for n_steps in steps:
-        entries = np.zeros((nv, nv), dtype=dtype)
-        entries[np.ix_(free, free)] = snapshots[n_steps]
-        kernels.append(KernelMatrix(
-            t=n_steps * cfg.dt, entries=entries,
-            constrained=op.constrained_vertices,
-            lumped_mass_full=lumped_full))
-    return kernels[0] if single else tuple(kernels)
+    dense = block is None
+    if dense:
+        need = (16 if op.is_complex else 8) \
+            * (2 * op.n_dof ** 2 + op.mesh.n_vertices ** 2)
+        if need > DENSE_KERNEL_MAX_BYTES:
+            raise ValueError(
+                f"the dense kernel of {op.n_dof} dofs needs about "
+                f"{need / 2 ** 20:,.1f} MiB, above the "
+                f"{DENSE_KERNEL_MAX_BYTES / 2 ** 20:,.1f} MiB limit")
+        block = np.diag(1.0 / op.mass_lumped)
+    elif not adjoint:
+        block = block / op.mass_lumped[:, None]
+    # the march holds the only reference to a dense initial block
+    states = march(op, cfg,
+                   block.astype(complex if op.is_complex else float),
+                   max(steps), adjoint)
+    del block
+    snapshots = {k: U for k, U in enumerate(states, 1) if k in steps}
+    if dense:
+        certificate = kernel_certificate(op, cfg)
+        out = [point_mass_columns(op, n * cfg.dt, snapshots[n],
+                                  np.arange(op.mesh.n_vertices), certificate)
+               for n in steps]
+    elif adjoint:
+        out = [snapshots[n] / op.mass_lumped[:, None] for n in steps]
+    else:
+        out = [snapshots[n] for n in steps]
+    return out[0] if single else tuple(out)
 
 
 def kernel_positivity_report(K: KernelMatrix) -> KernelPositivityReport:
-    """Entrywise positivity over the pairs the boundary mode claims, with
-    eliminated rows and columns checked to be exactly zero."""
-    nv = K.entries.shape[0]
-    if np.iscomplexobj(K.entries):
+    """The certificate's verdict on the free pairs, cross-checked in
+    floats on K's columns: their smallest free entry, where it sits, and
+    whether eliminated rows and columns are exact zeros. A sampled entry
+    <= 0 under a holding certificate is a program bug and raises
+    AssertionError."""
+    if not K.certificate.holds:
         return KernelPositivityReport(Verdict.NOT_APPLICABLE, math.nan,
                                       (-1, -1), False,
-                                      reason="complex kernel")
-    live = np.setdiff1d(np.arange(nv), K.constrained)
-    boundary_ok = True
-    if K.constrained.size:
-        boundary_ok = bool(
-            np.all(K.entries[K.constrained, :] == 0.0)
-            and np.all(K.entries[:, K.constrained] == 0.0))
-    block = K.entries[np.ix_(live, live)]
-    tol = POSITIVITY_REL_TOL * float(np.abs(K.entries).max())
+                                      reason=K.certificate.reason)
+    rows = np.setdiff1d(np.arange(K.entries.shape[0]), K.constrained)
+    pinned = np.isin(K.columns, K.constrained)
+    boundary_ok = bool(np.all(K.entries[K.constrained, :] == 0.0)
+                       and np.all(K.entries[:, pinned] == 0.0))
+    cols = np.flatnonzero(~pinned)
+    block = K.entries[np.ix_(rows, cols)]
     arg = np.unravel_index(int(np.argmin(block)), block.shape)
     min_entry = float(block[arg])
-    witness = (int(live[arg[0]]), int(live[arg[1]]))
-    ok = min_entry >= tol and boundary_ok
+    witness = (int(rows[arg[0]]), int(K.columns[cols[arg[1]]]))
+    if not min_entry > 0.0:
+        raise AssertionError(
+            f"kernel entry {min_entry!r} at {witness} is not positive "
+            f"under a holding positivity certificate")
     return KernelPositivityReport(
-        verdict=Verdict.PASS if ok else Verdict.FAIL,
+        verdict=Verdict.PASS if boundary_ok else Verdict.FAIL,
         min_entry=min_entry, witness=witness,
         boundary_rows_zero=boundary_ok)

@@ -21,11 +21,29 @@ from . import lattice
 from .assembly import BoundaryMode, CoefficientSet, DiscreteOperator, \
     MassKind, assemble, ellipticity_check, mmatrix_report
 from .mesh import TriMesh, check_corkscrew
-from .semigroup import EvolutionConfig, Verdict, default_evolution, \
-    kernel, kernel_positivity_report, positivity_improving_check, \
+from .semigroup import EvolutionConfig, KernelMatrix, Verdict, \
+    default_evolution, kernel, kernel_certificate, kernel_positivity_report, \
+    peripheral_pair, point_mass_columns, positivity_improving_check, \
     propagation_threshold
 from .spectral import REGION_FOR_MODE, certify_positivity, \
     complex_robin_bound, principal_eig, spectral_gap
+
+
+#: columns of the fixed-seed probe block Z of the kernel identity checks
+PROBES = 16
+PROBE_SEED = 0
+
+
+@dataclass(frozen=True)
+class KernelProbes:
+    """What the three kernel checks read, at the horizon t."""
+
+    t: float
+    ends: KernelMatrix       # K(t) on the point masses at the peripheral pair
+    probes: np.ndarray       # Z, (n_dof, PROBES)
+    forward: np.ndarray      # K(t) Z
+    forward_2t: np.ndarray   # K(2t) Z
+    adjoint: np.ndarray      # K(t)^T Z
 
 
 @dataclass
@@ -72,12 +90,29 @@ class Problem:
                                  **(self.evolution or {}))
 
     @cached_property
-    def kernels(self) -> tuple:
-        """K(t) at the horizon t and K(2t), from one march of the block of
-        all unit point masses."""
-        cfg = self.evolution_cfg
-        return kernel(self.op, (cfg.t_end, 2.0 * (cfg.n_steps * cfg.dt)),
-                      cfg)
+    def kernel_probes(self) -> KernelProbes:
+        """One forward march to 2t of a fixed-seed probe block Z and, when
+        the positivity certificate holds, of the point masses at the two
+        ends of the stiffness graph's diameter; one adjoint march of Z to
+        t. O(n_dof * PROBES) memory: no dense kernel."""
+        op, cfg = self.op, self.evolution_cfg
+        t = cfg.n_steps * cfg.dt
+        certificate = kernel_certificate(op, cfg)
+        # the kernel decays with graph distance, so the float cross-check
+        # samples the columns of the two most distant dofs
+        ends = list(peripheral_pair(op)) if certificate.holds else []
+        probes = np.random.default_rng(PROBE_SEED).standard_normal(
+            (op.n_dof, PROBES))
+        block = np.zeros((op.n_dof, len(ends) + PROBES))
+        block[ends, range(len(ends))] = 1.0
+        block[:, len(ends):] = probes
+        K1, K2 = kernel(op, (cfg.t_end, 2.0 * t), cfg, block)
+        return KernelProbes(
+            t=t, ends=point_mass_columns(op, t, K1[:, :len(ends)],
+                                         op.free_vertices[ends], certificate),
+            probes=probes, forward=K1[:, len(ends):],
+            forward_2t=K2[:, len(ends):],
+            adjoint=kernel(op, cfg.t_end, cfg, probes, adjoint=True))
 
     @property
     def is_positivity_mode(self) -> bool:
@@ -171,34 +206,43 @@ def _check_positivity_improving(p: Problem):
 def _check_kernel_positivity(p: Problem):
     if not p.is_positivity_mode or p.op.is_complex:
         return Verdict.NOT_APPLICABLE, {"reason": "no positivity region"}
-    K = p.kernels[0]
+    K = p.kernel_probes.ends
     rep = kernel_positivity_report(K)
-    return rep.verdict, {"t": K.t, "min_entry": rep.min_entry,
+    if rep.reason:
+        return rep.verdict, {"reason": rep.reason}
+    # min_entry and witness are over the sampled columns only
+    return rep.verdict, {"t": K.t, "columns": list(K.columns),
+                         "min_entry": rep.min_entry,
                          "witness": list(rep.witness),
-                         "boundary_rows_zero": rep.boundary_rows_zero}
+                         "boundary_rows_zero": rep.boundary_rows_zero,
+                         "min_row_sum": K.certificate.min_row_sum}
 
 
 def _check_kernel_symmetry(p: Problem):
     if p.op.is_complex or not p.op.is_hermitian:
         return Verdict.NOT_APPLICABLE, {"reason": "operator not self-adjoint"}
-    K = p.kernels[0]
-    dev = float(np.abs(K.entries - K.entries.T).max())
-    scale = max(1.0, float(np.abs(K.entries).max()))
+    k = p.kernel_probes
+    sampled = k.probes.T @ k.forward        # Z^T K(t) Z
+    dev = float(np.abs(sampled - sampled.T).max())
+    scale = max(1.0, float(np.abs(sampled).max()))
     ok = dev <= 1e-8 * scale
     return (Verdict.PASS if ok else Verdict.FAIL,
-            {"max_asymmetry": dev, "t": K.t})
+            {"max_asymmetry": dev, "probes": PROBES, "t": k.t})
 
 
 def _check_chapman_kolmogorov(p: Problem):
     if p.op.is_complex:
         return Verdict.NOT_APPLICABLE, {"reason": "complex operator"}
-    K1, K2 = p.kernels
-    comp = K1.entries @ (K1.lumped_mass_full[:, None] * K1.entries)
-    dev = float(np.abs(K2.entries - comp).max())
-    scale = max(1.0, float(np.abs(K2.entries).max()))
+    k = p.kernel_probes
+    # Freivalds: Z^T K(2t) Z against (K(t)^T Z)^T M_L (K(t) Z), the left
+    # factor from the adjoint march, so the identity is not a tautology
+    marched = k.probes.T @ k.forward_2t
+    composed = k.adjoint.T @ (p.op.mass_lumped[:, None] * k.forward)
+    dev = float(np.abs(marched - composed).max())
+    scale = max(1.0, float(np.abs(marched).max()))
     ok = dev <= 1e-6 * scale
     return (Verdict.PASS if ok else Verdict.FAIL,
-            {"max_deviation": dev, "t": K1.t})
+            {"max_deviation": dev, "probes": PROBES, "t": k.t})
 
 
 def _check_complex_robin(p: Problem):
@@ -362,7 +406,8 @@ def jsonable(obj):
 def run_suite(problem: Problem, only: str | None = None,
               ) -> VerificationSuiteReport:
     """Execute the registry in order; solver failures become FAIL verdicts
-    with diagnostics rather than exceptions."""
+    with diagnostics rather than exceptions. An AssertionError, a broken
+    invariant of the program, propagates."""
     results = []
     for entry in REGISTRY:
         if only is not None and entry.label != only:
@@ -372,6 +417,8 @@ def run_suite(problem: Problem, only: str | None = None,
         start = time.perf_counter()
         try:
             verdict, payload = entry.runner(problem)
+        except AssertionError:  # a broken invariant is a bug, not a verdict
+            raise
         except Exception as exc:  # surfaced as a failing verdict
             verdict = Verdict.FAIL
             payload = {"error": f"{type(exc).__name__}: {exc}"}

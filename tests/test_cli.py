@@ -98,6 +98,18 @@ def test_suite_mixed_includes_corkscrew():
     assert by_label["constrained-trace-zero"].verdict is Verdict.PASS
 
 
+def test_suite_mixed_lshape_kernel_positivity_passes_at_n32():
+    # the kernel is positive, but its smallest entry fell below the old
+    # relative floor 1e-12 * max|K|; the structural certificate passes it
+    mesh = generate_structured("l_shape", 32, LSHAPE_MIXED_TAGS)
+    problem = Problem(mesh=mesh, coeffs=CoefficientSet.constant(mesh),
+                      mode=BoundaryMode.MIXED)
+    (result,) = run_suite(problem, only="kernel-positivity").results
+    assert result.verdict is Verdict.PASS
+    assert 0.0 < result.payload["min_entry"] < 1e-11
+    assert result.payload["min_row_sum"] > 0.0
+
+
 def test_suite_complex_robin():
     report = run_suite(make_problem("complex"))
     assert not report.failed
@@ -166,6 +178,16 @@ def test_suite_surfaces_solver_failures_as_fail_verdicts():
     assert result.verdict is Verdict.FAIL
     assert "error" in result.payload
     assert "graph diameter" in result.payload["error"]
+
+
+def test_suite_raises_a_broken_invariant(monkeypatch):
+    import perronfem.verification as verification
+
+    def broken(K):
+        raise AssertionError("kernel entry 0.0 is not positive")
+    monkeypatch.setattr(verification, "kernel_positivity_report", broken)
+    with pytest.raises(AssertionError, match="not positive"):
+        run_suite(make_problem("robin"), only="kernel-positivity")
 
 
 def test_suite_oracle_expected_negative():
@@ -248,6 +270,32 @@ def test_cli_evolve_and_kernel(tmp_path):
     assert entries.min() > 0
     report = json.loads((tmp_path / "run" / "kernel_report.json").read_text())
     assert report["verdict"] == "pass"
+
+
+def test_cli_kernel_verdict_reads_the_certificate(tmp_path):
+    cfg = {**ROBIN_PROBLEM, "output_dir": "run",
+           "evolution": {"scheme": "crank_nicolson", "dt": 0.01,
+                         "t_end": 0.1}}
+    path = write_config(tmp_path / "kernel.json", cfg)
+    assert main(["kernel", "--config", path]) == 0
+    report = json.loads((tmp_path / "run" / "kernel_report.json").read_text())
+    assert report["verdict"] == "not_applicable"
+    assert "implicit Euler with lumped mass" in report["reason"]
+    assert (tmp_path / "run" / "kernel.bin").exists()
+
+
+def test_cli_kernel_refuses_a_dense_kernel_above_the_limit(tmp_path, capsys,
+                                                          monkeypatch):
+    import perronfem.semigroup
+    monkeypatch.setattr(perronfem.semigroup, "DENSE_KERNEL_MAX_BYTES", 1000)
+    monkeypatch.setattr(perronfem.semigroup, "march",
+                        lambda *a, **kw: pytest.fail("kernel marched"))
+    path = write_config(tmp_path / "c.json",
+                        {**ROBIN_PROBLEM, "output_dir": "out"})
+    assert main(["kernel", "--config", path]) == 2
+    # 81 vertices, 81 dofs: three 81 x 81 float64 arrays
+    _assert_one_error_line(capsys, "about 0.2 MiB", "limit")
+    assert not (tmp_path / "out" / "kernel.bin").exists()
 
 
 def test_cli_parabolic(tmp_path):
@@ -493,6 +541,17 @@ def test_cli_field_without_a_finite_value_is_an_error(tmp_path, capsys,
      "is negative"),
     ("parabolic", {"phi": {"samples": [1]}},
      "phi sample: expected an object"),
+    ("eig", {"solver": {"tol": [1]}}, "solver: tol must be a number"),
+    ("parabolic", {"phi": {"samples": 5}}, "phi: samples must be a list"),
+    ("parabolic", {"phi": {"samples": [{"t": 0.0}]}},
+     "phi sample: missing key 'expr'"),
+    ("parabolic", {"test_bank_size": "8"},
+     "config: test_bank_size must be a number"),
+    ("evolve", {"evolution": {"dt": [0.01]}}, "evolution: dt must be a number"),
+    ("verify", {"mesh": {"shape": "unit_square", "n": [4], "tags": "N"}},
+     "mesh: n must be a number"),
+    ("verify", {"oracle": {"expect_irreducible": True}},
+     "oracle: missing key 'matrix'"),
 ])
 def test_cli_malformed_section_is_an_error(tmp_path, capsys, command,
                                            section, message):
@@ -504,7 +563,7 @@ def test_cli_malformed_section_is_an_error(tmp_path, capsys, command,
     assert not (tmp_path / "out" / "verification_report.json").exists()
 
 
-@pytest.mark.parametrize("command", ["evolve", "kernel"])
+@pytest.mark.parametrize("command", ["evolve", "kernel", "parabolic"])
 def test_cli_failed_step_factorization_is_an_error(tmp_path, capsys,
                                                    monkeypatch, command):
     import scipy.sparse.linalg
@@ -512,8 +571,8 @@ def test_cli_failed_step_factorization_is_an_error(tmp_path, capsys,
     def singular(*args, **kwargs):
         raise RuntimeError("Factor is exactly singular")
     monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
-    path = write_config(tmp_path / "c.json",
-                        {**ROBIN_PROBLEM, "output_dir": "out"})
+    base = PARABOLIC_PROBLEM if command == "parabolic" else ROBIN_PROBLEM
+    path = write_config(tmp_path / "c.json", {**base, "output_dir": "out"})
     assert main([command, "--config", path]) == 2
     _assert_one_error_line(capsys, "singular step matrix")
 
@@ -534,12 +593,14 @@ def test_cli_default_horizon_covers_the_graph_diameter(tmp_path):
 LSHAPE_MIXED_TAGS = {"bottom": "D", "right": "N", "inner_h": "N",
                      "inner_v": "N", "top": "N", "left": "N"}
 
-# verification_report.json bytes of fixed configs: robin6 and dirichlet6
-# recorded before the kernel checks moved to one block march, complex6 and
-# lshape4 before the spectral checks shared one solve per operator; neither
-# change may move a bit. complex6 was re-pinned when perron-sign-structure
-# began to give complex operators the reason "complex operator"; that
-# string is the only difference.
+# verification_report.json bytes of fixed configs: complex6 recorded before
+# the spectral checks shared one solve per operator, which moved no bit.
+# complex6 was re-pinned when perron-sign-structure began to give complex
+# operators the reason "complex operator"; that string is the only
+# difference. robin6, dirichlet6 and lshape4 were re-pinned when the kernel
+# checks moved to the structural certificate and probe columns; only the
+# payloads of kernel-positivity, kernel-symmetry and chapman-kolmogorov
+# differ.
 PINNED_REPORTS = {
     "robin6": ({
         "mesh": {"shape": "unit_square", "n": 6, "tags": "N"},
@@ -547,11 +608,11 @@ PINNED_REPORTS = {
         "oracle": {"matrix": [[-2.0, 1.0, 0.0], [0.0, -2.0, 1.0],
                               [0.5, 0.0, -2.0]],
                    "expect_irreducible": True},
-    }, "b8b1fde3942fbd69be47cd109c4afadf851e86e0061d00ccb535a6190ca7735c"),
+    }, "aec4bbe4a3a5f2ab65d805dc1832dae71a8b963523dbcf34f17207ce2203205b"),
     "dirichlet6": ({
         "mesh": {"shape": "unit_square", "n": 6, "tags": "D"},
         "coefficients": {"mode": "dirichlet"},
-    }, "22d7be10d97add83ec80db4a7d2766475affb292ad9b290e6455b93bd6af2ac1"),
+    }, "0df7089a91d709706f6728d36c63a3b8831c456a71e62b414d0632d450e7242c"),
     "complex6": ({
         "mesh": {"shape": "unit_square", "n": 6, "tags": "N"},
         "coefficients": {"beta": {"re": 1.0, "im": 0.5},
@@ -560,7 +621,7 @@ PINNED_REPORTS = {
     "lshape4": ({
         "mesh": {"shape": "l_shape", "n": 4, "tags": LSHAPE_MIXED_TAGS},
         "coefficients": {"mode": "mixed"},
-    }, "53d5c2ec0086648e9bb767ff1bc8922ab23acbcac8f1ac1bf07bdeb3661bbffb"),
+    }, "a424072179bdfaea60d74041074552da8623959332d969273a86e9326187abd1"),
 }
 
 
@@ -578,7 +639,7 @@ def test_cli_verify_report_bytes_pinned(tmp_path, name):
     full = run("full")
     assert hashlib.sha256(full).hexdigest() == digest
     by_label = {r["label"]: r for r in json.loads(full)["results"]}
-    # a single kernel check marches the same block as the whole suite
+    # a single kernel check marches the same probes as the whole suite
     for label in ("kernel-positivity", "chapman-kolmogorov"):
         (alone,) = json.loads(run(label, "--only", label))["results"]
         assert alone == by_label[label]

@@ -475,7 +475,7 @@ def test_elliptic_check_on_a_mesh_without_interior_vertices():
 def test_graph_diameter_raises_on_a_disconnected_pattern():
     import scipy.sparse as sp
     path = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(4, 4))
-    assert graph_diameter(path, RuntimeError("disconnected")) == 3
+    assert graph_diameter(path, RuntimeError("disconnected")) == (3, (0, 3))
     with pytest.raises(ValueError, match="split"):
         graph_diameter(sp.block_diag([path, path]), ValueError("split"))
 

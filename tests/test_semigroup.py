@@ -447,15 +447,24 @@ def test_blocked_trials_match_per_trial_marches(case, trials):
 # -- graph diameter against an all-pairs reference -------------------------------
 
 def _all_pairs_diameter(matrix):
-    """Reference: all-pairs BFS over the nonzero off-diagonal pattern;
-    None when the graph is disconnected."""
+    """Reference: all-pairs BFS over the nonzero off-diagonal pattern, as
+    (diameter, distances); None when the graph is disconnected."""
     from scipy.sparse.csgraph import shortest_path
     dense = matrix.toarray()
     adjacency = (dense != 0) | (dense.T != 0)
     np.fill_diagonal(adjacency, False)
     dist = shortest_path(adjacency.astype(float), unweighted=True,
                          directed=False)
-    return None if np.isinf(dist).any() else int(dist.max())
+    return None if np.isinf(dist).any() else (int(dist.max()), dist)
+
+
+def _assert_diameter_and_pair(matrix):
+    """graph_diameter's diameter equals the reference, and its peripheral
+    pair lies that far apart."""
+    expected, dist = _all_pairs_diameter(matrix)
+    diameter, (u, v) = graph_diameter(matrix, RuntimeError("split"))
+    assert diameter == expected
+    assert dist[u, v] == diameter
 
 
 def _mixed_tags(shape):
@@ -484,8 +493,7 @@ def test_graph_diameter_matches_all_pairs_on_meshes(shape, tags, n):
             blocks.append(assemble(mesh, coeffs, mode,
                                    corkscrew_checked=True).stiffness)
         for block in blocks:
-            assert graph_diameter(block, RuntimeError("split")) \
-                == _all_pairs_diameter(block)
+            _assert_diameter_and_pair(block)
 
 
 def test_graph_diameter_of_an_empty_graph_is_an_error():
@@ -513,12 +521,11 @@ def _sparse_patterns(draw):
 def test_graph_diameter_matches_all_pairs_on_sparse_patterns(matrix):
     # stored zeros and one-sided (asymmetric) storage included; the second
     # example is disconnected only through its stored zero
-    expected = _all_pairs_diameter(matrix)
-    if expected is None:
+    if _all_pairs_diameter(matrix) is None:
         with pytest.raises(RuntimeError, match="split"):
             graph_diameter(matrix, RuntimeError("split"))
     else:
-        assert graph_diameter(matrix, RuntimeError("split")) == expected
+        _assert_diameter_and_pair(matrix)
 
 
 @pytest.mark.parametrize("shape,n", [("unit_square", 64), ("l_shape", 32)])
@@ -532,8 +539,8 @@ def test_graph_diameter_takes_a_handful_of_sweeps(monkeypatch, shape, n):
     A, _, _ = assemble_volume(mesh, CoefficientSet.constant(mesh))
     interior = np.setdiff1d(np.arange(mesh.n_vertices),
                             mesh.boundary_vertices())
-    diameter = semigroup.graph_diameter(A[interior][:, interior],
-                                        RuntimeError("split"))
+    diameter, _ = semigroup.graph_diameter(A[interior][:, interior],
+                                           RuntimeError("split"))
     # 5-point coupling graph of the interior grid: opposite corners
     assert diameter == (2 * n if shape == "unit_square" else 4 * n) - 4
     assert len(sweeps) <= 10
@@ -553,3 +560,238 @@ def test_propagation_threshold_memory_is_linear():
     assert threshold == 256
     # an all-pairs distance matrix would take 16,641^2 * 8 B = 2.2 GB
     assert peak < 32 * 2 ** 20
+
+
+# -- structural certificate, probe columns and the adjoint march ------------------
+
+ANISO = np.array([[1.0, 0.3], [0.3, 1.0]])
+
+
+def _certificate_case(case, n):
+    """Operators of the differential tests, each at subdivision n."""
+    if case in ("mixed_square", "mixed_lshape"):
+        shape = "unit_square" if case == "mixed_square" else "l_shape"
+        mesh = generate_structured(shape, n, _mixed_tags(shape))
+        return assemble(mesh, CoefficientSet.constant(mesh),
+                        BoundaryMode.MIXED, corkscrew_checked=True)
+    mesh = generate_structured("unit_square", n,
+                               "D" if case == "dirichlet" else "N")
+    mode, kwargs = {
+        "robin": (BoundaryMode.ROBIN, {"beta": 1.5}),
+        "dirichlet": (BoundaryMode.DIRICHLET, {}),
+        "neumann": (BoundaryMode.NEUMANN, {}),
+        # the anisotropic tensor keeps the convective stiffness M-compatible
+        "convective_robin": (BoundaryMode.ROBIN,
+                             {"beta": 1.0, "a": ANISO, "b": (1.0, 1.0),
+                              "mu": 0.4}),
+    }[case]
+    return assemble(mesh, CoefficientSet.constant(mesh, **kwargs), mode)
+
+
+CERTIFICATE_CASES = ("robin", "dirichlet", "neumann", "mixed_square",
+                     "mixed_lshape", "convective_robin")
+
+
+def _dense_symmetry_verdict(K):
+    """The dense kernel-symmetry check the probe check replaces."""
+    dev = float(np.abs(K.entries - K.entries.T).max())
+    return dev <= 1e-8 * max(1.0, float(np.abs(K.entries).max()))
+
+
+def _dense_composition_verdict(K1, K2):
+    """The dense chapman-kolmogorov check the probe check replaces."""
+    comp = K1.entries @ (K1.lumped_mass_full[:, None] * K1.entries)
+    dev = float(np.abs(K2.entries - comp).max())
+    return dev <= 1e-6 * max(1.0, float(np.abs(K2.entries).max()))
+
+
+@pytest.mark.parametrize("n", [6, 12])
+@pytest.mark.parametrize("case", CERTIFICATE_CASES)
+def test_certificate_and_probe_checks_agree_with_the_dense_kernel(case, n):
+    from perronfem.semigroup import kernel_certificate
+    from perronfem.verification import Problem, run_suite
+    op = _certificate_case(case, n)
+    problem = Problem(mesh=op.mesh, coeffs=op.coeffs, mode=op.mode)
+    problem.op = op  # the cached property, given the assembled operator
+    cfg = problem.evolution_cfg
+    K1, K2 = kernel(op, (cfg.t_end, 2 * cfg.n_steps * cfg.dt), cfg)
+    certificate = kernel_certificate(op, cfg)
+    assert certificate.holds and certificate.min_row_sum > 0
+    free = op.free_vertices
+    assert K1.entries[np.ix_(free, free)].min() > 0
+
+    verdicts = {r.label: r.verdict for r in run_suite(problem).results}
+    assert verdicts["kernel-positivity"] is Verdict.PASS
+    assert verdicts["chapman-kolmogorov"] is (
+        Verdict.PASS if _dense_composition_verdict(K1, K2) else Verdict.FAIL)
+    if op.is_hermitian:
+        assert verdicts["kernel-symmetry"] is (
+            Verdict.PASS if _dense_symmetry_verdict(K1) else Verdict.FAIL)
+    else:
+        assert verdicts["kernel-symmetry"] is Verdict.NOT_APPLICABLE
+
+
+@pytest.mark.parametrize("b,scheme,mass,reason", [
+    ((0.0, 0.0), Scheme.IMPLICIT_EULER, MassKind.CONSISTENT,
+     "implicit Euler with lumped mass"),
+    ((0.0, 0.0), Scheme.CRANK_NICOLSON, MassKind.LUMPED,
+     "implicit Euler with lumped mass"),
+    ((1.0, 0.0), Scheme.IMPLICIT_EULER, MassKind.LUMPED,
+     "positive off-diagonal entries")])
+def test_probe_checks_agree_with_the_dense_kernel_outside_the_certificate(
+        b, scheme, mass, reason):
+    from perronfem.verification import Problem, run_suite
+    mesh = generate_structured("unit_square", 6, "N")
+    op = assemble(mesh, CoefficientSet.constant(mesh, beta=1.0, b=b),
+                  BoundaryMode.ROBIN)
+    cfg = EvolutionConfig(scheme=scheme, mass=mass, dt=default_dt(mesh),
+                          t_end=20 * default_dt(mesh))
+    problem = Problem(mesh=mesh, coeffs=op.coeffs, mode=op.mode,
+                      evolution=cfg)
+    K1, K2 = kernel(op, (cfg.t_end, 2 * cfg.t_end), cfg)
+    results = {r.label: r for r in run_suite(problem).results}
+    assert results["kernel-positivity"].verdict is Verdict.NOT_APPLICABLE
+    assert reason in results["kernel-positivity"].payload["reason"]
+    if op.is_hermitian:
+        assert results["kernel-symmetry"].verdict is (
+            Verdict.PASS if _dense_symmetry_verdict(K1) else Verdict.FAIL)
+    assert results["chapman-kolmogorov"].verdict is (
+        Verdict.PASS if _dense_composition_verdict(K1, K2) else Verdict.FAIL)
+
+
+def test_probe_columns_are_the_dense_kernel_columns():
+    for case in ("robin", "mixed_lshape", "convective_robin"):
+        op = _certificate_case(case, 6)
+        cfg = lumped_cfg(op.mesh, t_end=30 * default_dt(op.mesh))
+        t = 9 * cfg.dt
+        dense = kernel(op, t, cfg)
+        free = op.free_vertices
+        dofs = np.array([0, op.n_dof - 1, op.n_dof // 2])
+        block = np.zeros((op.n_dof, 3))
+        block[dofs, [0, 1, 2]] = 1.0
+        # point-mass columns come out bitwise as in the dense march
+        assert np.array_equal(kernel(op, t, cfg, block),
+                              dense.entries[np.ix_(free, free[dofs])])
+        # the adjoint march gives the transposed kernel's columns
+        adjoint = kernel(op, t, cfg, block, adjoint=True)
+        reference = dense.entries[np.ix_(free, free)].T[:, dofs]
+        assert np.abs(adjoint - reference).max() \
+            <= 1e-12 * np.abs(reference).max()
+
+
+@pytest.mark.parametrize("case, reason", [
+    ("convective_robin", "positive off-diagonal"),
+    ("crank_nicolson", "implicit Euler"),
+    ("consistent_mass", "implicit Euler"),
+    ("complex_robin", "complex operator"),
+    ("inflow_at_large_dt", "row sum <= 0"),
+    ("one_way_chain", "reducible"),
+])
+def test_kernel_certificate_names_the_unmet_hypothesis(case, reason):
+    from dataclasses import replace
+    from perronfem.semigroup import kernel_certificate
+    op = _small_op("complex_robin" if case == "complex_robin" else "robin")
+    cfg = lumped_cfg(op.mesh)
+    mesh = generate_structured("unit_square", 4, "N")
+    if case == "convective_robin":
+        op = assemble(mesh, CoefficientSet.constant(mesh, beta=1.0,
+                                                    b=(1.0, 0.0)),
+                      BoundaryMode.ROBIN)
+    elif case == "crank_nicolson":
+        cfg = replace(cfg, scheme=Scheme.CRANK_NICOLSON)
+    elif case == "consistent_mass":
+        cfg = replace(cfg, mass=MassKind.CONSISTENT)
+    elif case == "inflow_at_large_dt":
+        # an M-compatible stiffness whose inflow rows sum to a negative
+        # value; dt = 0.1 lets them outweigh the lumped mass
+        op = assemble(mesh, CoefficientSet.constant(mesh, a=ANISO, mu=0.4,
+                                                    b=(1.0, 1.0)),
+                      BoundaryMode.NEUMANN)
+        cfg = EvolutionConfig(dt=0.1, t_end=0.1, mass=MassKind.LUMPED)
+    elif case == "one_way_chain":
+        # couplings i -> i + 1 only: connected as an undirected graph, but
+        # no dof reaches a lower one
+        n = op.n_dof
+        op = replace(op, stiffness=sp.diags(
+            [np.full(n, 2.0), np.full(n - 1, -1.0)], [0, 1]).tocsr())
+    certificate = kernel_certificate(op, cfg)
+    assert not certificate.holds
+    assert reason in certificate.reason
+
+
+def test_kernel_report_raises_on_a_nonpositive_entry_under_the_certificate():
+    from dataclasses import replace
+    op = _small_op("robin")
+    cfg = lumped_cfg(op.mesh)
+    K = kernel(op, 4 * cfg.dt, cfg)
+    assert K.certificate.holds
+    entries = K.entries.copy()
+    entries[3, 5] = 0.0
+    with pytest.raises(AssertionError, match="not positive"):
+        kernel_positivity_report(replace(K, entries=entries))
+
+
+@st.composite
+def _tiny_operators(draw):
+    """Operators with at most six dofs over tiny meshes, modes and
+    coefficients."""
+    shape = draw(st.sampled_from(["unit_square", "rectangle", "l_shape"]))
+    mode = draw(st.sampled_from(["robin", "neumann", "mixed"]))
+    if shape == "l_shape" and mode != "mixed":
+        shape = "unit_square"
+    tags = {seg: "D" if seg in ("bottom", "right") else "N"
+            for seg in _SHAPE_SEGMENTS[shape]} if mode == "mixed" else "N"
+    mesh = generate_structured(shape, 1, tags, width=draw(
+        st.sampled_from([1.0, 2.0])), height=1.0)
+    s = draw(st.sampled_from([0.0, 0.3, -0.3]))
+    # mixed mode takes no lower-order terms, Neumann no boundary term
+    lower = mode != "mixed"
+    coeffs = CoefficientSet.constant(
+        mesh, a=np.array([[1.0, s], [s, 1.0]]), mu=0.5,
+        b=(draw(st.sampled_from([0.0, 0.5, 2.0])) if lower else 0.0, 0.0),
+        c0=draw(st.sampled_from([0.0, 1.0])) if lower else 0.0,
+        beta=draw(st.sampled_from([0.0, 1.0])) if mode == "robin" else 0.0)
+    op = assemble(mesh, coeffs, {"robin": BoundaryMode.ROBIN,
+                                 "neumann": BoundaryMode.NEUMANN,
+                                 "mixed": BoundaryMode.MIXED}[mode],
+                  corkscrew_checked=True)
+    dt = draw(st.sampled_from([0.01, 0.1, 1.0]))
+    return op, EvolutionConfig(dt=dt, t_end=3 * dt, mass=MassKind.LUMPED)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_tiny_operators())
+def test_certificate_implies_the_lattice_oracle_on_tiny_meshes(case):
+    from perronfem import lattice
+    from perronfem.semigroup import kernel_certificate
+    op, cfg = case
+    assert op.n_dof <= 6
+    if not kernel_certificate(op, cfg).holds:
+        return
+    Q = -op.stiffness.toarray() / op.mass_lumped[:, None]
+    g = lattice.MetzlerGenerator(Q)
+    assert lattice.is_irreducible(g)
+    assert lattice.positivity_improving_equiv(g)
+    K = kernel(op, cfg.t_end, cfg)
+    free = op.free_vertices
+    assert K.entries[np.ix_(free, free)].min() > 0
+    assert kernel_positivity_report(K).verdict is Verdict.PASS
+
+
+def test_verify_builds_no_dense_kernel():
+    import tracemalloc
+    from perronfem.verification import Problem, run_suite
+    mesh = generate_structured("unit_square", 32, "N")
+    problem = Problem(mesh=mesh, coeffs=CoefficientSet.constant(mesh,
+                                                                beta=1.0),
+                      mode=BoundaryMode.ROBIN)
+    n_dof = problem.op.n_dof
+    tracemalloc.start()
+    try:
+        report = run_suite(problem)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not report.failed
+    # one n_dof x n_dof float64 array would take 1,089^2 * 8 B = 9.5 MB
+    assert peak < n_dof ** 2 * 8 / 4

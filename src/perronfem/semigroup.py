@@ -2,22 +2,23 @@
 
 The implicit Euler step with lumped mass is the workhorse for positivity:
 when the stiffness matrix has nonpositive off-diagonal entries, the step
-matrix B = M_L + dt*A is an M-matrix and every step maps nonnegative
-states to nonnegative states. If B is moreover irreducible (its
-off-diagonal graph is strongly connected) and B*1 > 0, its inverse is
-entrywise positive (Berman & Plemmons, *Nonnegative Matrices in the
+matrix B = M_L + dt*A is a Z-matrix. If B is moreover irreducible (its
+off-diagonal graph is strongly connected) and some w > 0 has B*w > 0
+(w = 1, or else w = B^-1*1), B is a nonsingular M-matrix with an entrywise
+positive inverse (Berman & Plemmons, *Nonnegative Matrices in the
 Mathematical Sciences*, ch. 6), so every kernel K(t) = (B^-1 M_L)^n M_L^-1
-is positive on the free pairs; ``kernel_certificate`` checks exactly these
-hypotheses. A single step therefore has global support in exact
-arithmetic, but values decay fast with graph distance, so the float
-positivity trials only count from the step at which the propagation
-front has provably crossed the operator's sparsity graph (its diameter).
+is positive on the free pairs and every nodal indicator is positive after
+one step; ``kernel_certificate`` checks exactly these hypotheses, and it
+alone decides both positivity verdicts. In floats, values decay fast with
+graph distance, so the cross-checks test only the sign of the point-mass
+columns at the two ends of the sparsity graph's diameter, at the step at
+which the propagation front has provably crossed it and at t.
 
 ``step_matrices`` is the one place a scheme becomes matrices; the
 boundary-pinned solve in ``parabolic`` slices its rows. ``march`` is the
 one step loop, forward or adjoint: it factorizes the step once per
-operator and (scheme, dt, mass) and serves ``evolve``, the positivity
-trials and ``kernel``. ``kernel`` applies K(t) or K(t)^T to a block of
+operator and (scheme, dt, mass) and serves ``evolve``, ``kernel`` and the
+certificate's witness. ``kernel`` applies K(t) or K(t)^T to a block of
 columns; only its dense form, on the block of all point masses, holds
 an n_dof x n_dof array.
 """
@@ -35,8 +36,7 @@ from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .assembly import DiscreteOperator, MassKind, mass_matrix, \
     mmatrix_report
-from .spectral import POSITIVITY_REL_TOL, REGION_FOR_MODE, Region, \
-    SolverError, region_vertices
+from .spectral import REGION_FOR_MODE, SolverError, region_vertices
 
 
 class Scheme(Enum):
@@ -239,108 +239,6 @@ def graph_diameter(matrix: sp.spmatrix, disconnected: Exception) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# positivity improving check
-
-def _m_step_reason(op: DiscreteOperator, cfg: EvolutionConfig) -> str:
-    """Why the implicit Euler lumped-mass step matrix M_L + dt*A is not an
-    M-matrix (nonpositive off-diagonal, positive diagonal), or "" when it
-    is."""
-    if cfg.scheme is not Scheme.IMPLICIT_EULER \
-            or cfg.mass is not MassKind.LUMPED:
-        return "positivity certificates need implicit Euler with lumped mass"
-    if op.is_complex or not mmatrix_report(op).is_m_compatible:
-        return "stiffness has positive off-diagonal entries"
-    # off-diagonals of M_L + dt*A are those of dt*A, nonpositive here, so
-    # the step matrix is an M-matrix exactly when its diagonal is positive
-    if not np.all(op.mass_lumped + cfg.dt * op.stiffness.diagonal() > 0.0):
-        return "step matrix is not an M-matrix at this dt"
-    return ""
-
-
-@dataclass(frozen=True)
-class TrialOutcome:
-    node: int                     # mesh vertex carrying the unit mass
-    first_fully_positive: int     # step index, or -1 if never
-    min_at_end: float
-    ok: bool
-
-
-@dataclass(frozen=True)
-class PositivityImprovingReport:
-    verdict: Verdict
-    region: Region
-    threshold_step: int
-    trials: tuple
-    reason: str = ""
-
-    def __bool__(self):
-        return self.verdict is Verdict.PASS
-
-
-def positivity_improving_check(op: DiscreteOperator, cfg: EvolutionConfig,
-                               trials: int | None = None,
-                               region: Region | None = None,
-                               ) -> PositivityImprovingReport:
-    """Evolve single-node indicators and certify that each turns strictly
-    positive across the whole region once the step count passes the
-    sparsity-graph diameter, staying positive through t_end.
-
-    Requires implicit Euler with lumped mass on an operator whose step
-    matrix is an M-matrix; anything else gives NOT_APPLICABLE.
-    """
-    if region is None:
-        region = REGION_FOR_MODE.get(op.mode)
-        if region is None:
-            return PositivityImprovingReport(
-                Verdict.NOT_APPLICABLE, Region.CLOSURE, -1, (),
-                reason=f"no positivity region for mode {op.mode.value}")
-    reason = _m_step_reason(op, cfg)
-    if reason:
-        return PositivityImprovingReport(Verdict.NOT_APPLICABLE, region, -1,
-                                         (), reason=reason)
-
-    threshold = propagation_threshold(op)
-    n_steps = cfg.n_steps
-    if n_steps < threshold:
-        raise ValueError(
-            f"t_end allows only {n_steps} steps but the certificate needs "
-            f"at least the graph diameter ({threshold})")
-
-    free = op.free_vertices
-    if trials is None:
-        trials = op.n_dof
-    nodes = region_vertices(op, region)
-    if np.any(op.dof_map[nodes] < 0):
-        return PositivityImprovingReport(
-            Verdict.NOT_APPLICABLE, region, -1, (),
-            reason="region contains vertices pinned to zero by the "
-                   "boundary constraints")
-
-    # all trials march together, one unit indicator per column
-    region_dofs = op.dof_map[nodes]
-    cols = np.arange(trials)
-    dofs = cols % op.n_dof
-    U = np.zeros((op.n_dof, trials))
-    U[dofs, cols] = 1.0
-    first_pos = np.full(trials, -1)
-    ok = np.ones(trials, dtype=bool)
-    for k, U in enumerate(march(op, cfg, U, n_steps), 1):
-        tol = POSITIVITY_REL_TOL * np.abs(U).max(axis=0)
-        fully = np.all(U[region_dofs] >= tol, axis=0)
-        first_pos[fully & (first_pos < 0)] = k
-        if k >= threshold:
-            ok &= fully
-    min_end = U[region_dofs].min(axis=0)
-    ok &= (first_pos >= 0) & (first_pos <= threshold)
-    outcomes = [TrialOutcome(node=int(free[d]), first_fully_positive=int(f),
-                             min_at_end=float(m), ok=bool(o))
-                for d, f, m, o in zip(dofs, first_pos, min_end, ok)]
-    return PositivityImprovingReport(
-        verdict=Verdict.PASS if ok.all() else Verdict.FAIL,
-        region=region, threshold_step=threshold, trials=tuple(outcomes))
-
-
-# ---------------------------------------------------------------------------
 # kernels
 
 #: largest dense kernel march ``kernel`` starts, in estimated bytes
@@ -351,29 +249,44 @@ DENSE_KERNEL_MAX_BYTES = 2 ** 30
 class KernelCertificate:
     """Whether the step matrix B = M_L + dt*A is an irreducible nonsingular
     M-matrix. Then B^-1 > 0 entrywise, so S = B^-1 M_L > 0 and every kernel
-    K(t) = S^n M_L^-1 of n >= 1 steps is positive on the free pairs.
+    K(t) = S^n M_L^-1 of n >= 1 steps is positive on the free pairs, and
+    every nodal indicator is strictly positive after one step.
     ``reason`` names the first unmet hypothesis."""
 
     holds: bool
-    min_row_sum: float = math.nan   # min(B*1), the margin of nonsingularity
+    # min(B*1); when it is <= 0, the witness of nonsingularity is B^-1*1
+    min_row_sum: float = math.nan
     reason: str = ""
 
 
 def kernel_certificate(op: DiscreteOperator,
                        cfg: EvolutionConfig) -> KernelCertificate:
     """Structural positivity certificate of the kernel: a real operator,
-    implicit Euler with lumped mass, an M-matrix step B with positive
-    diagonal, a strongly connected off-diagonal graph of B, and B*1 > 0
-    (Berman & Plemmons, ch. 6). One sparse mat-vec and one strong-component
-    sweep."""
+    implicit Euler with lumped mass, an M-compatible stiffness and a
+    positive diagonal of B (so B is a Z-matrix), a strongly connected
+    off-diagonal graph of B, and a witness w > 0 with B*w > 0, which makes
+    the Z-matrix a nonsingular M-matrix (Berman & Plemmons, ch. 6). The
+    witness is w = 1, or else w = B^-1*1 through the step factor the march
+    caches. One sparse mat-vec and one strong-component sweep, plus one
+    solve when B*1 > 0 fails."""
     if op.is_complex:
         return KernelCertificate(False, reason="complex operator")
-    reason = _m_step_reason(op, cfg)
-    if reason:
-        return KernelCertificate(False, reason=reason)
-    B, _ = step_matrices(op.stiffness,
-                         mass_matrix(cfg.mass, op.mass, op.mass_lumped),
+    if cfg.scheme is not Scheme.IMPLICIT_EULER \
+            or cfg.mass is not MassKind.LUMPED:
+        return KernelCertificate(
+            False, reason="positivity certificates need implicit Euler with "
+                          "lumped mass")
+    if not mmatrix_report(op).is_m_compatible:
+        return KernelCertificate(
+            False, reason="stiffness has positive off-diagonal entries")
+    B, _ = step_matrices(op.stiffness, mass_matrix(cfg.mass, op.mass,
+                                                   op.mass_lumped),
                          cfg.scheme, cfg.dt)
+    # the off-diagonals of B are those of dt*A, nonpositive here, so B is
+    # a Z-matrix exactly when its diagonal is positive
+    if not np.all(B.diagonal() > 0.0):
+        return KernelCertificate(
+            False, reason="step matrix is not an M-matrix at this dt")
     # a non-symmetric A may couple i to j but not j to i, so the
     # symmetrised graph of the diameter does not show irreducibility
     n_strong, _ = connected_components(_offdiagonal_pattern(B),
@@ -383,9 +296,16 @@ def kernel_certificate(op: DiscreteOperator,
             False, reason=f"step matrix is reducible: its off-diagonal "
                           f"graph has {n_strong} strong components")
     min_row_sum = float((B @ np.ones(op.n_dof)).min())
-    if not min_row_sum > 0.0:
+    if min_row_sum > 0.0:
+        return KernelCertificate(True, min_row_sum)
+    try:  # one step from M_L^-1*1 is B^-1*1
+        w = next(march(op, cfg, 1.0 / op.mass_lumped, 1))
+    except SolverError:
+        w = None
+    if w is None or not (np.all(w > 0.0) and np.all(B @ w > 0.0)):
         return KernelCertificate(
-            False, min_row_sum, reason="step matrix has a row sum <= 0")
+            False, min_row_sum, reason="step matrix has a row sum <= 0 and "
+                                       "B^-1*1 is no positive witness")
     return KernelCertificate(True, min_row_sum)
 
 
@@ -513,3 +433,51 @@ def kernel_positivity_report(K: KernelMatrix) -> KernelPositivityReport:
         verdict=Verdict.PASS if boundary_ok else Verdict.FAIL,
         min_entry=min_entry, witness=witness,
         boundary_rows_zero=boundary_ok)
+
+
+@dataclass(frozen=True)
+class PositivityImprovingReport:
+    verdict: Verdict
+    threshold_step: int = -1
+    columns: tuple = ()           # vertex of each sampled indicator
+    min_at_threshold: float = math.nan
+    min_at_end: float = math.nan
+    reason: str = ""
+
+
+def positivity_improving_check(op: DiscreteOperator, cfg: EvolutionConfig,
+                               certificate: KernelCertificate,
+                               ends: tuple = ()) -> PositivityImprovingReport:
+    """The certificate's verdict that every nodal indicator turns strictly
+    positive on the mode's region once the step count passes the
+    sparsity-graph diameter, staying positive through t_end.
+
+    When the certificate holds, ``ends`` is the pair (K at the threshold
+    step, K at t) on the same point-mass columns, from the caller's march,
+    and the float cross-check tests their sign on the region in indicator
+    units (the column of vertex v times its lumped mass): an entry <= 0 is
+    a program bug and raises AssertionError. A horizon shorter than the
+    diameter raises ValueError.
+    """
+    if not certificate.holds:
+        return PositivityImprovingReport(Verdict.NOT_APPLICABLE,
+                                         reason=certificate.reason)
+    if op.mode not in REGION_FOR_MODE:
+        return PositivityImprovingReport(
+            Verdict.NOT_APPLICABLE,
+            reason=f"no positivity region for mode {op.mode.value}")
+    threshold = propagation_threshold(op)
+    if cfg.n_steps < threshold:
+        raise ValueError(
+            f"t_end allows only {cfg.n_steps} steps but the certificate "
+            f"needs at least the graph diameter ({threshold})")
+    rows = region_vertices(op, REGION_FOR_MODE[op.mode])
+    low, end = (float((K.entries[rows] * K.lumped_mass_full[K.columns]).min())
+                for K in ends)
+    if not min(low, end) > 0.0:
+        raise AssertionError(
+            f"indicator minima {low!r} at the threshold step and {end!r} at "
+            f"t are not positive under a holding positivity certificate")
+    return PositivityImprovingReport(
+        Verdict.PASS, threshold, tuple(int(v) for v in ends[-1].columns),
+        min_at_threshold=low, min_at_end=end)

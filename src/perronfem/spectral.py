@@ -250,6 +250,11 @@ def _lowest_pairs(op: DiscreteOperator, mass: MassKind | str, k: int,
     if op.n_dof <= DENSE_CUTOFF:
         values, vectors = _dense_sorted_spectrum(op, mass)
     else:  # two guard pairs, as in the Hermitian block
+        if k > op.n_dof - 2:
+            raise ValueError(
+                f"k = {k} exceeds n_dof - 2 = {op.n_dof - 2}, the most "
+                f"eigenpairs shift-invert Arnoldi gives above "
+                f"{DENSE_CUTOFF} dofs")
         values, vectors = op.cached(("arnoldi", mass, k, tol), lambda: (
             _arnoldi_smallest_real(op, M, min(k + 2, op.n_dof - 2), tol)))
     signed = [_fix_sign(vectors[:, j], op.mass_lumped) for j in range(k)]

@@ -21,10 +21,10 @@ from . import lattice
 from .assembly import BoundaryMode, CoefficientSet, DiscreteOperator, \
     MassKind, assemble, ellipticity_check, mmatrix_report
 from .mesh import TriMesh, check_corkscrew
-from .semigroup import EvolutionConfig, KernelMatrix, Verdict, \
-    default_evolution, kernel, kernel_certificate, kernel_positivity_report, \
-    peripheral_pair, point_mass_columns, positivity_improving_check, \
-    propagation_threshold
+from .semigroup import EvolutionConfig, KernelCertificate, KernelMatrix, \
+    Verdict, default_evolution, kernel, kernel_certificate, \
+    kernel_positivity_report, peripheral_pair, point_mass_columns, \
+    positivity_improving_check, propagation_threshold
 from .spectral import REGION_FOR_MODE, certify_positivity, \
     complex_robin_bound, principal_eig, spectral_gap
 
@@ -36,10 +36,11 @@ PROBE_SEED = 0
 
 @dataclass(frozen=True)
 class KernelProbes:
-    """What the three kernel checks read, at the horizon t."""
+    """What the four kernel checks read, at the horizon t."""
 
     t: float
     ends: KernelMatrix       # K(t) on the point masses at the peripheral pair
+    ends_at_threshold: KernelMatrix  # the same columns at the threshold step
     probes: np.ndarray       # Z, (n_dof, PROBES)
     forward: np.ndarray      # K(t) Z
     forward_2t: np.ndarray   # K(2t) Z
@@ -90,26 +91,39 @@ class Problem:
                                  **(self.evolution or {}))
 
     @cached_property
+    def certificate(self) -> KernelCertificate:
+        """The one structural certificate of both positivity checks."""
+        return kernel_certificate(self.op, self.evolution_cfg)
+
+    @cached_property
     def kernel_probes(self) -> KernelProbes:
         """One forward march to 2t of a fixed-seed probe block Z and, when
         the positivity certificate holds, of the point masses at the two
-        ends of the stiffness graph's diameter; one adjoint march of Z to
-        t. O(n_dof * PROBES) memory: no dense kernel."""
+        ends of the stiffness graph's diameter, with a snapshot at the
+        threshold step too; one adjoint march of Z to t. O(n_dof * PROBES)
+        memory: no dense kernel."""
         op, cfg = self.op, self.evolution_cfg
         t = cfg.n_steps * cfg.dt
-        certificate = kernel_certificate(op, cfg)
-        # the kernel decays with graph distance, so the float cross-check
-        # samples the columns of the two most distant dofs
-        ends = list(peripheral_pair(op)) if certificate.holds else []
+        # the kernel decays with graph distance, so the float cross-checks
+        # sample the columns of the two most distant dofs
+        ends, threshold = [], cfg.n_steps
+        if self.certificate.holds:
+            ends = list(peripheral_pair(op))
+            threshold = max(propagation_threshold(op), 1)
         probes = np.random.default_rng(PROBE_SEED).standard_normal(
             (op.n_dof, PROBES))
         block = np.zeros((op.n_dof, len(ends) + PROBES))
         block[ends, range(len(ends))] = 1.0
         block[:, len(ends):] = probes
-        K1, K2 = kernel(op, (cfg.t_end, 2.0 * t), cfg, block)
+        K1, K2, K0 = kernel(op, (cfg.t_end, 2.0 * t, threshold * cfg.dt),
+                            cfg, block)
+        columns = op.free_vertices[ends]
         return KernelProbes(
-            t=t, ends=point_mass_columns(op, t, K1[:, :len(ends)],
-                                         op.free_vertices[ends], certificate),
+            t=t, ends=point_mass_columns(op, t, K1[:, :len(ends)], columns,
+                                         self.certificate),
+            ends_at_threshold=point_mass_columns(
+                op, threshold * cfg.dt, K0[:, :len(ends)], columns,
+                self.certificate),
             probes=probes, forward=K1[:, len(ends):],
             forward_2t=K2[:, len(ends):],
             adjoint=kernel(op, cfg.t_end, cfg, probes, adjoint=True))
@@ -191,15 +205,18 @@ def _check_spectral_gap(p: Problem):
 def _check_positivity_improving(p: Problem):
     if not p.is_positivity_mode:
         return Verdict.NOT_APPLICABLE, {"reason": "no positivity region"}
-    trials = min(p.op.n_dof, 32)
-    rep = positivity_improving_check(p.op, p.evolution_cfg, trials=trials)
-    payload = {"threshold_step": rep.threshold_step, "trials": len(rep.trials)}
+    # an unmet hypothesis needs no march
+    ends = (p.kernel_probes.ends_at_threshold, p.kernel_probes.ends) \
+        if p.certificate.holds else ()
+    rep = positivity_improving_check(p.op, p.evolution_cfg, p.certificate,
+                                     ends)
+    payload = {"threshold_step": rep.threshold_step,
+               "trials": len(rep.columns)}
     if rep.reason:
         payload["reason"] = rep.reason
-    if rep.trials:
-        payload["worst_min_at_end"] = min(t.min_at_end for t in rep.trials)
-        payload["latest_first_positive"] = max(t.first_fully_positive
-                                               for t in rep.trials)
+    if rep.columns:
+        payload["worst_min_at_end"] = rep.min_at_end
+        payload["min_at_threshold"] = rep.min_at_threshold
     return rep.verdict, payload
 
 
@@ -221,6 +238,10 @@ def _check_kernel_positivity(p: Problem):
 def _check_kernel_symmetry(p: Problem):
     if p.op.is_complex or not p.op.is_hermitian:
         return Verdict.NOT_APPLICABLE, {"reason": "operator not self-adjoint"}
+    if p.evolution_cfg.mass is not MassKind.LUMPED:
+        # K(t) = S^n M_L^-1 is symmetric only when S is built on M_L too
+        return Verdict.NOT_APPLICABLE, {
+            "reason": "the kernel is symmetric only under lumped mass"}
     k = p.kernel_probes
     sampled = k.probes.T @ k.forward        # Z^T K(t) Z
     dev = float(np.abs(sampled - sampled.T).max())

@@ -250,6 +250,21 @@ def test_cli_eig_rejects_unknown_key(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+def test_cli_eig_gap_count_above_the_arnoldi_limit_is_an_error(
+        tmp_path, capsys, monkeypatch):
+    # above the dense cutoff, shift-invert Arnoldi gives at most n_dof - 2
+    # pairs; a larger gap_count once ended in an IndexError
+    import perronfem.spectral
+    monkeypatch.setattr(perronfem.spectral, "DENSE_CUTOFF", 10)
+    path = write_config(tmp_path / "c.json", {
+        "mesh": {"shape": "unit_square", "n": 3, "tags": "N"},
+        "coefficients": {"beta": {"re": 1.0, "im": 0.5},
+                         "mode": "complex_robin"},
+        "gap_count": 15, "output_dir": "out"})
+    assert main(["eig", "--config", path]) == 2
+    _assert_one_error_line(capsys, "k = 15 exceeds n_dof - 2 = 14")
+
+
 def test_cli_evolve_and_kernel(tmp_path):
     cfg = dict(ROBIN_PROBLEM)
     cfg["evolution"] = {"dt": 0.01, "t_end": 0.1}
@@ -590,6 +605,21 @@ def test_cli_default_horizon_covers_the_graph_diameter(tmp_path):
     assert result["payload"]["threshold_step"] == 88
 
 
+def test_cli_verify_kernel_symmetry_not_applicable_under_consistent_mass(
+        tmp_path):
+    # K(t) = S^n M_L^-1 is not symmetric when S uses the consistent mass;
+    # the check once reported FAIL here (max_asymmetry 0.203, exit 1)
+    cfg = {"mesh": {"shape": "unit_square", "n": 6, "tags": "N"},
+           "coefficients": {"beta": 1.0, "mode": "robin"},
+           "evolution": {"mass": "consistent"}}
+    path = write_config(tmp_path / "c.json", cfg)
+    assert main(["verify", "--config", path]) == 0
+    report = json.loads((tmp_path / "verification_report.json").read_text())
+    by_label = {r["label"]: r for r in report["results"]}
+    assert by_label["kernel-symmetry"]["verdict"] == "not_applicable"
+    assert "lumped mass" in by_label["kernel-symmetry"]["payload"]["reason"]
+
+
 LSHAPE_MIXED_TAGS = {"bottom": "D", "right": "N", "inner_h": "N",
                      "inner_v": "N", "top": "N", "left": "N"}
 
@@ -600,7 +630,9 @@ LSHAPE_MIXED_TAGS = {"bottom": "D", "right": "N", "inner_h": "N",
 # difference. robin6, dirichlet6 and lshape4 were re-pinned when the kernel
 # checks moved to the structural certificate and probe columns; only the
 # payloads of kernel-positivity, kernel-symmetry and chapman-kolmogorov
-# differ.
+# differ. They were re-pinned again when positivity-improving began to read
+# the certificate and the same march's peripheral-pair columns; only its
+# payload differs.
 PINNED_REPORTS = {
     "robin6": ({
         "mesh": {"shape": "unit_square", "n": 6, "tags": "N"},
@@ -608,11 +640,11 @@ PINNED_REPORTS = {
         "oracle": {"matrix": [[-2.0, 1.0, 0.0], [0.0, -2.0, 1.0],
                               [0.5, 0.0, -2.0]],
                    "expect_irreducible": True},
-    }, "aec4bbe4a3a5f2ab65d805dc1832dae71a8b963523dbcf34f17207ce2203205b"),
+    }, "16770c14168921aa52068ec22891d82a7bf0a1ce37766c5ea94426170213eb7b"),
     "dirichlet6": ({
         "mesh": {"shape": "unit_square", "n": 6, "tags": "D"},
         "coefficients": {"mode": "dirichlet"},
-    }, "0df7089a91d709706f6728d36c63a3b8831c456a71e62b414d0632d450e7242c"),
+    }, "e1b079916dca7af0787a1f11626716042b55285882b942dc677934666c9f4587"),
     "complex6": ({
         "mesh": {"shape": "unit_square", "n": 6, "tags": "N"},
         "coefficients": {"beta": {"re": 1.0, "im": 0.5},
@@ -621,7 +653,7 @@ PINNED_REPORTS = {
     "lshape4": ({
         "mesh": {"shape": "l_shape", "n": 4, "tags": LSHAPE_MIXED_TAGS},
         "coefficients": {"mode": "mixed"},
-    }, "a424072179bdfaea60d74041074552da8623959332d969273a86e9326187abd1"),
+    }, "88e88fc12b70bfff03359bdeb0a68e0e1ae2b39730678544838bf24e040fcec5"),
 }
 
 
@@ -640,7 +672,8 @@ def test_cli_verify_report_bytes_pinned(tmp_path, name):
     assert hashlib.sha256(full).hexdigest() == digest
     by_label = {r["label"]: r for r in json.loads(full)["results"]}
     # a single kernel check marches the same probes as the whole suite
-    for label in ("kernel-positivity", "chapman-kolmogorov"):
+    for label in ("kernel-positivity", "chapman-kolmogorov",
+                  "positivity-improving"):
         (alone,) = json.loads(run(label, "--only", label))["results"]
         assert alone == by_label[label]
 

@@ -11,8 +11,9 @@ from perronfem.assembly import BoundaryMode, CoefficientSet, assemble, \
 from perronfem.mesh import _SHAPE_SEGMENTS, BoundaryTag, TriMesh, \
     generate_structured
 from perronfem.semigroup import EvolutionConfig, MassKind, Scheme, Verdict, \
-    default_dt, evolve, graph_diameter, kernel, kernel_positivity_report, \
-    positivity_improving_check, propagation_threshold
+    default_dt, evolve, graph_diameter, kernel, kernel_certificate, \
+    kernel_positivity_report, positivity_improving_check, \
+    propagation_threshold
 from perronfem.spectral import principal_eig
 from tests.conftest import dense_ie_step
 
@@ -103,42 +104,36 @@ def test_scaling_invariance_is_bitwise_for_power_of_two(robin_op8):
 
 # -- positivity improving ------------------------------------------------------
 
+def _suite_problem(op, cfg):
+    from perronfem.verification import Problem
+    problem = Problem(mesh=op.mesh, coeffs=op.coeffs, mode=op.mode,
+                      evolution=cfg)
+    problem.op = op  # the cached property, given the assembled operator
+    return problem
+
+
+def _positivity_improving(op, cfg):
+    """positivity_improving_check on the columns the suite marches."""
+    problem = _suite_problem(op, cfg)
+    k = problem.kernel_probes
+    return positivity_improving_check(op, cfg, problem.certificate,
+                                      (k.ends_at_threshold, k.ends))
+
+
 def test_positivity_improving_robin_corner(robin_op8):
     cfg = EvolutionConfig(dt=1e-3, t_end=0.1, mass=MassKind.LUMPED)
-    rep = positivity_improving_check(robin_op8, cfg, trials=1)
+    rep = _positivity_improving(robin_op8, cfg)
     assert rep.verdict is Verdict.PASS
-    trial = rep.trials[0]
-    assert trial.node == 0  # corner vertex hosts the first trial
-    assert 0 < trial.first_fully_positive <= rep.threshold_step
-    assert trial.min_at_end > 0
-
-
-def test_positivity_improving_exhaustive_small():
-    # complete dense-oracle cross-check on a small mesh
-    verts = [(0, 0), (1, 0), (1, 1), (0, 1)]
-    tris = [(0, 1, 2), (0, 2, 3)]
-    edges = [(0, 1), (1, 2), (2, 3), (0, 3)]
-    mesh = TriMesh(verts, tris, edges, (BoundaryTag.FLUX,) * 4)
-    op = assemble(mesh, CoefficientSet.constant(mesh, beta=1.0),
-                  BoundaryMode.ROBIN)
-    cfg = EvolutionConfig(dt=0.05, t_end=1.0, mass=MassKind.LUMPED)
-    rep = positivity_improving_check(op, cfg)
-    assert rep.verdict is Verdict.PASS
-    step = dense_ie_step(op, cfg.dt)
-    for trial in rep.trials:
-        u = np.zeros(op.n_dof)
-        u[op.dof_map[trial.node]] = 1.0
-        first = -1
-        for k in range(1, cfg.n_steps + 1):
-            u = step @ u
-            if first < 0 and np.all(u >= 1e-12 * np.abs(u).max()):
-                first = k
-        assert first == trial.first_fully_positive
+    assert rep.threshold_step == 16
+    # the corner vertex and the one across the diagonal carry the indicators
+    assert rep.columns == (0, 80)
+    assert 0 < rep.min_at_threshold
+    assert 0 < rep.min_at_end
 
 
 def test_positivity_improving_dirichlet_region(dirichlet_op8):
     cfg = lumped_cfg(dirichlet_op8.mesh, t_end=0.25)
-    rep = positivity_improving_check(dirichlet_op8, cfg, trials=3)
+    rep = _positivity_improving(dirichlet_op8, cfg)
     assert rep.verdict is Verdict.PASS
     # constrained nodes stay exactly zero along the way
     traj = evolve(dirichlet_op8, np.eye(dirichlet_op8.n_dof)[0], cfg)
@@ -161,12 +156,13 @@ def test_one_step_support_reaches_neighbors(robin_op8):
 def test_positivity_check_not_applicable_cases(robin_op8):
     cn = EvolutionConfig(scheme=Scheme.CRANK_NICOLSON, dt=1e-3, t_end=0.05,
                          mass=MassKind.LUMPED)
-    assert positivity_improving_check(robin_op8, cn).verdict \
-        is Verdict.NOT_APPLICABLE
     consistent = EvolutionConfig(dt=1e-3, t_end=0.05,
                                  mass=MassKind.CONSISTENT)
-    assert positivity_improving_check(robin_op8, consistent).verdict \
-        is Verdict.NOT_APPLICABLE
+    for cfg in (cn, consistent):
+        rep = positivity_improving_check(robin_op8, cfg,
+                                         kernel_certificate(robin_op8, cfg))
+        assert rep.verdict is Verdict.NOT_APPLICABLE
+        assert "implicit Euler with lumped mass" in rep.reason
 
 
 def test_positivity_check_not_applicable_on_obtuse_mesh():
@@ -175,28 +171,65 @@ def test_positivity_check_not_applicable_on_obtuse_mesh():
     op = assemble(mesh, CoefficientSet.constant(mesh, beta=1.0),
                   BoundaryMode.ROBIN)
     cfg = EvolutionConfig(dt=0.01, t_end=0.1, mass=MassKind.LUMPED)
-    rep = positivity_improving_check(op, cfg)
+    rep = positivity_improving_check(op, cfg, kernel_certificate(op, cfg))
     assert rep.verdict is Verdict.NOT_APPLICABLE
     assert "off-diagonal" in rep.reason
-
-
-def test_positivity_check_region_override(robin_op8, dirichlet_op8):
-    from perronfem.spectral import Region
-    cfg = lumped_cfg(robin_op8.mesh, t_end=0.25)
-    rep = positivity_improving_check(robin_op8, cfg, trials=2,
-                                     region=Region.INTERIOR)
-    assert rep.verdict is Verdict.PASS
-    # a region containing pinned vertices cannot be certified
-    rep = positivity_improving_check(dirichlet_op8, cfg, trials=1,
-                                     region=Region.CLOSURE)
-    assert rep.verdict is Verdict.NOT_APPLICABLE
-    assert "pinned" in rep.reason
 
 
 def test_positivity_check_needs_enough_steps(robin_op8):
     cfg = EvolutionConfig(dt=0.01, t_end=0.05, mass=MassKind.LUMPED)
     with pytest.raises(ValueError, match="graph diameter"):
-        positivity_improving_check(robin_op8, cfg, trials=1)
+        positivity_improving_check(robin_op8, cfg,
+                                   kernel_certificate(robin_op8, cfg))
+
+
+def test_positivity_improving_passes_at_a_small_dt():
+    # a relative floor of 1e-12 max|u| once failed here: at dt/100 the far
+    # indicator needed 68 steps to clear it, against a threshold of 16
+    from perronfem.verification import Problem, run_suite
+    mesh = generate_structured("unit_square", 8, "N")
+    problem = Problem(mesh=mesh,
+                      coeffs=CoefficientSet.constant(mesh, beta=1.0),
+                      mode=BoundaryMode.ROBIN,
+                      evolution={"dt": default_dt(mesh) / 100})
+    (result,) = run_suite(problem, only="positivity-improving").results
+    assert result.verdict is Verdict.PASS
+    assert result.payload["threshold_step"] == 16
+    # indicators stay in [0, 1], so this one is below the old floor
+    assert 0 < result.payload["min_at_threshold"] < 1e-12
+
+
+def test_positivity_check_raises_on_a_nonpositive_indicator(robin_op8):
+    from dataclasses import replace
+    cfg = lumped_cfg(robin_op8.mesh)
+    problem = _suite_problem(robin_op8, cfg)
+    k = problem.kernel_probes
+    entries = k.ends_at_threshold.entries.copy()
+    entries[40, 1] = 0.0
+    with pytest.raises(AssertionError, match="under a holding positivity"):
+        positivity_improving_check(
+            robin_op8, cfg, problem.certificate,
+            (replace(k.ends_at_threshold, entries=entries), k.ends))
+
+
+def test_suite_marches_once_forward_and_once_adjoint(monkeypatch):
+    import perronfem.semigroup as semigroup
+    from perronfem.verification import Problem, run_suite
+    marches, factorizations = [], []
+    march, factorize = semigroup.march, semigroup.factorize
+    monkeypatch.setattr(
+        semigroup, "march", lambda op, cfg, u, n, adjoint=False:
+        marches.append(adjoint) or march(op, cfg, u, n, adjoint))
+    monkeypatch.setattr(semigroup, "factorize",
+                        lambda m: factorizations.append(1) or factorize(m))
+    mesh = generate_structured("unit_square", 6, "N")
+    problem = Problem(mesh=mesh,
+                      coeffs=CoefficientSet.constant(mesh, beta=1.0),
+                      mode=BoundaryMode.ROBIN)
+    report = run_suite(problem)
+    assert not report.failed
+    assert sorted(marches) == [False, True]
+    assert len(factorizations) == 1
 
 
 def test_propagation_threshold_is_grid_diameter(robin_op8):
@@ -392,56 +425,13 @@ def test_kernel_and_trials_share_one_factorization(monkeypatch):
     op = _small_op("robin")
     cfg = lumped_cfg(op.mesh, t_end=40 * default_dt(op.mesh))
     kernel(op, (cfg.t_end, 2 * cfg.t_end), cfg)
-    positivity_improving_check(op, cfg, trials=4)
+    _positivity_improving(op, cfg)  # the indicators march with the probes
     evolve(op, np.ones(op.n_dof), cfg)
     assert len(factorizations) == 1
     # another dt is another step matrix
     kernel(op, cfg.t_end, EvolutionConfig(dt=cfg.dt / 2, t_end=cfg.t_end,
                                           mass=MassKind.LUMPED))
     assert len(factorizations) == 2
-
-
-@pytest.mark.parametrize("case,trials", [("robin", 32), ("dirichlet", 9),
-                                         ("tiny", 7)])
-def test_blocked_trials_match_per_trial_marches(case, trials):
-    from perronfem.spectral import POSITIVITY_REL_TOL, REGION_FOR_MODE, \
-        region_vertices
-    if case == "tiny":
-        # fewer dofs than trials: trial t carries the mass at dof t % n_dof
-        verts = [(0, 0), (1, 0), (1, 1), (0, 1)]
-        mesh = TriMesh(verts, [(0, 1, 2), (0, 2, 3)],
-                       [(0, 1), (1, 2), (2, 3), (0, 3)],
-                       (BoundaryTag.FLUX,) * 4)
-        op = assemble(mesh, CoefficientSet.constant(mesh, beta=1.0),
-                      BoundaryMode.ROBIN)
-    else:
-        op = _small_op(case)
-    cfg = lumped_cfg(op.mesh, t_end=30 * default_dt(op.mesh))
-    rep = positivity_improving_check(op, cfg, trials=trials)
-    assert rep.verdict is Verdict.PASS
-    assert len(rep.trials) == trials
-
-    step = _reference_step(op, cfg)
-    region_dofs = op.dof_map[region_vertices(op, REGION_FOR_MODE[op.mode])]
-    threshold = propagation_threshold(op)
-    for t, outcome in enumerate(rep.trials):
-        dof = t % op.n_dof
-        u = np.zeros(op.n_dof)
-        u[dof] = 1.0
-        first, ok = -1, True
-        for k in range(1, cfg.n_steps + 1):
-            u = step(u)
-            tol = POSITIVITY_REL_TOL * float(np.abs(u).max())
-            fully = bool(np.all(u[region_dofs] >= tol))
-            if fully and first < 0:
-                first = k
-            if k >= threshold and not fully:
-                ok = False
-        ok = ok and 0 <= first <= threshold
-        assert outcome.node == op.free_vertices[dof]
-        assert outcome.first_fully_positive == first
-        assert outcome.min_at_end == float(u[region_dofs].min())
-        assert outcome.ok is ok
 
 
 # -- graph diameter against an all-pairs reference -------------------------------
@@ -608,7 +598,6 @@ def _dense_composition_verdict(K1, K2):
 @pytest.mark.parametrize("n", [6, 12])
 @pytest.mark.parametrize("case", CERTIFICATE_CASES)
 def test_certificate_and_probe_checks_agree_with_the_dense_kernel(case, n):
-    from perronfem.semigroup import kernel_certificate
     from perronfem.verification import Problem, run_suite
     op = _certificate_case(case, n)
     problem = Problem(mesh=op.mesh, coeffs=op.coeffs, mode=op.mode)
@@ -652,7 +641,11 @@ def test_probe_checks_agree_with_the_dense_kernel_outside_the_certificate(
     results = {r.label: r for r in run_suite(problem).results}
     assert results["kernel-positivity"].verdict is Verdict.NOT_APPLICABLE
     assert reason in results["kernel-positivity"].payload["reason"]
-    if op.is_hermitian:
+    if mass is MassKind.CONSISTENT:
+        # S^n M_L^-1 with S built on the consistent mass is not symmetric
+        assert results["kernel-symmetry"].verdict is Verdict.NOT_APPLICABLE
+        assert "lumped mass" in results["kernel-symmetry"].payload["reason"]
+    elif op.is_hermitian:
         assert results["kernel-symmetry"].verdict is (
             Verdict.PASS if _dense_symmetry_verdict(K1) else Verdict.FAIL)
     assert results["chapman-kolmogorov"].verdict is (
@@ -684,12 +677,11 @@ def test_probe_columns_are_the_dense_kernel_columns():
     ("crank_nicolson", "implicit Euler"),
     ("consistent_mass", "implicit Euler"),
     ("complex_robin", "complex operator"),
-    ("inflow_at_large_dt", "row sum <= 0"),
+    ("indefinite", "row sum <= 0"),
     ("one_way_chain", "reducible"),
 ])
 def test_kernel_certificate_names_the_unmet_hypothesis(case, reason):
     from dataclasses import replace
-    from perronfem.semigroup import kernel_certificate
     op = _small_op("complex_robin" if case == "complex_robin" else "robin")
     cfg = lumped_cfg(op.mesh)
     mesh = generate_structured("unit_square", 4, "N")
@@ -701,13 +693,14 @@ def test_kernel_certificate_names_the_unmet_hypothesis(case, reason):
         cfg = replace(cfg, scheme=Scheme.CRANK_NICOLSON)
     elif case == "consistent_mass":
         cfg = replace(cfg, mass=MassKind.CONSISTENT)
-    elif case == "inflow_at_large_dt":
-        # an M-compatible stiffness whose inflow rows sum to a negative
-        # value; dt = 0.1 lets them outweigh the lumped mass
-        op = assemble(mesh, CoefficientSet.constant(mesh, a=ANISO, mu=0.4,
-                                                    b=(1.0, 1.0)),
-                      BoundaryMode.NEUMANN)
-        cfg = EvolutionConfig(dt=0.1, t_end=0.1, mass=MassKind.LUMPED)
+    elif case == "indefinite":
+        # an irreducible Z-matrix step with a negative eigenvalue: no
+        # w > 0 has B*w > 0, so B^-1*1 cannot be positive either
+        n = op.n_dof
+        op = replace(op, stiffness=sp.diags(
+            [np.full(n, 2.0), np.full(n - 1, -3.0), np.full(n - 1, -3.0)],
+            [0, 1, -1]).tocsr())
+        cfg = EvolutionConfig(dt=1.0, t_end=1.0, mass=MassKind.LUMPED)
     elif case == "one_way_chain":
         # couplings i -> i + 1 only: connected as an undirected graph, but
         # no dof reaches a lower one
@@ -717,6 +710,39 @@ def test_kernel_certificate_names_the_unmet_hypothesis(case, reason):
     certificate = kernel_certificate(op, cfg)
     assert not certificate.holds
     assert reason in certificate.reason
+    # positivity-improving gives the certificate's reason, with no march
+    rep = positivity_improving_check(op, cfg, certificate)
+    assert rep.verdict is Verdict.NOT_APPLICABLE
+    assert rep.reason == certificate.reason
+
+
+def test_certificate_takes_the_inverse_row_sum_witness_at_an_inflow():
+    # an M-compatible stiffness whose inflow rows sum to a negative value;
+    # dt = 0.1 lets them outweigh the lumped mass, so B*1 > 0 fails while
+    # w = B^-1*1 > 0 with B*w > 0 still makes B a nonsingular M-matrix
+    from perronfem.semigroup import step_matrices
+    from perronfem.verification import Problem, run_suite
+    mesh = generate_structured("unit_square", 4, "N")
+    coeffs = CoefficientSet.constant(mesh, a=np.array([[1.0, 0.3],
+                                                       [0.3, 0.6]]),
+                                     mu=0.4, b=(1.0, 1.0))
+    op = assemble(mesh, coeffs, BoundaryMode.NEUMANN)
+    cfg = EvolutionConfig(dt=0.1, t_end=0.8, mass=MassKind.LUMPED)
+    certificate = kernel_certificate(op, cfg)
+    assert certificate.holds
+    assert certificate.min_row_sum == pytest.approx(-4.2e-3, abs=1e-4)
+    B, _ = step_matrices(op.stiffness, sp.diags(op.mass_lumped),
+                         cfg.scheme, cfg.dt)
+    w = np.linalg.solve(B.toarray(), np.ones(op.n_dof))
+    assert w.min() == pytest.approx(18.7, abs=0.1)
+    K = kernel(op, cfg.t_end, cfg)
+    assert K.entries.min() > 0
+    assert kernel_positivity_report(K).verdict is Verdict.PASS
+    problem = Problem(mesh=mesh, coeffs=coeffs, mode=BoundaryMode.NEUMANN,
+                      evolution={"dt": 0.1})
+    verdicts = {r.label: r.verdict for r in run_suite(problem).results}
+    assert verdicts["kernel-positivity"] is Verdict.PASS
+    assert verdicts["positivity-improving"] is Verdict.PASS
 
 
 def test_kernel_report_raises_on_a_nonpositive_entry_under_the_certificate():
@@ -763,10 +789,19 @@ def _tiny_operators(draw):
 @given(_tiny_operators())
 def test_certificate_implies_the_lattice_oracle_on_tiny_meshes(case):
     from perronfem import lattice
-    from perronfem.semigroup import kernel_certificate
+    from perronfem.verification import Problem, run_suite
     op, cfg = case
     assert op.n_dof <= 6
-    if not kernel_certificate(op, cfg).holds:
+    certificate = kernel_certificate(op, cfg)
+    # positivity-improving passes exactly when the certificate holds
+    problem = Problem(mesh=op.mesh, coeffs=op.coeffs, mode=op.mode,
+                      evolution={"dt": cfg.dt})
+    problem.op = op
+    (result,) = run_suite(problem, only="positivity-improving").results
+    assert result.verdict is (Verdict.PASS if certificate.holds
+                              else Verdict.NOT_APPLICABLE)
+    if not certificate.holds:
+        assert result.payload["reason"] == certificate.reason
         return
     Q = -op.stiffness.toarray() / op.mass_lumped[:, None]
     g = lattice.MetzlerGenerator(Q)

@@ -355,6 +355,7 @@ class KernelPositivityReport:
     witness: tuple
     boundary_rows_zero: bool
     reason: str = ""
+    underflow: bool = False       # min_entry is a positive entry lost to 0.0
 
 
 def kernel(op: DiscreteOperator, t: float | tuple, cfg: EvolutionConfig,
@@ -409,9 +410,10 @@ def kernel(op: DiscreteOperator, t: float | tuple, cfg: EvolutionConfig,
 def kernel_positivity_report(K: KernelMatrix) -> KernelPositivityReport:
     """The certificate's verdict on the free pairs, cross-checked in
     floats on K's columns: their smallest free entry, where it sits, and
-    whether eliminated rows and columns are exact zeros. A sampled entry
-    <= 0 under a holding certificate is a program bug and raises
-    AssertionError."""
+    whether eliminated rows and columns are exact zeros. Under a holding
+    certificate a sampled entry of exactly 0.0 is float underflow of a
+    positive entry and is flagged as such; a negative or NaN entry is a
+    program bug and raises AssertionError."""
     if not K.certificate.holds:
         return KernelPositivityReport(Verdict.NOT_APPLICABLE, math.nan,
                                       (-1, -1), False,
@@ -425,14 +427,14 @@ def kernel_positivity_report(K: KernelMatrix) -> KernelPositivityReport:
     arg = np.unravel_index(int(np.argmin(block)), block.shape)
     min_entry = float(block[arg])
     witness = (int(rows[arg[0]]), int(K.columns[cols[arg[1]]]))
-    if not min_entry > 0.0:
+    if not min_entry >= 0.0:
         raise AssertionError(
             f"kernel entry {min_entry!r} at {witness} is not positive "
             f"under a holding positivity certificate")
     return KernelPositivityReport(
         verdict=Verdict.PASS if boundary_ok else Verdict.FAIL,
         min_entry=min_entry, witness=witness,
-        boundary_rows_zero=boundary_ok)
+        boundary_rows_zero=boundary_ok, underflow=min_entry == 0.0)
 
 
 @dataclass(frozen=True)
@@ -443,6 +445,7 @@ class PositivityImprovingReport:
     min_at_threshold: float = math.nan
     min_at_end: float = math.nan
     reason: str = ""
+    underflow: bool = False       # a minimum is a positive value lost to 0.0
 
 
 def positivity_improving_check(op: DiscreteOperator, cfg: EvolutionConfig,
@@ -455,9 +458,10 @@ def positivity_improving_check(op: DiscreteOperator, cfg: EvolutionConfig,
     When the certificate holds, ``ends`` is the pair (K at the threshold
     step, K at t) on the same point-mass columns, from the caller's march,
     and the float cross-check tests their sign on the region in indicator
-    units (the column of vertex v times its lumped mass): an entry <= 0 is
-    a program bug and raises AssertionError. A horizon shorter than the
-    diameter raises ValueError.
+    units (the column of vertex v times its lumped mass): an entry of
+    exactly 0.0 is float underflow and is flagged as such, a negative or
+    NaN entry is a program bug and raises AssertionError. A horizon
+    shorter than the diameter raises ValueError.
     """
     if not certificate.holds:
         return PositivityImprovingReport(Verdict.NOT_APPLICABLE,
@@ -474,10 +478,10 @@ def positivity_improving_check(op: DiscreteOperator, cfg: EvolutionConfig,
     rows = region_vertices(op, REGION_FOR_MODE[op.mode])
     low, end = (float((K.entries[rows] * K.lumped_mass_full[K.columns]).min())
                 for K in ends)
-    if not min(low, end) > 0.0:
+    if not (low >= 0.0 and end >= 0.0):
         raise AssertionError(
             f"indicator minima {low!r} at the threshold step and {end!r} at "
             f"t are not positive under a holding positivity certificate")
     return PositivityImprovingReport(
         Verdict.PASS, threshold, tuple(int(v) for v in ends[-1].columns),
-        min_at_threshold=low, min_at_end=end)
+        min_at_threshold=low, min_at_end=end, underflow=min(low, end) == 0.0)

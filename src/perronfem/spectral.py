@@ -4,9 +4,10 @@ Hermitian pencils (stiffness, mass) are solved by block inverse iteration
 with a Rayleigh-Ritz extraction; the shift is deterministic and sits
 certifiably below the bottom of the spectrum, so the factorization is
 reused across all sweeps and runs reproduce bitwise. Non-Hermitian
-problems (complex Robin, or convection with b != c) get a dense solve of
-the full spectrum up to ``DENSE_CUTOFF`` dofs and shift-invert Arnoldi
-above it. ``_lowest_pairs`` is the one place that picks the path.
+problems (complex Robin, or convection with b != c) get the full spectrum
+from a dense Cholesky-reduced standard eigensolve up to ``DENSE_CUTOFF``
+dofs and shift-invert Arnoldi above it. ``_lowest_pairs`` is the one place
+that picks the path.
 """
 
 from __future__ import annotations
@@ -202,12 +203,27 @@ def _fix_sign(vector: np.ndarray, mass_lumped: np.ndarray) -> np.ndarray:
 
 
 def _dense_sorted_spectrum(op: DiscreteOperator, mass: MassKind):
-    """Spectrum sorted by real, then imaginary part: one dense QZ solve
-    per operator and mass kind."""
+    """Spectrum sorted by real, then imaginary part: one dense
+    Cholesky-reduced standard eigensolve per operator and mass kind.
+
+    Either mass is real symmetric positive definite, so with M = L Lᵀ
+    the pencil (A, M) has the spectrum of C = L⁻¹ A L⁻ᵀ, solved by
+    Hessenberg QR instead of QZ, and x = L⁻ᵀ y maps the vectors back.
+    """
     def solve():
-        values, vectors = sla.eig(
-            op.stiffness.toarray(),
-            mass_matrix(mass, op.mass, op.mass_lumped).toarray())
+        try:
+            L = sla.cholesky(mass_matrix(mass, op.mass, op.mass_lumped)
+                             .toarray(), lower=True)
+        except sla.LinAlgError as exc:
+            raise SolverError(f"the {MassKind(mass).value} mass matrix has "
+                              f"no Cholesky factor: {exc}") from exc
+        C = sla.solve_triangular(L, op.stiffness.toarray(order="F"),
+                                 lower=True, overwrite_b=True)
+        # (L⁻¹ A) L⁻ᵀ = (L⁻¹ (L⁻¹ A)ᵀ)ᵀ
+        C = sla.solve_triangular(L, C.T, lower=True, overwrite_b=True).T
+        values, vectors = sla.eig(C, overwrite_a=True)
+        vectors = sla.solve_triangular(L, vectors, lower=True, trans="T",
+                                       overwrite_b=True)
         order = np.lexsort((values.imag, values.real))
         return values[order], vectors[:, order]
     return op.cached(("dense_spectrum", mass), solve)
@@ -233,9 +249,10 @@ def _lowest_pairs(op: DiscreteOperator, mass: MassKind | str, k: int,
     ``_fix_sign``, and the relative residuals.
 
     The operator alone picks the solver: a real Hermitian operator gets
-    block inverse iteration, any other operator the dense QZ spectrum up
-    to ``DENSE_CUTOFF`` dofs and shift-invert Arnoldi above it. Each solve
-    runs once per operator and is shared by every caller.
+    block inverse iteration, any other operator the full spectrum of a
+    dense Cholesky-reduced standard eigensolve up to ``DENSE_CUTOFF`` dofs
+    and shift-invert Arnoldi above it. Each solve runs once per operator
+    and is shared by every caller.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")

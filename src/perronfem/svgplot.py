@@ -20,11 +20,16 @@ _RAMP = (
     (1.0, (253, 231, 37)),
 )
 
+_STOPS = np.array([s for s, _ in _RAMP])
+_RGB = np.array([c for _, c in _RAMP], dtype=float)
+
 _CANVAS = 420.0
 _MARGIN = 20.0
 
 
 def _color(s: float) -> str:
+    """Ramp color of one value, clamped to [0, 1]; the scalar reference
+    for ``_colors``."""
     s = min(max(s, 0.0), 1.0)
     for (s0, c0), (s1, c1) in zip(_RAMP, _RAMP[1:]):
         if s <= s1:
@@ -32,6 +37,18 @@ def _color(s: float) -> str:
             rgb = tuple(round(a + w * (b - a)) for a, b in zip(c0, c1))
             return "#%02x%02x%02x" % rgb
     return "#%02x%02x%02x" % _RAMP[-1][1]
+
+
+def _colors(s: np.ndarray) -> list[str]:
+    """``_color`` of every value at once, byte for byte: the same segment
+    (the first stop >= s), the same float arithmetic and half-even
+    rounding, and NaN at the top of the ramp."""
+    s = np.where(s <= 1.0, np.maximum(s, 0.0), 1.0)
+    seg = np.searchsorted(_STOPS[1:], s)
+    w = (s - _STOPS[seg]) / (_STOPS[seg + 1] - _STOPS[seg])
+    c0, c1 = _RGB[seg], _RGB[seg + 1]
+    rgb = np.rint(c0 + w[:, None] * (c1 - c0)).astype(int)
+    return ["#%02x%02x%02x" % tuple(c) for c in rgb.tolist()]
 
 
 def _triangle_points(mesh: TriMesh, x0: float, y0: float, lo: np.ndarray,
@@ -79,9 +96,10 @@ def render_heatmap(field: np.ndarray, mesh: TriMesh) -> str:
     ]
     means = field[mesh.triangles].mean(axis=1)
     points = _triangle_points(mesh, _MARGIN, _MARGIN, lo, hi, scale)
-    for pts, mean in zip(points, means):
-        s = 1.0 if vmax == lo_anchor else (mean - lo_anchor) / (vmax - lo_anchor)
-        parts.append(f'<polygon points="{pts}" fill="{_color(float(s))}" '
+    s = np.ones_like(means) if vmax == lo_anchor \
+        else (means - lo_anchor) / (vmax - lo_anchor)
+    for pts, color in zip(points, _colors(s)):
+        parts.append(f'<polygon points="{pts}" fill="{color}" '
                      f'stroke="none"/>')
     label = (f"min = max = {vmin!r}" if vmin == vmax
              else f"min = {vmin!r}  max = {vmax!r}")
@@ -129,10 +147,11 @@ def render_strip(fields: np.ndarray, times: np.ndarray, mesh: TriMesh,
         field = fields[k]
         means = field[mesh.triangles].mean(axis=1)
         points = _triangle_points(mesh, x0, pad, lo, hi, scale)
-        for pts, mean in zip(points, means):
-            s = 0.0 if vmax == vmin else (mean - vmin) / (vmax - vmin)
+        s = np.zeros_like(means) if vmax == vmin \
+            else (means - vmin) / (vmax - vmin)
+        for pts, color in zip(points, _colors(s)):
             parts.append(f'<polygon points="{pts}" '
-                         f'fill="{_color(float(s))}" stroke="none"/>')
+                         f'fill="{color}" stroke="none"/>')
         parts.append(f'<text x="{x0:.1f}" y="{height - 6.0:.1f}" '
                      f'font-family="monospace" font-size="10">'
                      f't = {times[k]:.6g}</text>')

@@ -217,6 +217,8 @@ def _check_positivity_improving(p: Problem):
     if rep.columns:
         payload["worst_min_at_end"] = rep.min_at_end
         payload["min_at_threshold"] = rep.min_at_threshold
+    if rep.underflow:
+        payload["underflow"] = True
     return rep.verdict, payload
 
 
@@ -228,11 +230,13 @@ def _check_kernel_positivity(p: Problem):
     if rep.reason:
         return rep.verdict, {"reason": rep.reason}
     # min_entry and witness are over the sampled columns only
-    return rep.verdict, {"t": K.t, "columns": list(K.columns),
-                         "min_entry": rep.min_entry,
-                         "witness": list(rep.witness),
-                         "boundary_rows_zero": rep.boundary_rows_zero,
-                         "min_row_sum": K.certificate.min_row_sum}
+    payload = {"t": K.t, "columns": list(K.columns),
+               "min_entry": rep.min_entry, "witness": list(rep.witness),
+               "boundary_rows_zero": rep.boundary_rows_zero,
+               "min_row_sum": K.certificate.min_row_sum}
+    if rep.underflow:
+        payload["underflow"] = True
+    return rep.verdict, payload
 
 
 def _check_kernel_symmetry(p: Problem):

@@ -7,7 +7,7 @@ from perronfem.cli import main, read_kernel_dump
 from perronfem.expressions import ExpressionError, evaluate_field
 from perronfem.mesh import generate_structured, load_mesh
 from perronfem.semigroup import Verdict
-from perronfem.svgplot import _color, render_heatmap, render_strip
+from perronfem.svgplot import _color, _colors, render_heatmap, render_strip
 from perronfem.verification import Problem, run_suite
 from perronfem.assembly import BoundaryMode, CoefficientSet
 
@@ -188,6 +188,25 @@ def test_suite_raises_a_broken_invariant(monkeypatch):
     monkeypatch.setattr(verification, "kernel_positivity_report", broken)
     with pytest.raises(AssertionError, match="not positive"):
         run_suite(make_problem("robin"), only="kernel-positivity")
+
+
+@pytest.mark.parametrize("label", ["kernel-positivity",
+                                   "positivity-improving"])
+def test_cli_verify_survives_kernel_underflow(tmp_path, capsys, label):
+    # at n = 15 and this step the far peripheral entries underflow to 0.0;
+    # the certificate still proves them positive
+    from perronfem.semigroup import default_dt
+    dt = default_dt(generate_structured("unit_square", 15, "N")) / 1e12
+    path = write_config(tmp_path / "c.json", {
+        "mesh": {"shape": "unit_square", "n": 15, "tags": "N"},
+        "coefficients": {"beta": 1.0, "mode": "robin"},
+        "evolution": {"dt": dt}, "output_dir": "out"})
+    assert main(["verify", "--config", path, "--only", label]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    (result,) = json.loads((tmp_path / "out" / "verification_report.json")
+                           .read_text())["results"]
+    assert result["verdict"] == "pass"
+    assert result["payload"]["underflow"] is True
 
 
 def test_suite_oracle_expected_negative():
@@ -632,7 +651,9 @@ LSHAPE_MIXED_TAGS = {"bottom": "D", "right": "N", "inner_h": "N",
 # payloads of kernel-positivity, kernel-symmetry and chapman-kolmogorov
 # differ. They were re-pinned again when positivity-improving began to read
 # the certificate and the same march's peripheral-pair columns; only its
-# payload differs.
+# payload differs. complex6 was re-pinned again when the dense non-Hermitian
+# spectrum moved from QZ to a Cholesky-reduced standard eigensolve; only
+# eigenvalue digits differ, by ~1e-13 relative.
 PINNED_REPORTS = {
     "robin6": ({
         "mesh": {"shape": "unit_square", "n": 6, "tags": "N"},
@@ -649,7 +670,7 @@ PINNED_REPORTS = {
         "mesh": {"shape": "unit_square", "n": 6, "tags": "N"},
         "coefficients": {"beta": {"re": 1.0, "im": 0.5},
                          "mode": "complex_robin"},
-    }, "f47e023d0a10f24fead26421a7e754030ebc12c64954bff7d127dee3d6016405"),
+    }, "24b6bed3450a2e2efd09612e25243bd1906e451a83d944c57eaea8ec05561a1b"),
     "lshape4": ({
         "mesh": {"shape": "l_shape", "n": 4, "tags": LSHAPE_MIXED_TAGS},
         "coefficients": {"mode": "mixed"},
@@ -679,14 +700,15 @@ def test_cli_verify_report_bytes_pinned(tmp_path, name):
 
 
 # eig_report.json bytes, recorded before the CLI and the suite shared one
-# JSON conversion
+# JSON conversion; complex6 re-pinned with the Cholesky-reduced dense
+# eigensolve (eigenvalues and residual in the last digits)
 PINNED_EIG_REPORTS = {
     "robin6": (
         {"beta": 1.5, "mode": "robin"},
         "2c501b084df0b15ce987ecd232fe3f33b4898c37c4ae2cf8e2d09c3b7b296800"),
     "complex6": (
         {"beta": {"re": 1.0, "im": 0.5}, "mode": "complex_robin"},
-        "1070c2667f76ec6093b70320dc62747f99cf690ce59313066d331e5f749753d0"),
+        "dbae330463eca311d96fd87b0986dbf44d9be764e91be33450e7c8e69b10cd7a"),
 }
 
 
@@ -719,12 +741,16 @@ def test_complex_verify_runs_one_dense_eigensolve(tmp_path, monkeypatch):
     import scipy.linalg
     calls = []
     eig = scipy.linalg.eig
-    monkeypatch.setattr(scipy.linalg, "eig",
-                        lambda *a, **kw: calls.append(1) or eig(*a, **kw))
+    monkeypatch.setattr(
+        scipy.linalg, "eig",
+        lambda *a, **kw: calls.append((a, kw)) or eig(*a, **kw))
     cfg, _ = PINNED_REPORTS["complex6"]
     path = write_config(tmp_path / "c.json", dict(cfg, output_dir="out"))
     assert main(["verify", "--config", path]) == 0
-    assert len(calls) == 1
+    # a standard eigenproblem: one matrix, no mass matrix b (no QZ)
+    ((args, kwargs),) = calls
+    assert len(args) == 1
+    assert "b" not in kwargs
 
 
 def test_verify_factorizes_each_pencil_once(monkeypatch):
@@ -840,3 +866,13 @@ def test_strip_rendering(robin_mesh8):
                         for k in range(10)])
     svg = render_strip(fields, np.linspace(0, 1, 10), robin_mesh8)
     assert svg.count("t = ") == 6
+
+
+def test_array_colors_equal_the_scalar_ramp():
+    # a dense sweep past both ends, every stop and its neighbours, and the
+    # half-way points of each channel that round half to even
+    from perronfem.svgplot import _STOPS
+    s = np.concatenate([np.linspace(-0.5, 1.5, 200_001), _STOPS,
+                        np.nextafter(_STOPS, -1.0), np.nextafter(_STOPS, 2.0),
+                        [-np.inf, np.inf, np.nan, -0.0]])
+    assert _colors(s) == [_color(float(v)) for v in s]

@@ -204,12 +204,22 @@ def test_positivity_check_raises_on_a_nonpositive_indicator(robin_op8):
     cfg = lumped_cfg(robin_op8.mesh)
     problem = _suite_problem(robin_op8, cfg)
     k = problem.kernel_probes
+    for bad in (-1e-300, math.nan):
+        entries = k.ends_at_threshold.entries.copy()
+        entries[40, 1] = bad
+        with pytest.raises(AssertionError,
+                           match="under a holding positivity"):
+            positivity_improving_check(
+                robin_op8, cfg, problem.certificate,
+                (replace(k.ends_at_threshold, entries=entries), k.ends))
+    # an exact 0.0 is a positive indicator value lost to float underflow
     entries = k.ends_at_threshold.entries.copy()
     entries[40, 1] = 0.0
-    with pytest.raises(AssertionError, match="under a holding positivity"):
-        positivity_improving_check(
-            robin_op8, cfg, problem.certificate,
-            (replace(k.ends_at_threshold, entries=entries), k.ends))
+    rep = positivity_improving_check(
+        robin_op8, cfg, problem.certificate,
+        (replace(k.ends_at_threshold, entries=entries), k.ends))
+    assert rep.verdict is Verdict.PASS
+    assert rep.min_at_threshold == 0.0 and rep.underflow
 
 
 def test_suite_marches_once_forward_and_once_adjoint(monkeypatch):
@@ -751,10 +761,18 @@ def test_kernel_report_raises_on_a_nonpositive_entry_under_the_certificate():
     cfg = lumped_cfg(op.mesh)
     K = kernel(op, 4 * cfg.dt, cfg)
     assert K.certificate.holds
+    for bad in (-1e-300, math.nan):
+        entries = K.entries.copy()
+        entries[3, 5] = bad
+        with pytest.raises(AssertionError, match="not positive"):
+            kernel_positivity_report(replace(K, entries=entries))
+    # an exact 0.0 is a positive entry lost to float underflow
     entries = K.entries.copy()
     entries[3, 5] = 0.0
-    with pytest.raises(AssertionError, match="not positive"):
-        kernel_positivity_report(replace(K, entries=entries))
+    rep = kernel_positivity_report(replace(K, entries=entries))
+    assert rep.verdict is Verdict.PASS
+    assert rep.min_entry == 0.0 and rep.underflow
+    assert not kernel_positivity_report(K).underflow
 
 
 @st.composite
@@ -811,6 +829,38 @@ def test_certificate_implies_the_lattice_oracle_on_tiny_meshes(case):
     free = op.free_vertices
     assert K.entries[np.ix_(free, free)].min() > 0
     assert kernel_positivity_report(K).verdict is Verdict.PASS
+
+
+@settings(max_examples=60, deadline=None)
+@given(_tiny_operators())
+def test_principal_verdicts_match_the_lattice_perron_vector_on_tiny_meshes(
+        case):
+    # -Q = M_L^-1 A is the lumped pencil, so the lattice's Perron vector is
+    # an independent dense route to the sign both checks judge
+    from perronfem import lattice
+    from perronfem.assembly import mmatrix_report
+    from perronfem.spectral import REGION_FOR_MODE, region_vertices
+    from perronfem.verification import Problem, run_suite
+    op, cfg = case
+    assert op.n_dof <= 6
+    problem = Problem(mesh=op.mesh, coeffs=op.coeffs, mode=op.mode,
+                      evolution={"dt": cfg.dt})
+    problem.op = op
+    verdicts = {label: run_suite(problem, only=label).results[0].verdict
+                for label in ("principal-positivity", "perron-sign-structure")}
+    Q = -op.stiffness.toarray() / op.mass_lumped[:, None]
+    if not mmatrix_report(op).is_m_compatible:
+        # positive off-diagonal stiffness: Q is no generator
+        with pytest.raises(lattice.LatticeError):
+            lattice.MetzlerGenerator(Q)
+        assert verdicts["perron-sign-structure"] is Verdict.NOT_APPLICABLE
+        return
+    perron = lattice.perron_report(lattice.MetzlerGenerator(Q))
+    region = op.dof_map[region_vertices(op, REGION_FOR_MODE[op.mode])]
+    expected = Verdict.PASS if np.all(perron.vector[region] > 0) \
+        else Verdict.FAIL
+    assert verdicts["principal-positivity"] is expected
+    assert verdicts["perron-sign-structure"] is expected
 
 
 def test_verify_builds_no_dense_kernel():

@@ -363,6 +363,42 @@ def test_arnoldi_fallback_agrees_with_dense(robin_mesh8):
                                np.sort(dense_vals.real)[:3], rtol=1e-8)
 
 
+@pytest.mark.parametrize("mass", ["consistent", "lumped"])
+@pytest.mark.parametrize("mode, beta, b", [
+    (BoundaryMode.COMPLEX_ROBIN, 1.0 + 1.0j, (0.0, 0.0)),
+    (BoundaryMode.ROBIN, 1.0, (2.0, 1.0))])
+def test_reduced_dense_spectrum_matches_qz(robin_mesh8, mode, beta, b, mass):
+    # the Cholesky-reduced standard eigensolve against QZ on the pencil
+    from perronfem.assembly import mass_matrix
+    from perronfem.spectral import _dense_sorted_spectrum
+    op = assemble(robin_mesh8,
+                  CoefficientSet.constant(robin_mesh8, beta=beta, b=b), mode)
+    assert not op.is_hermitian
+    A = op.stiffness.toarray()
+    M = mass_matrix(mass, op.mass, op.mass_lumped).toarray()
+    qz = sla.eig(A, M, right=False)
+    qz = qz[np.lexsort((qz.imag, qz.real))]
+    values, vectors = _dense_sorted_spectrum(op, mass)
+    np.testing.assert_allclose(values[:4], qz[:4], rtol=1e-10)
+    X = vectors[:, :4]
+    residuals = np.linalg.norm(A @ X - (M @ X) * values[:4], axis=0) \
+        / np.linalg.norm(M @ X, axis=0)
+    assert np.all(residuals <= 1e-9)
+
+
+def test_dense_spectrum_without_a_cholesky_factor_is_a_solver_error(
+        robin_mesh8):
+    from dataclasses import replace
+    from perronfem.spectral import _dense_sorted_spectrum
+    op = assemble(robin_mesh8,
+                  CoefficientSet.constant(robin_mesh8, beta=1.0 + 1.0j),
+                  BoundaryMode.COMPLEX_ROBIN)
+    op = replace(op, mass=-op.mass)
+    with pytest.raises(SolverError, match="consistent mass matrix has no "
+                                          "Cholesky factor"):
+        _dense_sorted_spectrum(op, "consistent")
+
+
 def test_arnoldi_failure_is_a_solver_error(robin_mesh8, monkeypatch):
     import scipy.sparse.linalg as spla
     from perronfem.spectral import _arnoldi_smallest_real

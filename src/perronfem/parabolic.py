@@ -30,9 +30,9 @@ import scipy.sparse as sp
 
 from .assembly import CoefficientSet, assemble_volume, mass_matrix
 from .mesh import TriMesh
-from .semigroup import EvolutionConfig, Verdict, factorize, \
-    graph_diameter, step_matrices
-from .spectral import POSITIVITY_REL_TOL
+from .semigroup import EvolutionConfig, Verdict, graph_diameter, \
+    step_matrices
+from .spectral import POSITIVITY_REL_TOL, factorize
 
 COMPATIBILITY_TOL = 1e-10
 

@@ -17,10 +17,10 @@ which the propagation front has provably crossed it and at t.
 ``step_matrices`` is the one place a scheme becomes matrices; the
 boundary-pinned solve in ``parabolic`` slices its rows. ``march`` is the
 one step loop, forward or adjoint: it factorizes the step once per
-operator and (scheme, dt, mass) and serves ``evolve``, ``kernel`` and the
-certificate's witness. ``kernel`` applies K(t) or K(t)^T to a block of
-columns; only its dense form, on the block of all point masses, holds
-an n_dof x n_dof array.
+operator and (scheme, dt, mass), by ``spectral.factorize``, and serves
+``evolve``, ``kernel`` and the certificate's witness. ``kernel`` applies
+K(t) or K(t)^T to a block of columns; only its dense form, on the block
+of all point masses, holds an n_dof x n_dof array.
 """
 
 from __future__ import annotations
@@ -31,12 +31,12 @@ from enum import Enum
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .assembly import DiscreteOperator, MassKind, mass_matrix, \
     mmatrix_report
-from .spectral import REGION_FOR_MODE, SolverError, region_vertices
+from .spectral import REGION_FOR_MODE, SolverError, factorize, \
+    region_vertices
 
 
 class Scheme(Enum):
@@ -106,15 +106,6 @@ def step_matrices(A: sp.spmatrix, M: sp.spmatrix, scheme: Scheme,
     if Scheme(scheme) is Scheme.IMPLICIT_EULER:
         return (M + dt * A).tocsr(), M.tocsr()
     return (M + 0.5 * dt * A).tocsr(), (M - 0.5 * dt * A).tocsr()
-
-
-def factorize(matrix: sp.spmatrix):
-    """SuperLU factorization of a step matrix; a singular one raises
-    SolverError."""
-    try:
-        return spla.splu(matrix.tocsc())
-    except RuntimeError as exc:
-        raise SolverError(f"singular step matrix: {exc}") from exc
 
 
 class Stepper:

@@ -1,9 +1,10 @@
 """Principal eigenpairs, spectral gaps, and positivity certificates.
 
-Hermitian pencils (stiffness, mass) are solved by block inverse iteration
-with a Rayleigh-Ritz extraction; the shift is deterministic and sits
-certifiably below the bottom of the spectrum, so the factorization is
-reused across all sweeps and runs reproduce bitwise. Non-Hermitian
+Hermitian pencils (stiffness, mass) are solved by block inverse iteration:
+each sweep is one block solve, two block products and a Rayleigh-Ritz
+step on (YᵀAY, YᵀMY). The deterministic shift sits certifiably below the
+spectrum, so one factorization (``factorize``, the package's one SuperLU
+call) serves every sweep and runs reproduce bitwise. Non-Hermitian
 problems (complex Robin, or convection with b != c) get the full spectrum
 from a dense Cholesky-reduced standard eigensolve up to ``DENSE_CUTOFF``
 dofs and shift-invert Arnoldi above it. ``_lowest_pairs`` is the one place
@@ -32,6 +33,16 @@ DENSE_CUTOFF = 2000
 
 class SolverError(RuntimeError):
     pass
+
+
+def factorize(matrix: sp.spmatrix):
+    """The one SuperLU factorization of every step matrix and shifted pencil:
+    minimum-degree ordering on Aᵀ+A; a singular matrix raises SolverError."""
+    try:
+        return spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError as exc:
+        raise SolverError(f"singular step matrix or shifted pencil: {exc}") \
+            from exc
 
 
 class Region(Enum):
@@ -117,18 +128,6 @@ def _start_block(n: int, k: int) -> np.ndarray:
     return block
 
 
-def _m_orthonormalize(Y: np.ndarray, M) -> None:
-    for _rep in range(2):  # second pass for numerical orthogonality
-        for j in range(Y.shape[1]):
-            y = Y[:, j]
-            for i in range(j):
-                y = y - float(Y[:, i] @ (M @ y)) * Y[:, i]
-            nrm = math.sqrt(float(y @ (M @ y)))
-            if nrm == 0.0:
-                raise SolverError("iteration block became rank deficient")
-            Y[:, j] = y / nrm
-
-
 def _hermitian_pairs(A: sp.csr_matrix, M, mass_lumped: np.ndarray, k: int,
                      tol: float, max_iter: int = 500, guard: int = 2):
     """k smallest eigenpairs of the symmetric pencil (A, M).
@@ -143,31 +142,36 @@ def _hermitian_pairs(A: sp.csr_matrix, M, mass_lumped: np.ndarray, k: int,
         raise ValueError(f"requested {k} eigenpairs of an {n}-dim problem")
     sigma = _shift_below_spectrum(A, mass_lumped)
     try:
-        lu = spla.splu((A - sigma * M).tocsc())
-    except RuntimeError as exc:
+        lu = factorize(A - sigma * M)
+    except SolverError as exc:
         # shift adjustment on singular factorization
         sigma -= 10.0 * tol
         try:
-            lu = spla.splu((A - sigma * M).tocsc())
-        except RuntimeError:
+            lu = factorize(A - sigma * M)
+        except SolverError:
             raise SolverError(f"shift adjustment failed at sigma = {sigma}") \
                 from exc
 
     m = min(n, k + guard)
     X = _start_block(n, m)
+    MX = M @ X
     residuals = np.full(m, math.inf)
-    values = np.full(m, math.inf)
     for _sweep in range(max_iter):
-        Y = lu.solve(M @ X)
-        _m_orthonormalize(Y, M)
-        H = Y.T @ (A @ Y)
-        H = 0.5 * (H + H.T)
-        ritz, W = np.linalg.eigh(H)
-        X = Y @ W
-        values = ritz
-        AX = A @ X
-        MX = M @ X
-        residuals = np.linalg.norm(AX - MX * ritz[None, :], axis=0) \
+        Y = lu.solve(MX)
+        AY, MY = A @ Y, M @ Y
+        # Rayleigh-Ritz on (YᵀAY, YᵀMY), columns scaled to unit M-norm
+        G = Y.T @ MY
+        d = 1.0 / np.sqrt(G.diagonal())
+        H = d[:, None] * (Y.T @ AY) * d
+        G = d[:, None] * G * d
+        try:
+            values, W = sla.eigh(0.5 * (H + H.T), 0.5 * (G + G.T))
+        except sla.LinAlgError as exc:
+            raise SolverError("iteration block became rank deficient") \
+                from exc
+        W = d[:, None] * W
+        X, AX, MX = Y @ W, AY @ W, MY @ W
+        residuals = np.linalg.norm(AX - MX * values[None, :], axis=0) \
             / np.linalg.norm(MX, axis=0)
         if np.all(residuals[:k] <= tol):
             break
@@ -232,10 +236,13 @@ def _dense_sorted_spectrum(op: DiscreteOperator, mass: MassKind):
 def _arnoldi_smallest_real(op: DiscreteOperator, M, k: int, tol: float):
     """Shift-invert Arnoldi near a certified lower bound of Re(spectrum)."""
     sigma = _shift_below_spectrum(op.stiffness.real.tocsr(), op.mass_lumped)
+    shifted = op.stiffness - sigma * M
+    OPinv = spla.LinearOperator(shifted.shape, matvec=factorize(shifted).solve,
+                                dtype=shifted.dtype)
     v0 = _start_vector(op.n_dof)
     try:
         values, vectors = spla.eigs(op.stiffness, k=k, M=M, sigma=sigma,
-                                    which="LM", v0=v0, tol=tol)
+                                    which="LM", v0=v0, tol=tol, OPinv=OPinv)
     except spla.ArpackError as exc:
         raise SolverError(f"shift-invert Arnoldi failed: {exc}") from exc
     order = np.lexsort((values.imag, values.real))

@@ -25,7 +25,7 @@ from .semigroup import EvolutionConfig, KernelCertificate, KernelMatrix, \
     Verdict, default_evolution, kernel, kernel_certificate, \
     kernel_positivity_report, peripheral_pair, point_mass_columns, \
     positivity_improving_check, propagation_threshold
-from .spectral import REGION_FOR_MODE, certify_positivity, \
+from .spectral import REGION_FOR_MODE, SolverError, certify_positivity, \
     complex_robin_bound, principal_eig, spectral_gap
 
 
@@ -430,9 +430,9 @@ def jsonable(obj):
 
 def run_suite(problem: Problem, only: str | None = None,
               ) -> VerificationSuiteReport:
-    """Execute the registry in order; solver failures become FAIL verdicts
-    with diagnostics rather than exceptions. An AssertionError, a broken
-    invariant of the program, propagates."""
+    """Execute the registry in order; a raised error becomes a FAIL verdict
+    with diagnostics, a SolverError's with the reason "solver failure". An
+    AssertionError, a broken invariant of the program, propagates."""
     results = []
     for entry in REGISTRY:
         if only is not None and entry.label != only:
@@ -447,6 +447,8 @@ def run_suite(problem: Problem, only: str | None = None,
         except Exception as exc:  # surfaced as a failing verdict
             verdict = Verdict.FAIL
             payload = {"error": f"{type(exc).__name__}: {exc}"}
+            if isinstance(exc, SolverError):
+                payload["reason"] = "solver failure"
         runtime = time.perf_counter() - start
         results.append(SuiteResult(entry.label, verdict, payload, runtime))
     if only is not None and not results:

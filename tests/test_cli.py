@@ -180,6 +180,29 @@ def test_suite_surfaces_solver_failures_as_fail_verdicts():
     assert "graph diameter" in result.payload["error"]
 
 
+def test_suite_says_when_a_check_failed_in_the_solver(monkeypatch):
+    import scipy.sparse.linalg
+    from perronfem.semigroup import EvolutionConfig, MassKind
+
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
+    (result,) = run_suite(make_problem("robin"),
+                          only="principal-positivity").results
+    assert result.verdict is Verdict.FAIL
+    assert result.payload["reason"] == "solver failure"
+    assert result.payload["error"].startswith(
+        "SolverError: shift adjustment failed")
+    # any other exception keeps the bare error payload
+    monkeypatch.undo()
+    p = make_problem("robin",
+                     evolution=EvolutionConfig(dt=0.01, t_end=0.05,
+                                               mass=MassKind.LUMPED))
+    (result,) = run_suite(p, only="positivity-improving").results
+    assert result.verdict is Verdict.FAIL
+    assert list(result.payload) == ["error"]
+
+
 def test_suite_raises_a_broken_invariant(monkeypatch):
     import perronfem.verification as verification
 
@@ -351,7 +374,9 @@ def test_cli_parabolic(tmp_path):
 
 
 # parabolic output bytes, recorded while solve_mild, the positivity check and
-# the weak residual each assembled the volume matrices themselves
+# the weak residual each assembled the volume matrices themselves; the
+# trajectories and verdicts re-pinned when every factorization moved to
+# minimum-degree ordering (last-bit differences, same verdicts)
 PINNED_PARABOLIC = {
     "implicit-euler": ({
         "mesh": {"shape": "unit_square", "n": 6, "tags": "D"},
@@ -364,9 +389,9 @@ PINNED_PARABOLIC = {
         "test_bank_size": 8, "seed": 3,
     }, {
         "verdict.json":
-            "3b10f70dc6b7d34860864e44fbf3c9ce3ed93c5e3bf64c7bea5b9712ab894186",
+            "229d889b72f6ebd14947cf29ee43e96fc718e95e038158155875b8cdbd107b59",
         "trajectory.csv":
-            "0f2fffe7b5a3c37cd377d841af0555f6f424edb1325d5c6f9a3d466f2627f58a",
+            "1042c9f5efa2851d0f125c5187cbe12e5d5f48081da8f8e4685fa6968b6391b0",
         "strip.svg":
             "6f634de627fea91b3603d76346a122a500f4a426289326dcb7a361e24bab8819",
     }),
@@ -382,9 +407,9 @@ PINNED_PARABOLIC = {
         "test_bank_size": 8, "seed": 1,
     }, {
         "verdict.json":
-            "f853858273fce82f2398e29c7cd708a061c9f2a5a7a1e6fb5d9412deaa42a832",
+            "5067645973f094eb1bd75464f88efda97816c1fbc5a17fe6ae7f5a9e11f45dd0",
         "trajectory.csv":
-            "7a60461575d047ca882dff56535fb55d191d74d299e4d371bc9f9c1eb825ceeb",
+            "34f51542678b80a31892c217586473df3c1064259814939425cabf7cc52b054b",
         "strip.svg":
             "f4f8a2b2775ce1f10b92fcc2bdeaa118609d10c471048461064b2e6ec876e2f2",
     }),
@@ -653,7 +678,12 @@ LSHAPE_MIXED_TAGS = {"bottom": "D", "right": "N", "inner_h": "N",
 # the certificate and the same march's peripheral-pair columns; only its
 # payload differs. complex6 was re-pinned again when the dense non-Hermitian
 # spectrum moved from QZ to a Cholesky-reduced standard eigensolve; only
-# eigenvalue digits differ, by ~1e-13 relative.
+# eigenvalue digits differ, by ~1e-13 relative. robin6, dirichlet6 and
+# lshape4 were re-pinned when every factorization moved to minimum-degree
+# ordering and the Hermitian sweep to a Rayleigh-Ritz step on the pencil:
+# float digits move, by <= 1.5e-14 relative outside the residual-sized
+# entries, the verdicts do not; dirichlet6's principal-positivity witness
+# moves between two mirror-image vertices with the same minimum.
 PINNED_REPORTS = {
     "robin6": ({
         "mesh": {"shape": "unit_square", "n": 6, "tags": "N"},
@@ -661,11 +691,11 @@ PINNED_REPORTS = {
         "oracle": {"matrix": [[-2.0, 1.0, 0.0], [0.0, -2.0, 1.0],
                               [0.5, 0.0, -2.0]],
                    "expect_irreducible": True},
-    }, "16770c14168921aa52068ec22891d82a7bf0a1ce37766c5ea94426170213eb7b"),
+    }, "57fe96540f570562d9f0cb731d6ef2455a58aedb8783f0396fb83fe98ea500b9"),
     "dirichlet6": ({
         "mesh": {"shape": "unit_square", "n": 6, "tags": "D"},
         "coefficients": {"mode": "dirichlet"},
-    }, "e1b079916dca7af0787a1f11626716042b55285882b942dc677934666c9f4587"),
+    }, "9f15cce2e035521f200c618294d3a5e33c79751c195fe94cd6b2cc9672f82a19"),
     "complex6": ({
         "mesh": {"shape": "unit_square", "n": 6, "tags": "N"},
         "coefficients": {"beta": {"re": 1.0, "im": 0.5},
@@ -674,7 +704,7 @@ PINNED_REPORTS = {
     "lshape4": ({
         "mesh": {"shape": "l_shape", "n": 4, "tags": LSHAPE_MIXED_TAGS},
         "coefficients": {"mode": "mixed"},
-    }, "88e88fc12b70bfff03359bdeb0a68e0e1ae2b39730678544838bf24e040fcec5"),
+    }, "1bb4a5e69a2b5ff7ca1f275d8aa3f68204866c7d028f7c5cf7494d7737f7e363"),
 }
 
 
@@ -701,11 +731,13 @@ def test_cli_verify_report_bytes_pinned(tmp_path, name):
 
 # eig_report.json bytes, recorded before the CLI and the suite shared one
 # JSON conversion; complex6 re-pinned with the Cholesky-reduced dense
-# eigensolve (eigenvalues and residual in the last digits)
+# eigensolve (eigenvalues and residual in the last digits), robin6 with
+# the minimum-degree ordering and the Rayleigh-Ritz sweep on the pencil
+# (eigenvalues in the last digits, residual 2.0e-14 -> 1.3e-14)
 PINNED_EIG_REPORTS = {
     "robin6": (
         {"beta": 1.5, "mode": "robin"},
-        "2c501b084df0b15ce987ecd232fe3f33b4898c37c4ae2cf8e2d09c3b7b296800"),
+        "919ea1dfeaa356d022661af0793bf12ad1ae2e407045986e850d3522e45f6009"),
     "complex6": (
         {"beta": {"re": 1.0, "im": 0.5}, "mode": "complex_robin"},
         "dbae330463eca311d96fd87b0986dbf44d9be764e91be33450e7c8e69b10cd7a"),
@@ -766,6 +798,32 @@ def test_verify_factorizes_each_pencil_once(monkeypatch):
     assert len(calls) == 1  # the consistent pencil
     run_suite(problem, only="perron-sign-structure")
     assert len(calls) == 2  # plus the lumped pencil
+
+
+def test_every_factorization_orders_by_minimum_degree(tmp_path, monkeypatch):
+    import pathlib
+    import scipy.sparse.linalg
+    import perronfem
+    calls = []
+    splu = scipy.sparse.linalg.splu
+    monkeypatch.setattr(scipy.sparse.linalg, "splu",
+                        lambda A, **kw: calls.append(kw) or splu(A, **kw))
+
+    def run(command, name, cfg):
+        path = write_config(tmp_path / f"{name}.json",
+                            dict(cfg, output_dir=name))
+        assert main([command, "--config", path]) == 0
+
+    run("verify", "robin6", PINNED_REPORTS["robin6"][0])
+    assert len(calls) == 3  # consistent pencil, lumped pencil, step
+    run("verify", "lshape4", PINNED_REPORTS["lshape4"][0])
+    run("verify", "complex6", PINNED_REPORTS["complex6"][0])
+    run("parabolic", "ie", PINNED_PARABOLIC["implicit-euler"][0])
+    assert len(calls) > 3
+    assert all(kw.get("permc_spec") == "MMD_AT_PLUS_A" for kw in calls)
+    package = pathlib.Path(perronfem.__file__).parent
+    assert sum(path.read_text(encoding="utf-8").count("splu(")
+               for path in package.glob("*.py")) == 1
 
 
 def test_verify_runs_the_corkscrew_check_once(monkeypatch):

@@ -61,8 +61,8 @@ def _block_march(mesh, coeffs, u0, phi, cfg):
     """Reference: the boundary-pinned march from its own block formulas,
     one branch per scheme."""
     import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
     from perronfem.semigroup import Scheme
+    from perronfem.spectral import factorize
     A, M, ML = assemble_volume(mesh, coeffs)
     if cfg.mass is MassKind.LUMPED:
         M = sp.diags(ML).tocsr()
@@ -82,7 +82,7 @@ def _block_march(mesh, coeffs, u0, phi, cfg):
         explicit_I = M_II - 0.5 * dt * A_II
         explicit_B = M_IB - 0.5 * dt * A_IB
         implicit_B = M_IB + 0.5 * dt * A_IB
-    lu = spla.splu(lhs)
+    lu = factorize(lhs)
     fields = np.empty((cfg.n_steps + 1, mesh.n_vertices))
     fields[0] = u0
     fields[0, boundary] = phi.at(0.0)

@@ -511,3 +511,73 @@ def test_shared_solves_are_read_only(robin_op8, robin_mesh8):
 def test_complex_robin_bound_needs_the_complex_operator(robin_op8):
     with pytest.raises(ValueError, match="complex_robin"):
         complex_robin_bound(robin_op8)
+
+
+# -- the Rayleigh-Ritz sweep against a dense generalized eigensolve ---------------
+
+def _sweep_case(case):
+    if case == "l_shape_mixed":
+        mesh = generate_structured("l_shape", 4, {
+            "bottom": "D", "right": "N", "inner_h": "N", "inner_v": "N",
+            "top": "N", "left": "N"})
+        return assemble(mesh, CoefficientSet.constant(mesh),
+                        BoundaryMode.MIXED, corkscrew_checked=True)
+    mesh = generate_structured("unit_square", 10,
+                               "dirichlet" if case == "dirichlet" else "flux")
+    if case == "dirichlet":
+        return assemble(mesh, CoefficientSet.constant(mesh),
+                        BoundaryMode.DIRICHLET)
+    if case == "neumann":
+        return assemble(mesh, CoefficientSet.constant(mesh),
+                        BoundaryMode.NEUMANN)
+    a = [[2.0, 0.5], [0.5, 1.0]] if case == "anisotropic" else None
+    return assemble(mesh, CoefficientSet.constant(mesh, a=a, beta=1.0,
+                                                  mu=0.5),
+                    BoundaryMode.ROBIN)
+
+
+@pytest.mark.parametrize("k", [2, 4])
+@pytest.mark.parametrize("mass", ["consistent", "lumped"])
+@pytest.mark.parametrize("case", ["robin", "dirichlet", "neumann",
+                                  "l_shape_mixed", "anisotropic"])
+def test_hermitian_sweep_matches_dense_generalized_eigh(case, mass, k):
+    from perronfem.assembly import mass_matrix
+    from perronfem.spectral import _hermitian_pairs
+    op = _sweep_case(case)
+    M = mass_matrix(mass, op.mass, op.mass_lumped)
+    tol = 1e-10
+    values, vectors, residuals = _hermitian_pairs(
+        op.stiffness, M, op.mass_lumped, k, tol)
+    A = op.stiffness.toarray()
+    dense = sla.eigh(A, M.toarray(), eigvals_only=True)[:k]
+    scale = max(1.0, float(np.abs(dense).max()))
+    assert np.abs(values - dense).max() <= 1e-10 * scale
+    MX = M @ vectors
+    measured = np.linalg.norm(A @ vectors - MX * values, axis=0) \
+        / np.linalg.norm(MX, axis=0)
+    assert np.all(residuals <= tol) and np.all(measured <= tol)
+
+
+@pytest.mark.parametrize("mass", ["consistent", "lumped"])
+def test_hermitian_sweep_keeps_the_sign_in_a_potential_well(mass):
+    # c0 = 1e6 on the right half: the Perron vector decays by tens of
+    # orders of magnitude across the well and must stay positive
+    mesh = generate_structured("unit_square", 12, "flux")
+    right = mesh.vertices[mesh.triangles].mean(axis=1)[:, 0] > 0.5
+    coeffs = CoefficientSet.constant(mesh, beta=1.0,
+                                     c0=np.where(right, 1e6, 0.0))
+    op = assemble(mesh, coeffs, BoundaryMode.ROBIN)
+    vector = principal_eig(op, mass=mass).vector
+    assert vector.min() > 0.0
+    assert vector.min() < 1e-20 * vector.max()  # the well is really deep
+
+
+def test_rank_deficient_sweep_is_a_solver_error(robin_op8, monkeypatch):
+    from perronfem.spectral import _hermitian_pairs
+
+    def singular_gram(*args, **kwargs):
+        raise sla.LinAlgError("the leading minor is not positive definite")
+    monkeypatch.setattr(sla, "eigh", singular_gram)
+    with pytest.raises(SolverError, match="rank deficient"):
+        _hermitian_pairs(robin_op8.stiffness, robin_op8.mass,
+                         robin_op8.mass_lumped, k=2, tol=1e-10)

@@ -32,6 +32,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .mesh import BoundaryTag, TriMesh
 
@@ -81,12 +82,6 @@ class EllipticityReport:
 
 
 @dataclass(frozen=True)
-class MMatrixReport:
-    offdiag_max: float
-    is_m_compatible: bool
-
-
-@dataclass(frozen=True)
 class CoefficientSet:
     """Piecewise-constant coefficient data for one mesh.
 
@@ -94,8 +89,9 @@ class CoefficientSet:
     b : (nt, 2) convection paired with the test gradient
     c : (nt, 2) convection paired with the trial gradient
     c0 : (nt,) zero-order coefficient
-    beta : (nb,) boundary coefficient per boundary edge (complex allowed;
-        entries on Dirichlet-tagged edges are ignored)
+    beta : (nb,) boundary coefficient per boundary edge (complex allowed,
+        stored real when every imaginary part is 0; entries on
+        Dirichlet-tagged edges are ignored)
     mu : claimed uniform ellipticity constant (> 0)
     """
 
@@ -113,8 +109,9 @@ class CoefficientSet:
         object.__setattr__(self, "c", np.asarray(self.c, dtype=float))
         object.__setattr__(self, "c0", np.asarray(self.c0, dtype=float))
         beta = np.asarray(self.beta)
-        if not np.iscomplexobj(beta):
-            beta = beta.astype(float)
+        # a beta with no imaginary part is real, whatever its spelling
+        if not (np.iscomplexobj(beta) and np.any(beta.imag != 0)):
+            beta = beta.real.astype(float)
         object.__setattr__(self, "beta", beta)
         if self.validate:
             if self.mu <= 0:
@@ -145,9 +142,8 @@ class CoefficientSet:
         if beta_arr.ndim != 0 and beta_arr.shape != (nb,):
             raise AssemblyError(f"beta must be scalar or one value per "
                                 f"boundary edge ({nb})")
-        dtype = complex if np.iscomplexobj(beta_arr) else float
-        beta_full = np.broadcast_to(beta_arr.astype(dtype), (nb,)).copy()
-        return cls(a=a, b=b, c=c, c0=c0, beta=beta_full, mu=mu,
+        return cls(a=a, b=b, c=c, c0=c0,
+                   beta=np.broadcast_to(beta_arr, (nb,)).copy(), mu=mu,
                    validate=validate)
 
     def is_a_symmetric(self) -> bool:
@@ -349,8 +345,7 @@ def assemble(mesh: TriMesh, coeffs: CoefficientSet, mode: BoundaryMode, *,
     mode = BoundaryMode(mode)
     tags = set(mesh.boundary_tags)
     beta = coeffs.beta
-    if np.iscomplexobj(beta) and np.any(beta.imag != 0) \
-            and mode is not BoundaryMode.COMPLEX_ROBIN:
+    if np.iscomplexobj(beta) and mode is not BoundaryMode.COMPLEX_ROBIN:
         raise AssemblyError("complex beta requires COMPLEX_ROBIN mode")
 
     if mode is BoundaryMode.DIRICHLET:
@@ -414,24 +409,90 @@ def apply_form(op: DiscreteOperator, u: np.ndarray, v: np.ndarray) -> complex:
     return complex(np.vdot(v, op.stiffness @ u))
 
 
-def mmatrix_report(op: DiscreteOperator) -> MMatrixReport:
-    """Scan for positive off-diagonal stiffness entries.
+def offdiag_max(Z: sp.spmatrix, rows=slice(None)) -> float:
+    """The M-matrix sign scan: the larger of 0 and the largest off-diagonal
+    entry in the given rows of the square matrix Z (all by default)."""
+    return float((Z - sp.diags(Z.diagonal()))[rows].max())
 
-    All off-diagonal entries <= 0 (together with lumped mass) is the
-    discrete regime in which the positivity certificates are provable.
-    """
+
+def offdiagonal_pattern(matrix: sp.spmatrix) -> sp.csr_matrix:
+    """Unit entries at a square matrix's nonzero off-diagonal entries."""
+    pattern = abs(sp.csr_matrix(matrix - sp.diags(matrix.diagonal())))
+    pattern.eliminate_zeros()
+    pattern.data[:] = 1.0
+    return pattern
+
+
+def annihilates_constants(A: sp.spmatrix, rows=slice(None),
+                          tol: float = 1e-10) -> bool:
+    """Whether the given rows of A (all by default) sum to zero."""
+    r = A @ np.ones(A.shape[0])
+    scale = max(1.0, float(np.abs(A).max()))
+    return bool(np.all(np.abs(r[rows]) <= tol * scale))
+
+
+@dataclass(frozen=True)
+class MMatrixCertificate:
+    """Whether Z is an irreducible nonsingular M-matrix, so Z^-1 > 0
+    entrywise (Berman & Plemmons, *Nonnegative Matrices in the Mathematical
+    Sciences*, ch. 6); ``irreducible`` says the sign pattern, diagonal and
+    graph hypotheses hold, ``reason`` names the first unmet one."""
+
+    holds: bool
+    offdiag_max: float = math.nan   # the sign scan
+    irreducible: bool = False
+    min_row_sum: float = math.nan   # min(Z*1); w = 1 is a witness when > 0
+    reason: str = ""
+
+    @property
+    def is_m_compatible(self) -> bool:
+        return self.offdiag_max <= 0.0
+
+
+def mmatrix_certificate(Z: sp.spmatrix, name: str, scan=None,
+                        inverse_ones=None) -> MMatrixCertificate:
+    """The one M-matrix certificate, of a real square matrix ``Z`` (called
+    ``name`` in the reasons): Z has nonpositive off-diagonal entries and a
+    positive diagonal, its off-diagonal graph is strongly connected, and
+    some w > 0 has Z*w > 0: w = 1, or else w = ``inverse_ones()`` = Z^-1*1
+    from a factor the caller holds. ``scan`` is a sign scan the caller
+    already has, of Z, of a positive multiple of Z, or of the rows Z is cut
+    from (their other columns must be nonpositive too)."""
+    scan = offdiag_max(Z) if scan is None else scan
+    if scan > 0.0:
+        return MMatrixCertificate(
+            False, scan, reason=f"{name} has positive off-diagonal entries")
+    if not np.all(Z.diagonal() > 0.0):
+        return MMatrixCertificate(
+            False, scan, reason=f"{name} has a diagonal entry <= 0")
+    # directed: a non-symmetric Z may couple i to j but not j to i
+    n_strong, _ = connected_components(offdiagonal_pattern(Z),
+                                       directed=True, connection="strong")
+    if n_strong > 1:
+        return MMatrixCertificate(
+            False, scan, reason=f"{name} is reducible: its off-diagonal "
+                                f"graph has {n_strong} strong components")
+    min_row_sum = float((Z @ np.ones(Z.shape[0])).min())
+    if min_row_sum > 0.0:
+        return MMatrixCertificate(True, scan, True, min_row_sum)
+    try:
+        w = None if inverse_ones is None else inverse_ones()
+    except RuntimeError:  # a singular factor is no witness
+        w = None
+    holds = bool(w is not None and np.all(w > 0.0) and np.all(Z @ w > 0.0))
+    return MMatrixCertificate(
+        holds, scan, True, min_row_sum, reason="" if holds else
+        f"{name} has a row sum <= 0 and no witness w > 0 with {name}*w > 0")
+
+
+def mmatrix_report(op: DiscreteOperator) -> MMatrixCertificate:
+    """``mmatrix_certificate`` of a real operator's stiffness, once per
+    operator and shared by every caller; its sign scan decides whether the
+    discrete positivity certificates can apply at all."""
     if op.is_complex:
         raise AssemblyError("M-matrix report requires a real operator")
-    coo = op.stiffness.tocoo()
-    off = coo.data[coo.row != coo.col]
-    n = op.n_dof
-    stored_max = float(off.max()) if off.size else -math.inf
-    # unstored pairs are exact zeros and count as off-diagonal entries
-    if off.size < n * (n - 1):
-        stored_max = max(stored_max, 0.0)
-    offdiag_max = stored_max if math.isfinite(stored_max) else 0.0
-    return MMatrixReport(offdiag_max=offdiag_max,
-                         is_m_compatible=offdiag_max <= 0.0)
+    return op.cached("mmatrix", lambda: mmatrix_certificate(op.stiffness,
+                                                            "stiffness"))
 
 
 # ---------------------------------------------------------------------------

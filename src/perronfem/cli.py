@@ -131,6 +131,16 @@ def _solver_tol(cfg: dict) -> float:
     return tol
 
 
+def _load_inputs(args, keys) -> tuple:
+    """(config, its directory, mesh, coefficients, boundary mode) of a
+    command whose config may hold only ``keys``."""
+    cfg, base = _load_config(args.config)
+    _check_keys(cfg, keys, "config")
+    mesh = _resolve_mesh(cfg.get("mesh", {}), base)
+    return (cfg, base, mesh,
+            *_resolve_coefficients(cfg.get("coefficients", {}), base, mesh))
+
+
 def _out_dir(cfg: dict, base: Path) -> Path:
     out = base / cfg.get("output_dir", ".")
     out.mkdir(parents=True, exist_ok=True)
@@ -180,11 +190,7 @@ _EIG_KEYS = {"mesh", "coefficients", "solver", "seed", "output_dir",
 
 
 def _cmd_eig(args) -> int:
-    cfg, base = _load_config(args.config)
-    _check_keys(cfg, _EIG_KEYS, "config")
-    mesh = _resolve_mesh(cfg.get("mesh", {}), base)
-    coeffs, mode = _resolve_coefficients(cfg.get("coefficients", {}), base,
-                                         mesh)
+    cfg, base, mesh, coeffs, mode = _load_inputs(args, _EIG_KEYS)
     tol = _solver_tol(cfg)
     out = _out_dir(cfg, base)
 
@@ -201,13 +207,10 @@ def _cmd_eig(args) -> int:
         "multiplicity_flag": report.multiplicity_flag,
         "eigenvalues": [complex(v) for v in gaps.values],
     }
-    full = op.expand(report.vector.real if np.iscomplexobj(report.vector)
-                     else report.vector)
-    if mode in REGION_FOR_MODE and not np.iscomplexobj(report.vector):
+    full = op.expand(np.real(report.vector))
+    if mode in REGION_FOR_MODE:
         cert = certify_positivity(report, op)
-        payload["positivity"] = {
-            "region": cert.region.value, "min_value": cert.min_value,
-            "witness_node": cert.witness_node, "passed": cert.passed}
+        payload["positivity"] = {**cert.payload(), "passed": cert.passed}
     _write_json(out / "eig_report.json", payload)
     if cfg.get("emit_csv", True):
         lines = ["vertex,x,y,value"]
@@ -227,11 +230,7 @@ _EVOLVE_KEYS = {"mesh", "coefficients", "evolution", "u0", "seed",
 
 
 def _cmd_evolve(args) -> int:
-    cfg, base = _load_config(args.config)
-    _check_keys(cfg, _EVOLVE_KEYS, "config")
-    mesh = _resolve_mesh(cfg.get("mesh", {}), base)
-    coeffs, mode = _resolve_coefficients(cfg.get("coefficients", {}), base,
-                                         mesh)
+    cfg, base, mesh, coeffs, mode = _load_inputs(args, _EVOLVE_KEYS)
     ecfg = default_evolution(mesh, **_resolve_evolution(cfg.get("evolution")))
     out = _out_dir(cfg, base)
 
@@ -251,11 +250,7 @@ _KERNEL_KEYS = {"mesh", "coefficients", "evolution", "seed", "output_dir"}
 
 
 def _cmd_kernel(args) -> int:
-    cfg, base = _load_config(args.config)
-    _check_keys(cfg, _KERNEL_KEYS, "config")
-    mesh = _resolve_mesh(cfg.get("mesh", {}), base)
-    coeffs, mode = _resolve_coefficients(cfg.get("coefficients", {}), base,
-                                         mesh)
+    cfg, base, mesh, coeffs, mode = _load_inputs(args, _KERNEL_KEYS)
     ecfg = default_evolution(mesh, **_resolve_evolution(cfg.get("evolution")))
     t = args.t if args.t is not None else ecfg.t_end
     out = _out_dir(cfg, base)
@@ -331,11 +326,7 @@ def _resolve_phi(spec, mesh, t_end) -> BoundaryData:
 
 
 def _cmd_parabolic(args) -> int:
-    cfg, base = _load_config(args.config)
-    _check_keys(cfg, _PARABOLIC_KEYS, "config")
-    mesh = _resolve_mesh(cfg.get("mesh", {}), base)
-    coeffs, _mode = _resolve_coefficients(cfg.get("coefficients", {}), base,
-                                          mesh)
+    cfg, base, mesh, coeffs, _mode = _load_inputs(args, _PARABOLIC_KEYS)
     ecfg = default_evolution(mesh, **_resolve_evolution(cfg.get("evolution")))
     seed = _number(cfg, "seed", 0, "config", int)
     out = _out_dir(cfg, base)
@@ -362,7 +353,7 @@ def _cmd_parabolic(args) -> int:
             "start_step": positivity.start_step,
             "first_violation": positivity.first_violation,
             "reason": positivity.reason,
-        },
+            **({"underflow": True} if positivity.underflow else {})},
         "very_weak_residual": residual,
         "steps": len(sol.times) - 1,
     })
@@ -405,11 +396,7 @@ _VERIFY_KEYS = {"mesh", "coefficients", "solver", "evolution",
 
 
 def _cmd_verify(args) -> int:
-    cfg, base = _load_config(args.config)
-    _check_keys(cfg, _VERIFY_KEYS, "config")
-    mesh = _resolve_mesh(cfg.get("mesh", {}), base)
-    coeffs, mode = _resolve_coefficients(cfg.get("coefficients", {}), base,
-                                         mesh)
+    cfg, base, mesh, coeffs, mode = _load_inputs(args, _VERIFY_KEYS)
     tol = _solver_tol(cfg)
     evolution = _resolve_evolution(cfg.get("evolution"))
     default_evolution(mesh, **evolution)  # rejects a bad block

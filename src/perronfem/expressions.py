@@ -9,12 +9,14 @@ whitelist, so arbitrary code never runs.
 from __future__ import annotations
 
 import ast
+import operator
 
 import numpy as np
 
 _FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
 
-_ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div)
+_BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub,
+           ast.Mult: operator.mul, ast.Div: operator.truediv}
 
 
 class ExpressionError(ValueError):
@@ -33,18 +35,12 @@ def _evaluate(node, env):
             return env[node.id]
         raise ExpressionError(f"unknown name {node.id!r}; only x and y "
                               "are available")
-    if isinstance(node, ast.BinOp) and isinstance(node.op, _ALLOWED_BINOPS):
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
         left = _evaluate(node.left, env)
         right = _evaluate(node.right, env)
-        if isinstance(node.op, ast.Add):
-            return left + right
-        if isinstance(node.op, ast.Sub):
-            return left - right
-        if isinstance(node.op, ast.Mult):
-            return left * right
-        if np.any(np.asarray(right) == 0.0):
+        if isinstance(node.op, ast.Div) and np.any(np.asarray(right) == 0.0):
             raise ExpressionError("division by zero")
-        return left / right
+        return _BINOPS[type(node.op)](left, right)
     if isinstance(node, ast.UnaryOp) and isinstance(node.op,
                                                     (ast.UAdd, ast.USub)):
         value = _evaluate(node.operand, env)

@@ -71,9 +71,6 @@ class CorkscrewResult:
     witnesses: dict
     failure: tuple | None = None
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 @dataclass(frozen=True)
 class TriMesh:
@@ -377,33 +374,33 @@ def save_mesh(mesh: TriMesh) -> str:
     return "\n".join(lines) + "\n"
 
 
-class _Lines:
-    def __init__(self, text):
-        self.items = []  # (lineno, tokens)
-        for no, raw in enumerate(text.splitlines(), start=1):
-            body = raw.split("#", 1)[0].strip()
-            if body:
-                self.items.append((no, body.split()))
-        self.pos = 0
-
-    def next(self, what):
-        if self.pos >= len(self.items):
-            raise MeshError(f"unexpected end of file while reading {what}")
-        item = self.items[self.pos]
-        self.pos += 1
-        return item
+def _file_tag(token: str) -> BoundaryTag:
+    if token not in ("D", "N"):
+        raise MeshError(f"tag must be D or N, got {token!r}")
+    return as_tag(token)
 
 
 def load_mesh(text: str) -> TriMesh:
     """Parse the text format; reports line numbers on malformed input."""
-    src = _Lines(text)
+    # (line number, tokens) of each line with content, comments stripped
+    lines = iter([(no, body.split()) for no, raw in
+                  enumerate(text.splitlines(), start=1)
+                  if (body := raw.split("#", 1)[0].strip())])
 
-    no, tok = src.next("header")
+    def next_line(what):
+        item = next(lines, None)
+        if item is None:
+            raise MeshError(f"unexpected end of file while reading {what}")
+        return item
+
+    no, tok = next_line("header")
     if tok != ["trimesh", "2"]:
         raise MeshError(f"line {no}: expected header 'trimesh 2'")
 
-    def read_count(keyword):
-        no, tok = src.next(f"'{keyword}' count")
+    def read_section(keyword, what, width, needs, parse, malformed):
+        """A '<keyword> <count>' line, then one line of ``width`` tokens
+        per row, read by ``parse``; a ValueError there is ``malformed``."""
+        no, tok = next_line(f"'{keyword}' count")
         if len(tok) != 2 or tok[0] != keyword:
             raise MeshError(f"line {no}: expected '{keyword} <count>'")
         try:
@@ -412,50 +409,35 @@ def load_mesh(text: str) -> TriMesh:
             raise MeshError(f"line {no}: malformed count {tok[1]!r}") from None
         if count < 0:
             raise MeshError(f"line {no}: negative count")
-        return count
+        rows = []
+        for i in range(count):
+            no, tok = next_line(f"{what} {i}")
+            if len(tok) != width:
+                raise MeshError(f"line {no}: {what} needs {needs}")
+            try:
+                rows.append(parse(tok))
+            except MeshError as exc:
+                raise MeshError(f"line {no}: {exc}") from None
+            except ValueError:
+                raise MeshError(f"line {no}: malformed {malformed}") from None
+        return rows
 
-    nv = read_count("vertices")
-    verts = np.empty((nv, 2))
-    for i in range(nv):
-        no, tok = src.next(f"vertex {i}")
-        if len(tok) != 2:
-            raise MeshError(f"line {no}: vertex needs two coordinates")
-        try:
-            verts[i] = [float(tok[0]), float(tok[1])]
-        except ValueError:
-            raise MeshError(f"line {no}: malformed coordinate") from None
-
-    nt = read_count("triangles")
-    tris = np.empty((nt, 3), dtype=np.int64)
-    for i in range(nt):
-        no, tok = src.next(f"triangle {i}")
-        if len(tok) != 3:
-            raise MeshError(f"line {no}: triangle needs three vertex indices")
-        try:
-            tris[i] = [int(t) for t in tok]
-        except ValueError:
-            raise MeshError(f"line {no}: malformed vertex index") from None
-
-    nb = read_count("boundary")
-    bedges = np.empty((nb, 2), dtype=np.int64)
-    btags = []
-    for i in range(nb):
-        no, tok = src.next(f"boundary edge {i}")
-        if len(tok) != 3:
-            raise MeshError(f"line {no}: boundary edge needs 'i j TAG'")
-        try:
-            bedges[i] = [int(tok[0]), int(tok[1])]
-        except ValueError:
-            raise MeshError(f"line {no}: malformed vertex index") from None
-        if tok[2] not in ("D", "N"):
-            raise MeshError(f"line {no}: tag must be D or N, got {tok[2]!r}")
-        btags.append(as_tag(tok[2]))
-
-    if src.pos != len(src.items):
-        no, _ = src.items[src.pos]
-        raise MeshError(f"line {no}: trailing content after mesh data")
-
-    return TriMesh(verts, tris, bedges, tuple(btags))
+    verts = read_section("vertices", "vertex", 2, "two coordinates",
+                         lambda t: [float(x) for x in t], "coordinate")
+    tris = read_section("triangles", "triangle", 3, "three vertex indices",
+                        lambda t: [int(x) for x in t], "vertex index")
+    boundary = read_section("boundary", "boundary edge", 3, "'i j TAG'",
+                            lambda t: (int(t[0]), int(t[1]), _file_tag(t[2])),
+                            "vertex index")
+    trailing = next(lines, None)
+    if trailing is not None:
+        raise MeshError(f"line {trailing[0]}: trailing content after mesh "
+                        "data")
+    return TriMesh(np.array(verts, dtype=float).reshape(-1, 2),
+                   np.array(tris, dtype=np.int64).reshape(-1, 3),
+                   np.array([b[:2] for b in boundary],
+                            dtype=np.int64).reshape(-1, 2),
+                   tuple(b[2] for b in boundary))
 
 
 # ---------------------------------------------------------------------------

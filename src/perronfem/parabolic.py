@@ -8,8 +8,10 @@ vertex partition (I, B) and one-step matrices built from the volume form,
                                 - (M_IB + dt*A_IB) u_B(k+1),
 
 and u_B pinned to the interpolated data. With lumped mass the M_IB blocks
-vanish and nonnegative data provably propagate to nonnegative states
-whenever the interior step matrix is an M-matrix.
+vanish, so nonnegative data give strictly positive interior states when
+the interior step matrix passes ``assembly.mmatrix_certificate`` and
+-A_IB >= 0; the elliptic strong minimum principle reads the same
+certificate on A_II. No verdict compares a field with a float floor.
 
 Trajectories can be audited against the space-time weak formulation: for
 test functions vanishing at the time endpoints and on the boundary, the
@@ -28,11 +30,12 @@ from enum import Enum
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import CoefficientSet, assemble_volume, mass_matrix
+from .assembly import CoefficientSet, MassKind, annihilates_constants, \
+    assemble_volume, mass_matrix, mmatrix_certificate, offdiag_max
 from .mesh import TriMesh
-from .semigroup import EvolutionConfig, Verdict, graph_diameter, \
-    step_matrices
-from .spectral import POSITIVITY_REL_TOL, factorize
+from .semigroup import IMPLICIT_EULER_ONLY, EvolutionConfig, Scheme, \
+    Verdict, graph_diameter, step_matrices
+from .spectral import SolverError, factorize
 
 COMPATIBILITY_TOL = 1e-10
 
@@ -219,56 +222,65 @@ class StrongPositivityReport:
     start_step: int             # first step at which positivity is claimed
     first_violation: tuple | None = None   # (time, vertex)
     reason: str = ""
-
-    def __bool__(self):
-        return self.verdict is Verdict.PASS
+    underflow: bool = False     # a positive interior value lost to 0.0
 
 
 def strong_positivity_check(sol: MildSolution) -> StrongPositivityReport:
-    """Certify strict interior positivity past the propagation threshold.
-
-    With nonnegative initial and boundary data, a nonzero initial datum
-    forces interior positivity after the coupling graph has been crossed;
-    boundary data switching on at time t0 forces it after t0 plus the
-    same threshold. Zero data make the claim vacuous.
-    """
-    tol_in = POSITIVITY_REL_TOL * max(1.0, float(np.abs(sol.fields).max()))
-    if sol.u0.min() < -tol_in or sol.phi.values.min() < -tol_in:
+    """Certify strict interior positivity past the propagation threshold,
+    counted from a nonzero interior datum or from the first step the
+    boundary data reach an interior row; zero data, or a horizon that ends
+    first, claim nothing. Each implicit Euler step with lumped mass solves
+    Z u_I(k+1) = M_L,II u_I(k) - dt A_IB u_B(k+1); when
+    Z = (M_L + dt A)_II passes ``mmatrix_certificate`` and -A_IB >= 0,
+    nonnegative data that reach the interior give positive values there.
+    The float cross-check tests sign: an exact 0.0 is flagged as
+    underflow, a negative value fails."""
+    if sol.u0.min() < 0.0 or sol.phi.values.min() < 0.0:
         return StrongPositivityReport(
             Verdict.NOT_APPLICABLE, -1, -1,
             reason="hypotheses need nonnegative initial and boundary data")
 
     threshold = _interior_threshold(sol)
-    n_steps = len(sol.times) - 1
-    dt = sol.cfg.dt
-
-    u0_interior_nonzero = bool(np.any(sol.u0[sol.interior] > tol_in))
-    boundary_on = [k for k in range(n_steps + 1)
-                   if np.any(sol.phi.at(k * dt) > tol_in)]
-    if u0_interior_nonzero:
+    n_steps, dt = len(sol.times) - 1, sol.cfg.dt
+    A = sol.stiffness[sol.interior]
+    A_IB = A[:, sol.boundary]
+    if np.any(sol.u0[sol.interior] > 0.0):
         start = threshold
-    elif boundary_on:
-        # boundary data reach interior neighbors one step after switching on
-        start = boundary_on[0] + 1 + threshold
-    else:
-        return StrongPositivityReport(
-            Verdict.NOT_APPLICABLE, threshold, -1,
-            reason="zero data evolve to zero; nothing to certify")
-    if start > n_steps:
-        raise ParabolicError(
-            f"certificate needs step {start} but the trajectory has only "
-            f"{n_steps} steps")
+    else:  # one step after the boundary data first drive an interior row
+        start = next((k + 1 + threshold for k in range(n_steps + 1)
+                      if np.any(A_IB @ sol.phi.at(k * dt) != 0.0)), -1)
+    reason = ""
+    if start < 0:
+        reason = "zero data evolve to zero; nothing to certify"
+    elif start > n_steps:
+        reason = f"the claim starts at step {start} but the trajectory " \
+                 f"has only {n_steps} steps"
+    elif (sol.cfg.scheme, sol.cfg.mass) != (Scheme.IMPLICIT_EULER,
+                                            MassKind.LUMPED):
+        reason = IMPLICIT_EULER_ONLY
+    else:  # the sign scan of the interior rows covers -A_IB >= 0 too
+        Z, _ = step_matrices(A[:, sol.interior],
+                             sp.diags(sol.mass_lumped[sol.interior]),
+                             sol.cfg.scheme, dt)
+        reason = mmatrix_certificate(
+            Z, "interior step matrix",
+            offdiag_max(sol.stiffness, sol.interior)).reason
+    if reason:
+        return StrongPositivityReport(Verdict.NOT_APPLICABLE, threshold,
+                                      start, reason=reason)
 
+    underflow = False
     for k in range(start, n_steps + 1):
-        u = sol.fields[k]
-        tol = POSITIVITY_REL_TOL * float(np.abs(u).max())
-        inside = u[sol.interior]
-        if not np.all(inside >= tol):
-            bad = sol.interior[int(np.argmin(inside))]
+        inside = sol.fields[k, sol.interior]
+        low = float(inside.min())
+        if low < 0.0:
             return StrongPositivityReport(
-                Verdict.FAIL, threshold, start,
-                first_violation=(float(sol.times[k]), int(bad)))
-    return StrongPositivityReport(Verdict.PASS, threshold, start)
+                Verdict.FAIL, threshold, start, first_violation=(
+                    float(sol.times[k]),
+                    int(sol.interior[int(np.argmin(inside))])))
+        underflow = underflow or low == 0.0
+    return StrongPositivityReport(Verdict.PASS, threshold, start,
+                                  underflow=underflow)
 
 
 # ---------------------------------------------------------------------------
@@ -286,23 +298,14 @@ def conserves_constants(mesh: TriMesh, coeffs: CoefficientSet,
     A, _, _ = assemble_volume(mesh, coeffs)
     interior = np.setdiff1d(np.arange(mesh.n_vertices),
                             mesh.boundary_vertices())
-    return _annihilates_constants(A, interior, tol)
-
-
-def _annihilates_constants(A, interior: np.ndarray,
-                           tol: float = 1e-10) -> bool:
-    """Whether every interior row of A sums to zero; vacuously true
-    without interior rows."""
-    r = A @ np.ones(A.shape[0])
-    scale = max(1.0, float(np.abs(A).max()))
-    return bool(np.all(np.abs(r[interior]) <= tol * scale))
+    return annihilates_constants(A, interior, tol)
 
 
 def constancy_principle_check(sol: MildSolution, t0: float, x0: int,
                               ) -> tuple[ConstancyVerdict, dict]:
     """If an interior node attains the running space-time maximum at t0,
     the trajectory must have been constant up to t0."""
-    if not _annihilates_constants(sol.stiffness, sol.interior):
+    if not annihilates_constants(sol.stiffness, sol.interior):
         raise ParabolicError("constancy principle needs an operator that "
                              "annihilates constants")
     if x0 in sol.boundary:
@@ -443,14 +446,12 @@ def very_weak_residual(sol: MildSolution, test_bank) -> float:
 class EllipticMaxReport:
     is_solution: bool
     residual: float
-    positivity: Verdict          # interior min > 0 given u >= 0, trace != 0
+    positivity: Verdict          # interior min > 0 given u_B >= 0 reaching I
     interior_min: float
     constancy: Verdict           # constant given interior max attained
     spread: float
-
-    def __bool__(self):
-        return self.is_solution and self.positivity is not Verdict.FAIL \
-            and self.constancy is not Verdict.FAIL
+    margin: float = math.nan     # |u_I - exact| <= res * max(A_II^-1 1)
+    reason: str = ""             # why positivity is not applicable
 
 
 def elliptic_strong_max_check(mesh: TriMesh, coeffs: CoefficientSet,
@@ -461,7 +462,11 @@ def elliptic_strong_max_check(mesh: TriMesh, coeffs: CoefficientSet,
 
     The field must satisfy the interior equations (rows of the volume
     stiffness) up to tolerance; otherwise the report flags NOT A SOLUTION
-    and skips the principles.
+    and skips the principles. When A_II passes ``mmatrix_certificate``
+    (witness A_II^-1 1 from one solve), -A_IB >= 0 and the boundary data
+    are nonnegative and reach an interior row, the exact interior solution
+    A_II^-1 (-A_IB u_B) is positive; u differs from it by at most
+    ``margin``, which the sign test allows.
     """
     u = np.asarray(u, dtype=float)
     boundary = mesh.boundary_vertices()
@@ -473,22 +478,36 @@ def elliptic_strong_max_check(mesh: TriMesh, coeffs: CoefficientSet,
         return EllipticMaxReport(False, res, Verdict.NOT_APPLICABLE,
                                  math.nan, Verdict.NOT_APPLICABLE, math.nan)
 
-    span = max(1.0, float(u.max() - u.min()))
-    near = tol * span
-
     interior_min = float(u[interior].min()) if interior.size else math.nan
+    positivity, margin = Verdict.NOT_APPLICABLE, math.nan
+    A_I = A[interior]
     # without interior vertices the strong principle claims nothing
-    if interior.size and u.min() >= -near \
-            and np.any(np.abs(u[boundary]) > near):
-        positivity = Verdict.PASS if interior_min > near else Verdict.FAIL
+    if not interior.size:
+        reason = "no interior vertices"
+    elif u[boundary].min() < 0.0 \
+            or not np.any(A_I[:, boundary] @ u[boundary] != 0.0):
+        reason = "hypotheses need nonnegative boundary data that reach " \
+                 "the interior"
     else:
-        positivity = Verdict.NOT_APPLICABLE
+        A_II = A_I[:, interior]
+        try:
+            w = factorize(A_II).solve(np.ones(interior.size))
+        except SolverError:
+            w = None
+        reason = mmatrix_certificate(A_II, "interior stiffness",
+                                     offdiag_max(A, interior),
+                                     inverse_ones=lambda: w).reason
+        if not reason:
+            margin = res * float(w.max())
+            positivity = Verdict.PASS if interior_min >= -margin \
+                else Verdict.FAIL
 
     spread = float(u.max() - u.min())
-    if _annihilates_constants(A, interior) \
+    near = tol * max(1.0, spread)
+    if annihilates_constants(A, interior) \
             and np.any(u[interior] >= float(u.max()) - near):
         constancy = Verdict.PASS if spread <= near else Verdict.FAIL
     else:
         constancy = Verdict.NOT_APPLICABLE
     return EllipticMaxReport(True, res, positivity, interior_min,
-                             constancy, spread)
+                             constancy, spread, margin, reason)

@@ -1,18 +1,15 @@
 """Discrete heat semigroups: evolution, kernels, positivity certificates.
 
 The implicit Euler step with lumped mass is the workhorse for positivity:
-when the stiffness matrix has nonpositive off-diagonal entries, the step
-matrix B = M_L + dt*A is a Z-matrix. If B is moreover irreducible (its
-off-diagonal graph is strongly connected) and some w > 0 has B*w > 0
-(w = 1, or else w = B^-1*1), B is a nonsingular M-matrix with an entrywise
-positive inverse (Berman & Plemmons, *Nonnegative Matrices in the
-Mathematical Sciences*, ch. 6), so every kernel K(t) = (B^-1 M_L)^n M_L^-1
-is positive on the free pairs and every nodal indicator is positive after
-one step; ``kernel_certificate`` checks exactly these hypotheses, and it
-alone decides both positivity verdicts. In floats, values decay fast with
-graph distance, so the cross-checks test only the sign of the point-mass
-columns at the two ends of the sparsity graph's diameter, at the step at
-which the propagation front has provably crossed it and at t.
+``kernel_certificate`` asks ``assembly.mmatrix_certificate`` whether the
+step matrix B = M_L + dt*A is an irreducible nonsingular M-matrix. Then
+B^-1 > 0, every kernel K(t) = (B^-1 M_L)^n M_L^-1 is positive on the free
+pairs and every nodal indicator is positive after one step; the
+certificate alone decides both positivity verdicts. In floats, values
+decay fast with graph distance, so the cross-checks test only the sign of
+the point-mass columns at the two ends of the sparsity graph's diameter,
+at the step at which the propagation front has provably crossed it and at
+t.
 
 ``step_matrices`` is the one place a scheme becomes matrices; the
 boundary-pinned solve in ``parabolic`` slices its rows. ``march`` is the
@@ -31,10 +28,10 @@ from enum import Enum
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components, dijkstra
+from scipy.sparse.csgraph import dijkstra
 
-from .assembly import DiscreteOperator, MassKind, mass_matrix, \
-    mmatrix_report
+from .assembly import DiscreteOperator, MassKind, MMatrixCertificate, \
+    mass_matrix, mmatrix_certificate, mmatrix_report, offdiagonal_pattern
 from .spectral import REGION_FOR_MODE, SolverError, factorize, \
     region_vertices
 
@@ -180,15 +177,6 @@ def _stiffness_diameter(op: DiscreteOperator) -> tuple:
         op.stiffness, RuntimeError("operator sparsity graph is disconnected")))
 
 
-def _offdiagonal_pattern(matrix: sp.spmatrix) -> sp.csr_matrix:
-    """Unit entries at a square matrix's nonzero off-diagonal entries."""
-    coo = matrix.tocoo()
-    mask = (coo.row != coo.col) & (coo.data != 0)
-    return sp.coo_matrix((np.ones(mask.sum()),
-                          (coo.row[mask], coo.col[mask])),
-                         shape=coo.shape).tocsr()
-
-
 def graph_diameter(matrix: sp.spmatrix, disconnected: Exception) -> tuple:
     """(diameter, (u, v)) of the undirected graph of a square matrix's
     nonzero off-diagonal entries, with u and v at that distance from each
@@ -203,7 +191,7 @@ def graph_diameter(matrix: sp.spmatrix, disconnected: Exception) -> tuple:
     until none can. Memory is O(N); structured meshes take a handful of
     sweeps.
     """
-    pattern = _offdiagonal_pattern(matrix)
+    pattern = offdiagonal_pattern(matrix)
     pattern = (pattern + pattern.T).tocsr()
     if pattern.shape[0] == 0:
         raise ValueError("a graph without vertices has no diameter")
@@ -236,68 +224,28 @@ def graph_diameter(matrix: sp.spmatrix, disconnected: Exception) -> tuple:
 DENSE_KERNEL_MAX_BYTES = 2 ** 30
 
 
-@dataclass(frozen=True)
-class KernelCertificate:
-    """Whether the step matrix B = M_L + dt*A is an irreducible nonsingular
-    M-matrix. Then B^-1 > 0 entrywise, so S = B^-1 M_L > 0 and every kernel
-    K(t) = S^n M_L^-1 of n >= 1 steps is positive on the free pairs, and
-    every nodal indicator is strictly positive after one step.
-    ``reason`` names the first unmet hypothesis."""
-
-    holds: bool
-    # min(B*1); when it is <= 0, the witness of nonsingularity is B^-1*1
-    min_row_sum: float = math.nan
-    reason: str = ""
+IMPLICIT_EULER_ONLY = "positivity certificates need implicit Euler with " \
+                      "lumped mass"
 
 
 def kernel_certificate(op: DiscreteOperator,
-                       cfg: EvolutionConfig) -> KernelCertificate:
-    """Structural positivity certificate of the kernel: a real operator,
-    implicit Euler with lumped mass, an M-compatible stiffness and a
-    positive diagonal of B (so B is a Z-matrix), a strongly connected
-    off-diagonal graph of B, and a witness w > 0 with B*w > 0, which makes
-    the Z-matrix a nonsingular M-matrix (Berman & Plemmons, ch. 6). The
-    witness is w = 1, or else w = B^-1*1 through the step factor the march
-    caches. One sparse mat-vec and one strong-component sweep, plus one
-    solve when B*1 > 0 fails."""
+                       cfg: EvolutionConfig) -> MMatrixCertificate:
+    """Structural positivity certificate of the kernel: a real operator
+    and implicit Euler with lumped mass, whose step B = M_L + dt*A passes
+    ``mmatrix_certificate``. B's sign scan is the stiffness's; the witness
+    B^-1*1, when B*1 > 0 fails, comes through the step factor the march
+    caches."""
     if op.is_complex:
-        return KernelCertificate(False, reason="complex operator")
-    if cfg.scheme is not Scheme.IMPLICIT_EULER \
-            or cfg.mass is not MassKind.LUMPED:
-        return KernelCertificate(
-            False, reason="positivity certificates need implicit Euler with "
-                          "lumped mass")
-    if not mmatrix_report(op).is_m_compatible:
-        return KernelCertificate(
-            False, reason="stiffness has positive off-diagonal entries")
+        return MMatrixCertificate(False, reason="complex operator")
+    if (cfg.scheme, cfg.mass) != (Scheme.IMPLICIT_EULER, MassKind.LUMPED):
+        return MMatrixCertificate(False, reason=IMPLICIT_EULER_ONLY)
     B, _ = step_matrices(op.stiffness, mass_matrix(cfg.mass, op.mass,
                                                    op.mass_lumped),
                          cfg.scheme, cfg.dt)
-    # the off-diagonals of B are those of dt*A, nonpositive here, so B is
-    # a Z-matrix exactly when its diagonal is positive
-    if not np.all(B.diagonal() > 0.0):
-        return KernelCertificate(
-            False, reason="step matrix is not an M-matrix at this dt")
-    # a non-symmetric A may couple i to j but not j to i, so the
-    # symmetrised graph of the diameter does not show irreducibility
-    n_strong, _ = connected_components(_offdiagonal_pattern(B),
-                                       directed=True, connection="strong")
-    if n_strong > 1:
-        return KernelCertificate(
-            False, reason=f"step matrix is reducible: its off-diagonal "
-                          f"graph has {n_strong} strong components")
-    min_row_sum = float((B @ np.ones(op.n_dof)).min())
-    if min_row_sum > 0.0:
-        return KernelCertificate(True, min_row_sum)
-    try:  # one step from M_L^-1*1 is B^-1*1
-        w = next(march(op, cfg, 1.0 / op.mass_lumped, 1))
-    except SolverError:
-        w = None
-    if w is None or not (np.all(w > 0.0) and np.all(B @ w > 0.0)):
-        return KernelCertificate(
-            False, min_row_sum, reason="step matrix has a row sum <= 0 and "
-                                       "B^-1*1 is no positive witness")
-    return KernelCertificate(True, min_row_sum)
+    # one step from M_L^-1*1 is B^-1*1
+    return mmatrix_certificate(
+        B, "step matrix", mmatrix_report(op).offdiag_max,
+        inverse_ones=lambda: next(march(op, cfg, 1.0 / op.mass_lumped, 1)))
 
 
 @dataclass(frozen=True)
@@ -317,7 +265,7 @@ class KernelMatrix:
     columns: np.ndarray          # vertex of each column
     constrained: np.ndarray      # vertex indices with eliminated dofs
     lumped_mass_full: np.ndarray
-    certificate: KernelCertificate
+    certificate: MMatrixCertificate
 
     def apply(self, u_full: np.ndarray) -> np.ndarray:
         return self.entries @ (self.lumped_mass_full * u_full)[self.columns]
@@ -325,7 +273,7 @@ class KernelMatrix:
 
 def point_mass_columns(op: DiscreteOperator, t: float, values: np.ndarray,
                        columns: np.ndarray,
-                       certificate: KernelCertificate) -> KernelMatrix:
+                       certificate: MMatrixCertificate) -> KernelMatrix:
     """The KernelMatrix of the point masses at the vertices ``columns``,
     from ``values``: K(t) on their free ones, in dof rows."""
     nv = op.mesh.n_vertices
@@ -440,7 +388,7 @@ class PositivityImprovingReport:
 
 
 def positivity_improving_check(op: DiscreteOperator, cfg: EvolutionConfig,
-                               certificate: KernelCertificate,
+                               certificate: MMatrixCertificate,
                                ends: tuple = ()) -> PositivityImprovingReport:
     """The certificate's verdict that every nodal indicator turns strictly
     positive on the mode's region once the step count passes the

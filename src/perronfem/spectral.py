@@ -8,7 +8,9 @@ call) serves every sweep and runs reproduce bitwise. Non-Hermitian
 problems (complex Robin, or convection with b != c) get the full spectrum
 from a dense Cholesky-reduced standard eigensolve up to ``DENSE_CUTOFF``
 dofs and shift-invert Arnoldi above it. ``_lowest_pairs`` is the one place
-that picks the path.
+that picks the path. ``certify_positivity`` claims a positive principal
+eigenvector only where ``assembly.mmatrix_certificate`` proves it, and is
+not applicable elsewhere.
 """
 
 from __future__ import annotations
@@ -22,11 +24,8 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import BoundaryMode, DiscreteOperator, MassKind, assemble, \
-    mass_matrix
-
-#: a nodal value counts as strictly positive when >= this times max |u|
-POSITIVITY_REL_TOL = 1e-12
+from .assembly import BoundaryMode, DiscreteOperator, MassKind, \
+    annihilates_constants, assemble, mass_matrix, mmatrix_report
 
 DENSE_CUTOFF = 2000
 
@@ -79,11 +78,20 @@ class GapReport:
 
 @dataclass(frozen=True)
 class PositivityCertificate:
-    region: Region
-    min_value: float
-    witness_node: int           # mesh vertex index attaining the minimum
-    delta_claim: float
     passed: bool
+    region: Region | None = None
+    min_value: float = math.nan
+    witness_node: int = -1      # mesh vertex index attaining the minimum
+    reason: str = ""            # the unmet hypothesis: not applicable
+    underflow: bool = False     # min_value is a positive entry lost to 0.0
+
+    def payload(self) -> dict:
+        """The reason when not applicable, else the region's minimum."""
+        if self.reason:
+            return {"reason": self.reason}
+        return {"region": self.region.value, "min_value": self.min_value,
+                "witness_node": self.witness_node,
+                **({"underflow": True} if self.underflow else {})}
 
 
 @dataclass(frozen=True)
@@ -341,31 +349,38 @@ def region_vertices(op: DiscreteOperator, region: Region) -> np.ndarray:
 
 def certify_positivity(report: EigenReport,
                        op: DiscreteOperator) -> PositivityCertificate:
-    """Nodal minimum of an eigenvector over the region its boundary mode
-    claims positivity on; Dirichlet-constrained nodes are verified to be
-    exactly zero."""
-    vector = report.vector
-    if np.iscomplexobj(vector):
-        raise SolverError("positivity certificates require a real eigenvector")
+    """Strict positivity of the principal eigenvector on its mode's region
+    (the free dofs), where it is provable: a real Hermitian operator whose
+    stiffness A is an irreducible Z-matrix (``mmatrix_report``) that is
+    nonsingular, by a witness or as a Stieltjes matrix with lambda1
+    resolved above 0, so A^-1 M > 0 has the lambda1 eigenvector as its
+    Perron vector; or that annihilates constants, so the Perron vector is
+    the constant. Otherwise, and for every non-Hermitian operator, the
+    certificate is not applicable and ``reason`` says why. The float
+    cross-check tests sign: an exact 0.0 is flagged as underflow, a
+    negative entry is no Perron vector and fails."""
     if op.mode not in REGION_FOR_MODE:
-        raise SolverError(f"no positivity region for mode {op.mode.value}")
+        return PositivityCertificate(
+            False, reason=f"no positivity region for mode {op.mode.value}")
     region = REGION_FOR_MODE[op.mode]
-
-    full = op.expand(vector)
-    constrained = op.constrained_vertices
-    if constrained.size and np.any(full[constrained] != 0.0):
-        raise SolverError("constrained nodes must carry exact zeros")
-
-    nodes = region_vertices(op, region)
-    values = full[nodes]
-    arg = int(np.argmin(values))
-    min_value = float(values[arg])
-    witness = int(nodes[arg])
-    tol = POSITIVITY_REL_TOL * float(np.abs(full).max())
-    return PositivityCertificate(region=region, min_value=min_value,
-                                 witness_node=witness,
-                                 delta_claim=min_value,
-                                 passed=min_value >= tol)
+    if op.is_complex or not op.is_hermitian:
+        return PositivityCertificate(
+            False, region, reason="no Perron argument for a non-Hermitian "
+            "operator: |lambda - mu| >= lambda1 - mu does not bound Re lambda")
+    cert = mmatrix_report(op)
+    # the pencil has an eigenvalue within residual * sqrt(cond M) of
+    # lambda1, and M_L/4 <= M <= M_L bounds cond M
+    ml = op.mass_lumped
+    stieltjes = report.lambda1.real \
+        > 2.0 * report.residual * math.sqrt(ml.max() / ml.min())
+    if not (cert.holds or cert.irreducible and (
+            stieltjes or annihilates_constants(op.stiffness))):
+        return PositivityCertificate(False, region, reason=cert.reason)
+    arg = int(np.argmin(report.vector))
+    min_value = float(report.vector[arg])
+    return PositivityCertificate(min_value >= 0.0, region, min_value,
+                                 int(op.free_vertices[arg]),
+                                 underflow=min_value == 0.0)
 
 
 def complex_robin_bound(op: DiscreteOperator,

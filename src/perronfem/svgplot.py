@@ -66,6 +66,16 @@ def _triangle_points(mesh: TriMesh, x0: float, y0: float, lo: np.ndarray,
             for a, b, c in mesh.triangles.tolist()]
 
 
+def _svg(width: float, height: float, body: list) -> str:
+    """An SVG document of the given size: a white background, then body."""
+    return "\n".join([
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.1f}" '
+        f'height="{height:.1f}" viewBox="0 0 {width:.1f} {height:.1f}">',
+        f'<rect width="{width:.1f}" height="{height:.1f}" fill="white"/>',
+        *body, "</svg>"]) + "\n"
+
+
 def render_heatmap(field: np.ndarray, mesh: TriMesh) -> str:
     """SVG document for a nodal field; a constant field renders in the low
     ramp color with the (equal) min and max annotated."""
@@ -88,12 +98,7 @@ def render_heatmap(field: np.ndarray, mesh: TriMesh) -> str:
     width = _CANVAS
     height = 2 * _MARGIN + span[1] * scale + 24.0
 
-    parts = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.1f}" '
-        f'height="{height:.1f}" viewBox="0 0 {width:.1f} {height:.1f}">',
-        f'<rect width="{width:.1f}" height="{height:.1f}" fill="white"/>',
-    ]
+    parts = []
     means = field[mesh.triangles].mean(axis=1)
     points = _triangle_points(mesh, _MARGIN, _MARGIN, lo, hi, scale)
     s = np.ones_like(means) if vmax == lo_anchor \
@@ -105,8 +110,7 @@ def render_heatmap(field: np.ndarray, mesh: TriMesh) -> str:
              else f"min = {vmin!r}  max = {vmax!r}")
     parts.append(f'<text x="{_MARGIN:.1f}" y="{height - 8.0:.1f}" '
                  f'font-family="monospace" font-size="12">{label}</text>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _svg(width, height, parts)
 
 
 def emit_heatmap(field: np.ndarray, mesh: TriMesh, path) -> None:
@@ -136,12 +140,7 @@ def render_strip(fields: np.ndarray, times: np.ndarray, mesh: TriMesh,
 
     width = cell * len(picks)
     height = 2 * pad + span[1] * scale + 20.0
-    parts = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.1f}" '
-        f'height="{height:.1f}" viewBox="0 0 {width:.1f} {height:.1f}">',
-        f'<rect width="{width:.1f}" height="{height:.1f}" fill="white"/>',
-    ]
+    parts = []
     for frame, k in enumerate(picks):
         x0 = frame * cell + pad
         field = fields[k]
@@ -155,5 +154,4 @@ def render_strip(fields: np.ndarray, times: np.ndarray, mesh: TriMesh,
         parts.append(f'<text x="{x0:.1f}" y="{height - 6.0:.1f}" '
                      f'font-family="monospace" font-size="10">'
                      f't = {times[k]:.6g}</text>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _svg(width, height, parts)

@@ -1,11 +1,10 @@
 """Registry of verifiable positivity statements and the suite runner.
 
-Each registry entry is data: a label, a human-readable statement, an
-applicability predicate over the configured problem, and the module call
-that produces a verdict plus a certificate payload. Suites therefore map
-one-to-one onto the checks they run, and reports replay byte-identically
-for a fixed config and seed (timings are reported in the text rendering
-only, never in the JSON).
+Each registry entry is data: a label, a human-readable statement, and the
+module call that produces a verdict plus a certificate payload. Suites
+therefore map one-to-one onto the checks they run, and reports replay
+byte-identically for a fixed config and seed (timings are reported in the
+text rendering only, never in the JSON).
 """
 
 from __future__ import annotations
@@ -19,12 +18,13 @@ import numpy as np
 
 from . import lattice
 from .assembly import BoundaryMode, CoefficientSet, DiscreteOperator, \
-    MassKind, assemble, ellipticity_check, mmatrix_report
+    MassKind, MMatrixCertificate, assemble, ellipticity_check, \
+    mmatrix_report
 from .mesh import TriMesh, check_corkscrew
-from .semigroup import EvolutionConfig, KernelCertificate, KernelMatrix, \
-    Verdict, default_evolution, kernel, kernel_certificate, \
-    kernel_positivity_report, peripheral_pair, point_mass_columns, \
-    positivity_improving_check, propagation_threshold
+from .semigroup import EvolutionConfig, KernelMatrix, Verdict, \
+    default_evolution, kernel, kernel_certificate, kernel_positivity_report, \
+    peripheral_pair, point_mass_columns, positivity_improving_check, \
+    propagation_threshold
 from .spectral import REGION_FOR_MODE, SolverError, certify_positivity, \
     complex_robin_bound, principal_eig, spectral_gap
 
@@ -91,7 +91,7 @@ class Problem:
                                  **(self.evolution or {}))
 
     @cached_property
-    def certificate(self) -> KernelCertificate:
+    def certificate(self) -> MMatrixCertificate:
         """The one structural certificate of both positivity checks."""
         return kernel_certificate(self.op, self.evolution_cfg)
 
@@ -128,10 +128,6 @@ class Problem:
             forward_2t=K2[:, len(ends):],
             adjoint=kernel(op, cfg.t_end, cfg, probes, adjoint=True))
 
-    @property
-    def is_positivity_mode(self) -> bool:
-        return self.mode in REGION_FOR_MODE
-
 
 # ---------------------------------------------------------------------------
 # checks; each returns (Verdict, payload)
@@ -160,13 +156,13 @@ def _check_corkscrew(p: Problem):
 
 
 def _check_principal_positivity(p: Problem):
-    if not p.is_positivity_mode:
+    if p.mode not in REGION_FOR_MODE:
         return Verdict.NOT_APPLICABLE, {"reason": "no positivity region"}
     cert = certify_positivity(p.principal, p.op)
+    if cert.reason:
+        return Verdict.NOT_APPLICABLE, cert.payload()
     return (Verdict.PASS if cert.passed else Verdict.FAIL,
-            {"region": cert.region.value, "min_value": cert.min_value,
-             "witness_node": cert.witness_node,
-             "lambda1": p.principal.lambda1.real,
+            {**cert.payload(), "lambda1": p.principal.lambda1.real,
              "residual": p.principal.residual})
 
 
@@ -181,16 +177,19 @@ def _check_trace_zero(p: Problem):
 
 
 def _check_perron_sign(p: Problem):
+    # -M_L^-1 A is Metzler and irreducible when the stiffness is an
+    # irreducible Z-matrix, so the lumped pencil's lowest eigenvalue is its
+    # Perron root, simple with a positive vector; A need not be Hermitian
     if p.op.is_complex:
         return Verdict.NOT_APPLICABLE, {"reason": "complex operator"}
-    if not mmatrix_report(p.op).is_m_compatible:
-        return Verdict.NOT_APPLICABLE, {
-            "reason": "positive off-diagonal stiffness entries"}
+    cert = mmatrix_report(p.op)
+    if not cert.irreducible:
+        return Verdict.NOT_APPLICABLE, {"reason": cert.reason}
     rep = principal_eig(p.op, tol=p.solver_tol, mass=MassKind.LUMPED)
-    ok = bool(np.all(rep.vector >= 0.0))
-    return (Verdict.PASS if ok else Verdict.FAIL,
-            {"min_component": float(rep.vector.min()),
-             "lambda1_lumped": rep.lambda1.real})
+    low = float(rep.vector.min())
+    return (Verdict.PASS if low >= 0.0 else Verdict.FAIL,
+            {"min_component": low, "lambda1_lumped": rep.lambda1.real,
+             **({"underflow": True} if low == 0.0 else {})})
 
 
 def _check_spectral_gap(p: Problem):
@@ -203,7 +202,7 @@ def _check_spectral_gap(p: Problem):
 
 
 def _check_positivity_improving(p: Problem):
-    if not p.is_positivity_mode:
+    if p.mode not in REGION_FOR_MODE:
         return Verdict.NOT_APPLICABLE, {"reason": "no positivity region"}
     # an unmet hypothesis needs no march
     ends = (p.kernel_probes.ends_at_threshold, p.kernel_probes.ends) \
@@ -223,7 +222,7 @@ def _check_positivity_improving(p: Problem):
 
 
 def _check_kernel_positivity(p: Problem):
-    if not p.is_positivity_mode or p.op.is_complex:
+    if p.mode not in REGION_FOR_MODE:
         return Verdict.NOT_APPLICABLE, {"reason": "no positivity region"}
     K = p.kernel_probes.ends
     rep = kernel_positivity_report(K)
@@ -365,15 +364,6 @@ REGISTRY = (
                   "structure agree", _check_lattice_oracle),
 )
 
-_CORKSCREW_MODES = (BoundaryMode.MIXED,)
-
-
-def _entry_applicable(entry: RegistryEntry, p: Problem) -> bool:
-    if entry.label == "corkscrew":
-        return p.mode in _CORKSCREW_MODES
-    return True
-
-
 @dataclass(frozen=True)
 class SuiteResult:
     label: str
@@ -437,7 +427,9 @@ def run_suite(problem: Problem, only: str | None = None,
     for entry in REGISTRY:
         if only is not None and entry.label != only:
             continue
-        if not _entry_applicable(entry, problem):
+        # the corkscrew condition concerns the Dirichlet part of mixed mode
+        if entry.label == "corkscrew" and problem.mode is not \
+                BoundaryMode.MIXED:
             continue
         start = time.perf_counter()
         try:

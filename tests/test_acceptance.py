@@ -66,14 +66,14 @@ def test_criterion_2_robin_eigenvalue_and_boundary_positivity():
 
     cert = certify_positivity(rep, op)
     assert cert.passed and cert.region is Region.CLOSURE
-    assert cert.delta_claim > 0
+    assert cert.min_value > 0
     full = op.expand(rep.vector)
     assert np.all(full > 0)
     assert np.all(full[mesh.boundary_vertices()] > 0)
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
     report(2, f"Robin lambda1 = {rep.lambda1.real:.5f} vs 2*mu0^2 = "
-              f"{exact:.5f}; closure minimum {cert.delta_claim:.4f} "
+              f"{exact:.5f}; closure minimum {cert.min_value:.4f} "
               f"({elapsed:.2f}s)")
 
 

@@ -376,3 +376,14 @@ def test_coefficients_from_dict_equals_constant(robin_mesh8):
         assert got.dtype == want.dtype and np.array_equal(got, want), field
     with pytest.raises(AssemblyError, match="beta must be scalar"):
         coefficients_from_dict({"beta": [1.0, 2.0]}, robin_mesh8)
+
+
+def test_beta_without_an_imaginary_part_is_stored_real(robin_mesh8):
+    nb = len(robin_mesh8.boundary_edges)
+    for beta in (1.0 + 0.0j, np.full(nb, 2.0 + 0.0j)):
+        coeffs = CoefficientSet.constant(robin_mesh8, beta=beta)
+        assert coeffs.beta.dtype == np.float64
+        assert not assemble(robin_mesh8, coeffs,
+                            BoundaryMode.ROBIN).is_complex
+    assert np.iscomplexobj(
+        CoefficientSet.constant(robin_mesh8, beta=1.0 + 1.0j).beta)

@@ -153,7 +153,8 @@ def test_suite_above_the_dense_cutoff_has_no_fail(monkeypatch, beta, b, mode):
         assert arnoldi["complex-robin-strict-bound"] is Verdict.PASS
         assert Verdict.FAIL not in arnoldi.values()
     else:
-        assert arnoldi["principal-positivity"] is Verdict.PASS
+        # a non-Hermitian operator is outside the eigenvector certificate
+        assert arnoldi["principal-positivity"] is Verdict.NOT_APPLICABLE
         # convection gives the stiffness positive off-diagonal entries
         assert [label for label, v in arnoldi.items()
                 if v is Verdict.FAIL] == ["mmatrix-compatible"]
@@ -376,7 +377,11 @@ def test_cli_parabolic(tmp_path):
 # parabolic output bytes, recorded while solve_mild, the positivity check and
 # the weak residual each assembled the volume matrices themselves; the
 # trajectories and verdicts re-pinned when every factorization moved to
-# minimum-degree ordering (last-bit differences, same verdicts)
+# minimum-degree ordering (last-bit differences, same verdicts); both
+# verdicts re-pinned from pass to not_applicable when strong positivity
+# moved to the M-matrix certificate: Crank-Nicolson with consistent mass is
+# outside it, and c = (0.5, 0.25) puts positive off-diagonal entries on the
+# diagonal edges
 PINNED_PARABOLIC = {
     "implicit-euler": ({
         "mesh": {"shape": "unit_square", "n": 6, "tags": "D"},
@@ -389,7 +394,7 @@ PINNED_PARABOLIC = {
         "test_bank_size": 8, "seed": 3,
     }, {
         "verdict.json":
-            "229d889b72f6ebd14947cf29ee43e96fc718e95e038158155875b8cdbd107b59",
+            "57f67729cb6a3aaadc7bb2a46b41fca302f6edc3f09bd97ee46b1b3b7fa275c9",
         "trajectory.csv":
             "1042c9f5efa2851d0f125c5187cbe12e5d5f48081da8f8e4685fa6968b6391b0",
         "strip.svg":
@@ -407,7 +412,7 @@ PINNED_PARABOLIC = {
         "test_bank_size": 8, "seed": 1,
     }, {
         "verdict.json":
-            "5067645973f094eb1bd75464f88efda97816c1fbc5a17fe6ae7f5a9e11f45dd0",
+            "976a7a016eb1414339bf4e6387a1e5d37d0ff1b23b0c78992991119d79547961",
         "trajectory.csv":
             "34f51542678b80a31892c217586473df3c1064259814939425cabf7cc52b054b",
         "strip.svg":
@@ -934,3 +939,45 @@ def test_array_colors_equal_the_scalar_ramp():
                         np.nextafter(_STOPS, -1.0), np.nextafter(_STOPS, 2.0),
                         [-np.inf, np.inf, np.nan, -0.0]])
     assert _colors(s) == [_color(float(v)) for v in s]
+
+
+def test_cli_verify_complex_spelled_real_beta_is_byte_equal(tmp_path):
+    # {"re": 1, "im": 0} once built a complex operator, which sent six
+    # checks to not_applicable for the wrong reasons
+    for name, beta in (("real", 1.0), ("complex", {"re": 1.0, "im": 0.0})):
+        path = write_config(tmp_path / f"{name}.json", {
+            **ROBIN_PROBLEM, "coefficients": {"beta": beta, "mode": "robin"},
+            "output_dir": name})
+        assert main(["verify", "--config", path]) == 0
+    assert (tmp_path / "real" / "verification_report.json").read_bytes() \
+        == (tmp_path / "complex" / "verification_report.json").read_bytes()
+
+
+def test_cli_parabolic_default_horizon_short_of_the_claim(tmp_path, capsys):
+    # the 80-step default horizon ends before the interior graph diameter
+    # (92) is crossed: the claim is not applicable, not an error
+    path = write_config(tmp_path / "p.json", {
+        "mesh": {"shape": "unit_square", "n": 48, "tags": "D"},
+        "coefficients": {"mode": "dirichlet"},
+        "u0": "x*y*(1-x)*(1-y)", "output_dir": "out"})
+    assert main(["parabolic", "--config", path]) == 0
+    verdict = json.loads((tmp_path / "out" / "verdict.json").read_text())
+    positivity = verdict["strong_positivity"]
+    assert verdict["steps"] == 80
+    assert positivity["verdict"] == "not_applicable"
+    assert positivity["reason"] == ("the claim starts at step 92 but the "
+                                    "trajectory has only 80 steps")
+    assert capsys.readouterr().err == ""
+
+
+def test_verify_scans_the_stiffness_signs_once(monkeypatch):
+    # mmatrix-compatible, perron-sign-structure, principal-positivity and
+    # the kernel certificate share one sign scan of the operator
+    import perronfem.assembly as assembly
+    calls = []
+    scan = assembly.offdiag_max
+    monkeypatch.setattr(assembly, "offdiag_max",
+                        lambda *a: calls.append(1) or scan(*a))
+    report = run_suite(make_problem("robin"))
+    assert not report.failed
+    assert len(calls) == 1

@@ -527,3 +527,102 @@ def test_conserves_constants_on_a_mesh_without_interior_vertices():
     # no interior rows: vacuously true, not numpy's zero-size error
     mesh = generate_structured("unit_square", 1, "dirichlet")
     assert conserves_constants(mesh, laplace_coeffs(mesh))
+
+
+# -- the M-matrix certificates of the strong minimum principles ----------------
+
+def _corner_bump_solution(n, dt_factor):
+    from perronfem.semigroup import default_dt, default_evolution
+    mesh = generate_structured("unit_square", n, "dirichlet")
+    x, y = mesh.vertices.T
+    u0 = np.where((x <= 0.3) & (y <= 0.3), x * (0.3 - x) * y * (0.3 - y), 0.0)
+    cfg = default_evolution(mesh, dt=default_dt(mesh) * dt_factor)
+    return solve_mild(mesh, laplace_coeffs(mesh), u0,
+                      BoundaryData.constant(mesh, 0.0, cfg.t_end), cfg)
+
+
+def test_strong_positivity_passes_a_far_corner_bump_at_a_tiny_step():
+    # far from the bump the field falls to ~1e-32 of its maximum, which the
+    # old relative floor 1e-12 * max|u| called nonpositive at vertex 270
+    sol = _corner_bump_solution(16, 0.01)
+    rep = strong_positivity_check(sol)
+    assert rep.verdict is Verdict.PASS and not rep.underflow
+    far = sol.fields[rep.start_step:, sol.interior]
+    assert 0.0 < far.min() < 1e-20 * far.max()
+
+
+def test_strong_positivity_reads_the_sign_under_the_certificate(
+        dirichlet_mesh8):
+    import dataclasses
+    sol = solve_mild(dirichlet_mesh8, laplace_coeffs(dirichlet_mesh8),
+                     np.ones(dirichlet_mesh8.n_vertices),
+                     BoundaryData.constant(dirichlet_mesh8, 1.0, 0.2),
+                     cfg_for(dirichlet_mesh8, 0.2, 32))
+    assert strong_positivity_check(sol).verdict is Verdict.PASS
+    vertex = sol.interior[3]
+    for bad, verdict in ((0.0, Verdict.PASS), (-1e-300, Verdict.FAIL)):
+        fields = sol.fields.copy()
+        fields[20, vertex] = bad
+        rep = strong_positivity_check(dataclasses.replace(sol, fields=fields))
+        assert rep.verdict is verdict
+        if verdict is Verdict.PASS:  # a positive value lost to underflow
+            assert rep.underflow
+        else:
+            assert rep.first_violation == (float(sol.times[20]), int(vertex))
+
+
+@pytest.mark.filterwarnings("ignore:coefficient sign condition")
+@pytest.mark.parametrize("change, reason", [
+    ({"scheme": "crank_nicolson"}, "implicit Euler with lumped mass"),
+    ({"mass": MassKind.CONSISTENT}, "implicit Euler with lumped mass"),
+    ({"c": (0.5, 0.25)}, "interior step matrix has positive off-diagonal"),
+    ({"steps": 4}, "the claim starts at step 12 but the trajectory has only "
+                   "4 steps")])
+def test_strong_positivity_outside_the_certificate_is_not_applicable(
+        dirichlet_mesh8, change, reason):
+    mesh = dirichlet_mesh8
+    coeffs = CoefficientSet.constant(mesh, c=change.get("c", (0.0, 0.0)))
+    steps = change.get("steps", 32)
+    cfg = EvolutionConfig(scheme=change.get("scheme", "implicit_euler"),
+                          mass=change.get("mass", MassKind.LUMPED),
+                          dt=0.2 / 32, t_end=0.2 / 32 * steps)
+    u0 = np.zeros(mesh.n_vertices)
+    u0[np.setdiff1d(np.arange(mesh.n_vertices),
+                    mesh.boundary_vertices())[0]] = 1.0
+    sol = solve_mild(mesh, coeffs, u0, BoundaryData.constant(mesh, 0.0, 1.0),
+                     cfg)
+    rep = strong_positivity_check(sol)
+    assert rep.verdict is Verdict.NOT_APPLICABLE
+    assert reason in rep.reason
+
+
+def test_elliptic_positivity_in_a_potential_well():
+    # c0 = 2000 pushes the far interior down to 5e-19, which the old
+    # positivity floor 1e-8 * span called nonpositive
+    mesh = generate_structured("unit_square", 32, "dirichlet")
+    coeffs = CoefficientSet.constant(mesh, c0=2000.0)
+    bv = mesh.boundary_vertices()
+    u = harmonic_extension(mesh, coeffs,
+                           (mesh.vertices[bv, 0] == 0.0).astype(float))
+    rep = elliptic_strong_max_check(mesh, coeffs, u)
+    assert rep.positivity is Verdict.PASS
+    assert 0.0 < rep.interior_min < 1e-15
+    # the margin bounds |u - exact solution| by the residual
+    assert 0.0 <= rep.margin <= 1e-12 and not rep.reason
+
+
+@pytest.mark.parametrize("coeffs, data, reason", [
+    ({}, -1.0, "nonnegative boundary data"),
+    ({"b": (60.0, 0.0)}, 1.0, "interior stiffness has positive off-diagonal"),
+])
+def test_elliptic_positivity_outside_the_certificate_is_not_applicable(
+        dirichlet_mesh8, coeffs, data, reason):
+    mesh = dirichlet_mesh8
+    coeffs = CoefficientSet.constant(mesh, **coeffs)
+    bv = mesh.boundary_vertices()
+    u = harmonic_extension(mesh, coeffs,
+                           data * (mesh.vertices[bv, 1] == 0.0))
+    rep = elliptic_strong_max_check(mesh, coeffs, u)
+    assert rep.is_solution
+    assert rep.positivity is Verdict.NOT_APPLICABLE
+    assert reason in rep.reason

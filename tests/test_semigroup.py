@@ -776,35 +776,61 @@ def test_kernel_report_raises_on_a_nonpositive_entry_under_the_certificate():
     assert not kernel_positivity_report(K).underflow
 
 
-@st.composite
-def _tiny_operators(draw):
-    """Operators with at most six dofs over tiny meshes, modes and
-    coefficients."""
-    shape = draw(st.sampled_from(["unit_square", "rectangle", "l_shape"]))
-    mode = draw(st.sampled_from(["robin", "neumann", "mixed"]))
+def _tiny_case(shape="unit_square", mode="robin", width=1.0, s=0.0, b=0.0,
+               c0=0.0, beta=1.0, split=False, dt=0.1):
+    """An operator with at most six dofs and a lumped implicit-Euler
+    config; ``split`` cuts dof 0 off from the others, so the stiffness is
+    reducible."""
+    from dataclasses import replace
     if shape == "l_shape" and mode != "mixed":
         shape = "unit_square"
     tags = {seg: "D" if seg in ("bottom", "right") else "N"
             for seg in _SHAPE_SEGMENTS[shape]} if mode == "mixed" else "N"
-    mesh = generate_structured(shape, 1, tags, width=draw(
-        st.sampled_from([1.0, 2.0])), height=1.0)
-    s = draw(st.sampled_from([0.0, 0.3, -0.3]))
+    mesh = generate_structured(shape, 1, tags, width=width, height=1.0)
     # mixed mode takes no lower-order terms, Neumann no boundary term
     lower = mode != "mixed"
     coeffs = CoefficientSet.constant(
         mesh, a=np.array([[1.0, s], [s, 1.0]]), mu=0.5,
-        b=(draw(st.sampled_from([0.0, 0.5, 2.0])) if lower else 0.0, 0.0),
-        c0=draw(st.sampled_from([0.0, 1.0])) if lower else 0.0,
-        beta=draw(st.sampled_from([0.0, 1.0])) if mode == "robin" else 0.0)
-    op = assemble(mesh, coeffs, {"robin": BoundaryMode.ROBIN,
-                                 "neumann": BoundaryMode.NEUMANN,
-                                 "mixed": BoundaryMode.MIXED}[mode],
-                  corkscrew_checked=True)
-    dt = draw(st.sampled_from([0.01, 0.1, 1.0]))
+        b=(b if lower else 0.0, 0.0), c0=c0 if lower else 0.0,
+        beta=beta if mode == "robin" else 0.0)
+    op = assemble(mesh, coeffs, BoundaryMode(mode), corkscrew_checked=True)
+    if split and op.n_dof > 1:
+        A = op.stiffness.tolil()
+        A[0, 1:] = 0.0
+        A[1:, 0] = 0.0
+        op = replace(op, stiffness=A.tocsr())
     return op, EvolutionConfig(dt=dt, t_end=3 * dt, mass=MassKind.LUMPED)
 
 
+@st.composite
+def _tiny_operators(draw):
+    """Operators with at most six dofs over tiny meshes, modes and
+    coefficients, some with a reducible stiffness."""
+    return _tiny_case(
+        shape=draw(st.sampled_from(["unit_square", "rectangle", "l_shape"])),
+        mode=draw(st.sampled_from(["robin", "neumann", "mixed"])),
+        width=draw(st.sampled_from([1.0, 2.0])),
+        s=draw(st.sampled_from([0.0, 0.3, -0.3])),
+        b=draw(st.sampled_from([0.0, 0.5, 2.0])),
+        c0=draw(st.sampled_from([0.0, 1.0])),
+        beta=draw(st.sampled_from([0.0, 1.0])),
+        split=draw(st.booleans()),
+        dt=draw(st.sampled_from([0.01, 0.1, 1.0])))
+
+
+#: one draw per side of the certificates: convection past the sign
+#: pattern, a reducible stiffness, and a holding certificate
+TINY_SIDES = (_tiny_case(b=2.0), _tiny_case(split=True), _tiny_case())
+
+
+def _tiny_sides(test):
+    for case in TINY_SIDES:
+        test = example(case)(test)
+    return test
+
+
 @settings(max_examples=60, deadline=None)
+@_tiny_sides
 @given(_tiny_operators())
 def test_certificate_implies_the_lattice_oracle_on_tiny_meshes(case):
     from perronfem import lattice
@@ -833,13 +859,14 @@ def test_certificate_implies_the_lattice_oracle_on_tiny_meshes(case):
 
 
 @settings(max_examples=60, deadline=None)
+@_tiny_sides
 @given(_tiny_operators())
 def test_principal_verdicts_match_the_lattice_perron_vector_on_tiny_meshes(
         case):
     # -Q = M_L^-1 A is the lumped pencil, so the lattice's Perron vector is
     # an independent dense route to the sign both checks judge
     from perronfem import lattice
-    from perronfem.assembly import mmatrix_report
+    from perronfem.assembly import mmatrix_certificate
     from perronfem.spectral import REGION_FOR_MODE, region_vertices
     from perronfem.verification import Problem, run_suite
     op, cfg = case
@@ -847,21 +874,36 @@ def test_principal_verdicts_match_the_lattice_perron_vector_on_tiny_meshes(
     problem = Problem(mesh=op.mesh, coeffs=op.coeffs, mode=op.mode,
                       evolution={"dt": cfg.dt})
     problem.op = op
-    verdicts = {label: run_suite(problem, only=label).results[0].verdict
-                for label in ("principal-positivity", "perron-sign-structure")}
+    results = {label: run_suite(problem, only=label).results[0]
+               for label in ("principal-positivity", "perron-sign-structure")}
+    principal = results["principal-positivity"]
+    sign = results["perron-sign-structure"]
+    # no float floor decides a verdict: outside the certificate both
+    # checks are not applicable, inside it neither fails
+    assert Verdict.FAIL not in (principal.verdict, sign.verdict)
     Q = -op.stiffness.toarray() / op.mass_lumped[:, None]
-    if not mmatrix_report(op).is_m_compatible:
-        # positive off-diagonal stiffness: Q is no generator
-        with pytest.raises(lattice.LatticeError):
-            lattice.MetzlerGenerator(Q)
-        assert verdicts["perron-sign-structure"] is Verdict.NOT_APPLICABLE
+    certificate = mmatrix_certificate(op.stiffness, "stiffness")
+    if not certificate.irreducible:
+        assert sign.verdict is Verdict.NOT_APPLICABLE
+        assert principal.verdict is Verdict.NOT_APPLICABLE
+        assert sign.payload["reason"] == certificate.reason
+        if "positive off-diagonal" in certificate.reason:
+            # Q is no generator
+            with pytest.raises(lattice.LatticeError):
+                lattice.MetzlerGenerator(Q)
+        else:
+            assert "strong components" in certificate.reason
+            assert not lattice.is_irreducible(lattice.MetzlerGenerator(Q))
         return
-    perron = lattice.perron_report(lattice.MetzlerGenerator(Q))
+    # a holding certificate: the lattice's Perron vector is positive on
+    # the region, and so the Hermitian operators' principal vectors
+    g = lattice.MetzlerGenerator(Q)
+    assert lattice.is_irreducible(g)
     region = op.dof_map[region_vertices(op, REGION_FOR_MODE[op.mode])]
-    expected = Verdict.PASS if np.all(perron.vector[region] > 0) \
-        else Verdict.FAIL
-    assert verdicts["principal-positivity"] is expected
-    assert verdicts["perron-sign-structure"] is expected
+    assert np.all(lattice.perron_report(g).vector[region] > 0)
+    assert sign.verdict is Verdict.PASS
+    assert principal.verdict is (Verdict.PASS if op.is_hermitian
+                                 else Verdict.NOT_APPLICABLE)
 
 
 def test_verify_builds_no_dense_kernel():

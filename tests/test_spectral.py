@@ -7,6 +7,7 @@ import scipy.linalg as sla
 from perronfem.assembly import BoundaryMode, CoefficientSet, apply_form, \
     assemble, mmatrix_report
 from perronfem.mesh import generate_structured
+from perronfem.semigroup import Verdict
 from perronfem.spectral import EigenReport, Region, SolverError, \
     certify_positivity, complex_robin_bound, principal_eig, spectral_gap
 
@@ -136,7 +137,7 @@ def test_robin_certificate_positive_on_closure(robin_op8):
     cert = certify_positivity(rep, robin_op8)
     assert cert.passed
     assert cert.region is Region.CLOSURE
-    assert cert.delta_claim > 0
+    assert cert.min_value > 0
     # the smooth ground state is minimal at a corner of the square
     xy = robin_op8.mesh.vertices[cert.witness_node]
     assert set(np.round(xy, 12)) <= {0.0, 1.0}
@@ -191,8 +192,17 @@ def test_certificate_rejects_complex_vector(robin_mesh8):
     rep = principal_eig(op)
     if not np.iscomplexobj(rep.vector):
         pytest.skip("eigenvector collapsed to real")
-    with pytest.raises(SolverError):
-        certify_positivity(rep, op)
+    # outside the certificate's regime the verdict is not applicable
+    cert = certify_positivity(rep, op)
+    assert not cert.passed
+    assert cert.reason == "no positivity region for mode complex_robin"
+    # a real operator with convection has no Perron argument on the
+    # consistent pencil, whatever its eigenvector
+    coeffs = CoefficientSet.constant(robin_mesh8, beta=1.0, b=(80.0, 0.0))
+    op = assemble(robin_mesh8, coeffs, BoundaryMode.ROBIN)
+    cert = certify_positivity(principal_eig(op), op)
+    assert not cert.passed and cert.region is Region.CLOSURE
+    assert cert.reason.startswith("no Perron argument for a non-Hermitian")
 
 
 # -- invariants ---------------------------------------------------------------
@@ -581,3 +591,81 @@ def test_rank_deficient_sweep_is_a_solver_error(robin_op8, monkeypatch):
     with pytest.raises(SolverError, match="rank deficient"):
         _hermitian_pairs(robin_op8.stiffness, robin_op8.mass,
                          robin_op8.mass_lumped, k=2, tol=1e-10)
+
+
+# -- the M-matrix certificate of the principal eigenvector ---------------------
+
+def _potential_well(n, tags, mode, beta=0.0):
+    """c0 = 5000 on the triangles right of x = 0.5, 0 elsewhere."""
+    mesh = generate_structured("unit_square", n, tags)
+    right = mesh.vertices[mesh.triangles].mean(axis=1)[:, 0] > 0.5
+    return assemble(mesh, CoefficientSet.constant(
+        mesh, c0=np.where(right, 5000.0, 0.0), beta=beta), mode)
+
+
+@pytest.mark.parametrize("tags, mode, beta", [
+    ("N", BoundaryMode.ROBIN, 1.0), ("D", BoundaryMode.DIRICHLET, 0.0)])
+def test_a_potential_well_passes_without_a_float_floor(tags, mode, beta):
+    # the Perron vector decays to ~6e-15 of its maximum inside the well, a
+    # value the old relative floor 1e-12 * max|u| called nonpositive
+    from perronfem.verification import Problem, run_suite
+    op = _potential_well(32, tags, mode, beta)
+    problem = Problem(mesh=op.mesh, coeffs=op.coeffs, mode=mode)
+    problem.op = op
+    results = {r.label: r for r in run_suite(problem).results
+               if r.label in ("principal-positivity", "perron-sign-structure",
+                              "kernel-positivity", "positivity-improving")}
+    assert {label: r.verdict for label, r in results.items()} == dict.fromkeys(
+        results, Verdict.PASS)
+    payload = results["principal-positivity"].payload
+    assert 0.0 < payload["min_value"] < 1e-13
+    assert "underflow" not in payload
+
+
+def test_convection_past_the_sign_pattern_is_not_applicable():
+    # on right-triangle meshes the diagonal edges carry convection but no
+    # diffusion, so b = (60, 0) gives the stiffness positive off-diagonal
+    # entries; the old floor read a round-off minimum of -2.8e-13 as FAIL
+    from perronfem.verification import Problem, run_suite
+    mesh = generate_structured("unit_square", 64, "N")
+    problem = Problem(mesh=mesh, mode=BoundaryMode.ROBIN,
+                      coeffs=CoefficientSet.constant(mesh, beta=1.0,
+                                                     b=(60.0, 0.0)))
+    verdicts = {label: run_suite(problem, only=label).results[0]
+                for label in ("mmatrix-compatible", "principal-positivity")}
+    assert verdicts["mmatrix-compatible"].verdict is Verdict.FAIL
+    principal = verdicts["principal-positivity"]
+    assert principal.verdict is Verdict.NOT_APPLICABLE
+    assert "non-Hermitian" in principal.payload["reason"]
+
+
+def test_each_witness_of_the_stiffness_certificate(robin_op8, dirichlet_op8):
+    # Robin and Dirichlet stiffnesses have zero interior row sums, so their
+    # nonsingularity comes from lambda1 > 0 (a Stieltjes matrix); the
+    # Neumann stiffness annihilates constants, whose Perron vector is the
+    # constant; a negative c0 leaves neither, and no verdict
+    for op in (robin_op8, dirichlet_op8):
+        assert not mmatrix_report(op).holds and mmatrix_report(op).irreducible
+        assert certify_positivity(principal_eig(op), op).passed
+    mesh = robin_op8.mesh
+    for c0, passed in ((0.0, True), (-1.0, False)):
+        op = assemble(mesh, CoefficientSet.constant(mesh, c0=c0),
+                      BoundaryMode.NEUMANN)
+        cert = certify_positivity(principal_eig(op), op)
+        assert cert.passed is passed
+        if not passed:
+            assert principal_eig(op).lambda1.real < 0
+            assert "row sum <= 0 and no witness" in cert.reason
+
+
+def test_a_negative_entry_under_the_certificate_fails(robin_op8):
+    from dataclasses import replace
+    rep = principal_eig(robin_op8)
+    vector = rep.vector.copy()
+    vector[5] = -1e-300
+    cert = certify_positivity(replace(rep, vector=vector), robin_op8)
+    assert not cert.passed and not cert.reason
+    assert cert.witness_node == robin_op8.free_vertices[5]
+    vector[5] = 0.0  # a positive entry lost to underflow
+    cert = certify_positivity(replace(rep, vector=vector), robin_op8)
+    assert cert.passed and cert.underflow and cert.min_value == 0.0

@@ -23,7 +23,6 @@ verification quantity.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 
@@ -125,32 +124,14 @@ class MildSolution:
         return self.fields[0]
 
 
-def _min_row_sum(A) -> float:
-    return float((A @ np.ones(A.shape[0])).min())
-
-
-def coefficient_sign_condition(mesh: TriMesh,
-                               coeffs: CoefficientSet) -> float:
-    """Smallest entry of (volume stiffness) @ ones.
-
-    Row i equals the zero-order functional of the operator tested against
-    hat i (the gradient terms against a constant cancel); nonnegativity of
-    all rows is the discrete shadow of the sign condition under which
-    nonnegative data yield nonnegative solutions.
-    """
-    A, _, _ = assemble_volume(mesh, coeffs)
-    return _min_row_sum(A)
-
-
 def solve_mild(mesh: TriMesh, coeffs: CoefficientSet, u0: np.ndarray,
                phi: BoundaryData, cfg: EvolutionConfig) -> MildSolution:
     """March the boundary-pinned problem; boundary rows of every field
     equal the interpolated data exactly.
 
     Boundary tags are not consulted: this problem pins every boundary
-    vertex. Raises on initial data incompatible with phi(0); warns (and
-    carries on) when the coefficient sign condition fails, since only
-    the positivity conclusions lapse.
+    vertex. Raises on initial data incompatible with phi(0); whether
+    positivity conclusions apply is ``strong_positivity_check``'s call.
     """
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != (mesh.n_vertices,):
@@ -170,14 +151,6 @@ def solve_mild(mesh: TriMesh, coeffs: CoefficientSet, u0: np.ndarray,
             f"(> {COMPATIBILITY_TOL:.0e})")
 
     A, M, ML = assemble_volume(mesh, coeffs)
-    worst = _min_row_sum(A)
-    scale = max(1.0, float(np.abs(coeffs.c0).max()),
-                float(np.abs(coeffs.b).max()))
-    if worst < -1e-10 * scale:
-        warnings.warn(
-            f"coefficient sign condition fails (min row value {worst:.3e}); "
-            "positivity conclusions do not apply", stacklevel=2)
-
     # the interior rows of the step: each step solves
     # lhs_II u_I(k+1) = rhs_II u_I(k) + rhs_IB u_B(k) - lhs_IB u_B(k+1)
     lhs, rhs = step_matrices(A, mass_matrix(cfg.mass, M, ML), cfg.scheme,
@@ -226,15 +199,16 @@ class StrongPositivityReport:
 
 
 def strong_positivity_check(sol: MildSolution) -> StrongPositivityReport:
-    """Certify strict interior positivity past the propagation threshold,
-    counted from a nonzero interior datum or from the first step the
-    boundary data reach an interior row; zero data, or a horizon that ends
-    first, claim nothing. Each implicit Euler step with lumped mass solves
+    """Certify strict interior positivity from the first step the data
+    drive the interior: step 1 for a nonzero interior datum, else the first
+    step whose boundary data reach an interior row; zero data claim
+    nothing. Each implicit Euler step with lumped mass solves
     Z u_I(k+1) = M_L,II u_I(k) - dt A_IB u_B(k+1); when
     Z = (M_L + dt A)_II passes ``mmatrix_certificate`` and -A_IB >= 0,
-    nonnegative data that reach the interior give positive values there.
-    The float cross-check tests sign: an exact 0.0 is flagged as
-    underflow, a negative value fails."""
+    Z^-1 > 0 maps a nonnegative, nonzero right-hand side to a positive
+    state, and every later right-hand side is nonzero. ``threshold_step``
+    reports the interior graph diameter. The float cross-check tests
+    sign: an exact 0.0 is flagged as underflow, a negative value fails."""
     if sol.u0.min() < 0.0 or sol.phi.values.min() < 0.0:
         return StrongPositivityReport(
             Verdict.NOT_APPLICABLE, -1, -1,
@@ -245,16 +219,13 @@ def strong_positivity_check(sol: MildSolution) -> StrongPositivityReport:
     A = sol.stiffness[sol.interior]
     A_IB = A[:, sol.boundary]
     if np.any(sol.u0[sol.interior] > 0.0):
-        start = threshold
-    else:  # one step after the boundary data first drive an interior row
-        start = next((k + 1 + threshold for k in range(n_steps + 1)
+        start = 1
+    else:
+        start = next((k for k in range(1, n_steps + 1)
                       if np.any(A_IB @ sol.phi.at(k * dt) != 0.0)), -1)
     reason = ""
     if start < 0:
         reason = "zero data evolve to zero; nothing to certify"
-    elif start > n_steps:
-        reason = f"the claim starts at step {start} but the trajectory " \
-                 f"has only {n_steps} steps"
     elif (sol.cfg.scheme, sol.cfg.mass) != (Scheme.IMPLICIT_EULER,
                                             MassKind.LUMPED):
         reason = IMPLICIT_EULER_ONLY

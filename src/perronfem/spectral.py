@@ -5,13 +5,13 @@ each sweep is one block solve, two block products and a Rayleigh-Ritz
 step on (YᵀAY, YᵀMY). The deterministic shift sits certifiably below the
 spectrum, so one factorization (``factorize``, the package's one SuperLU
 call) serves every sweep and runs reproduce bitwise. Non-Hermitian
-problems (complex Robin, or convection with b != c) get the full spectrum
-from a dense Cholesky-reduced standard eigensolve up to ``DENSE_CUTOFF``
-dofs and shift-invert Arnoldi above it. ``_lowest_pairs`` is the one place
-that picks the path. ``certify_positivity`` claims a positive principal
-eigenvector only where ``assembly.mmatrix_certificate`` proves it, and is
-not applicable elsewhere.
-"""
+problems (complex Robin, or convection with b != c) get shift-invert
+Arnoldi, its pair count doubled until the field-of-values sector
+|Im lambda| <= Re lambda + s certifies the least real parts; meshes too
+small for ARPACK get the dense spectrum. ``_lowest_pairs`` is the one
+place that picks the path. ``certify_positivity`` claims a positive
+principal eigenvector only where ``assembly.mmatrix_certificate`` proves
+it, and is not applicable elsewhere."""
 
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ import scipy.sparse.linalg as spla
 from .assembly import BoundaryMode, DiscreteOperator, MassKind, \
     annihilates_constants, assemble, mass_matrix, mmatrix_report
 
-DENSE_CUTOFF = 2000
+MAX_ARNOLDI_PAIRS = 64  # the doubling cap of the certified Arnoldi path
 
 
 class SolverError(RuntimeError):
@@ -214,47 +214,73 @@ def _fix_sign(vector: np.ndarray, mass_lumped: np.ndarray) -> np.ndarray:
     return v
 
 
-def _dense_sorted_spectrum(op: DiscreteOperator, mass: MassKind):
-    """Spectrum sorted by real, then imaginary part: one dense
-    Cholesky-reduced standard eigensolve per operator and mass kind.
-
-    Either mass is real symmetric positive definite, so with M = L Lᵀ
-    the pencil (A, M) has the spectrum of C = L⁻¹ A L⁻ᵀ, solved by
-    Hessenberg QR instead of QZ, and x = L⁻ᵀ y maps the vectors back.
-    """
-    def solve():
-        try:
-            L = sla.cholesky(mass_matrix(mass, op.mass, op.mass_lumped)
-                             .toarray(), lower=True)
-        except sla.LinAlgError as exc:
-            raise SolverError(f"the {MassKind(mass).value} mass matrix has "
-                              f"no Cholesky factor: {exc}") from exc
-        C = sla.solve_triangular(L, op.stiffness.toarray(order="F"),
-                                 lower=True, overwrite_b=True)
-        # (L⁻¹ A) L⁻ᵀ = (L⁻¹ (L⁻¹ A)ᵀ)ᵀ
-        C = sla.solve_triangular(L, C.T, lower=True, overwrite_b=True).T
-        values, vectors = sla.eig(C, overwrite_a=True)
-        vectors = sla.solve_triangular(L, vectors, lower=True, trans="T",
-                                       overwrite_b=True)
-        order = np.lexsort((values.imag, values.real))
-        return values[order], vectors[:, order]
-    return op.cached(("dense_spectrum", mass), solve)
+def _hermitian_lower_bound(C, M, mass_lumped: np.ndarray) -> float:
+    """A lower bound of the least eigenvalue of the pencil (C, M), C
+    Hermitian (a complex C as its real 2n embedding, which has the same
+    eigenvalues): shift-invert Lanczos from the Gershgorin shift, minus the
+    residual bound |r|_(M^-1) / |x|_M <= 2 |r| / sqrt(min M_L x^T M x)."""
+    if abs(C.imag).max() > 0.0:
+        C = sp.bmat([[C.real, -C.imag], [C.imag, C.real]], format="csr")
+        M, mass_lumped = sp.block_diag((M, M)), np.tile(mass_lumped, 2)
+    C = C.real.tocsr()
+    sigma = _shift_below_spectrum(C, mass_lumped)
+    shifted = C - sigma * M
+    OPinv = spla.LinearOperator(shifted.shape, matvec=factorize(shifted).solve,
+                                dtype=float)
+    try:
+        (theta,), x = spla.eigsh(C, k=1, M=M, sigma=sigma, which="LM",
+                                 v0=_start_vector(C.shape[0]), OPinv=OPinv)
+    except spla.ArpackError as exc:
+        raise SolverError(f"shift-invert Lanczos failed: {exc}") from exc
+    Mx = M @ x[:, 0]
+    return float(theta - 2.0 * np.linalg.norm(C @ x[:, 0] - theta * Mx)
+                 / math.sqrt(mass_lumped.min() * (x[:, 0] @ Mx)))
 
 
-def _arnoldi_smallest_real(op: DiscreteOperator, M, k: int, tol: float):
-    """Shift-invert Arnoldi near a certified lower bound of Re(spectrum)."""
+def _sector_offset(op: DiscreteOperator, M) -> float:
+    """s with |Im lambda| <= Re lambda + s for every eigenvalue of the
+    pencil (A, M). An eigenvector x gives Re lambda = x^H A_s x / x^H M x
+    and Im lambda = x^H H x / x^H M x, with A_s = (A + A^H)/2 and
+    H = (A - A^H)/(2i) (Bendixson), so s = -min over +- of
+    lambda_min(A_s +- H, M). For a real A, A_s - H = conj(A_s + H)."""
+    A = op.stiffness
+    A_s, H = (A + A.getH()) / 2.0, (A - A.getH()) / 2.0j
+    return -min(_hermitian_lower_bound(A_s + sign * H, M, op.mass_lumped)
+                for sign in ((1.0, -1.0) if op.is_complex else (1.0,)))
+
+
+def _arnoldi_smallest_real(op: DiscreteOperator, M, k: int, tol: float,
+                           s: float):
+    """The eigenpairs nearest the Gershgorin shift sigma by shift-invert
+    Arnoldi, k + 2 of them, doubled until the sector certifies that the k
+    of least real part are among them: any eigenvalue Arnoldi missed lies
+    in the sector |Im z| <= Re z + s outside the disc about sigma through
+    the farthest one found. Past ``MAX_ARNOLDI_PAIRS``, SolverError."""
     sigma = _shift_below_spectrum(op.stiffness.real.tocsr(), op.mass_lumped)
     shifted = op.stiffness - sigma * M
     OPinv = spla.LinearOperator(shifted.shape, matvec=factorize(shifted).solve,
                                 dtype=shifted.dtype)
-    v0 = _start_vector(op.n_dof)
-    try:
-        values, vectors = spla.eigs(op.stiffness, k=k, M=M, sigma=sigma,
-                                    which="LM", v0=v0, tol=tol, OPinv=OPinv)
-    except spla.ArpackError as exc:
-        raise SolverError(f"shift-invert Arnoldi failed: {exc}") from exc
-    order = np.lexsort((values.imag, values.real))
-    return values[order], vectors[:, order]
+    cap, m = min(MAX_ARNOLDI_PAIRS, op.n_dof - 2), k + 2
+    while True:
+        try:
+            values, vectors = spla.eigs(op.stiffness, k=m, M=M, sigma=sigma,
+                                        which="LM", v0=_start_vector(op.n_dof),
+                                        tol=tol, OPinv=OPinv)
+        except spla.ArpackError as exc:
+            raise SolverError(f"shift-invert Arnoldi failed: {exc}") from exc
+        order = np.lexsort((values.imag, values.real))
+        values, vectors = values[order], vectors[:, order]
+        # the least real part of that region: the least x >= -s with
+        # (x - sigma)^2 + (x + s)^2 >= R^2
+        R2, c2 = np.abs(values - sigma).max() ** 2, (sigma + s) ** 2
+        bound = -s if R2 <= c2 else 0.5 * (sigma - s + math.sqrt(2 * R2 - c2))
+        if values[k - 1].real <= bound:
+            return values, vectors
+        if m >= cap:
+            raise SolverError(
+                f"{m} Arnoldi pairs do not certify the {k} of least real "
+                f"part: Re lambda_{k} {values[k - 1].real:.6g} > {bound:.6g}")
+        m = min(2 * m, cap)
 
 
 def _lowest_pairs(op: DiscreteOperator, mass: MassKind | str, k: int,
@@ -264,10 +290,11 @@ def _lowest_pairs(op: DiscreteOperator, mass: MassKind | str, k: int,
     ``_fix_sign``, and the relative residuals.
 
     The operator alone picks the solver: a real Hermitian operator gets
-    block inverse iteration, any other operator the full spectrum of a
-    dense Cholesky-reduced standard eigensolve up to ``DENSE_CUTOFF`` dofs
-    and shift-invert Arnoldi above it. Each solve runs once per operator
-    and is shared by every caller.
+    block inverse iteration, any other the sector-certified shift-invert
+    Arnoldi of ``_arnoldi_smallest_real``, or the dense spectrum of the
+    pencil where ARPACK cannot run (k + 2 >= n_dof - 1, a handful of
+    dofs). Each solve runs once per operator and is shared by every
+    caller.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -279,16 +306,15 @@ def _lowest_pairs(op: DiscreteOperator, mass: MassKind | str, k: int,
                 op.stiffness, M, op.mass_lumped, k, tol))
         return values, [_fix_sign(v, op.mass_lumped) for v in vectors.T], \
             residuals
-    if op.n_dof <= DENSE_CUTOFF:
-        values, vectors = _dense_sorted_spectrum(op, mass)
-    else:  # two guard pairs, as in the Hermitian block
-        if k > op.n_dof - 2:
-            raise ValueError(
-                f"k = {k} exceeds n_dof - 2 = {op.n_dof - 2}, the most "
-                f"eigenpairs shift-invert Arnoldi gives above "
-                f"{DENSE_CUTOFF} dofs")
-        values, vectors = op.cached(("arnoldi", mass, k, tol), lambda: (
-            _arnoldi_smallest_real(op, M, min(k + 2, op.n_dof - 2), tol)))
+
+    def solve():
+        if k + 2 < op.n_dof - 1:  # one sector per mass kind, whatever k
+            return _arnoldi_smallest_real(op, M, k, tol, op.cached(
+                ("sector", mass), lambda: _sector_offset(op, M)))
+        values, vectors = sla.eig(op.stiffness.toarray(), M.toarray())
+        order = np.lexsort((values.imag, values.real))
+        return values[order], vectors[:, order]
+    values, vectors = op.cached(("lowest_pairs", mass, k, tol), solve)
     signed = [_fix_sign(vectors[:, j], op.mass_lumped) for j in range(k)]
     residuals = np.array([
         float(np.linalg.norm(op.stiffness @ v - lam * (M @ v))
@@ -347,7 +373,7 @@ def region_vertices(op: DiscreteOperator, region: Region) -> np.ndarray:
                         op.constrained_vertices)
 
 
-def certify_positivity(report: EigenReport,
+def certify_positivity(report: EigenReport | None,
                        op: DiscreteOperator) -> PositivityCertificate:
     """Strict positivity of the principal eigenvector on its mode's region
     (the free dofs), where it is provable: a real Hermitian operator whose
@@ -355,10 +381,10 @@ def certify_positivity(report: EigenReport,
     nonsingular, by a witness or as a Stieltjes matrix with lambda1
     resolved above 0, so A^-1 M > 0 has the lambda1 eigenvector as its
     Perron vector; or that annihilates constants, so the Perron vector is
-    the constant. Otherwise, and for every non-Hermitian operator, the
-    certificate is not applicable and ``reason`` says why. The float
-    cross-check tests sign: an exact 0.0 is flagged as underflow, a
-    negative entry is no Perron vector and fails."""
+    the constant. Otherwise, and for every non-Hermitian operator (whose
+    ``report`` may be None), the certificate is not applicable and
+    ``reason`` says why. The float cross-check tests sign: an exact 0.0 is
+    flagged as underflow, a negative entry is no Perron vector and fails."""
     if op.mode not in REGION_FOR_MODE:
         return PositivityCertificate(
             False, reason=f"no positivity region for mode {op.mode.value}")

@@ -158,7 +158,9 @@ def _check_corkscrew(p: Problem):
 def _check_principal_positivity(p: Problem):
     if p.mode not in REGION_FOR_MODE:
         return Verdict.NOT_APPLICABLE, {"reason": "no positivity region"}
-    cert = certify_positivity(p.principal, p.op)
+    # a non-Hermitian operator is outside the certificate: solve nothing
+    hermitian = p.op.is_hermitian and not p.op.is_complex
+    cert = certify_positivity(p.principal if hermitian else None, p.op)
     if cert.reason:
         return Verdict.NOT_APPLICABLE, cert.payload()
     return (Verdict.PASS if cert.passed else Verdict.FAIL,

@@ -123,19 +123,15 @@ def test_suite_complex_robin():
     (1.0 + 1.0j, (0.0, 0.0), BoundaryMode.COMPLEX_ROBIN),
     (1.0, (1.0, 0.0), BoundaryMode.ROBIN)])
 def test_suite_above_the_dense_cutoff_has_no_fail(monkeypatch, beta, b, mode):
+    # 49 dofs are above the tiny-mesh dense spectrum: every check reads the
+    # one certified Arnoldi solve, with nothing patched to route it there
     import scipy.linalg
     import scipy.sparse.linalg
-    import perronfem.spectral
     mesh = generate_structured("unit_square", 6, "flux")
     coeffs = CoefficientSet.constant(mesh, beta=beta, b=b)
 
-    def verdicts():
-        report = run_suite(Problem(mesh=mesh, coeffs=coeffs, mode=mode))
-        return {r.label: r.verdict for r in report.results}
-    dense = verdicts()
-
     def no_dense_eig(*args, **kwargs):
-        raise AssertionError("dense eigensolve above the cutoff")
+        raise AssertionError("dense eigensolve on a 49-dof mesh")
     arnoldi_calls = []
     eigs = scipy.sparse.linalg.eigs
 
@@ -144,20 +140,37 @@ def test_suite_above_the_dense_cutoff_has_no_fail(monkeypatch, beta, b, mode):
         return eigs(*args, **kwargs)
     monkeypatch.setattr(scipy.linalg, "eig", no_dense_eig)
     monkeypatch.setattr(scipy.sparse.linalg, "eigs", counted_eigs)
-    monkeypatch.setattr(perronfem.spectral, "DENSE_CUTOFF", 10)
-    arnoldi = verdicts()
-    assert arnoldi == dense
+    report = run_suite(Problem(mesh=mesh, coeffs=coeffs, mode=mode))
+    verdicts = {r.label: r.verdict for r in report.results}
     assert arnoldi_calls == [4]  # one shared solve: two pairs, two guards
-    assert arnoldi["spectral-gap"] is Verdict.PASS
+    assert verdicts["spectral-gap"] is Verdict.PASS
     if mode is BoundaryMode.COMPLEX_ROBIN:
-        assert arnoldi["complex-robin-strict-bound"] is Verdict.PASS
-        assert Verdict.FAIL not in arnoldi.values()
+        assert verdicts["complex-robin-strict-bound"] is Verdict.PASS
+        assert Verdict.FAIL not in verdicts.values()
     else:
         # a non-Hermitian operator is outside the eigenvector certificate
-        assert arnoldi["principal-positivity"] is Verdict.NOT_APPLICABLE
+        assert verdicts["principal-positivity"] is Verdict.NOT_APPLICABLE
         # convection gives the stiffness positive off-diagonal entries
-        assert [label for label, v in arnoldi.items()
+        assert [label for label, v in verdicts.items()
                 if v is Verdict.FAIL] == ["mmatrix-compatible"]
+
+
+def test_principal_positivity_solves_nothing_for_a_non_hermitian_operator(
+        monkeypatch):
+    # the certificate is not applicable whatever the spectrum, so a
+    # spectrum that cannot be certified does not turn it into a FAIL
+    import perronfem.spectral
+
+    def uncertified(*args, **kwargs):
+        raise perronfem.spectral.SolverError("not certified")
+    monkeypatch.setattr(perronfem.spectral, "_lowest_pairs", uncertified)
+    mesh = generate_structured("unit_square", 6, "dirichlet")
+    problem = Problem(mesh=mesh,
+                      coeffs=CoefficientSet.constant(mesh, b=(60.0, 0.0)),
+                      mode=BoundaryMode.DIRICHLET)
+    (result,) = run_suite(problem, only="principal-positivity").results
+    assert result.verdict is Verdict.NOT_APPLICABLE
+    assert "non-Hermitian" in result.payload["reason"]
 
 
 def test_suite_only_filter():
@@ -293,19 +306,26 @@ def test_cli_eig_rejects_unknown_key(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
-def test_cli_eig_gap_count_above_the_arnoldi_limit_is_an_error(
-        tmp_path, capsys, monkeypatch):
-    # above the dense cutoff, shift-invert Arnoldi gives at most n_dof - 2
-    # pairs; a larger gap_count once ended in an IndexError
-    import perronfem.spectral
-    monkeypatch.setattr(perronfem.spectral, "DENSE_CUTOFF", 10)
+def test_cli_eig_gap_count_near_n_dof_takes_the_dense_spectrum(
+        tmp_path, monkeypatch):
+    # ARPACK gives at most n_dof - 2 pairs; 15 pairs of 16 dofs (plus two
+    # guards) come from the dense spectrum of the pencil, not an error
+    import scipy.linalg
+    calls = []
+    eig = scipy.linalg.eig
+    monkeypatch.setattr(
+        scipy.linalg, "eig",
+        lambda *a, **kw: calls.append(1) or eig(*a, **kw))
     path = write_config(tmp_path / "c.json", {
         "mesh": {"shape": "unit_square", "n": 3, "tags": "N"},
         "coefficients": {"beta": {"re": 1.0, "im": 0.5},
                          "mode": "complex_robin"},
         "gap_count": 15, "output_dir": "out"})
-    assert main(["eig", "--config", path]) == 2
-    _assert_one_error_line(capsys, "k = 15 exceeds n_dof - 2 = 14")
+    assert main(["eig", "--config", path]) == 0
+    report = json.loads((tmp_path / "out" / "eig_report.json").read_text())
+    assert report["n_dof"] == 16
+    assert len(report["eigenvalues"]) == 15
+    assert len(calls) == 1  # k = 2 for lambda1 runs on Arnoldi
 
 
 def test_cli_evolve_and_kernel(tmp_path):
@@ -381,7 +401,8 @@ def test_cli_parabolic(tmp_path):
 # verdicts re-pinned from pass to not_applicable when strong positivity
 # moved to the M-matrix certificate: Crank-Nicolson with consistent mass is
 # outside it, and c = (0.5, 0.25) puts positive off-diagonal entries on the
-# diagonal edges
+# diagonal edges; both verdicts re-pinned when the claim began at step 1
+# instead of the interior graph diameter: start_step 8 -> 1 and 6 -> 1
 PINNED_PARABOLIC = {
     "implicit-euler": ({
         "mesh": {"shape": "unit_square", "n": 6, "tags": "D"},
@@ -394,7 +415,7 @@ PINNED_PARABOLIC = {
         "test_bank_size": 8, "seed": 3,
     }, {
         "verdict.json":
-            "57f67729cb6a3aaadc7bb2a46b41fca302f6edc3f09bd97ee46b1b3b7fa275c9",
+            "2b467ecd785162c1bbebddd28da409b65926d0a2256430008de2052e95b07a7d",
         "trajectory.csv":
             "1042c9f5efa2851d0f125c5187cbe12e5d5f48081da8f8e4685fa6968b6391b0",
         "strip.svg":
@@ -412,7 +433,7 @@ PINNED_PARABOLIC = {
         "test_bank_size": 8, "seed": 1,
     }, {
         "verdict.json":
-            "976a7a016eb1414339bf4e6387a1e5d37d0ff1b23b0c78992991119d79547961",
+            "804d80c1950bd5b74e2a32a00f600899434080c93b4140dc748cfe1d69005ab0",
         "trajectory.csv":
             "34f51542678b80a31892c217586473df3c1064259814939425cabf7cc52b054b",
         "strip.svg":
@@ -688,7 +709,9 @@ LSHAPE_MIXED_TAGS = {"bottom": "D", "right": "N", "inner_h": "N",
 # ordering and the Hermitian sweep to a Rayleigh-Ritz step on the pencil:
 # float digits move, by <= 1.5e-14 relative outside the residual-sized
 # entries, the verdicts do not; dirichlet6's principal-positivity witness
-# moves between two mirror-image vertices with the same minimum.
+# moves between two mirror-image vertices with the same minimum. complex6
+# was re-pinned when certified shift-invert Arnoldi replaced the dense
+# spectrum; only eigenvalue digits differ, by <= 1e-13 relative.
 PINNED_REPORTS = {
     "robin6": ({
         "mesh": {"shape": "unit_square", "n": 6, "tags": "N"},
@@ -705,7 +728,7 @@ PINNED_REPORTS = {
         "mesh": {"shape": "unit_square", "n": 6, "tags": "N"},
         "coefficients": {"beta": {"re": 1.0, "im": 0.5},
                          "mode": "complex_robin"},
-    }, "24b6bed3450a2e2efd09612e25243bd1906e451a83d944c57eaea8ec05561a1b"),
+    }, "df60d4bd55d096d01a35ec0c0535e112b7f900775cc3ba5848ba48b3072a55be"),
     "lshape4": ({
         "mesh": {"shape": "l_shape", "n": 4, "tags": LSHAPE_MIXED_TAGS},
         "coefficients": {"mode": "mixed"},
@@ -738,14 +761,16 @@ def test_cli_verify_report_bytes_pinned(tmp_path, name):
 # JSON conversion; complex6 re-pinned with the Cholesky-reduced dense
 # eigensolve (eigenvalues and residual in the last digits), robin6 with
 # the minimum-degree ordering and the Rayleigh-Ritz sweep on the pencil
-# (eigenvalues in the last digits, residual 2.0e-14 -> 1.3e-14)
+# (eigenvalues in the last digits, residual 2.0e-14 -> 1.3e-14), complex6
+# again with certified Arnoldi (eigenvalues in the last digits, residual
+# 7.0e-13 -> 4.5e-14)
 PINNED_EIG_REPORTS = {
     "robin6": (
         {"beta": 1.5, "mode": "robin"},
         "919ea1dfeaa356d022661af0793bf12ad1ae2e407045986e850d3522e45f6009"),
     "complex6": (
         {"beta": {"re": 1.0, "im": 0.5}, "mode": "complex_robin"},
-        "dbae330463eca311d96fd87b0986dbf44d9be764e91be33450e7c8e69b10cd7a"),
+        "285b1524fb1da27f85a360869c65502724389350e8742accb95429b4e395ac78"),
 }
 
 
@@ -774,20 +799,23 @@ def test_jsonable_gives_strict_json():
 
 # -- one solve per operator --------------------------------------------------------
 
-def test_complex_verify_runs_one_dense_eigensolve(tmp_path, monkeypatch):
+def test_complex_verify_runs_one_arnoldi_solve(tmp_path, monkeypatch):
     import scipy.linalg
-    calls = []
-    eig = scipy.linalg.eig
+    import scipy.sparse.linalg
+    calls = {"eig": [], "eigs": []}
+    eig, eigs = scipy.linalg.eig, scipy.sparse.linalg.eigs
     monkeypatch.setattr(
         scipy.linalg, "eig",
-        lambda *a, **kw: calls.append((a, kw)) or eig(*a, **kw))
+        lambda *a, **kw: calls["eig"].append(1) or eig(*a, **kw))
+    monkeypatch.setattr(
+        scipy.sparse.linalg, "eigs",
+        lambda *a, **kw: calls["eigs"].append(kw["k"]) or eigs(*a, **kw))
     cfg, _ = PINNED_REPORTS["complex6"]
     path = write_config(tmp_path / "c.json", dict(cfg, output_dir="out"))
     assert main(["verify", "--config", path]) == 0
-    # a standard eigenproblem: one matrix, no mass matrix b (no QZ)
-    ((args, kwargs),) = calls
-    assert len(args) == 1
-    assert "b" not in kwargs
+    # principal-positivity, spectral-gap and the complex Robin bound share
+    # one certified solve: two pairs and two guards, no dense spectrum
+    assert calls == {"eig": [], "eigs": [4]}
 
 
 def test_verify_factorizes_each_pencil_once(monkeypatch):
@@ -829,6 +857,16 @@ def test_every_factorization_orders_by_minimum_degree(tmp_path, monkeypatch):
     package = pathlib.Path(perronfem.__file__).parent
     assert sum(path.read_text(encoding="utf-8").count("splu(")
                for path in package.glob("*.py")) == 1
+
+
+def test_the_dense_spectrum_serves_only_tiny_meshes():
+    import pathlib
+    import perronfem
+    package = pathlib.Path(perronfem.__file__).parent
+    sources = [path.read_text(encoding="utf-8")
+               for path in package.glob("*.py")]
+    assert not any("DENSE_CUTOFF" in text for text in sources)
+    assert sum(text.count("sla.eig(") for text in sources) == 1
 
 
 def test_verify_runs_the_corkscrew_check_once(monkeypatch):
@@ -955,7 +993,8 @@ def test_cli_verify_complex_spelled_real_beta_is_byte_equal(tmp_path):
 
 def test_cli_parabolic_default_horizon_short_of_the_claim(tmp_path, capsys):
     # the 80-step default horizon ends before the interior graph diameter
-    # (92) is crossed: the claim is not applicable, not an error
+    # (92) is crossed, where the claim once started; the certificate proves
+    # positivity from step 1, so the run passes
     path = write_config(tmp_path / "p.json", {
         "mesh": {"shape": "unit_square", "n": 48, "tags": "D"},
         "coefficients": {"mode": "dirichlet"},
@@ -964,10 +1003,11 @@ def test_cli_parabolic_default_horizon_short_of_the_claim(tmp_path, capsys):
     verdict = json.loads((tmp_path / "out" / "verdict.json").read_text())
     positivity = verdict["strong_positivity"]
     assert verdict["steps"] == 80
-    assert positivity["verdict"] == "not_applicable"
-    assert positivity["reason"] == ("the claim starts at step 92 but the "
-                                    "trajectory has only 80 steps")
-    assert capsys.readouterr().err == ""
+    assert positivity["verdict"] == "pass"
+    assert (positivity["start_step"], positivity["threshold_step"]) == (1, 92)
+    assert positivity["reason"] == ""
+    assert "underflow" not in positivity
+    capsys.readouterr()
 
 
 def test_verify_scans_the_stiffness_signs_once(monkeypatch):

@@ -4,8 +4,7 @@ import pytest
 from perronfem.assembly import CoefficientSet, assemble_volume
 from perronfem.mesh import generate_structured
 from perronfem.parabolic import BoundaryData, ConstancyVerdict, \
-    MildSolution, ParabolicError, coefficient_sign_condition, \
-    conserves_constants, constancy_principle_check, \
+    MildSolution, ParabolicError, conserves_constants, constancy_principle_check, \
     elliptic_strong_max_check, make_test_bank, solve_mild, \
     strong_positivity_check, very_weak_residual
 from perronfem.semigroup import EvolutionConfig, MassKind, Verdict, \
@@ -96,7 +95,6 @@ def _block_march(mesh, coeffs, u0, phi, cfg):
     return fields
 
 
-@pytest.mark.filterwarnings("ignore:coefficient sign condition")
 @pytest.mark.parametrize("scheme", ["implicit_euler", "crank_nicolson"])
 @pytest.mark.parametrize("mass", [MassKind.LUMPED, MassKind.CONSISTENT])
 def test_solve_mild_equals_the_block_formulas(scheme, mass):
@@ -143,13 +141,23 @@ def test_compatibility_violation_rejected(dirichlet_mesh8):
 
 
 def test_sign_condition_warning(dirichlet_mesh8):
-    coeffs = CoefficientSet.constant(dirichlet_mesh8, c0=-3.0)
-    assert coefficient_sign_condition(dirichlet_mesh8, coeffs) < 0
-    phi = BoundaryData.constant(dirichlet_mesh8, 0.0, 0.1)
-    with pytest.warns(UserWarning, match="sign condition"):
-        solve_mild(dirichlet_mesh8, coeffs,
-                   np.zeros(dirichlet_mesh8.n_vertices), phi,
-                   cfg_for(dirichlet_mesh8, 0.1, 10))
+    # c0 = -3 makes volume-stiffness row sums negative; solve_mild once
+    # warned that positivity conclusions lapse, but (M_L + dt A)_II is still
+    # an irreducible nonsingular M-matrix, so no warning and a PASS
+    import warnings
+    mesh = dirichlet_mesh8
+    coeffs = CoefficientSet.constant(mesh, c0=-3.0)
+    A, _, _ = assemble_volume(mesh, coeffs)
+    assert (A @ np.ones(mesh.n_vertices)).min() < 0
+    u0 = np.ones(mesh.n_vertices)
+    u0[mesh.boundary_vertices()] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = solve_mild(mesh, coeffs, u0, BoundaryData.constant(mesh, 0.0,
+                                                                 0.1),
+                         cfg_for(mesh, 0.1, 40))
+    rep = strong_positivity_check(sol)
+    assert rep.verdict is Verdict.PASS and rep.start_step == 1
 
 
 def test_eigenvector_decay_with_zero_boundary(dirichlet_mesh8, dirichlet_op8):
@@ -206,7 +214,7 @@ def test_strong_positivity_from_interior_indicator(dirichlet_mesh8):
                      cfg_for(mesh, 0.5, 64))
     rep = strong_positivity_check(sol)
     assert rep.verdict is Verdict.PASS
-    assert rep.start_step == rep.threshold_step
+    assert rep.start_step == 1 < rep.threshold_step
 
 
 def test_strong_positivity_after_boundary_switch_on(dirichlet_mesh8):
@@ -222,9 +230,26 @@ def test_strong_positivity_after_boundary_switch_on(dirichlet_mesh8):
                      cfg_for(mesh, t_end, 64))
     rep = strong_positivity_check(sol)
     assert rep.verdict is Verdict.PASS
-    assert rep.start_step > rep.threshold_step  # waits for the switch-on
+    # phi(0.25) = 0: the first step with data on is the next one
     switch_step = int(np.ceil(0.25 / sol.cfg.dt))
-    assert rep.start_step >= switch_step
+    assert rep.start_step == switch_step + 1
+
+
+def test_strong_positivity_on_a_horizon_shorter_than_the_diameter(
+        dirichlet_mesh8):
+    # Z^-1 > 0 proves positivity from step 1; the claim once waited for the
+    # interior graph diameter (12 steps) and 4 steps were not applicable
+    mesh = dirichlet_mesh8
+    u0 = np.zeros(mesh.n_vertices)
+    u0[np.setdiff1d(np.arange(mesh.n_vertices),
+                    mesh.boundary_vertices())[0]] = 1.0
+    sol = solve_mild(mesh, laplace_coeffs(mesh), u0,
+                     BoundaryData.constant(mesh, 0.0, 1.0),
+                     cfg_for(mesh, 0.2 / 32 * 4, 4))
+    rep = strong_positivity_check(sol)
+    assert rep.verdict is Verdict.PASS and not rep.underflow
+    assert (rep.start_step, rep.threshold_step) == (1, 12)
+    assert sol.fields[1:, sol.interior].min() > 0.0
 
 
 def test_strong_positivity_vacuous_for_zero_data(dirichlet_mesh8):
@@ -571,21 +596,17 @@ def test_strong_positivity_reads_the_sign_under_the_certificate(
             assert rep.first_violation == (float(sol.times[20]), int(vertex))
 
 
-@pytest.mark.filterwarnings("ignore:coefficient sign condition")
 @pytest.mark.parametrize("change, reason", [
     ({"scheme": "crank_nicolson"}, "implicit Euler with lumped mass"),
     ({"mass": MassKind.CONSISTENT}, "implicit Euler with lumped mass"),
-    ({"c": (0.5, 0.25)}, "interior step matrix has positive off-diagonal"),
-    ({"steps": 4}, "the claim starts at step 12 but the trajectory has only "
-                   "4 steps")])
+    ({"c": (0.5, 0.25)}, "interior step matrix has positive off-diagonal")])
 def test_strong_positivity_outside_the_certificate_is_not_applicable(
         dirichlet_mesh8, change, reason):
     mesh = dirichlet_mesh8
     coeffs = CoefficientSet.constant(mesh, c=change.get("c", (0.0, 0.0)))
-    steps = change.get("steps", 32)
     cfg = EvolutionConfig(scheme=change.get("scheme", "implicit_euler"),
                           mass=change.get("mass", MassKind.LUMPED),
-                          dt=0.2 / 32, t_end=0.2 / 32 * steps)
+                          dt=0.2 / 32, t_end=0.2)
     u0 = np.zeros(mesh.n_vertices)
     u0[np.setdiff1d(np.arange(mesh.n_vertices),
                     mesh.boundary_vertices())[0]] = 1.0

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -362,51 +363,128 @@ def test_nonconvergence_reports_last_residual(robin_op8):
 
 
 def test_arnoldi_fallback_agrees_with_dense(robin_mesh8):
-    # the shift-invert path used above the dense cutoff, exercised small
-    from perronfem.spectral import _arnoldi_smallest_real, \
-        _dense_sorted_spectrum
+    # the sector-certified shift-invert path against QZ on the whole pencil
+    from perronfem.spectral import _arnoldi_smallest_real, _sector_offset
     coeffs = CoefficientSet.constant(robin_mesh8, beta=1.0 + 1.0j)
     op = assemble(robin_mesh8, coeffs, BoundaryMode.COMPLEX_ROBIN)
-    dense_vals, _ = _dense_sorted_spectrum(op, "consistent")
-    arn_vals, _ = _arnoldi_smallest_real(op, op.mass, k=4, tol=1e-12)
+    dense_vals = sla.eig(op.stiffness.toarray(), op.mass.toarray(),
+                         right=False)
+    arn_vals, _ = _arnoldi_smallest_real(op, op.mass, k=4, tol=1e-12,
+                                         s=_sector_offset(op, op.mass))
     np.testing.assert_allclose(np.sort(arn_vals.real)[:3],
-                               np.sort(dense_vals.real)[:3], rtol=1e-8)
+                               np.sort(dense_vals.real)[:3], rtol=1e-10)
 
 
-@pytest.mark.parametrize("mass", ["consistent", "lumped"])
-@pytest.mark.parametrize("mode, beta, b", [
-    (BoundaryMode.COMPLEX_ROBIN, 1.0 + 1.0j, (0.0, 0.0)),
-    (BoundaryMode.ROBIN, 1.0, (2.0, 1.0))])
-def test_reduced_dense_spectrum_matches_qz(robin_mesh8, mode, beta, b, mass):
-    # the Cholesky-reduced standard eigensolve against QZ on the pencil
+# -- the certified non-Hermitian path ------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _nonhermitian_case(n, mode, beta, b):
+    mesh = generate_structured("unit_square", n, "flux")
+    return assemble(mesh, CoefficientSet.constant(mesh, beta=beta, b=b),
+                    mode)
+
+
+@functools.lru_cache(maxsize=None)
+def _dense_reference(n, mode, beta, b, mass):
+    """Test-only reference: QZ on the whole dense pencil, sorted by real,
+    then imaginary part."""
     from perronfem.assembly import mass_matrix
-    from perronfem.spectral import _dense_sorted_spectrum
-    op = assemble(robin_mesh8,
-                  CoefficientSet.constant(robin_mesh8, beta=beta, b=b), mode)
+    op = _nonhermitian_case(n, mode, beta, b)
+    M = mass_matrix(mass, op.mass, op.mass_lumped)
+    values = sla.eig(op.stiffness.toarray(), M.toarray(), right=False)
+    return values[np.lexsort((values.imag, values.real))]
+
+
+def _counted_arnoldi(monkeypatch):
+    import perronfem.spectral as spectral
+    calls = []
+    eigs = spectral.spla.eigs
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["k"])
+        return eigs(*args, **kwargs)
+    monkeypatch.setattr(spectral.spla, "eigs", counted)
+    return calls
+
+
+NONHERMITIAN_CASES = [
+    (BoundaryMode.COMPLEX_ROBIN, 1.0 + 1.0j, (0.0, 0.0)),
+    (BoundaryMode.ROBIN, 1.0, (5.0, 2.0))]
+
+
+@pytest.mark.parametrize("n", [6, 20])
+@pytest.mark.parametrize("mass", ["consistent", "lumped"])
+@pytest.mark.parametrize("mode, beta, b", NONHERMITIAN_CASES)
+def test_certified_spectrum_matches_the_dense_reference(
+        monkeypatch, n, mass, mode, beta, b):
+    # complex Robin and convective Robin certify at two guard pairs
+    op = _nonhermitian_case(n, mode, beta, b)
     assert not op.is_hermitian
-    A = op.stiffness.toarray()
-    M = mass_matrix(mass, op.mass, op.mass_lumped).toarray()
-    qz = sla.eig(A, M, right=False)
-    qz = qz[np.lexsort((qz.imag, qz.real))]
-    values, vectors = _dense_sorted_spectrum(op, mass)
-    np.testing.assert_allclose(values[:4], qz[:4], rtol=1e-10)
-    X = vectors[:, :4]
-    residuals = np.linalg.norm(A @ X - (M @ X) * values[:4], axis=0) \
-        / np.linalg.norm(M @ X, axis=0)
-    assert np.all(residuals <= 1e-9)
+    calls = _counted_arnoldi(monkeypatch)
+    gap = spectral_gap(_fresh(op), 3, mass=mass)
+    assert calls == [5]
+    reference = _dense_reference(n, mode, beta, b, mass)[:3]
+    np.testing.assert_allclose(gap.values, reference, rtol=1e-10)
+    assert np.all(gap.residuals <= 1e-8)
 
 
-def test_dense_spectrum_without_a_cholesky_factor_is_a_solver_error(
-        robin_mesh8):
-    from dataclasses import replace
-    from perronfem.spectral import _dense_sorted_spectrum
-    op = assemble(robin_mesh8,
-                  CoefficientSet.constant(robin_mesh8, beta=1.0 + 1.0j),
-                  BoundaryMode.COMPLEX_ROBIN)
-    op = replace(op, mass=-op.mass)
-    with pytest.raises(SolverError, match="consistent mass matrix has no "
-                                          "Cholesky factor"):
-        _dense_sorted_spectrum(op, "consistent")
+def test_a_strongly_imaginary_beta_doubles_the_arnoldi_pairs(monkeypatch):
+    # beta = 0.2 + 3i: A_s - H has Robin coefficient -2.8, s is about 18.9,
+    # and the sector outside the 4-pair disc reaches left of Re lambda_2
+    case = (20, BoundaryMode.COMPLEX_ROBIN, 0.2 + 3.0j, (0.0, 0.0))
+    calls = _counted_arnoldi(monkeypatch)
+    rep = spectral_gap(_fresh(_nonhermitian_case(*case)), 2)
+    assert calls == [4, 8]
+    np.testing.assert_allclose(
+        rep.values, _dense_reference(*case, "consistent")[:2], rtol=1e-10)
+
+
+def test_the_sector_offset_bounds_every_eigenvalue():
+    from perronfem.spectral import _sector_offset
+    for mode, beta, b in NONHERMITIAN_CASES + [
+            (BoundaryMode.COMPLEX_ROBIN, 0.2 + 3.0j, (0.0, 0.0))]:
+        op = _nonhermitian_case(6, mode, beta, b)
+        s = _sector_offset(op, op.mass)
+        values = _dense_reference(6, mode, beta, b, "consistent")
+        assert np.all(np.abs(values.imag) <= values.real + s)
+
+
+def test_the_lanczos_bound_covers_an_inexact_ritz_pair(monkeypatch):
+    # a Ritz pair off the eigenvector overshoots lambda_min; the residual
+    # bound pulls the value back below it
+    import perronfem.spectral as spectral
+    op = _nonhermitian_case(6, *NONHERMITIAN_CASES[0])
+    A_s = op.stiffness.real.tocsr()  # (A + A^H)/2 of complex Robin
+    exact, V = sla.eigh(A_s.toarray(), op.mass.toarray())
+    x = V[:, 0] + 0.01 * V[:, 5]
+    theta = (x @ (A_s @ x)) / (x @ (op.mass @ x))
+    assert theta > exact[0]
+    monkeypatch.setattr(spectral.spla, "eigsh", lambda C, k, M, **kwargs: (
+        np.array([theta]), x[:, None]))
+    assert spectral._hermitian_lower_bound(A_s, op.mass,
+                                           op.mass_lumped) < exact[0]
+
+
+def test_an_uncertified_spectrum_is_a_solver_error_at_the_cap(monkeypatch):
+    import perronfem.spectral as spectral
+    monkeypatch.setattr(spectral, "_sector_offset", lambda op, M: 1e6)
+    calls = _counted_arnoldi(monkeypatch)
+    op = _fresh(_nonhermitian_case(6, *NONHERMITIAN_CASES[0]))
+    with pytest.raises(SolverError, match="47 Arnoldi pairs do not certify"):
+        principal_eig(op)
+    assert calls == [4, 8, 16, 32, 47]  # capped at n_dof - 2
+
+
+def test_tiny_meshes_take_the_dense_spectrum(monkeypatch):
+    import perronfem.spectral as spectral
+    calls = _counted_arnoldi(monkeypatch)
+    op = _nonhermitian_case(1, *NONHERMITIAN_CASES[0])
+    assert op.n_dof == 4  # k + 2 >= n_dof - 1: ARPACK cannot run
+    rep = spectral_gap(op, 4)
+    assert calls == []
+    np.testing.assert_allclose(
+        rep.values, _dense_reference(1, *NONHERMITIAN_CASES[0],
+                                     "consistent"), rtol=1e-12)
 
 
 def test_arnoldi_failure_is_a_solver_error(robin_mesh8, monkeypatch):
@@ -421,53 +499,67 @@ def test_arnoldi_failure_is_a_solver_error(robin_mesh8, monkeypatch):
                   CoefficientSet.constant(robin_mesh8, beta=1.0 + 1.0j),
                   BoundaryMode.COMPLEX_ROBIN)
     with pytest.raises(SolverError, match="Arnoldi failed"):
-        _arnoldi_smallest_real(op, op.mass, k=4, tol=1e-12)
+        _arnoldi_smallest_real(op, op.mass, k=4, tol=1e-12, s=0.0)
+    monkeypatch.setattr(spla, "eigsh", no_convergence)
+    with pytest.raises(SolverError, match="Lanczos failed"):
+        principal_eig(op)
 
 
 def test_complex_robin_bound_above_the_dense_cutoff_takes_no_flag(
-        robin_mesh8, monkeypatch):
+        monkeypatch):
+    # 49 dofs are above the tiny-mesh dense spectrum: the bound rests on the
+    # certified Arnoldi path, with nothing patched to route it there
     import perronfem.spectral as spectral
-    coeffs = CoefficientSet.constant(robin_mesh8, beta=1.0 + 1.0j)
-    dense = complex_robin_bound(
-        assemble(robin_mesh8, coeffs, BoundaryMode.COMPLEX_ROBIN))
-    monkeypatch.setattr(spectral, "DENSE_CUTOFF", 10)
-    bound = complex_robin_bound(
-        assemble(robin_mesh8, coeffs, BoundaryMode.COMPLEX_ROBIN))
+    case = (6, BoundaryMode.COMPLEX_ROBIN, 1.0 + 1.0j, (0.0, 0.0))
+    reference = _dense_reference(*case, "consistent")[0].real
+    calls = _counted_arnoldi(monkeypatch)
+    monkeypatch.setattr(spectral.sla, "eig", None)
+    bound = complex_robin_bound(_fresh(_nonhermitian_case(*case)))
+    assert calls == [4]
     assert bound.strict
-    assert bound.re_min_complex == pytest.approx(dense.re_min_complex,
-                                                 rel=1e-8)
-    assert bound.min_real_part_problem == dense.min_real_part_problem
+    assert bound.re_min_complex == pytest.approx(reference, rel=1e-10)
 
 
-def test_complex_robin_bound_at_n38_above_the_dense_cutoff(monkeypatch):
+def test_complex_robin_bound_at_n38_above_the_dense_cutoff():
     # the real-part problem solves at principal_eig's tolerance: inverse
     # iteration on this square cannot reach a residual of 1e-12
-    import perronfem.spectral as spectral
-    monkeypatch.setattr(spectral, "DENSE_CUTOFF", 10)
     mesh = generate_structured("unit_square", 38, "flux")
     op = assemble(mesh, CoefficientSet.constant(mesh, beta=1.0 + 1.0j),
                   BoundaryMode.COMPLEX_ROBIN)
     assert complex_robin_bound(op).strict
 
 
+def test_complex_robin_bound_and_gap_pass_at_n64():
+    # 4,225 dofs, once above the dense route's cutoff, with nothing patched
+    from perronfem.verification import Problem, run_suite
+    mesh = generate_structured("unit_square", 64, "flux")
+    problem = Problem(mesh=mesh,
+                      coeffs=CoefficientSet.constant(mesh, beta=1.0 + 1.0j),
+                      mode=BoundaryMode.COMPLEX_ROBIN)
+    assert problem.op.n_dof == 4225
+    for label in ("spectral-gap", "complex-robin-strict-bound"):
+        (result,) = run_suite(problem, only=label).results
+        assert result.verdict is Verdict.PASS, result.payload
+
+
 @pytest.mark.parametrize("mode, beta, b", [
     (BoundaryMode.COMPLEX_ROBIN, 1.0 + 1.0j, (0.0, 0.0)),
     (BoundaryMode.ROBIN, 1.0, (1.0, 0.0))])
-def test_arnoldi_path_matches_the_dense_path(robin_mesh8, monkeypatch, mode,
-                                             beta, b):
-    import perronfem.spectral as spectral
-    coeffs = CoefficientSet.constant(robin_mesh8, beta=beta, b=b)
-    dense_eig = principal_eig(assemble(robin_mesh8, coeffs, mode))
-    dense_gap = spectral_gap(assemble(robin_mesh8, coeffs, mode), 3)
-    monkeypatch.setattr(spectral, "DENSE_CUTOFF", 10)
-    op = assemble(robin_mesh8, coeffs, mode)
+def test_arnoldi_path_matches_the_dense_path(robin_mesh8, mode, beta, b):
+    op = assemble(robin_mesh8, CoefficientSet.constant(robin_mesh8, beta=beta,
+                                                       b=b), mode)
     rep = principal_eig(op)
     gap = spectral_gap(op, 3)
-    assert rep.lambda1 == pytest.approx(dense_eig.lambda1, rel=1e-9)
+    values, vectors = sla.eig(op.stiffness.toarray(), op.mass.toarray())
+    order = np.lexsort((values.imag, values.real))
+    values, vectors = values[order], vectors[:, order]
+    assert rep.lambda1 == pytest.approx(values[0], rel=1e-10)
     assert rep.residual <= 1e-9
-    np.testing.assert_allclose(np.abs(rep.vector), np.abs(dense_eig.vector),
-                               atol=1e-7)
-    np.testing.assert_allclose(gap.values, dense_gap.values, rtol=1e-9)
+    # the same unit lumped-L2 vector up to a unimodular factor
+    v = vectors[:, 0] / math.sqrt(np.real(np.vdot(
+        vectors[:, 0], op.mass_lumped * vectors[:, 0])))
+    np.testing.assert_allclose(np.abs(rep.vector), np.abs(v), atol=1e-7)
+    np.testing.assert_allclose(gap.values, values[:3], rtol=1e-10)
     assert np.all(gap.residuals <= 1e-8)
 
 
@@ -503,15 +595,17 @@ def test_complex_robin_bound_reads_the_suite_spectrum(robin_mesh8):
 
 
 def test_shared_solves_are_read_only(robin_op8, robin_mesh8):
-    from perronfem.spectral import _dense_sorted_spectrum
+    from perronfem.assembly import MassKind
     gap = spectral_gap(robin_op8, 3)
     with pytest.raises(ValueError, match="read-only"):
         gap.residuals[0] = 0.0
     op = assemble(robin_mesh8,
                   CoefficientSet.constant(robin_mesh8, beta=1.0 + 1.0j),
                   BoundaryMode.COMPLEX_ROBIN)
-    values, vectors = _dense_sorted_spectrum(op, "consistent")
-    assert _dense_sorted_spectrum(op, "consistent")[0] is values
+    values = spectral_gap(op, 3).values
+    key = ("lowest_pairs", MassKind.CONSISTENT, 3, 1e-10)
+    cached, vectors = op.solver_cache[key]
+    assert values.base is cached
     with pytest.raises(ValueError, match="read-only"):
         values[0] = 0.0
     with pytest.raises(ValueError, match="read-only"):

@@ -470,15 +470,26 @@ def quality(mesh: TriMesh) -> MeshQuality:
                        is_nonobtuse=nonobtuse, h_max=mesh.h_max)
 
 
-def _point_segment_distance(points, a, b):
-    """Distances from an array of points to segment [a, b]."""
+def _distance_to_segments(points, a, b, chunk_bytes=4 * 2 ** 20):
+    """Distance from each point to the nearest segment [a_e, b_e], one
+    broadcast over chunks of a few MB of (segment, point) pairs. The
+    dot products go through matmul, as a per-segment ``(points - a) @ ab``
+    would, so the distances are bitwise those of a loop over segments."""
     ab = b - a
-    denom = float(ab @ ab)
-    if denom == 0.0:
-        return np.linalg.norm(points - a, axis=1)
-    t = np.clip(((points - a) @ ab) / denom, 0.0, 1.0)
-    proj = a + t[:, None] * ab
-    return np.linalg.norm(points - proj, axis=1)
+    denom = (ab[:, None, :] @ ab[:, :, None])[:, 0, 0]
+    # a degenerate segment projects every point onto a
+    denom = np.where(denom > 0.0, denom, np.inf)
+    step = max(1, chunk_bytes // (16 * len(points)))
+    best = np.full(len(points), np.inf)
+    for s in range(0, len(a), step):
+        e = slice(s, s + step)
+        t = ((points - a[e, None, :]) @ ab[e, :, None])[..., 0]
+        t = np.clip(t / denom[e, None], 0.0, 1.0)
+        rx = points[:, 0] - (a[e, 0, None] + t * ab[e, 0, None])
+        ry = points[:, 1] - (a[e, 1, None] + t * ab[e, 1, None])
+        np.minimum(best, (rx * rx + ry * ry).min(axis=0), out=best)
+    # sqrt is monotone, so the root of the least square is the least root
+    return np.sqrt(best)
 
 
 def _sample_segment(a, b, resolution):
@@ -521,9 +532,8 @@ def check_corkscrew(mesh: TriMesh, delta: float) -> CorkscrewResult:
     candidates = np.vstack([
         _sample_segment(mesh.vertices[a], mesh.vertices[b], resolution)
         for a, b in d_edges])
-    dist_to_n = np.min(np.vstack([
-        _point_segment_distance(candidates, mesh.vertices[a], mesh.vertices[b])
-        for a, b in n_edges]), axis=0)
+    dist_to_n = _distance_to_segments(candidates, mesh.vertices[n_edges[:, 0]],
+                                      mesh.vertices[n_edges[:, 1]])
 
     witnesses = {}
     for x_idx in junction:

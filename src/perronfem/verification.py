@@ -29,9 +29,15 @@ from .spectral import REGION_FOR_MODE, SolverError, certify_positivity, \
     complex_robin_bound, principal_eig, spectral_gap
 
 
-#: columns of the fixed-seed probe block Z of the kernel identity checks
-PROBES = 16
+#: columns of the fixed-seed probe block Z of the kernel identity checks;
+#: both are Freivalds checks (Freivalds 1977), for which a few Gaussian
+#: probes see a nonzero defect with probability 1
+PROBES = 4
 PROBE_SEED = 0
+#: relative tolerances of kernel-symmetry and chapman-kolmogorov, scaled by
+#: max(1, the largest sampled entry)
+SYMMETRY_TOL = 1e-8
+COMPOSITION_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -97,11 +103,11 @@ class Problem:
 
     @cached_property
     def kernel_probes(self) -> KernelProbes:
-        """One forward march to 2t of a fixed-seed probe block Z and, when
+        """One forward march to t of a fixed-seed probe block Z and, when
         the positivity certificate holds, of the point masses at the two
         ends of the stiffness graph's diameter, with a snapshot at the
-        threshold step too; one adjoint march of Z to t. O(n_dof * PROBES)
-        memory: no dense kernel."""
+        threshold step too; K(t) Z alone goes on to 2t. One adjoint march
+        of Z to t. O(n_dof * PROBES) memory: no dense kernel."""
         op, cfg = self.op, self.evolution_cfg
         t = cfg.n_steps * cfg.dt
         # the kernel decays with graph distance, so the float cross-checks
@@ -115,8 +121,8 @@ class Problem:
         block = np.zeros((op.n_dof, len(ends) + PROBES))
         block[ends, range(len(ends))] = 1.0
         block[:, len(ends):] = probes
-        K1, K2, K0 = kernel(op, (cfg.t_end, 2.0 * t, threshold * cfg.dt),
-                            cfg, block)
+        K1, K0 = kernel(op, (cfg.t_end, threshold * cfg.dt), cfg, block)
+        forward = K1[:, len(ends):]
         columns = op.free_vertices[ends]
         return KernelProbes(
             t=t, ends=point_mass_columns(op, t, K1[:, :len(ends)], columns,
@@ -124,8 +130,8 @@ class Problem:
             ends_at_threshold=point_mass_columns(
                 op, threshold * cfg.dt, K0[:, :len(ends)], columns,
                 self.certificate),
-            probes=probes, forward=K1[:, len(ends):],
-            forward_2t=K2[:, len(ends):],
+            probes=probes, forward=forward,
+            forward_2t=kernel(op, cfg.t_end, cfg, forward, resume=True),
             adjoint=kernel(op, cfg.t_end, cfg, probes, adjoint=True))
 
 
@@ -251,9 +257,9 @@ def _check_kernel_symmetry(p: Problem):
     sampled = k.probes.T @ k.forward        # Z^T K(t) Z
     dev = float(np.abs(sampled - sampled.T).max())
     scale = max(1.0, float(np.abs(sampled).max()))
-    ok = dev <= 1e-8 * scale
+    ok = dev <= SYMMETRY_TOL * scale
     return (Verdict.PASS if ok else Verdict.FAIL,
-            {"max_asymmetry": dev, "probes": PROBES, "t": k.t})
+            {"max_asymmetry": dev, "probes": k.probes.shape[1], "t": k.t})
 
 
 def _check_chapman_kolmogorov(p: Problem):
@@ -266,9 +272,9 @@ def _check_chapman_kolmogorov(p: Problem):
     composed = k.adjoint.T @ (p.op.mass_lumped[:, None] * k.forward)
     dev = float(np.abs(marched - composed).max())
     scale = max(1.0, float(np.abs(marched).max()))
-    ok = dev <= 1e-6 * scale
+    ok = dev <= COMPOSITION_TOL * scale
     return (Verdict.PASS if ok else Verdict.FAIL,
-            {"max_deviation": dev, "probes": PROBES, "t": k.t})
+            {"max_deviation": dev, "probes": k.probes.shape[1], "t": k.t})
 
 
 def _check_complex_robin(p: Problem):

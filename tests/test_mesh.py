@@ -245,6 +245,68 @@ def test_corkscrew_tiny_dirichlet_part_fails():
     assert result.failure is not None
 
 
+def _corkscrew_cases():
+    """A mixed L-shape, the same turned so that no edge is axis-parallel,
+    and a square whose two Dirichlet edges at a corner fail the check."""
+    lshape = generate_structured(
+        "l_shape", 32, {"bottom": "D", "right": "N", "inner_h": "N",
+                        "inner_v": "N", "top": "N", "left": "N"})
+    c, s = math.cos(0.3), math.sin(0.3)
+    turned = TriMesh(lshape.vertices @ np.array([[c, s], [-s, c]]) + 0.123,
+                     lshape.triangles, lshape.boundary_edges,
+                     lshape.boundary_tags)
+    square = generate_structured("unit_square", 4, "flux")
+    # the two edges at the origin corner are Dirichlet, too thin at delta 10
+    corner = tuple(
+        BoundaryTag.DIRICHLET if square.vertices[[a, b]].max() <= 0.25
+        else BoundaryTag.FLUX for a, b in square.boundary_edges)
+    failing = TriMesh(square.vertices, square.triangles, square.boundary_edges,
+                      corner)
+    return [(lshape, 0.1), (turned, 0.1), (failing, 10.0)]
+
+
+def _distances_edge_by_edge(points, a, b):
+    """The per-edge loop the broadcast replaced: one projection per edge."""
+    out = []
+    for p, q in zip(a, b):
+        ab = q - p
+        denom = float(ab @ ab)
+        if denom == 0.0:
+            out.append(np.linalg.norm(points - p, axis=1))
+            continue
+        t = np.clip(((points - p) @ ab) / denom, 0.0, 1.0)
+        out.append(np.linalg.norm(points - (p + t[:, None] * ab), axis=1))
+    return np.min(np.vstack(out), axis=0)
+
+
+def test_corkscrew_distances_are_bitwise_those_of_the_edge_loop(monkeypatch):
+    import perronfem.mesh as mesh_module
+    cases = _corkscrew_cases()
+    assert [check_corkscrew(m, delta).ok for m, delta in cases] == \
+        [True, True, False]
+    for mesh, delta in cases:
+        flux = mesh.edges_with_tag(BoundaryTag.FLUX)
+        a, b = mesh.vertices[flux[:, 0]], mesh.vertices[flux[:, 1]]
+        low, high = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
+        points = np.random.default_rng(3).uniform(low, high, (500, 2))
+        reference = _distances_edge_by_edge(points, a, b)
+        # chunks of one edge and of all edges give the same bits
+        for chunk in (1, 2 ** 22):
+            assert np.array_equal(mesh_module._distance_to_segments(
+                points, a, b, chunk_bytes=chunk), reference)
+        broadcast = check_corkscrew(mesh, delta)
+        with monkeypatch.context() as patch:
+            patch.setattr(mesh_module, "_distance_to_segments",
+                          _distances_edge_by_edge)
+            looped = check_corkscrew(mesh, delta)
+        assert (broadcast.ok, broadcast.failure) == \
+            (looped.ok, looped.failure)
+        assert broadcast.witnesses.keys() == looped.witnesses.keys()
+        assert all(np.array_equal(broadcast.witnesses[key],
+                                  looped.witnesses[key])
+                   for key in looped.witnesses)
+
+
 def test_corkscrew_all_dirichlet_vacuous():
     mesh = generate_structured("unit_square", 2, "dirichlet")
     assert check_corkscrew(mesh, 0.5).ok

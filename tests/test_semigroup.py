@@ -222,14 +222,19 @@ def test_positivity_check_raises_on_a_nonpositive_indicator(robin_op8):
     assert rep.min_at_threshold == 0.0 and rep.underflow
 
 
-def test_suite_marches_once_forward_and_once_adjoint(monkeypatch):
+def test_suite_marches_the_probe_column_budget(monkeypatch):
+    # the peripheral pair rides with the probes to t only; K(t)Z alone goes
+    # on to 2t, and the adjoint march carries the probes to t
     import perronfem.semigroup as semigroup
-    from perronfem.verification import Problem, run_suite
-    marches, factorizations = [], []
-    march, factorize = semigroup.march, semigroup.factorize
-    monkeypatch.setattr(
-        semigroup, "march", lambda op, cfg, u, n, adjoint=False:
-        marches.append(adjoint) or march(op, cfg, u, n, adjoint))
+    from perronfem.verification import PROBES, Problem, run_suite
+    columns = {"step": [], "step_adjoint": []}
+    factorizations = []
+    for name in columns:
+        solve = getattr(semigroup.Stepper, name)
+        monkeypatch.setattr(
+            semigroup.Stepper, name, lambda self, u, _s=solve, _n=name:
+            columns[_n].append(u.shape[1]) or _s(self, u))
+    factorize = semigroup.factorize
     monkeypatch.setattr(semigroup, "factorize",
                         lambda m: factorizations.append(1) or factorize(m))
     mesh = generate_structured("unit_square", 6, "N")
@@ -238,7 +243,10 @@ def test_suite_marches_once_forward_and_once_adjoint(monkeypatch):
                       mode=BoundaryMode.ROBIN)
     report = run_suite(problem)
     assert not report.failed
-    assert sorted(marches) == [False, True]
+    n = problem.evolution_cfg.n_steps
+    assert (PROBES, n) == (4, 80)
+    assert columns == {"step": [2 + 4] * n + [4] * n,
+                       "step_adjoint": [4] * n}
     assert len(factorizations) == 1
 
 
@@ -681,6 +689,82 @@ def test_probe_columns_are_the_dense_kernel_columns():
         reference = dense.entries[np.ix_(free, free)].T[:, dofs]
         assert np.abs(adjoint - reference).max() \
             <= 1e-12 * np.abs(reference).max()
+
+
+def test_a_resumed_march_is_bitwise_one_march(robin_op8):
+    cfg = lumped_cfg(robin_op8.mesh)
+    block = np.random.default_rng(1).standard_normal((robin_op8.n_dof, 3))
+    K1, K2 = kernel(robin_op8, (cfg.t_end, 2 * cfg.n_steps * cfg.dt), cfg,
+                    block)
+    # the last two columns alone go on from K(t) to 2t
+    assert np.array_equal(kernel(robin_op8, cfg.t_end, cfg, K1[:, 1:],
+                                 resume=True), K2[:, 1:])
+
+
+def _probed_problem(monkeypatch, op, probes, seed):
+    """A suite problem on op whose kernel checks read ``probes`` columns
+    drawn with ``seed``, marched at once."""
+    import perronfem.verification as verification
+    monkeypatch.setattr(verification, "PROBES", probes)
+    monkeypatch.setattr(verification, "PROBE_SEED", seed)
+    problem = _suite_problem(op, None)
+    problem.kernel_probes  # noqa: B018 -- march while the patch holds
+    return problem
+
+
+def _verdict_with(problem, check, **fields):
+    """The check's verdict on the marched probe block with ``fields``
+    replaced, then the block restored."""
+    from dataclasses import replace
+    marched = problem.kernel_probes
+    problem.kernel_probes = replace(marched, **fields)
+    try:
+        return check(problem)[0]
+    finally:
+        problem.kernel_probes = marched
+
+
+def test_four_probes_catch_every_defect_sixteen_catch(monkeypatch):
+    # mutation sweep: an antisymmetric defect eps (e_i e_j^T - e_j e_i^T)
+    # added to K(t) in the marched block must fail kernel-symmetry, and a
+    # defect eps e_i e_j^T added to K(2t) must fail chapman-kolmogorov,
+    # each at 10x the 16-probe check's scaled tolerance
+    import perronfem.verification as verification
+    op = _certificate_case("robin", 6)
+    locations = [(0, 1), (0, op.n_dof - 1), (10, 30), (24, 25), (7, 7)]
+    for seed in range(3):
+        with monkeypatch.context() as patch:
+            blocks = {probes: _probed_problem(patch, op, probes, seed)
+                      for probes in (16, 4)}
+        k16 = blocks[16].kernel_probes
+        eps_sym = 10 * verification.SYMMETRY_TOL * max(
+            1.0, float(np.abs(k16.probes.T @ k16.forward).max()))
+        eps_ck = 10 * verification.COMPOSITION_TOL * max(
+            1.0, float(np.abs(k16.probes.T @ k16.forward_2t).max()))
+        caught = {}
+        for probes, problem in blocks.items():
+            k = problem.kernel_probes
+            assert _verdict_with(problem, verification._check_kernel_symmetry
+                                 ) is Verdict.PASS
+            assert _verdict_with(
+                problem, verification._check_chapman_kolmogorov
+            ) is Verdict.PASS
+            for i, j in locations:
+                antisymmetric = np.zeros_like(k.probes)
+                antisymmetric[i] += eps_sym * k.probes[j]
+                antisymmetric[j] -= eps_sym * k.probes[i]
+                composition = np.zeros_like(k.probes)
+                composition[i] += eps_ck * k.probes[j]
+                caught[probes, i, j] = (
+                    i != j and _verdict_with(
+                        problem, verification._check_kernel_symmetry,
+                        forward=k.forward + antisymmetric) is Verdict.FAIL,
+                    _verdict_with(
+                        problem, verification._check_chapman_kolmogorov,
+                        forward_2t=k.forward_2t + composition)
+                    is Verdict.FAIL)
+        for i, j in locations:
+            assert caught[4, i, j] == caught[16, i, j] == (i != j, True)
 
 
 @pytest.mark.parametrize("case, reason", [

@@ -505,6 +505,42 @@ def test_arnoldi_failure_is_a_solver_error(robin_mesh8, monkeypatch):
         principal_eig(op)
 
 
+def _arnoldi_tols(monkeypatch, perturb=0.0):
+    """Record ARPACK's tol per call; ``perturb`` spoils every vector."""
+    import perronfem.spectral as spectral
+    tols = []
+    eigs = spectral.spla.eigs
+
+    def counted(*args, **kwargs):
+        tols.append(kwargs["tol"])
+        values, vectors = eigs(*args, **kwargs)
+        return values, vectors + perturb
+    monkeypatch.setattr(spectral.spla, "eigs", counted)
+    return tols
+
+
+def test_a_later_arnoldi_pair_off_the_bound_is_solved_again(monkeypatch):
+    # ARPACK converges on the shift-inverted operator: at tol = 1e-10 the
+    # second pair of this convection pencil has a relative residual of
+    # about 5.2e-9, so the solve runs once more at ARPACK's tol = 0
+    mesh = generate_structured("unit_square", 32, "N")
+    op = assemble(mesh, CoefficientSet.constant(mesh, b=(1.0, 0.0)),
+                  BoundaryMode.NEUMANN)
+    tols = _arnoldi_tols(monkeypatch)
+    rep = spectral_gap(op, 2, tol=1e-10)
+    assert tols == [1e-10, 0.0]
+    assert np.all(rep.residuals <= 1e-9)
+    assert principal_eig(op, tol=1e-10).residual == rep.residuals[0]
+
+
+def test_an_arnoldi_residual_off_the_bound_at_tol_zero_raises(monkeypatch):
+    tols = _arnoldi_tols(monkeypatch, perturb=1e-3)
+    op = _fresh(_nonhermitian_case(6, *NONHERMITIAN_CASES[0]))
+    with pytest.raises(SolverError, match="Arnoldi residual .* exceeds"):
+        spectral_gap(op, 2)
+    assert tols == [1e-10, 0.0]
+
+
 def test_complex_robin_bound_above_the_dense_cutoff_takes_no_flag(
         monkeypatch):
     # 49 dofs are above the tiny-mesh dense spectrum: the bound rests on the

@@ -10,11 +10,10 @@ coefficients per triangle,
                  + sum_{flux edges e} beta_e * quad_e(u v)     (Robin modes)
 
 so that stiffness[i][j] = form(phi_j, phi_i) for nodal hat functions phi.
-The zero-order volume term and the Robin edge term are lumped by default
-(quad = vertex/trapezoidal rule): lumping keeps their contribution diagonal,
-which preserves the sign structure needed for discrete positivity on
-nonobtuse meshes. Consistent quadrature is available behind flags for
-accuracy studies.
+The zero-order volume term and the Robin edge term are lumped (quad =
+vertex/trapezoidal rule): lumping keeps their contribution diagonal, which
+preserves the sign structure needed for discrete positivity on nonobtuse
+meshes.
 
 Dirichlet conditions are imposed by row/column elimination so spectra stay
 unpolluted; the eliminated vertex set depends on the boundary mode (for
@@ -35,6 +34,8 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .mesh import BoundaryTag, TriMesh
+
+CONSTANTS_TOL = 1e-10  # annihilates_constants, relative to max(1, max|A|)
 
 
 class AssemblyError(ValueError):
@@ -187,8 +188,7 @@ def hat_gradients(mesh: TriMesh):
     return 0.5 * two_area, g
 
 
-def assemble_volume(mesh: TriMesh, coeffs: CoefficientSet, *,
-                    lump_reaction: bool = True):
+def assemble_volume(mesh: TriMesh, coeffs: CoefficientSet):
     """Unconstrained volume matrices on all vertices.
 
     Returns (stiffness, mass, mass_lumped) where stiffness carries the
@@ -207,12 +207,8 @@ def assemble_volume(mesh: TriMesh, coeffs: CoefficientSet, *,
     cg = np.einsum("tk,tjk->tj", coeffs.c, g) * (areas / 3.0)[:, None]
     local += bg[:, :, None]
     local += cg[:, None, :]
-    if lump_reaction:
-        c0_diag = coeffs.c0 * areas / 3.0
-        local[:, np.arange(3), np.arange(3)] += c0_diag[:, None]
-    else:
-        w = coeffs.c0 * areas / 12.0
-        local += w[:, None, None] * (np.ones((3, 3)) + np.eye(3))
+    c0_diag = coeffs.c0 * areas / 3.0
+    local[:, np.arange(3), np.arange(3)] += c0_diag[:, None]
 
     rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
     cols = np.tile(mesh.triangles, 3).ravel()
@@ -228,30 +224,16 @@ def assemble_volume(mesh: TriMesh, coeffs: CoefficientSet, *,
     return stiffness, mass, mass_lumped
 
 
-def _boundary_term(mesh: TriMesh, beta, nv, lump: bool):
-    entries = {"rows": [], "cols": [], "vals": []}
-
-    def add(i, j, v):
-        entries["rows"].append(i)
-        entries["cols"].append(j)
-        entries["vals"].append(v)
-
-    for (i, j), tag, be in zip(mesh.boundary_edges, mesh.boundary_tags, beta):
-        if tag is not BoundaryTag.FLUX:
-            continue
-        length = float(np.linalg.norm(mesh.vertices[i] - mesh.vertices[j]))
-        if lump:
-            add(i, i, be * length / 2.0)
-            add(j, j, be * length / 2.0)
-        else:
-            add(i, i, be * length / 3.0)
-            add(j, j, be * length / 3.0)
-            add(i, j, be * length / 6.0)
-            add(j, i, be * length / 6.0)
-    dtype = complex if np.iscomplexobj(np.asarray(beta)) else float
-    return sp.coo_matrix(
-        (np.array(entries["vals"], dtype=dtype),
-         (entries["rows"], entries["cols"])), shape=(nv, nv)).tocsr()
+def _boundary_term(mesh: TriMesh, beta, nv):
+    """The lumped Robin term: beta_e * |e| / 2 on the diagonal at both ends
+    of each flux edge."""
+    flux = np.array(mesh.boundary_tags) == BoundaryTag.FLUX
+    edges = mesh.boundary_edges[flux]
+    lengths = [np.linalg.norm(mesh.vertices[i] - mesh.vertices[j])
+               for i, j in edges]
+    ends = edges.ravel()
+    return sp.coo_matrix((np.repeat(beta[flux] * lengths / 2.0, 2),
+                          (ends, ends)), shape=(nv, nv)).tocsr()
 
 
 @dataclass(frozen=True)
@@ -270,8 +252,6 @@ class DiscreteOperator:
     mode: BoundaryMode
     mesh: TriMesh
     coeffs: CoefficientSet
-    lump_reaction: bool
-    lump_boundary: bool
 
     @property
     def n_dof(self) -> int:
@@ -334,7 +314,6 @@ def _constrained_vertices(mesh: TriMesh, mode: BoundaryMode) -> np.ndarray:
 
 
 def assemble(mesh: TriMesh, coeffs: CoefficientSet, mode: BoundaryMode, *,
-             lump_reaction: bool = True, lump_boundary: bool = True,
              corkscrew_checked: bool = False) -> DiscreteOperator:
     """Assemble the operator for a boundary mode.
 
@@ -382,10 +361,9 @@ def assemble(mesh: TriMesh, coeffs: CoefficientSet, mode: BoundaryMode, *,
     if not free.size:
         raise AssemblyError("no degree of freedom is free: every vertex "
                             "is Dirichlet-constrained")
-    stiffness, mass, mass_lumped = assemble_volume(
-        mesh, coeffs, lump_reaction=lump_reaction)
+    stiffness, mass, mass_lumped = assemble_volume(mesh, coeffs)
     if mode in _ROBIN_FAMILY:
-        bterm = _boundary_term(mesh, beta, nv, lump_boundary)
+        bterm = _boundary_term(mesh, beta, nv)
         stiffness = (stiffness.astype(bterm.dtype) + bterm).tocsr()
 
     dof_map = np.full(nv, -1, dtype=np.int64)
@@ -395,9 +373,7 @@ def assemble(mesh: TriMesh, coeffs: CoefficientSet, mode: BoundaryMode, *,
     mass = mass[free][:, free].tocsr()
     return DiscreteOperator(
         stiffness=stiffness, mass=mass, mass_lumped=mass_lumped[free],
-        dof_map=dof_map, mode=mode,
-        mesh=mesh, coeffs=coeffs, lump_reaction=lump_reaction,
-        lump_boundary=lump_boundary)
+        dof_map=dof_map, mode=mode, mesh=mesh, coeffs=coeffs)
 
 
 def apply_form(op: DiscreteOperator, u: np.ndarray, v: np.ndarray) -> complex:
@@ -423,12 +399,11 @@ def offdiagonal_pattern(matrix: sp.spmatrix) -> sp.csr_matrix:
     return pattern
 
 
-def annihilates_constants(A: sp.spmatrix, rows=slice(None),
-                          tol: float = 1e-10) -> bool:
+def annihilates_constants(A: sp.spmatrix, rows=slice(None)) -> bool:
     """Whether the given rows of A (all by default) sum to zero."""
     r = A @ np.ones(A.shape[0])
     scale = max(1.0, float(np.abs(A).max()))
-    return bool(np.all(np.abs(r[rows]) <= tol * scale))
+    return bool(np.all(np.abs(r[rows]) <= CONSTANTS_TOL * scale))
 
 
 @dataclass(frozen=True)

@@ -147,9 +147,14 @@ def _out_dir(cfg: dict, base: Path) -> Path:
     return out
 
 
-def _write_json(path: Path, obj) -> None:
+def _write_json(path: Path | None, obj) -> None:
+    """obj as indented, key-sorted JSON text, to the file at path or, when
+    path is None, to stdout."""
     text = json.dumps(jsonable(obj), indent=2, sort_keys=True) + "\n"
-    path.write_text(text, encoding="utf-8", newline="\n")
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        path.write_text(text, encoding="utf-8", newline="\n")
 
 
 def _write_trajectory_csv(path: Path, times, fields) -> None:
@@ -383,11 +388,7 @@ def _cmd_oracle(args) -> int:
             "strictly_positive": bool(np.all(rep.vector > 0)),
         },
     }
-    text = json.dumps(jsonable(verdict), indent=2, sort_keys=True) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8", newline="\n")
-    else:
-        sys.stdout.write(text)
+    _write_json(Path(args.out) if args.out else None, verdict)
     return 0
 
 

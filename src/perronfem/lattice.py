@@ -25,6 +25,7 @@ from scipy.sparse.csgraph import connected_components
 
 EXHAUSTIVE_DIM = 6
 SNAP_TOL = 1e-14
+PERRON_TOL = 1e-9  # relative width of perron_report's lambda1 cluster
 
 
 class LatticeError(ValueError):
@@ -89,10 +90,10 @@ def semigroup_at(g: MetzlerGenerator, t: float) -> np.ndarray:
     return S
 
 
-def invariant_masks(g: MetzlerGenerator, t: float = 1.0) -> list:
+def invariant_masks(g: MetzlerGenerator) -> list:
     """All nontrivial coordinate masks B whose ideal {u : u|_B = 0} is
-    invariant under exp(tQ): exactly the B with zero block S[B, not B]."""
-    S = semigroup_at(g, t)
+    invariant under exp(Q): exactly the B with zero block S[B, not B]."""
+    S = semigroup_at(g, 1.0)
     n = g.n
     masks = []
     for size in range(1, n):
@@ -166,7 +167,7 @@ class PerronReport:
     gap: float
 
 
-def perron_report(g: MetzlerGenerator, tol: float = 1e-9) -> PerronReport:
+def perron_report(g: MetzlerGenerator) -> PerronReport:
     """Principal eigenvalue of A = -Q (minimal real part), its eigenvector,
     simplicity, and the gap to the rest of the spectrum.
 
@@ -180,7 +181,7 @@ def perron_report(g: MetzlerGenerator, tol: float = 1e-9) -> PerronReport:
     values, vectors = np.linalg.eig(A)
     lam1 = float(values.real.min())
     scale = max(1.0, abs(lam1))
-    cluster = np.flatnonzero(np.abs(values - lam1) <= tol * scale)
+    cluster = np.flatnonzero(np.abs(values - lam1) <= PERRON_TOL * scale)
     simple = len(cluster) == 1
     rest = np.setdiff1d(np.arange(g.n), cluster)
     gap = float(values.real[rest].min() - lam1) if rest.size else 0.0
@@ -206,11 +207,11 @@ def schaefer_approx_check(u: np.ndarray, v: np.ndarray) -> bool:
     return bool(np.all(v[u == 0.0] == 0.0))
 
 
-def random_metzler(rng: np.random.Generator, n: int | None = None,
-                   max_dim: int = EXHAUSTIVE_DIM) -> MetzlerGenerator:
+def random_metzler(rng: np.random.Generator,
+                   n: int | None = None) -> MetzlerGenerator:
     """Seeded generator sampler mixing sparse and dense coupling patterns."""
     if n is None:
-        n = int(rng.integers(1, max_dim + 1))
+        n = int(rng.integers(1, EXHAUSTIVE_DIM + 1))
     density = float(rng.uniform(0.1, 0.9))
     off = rng.uniform(0.0, 2.0, size=(n, n)) * \
         (rng.uniform(size=(n, n)) < density)

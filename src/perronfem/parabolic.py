@@ -37,6 +37,7 @@ from .semigroup import IMPLICIT_EULER_ONLY, EvolutionConfig, Scheme, \
 from .spectral import SolverError, factorize
 
 COMPATIBILITY_TOL = 1e-10
+ELLIPTIC_TOL = 1e-8  # elliptic_strong_max_check's relative tolerance
 
 
 class ParabolicError(ValueError):
@@ -99,7 +100,7 @@ class BoundaryData:
 @dataclass(frozen=True)
 class MildSolution:
     """Trajectory of nodal fields on all mesh vertices, boundary included,
-    with the volume matrices it was marched with (assembled if left out)."""
+    with the volume matrices it was marched with."""
 
     times: np.ndarray
     fields: np.ndarray          # (n_steps + 1, n_vertices)
@@ -109,15 +110,8 @@ class MildSolution:
     boundary: np.ndarray        # sorted boundary vertex indices
     interior: np.ndarray
     phi: BoundaryData
-    stiffness: sp.csr_matrix | None = None
-    mass_lumped: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.stiffness is None or self.mass_lumped is None:
-            A, _, ML = assemble_volume(self.mesh, self.coeffs)
-            for name, value in (("stiffness", A), ("mass_lumped", ML)):
-                if getattr(self, name) is None:
-                    object.__setattr__(self, name, value)
+    stiffness: sp.csr_matrix
+    mass_lumped: np.ndarray
 
     @property
     def u0(self) -> np.ndarray:
@@ -261,15 +255,6 @@ def _constancy_tolerance(sol: MildSolution) -> float:
     span = max(float(sol.u0.max() - sol.u0.min()),
                float(sol.phi.values.max() - sol.phi.values.min()))
     return max(1e-8 * span, 1e-8)
-
-
-def conserves_constants(mesh: TriMesh, coeffs: CoefficientSet,
-                        tol: float = 1e-10) -> bool:
-    """Whether the volume operator annihilates constants on interior rows."""
-    A, _, _ = assemble_volume(mesh, coeffs)
-    interior = np.setdiff1d(np.arange(mesh.n_vertices),
-                            mesh.boundary_vertices())
-    return annihilates_constants(A, interior, tol)
 
 
 def constancy_principle_check(sol: MildSolution, t0: float, x0: int,
@@ -426,8 +411,7 @@ class EllipticMaxReport:
 
 
 def elliptic_strong_max_check(mesh: TriMesh, coeffs: CoefficientSet,
-                              u: np.ndarray,
-                              tol: float = 1e-8) -> EllipticMaxReport:
+                              u: np.ndarray) -> EllipticMaxReport:
     """Audit a discrete harmonic-type field against the strong minimum and
     maximum principles.
 
@@ -445,7 +429,7 @@ def elliptic_strong_max_check(mesh: TriMesh, coeffs: CoefficientSet,
     A, _, _ = assemble_volume(mesh, coeffs)
     res = float(np.abs((A @ u)[interior]).max()) if interior.size else 0.0
     scale = max(1.0, float(np.abs(A).max()) * float(np.abs(u).max()))
-    if res > tol * scale:
+    if res > ELLIPTIC_TOL * scale:
         return EllipticMaxReport(False, res, Verdict.NOT_APPLICABLE,
                                  math.nan, Verdict.NOT_APPLICABLE, math.nan)
 
@@ -474,7 +458,7 @@ def elliptic_strong_max_check(mesh: TriMesh, coeffs: CoefficientSet,
                 else Verdict.FAIL
 
     spread = float(u.max() - u.min())
-    near = tol * max(1.0, spread)
+    near = ELLIPTIC_TOL * max(1.0, spread)
     if annihilates_constants(A, interior) \
             and np.any(u[interior] >= float(u.max()) - near):
         constancy = Verdict.PASS if spread <= near else Verdict.FAIL

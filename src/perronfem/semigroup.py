@@ -57,6 +57,8 @@ class EvolutionConfig:
     def __post_init__(self):
         object.__setattr__(self, "scheme", Scheme(self.scheme))
         object.__setattr__(self, "mass", MassKind(self.mass))
+        if not (math.isfinite(self.dt) and math.isfinite(self.t_end)):
+            raise ValueError("dt and t_end must be finite")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.t_end < self.dt:
@@ -390,7 +392,7 @@ class PositivityImprovingReport:
     underflow: bool = False       # a minimum is a positive value lost to 0.0
 
 
-def positivity_improving_check(op: DiscreteOperator, cfg: EvolutionConfig,
+def positivity_improving_check(op: DiscreteOperator,
                                certificate: MMatrixCertificate,
                                ends: tuple = ()) -> PositivityImprovingReport:
     """The certificate's verdict that every nodal indicator turns strictly
@@ -402,8 +404,8 @@ def positivity_improving_check(op: DiscreteOperator, cfg: EvolutionConfig,
     and the float cross-check tests their sign on the region in indicator
     units (the column of vertex v times its lumped mass): an entry of
     exactly 0.0 is float underflow and is flagged as such, a negative or
-    NaN entry is a program bug and raises AssertionError. A horizon
-    shorter than the diameter raises ValueError.
+    NaN entry is a program bug and raises AssertionError. B^-1 > 0 proves
+    positivity from step 1, so a horizon below the diameter is no error.
     """
     if not certificate.holds:
         return PositivityImprovingReport(Verdict.NOT_APPLICABLE,
@@ -413,10 +415,6 @@ def positivity_improving_check(op: DiscreteOperator, cfg: EvolutionConfig,
             Verdict.NOT_APPLICABLE,
             reason=f"no positivity region for mode {op.mode.value}")
     threshold = propagation_threshold(op)
-    if cfg.n_steps < threshold:
-        raise ValueError(
-            f"t_end allows only {cfg.n_steps} steps but the certificate "
-            f"needs at least the graph diameter ({threshold})")
     rows = region_vertices(op, REGION_FOR_MODE[op.mode])
     low, end = (float((K.entries[rows] * K.lumped_mass_full[K.columns]).min())
                 for K in ends)

@@ -30,6 +30,9 @@ from .assembly import BoundaryMode, DiscreteOperator, MassKind, \
 MAX_ARNOLDI_PAIRS = 64  # the doubling cap of the certified Arnoldi path
 #: an eigenpair's relative residual may exceed the solver tol up to this
 RESIDUAL_FLOOR = 1e-9
+MAX_SWEEPS = 500  # the sweep limit of block inverse iteration
+GUARD_VECTORS = 2  # extra vectors in its block
+STRICT_MARGIN = 1e-9  # the least margin complex_robin_bound calls strict
 
 
 class SolverError(RuntimeError):
@@ -139,13 +142,13 @@ def _start_block(n: int, k: int) -> np.ndarray:
 
 
 def _hermitian_pairs(A: sp.csr_matrix, M, mass_lumped: np.ndarray, k: int,
-                     tol: float, max_iter: int = 500, guard: int = 2):
+                     tol: float):
     """k smallest eigenpairs of the symmetric pencil (A, M).
 
     Block inverse iteration with a fixed shift below the spectrum and a
-    Rayleigh-Ritz extraction each sweep; a couple of guard vectors ride
-    along so clustered eigenvalues at the block boundary cannot stall the
-    wanted pairs.
+    Rayleigh-Ritz extraction each sweep; GUARD_VECTORS ride along so
+    clustered eigenvalues at the block boundary cannot stall the wanted
+    pairs.
     """
     n = A.shape[0]
     if k > n:
@@ -162,11 +165,11 @@ def _hermitian_pairs(A: sp.csr_matrix, M, mass_lumped: np.ndarray, k: int,
             raise SolverError(f"shift adjustment failed at sigma = {sigma}") \
                 from exc
 
-    m = min(n, k + guard)
+    m = min(n, k + GUARD_VECTORS)
     X = _start_block(n, m)
     MX = M @ X
     residuals = np.full(m, math.inf)
-    for _sweep in range(max_iter):
+    for _sweep in range(MAX_SWEEPS):
         Y = lu.solve(MX)
         AY, MY = A @ Y, M @ Y
         # Rayleigh-Ritz on (YᵀAY, YᵀMY), columns scaled to unit M-norm
@@ -368,14 +371,14 @@ def principal_eig(op: DiscreteOperator, tol: float = 1e-10,
                        mode=op.mode)
 
 
-def spectral_gap(op: DiscreteOperator, k: int, tol: float = 1e-10,
-                 mass: MassKind | str = MassKind.CONSISTENT) -> GapReport:
-    """k smallest-real-part eigenvalues, sorted; gap = Re l2 - Re l1."""
+def spectral_gap(op: DiscreteOperator, k: int, tol: float = 1e-10
+                 ) -> GapReport:
+    """k least-Re eigenvalues of the consistent pencil; gap = Re l2 - Re l1."""
     if k < 2:
         raise ValueError("k must be at least 2")
     if k > op.n_dof:
         raise ValueError(f"k = {k} exceeds n_dof = {op.n_dof}")
-    values, vectors, residuals = _lowest_pairs(op, mass, k, tol)
+    values, vectors, residuals = _lowest_pairs(op, MassKind.CONSISTENT, k, tol)
     gap = float(np.real(values[1]) - np.real(values[0]))
     return GapReport(values=values, vectors=np.column_stack(vectors),
                      gap=gap, residuals=residuals)
@@ -431,11 +434,10 @@ def certify_positivity(report: EigenReport | None,
                                  underflow=min_value == 0.0)
 
 
-def complex_robin_bound(op: DiscreteOperator,
-                        tol: float = 1e-9) -> ComplexRobinBound:
+def complex_robin_bound(op: DiscreteOperator) -> ComplexRobinBound:
     """Compare the bottom of Re(spectrum) of an assembled COMPLEX_ROBIN
     operator with the bottom of the spectrum of the real-part problem,
-    assembled on the same mesh with the same lumping.
+    assembled on the same mesh.
 
     The real parts of the complex-problem eigenvalues always dominate the
     real-part problem's minimum; the inequality is strict exactly when the
@@ -448,13 +450,11 @@ def complex_robin_bound(op: DiscreteOperator,
     coeffs_re = replace(op.coeffs, beta=beta.real.copy(), validate=False)
     mode_re = BoundaryMode.NEUMANN if np.all(beta.real == 0) \
         else BoundaryMode.ROBIN
-    op_r = assemble(op.mesh, coeffs_re, mode_re,
-                    lump_reaction=op.lump_reaction,
-                    lump_boundary=op.lump_boundary)
+    op_r = assemble(op.mesh, coeffs_re, mode_re)
 
     re_min = principal_eig(op).lambda1.real
     lam1 = principal_eig(op_r).lambda1.real
     margin = re_min - lam1
     return ComplexRobinBound(re_min_complex=re_min,
                              min_real_part_problem=lam1,
-                             strict=margin > tol, margin=margin)
+                             strict=margin > STRICT_MARGIN, margin=margin)

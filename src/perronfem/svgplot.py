@@ -25,6 +25,7 @@ _RGB = np.array([c for _, c in _RAMP], dtype=float)
 
 _CANVAS = 420.0
 _MARGIN = 20.0
+STRIP_FRAMES = 6  # most heatmaps in one render_strip row
 
 
 def _color(s: float) -> str:
@@ -120,12 +121,11 @@ def emit_heatmap(field: np.ndarray, mesh: TriMesh, path) -> None:
         fh.write(svg)
 
 
-def render_strip(fields: np.ndarray, times: np.ndarray, mesh: TriMesh,
-                 max_frames: int = 6) -> str:
+def render_strip(fields: np.ndarray, times: np.ndarray, mesh: TriMesh) -> str:
     """Row of mini heatmaps at evenly spaced times, shared color scale."""
     fields = np.asarray(fields, dtype=float)
     times = np.asarray(times, dtype=float)
-    n_frames = min(max_frames, len(times))
+    n_frames = min(STRIP_FRAMES, len(times))
     picks = np.unique(np.linspace(0, len(times) - 1, n_frames).round()
                       .astype(int))
 

@@ -215,8 +215,7 @@ def _check_positivity_improving(p: Problem):
     # an unmet hypothesis needs no march
     ends = (p.kernel_probes.ends_at_threshold, p.kernel_probes.ends) \
         if p.certificate.holds else ()
-    rep = positivity_improving_check(p.op, p.evolution_cfg, p.certificate,
-                                     ends)
+    rep = positivity_improving_check(p.op, p.certificate, ends)
     payload = {"threshold_step": rep.threshold_step,
                "trials": len(rep.columns)}
     if rep.reason:

@@ -124,7 +124,7 @@ def test_criterion_5_positivity_improving_exhaustive():
     kernels = kernel(op, tuple(k * cfg.dt for k in range(1, cfg.n_steps + 1)),
                      cfg)
     assert op.n_dof == 81 and kernels[0].entries.shape == (81, 81)
-    rep = positivity_improving_check(op, cfg, kernels[0].certificate,
+    rep = positivity_improving_check(op, kernels[0].certificate,
                                      (kernels[threshold - 1], kernels[-1]))
     assert rep.verdict is Verdict.PASS
     assert len(rep.columns) == 81

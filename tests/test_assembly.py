@@ -1,11 +1,13 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from perronfem.assembly import AssemblyError, BoundaryMode, CoefficientSet, \
-    apply_form, assemble, assemble_volume, coefficients_from_dict, \
-    ellipticity_check, mmatrix_report
+    _boundary_term, apply_form, assemble, assemble_volume, \
+    coefficients_from_dict, ellipticity_check, mmatrix_report
 from perronfem.mesh import BoundaryTag, TriMesh, generate_structured
 
 REFERENCE_LOCAL_STIFFNESS = np.array([
@@ -65,8 +67,10 @@ def test_general_coefficients_match_symbolic_oracle():
     c0 = 1.3
     mesh = reference_triangle_mesh()
     coeffs = CoefficientSet.constant(mesh, a=a, b=b, c=c, c0=c0, mu=0.5)
-    op = assemble(mesh, coeffs, BoundaryMode.NEUMANN, lump_reaction=False)
-    expected = sympy_local_matrix(a, b, c, c0)
+    op = assemble(mesh, coeffs, BoundaryMode.NEUMANN)
+    # the vertex rule puts the row sums of the c0 mass on the diagonal
+    c0_mass = sympy_local_matrix(np.zeros((2, 2)), (0, 0), (0, 0), c0)
+    expected = sympy_local_matrix(a, b, c, 0) + np.diag(c0_mass.sum(axis=1))
     np.testing.assert_allclose(op.stiffness.toarray(), expected, atol=1e-12)
 
 
@@ -86,19 +90,6 @@ def test_refinement_keeps_constants_in_kernel(n):
     assert abs(float(ones @ (op.stiffness @ ones))) <= 1e-13
 
 
-def test_reaction_term_consistent_adds_mass(robin_mesh8):
-    base = CoefficientSet.constant(robin_mesh8)
-    with_c0 = CoefficientSet.constant(robin_mesh8, c0=1.0)
-    op0 = assemble(robin_mesh8, base, BoundaryMode.NEUMANN)
-    op1 = assemble(robin_mesh8, with_c0, BoundaryMode.NEUMANN,
-                   lump_reaction=False)
-    diff = (op1.stiffness - op0.stiffness - op1.mass).toarray()
-    assert np.abs(diff).max() <= 1e-14
-    i = op1.n_dof // 2
-    assert op1.stiffness[i, i] - op0.stiffness[i, i] == \
-        pytest.approx(op1.mass[i, i], rel=1e-12)
-
-
 def test_reaction_term_lumped_adds_lumped_mass(robin_mesh8):
     with_c0 = CoefficientSet.constant(robin_mesh8, c0=2.0)
     op0 = assemble(robin_mesh8, CoefficientSet.constant(robin_mesh8),
@@ -107,6 +98,44 @@ def test_reaction_term_lumped_adds_lumped_mass(robin_mesh8):
     diff = (op1.stiffness - op0.stiffness).toarray()
     np.testing.assert_allclose(diff, 2.0 * np.diag(op1.mass_lumped),
                                atol=1e-14)
+
+
+def edge_by_edge_boundary_term(mesh, beta, nv):
+    """The Robin term one flux edge at a time: beta_e * |e| / 2 at (i, i)
+    and (j, j)."""
+    rows, vals = [], []
+    for (i, j), tag, be in zip(mesh.boundary_edges, mesh.boundary_tags, beta):
+        if tag is not BoundaryTag.FLUX:
+            continue
+        length = float(np.linalg.norm(mesh.vertices[i] - mesh.vertices[j]))
+        rows += [i, j]
+        vals += [be * length / 2.0, be * length / 2.0]
+    dtype = complex if np.iscomplexobj(beta) else float
+    return sp.coo_matrix((np.array(vals, dtype=dtype), (rows, rows)),
+                         shape=(nv, nv)).tocsr()
+
+
+@pytest.mark.parametrize("n", [5, 17, 40])
+@pytest.mark.parametrize("tags", ["flux", {
+    "bottom": "D", "right": "N", "inner_h": "N", "inner_v": "D", "top": "N",
+    "left": "N"}])
+def test_boundary_term_is_bitwise_the_edge_by_edge_sum(n, tags):
+    # turned so that almost no edge is axis-parallel: slanted lengths
+    lshape = generate_structured("l_shape", n, tags)
+    c, s = math.cos(0.3), math.sin(0.3)
+    mesh = TriMesh(lshape.vertices @ np.array([[c, s], [-s, c]]) + 0.123,
+                   lshape.triangles, lshape.boundary_edges,
+                   lshape.boundary_tags)
+    rng = np.random.default_rng(n)
+    nb = len(mesh.boundary_edges)
+    for beta in (rng.uniform(0.1, 5.0, nb),
+                 rng.uniform(0.1, 5.0, nb) + 1j * rng.normal(0, 3.0, nb)):
+        got = _boundary_term(mesh, beta, mesh.n_vertices)
+        want = edge_by_edge_boundary_term(mesh, beta, mesh.n_vertices)
+        assert got.dtype == want.dtype and got.nnz == want.nnz > 0
+        for name in ("data", "indices", "indptr"):
+            assert getattr(got, name).tobytes() == \
+                getattr(want, name).tobytes()
 
 
 # -- apply_form --------------------------------------------------------------
@@ -193,6 +222,10 @@ def test_mmatrix_on_nonobtuse_mesh(robin_mesh8):
         off = dense - np.diag(np.diag(dense))
         assert rep.offdiag_max == off.max()
         assert rep.is_m_compatible
+    # a large Robin coefficient adds to the diagonal only
+    op = assemble(robin_mesh8, CoefficientSet.constant(robin_mesh8, beta=50.0),
+                  BoundaryMode.ROBIN)
+    assert mmatrix_report(op).is_m_compatible
 
 
 def test_mmatrix_fails_on_obtuse_triangle():

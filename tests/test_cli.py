@@ -180,23 +180,26 @@ def test_suite_only_filter():
         run_suite(make_problem("robin"), only="no-such-check")
 
 
-def test_suite_surfaces_solver_failures_as_fail_verdicts():
-    from perronfem.semigroup import EvolutionConfig, MassKind
-    # too few steps for the propagation certificate: the raised error must
-    # become a FAIL with diagnostics rather than an exception
-    p = make_problem("robin",
-                     evolution=EvolutionConfig(dt=0.01, t_end=0.05,
-                                               mass=MassKind.LUMPED))
-    report = run_suite(p, only="positivity-improving")
+def _raising_check(monkeypatch):
+    import perronfem.verification as verification
+
+    def raising(*args):
+        raise ValueError("no verdict")
+    monkeypatch.setattr(verification, "positivity_improving_check", raising)
+
+
+def test_suite_surfaces_solver_failures_as_fail_verdicts(monkeypatch):
+    # a raised error must become a FAIL with diagnostics rather than an
+    # exception
+    _raising_check(monkeypatch)
+    report = run_suite(make_problem("robin"), only="positivity-improving")
     result = report.results[0]
     assert result.verdict is Verdict.FAIL
-    assert "error" in result.payload
-    assert "graph diameter" in result.payload["error"]
+    assert result.payload["error"] == "ValueError: no verdict"
 
 
 def test_suite_says_when_a_check_failed_in_the_solver(monkeypatch):
     import scipy.sparse.linalg
-    from perronfem.semigroup import EvolutionConfig, MassKind
 
     def singular(*args, **kwargs):
         raise RuntimeError("Factor is exactly singular")
@@ -209,10 +212,9 @@ def test_suite_says_when_a_check_failed_in_the_solver(monkeypatch):
         "SolverError: shift adjustment failed")
     # any other exception keeps the bare error payload
     monkeypatch.undo()
-    p = make_problem("robin",
-                     evolution=EvolutionConfig(dt=0.01, t_end=0.05,
-                                               mass=MassKind.LUMPED))
-    (result,) = run_suite(p, only="positivity-improving").results
+    _raising_check(monkeypatch)
+    (result,) = run_suite(make_problem("robin"),
+                          only="positivity-improving").results
     assert result.verdict is Verdict.FAIL
     assert list(result.payload) == ["error"]
 
@@ -596,6 +598,24 @@ def _assert_one_error_line(capsys, *fragments):
     assert "Traceback" not in err
     for fragment in fragments:
         assert fragment in err
+
+
+@pytest.mark.parametrize("command, evolution, flags", [
+    ("kernel", {}, ["--t", "inf"]),
+    ("kernel", {}, ["--t", "nan"]),
+    ("evolve", {"t_end": float("inf")}, []),
+    ("kernel", {"t_end": float("inf")}, []),
+    ("verify", {"dt": float("nan")}, []),
+    ("verify", {"t_end": float("inf")}, []),
+])
+def test_cli_non_finite_dt_or_t_end_is_an_error(tmp_path, capsys, command,
+                                                evolution, flags):
+    # json reads Infinity and NaN; no horizon or step of them is a number
+    path = write_config(tmp_path / "c.json", {
+        **ROBIN_PROBLEM, "evolution": evolution, "output_dir": "out"})
+    assert main([command, "--config", path, *flags]) == 2
+    _assert_one_error_line(capsys, "dt and t_end must be finite")
+    assert not any((tmp_path / "out").glob("*"))
 
 
 @pytest.mark.parametrize("command", ["evolve", "parabolic"])

@@ -1,10 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from perronfem.assembly import CoefficientSet, assemble_volume
+from perronfem.assembly import CoefficientSet, annihilates_constants, \
+    assemble_volume
 from perronfem.mesh import generate_structured
 from perronfem.parabolic import BoundaryData, ConstancyVerdict, \
-    MildSolution, ParabolicError, conserves_constants, constancy_principle_check, \
+    MildSolution, ParabolicError, constancy_principle_check, \
     elliptic_strong_max_check, make_test_bank, solve_mild, \
     strong_positivity_check, very_weak_residual
 from perronfem.semigroup import EvolutionConfig, MassKind, Verdict, \
@@ -294,9 +297,11 @@ def test_constancy_checker_detects_engineered_violation(dirichlet_mesh8):
     interior = np.setdiff1d(np.arange(mesh.n_vertices), boundary)
     fields = np.ones((3, mesh.n_vertices))
     fields[0, interior[0]] = 0.0  # non-constant window, max attained later
+    A, _, ML = assemble_volume(mesh, laplace_coeffs(mesh))
     sol = MildSolution(times=cfg.dt * np.arange(3), fields=fields, mesh=mesh,
                        coeffs=laplace_coeffs(mesh), cfg=cfg,
-                       boundary=boundary, interior=interior, phi=phi)
+                       boundary=boundary, interior=interior, phi=phi,
+                       stiffness=A, mass_lumped=ML)
     verdict, _ = constancy_principle_check(sol, 2 * cfg.dt, int(interior[5]))
     assert verdict is ConstancyVerdict.VIOLATION
 
@@ -304,10 +309,10 @@ def test_constancy_checker_detects_engineered_violation(dirichlet_mesh8):
 def test_constancy_requires_conservative_operator(dirichlet_mesh8):
     mesh = dirichlet_mesh8
     coeffs = CoefficientSet.constant(mesh, c0=1.0)
-    assert not conserves_constants(mesh, coeffs)
     phi = BoundaryData.constant(mesh, 0.0, 0.1)
     sol = solve_mild(mesh, coeffs, np.zeros(mesh.n_vertices), phi,
                      cfg_for(mesh, 0.1, 10))
+    assert not annihilates_constants(sol.stiffness, sol.interior)
     with pytest.raises(ParabolicError, match="constants"):
         constancy_principle_check(sol, 0.05, int(sol.interior[0]))
 
@@ -344,10 +349,7 @@ def test_residual_detects_injected_non_solution():
     k = len(sol.times) // 2
     target = int(sol.interior[len(sol.interior) // 2])
     fields[k, target] += 1.0
-    broken = MildSolution(times=sol.times, fields=fields, mesh=mesh,
-                          coeffs=sol.coeffs, cfg=sol.cfg,
-                          boundary=sol.boundary, interior=sol.interior,
-                          phi=sol.phi)
+    broken = dataclasses.replace(sol, fields=fields)
     jumped = very_weak_residual(broken, bank)
     assert jumped > 10 * base
 
@@ -507,7 +509,6 @@ def test_graph_diameter_raises_on_a_disconnected_pattern():
 
 def test_disconnected_graphs_keep_each_callers_error(dirichlet_mesh8,
                                                      dirichlet_op8):
-    import dataclasses
     import scipy.sparse as sp
     from perronfem.semigroup import propagation_threshold
     split = sp.block_diag([dirichlet_op8.stiffness[:10, :10]] * 2).tocsr()
@@ -529,29 +530,25 @@ def test_disconnected_graphs_keep_each_callers_error(dirichlet_mesh8,
         strong_positivity_check(cut)
 
 
-def test_mild_solution_assembles_missing_volume_matrices(dirichlet_mesh8):
+def test_solve_mild_keeps_the_volume_matrices_it_marched_with(
+        dirichlet_mesh8):
     mesh = dirichlet_mesh8
     sol = solve_mild(mesh, laplace_coeffs(mesh), np.ones(mesh.n_vertices),
                      BoundaryData.constant(mesh, 1.0, 0.1),
                      cfg_for(mesh, 0.1, 10))
-    bare = MildSolution(times=sol.times, fields=sol.fields, mesh=mesh,
-                        coeffs=sol.coeffs, cfg=sol.cfg, boundary=sol.boundary,
-                        interior=sol.interior, phi=sol.phi)
     A, _, ML = assemble_volume(mesh, sol.coeffs)
-    assert (bare.stiffness != A).nnz == 0
     assert (sol.stiffness != A).nnz == 0
-    assert np.array_equal(bare.mass_lumped, ML)
     assert np.array_equal(sol.mass_lumped, ML)
-    import dataclasses
-    doubled = dataclasses.replace(bare, stiffness=2 * A, mass_lumped=None)
-    assert (doubled.stiffness != 2 * A).nnz == 0
-    assert np.array_equal(doubled.mass_lumped, ML)
 
 
 def test_conserves_constants_on_a_mesh_without_interior_vertices():
-    # no interior rows: vacuously true, not numpy's zero-size error
+    # a mesh without interior vertices has no interior rows: vacuously
+    # true, not numpy's zero-size error
     mesh = generate_structured("unit_square", 1, "dirichlet")
-    assert conserves_constants(mesh, laplace_coeffs(mesh))
+    A, _, _ = assemble_volume(mesh, laplace_coeffs(mesh))
+    interior = np.setdiff1d(np.arange(mesh.n_vertices),
+                            mesh.boundary_vertices())
+    assert interior.size == 0 and annihilates_constants(A, interior)
 
 
 # -- the M-matrix certificates of the strong minimum principles ----------------
@@ -578,7 +575,6 @@ def test_strong_positivity_passes_a_far_corner_bump_at_a_tiny_step():
 
 def test_strong_positivity_reads_the_sign_under_the_certificate(
         dirichlet_mesh8):
-    import dataclasses
     sol = solve_mild(dirichlet_mesh8, laplace_coeffs(dirichlet_mesh8),
                      np.ones(dirichlet_mesh8.n_vertices),
                      BoundaryData.constant(dirichlet_mesh8, 1.0, 0.2),

@@ -116,7 +116,7 @@ def _positivity_improving(op, cfg):
     """positivity_improving_check on the columns the suite marches."""
     problem = _suite_problem(op, cfg)
     k = problem.kernel_probes
-    return positivity_improving_check(op, cfg, problem.certificate,
+    return positivity_improving_check(op, problem.certificate,
                                       (k.ends_at_threshold, k.ends))
 
 
@@ -159,7 +159,7 @@ def test_positivity_check_not_applicable_cases(robin_op8):
     consistent = EvolutionConfig(dt=1e-3, t_end=0.05,
                                  mass=MassKind.CONSISTENT)
     for cfg in (cn, consistent):
-        rep = positivity_improving_check(robin_op8, cfg,
+        rep = positivity_improving_check(robin_op8,
                                          kernel_certificate(robin_op8, cfg))
         assert rep.verdict is Verdict.NOT_APPLICABLE
         assert "implicit Euler with lumped mass" in rep.reason
@@ -171,16 +171,26 @@ def test_positivity_check_not_applicable_on_obtuse_mesh():
     op = assemble(mesh, CoefficientSet.constant(mesh, beta=1.0),
                   BoundaryMode.ROBIN)
     cfg = EvolutionConfig(dt=0.01, t_end=0.1, mass=MassKind.LUMPED)
-    rep = positivity_improving_check(op, cfg, kernel_certificate(op, cfg))
+    rep = positivity_improving_check(op, kernel_certificate(op, cfg))
     assert rep.verdict is Verdict.NOT_APPLICABLE
     assert "off-diagonal" in rep.reason
 
 
-def test_positivity_check_needs_enough_steps(robin_op8):
-    cfg = EvolutionConfig(dt=0.01, t_end=0.05, mass=MassKind.LUMPED)
-    with pytest.raises(ValueError, match="graph diameter"):
-        positivity_improving_check(robin_op8, cfg,
-                                   kernel_certificate(robin_op8, cfg))
+def test_positivity_improving_passes_on_a_horizon_below_the_diameter():
+    # B^-1 > 0 makes every indicator positive from step 1: 10 steps against
+    # a graph diameter of 48 once raised ValueError and reported FAIL
+    from perronfem.verification import Problem, run_suite
+    mesh = generate_structured("unit_square", 24, "N")
+    problem = Problem(mesh=mesh,
+                      coeffs=CoefficientSet.constant(mesh, beta=1.0),
+                      mode=BoundaryMode.ROBIN,
+                      evolution={"t_end": 10 * default_dt(mesh)})
+    report = run_suite(problem)
+    assert problem.evolution_cfg.n_steps == 10 and not report.failed
+    results = {r.label: r for r in report.results}
+    for label in ("positivity-improving", "kernel-positivity"):
+        assert results[label].verdict is Verdict.PASS
+    assert results["positivity-improving"].payload["threshold_step"] == 48
 
 
 def test_positivity_improving_passes_at_a_small_dt():
@@ -210,13 +220,13 @@ def test_positivity_check_raises_on_a_nonpositive_indicator(robin_op8):
         with pytest.raises(AssertionError,
                            match="under a holding positivity"):
             positivity_improving_check(
-                robin_op8, cfg, problem.certificate,
+                robin_op8, problem.certificate,
                 (replace(k.ends_at_threshold, entries=entries), k.ends))
     # an exact 0.0 is a positive indicator value lost to float underflow
     entries = k.ends_at_threshold.entries.copy()
     entries[40, 1] = 0.0
     rep = positivity_improving_check(
-        robin_op8, cfg, problem.certificate,
+        robin_op8, problem.certificate,
         (replace(k.ends_at_threshold, entries=entries), k.ends))
     assert rep.verdict is Verdict.PASS
     assert rep.min_at_threshold == 0.0 and rep.underflow
@@ -806,7 +816,7 @@ def test_kernel_certificate_names_the_unmet_hypothesis(case, reason):
     assert not certificate.holds
     assert reason in certificate.reason
     # positivity-improving gives the certificate's reason, with no march
-    rep = positivity_improving_check(op, cfg, certificate)
+    rep = positivity_improving_check(op, certificate)
     assert rep.verdict is Verdict.NOT_APPLICABLE
     assert rep.reason == certificate.reason
 

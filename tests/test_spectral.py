@@ -10,7 +10,8 @@ from perronfem.assembly import BoundaryMode, CoefficientSet, apply_form, \
 from perronfem.mesh import generate_structured
 from perronfem.semigroup import Verdict
 from perronfem.spectral import EigenReport, Region, SolverError, \
-    certify_positivity, complex_robin_bound, principal_eig, spectral_gap
+    _lowest_pairs, certify_positivity, complex_robin_bound, principal_eig, \
+    spectral_gap
 
 
 def robin_half_tangent_root(beta=1.0):
@@ -73,28 +74,6 @@ def test_robin_principal_eigenvalue_unit_square():
     rep = principal_eig(op)
     exact = 2.0 * robin_half_tangent_root() ** 2
     assert rep.lambda1.real == pytest.approx(exact, rel=0.02)
-
-
-def test_robin_consistent_boundary_variant():
-    # the consistent edge-mass variant agrees at the discretization level
-    mesh = generate_structured("unit_square", 32, "flux")
-    coeffs = CoefficientSet.constant(mesh, beta=1.0)
-    op = assemble(mesh, coeffs, BoundaryMode.ROBIN, lump_boundary=False)
-    exact = 2.0 * robin_half_tangent_root() ** 2
-    assert principal_eig(op).lambda1.real == pytest.approx(exact, rel=0.02)
-    # constants still see the full perimeter integral
-    ones = np.ones(op.n_dof)
-    assert apply_form(op, ones, ones).real == pytest.approx(4.0, abs=1e-12)
-
-
-def test_consistent_boundary_breaks_m_compatibility_for_large_beta():
-    mesh = generate_structured("unit_square", 8, "flux")
-    coeffs = CoefficientSet.constant(mesh, beta=50.0)
-    lumped = assemble(mesh, coeffs, BoundaryMode.ROBIN)
-    consistent = assemble(mesh, coeffs, BoundaryMode.ROBIN,
-                          lump_boundary=False)
-    assert mmatrix_report(lumped).is_m_compatible
-    assert not mmatrix_report(consistent).is_m_compatible
 
 
 def test_neumann_is_robin_with_zero_beta(robin_mesh8):
@@ -355,11 +334,12 @@ def test_reports_are_deterministic(robin_op8):
     assert np.array_equal(a.vector, b.vector)
 
 
-def test_nonconvergence_reports_last_residual(robin_op8):
-    from perronfem.spectral import _hermitian_pairs
+def test_nonconvergence_reports_last_residual(robin_op8, monkeypatch):
+    import perronfem.spectral as spectral
+    monkeypatch.setattr(spectral, "MAX_SWEEPS", 1)
     with pytest.raises(SolverError, match="residuals.*tol"):
-        _hermitian_pairs(robin_op8.stiffness, robin_op8.mass,
-                         robin_op8.mass_lumped, k=2, tol=1e-10, max_iter=1)
+        spectral._hermitian_pairs(robin_op8.stiffness, robin_op8.mass,
+                                  robin_op8.mass_lumped, k=2, tol=1e-10)
 
 
 def test_arnoldi_fallback_agrees_with_dense(robin_mesh8):
@@ -421,11 +401,11 @@ def test_certified_spectrum_matches_the_dense_reference(
     op = _nonhermitian_case(n, mode, beta, b)
     assert not op.is_hermitian
     calls = _counted_arnoldi(monkeypatch)
-    gap = spectral_gap(_fresh(op), 3, mass=mass)
+    values, _, residuals = _lowest_pairs(_fresh(op), mass, 3, 1e-10)
     assert calls == [5]
     reference = _dense_reference(n, mode, beta, b, mass)[:3]
-    np.testing.assert_allclose(gap.values, reference, rtol=1e-10)
-    assert np.all(gap.residuals <= 1e-8)
+    np.testing.assert_allclose(values, reference, rtol=1e-10)
+    assert np.all(residuals <= 1e-8)
 
 
 def test_a_strongly_imaginary_beta_doubles_the_arnoldi_pairs(monkeypatch):

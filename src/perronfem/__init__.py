@@ -59,10 +59,12 @@ from .semigroup import (
 )
 from .spectral import (
     EigenReport,
+    PerronPair,
     PositivityCertificate,
     Region,
     certify_positivity,
     complex_robin_bound,
+    perron_pair,
     principal_eig,
     spectral_gap,
 )

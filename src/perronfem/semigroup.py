@@ -170,8 +170,10 @@ def propagation_threshold(op: DiscreteOperator) -> int:
 
 
 def peripheral_pair(op: DiscreteOperator) -> tuple:
-    """Two free dofs at the stiffness graph's diameter from each other."""
-    return _stiffness_diameter(op)[1]
+    """Two free dofs at the stiffness graph's diameter from each other; the
+    one free dof of a one-vertex graph."""
+    u, v = _stiffness_diameter(op)[1]
+    return (u,) if u == v else (u, v)
 
 
 def _stiffness_diameter(op: DiscreteOperator) -> tuple:

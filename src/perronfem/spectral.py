@@ -4,14 +4,17 @@ Hermitian pencils (stiffness, mass) are solved by block inverse iteration:
 each sweep is one block solve, two block products and a Rayleigh-Ritz
 step on (YᵀAY, YᵀMY). The deterministic shift sits certifiably below the
 spectrum, so one factorization (``factorize``, the package's one SuperLU
-call) serves every sweep and runs reproduce bitwise. Non-Hermitian
-problems (complex Robin, or convection with b != c) get shift-invert
-Arnoldi, its pair count doubled until the field-of-values sector
-|Im lambda| <= Re lambda + s certifies the least real parts; meshes too
-small for ARPACK get the dense spectrum. ``_lowest_pairs`` is the one
-place that picks the path. ``certify_positivity`` claims a positive
-principal eigenvector only where ``assembly.mmatrix_certificate`` proves
-it, and is not applicable elsewhere."""
+call) serves every sweep and runs reproduce bitwise. Each pencil has one
+route: ``principal_eig`` and ``spectral_gap`` read the consistent pencil,
+``perron_pair`` the lumped one, whose one pair starts from the consistent
+pencil's two. Non-Hermitian problems (complex Robin, or convection with
+b != c) get shift-invert Arnoldi, its pair count doubled until the
+field-of-values sector |Im lambda| <= Re lambda + s certifies the least
+real parts; meshes too small for ARPACK get the dense spectrum.
+``_lowest_pairs`` is the one place that picks the path.
+``certify_positivity`` claims a positive principal eigenvector only where
+``assembly.mmatrix_certificate`` proves it, and is not applicable
+elsewhere."""
 
 from __future__ import annotations
 
@@ -71,6 +74,12 @@ class EigenReport:
     gap: float                  # Re lambda2 - Re lambda1
     multiplicity_flag: bool     # gap below resolution => possibly degenerate
     mode: BoundaryMode
+
+
+@dataclass(frozen=True)
+class PerronPair:
+    lambda1: complex            # of the lumped pencil
+    vector: np.ndarray          # unit lumped-L2 norm, nonnegative-mean sign
 
 
 @dataclass(frozen=True)
@@ -142,13 +151,14 @@ def _start_block(n: int, k: int) -> np.ndarray:
 
 
 def _hermitian_pairs(A: sp.csr_matrix, M, mass_lumped: np.ndarray, k: int,
-                     tol: float):
+                     tol: float, start: np.ndarray | None):
     """k smallest eigenpairs of the symmetric pencil (A, M).
 
     Block inverse iteration with a fixed shift below the spectrum and a
     Rayleigh-Ritz extraction each sweep; GUARD_VECTORS ride along so
     clustered eigenvalues at the block boundary cannot stall the wanted
-    pairs.
+    pairs. ``start`` (n, j), j <= k + GUARD_VECTORS, replaces the leading
+    columns of the deterministic start block; None keeps it.
     """
     n = A.shape[0]
     if k > n:
@@ -167,6 +177,8 @@ def _hermitian_pairs(A: sp.csr_matrix, M, mass_lumped: np.ndarray, k: int,
 
     m = min(n, k + GUARD_VECTORS)
     X = _start_block(n, m)
+    if start is not None:
+        X[:, :start.shape[1]] = start
     MX = M @ X
     residuals = np.full(m, math.inf)
     for _sweep in range(MAX_SWEEPS):
@@ -320,16 +332,23 @@ def _lowest_pairs(op: DiscreteOperator, mass: MassKind | str, k: int,
     Arnoldi of ``_arnoldi_smallest_real``, or the dense spectrum of the
     pencil where ARPACK cannot run (k + 2 >= n_dof - 1, a handful of
     dofs). Each solve runs once per operator and is shared by every
-    caller.
+    caller. The lumped inverse iteration starts from the consistent
+    pencil's two least pairs, solved first if no caller has: M_L/4 <= M
+    <= M_L and the two pencils' eigenvectors agree to O(h^2).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     mass = MassKind(mass)
     M = mass_matrix(mass, op.mass, op.mass_lumped)
     if op.is_hermitian and not op.is_complex:
+        def solve():
+            start = None if mass is MassKind.CONSISTENT else np.column_stack(
+                _lowest_pairs(op, MassKind.CONSISTENT, min(2, op.n_dof),
+                              tol)[1])
+            return _hermitian_pairs(op.stiffness, M, op.mass_lumped, k, tol,
+                                    start)
         values, vectors, residuals = op.cached(
-            ("hermitian_pairs", mass, k, tol), lambda: _hermitian_pairs(
-                op.stiffness, M, op.mass_lumped, k, tol))
+            ("hermitian_pairs", mass, k, tol), solve)
         return values, [_fix_sign(v, op.mass_lumped) for v in vectors.T], \
             residuals
 
@@ -347,21 +366,21 @@ def _lowest_pairs(op: DiscreteOperator, mass: MassKind | str, k: int,
     return values[:k], signed, residuals
 
 
-def principal_eig(op: DiscreteOperator, tol: float = 1e-10,
-                  mass: MassKind | str = MassKind.CONSISTENT) -> EigenReport:
-    """Eigenpair of minimal real part for the pencil (stiffness, mass).
-
-    ``mass`` selects the consistent pencil (default; eigenvalues converge
-    from above) or the lumped pencil (used by the sign-structure
-    certificates).
-    """
-    values, vectors, residuals = _lowest_pairs(op, mass, min(2, op.n_dof),
-                                               tol)
-    lam1 = complex(values[0])
-    residual = float(residuals[0])
+def _checked_residual(residual: float, tol: float) -> float:
+    """The residual; SolverError above max(tol, RESIDUAL_FLOOR)."""
     if residual > max(tol, RESIDUAL_FLOOR):
         raise SolverError(f"eigensolve residual {residual:.3e} exceeds "
                           f"tolerance")
+    return float(residual)
+
+
+def principal_eig(op: DiscreteOperator, tol: float = 1e-10) -> EigenReport:
+    """Eigenpair of minimal real part of the consistent pencil (stiffness,
+    M), whose eigenvalues converge from above; the gap to the second."""
+    values, vectors, residuals = _lowest_pairs(
+        op, MassKind.CONSISTENT, min(2, op.n_dof), tol)
+    lam1 = complex(values[0])
+    residual = _checked_residual(residuals[0], tol)
     gap = float(values[1].real - values[0].real) if len(values) > 1 \
         else math.inf
     scale = max(1.0, abs(lam1))
@@ -369,6 +388,15 @@ def principal_eig(op: DiscreteOperator, tol: float = 1e-10,
     return EigenReport(lambda1=lam1, vector=vectors[0], residual=residual,
                        gap=gap, multiplicity_flag=multiplicity_flag,
                        mode=op.mode)
+
+
+def perron_pair(op: DiscreteOperator, tol: float) -> PerronPair:
+    """The eigenpair of least real part of the lumped pencil (stiffness,
+    M_L), the Perron pair of -M_L^-1 A when A is an irreducible Z-matrix;
+    a residual above max(tol, RESIDUAL_FLOOR) raises SolverError."""
+    values, vectors, residuals = _lowest_pairs(op, MassKind.LUMPED, 1, tol)
+    _checked_residual(residuals[0], tol)
+    return PerronPair(lambda1=complex(values[0]), vector=vectors[0])
 
 
 def spectral_gap(op: DiscreteOperator, k: int, tol: float = 1e-10

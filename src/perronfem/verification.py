@@ -26,7 +26,7 @@ from .semigroup import EvolutionConfig, KernelMatrix, Verdict, \
     peripheral_pair, point_mass_columns, positivity_improving_check, \
     propagation_threshold
 from .spectral import REGION_FOR_MODE, SolverError, certify_positivity, \
-    complex_robin_bound, principal_eig, spectral_gap
+    complex_robin_bound, perron_pair, principal_eig, spectral_gap
 
 
 #: columns of the fixed-seed probe block Z of the kernel identity checks;
@@ -193,7 +193,7 @@ def _check_perron_sign(p: Problem):
     cert = mmatrix_report(p.op)
     if not cert.irreducible:
         return Verdict.NOT_APPLICABLE, {"reason": cert.reason}
-    rep = principal_eig(p.op, tol=p.solver_tol, mass=MassKind.LUMPED)
+    rep = perron_pair(p.op, p.solver_tol)
     low = float(rep.vector.min())
     return (Verdict.PASS if low >= 0.0 else Verdict.FAIL,
             {"min_component": low, "lambda1_lumped": rep.lambda1.real,
@@ -201,6 +201,9 @@ def _check_perron_sign(p: Problem):
 
 
 def _check_spectral_gap(p: Problem):
+    if p.op.n_dof < 2:
+        return Verdict.NOT_APPLICABLE, {
+            "reason": "one degree of freedom: no second eigenvalue"}
     rep = spectral_gap(p.op, k=2, tol=p.solver_tol)
     scale = max(1.0, abs(float(np.real(rep.values[0]))))
     ok = rep.gap > 100.0 * p.solver_tol * scale

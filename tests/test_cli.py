@@ -585,6 +585,27 @@ def test_cli_verify_rejects_an_invalid_problem(tmp_path, capsys, mesh, mode,
     assert not (tmp_path / "verification_report.json").exists()
 
 
+@pytest.mark.filterwarnings("ignore:MIXED mode with no flux edges")
+@pytest.mark.parametrize("mode", ["dirichlet", "mixed"])
+def test_cli_verify_a_one_dof_problem(tmp_path, mode):
+    # every side of the n = 2 square is D, so one vertex is free: there is
+    # no second eigenvalue to separate and one point-mass column to march
+    path = write_config(tmp_path / "c.json", {
+        "mesh": {"shape": "unit_square", "n": 2, "tags": "D"},
+        "coefficients": {"mode": mode}, "output_dir": "out"})
+    assert main(["verify", "--config", path]) == 0
+    results = {r["label"]: r for r in json.loads(
+        (tmp_path / "out" / "verification_report.json").read_text())["results"]}
+    assert [label for label, r in results.items()
+            if r["verdict"] == "fail"] == []
+    gap = results["spectral-gap"]
+    assert gap["verdict"] == "not_applicable"
+    assert "no second eigenvalue" in gap["payload"]["reason"]
+    free = results["principal-positivity"]["payload"]["witness_node"]
+    assert results["kernel-positivity"]["payload"]["columns"] == [free]
+    assert results["positivity-improving"]["payload"]["trials"] == 1
+
+
 PARABOLIC_PROBLEM = {
     "mesh": {"shape": "unit_square", "n": 6, "tags": "D"},
     "coefficients": {"mode": "dirichlet"},
@@ -736,7 +757,10 @@ LSHAPE_MIXED_TAGS = {"bottom": "D", "right": "N", "inner_h": "N",
 # to 4 columns: only the kernel-symmetry and chapman-kolmogorov payloads
 # differ (probes, max_asymmetry, max_deviation); the peripheral-pair
 # columns, and so the kernel-positivity and positivity-improving payloads,
-# are bitwise the same.
+# are bitwise the same. robin6, dirichlet6 and lshape4 were re-pinned when
+# the lumped pencil's solve became one pair warm-started from the consistent
+# pairs: only perron-sign-structure's lambda1_lumped and min_component
+# differ, by <= 2.5e-11 relative.
 PINNED_REPORTS = {
     "robin6": ({
         "mesh": {"shape": "unit_square", "n": 6, "tags": "N"},
@@ -744,11 +768,11 @@ PINNED_REPORTS = {
         "oracle": {"matrix": [[-2.0, 1.0, 0.0], [0.0, -2.0, 1.0],
                               [0.5, 0.0, -2.0]],
                    "expect_irreducible": True},
-    }, "50d1bec244077fcbae7fbcaa49db04810c6b70455a99fb62265f429567502cff"),
+    }, "1474bc6cb8446ca7080ebfce2d688c99563d71f4837c430d85394fb56b8dc9ae"),
     "dirichlet6": ({
         "mesh": {"shape": "unit_square", "n": 6, "tags": "D"},
         "coefficients": {"mode": "dirichlet"},
-    }, "21da34a476fd9996accea64e0aa3e49a3561e046bca635c89df62371efc7ae50"),
+    }, "3d5dd660e003618fab3f4ecbc7cad93cdd60fd63b1f4f09c9d8c2b3c0120bc19"),
     "complex6": ({
         "mesh": {"shape": "unit_square", "n": 6, "tags": "N"},
         "coefficients": {"beta": {"re": 1.0, "im": 0.5},
@@ -757,7 +781,7 @@ PINNED_REPORTS = {
     "lshape4": ({
         "mesh": {"shape": "l_shape", "n": 4, "tags": LSHAPE_MIXED_TAGS},
         "coefficients": {"mode": "mixed"},
-    }, "aa554299699a5a1be742d8b70828c6d3eebe39f317608fe3744b20d1eb294802"),
+    }, "45c01e45cb2a7e9ad2f42f81a120bd36cc8d6cb08e58a41adfc9b1fad923ad8e"),
 }
 
 
@@ -775,11 +799,12 @@ def test_cli_verify_report_bytes_pinned(tmp_path, name):
     full = run("full")
     assert hashlib.sha256(full).hexdigest() == digest
     by_label = {r["label"]: r for r in json.loads(full)["results"]}
-    # a single kernel check marches the same probes as the whole suite
-    for label in ("kernel-positivity", "chapman-kolmogorov",
-                  "positivity-improving"):
+    # every check alone gives the suite's payload: a kernel check marches
+    # the same probes, perron-sign-structure warm-starts from the same
+    # consistent pairs
+    for label, result in by_label.items():
         (alone,) = json.loads(run(label, "--only", label))["results"]
-        assert alone == by_label[label]
+        assert alone == result
 
 
 # eig_report.json bytes, recorded before the CLI and the suite shared one

@@ -12,7 +12,7 @@ from perronfem.parabolic import BoundaryData, ConstancyVerdict, \
     strong_positivity_check, very_weak_residual
 from perronfem.semigroup import EvolutionConfig, MassKind, Verdict, \
     graph_diameter
-from perronfem.spectral import principal_eig
+from perronfem.spectral import perron_pair
 
 
 def laplace_coeffs(mesh):
@@ -164,7 +164,7 @@ def test_sign_condition_warning(dirichlet_mesh8):
 
 
 def test_eigenvector_decay_with_zero_boundary(dirichlet_mesh8, dirichlet_op8):
-    rep = principal_eig(dirichlet_op8, mass="lumped")
+    rep = perron_pair(dirichlet_op8, 1e-10)
     lam = rep.lambda1.real
     u0 = dirichlet_op8.expand(rep.vector)
     phi = BoundaryData.constant(dirichlet_mesh8, 0.0, 0.1)

@@ -14,7 +14,7 @@ from perronfem.semigroup import EvolutionConfig, MassKind, Scheme, Verdict, \
     default_dt, evolve, graph_diameter, kernel, kernel_certificate, \
     kernel_positivity_report, positivity_improving_check, \
     propagation_threshold
-from perronfem.spectral import principal_eig
+from perronfem.spectral import perron_pair
 from tests.conftest import dense_ie_step
 
 
@@ -34,7 +34,7 @@ def test_config_validation():
 def test_eigenvector_decays_like_scalar_ode(robin_op8):
     # on an eigenvector the implicit Euler recursion is exactly scalar,
     # and the scalar recursion tracks exp(-lambda t) at first order
-    rep = principal_eig(robin_op8, mass="lumped")
+    rep = perron_pair(robin_op8, 1e-10)
     lam = rep.lambda1.real
     cfg = lumped_cfg(robin_op8.mesh, t_end=0.5, dt=1e-3)
     traj = evolve(robin_op8, rep.vector, cfg)

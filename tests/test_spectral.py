@@ -10,8 +10,8 @@ from perronfem.assembly import BoundaryMode, CoefficientSet, apply_form, \
 from perronfem.mesh import generate_structured
 from perronfem.semigroup import Verdict
 from perronfem.spectral import EigenReport, Region, SolverError, \
-    _lowest_pairs, certify_positivity, complex_robin_bound, principal_eig, \
-    spectral_gap
+    _lowest_pairs, certify_positivity, complex_robin_bound, perron_pair, \
+    principal_eig, spectral_gap
 
 
 def robin_half_tangent_root(beta=1.0):
@@ -199,7 +199,7 @@ def test_rayleigh_consistency(robin_op8):
 def test_perron_sign_property(mode_fixture, request):
     op = request.getfixturevalue(mode_fixture)
     assert mmatrix_report(op).is_m_compatible
-    rep = principal_eig(op, mass="lumped")
+    rep = perron_pair(op, 1e-10)
     assert np.all(rep.vector >= 0.0)  # exact assertion, no tolerance
 
 
@@ -322,7 +322,7 @@ def test_principal_eig_rejects_bad_tol(robin_op8):
 def test_lumped_and_consistent_pencils_agree_to_discretization_error(
         dirichlet_op8):
     lam_c = principal_eig(dirichlet_op8).lambda1.real
-    lam_l = principal_eig(dirichlet_op8, mass="lumped").lambda1.real
+    lam_l = perron_pair(dirichlet_op8, 1e-10).lambda1.real
     assert lam_c == pytest.approx(lam_l, rel=0.1)
     assert lam_l < 2 * math.pi ** 2 < lam_c  # lumped below, consistent above
 
@@ -339,7 +339,8 @@ def test_nonconvergence_reports_last_residual(robin_op8, monkeypatch):
     monkeypatch.setattr(spectral, "MAX_SWEEPS", 1)
     with pytest.raises(SolverError, match="residuals.*tol"):
         spectral._hermitian_pairs(robin_op8.stiffness, robin_op8.mass,
-                                  robin_op8.mass_lumped, k=2, tol=1e-10)
+                                  robin_op8.mass_lumped, k=2, tol=1e-10,
+                                  start=None)
 
 
 def test_arnoldi_fallback_agrees_with_dense(robin_mesh8):
@@ -667,7 +668,7 @@ def test_hermitian_sweep_matches_dense_generalized_eigh(case, mass, k):
     M = mass_matrix(mass, op.mass, op.mass_lumped)
     tol = 1e-10
     values, vectors, residuals = _hermitian_pairs(
-        op.stiffness, M, op.mass_lumped, k, tol)
+        op.stiffness, M, op.mass_lumped, k, tol, None)
     A = op.stiffness.toarray()
     dense = sla.eigh(A, M.toarray(), eigvals_only=True)[:k]
     scale = max(1.0, float(np.abs(dense).max()))
@@ -687,9 +688,92 @@ def test_hermitian_sweep_keeps_the_sign_in_a_potential_well(mass):
     coeffs = CoefficientSet.constant(mesh, beta=1.0,
                                      c0=np.where(right, 1e6, 0.0))
     op = assemble(mesh, coeffs, BoundaryMode.ROBIN)
-    vector = principal_eig(op, mass=mass).vector
+    vector = (principal_eig(op) if mass == "consistent"
+              else perron_pair(op, 1e-10)).vector
     assert vector.min() > 0.0
     assert vector.min() < 1e-20 * vector.max()  # the well is really deep
+
+
+def _signed(vector, mass_lumped):
+    """Unit lumped-L2 norm with a positive lumped mean, as the reports."""
+    vector = vector / np.sqrt(np.real(np.vdot(vector, mass_lumped * vector)))
+    mean = np.sum(mass_lumped * vector)
+    return vector * (abs(mean) / mean)
+
+
+@pytest.mark.parametrize("case", ["robin", "dirichlet", "l_shape_mixed"])
+def test_perron_pair_matches_dense_lumped_eigh(case):
+    op = _sweep_case(case)
+    rep = perron_pair(op, 1e-10)
+    values, vectors = sla.eigh(op.stiffness.toarray(),
+                               np.diag(op.mass_lumped))
+    assert rep.lambda1.real == pytest.approx(values[0], rel=1e-10)
+    np.testing.assert_allclose(
+        rep.vector, _signed(vectors[:, 0], op.mass_lumped), rtol=1e-10)
+
+
+def test_perron_pair_of_a_convective_operator_matches_dense_eig():
+    # b != c: one certified Arnoldi pair of the real lumped pencil
+    op = _nonhermitian_case(8, BoundaryMode.ROBIN, 1.0, (5.0, 2.0))
+    assert not op.is_hermitian and not op.is_complex
+    rep = perron_pair(op, 1e-10)
+    values, vectors = sla.eig(op.stiffness.toarray(), np.diag(op.mass_lumped))
+    least = np.lexsort((values.imag, values.real))[0]
+    assert rep.lambda1 == pytest.approx(values[least], rel=1e-10)
+    np.testing.assert_allclose(
+        rep.vector, _signed(vectors[:, least], op.mass_lumped).real,
+        rtol=1e-10, atol=1e-12)
+
+
+def test_perron_pair_starts_from_the_consistent_pairs(monkeypatch):
+    # the lumped block is one pair and two guards, its leading columns the
+    # consistent pencil's two least pairs, which are O(h^2) from its own
+    import perronfem.spectral as spectral
+    from perronfem.assembly import mass_matrix
+    from perronfem.verification import Problem, run_suite
+    mesh = generate_structured("l_shape", 16, {
+        "bottom": "D", "right": "N", "inner_h": "N", "inner_v": "N",
+        "top": "N", "left": "N"})
+    problem = Problem(mesh=mesh, coeffs=CoefficientSet.constant(mesh),
+                      mode=BoundaryMode.MIXED)
+    solves, starts = [], []  # block columns of each solve, per factorization
+    factorize, pairs = spectral.factorize, spectral._hermitian_pairs
+
+    class Counted:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, rhs):
+            solves[-1].append(rhs.shape[1])
+            return self.lu.solve(rhs)
+
+    def counted_factorize(matrix):
+        solves.append([])
+        return Counted(factorize(matrix))
+
+    def spied_pairs(*args):
+        starts.append(args[-1])
+        return pairs(*args)
+    monkeypatch.setattr(spectral, "factorize", counted_factorize)
+    monkeypatch.setattr(spectral, "_hermitian_pairs", spied_pairs)
+    for label in ("principal-positivity", "perron-sign-structure",
+                  "spectral-gap"):
+        (result,) = run_suite(problem, only=label).results
+        assert result.verdict is Verdict.PASS
+    consistent, lumped = solves  # each pencil factorized once
+    assert set(consistent) == {4} and set(lumped) == {3}
+    op, tol = problem.op, problem.solver_tol
+    assert starts[0] is None
+    np.testing.assert_array_equal(starts[1],
+                                  spectral_gap(op, 2, tol).vectors)
+    # cold starts of the same pencil: the block of one pair, and the two
+    # pairs with two guards the lumped solve took before
+    M_L = mass_matrix("lumped", op.mass, op.mass_lumped)
+    cold = {}
+    for k in (1, 2):
+        pairs(op.stiffness, M_L, op.mass_lumped, k, tol, None)
+        cold[k] = len(solves[-1])
+    assert len(lumped) < cold[1] and 2 * len(lumped) <= cold[2]
 
 
 def test_rank_deficient_sweep_is_a_solver_error(robin_op8, monkeypatch):
@@ -700,7 +784,7 @@ def test_rank_deficient_sweep_is_a_solver_error(robin_op8, monkeypatch):
     monkeypatch.setattr(sla, "eigh", singular_gram)
     with pytest.raises(SolverError, match="rank deficient"):
         _hermitian_pairs(robin_op8.stiffness, robin_op8.mass,
-                         robin_op8.mass_lumped, k=2, tol=1e-10)
+                         robin_op8.mass_lumped, k=2, tol=1e-10, start=None)
 
 
 # -- the M-matrix certificate of the principal eigenvector ---------------------

@@ -26,7 +26,7 @@ from .mesh import MeshError, generate_structured, load_mesh, quality, \
     save_mesh
 from .parabolic import BoundaryData, make_test_bank, solve_mild, \
     strong_positivity_check, very_weak_residual
-from .semigroup import default_evolution, evolve, kernel, \
+from .semigroup import EvolutionConfig, default_evolution, evolve, kernel, \
     kernel_positivity_report
 from .spectral import REGION_FOR_MODE, SolverError, certify_positivity, \
     principal_eig, spectral_gap
@@ -113,14 +113,15 @@ def _resolve_coefficients(spec, base: Path, mesh):
         raise CliError(f"coefficients: {exc}") from None
 
 
-def _resolve_evolution(spec) -> dict:
-    """The evolution block as keyword arguments of default_evolution."""
+def _resolve_evolution(spec, mesh) -> EvolutionConfig:
+    """The evolution block as a config, default_evolution filling in what
+    it leaves out."""
     spec = _check_keys({} if spec is None else spec,
                        {"scheme", "dt", "t_end", "mass"}, "evolution")
     for key in ("dt", "t_end"):
         if key in spec:
             _number(spec, key, None, "evolution")
-    return spec
+    return default_evolution(mesh, **spec)
 
 
 def _solver_tol(cfg: dict) -> float:
@@ -236,7 +237,7 @@ _EVOLVE_KEYS = {"mesh", "coefficients", "evolution", "u0", "seed",
 
 def _cmd_evolve(args) -> int:
     cfg, base, mesh, coeffs, mode = _load_inputs(args, _EVOLVE_KEYS)
-    ecfg = default_evolution(mesh, **_resolve_evolution(cfg.get("evolution")))
+    ecfg = _resolve_evolution(cfg.get("evolution"), mesh)
     out = _out_dir(cfg, base)
 
     op = Problem(mesh=mesh, coeffs=coeffs, mode=mode).op  # corkscrew-checked
@@ -256,7 +257,7 @@ _KERNEL_KEYS = {"mesh", "coefficients", "evolution", "seed", "output_dir"}
 
 def _cmd_kernel(args) -> int:
     cfg, base, mesh, coeffs, mode = _load_inputs(args, _KERNEL_KEYS)
-    ecfg = default_evolution(mesh, **_resolve_evolution(cfg.get("evolution")))
+    ecfg = _resolve_evolution(cfg.get("evolution"), mesh)
     t = args.t if args.t is not None else ecfg.t_end
     out = _out_dir(cfg, base)
 
@@ -332,7 +333,7 @@ def _resolve_phi(spec, mesh, t_end) -> BoundaryData:
 
 def _cmd_parabolic(args) -> int:
     cfg, base, mesh, coeffs, _mode = _load_inputs(args, _PARABOLIC_KEYS)
-    ecfg = default_evolution(mesh, **_resolve_evolution(cfg.get("evolution")))
+    ecfg = _resolve_evolution(cfg.get("evolution"), mesh)
     seed = _number(cfg, "seed", 0, "config", int)
     out = _out_dir(cfg, base)
 
@@ -399,8 +400,7 @@ _VERIFY_KEYS = {"mesh", "coefficients", "solver", "evolution",
 def _cmd_verify(args) -> int:
     cfg, base, mesh, coeffs, mode = _load_inputs(args, _VERIFY_KEYS)
     tol = _solver_tol(cfg)
-    evolution = _resolve_evolution(cfg.get("evolution"))
-    default_evolution(mesh, **evolution)  # rejects a bad block
+    evolution = _resolve_evolution(cfg.get("evolution"), mesh)
     oracle_matrix = None
     expect_irr = None
     if "oracle" in cfg:

@@ -176,9 +176,13 @@ def solve_mild(mesh: TriMesh, coeffs: CoefficientSet, u0: np.ndarray,
 # strong positivity
 
 def _interior_threshold(sol: MildSolution) -> int:
-    diameter, _ = graph_diameter(
-        sol.stiffness[sol.interior][:, sol.interior],
-        ParabolicError("interior coupling graph is disconnected"))
+    """The interior graph diameter; -1 when that graph is disconnected,
+    which leaves the verdict to the certificate's "reducible" reason."""
+    try:
+        diameter, _ = graph_diameter(
+            sol.stiffness[sol.interior][:, sol.interior], LookupError())
+    except LookupError:
+        return -1
     return diameter
 
 
@@ -201,8 +205,9 @@ def strong_positivity_check(sol: MildSolution) -> StrongPositivityReport:
     Z = (M_L + dt A)_II passes ``mmatrix_certificate`` and -A_IB >= 0,
     Z^-1 > 0 maps a nonnegative, nonzero right-hand side to a positive
     state, and every later right-hand side is nonzero. ``threshold_step``
-    reports the interior graph diameter. The float cross-check tests
-    sign: an exact 0.0 is flagged as underflow, a negative value fails."""
+    reports the interior graph diameter (-1 when disconnected), for
+    reference only. The float cross-check tests sign: an exact 0.0 is
+    flagged as underflow, a negative value fails."""
     if sol.u0.min() < 0.0 or sol.phi.values.min() < 0.0:
         return StrongPositivityReport(
             Verdict.NOT_APPLICABLE, -1, -1,

@@ -8,8 +8,7 @@ pairs and every nodal indicator is positive after one step; the
 certificate alone decides both positivity verdicts. In floats, values
 decay fast with graph distance, so the cross-checks test only the sign of
 the point-mass columns at the two ends of the sparsity graph's diameter,
-at the step at which the propagation front has provably crossed it and at
-t.
+at the first step, where the certificate's claim begins, and at t.
 
 ``step_matrices`` is the one place a scheme becomes matrices; the
 boundary-pinned solve in ``parabolic`` slices its rows. ``march`` is the
@@ -70,7 +69,7 @@ class EvolutionConfig:
         return int(math.floor(self.t_end / self.dt + 1e-9))
 
 
-#: steps in the default horizon, unless the propagation threshold needs more
+#: steps in the default horizon of every command
 DEFAULT_STEPS = 80
 
 
@@ -80,14 +79,13 @@ def default_dt(mesh) -> float:
 
 
 def default_evolution(mesh, dt: float | None = None,
-                      t_end: float | None = None, min_steps: int = 0,
-                      **kwargs) -> EvolutionConfig:
-    """Fill in the defaults: dt = h_max^2 / 4 and a horizon of
-    max(80, min_steps) steps. Pass the propagation threshold as min_steps
-    when the horizon must carry a positivity certificate."""
+                      t_end: float | None = None, **kwargs) -> EvolutionConfig:
+    """Fill in the defaults: dt = h_max^2 / 4 and a horizon of 80 steps.
+    The positivity certificate holds from the first step, so no horizon
+    needs more."""
     dt = default_dt(mesh) if dt is None else float(dt)
     if t_end is None:
-        t_end = max(DEFAULT_STEPS, min_steps) * dt
+        t_end = DEFAULT_STEPS * dt
     return EvolutionConfig(dt=dt, t_end=float(t_end), **kwargs)
 
 
@@ -388,7 +386,7 @@ class PositivityImprovingReport:
     verdict: Verdict
     threshold_step: int = -1
     columns: tuple = ()           # vertex of each sampled indicator
-    min_at_threshold: float = math.nan
+    min_at_first_step: float = math.nan
     min_at_end: float = math.nan
     reason: str = ""
     underflow: bool = False       # a minimum is a positive value lost to 0.0
@@ -397,17 +395,17 @@ class PositivityImprovingReport:
 def positivity_improving_check(op: DiscreteOperator,
                                certificate: MMatrixCertificate,
                                ends: tuple = ()) -> PositivityImprovingReport:
-    """The certificate's verdict that every nodal indicator turns strictly
-    positive on the mode's region once the step count passes the
-    sparsity-graph diameter, staying positive through t_end.
+    """The certificate's verdict that every nodal indicator is strictly
+    positive on the mode's region from the first step through t_end:
+    B^-1 > 0 maps a nonnegative, nonzero state to a positive one.
 
-    When the certificate holds, ``ends`` is the pair (K at the threshold
-    step, K at t) on the same point-mass columns, from the caller's march,
-    and the float cross-check tests their sign on the region in indicator
-    units (the column of vertex v times its lumped mass): an entry of
-    exactly 0.0 is float underflow and is flagged as such, a negative or
-    NaN entry is a program bug and raises AssertionError. B^-1 > 0 proves
-    positivity from step 1, so a horizon below the diameter is no error.
+    When the certificate holds, ``ends`` is the pair (K at step 1, K at t)
+    on the same point-mass columns, from the caller's march, and the float
+    cross-check tests their sign on the region in indicator units (the
+    column of vertex v times its lumped mass): an entry of exactly 0.0 is
+    float underflow and is flagged as such, a negative or NaN entry is a
+    program bug and raises AssertionError. ``threshold_step`` reports the
+    sparsity-graph diameter, for reference only.
     """
     if not certificate.holds:
         return PositivityImprovingReport(Verdict.NOT_APPLICABLE,
@@ -422,8 +420,9 @@ def positivity_improving_check(op: DiscreteOperator,
                 for K in ends)
     if not (low >= 0.0 and end >= 0.0):
         raise AssertionError(
-            f"indicator minima {low!r} at the threshold step and {end!r} at "
+            f"indicator minima {low!r} at the first step and {end!r} at "
             f"t are not positive under a holding positivity certificate")
     return PositivityImprovingReport(
         Verdict.PASS, threshold, tuple(int(v) for v in ends[-1].columns),
-        min_at_threshold=low, min_at_end=end, underflow=min(low, end) == 0.0)
+        min_at_first_step=low, min_at_end=end,
+        underflow=min(low, end) == 0.0)

@@ -23,8 +23,7 @@ from .assembly import BoundaryMode, CoefficientSet, DiscreteOperator, \
 from .mesh import TriMesh, check_corkscrew
 from .semigroup import EvolutionConfig, KernelMatrix, Verdict, \
     default_evolution, kernel, kernel_certificate, kernel_positivity_report, \
-    peripheral_pair, point_mass_columns, positivity_improving_check, \
-    propagation_threshold
+    peripheral_pair, point_mass_columns, positivity_improving_check
 from .spectral import REGION_FOR_MODE, SolverError, certify_positivity, \
     complex_robin_bound, perron_pair, principal_eig, spectral_gap
 
@@ -46,7 +45,7 @@ class KernelProbes:
 
     t: float
     ends: KernelMatrix       # K(t) on the point masses at the peripheral pair
-    ends_at_threshold: KernelMatrix  # the same columns at the threshold step
+    ends_at_first_step: KernelMatrix  # the same columns at step 1
     probes: np.ndarray       # Z, (n_dof, PROBES)
     forward: np.ndarray      # K(t) Z
     forward_2t: np.ndarray   # K(2t) Z
@@ -61,9 +60,8 @@ class Problem:
     coeffs: CoefficientSet
     mode: BoundaryMode
     solver_tol: float = 1e-10
-    #: a config, or the keyword arguments of default_evolution (the
-    #: evolution block of a config file)
-    evolution: EvolutionConfig | dict | None = None
+    #: the evolution config; None takes default_evolution's 80 steps
+    evolution: EvolutionConfig | None = None
     corkscrew_delta: float = 0.1
     oracle_matrix: np.ndarray | None = None
     expect_irreducible: bool | None = None
@@ -85,16 +83,7 @@ class Problem:
 
     @cached_property
     def evolution_cfg(self) -> EvolutionConfig:
-        if isinstance(self.evolution, EvolutionConfig):
-            return self.evolution
-        # an open horizon reaches the propagation threshold, so the
-        # positivity-improving certificate always has the steps it needs
-        try:
-            threshold = propagation_threshold(self.op)
-        except RuntimeError:  # disconnected: no horizon certifies positivity
-            threshold = 0
-        return default_evolution(self.mesh, min_steps=threshold,
-                                 **(self.evolution or {}))
+        return self.evolution or default_evolution(self.mesh)
 
     @cached_property
     def certificate(self) -> MMatrixCertificate:
@@ -105,30 +94,28 @@ class Problem:
     def kernel_probes(self) -> KernelProbes:
         """One forward march to t of a fixed-seed probe block Z and, when
         the positivity certificate holds, of the point masses at the two
-        ends of the stiffness graph's diameter, with a snapshot at the
-        threshold step too; K(t) Z alone goes on to 2t. One adjoint march
-        of Z to t. O(n_dof * PROBES) memory: no dense kernel."""
+        ends of the stiffness graph's diameter, with a snapshot at step 1
+        too, where the certificate's claim begins; K(t) Z alone goes on to
+        2t. One adjoint march of Z to t. O(n_dof * PROBES) memory: no dense
+        kernel."""
         op, cfg = self.op, self.evolution_cfg
         t = cfg.n_steps * cfg.dt
         # the kernel decays with graph distance, so the float cross-checks
         # sample the columns of the two most distant dofs
-        ends, threshold = [], cfg.n_steps
-        if self.certificate.holds:
-            ends = list(peripheral_pair(op))
-            threshold = max(propagation_threshold(op), 1)
+        ends = list(peripheral_pair(op)) if self.certificate.holds else []
         probes = np.random.default_rng(PROBE_SEED).standard_normal(
             (op.n_dof, PROBES))
         block = np.zeros((op.n_dof, len(ends) + PROBES))
         block[ends, range(len(ends))] = 1.0
         block[:, len(ends):] = probes
-        K1, K0 = kernel(op, (cfg.t_end, threshold * cfg.dt), cfg, block)
+        K1, K0 = kernel(op, (cfg.t_end, cfg.dt), cfg, block)
         forward = K1[:, len(ends):]
         columns = op.free_vertices[ends]
         return KernelProbes(
             t=t, ends=point_mass_columns(op, t, K1[:, :len(ends)], columns,
                                          self.certificate),
-            ends_at_threshold=point_mass_columns(
-                op, threshold * cfg.dt, K0[:, :len(ends)], columns,
+            ends_at_first_step=point_mass_columns(
+                op, cfg.dt, K0[:, :len(ends)], columns,
                 self.certificate),
             probes=probes, forward=forward,
             forward_2t=kernel(op, cfg.t_end, cfg, forward, resume=True),
@@ -216,7 +203,7 @@ def _check_positivity_improving(p: Problem):
     if p.mode not in REGION_FOR_MODE:
         return Verdict.NOT_APPLICABLE, {"reason": "no positivity region"}
     # an unmet hypothesis needs no march
-    ends = (p.kernel_probes.ends_at_threshold, p.kernel_probes.ends) \
+    ends = (p.kernel_probes.ends_at_first_step, p.kernel_probes.ends) \
         if p.certificate.holds else ()
     rep = positivity_improving_check(p.op, p.certificate, ends)
     payload = {"threshold_step": rep.threshold_step,
@@ -225,7 +212,7 @@ def _check_positivity_improving(p: Problem):
         payload["reason"] = rep.reason
     if rep.columns:
         payload["worst_min_at_end"] = rep.min_at_end
-        payload["min_at_threshold"] = rep.min_at_threshold
+        payload["min_at_first_step"] = rep.min_at_first_step
     if rep.underflow:
         payload["underflow"] = True
     return rep.verdict, payload
@@ -353,8 +340,8 @@ REGISTRY = (
                   "the two lowest eigenvalues are separated",
                   _check_spectral_gap),
     RegistryEntry("positivity-improving",
-                  "evolved nodal indicators become strictly positive on the "
-                  "whole region by the propagation threshold",
+                  "evolved nodal indicators are strictly positive on the "
+                  "whole region from the first step",
                   _check_positivity_improving),
     RegistryEntry("kernel-positivity",
                   "the discrete heat kernel is entrywise positive on the "

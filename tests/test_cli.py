@@ -6,7 +6,7 @@ import pytest
 from perronfem.cli import main, read_kernel_dump
 from perronfem.expressions import ExpressionError, evaluate_field
 from perronfem.mesh import generate_structured, load_mesh
-from perronfem.semigroup import Verdict
+from perronfem.semigroup import Verdict, default_dt
 from perronfem.svgplot import _color, _colors, render_heatmap, render_strip
 from perronfem.verification import Problem, run_suite
 from perronfem.assembly import BoundaryMode, CoefficientSet
@@ -703,17 +703,85 @@ def test_cli_failed_step_factorization_is_an_error(tmp_path, capsys,
     _assert_one_error_line(capsys, "singular step matrix")
 
 
-def test_cli_default_horizon_covers_the_graph_diameter(tmp_path):
-    # n = 44 has a stiffness-graph diameter of 88 > 80 default steps
-    cfg = {"mesh": {"shape": "unit_square", "n": 44, "tags": "N"},
-           "coefficients": {"beta": 1.0, "mode": "robin"}}
+# two unit squares, each fanned around its centre, joined by a strip of two
+# triangles whose vertices all lie on the boundary: the two interior
+# vertices share no triangle, so the interior coupling graph is disconnected
+SPLIT_INTERIOR_MESH = """trimesh 2
+vertices 10
+0.0 0.0
+1.0 0.0
+1.0 1.0
+0.0 1.0
+0.5 0.5
+2.0 0.0
+3.0 0.0
+3.0 1.0
+2.0 1.0
+2.5 0.5
+triangles 10
+0 1 4
+1 2 4
+2 3 4
+3 0 4
+5 6 9
+6 7 9
+7 8 9
+8 5 9
+1 5 8
+1 8 2
+boundary 8
+0 1 D
+1 5 D
+5 6 D
+6 7 D
+7 8 D
+8 2 D
+2 3 D
+3 0 D
+"""
+
+
+@pytest.mark.parametrize("scheme, reason", [
+    ("implicit_euler", "reducible"),
+    ("crank_nicolson", "implicit Euler with lumped mass")])
+def test_cli_parabolic_on_a_disconnected_interior_is_not_applicable(
+        tmp_path, scheme, reason):
+    # this mesh once ended the run with exit 2 and no verdict.json
+    (tmp_path / "mesh.txt").write_text(SPLIT_INTERIOR_MESH)
+    cfg = {"mesh": "mesh.txt", "coefficients": {"mode": "dirichlet"},
+           "evolution": {"scheme": scheme}, "u0": "1", "phi": 1,
+           "output_dir": "out"}
     path = write_config(tmp_path / "c.json", cfg)
-    assert main(["verify", "--config", path,
-                 "--only", "positivity-improving"]) == 0
-    report = json.loads((tmp_path / "verification_report.json").read_text())
-    (result,) = report["results"]
-    assert result["verdict"] == "pass"
-    assert result["payload"]["threshold_step"] == 88
+    assert main(["parabolic", "--config", path]) == 0
+    verdict = json.loads((tmp_path / "out" / "verdict.json").read_text())
+    positivity = verdict["strong_positivity"]
+    assert positivity["verdict"] == "not_applicable"
+    assert reason in positivity["reason"]
+    assert positivity["threshold_step"] == -1
+
+
+def _assert_n44_robin_marches_80_steps(tmp_path, cfg):
+    """positivity-improving and kernel-positivity PASS on a Robin n = 44
+    square over 80 steps, though its stiffness-graph diameter is 88: the
+    certificate holds from step 1, and the diameter is reported for
+    reference."""
+    mesh = {"shape": "unit_square", "n": 44, "tags": "N"}
+    path = write_config(tmp_path / "c.json", {
+        "mesh": mesh, "coefficients": {"beta": 1.0, "mode": "robin"}, **cfg})
+    results = {}
+    for label in ("positivity-improving", "kernel-positivity"):
+        assert main(["verify", "--config", path, "--only", label]) == 0
+        report = json.loads(
+            (tmp_path / "verification_report.json").read_text())
+        (results[label],) = report["results"]
+        assert results[label]["verdict"] == "pass"
+    dt = default_dt(generate_structured(mesh["shape"], mesh["n"], "N"))
+    assert results["kernel-positivity"]["payload"]["t"] == 80 * dt
+    assert results["positivity-improving"]["payload"]["threshold_step"] == 88
+
+
+def test_cli_default_horizon_is_80_steps_above_the_graph_diameter(tmp_path):
+    _assert_n44_robin_marches_80_steps(tmp_path, {})
 
 
 def test_cli_verify_kernel_symmetry_not_applicable_under_consistent_mass(
@@ -760,7 +828,10 @@ LSHAPE_MIXED_TAGS = {"bottom": "D", "right": "N", "inner_h": "N",
 # are bitwise the same. robin6, dirichlet6 and lshape4 were re-pinned when
 # the lumped pencil's solve became one pair warm-started from the consistent
 # pairs: only perron-sign-structure's lambda1_lumped and min_component
-# differ, by <= 2.5e-11 relative.
+# differ, by <= 2.5e-11 relative. robin6, dirichlet6 and lshape4 were
+# re-pinned when positivity-improving began to sample the peripheral pair at
+# step 1 instead of the diameter step: its min_at_threshold became
+# min_at_first_step, with the step-1 value; nothing else moved.
 PINNED_REPORTS = {
     "robin6": ({
         "mesh": {"shape": "unit_square", "n": 6, "tags": "N"},
@@ -768,11 +839,11 @@ PINNED_REPORTS = {
         "oracle": {"matrix": [[-2.0, 1.0, 0.0], [0.0, -2.0, 1.0],
                               [0.5, 0.0, -2.0]],
                    "expect_irreducible": True},
-    }, "1474bc6cb8446ca7080ebfce2d688c99563d71f4837c430d85394fb56b8dc9ae"),
+    }, "b316e24fba86945344b416b9c010c6ede4088dfff6c9720ebdbb96322d6331dd"),
     "dirichlet6": ({
         "mesh": {"shape": "unit_square", "n": 6, "tags": "D"},
         "coefficients": {"mode": "dirichlet"},
-    }, "3d5dd660e003618fab3f4ecbc7cad93cdd60fd63b1f4f09c9d8c2b3c0120bc19"),
+    }, "e3014424c2dd4c550d47869538265c33eadfed215b6bfd0a794abbccc36f974b"),
     "complex6": ({
         "mesh": {"shape": "unit_square", "n": 6, "tags": "N"},
         "coefficients": {"beta": {"re": 1.0, "im": 0.5},
@@ -781,7 +852,7 @@ PINNED_REPORTS = {
     "lshape4": ({
         "mesh": {"shape": "l_shape", "n": 4, "tags": LSHAPE_MIXED_TAGS},
         "coefficients": {"mode": "mixed"},
-    }, "45c01e45cb2a7e9ad2f42f81a120bd36cc8d6cb08e58a41adfc9b1fad923ad8e"),
+    }, "308f683d72ec853280569f43cc3786864673dca1a92667814b2df7da9b55ff34"),
 }
 
 
@@ -956,22 +1027,14 @@ def test_cli_eig_warns_when_the_corkscrew_check_fails(tmp_path):
         assert main(["eig", "--config", path]) == 0
 
 
-def test_cli_verify_evolution_block_without_t_end_covers_the_diameter(
+def test_cli_verify_evolution_block_without_t_end_has_the_default_horizon(
         tmp_path):
-    # n = 44 needs 88 steps; an evolution block that leaves t_end open gets
-    # the propagation threshold as its horizon, as no block at all does
-    cfg = {"mesh": {"shape": "unit_square", "n": 44, "tags": "N"},
-           "coefficients": {"beta": 1.0, "mode": "robin"},
-           "evolution": {"scheme": "implicit_euler"}}
-    path = write_config(tmp_path / "c.json", cfg)
-    assert main(["verify", "--config", path,
-                 "--only", "positivity-improving"]) == 0
-    report = json.loads((tmp_path / "verification_report.json").read_text())
-    (result,) = report["results"]
-    assert result["verdict"] == "pass"
-    assert result["payload"]["threshold_step"] == 88
+    # an evolution block that leaves t_end open gets the same horizon as no
+    # block at all
+    _assert_n44_robin_marches_80_steps(
+        tmp_path, {"evolution": {"scheme": "implicit_euler"}})
 
-    # evolve keeps the plain 80-step default horizon
+    # evolve has the same 80-step default horizon
     cfg = {**ROBIN_PROBLEM, "evolution": {"scheme": "implicit_euler"},
            "output_dir": "run"}
     path = write_config(tmp_path / "evolve.json", cfg)

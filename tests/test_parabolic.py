@@ -507,8 +507,8 @@ def test_graph_diameter_raises_on_a_disconnected_pattern():
         graph_diameter(sp.block_diag([path, path]), ValueError("split"))
 
 
-def test_disconnected_graphs_keep_each_callers_error(dirichlet_mesh8,
-                                                     dirichlet_op8):
+def test_a_disconnected_interior_is_reducible_not_an_error(dirichlet_mesh8,
+                                                          dirichlet_op8):
     import scipy.sparse as sp
     from perronfem.semigroup import propagation_threshold
     split = sp.block_diag([dirichlet_op8.stiffness[:10, :10]] * 2).tocsr()
@@ -525,9 +525,10 @@ def test_disconnected_graphs_keep_each_callers_error(dirichlet_mesh8,
     A[sol.interior[:10, None], sol.interior[10:]] = 0.0
     A[sol.interior[10:, None], sol.interior[:10]] = 0.0
     cut = dataclasses.replace(sol, stiffness=A.tocsr())
-    with pytest.raises(ParabolicError,
-                       match="interior coupling graph is disconnected"):
-        strong_positivity_check(cut)
+    # the certificate, not the diameter, decides: no diameter, no error
+    rep = strong_positivity_check(cut)
+    assert rep.verdict is Verdict.NOT_APPLICABLE
+    assert "reducible" in rep.reason and rep.threshold_step == -1
 
 
 def test_solve_mild_keeps_the_volume_matrices_it_marched_with(

@@ -11,9 +11,9 @@ from perronfem.assembly import BoundaryMode, CoefficientSet, assemble, \
 from perronfem.mesh import _SHAPE_SEGMENTS, BoundaryTag, TriMesh, \
     generate_structured
 from perronfem.semigroup import EvolutionConfig, MassKind, Scheme, Verdict, \
-    default_dt, evolve, graph_diameter, kernel, kernel_certificate, \
-    kernel_positivity_report, positivity_improving_check, \
-    propagation_threshold
+    default_dt, default_evolution, evolve, graph_diameter, kernel, \
+    kernel_certificate, kernel_positivity_report, \
+    positivity_improving_check, propagation_threshold
 from perronfem.spectral import perron_pair
 from tests.conftest import dense_ie_step
 
@@ -117,7 +117,7 @@ def _positivity_improving(op, cfg):
     problem = _suite_problem(op, cfg)
     k = problem.kernel_probes
     return positivity_improving_check(op, problem.certificate,
-                                      (k.ends_at_threshold, k.ends))
+                                      (k.ends_at_first_step, k.ends))
 
 
 def test_positivity_improving_robin_corner(robin_op8):
@@ -127,7 +127,7 @@ def test_positivity_improving_robin_corner(robin_op8):
     assert rep.threshold_step == 16
     # the corner vertex and the one across the diagonal carry the indicators
     assert rep.columns == (0, 80)
-    assert 0 < rep.min_at_threshold
+    assert 0 < rep.min_at_first_step
     assert 0 < rep.min_at_end
 
 
@@ -184,7 +184,8 @@ def test_positivity_improving_passes_on_a_horizon_below_the_diameter():
     problem = Problem(mesh=mesh,
                       coeffs=CoefficientSet.constant(mesh, beta=1.0),
                       mode=BoundaryMode.ROBIN,
-                      evolution={"t_end": 10 * default_dt(mesh)})
+                      evolution=default_evolution(
+                          mesh, t_end=10 * default_dt(mesh)))
     report = run_suite(problem)
     assert problem.evolution_cfg.n_steps == 10 and not report.failed
     results = {r.label: r for r in report.results}
@@ -195,18 +196,19 @@ def test_positivity_improving_passes_on_a_horizon_below_the_diameter():
 
 def test_positivity_improving_passes_at_a_small_dt():
     # a relative floor of 1e-12 max|u| once failed here: at dt/100 the far
-    # indicator needed 68 steps to clear it, against a threshold of 16
+    # indicator needed 68 steps to clear it, against a graph diameter of 16
     from perronfem.verification import Problem, run_suite
     mesh = generate_structured("unit_square", 8, "N")
     problem = Problem(mesh=mesh,
                       coeffs=CoefficientSet.constant(mesh, beta=1.0),
                       mode=BoundaryMode.ROBIN,
-                      evolution={"dt": default_dt(mesh) / 100})
+                      evolution=default_evolution(
+                          mesh, dt=default_dt(mesh) / 100))
     (result,) = run_suite(problem, only="positivity-improving").results
     assert result.verdict is Verdict.PASS
     assert result.payload["threshold_step"] == 16
     # indicators stay in [0, 1], so this one is below the old floor
-    assert 0 < result.payload["min_at_threshold"] < 1e-12
+    assert 0 < result.payload["min_at_first_step"] < 1e-12
 
 
 def test_positivity_check_raises_on_a_nonpositive_indicator(robin_op8):
@@ -215,26 +217,27 @@ def test_positivity_check_raises_on_a_nonpositive_indicator(robin_op8):
     problem = _suite_problem(robin_op8, cfg)
     k = problem.kernel_probes
     for bad in (-1e-300, math.nan):
-        entries = k.ends_at_threshold.entries.copy()
+        entries = k.ends_at_first_step.entries.copy()
         entries[40, 1] = bad
         with pytest.raises(AssertionError,
                            match="under a holding positivity"):
             positivity_improving_check(
                 robin_op8, problem.certificate,
-                (replace(k.ends_at_threshold, entries=entries), k.ends))
+                (replace(k.ends_at_first_step, entries=entries), k.ends))
     # an exact 0.0 is a positive indicator value lost to float underflow
-    entries = k.ends_at_threshold.entries.copy()
+    entries = k.ends_at_first_step.entries.copy()
     entries[40, 1] = 0.0
     rep = positivity_improving_check(
         robin_op8, problem.certificate,
-        (replace(k.ends_at_threshold, entries=entries), k.ends))
+        (replace(k.ends_at_first_step, entries=entries), k.ends))
     assert rep.verdict is Verdict.PASS
-    assert rep.min_at_threshold == 0.0 and rep.underflow
+    assert rep.min_at_first_step == 0.0 and rep.underflow
 
 
 def test_suite_marches_the_probe_column_budget(monkeypatch):
-    # the peripheral pair rides with the probes to t only; K(t)Z alone goes
-    # on to 2t, and the adjoint march carries the probes to t
+    # the peripheral pair rides with the probes to t only, also on a horizon
+    # below the graph diameter (12 here); K(t)Z alone goes on to 2t, and the
+    # adjoint march carries the probes to t
     import perronfem.semigroup as semigroup
     from perronfem.verification import PROBES, Problem, run_suite
     columns = {"step": [], "step_adjoint": []}
@@ -248,16 +251,21 @@ def test_suite_marches_the_probe_column_budget(monkeypatch):
     monkeypatch.setattr(semigroup, "factorize",
                         lambda m: factorizations.append(1) or factorize(m))
     mesh = generate_structured("unit_square", 6, "N")
-    problem = Problem(mesh=mesh,
-                      coeffs=CoefficientSet.constant(mesh, beta=1.0),
-                      mode=BoundaryMode.ROBIN)
-    report = run_suite(problem)
-    assert not report.failed
-    n = problem.evolution_cfg.n_steps
-    assert (PROBES, n) == (4, 80)
-    assert columns == {"step": [2 + 4] * n + [4] * n,
-                       "step_adjoint": [4] * n}
-    assert len(factorizations) == 1
+    assert PROBES == 4
+    for t_end, n in ((None, 80), (5 * default_dt(mesh), 5)):
+        for marched in columns.values():
+            marched.clear()
+        factorizations.clear()
+        problem = Problem(mesh=mesh,
+                          coeffs=CoefficientSet.constant(mesh, beta=1.0),
+                          mode=BoundaryMode.ROBIN,
+                          evolution=default_evolution(mesh, t_end=t_end))
+        report = run_suite(problem)
+        assert not report.failed
+        assert problem.evolution_cfg.n_steps == n
+        assert columns == {"step": [2 + 4] * n + [4] * n,
+                           "step_adjoint": [4] * n}
+        assert len(factorizations) == 1
 
 
 def test_propagation_threshold_is_grid_diameter(robin_op8):
@@ -844,7 +852,7 @@ def test_certificate_takes_the_inverse_row_sum_witness_at_an_inflow():
     assert K.entries.min() > 0
     assert kernel_positivity_report(K).verdict is Verdict.PASS
     problem = Problem(mesh=mesh, coeffs=coeffs, mode=BoundaryMode.NEUMANN,
-                      evolution={"dt": 0.1})
+                      evolution=default_evolution(mesh, dt=0.1))
     verdicts = {r.label: r.verdict for r in run_suite(problem).results}
     assert verdicts["kernel-positivity"] is Verdict.PASS
     assert verdicts["positivity-improving"] is Verdict.PASS
@@ -934,7 +942,7 @@ def test_certificate_implies_the_lattice_oracle_on_tiny_meshes(case):
     certificate = kernel_certificate(op, cfg)
     # positivity-improving passes exactly when the certificate holds
     problem = Problem(mesh=op.mesh, coeffs=op.coeffs, mode=op.mode,
-                      evolution={"dt": cfg.dt})
+                      evolution=default_evolution(op.mesh, dt=cfg.dt))
     problem.op = op
     (result,) = run_suite(problem, only="positivity-improving").results
     assert result.verdict is (Verdict.PASS if certificate.holds
@@ -966,7 +974,7 @@ def test_principal_verdicts_match_the_lattice_perron_vector_on_tiny_meshes(
     op, cfg = case
     assert op.n_dof <= 6
     problem = Problem(mesh=op.mesh, coeffs=op.coeffs, mode=op.mode,
-                      evolution={"dt": cfg.dt})
+                      evolution=default_evolution(op.mesh, dt=cfg.dt))
     problem.op = op
     results = {label: run_suite(problem, only=label).results[0]
                for label in ("principal-positivity", "perron-sign-structure")}

@@ -4,13 +4,18 @@ Hermitian pencils (stiffness, mass) are solved by block inverse iteration:
 each sweep is one block solve, two block products and a Rayleigh-Ritz
 step on (YᵀAY, YᵀMY). The deterministic shift sits certifiably below the
 spectrum, so one factorization (``factorize``, the package's one SuperLU
-call) serves every sweep and runs reproduce bitwise. Each pencil has one
-route: ``principal_eig`` and ``spectral_gap`` read the consistent pencil,
-``perron_pair`` the lumped one, whose one pair starts from the consistent
-pencil's two. Non-Hermitian problems (complex Robin, or convection with
-b != c) get shift-invert Arnoldi, its pair count doubled until the
-field-of-values sector |Im lambda| <= Re lambda + s certifies the least
-real parts; meshes too small for ARPACK get the dense spectrum.
+call, which drops stored zeros first) serves every sweep and runs
+reproduce bitwise. Where the stiffness A is a certified irreducible
+nonsingular M-matrix the shift is 0, and one factor of A serves both
+pencils; elsewhere each pencil has its own Gershgorin shift and factor
+(``_hermitian_factor``). Each pencil has one route: ``principal_eig`` and
+``spectral_gap`` read the consistent pencil, ``perron_pair`` the lumped
+one, whose one pair starts from the consistent pencil's two.
+Non-Hermitian problems (complex Robin, or convection with b != c) get
+shift-invert Arnoldi, its pair count doubled until the field-of-values
+sector |Im lambda| <= Re lambda + s certifies the least real parts, each
+ARPACK call capped at MAX_ARNOLDI_RESTARTS restarts so a failure takes
+bounded time; meshes too small for ARPACK get the dense spectrum.
 ``_lowest_pairs`` is the one place that picks the path.
 ``certify_positivity`` claims a positive principal eigenvector only where
 ``assembly.mmatrix_certificate`` proves it, and is not applicable
@@ -28,9 +33,11 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import BoundaryMode, DiscreteOperator, MassKind, \
-    annihilates_constants, assemble, mass_matrix, mmatrix_report
+    annihilates_constants, assemble, mass_matrix, mmatrix_certificate, \
+    mmatrix_report
 
 MAX_ARNOLDI_PAIRS = 64  # the doubling cap of the certified Arnoldi path
+MAX_ARNOLDI_RESTARTS = 300  # ARPACK's maxiter: a failure takes bounded time
 #: an eigenpair's relative residual may exceed the solver tol up to this
 RESIDUAL_FLOOR = 1e-9
 MAX_SWEEPS = 500  # the sweep limit of block inverse iteration
@@ -44,9 +51,12 @@ class SolverError(RuntimeError):
 
 def factorize(matrix: sp.spmatrix):
     """The one SuperLU factorization of every step matrix and shifted pencil:
+    stored zeros dropped (on a copy; the caller's matrix is untouched), then
     minimum-degree ordering on Aᵀ+A; a singular matrix raises SolverError."""
+    matrix = sp.csc_matrix(matrix, copy=True)
+    matrix.eliminate_zeros()
     try:
-        return spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
+        return spla.splu(matrix, permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:
         raise SolverError(f"singular step matrix or shifted pencil: {exc}") \
             from exc
@@ -150,30 +160,67 @@ def _start_block(n: int, k: int) -> np.ndarray:
     return block
 
 
-def _hermitian_pairs(A: sp.csr_matrix, M, mass_lumped: np.ndarray, k: int,
-                     tol: float, start: np.ndarray | None):
-    """k smallest eigenpairs of the symmetric pencil (A, M).
+def _hermitian_factor(op: DiscreteOperator, mass: MassKind, tol: float):
+    """The shift sigma below the spectrum of the pencil (stiffness, mass)
+    and the factor of A - sigma*M that the sweeps solve through.
 
-    Block inverse iteration with a fixed shift below the spectrum and a
-    Rayleigh-Ritz extraction each sweep; GUARD_VECTORS ride along so
-    clustered eigenvalues at the block boundary cannot stall the wanted
-    pairs. ``start`` (n, j), j <= k + GUARD_VECTORS, replaces the leading
-    columns of the deterministic start block; None keeps it.
-    """
-    n = A.shape[0]
-    if k > n:
-        raise ValueError(f"requested {k} eigenpairs of an {n}-dim problem")
-    sigma = _shift_below_spectrum(A, mass_lumped)
+    sigma = 0, and one factor of A itself, decided and made once per
+    operator, serves both mass kinds when the Gershgorin shift is negative
+    and ``assembly.mmatrix_certificate`` proves A an irreducible
+    nonsingular M-matrix, its witness A^-1*1 taken from that factor: a
+    symmetric one is positive definite (Berman & Plemmons, ch. 6), so 0 is
+    below both spectra, and A^-1 > 0 makes A^-1 M and A^-1 M_L nonnegative
+    iteration operators. A stiffness that annihilates constants is
+    singular and is not tried. Otherwise the pencil gets the Gershgorin
+    shift and a factor of its own, moved down once by 10 tol if that
+    factor is singular."""
+    def zero_shift():
+        A, scan = op.stiffness, mmatrix_report(op)
+        if _shift_below_spectrum(A, op.mass_lumped) >= 0.0 \
+                or not scan.irreducible or annihilates_constants(A):
+            return None
+        try:
+            lu = factorize(A)
+        except SolverError:
+            return None
+        cert = mmatrix_certificate(
+            A, "stiffness", scan=scan.offdiag_max,
+            inverse_ones=lambda: lu.solve(np.ones(op.n_dof)))
+        return lu if cert.holds else None
+
+    lu = op.cached("zero_shift_factor", zero_shift)
+    if lu is not None:
+        return 0.0, lu
+    A, M = op.stiffness, mass_matrix(mass, op.mass, op.mass_lumped)
+    sigma = _shift_below_spectrum(A, op.mass_lumped)
     try:
-        lu = factorize(A - sigma * M)
+        return sigma, factorize(A - sigma * M)
     except SolverError as exc:
-        # shift adjustment on singular factorization
         sigma -= 10.0 * tol
         try:
-            lu = factorize(A - sigma * M)
+            return sigma, factorize(A - sigma * M)
         except SolverError:
-            raise SolverError(f"shift adjustment failed at sigma = {sigma}") \
-                from exc
+            raise SolverError(
+                f"shift adjustment failed at sigma = {sigma}") from exc
+
+
+def _hermitian_pairs(op: DiscreteOperator, mass: MassKind, k: int,
+                     tol: float, start: np.ndarray | None):
+    """k smallest eigenpairs of the symmetric pencil (stiffness, mass).
+
+    Block inverse iteration through the factor of ``_hermitian_factor``
+    (the stiffness's own, shift 0, where it is a certified M-matrix; else
+    the pencil's, at the Gershgorin shift), with a Rayleigh-Ritz
+    extraction each sweep; GUARD_VECTORS ride along so clustered
+    eigenvalues at the block boundary cannot stall the wanted pairs.
+    ``start`` (n, j), j <= k + GUARD_VECTORS, replaces the leading columns
+    of the deterministic start block; None keeps it.
+    """
+    A, n = op.stiffness, op.n_dof
+    if k > n:
+        raise ValueError(f"requested {k} eigenpairs of an {n}-dim problem")
+    M = mass_matrix(mass, op.mass, op.mass_lumped)
+    _sigma, lu = _hermitian_factor(op, mass, tol)
 
     m = min(n, k + GUARD_VECTORS)
     X = _start_block(n, m)
@@ -246,7 +293,8 @@ def _hermitian_lower_bound(C, M, mass_lumped: np.ndarray) -> float:
                                 dtype=float)
     try:
         (theta,), x = spla.eigsh(C, k=1, M=M, sigma=sigma, which="LM",
-                                 v0=_start_vector(C.shape[0]), OPinv=OPinv)
+                                 v0=_start_vector(C.shape[0]), OPinv=OPinv,
+                                 maxiter=MAX_ARNOLDI_RESTARTS)
     except spla.ArpackError as exc:
         raise SolverError(f"shift-invert Lanczos failed: {exc}") from exc
     Mx = M @ x[:, 0]
@@ -294,7 +342,8 @@ def _arnoldi_smallest_real(op: DiscreteOperator, M, k: int, tol: float,
         try:
             values, vectors = spla.eigs(op.stiffness, k=m, M=M, sigma=sigma,
                                         which="LM", v0=_start_vector(op.n_dof),
-                                        tol=arpack_tol, OPinv=OPinv)
+                                        tol=arpack_tol, OPinv=OPinv,
+                                        maxiter=MAX_ARNOLDI_RESTARTS)
         except spla.ArpackError as exc:
             raise SolverError(f"shift-invert Arnoldi failed: {exc}") from exc
         order = np.lexsort((values.imag, values.real))
@@ -345,8 +394,7 @@ def _lowest_pairs(op: DiscreteOperator, mass: MassKind | str, k: int,
             start = None if mass is MassKind.CONSISTENT else np.column_stack(
                 _lowest_pairs(op, MassKind.CONSISTENT, min(2, op.n_dof),
                               tol)[1])
-            return _hermitian_pairs(op.stiffness, M, op.mass_lumped, k, tol,
-                                    start)
+            return _hermitian_pairs(op, mass, k, tol, start)
         values, vectors, residuals = op.cached(
             ("hermitian_pairs", mass, k, tol), solve)
         return values, [_fix_sign(v, op.mass_lumped) for v in vectors.T], \

@@ -831,7 +831,12 @@ LSHAPE_MIXED_TAGS = {"bottom": "D", "right": "N", "inner_h": "N",
 # differ, by <= 2.5e-11 relative. robin6, dirichlet6 and lshape4 were
 # re-pinned when positivity-improving began to sample the peripheral pair at
 # step 1 instead of the diameter step: its min_at_threshold became
-# min_at_first_step, with the step-1 value; nothing else moved.
+# min_at_first_step, with the step-1 value; nothing else moved. robin6,
+# dirichlet6, lshape4 and complex6 were re-pinned when both Hermitian
+# pencils began to iterate through the stiffness's own factor (shift 0 under
+# the M-matrix certificate): eigenvalues, gaps, minima and complex6's
+# real-part problem move by <= 2.2e-11 relative, the round-off-sized
+# residuals by up to 65%; no verdict moved.
 PINNED_REPORTS = {
     "robin6": ({
         "mesh": {"shape": "unit_square", "n": 6, "tags": "N"},
@@ -839,20 +844,20 @@ PINNED_REPORTS = {
         "oracle": {"matrix": [[-2.0, 1.0, 0.0], [0.0, -2.0, 1.0],
                               [0.5, 0.0, -2.0]],
                    "expect_irreducible": True},
-    }, "b316e24fba86945344b416b9c010c6ede4088dfff6c9720ebdbb96322d6331dd"),
+    }, "10d2f9459f30bc8fe13f1ce6f5f703850ccdca8b53de775486222d7fb5205fa0"),
     "dirichlet6": ({
         "mesh": {"shape": "unit_square", "n": 6, "tags": "D"},
         "coefficients": {"mode": "dirichlet"},
-    }, "e3014424c2dd4c550d47869538265c33eadfed215b6bfd0a794abbccc36f974b"),
+    }, "b3aaeb4c1142a08f2606f07cc56a606885a4fc1ad6c1bb02743e4dc247702426"),
     "complex6": ({
         "mesh": {"shape": "unit_square", "n": 6, "tags": "N"},
         "coefficients": {"beta": {"re": 1.0, "im": 0.5},
                          "mode": "complex_robin"},
-    }, "df60d4bd55d096d01a35ec0c0535e112b7f900775cc3ba5848ba48b3072a55be"),
+    }, "c62cb40af7de3ef809bcdbab36c23a8dc2391505ba4f4af678d8057c25752a4e"),
     "lshape4": ({
         "mesh": {"shape": "l_shape", "n": 4, "tags": LSHAPE_MIXED_TAGS},
         "coefficients": {"mode": "mixed"},
-    }, "308f683d72ec853280569f43cc3786864673dca1a92667814b2df7da9b55ff34"),
+    }, "f9ea92739128aa126ecd3765645f6943c09911c8801fd096cf82634d7736935f"),
 }
 
 
@@ -884,11 +889,13 @@ def test_cli_verify_report_bytes_pinned(tmp_path, name):
 # the minimum-degree ordering and the Rayleigh-Ritz sweep on the pencil
 # (eigenvalues in the last digits, residual 2.0e-14 -> 1.3e-14), complex6
 # again with certified Arnoldi (eigenvalues in the last digits, residual
-# 7.0e-13 -> 4.5e-14)
+# 7.0e-13 -> 4.5e-14), robin6 again with the zero shift through the
+# stiffness's factor (eigenvalues <= 1.4e-15 relative, residual 1.3e-14 ->
+# 2.1e-14)
 PINNED_EIG_REPORTS = {
     "robin6": (
         {"beta": 1.5, "mode": "robin"},
-        "919ea1dfeaa356d022661af0793bf12ad1ae2e407045986e850d3522e45f6009"),
+        "3d168066934cf0edd23501f6cf30bd0497ebdbde9e2273f85c862da506eda0ce"),
     "complex6": (
         {"beta": {"re": 1.0, "im": 0.5}, "mode": "complex_robin"},
         "285b1524fb1da27f85a360869c65502724389350e8742accb95429b4e395ac78"),
@@ -949,9 +956,54 @@ def test_verify_factorizes_each_pencil_once(monkeypatch):
     for label in ("principal-positivity", "spectral-gap"):
         (result,) = run_suite(problem, only=label).results
         assert result.verdict is Verdict.PASS
-    assert len(calls) == 1  # the consistent pencil
+    assert len(calls) == 1  # the stiffness, a certified M-matrix
     run_suite(problem, only="perron-sign-structure")
-    assert len(calls) == 2  # plus the lumped pencil
+    assert len(calls) == 1  # its factor serves the lumped pencil too
+
+
+def _lshape_mixed_problem(n):
+    mesh = generate_structured("l_shape", n, LSHAPE_MIXED_TAGS)
+    return Problem(mesh=mesh, coeffs=CoefficientSet.constant(mesh),
+                   mode=BoundaryMode.MIXED)
+
+
+@pytest.mark.parametrize("problem", [lambda: _lshape_mixed_problem(16),
+                                     lambda: make_problem("robin")],
+                         ids=["lshape16", "robin"])
+def test_one_factor_serves_both_pencils(monkeypatch, problem):
+    import scipy.sparse.linalg
+    import perronfem.spectral as spectral
+    problem = problem()
+    factorized, solves = [], []  # SuperLU's matrices; columns of each solve
+    factorize, splu = spectral.factorize, scipy.sparse.linalg.splu
+
+    class Counted:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, rhs):
+            solves.append(rhs.shape[1] if rhs.ndim == 2 else 1)
+            return self.lu.solve(rhs)
+    monkeypatch.setattr(spectral, "factorize",
+                        lambda matrix: Counted(factorize(matrix)))
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", lambda A, **kw: (
+        factorized.append(A.copy()) or splu(A, **kw)))
+    for label in ("principal-positivity", "spectral-gap",
+                  "perron-sign-structure"):
+        (result,) = run_suite(problem, only=label).results
+        assert result.verdict is Verdict.PASS
+    (matrix,) = factorized
+    A = problem.op.stiffness
+    assert np.all(matrix.data != 0.0) and (matrix != A).nnz == 0
+    # the L-shape's stiffness stores zeros on the diagonal edges; SuperLU
+    # gets none of them
+    assert matrix.nnz == A.nnz - np.count_nonzero(A.data == 0.0)
+    # the witness A^-1*1, the consistent pencil's two pairs and two guards,
+    # then the lumped pencil's one pair, warm-started, and two guards
+    n_consistent = solves.count(4)
+    assert solves == [1] + [4] * n_consistent \
+        + [3] * (len(solves) - 1 - n_consistent)
+    assert n_consistent < len(solves) - 1
 
 
 def test_every_factorization_orders_by_minimum_degree(tmp_path, monkeypatch):
@@ -969,7 +1021,7 @@ def test_every_factorization_orders_by_minimum_degree(tmp_path, monkeypatch):
         assert main([command, "--config", path]) == 0
 
     run("verify", "robin6", PINNED_REPORTS["robin6"][0])
-    assert len(calls) == 3  # consistent pencil, lumped pencil, step
+    assert len(calls) == 2  # the stiffness, for both pencils; the step
     run("verify", "lshape4", PINNED_REPORTS["lshape4"][0])
     run("verify", "complex6", PINNED_REPORTS["complex6"][0])
     run("parabolic", "ie", PINNED_PARABOLIC["implicit-euler"][0])

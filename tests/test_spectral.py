@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from perronfem.assembly import BoundaryMode, CoefficientSet, apply_form, \
-    assemble, mmatrix_report
+from perronfem.assembly import BoundaryMode, CoefficientSet, MassKind, \
+    apply_form, assemble, mmatrix_report
 from perronfem.mesh import generate_structured
 from perronfem.semigroup import Verdict
 from perronfem.spectral import EigenReport, Region, SolverError, \
@@ -338,9 +338,8 @@ def test_nonconvergence_reports_last_residual(robin_op8, monkeypatch):
     import perronfem.spectral as spectral
     monkeypatch.setattr(spectral, "MAX_SWEEPS", 1)
     with pytest.raises(SolverError, match="residuals.*tol"):
-        spectral._hermitian_pairs(robin_op8.stiffness, robin_op8.mass,
-                                  robin_op8.mass_lumped, k=2, tol=1e-10,
-                                  start=None)
+        spectral._hermitian_pairs(robin_op8, MassKind.CONSISTENT, k=2,
+                                  tol=1e-10, start=None)
 
 
 def test_arnoldi_fallback_agrees_with_dense(robin_mesh8):
@@ -484,6 +483,24 @@ def test_arnoldi_failure_is_a_solver_error(robin_mesh8, monkeypatch):
     monkeypatch.setattr(spla, "eigsh", no_convergence)
     with pytest.raises(SolverError, match="Lanczos failed"):
         principal_eig(op)
+
+
+@pytest.mark.parametrize("mode, beta, b", NONHERMITIAN_CASES)
+def test_every_arpack_call_caps_its_restarts(monkeypatch, mode, beta, b):
+    # an operator ARPACK cannot converge on fails in bounded time
+    import perronfem.spectral as spectral
+    maxiters = []
+    for name in ("eigs", "eigsh"):
+        def spied(*args, _solver=getattr(spectral.spla, name), **kwargs):
+            maxiters.append(kwargs.get("maxiter"))
+            return _solver(*args, **kwargs)
+        monkeypatch.setattr(spectral.spla, name, spied)
+    op = _nonhermitian_case(8, mode, beta, b)
+    spectral_gap(op, 3)
+    perron_pair(op, 1e-10)
+    # per mass kind: one Lanczos bound per sector sign, one Arnoldi solve
+    signs = 2 if op.is_complex else 1
+    assert maxiters == [spectral.MAX_ARNOLDI_RESTARTS] * (2 * (signs + 1))
 
 
 def _arnoldi_tols(monkeypatch, perturb=0.0):
@@ -667,8 +684,8 @@ def test_hermitian_sweep_matches_dense_generalized_eigh(case, mass, k):
     op = _sweep_case(case)
     M = mass_matrix(mass, op.mass, op.mass_lumped)
     tol = 1e-10
-    values, vectors, residuals = _hermitian_pairs(
-        op.stiffness, M, op.mass_lumped, k, tol, None)
+    values, vectors, residuals = _hermitian_pairs(op, MassKind(mass), k, tol,
+                                                  None)
     A = op.stiffness.toarray()
     dense = sla.eigh(A, M.toarray(), eigvals_only=True)[:k]
     scale = max(1.0, float(np.abs(dense).max()))
@@ -692,6 +709,48 @@ def test_hermitian_sweep_keeps_the_sign_in_a_potential_well(mass):
               else perron_pair(op, 1e-10)).vector
     assert vector.min() > 0.0
     assert vector.min() < 1e-20 * vector.max()  # the well is really deep
+
+
+# (tags, mode, coefficients, zero shift taken): A a certified M-matrix with a
+# negative Gershgorin shift takes sigma = 0; a singular, indefinite or
+# non-M stiffness, or a Gershgorin shift >= 0, keeps the Gershgorin shift
+SHIFT_ROUTES = {
+    "neumann": ("flux", BoundaryMode.NEUMANN, {}, False),
+    "neumann-c0=-2": ("flux", BoundaryMode.NEUMANN, {"c0": -2.0}, False),
+    "robin-c0=-30": ("flux", BoundaryMode.ROBIN,
+                     {"beta": 1.0, "c0": -30.0}, False),
+    "dirichlet-c0=-25": ("dirichlet", BoundaryMode.DIRICHLET,
+                         {"c0": -25.0}, False),  # lambda1 < 0
+    "neumann-c0=1000": ("flux", BoundaryMode.NEUMANN, {"c0": 1000.0}, False),
+    "dirichlet-c0=-15": ("dirichlet", BoundaryMode.DIRICHLET,
+                         {"c0": -15.0}, True),
+    "neumann-c0=0.5": ("flux", BoundaryMode.NEUMANN, {"c0": 0.5}, True),
+    "dirichlet-anisotropic": ("dirichlet", BoundaryMode.DIRICHLET,
+                              {"a": [[1.0, 0.9], [0.9, 1.0]], "mu": 0.05},
+                              True),
+    "robin": ("flux", BoundaryMode.ROBIN, {"beta": 1.0}, True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHIFT_ROUTES))
+def test_the_zero_shift_is_taken_only_when_certified(case):
+    import perronfem.spectral as spectral
+    from perronfem.assembly import mass_matrix
+    tags, mode, kwargs, zero = SHIFT_ROUTES[case]
+    mesh = generate_structured("unit_square", 8, tags)
+    op = assemble(mesh, CoefficientSet.constant(mesh, **kwargs), mode)
+    gershgorin = spectral._shift_below_spectrum(op.stiffness, op.mass_lumped)
+    for mass in MassKind:
+        sigma, _ = spectral._hermitian_factor(op, mass, 1e-10)
+        assert sigma == (0.0 if zero else gershgorin)
+        values, _, residuals = _lowest_pairs(op, mass, 2, 1e-10)
+        M = mass_matrix(mass, op.mass, op.mass_lumped)
+        dense = sla.eigh(op.stiffness.toarray(), M.toarray(),
+                         eigvals_only=True)[:2]
+        np.testing.assert_allclose(values, dense, rtol=1e-10,
+                                   atol=1e-10 * max(1.0, abs(dense).max()))
+        assert np.all(residuals <= 1e-10)
+    assert (op.solver_cache["zero_shift_factor"] is not None) is zero
 
 
 def _signed(vector, mass_lumped):
@@ -729,14 +788,13 @@ def test_perron_pair_starts_from_the_consistent_pairs(monkeypatch):
     # the lumped block is one pair and two guards, its leading columns the
     # consistent pencil's two least pairs, which are O(h^2) from its own
     import perronfem.spectral as spectral
-    from perronfem.assembly import mass_matrix
     from perronfem.verification import Problem, run_suite
     mesh = generate_structured("l_shape", 16, {
         "bottom": "D", "right": "N", "inner_h": "N", "inner_v": "N",
         "top": "N", "left": "N"})
     problem = Problem(mesh=mesh, coeffs=CoefficientSet.constant(mesh),
                       mode=BoundaryMode.MIXED)
-    solves, starts = [], []  # block columns of each solve, per factorization
+    solves, starts = [], []  # block columns of each solve through A's factor
     factorize, pairs = spectral.factorize, spectral._hermitian_pairs
 
     class Counted:
@@ -744,36 +802,32 @@ def test_perron_pair_starts_from_the_consistent_pairs(monkeypatch):
             self.lu = lu
 
         def solve(self, rhs):
-            solves[-1].append(rhs.shape[1])
+            solves.append(rhs.shape[1] if rhs.ndim == 2 else 1)
             return self.lu.solve(rhs)
-
-    def counted_factorize(matrix):
-        solves.append([])
-        return Counted(factorize(matrix))
 
     def spied_pairs(*args):
         starts.append(args[-1])
         return pairs(*args)
-    monkeypatch.setattr(spectral, "factorize", counted_factorize)
+    monkeypatch.setattr(spectral, "factorize",
+                        lambda matrix: Counted(factorize(matrix)))
     monkeypatch.setattr(spectral, "_hermitian_pairs", spied_pairs)
     for label in ("principal-positivity", "perron-sign-structure",
                   "spectral-gap"):
         (result,) = run_suite(problem, only=label).results
         assert result.verdict is Verdict.PASS
-    consistent, lumped = solves  # each pencil factorized once
-    assert set(consistent) == {4} and set(lumped) == {3}
+    lumped = solves.count(3)  # sweeps of the warm-started lumped block
     op, tol = problem.op, problem.solver_tol
     assert starts[0] is None
     np.testing.assert_array_equal(starts[1],
                                   spectral_gap(op, 2, tol).vectors)
-    # cold starts of the same pencil: the block of one pair, and the two
-    # pairs with two guards the lumped solve took before
-    M_L = mass_matrix("lumped", op.mass, op.mass_lumped)
+    # cold starts of the same pencil through the same factor: the block of
+    # one pair, and the two pairs with two guards
     cold = {}
     for k in (1, 2):
-        pairs(op.stiffness, M_L, op.mass_lumped, k, tol, None)
-        cold[k] = len(solves[-1])
-    assert len(lumped) < cold[1] and 2 * len(lumped) <= cold[2]
+        before = len(solves)
+        pairs(op, MassKind.LUMPED, k, tol, None)
+        cold[k] = len(solves) - before
+    assert lumped < cold[1] and 2 * lumped <= cold[2]
 
 
 def test_rank_deficient_sweep_is_a_solver_error(robin_op8, monkeypatch):
@@ -783,8 +837,8 @@ def test_rank_deficient_sweep_is_a_solver_error(robin_op8, monkeypatch):
         raise sla.LinAlgError("the leading minor is not positive definite")
     monkeypatch.setattr(sla, "eigh", singular_gram)
     with pytest.raises(SolverError, match="rank deficient"):
-        _hermitian_pairs(robin_op8.stiffness, robin_op8.mass,
-                         robin_op8.mass_lumped, k=2, tol=1e-10, start=None)
+        _hermitian_pairs(robin_op8, MassKind.CONSISTENT, k=2, tol=1e-10,
+                         start=None)
 
 
 # -- the M-matrix certificate of the principal eigenvector ---------------------

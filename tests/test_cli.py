@@ -455,6 +455,42 @@ def test_cli_parabolic_output_bytes_pinned(tmp_path, name):
         assert hashlib.sha256(blob).hexdigest() == digest, filename
 
 
+# the other commands' CSV and SVG bytes, recorded while each writer built
+# its whole text before writing it
+PINNED_WRITERS = {
+    "evolve": ({
+        "mesh": {"shape": "unit_square", "n": 6, "tags": "N"},
+        "coefficients": {"beta": 1.0, "mode": "robin"},
+        "evolution": {"dt": 0.01, "t_end": 0.05},
+        "u0": "1+x*y*(1-x)",
+    }, {
+        "trajectory.csv":
+            "4dd8a9f9ac7baca56e169d2fcc3d1577ba66f94570b2b29096ed6cf62a4cd0dd",
+        "final_state.svg":
+            "f91d733ffe014830542c89a73f3dd8d02c9f6966871f17a812b0c055a9d5bc89",
+    }),
+    "eig": ({
+        "mesh": {"shape": "unit_square", "n": 6, "tags": "N"},
+        "coefficients": {"beta": 1.5, "mode": "robin"}, "emit_csv": False,
+    }, {
+        "eigenvector.svg":
+            "34444795901331f58aef5b65d8c85bd78f451c2b95a1345cb0168c3ad812724a",
+    }),
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_WRITERS))
+def test_cli_writer_bytes_pinned(tmp_path, capsys, command):
+    import hashlib
+    cfg, digests = PINNED_WRITERS[command]
+    path = write_config(tmp_path / "c.json", dict(cfg, output_dir="out"))
+    assert main([command, "--config", path]) == 0
+    for filename, digest in digests.items():
+        blob = (tmp_path / "out" / filename).read_bytes()
+        assert hashlib.sha256(blob).hexdigest() == digest, filename
+    capsys.readouterr()
+
+
 def test_cli_parabolic_assembles_the_volume_once(tmp_path, monkeypatch):
     import perronfem.assembly
     import perronfem.parabolic

@@ -36,7 +36,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .mesh import BoundaryTag, TriMesh
 
-CONSTANTS_TOL = 1e-10  # annihilates_constants, relative to max(1, max|A|)
+CONSTANTS_TOL = 1e-10  # row_sum_tol, relative to max(1, max|A|)
 
 
 class AssemblyError(ValueError):
@@ -433,11 +433,16 @@ def offdiagonal_pattern(matrix: sp.spmatrix) -> sp.csr_matrix:
     return pattern
 
 
+def row_sum_tol(A: sp.spmatrix) -> float:
+    """The size below which a row sum of A counts as zero: CONSTANTS_TOL
+    relative to max(1, max|A|)."""
+    return CONSTANTS_TOL * max(1.0, float(np.abs(A).max()))
+
+
 def annihilates_constants(A: sp.spmatrix, rows=slice(None)) -> bool:
     """Whether the given rows of A (all by default) sum to zero."""
     r = A @ np.ones(A.shape[0])
-    scale = max(1.0, float(np.abs(A).max()))
-    return bool(np.all(np.abs(r[rows]) <= CONSTANTS_TOL * scale))
+    return bool(np.all(np.abs(r[rows]) <= row_sum_tol(A)))
 
 
 @dataclass(frozen=True)

@@ -159,12 +159,15 @@ def _write_json(path: Path | None, obj) -> None:
 
 
 def _write_trajectory_csv(path: Path, times, fields) -> None:
-    n = fields.shape[1]
-    lines = ["t," + ",".join(f"v{i}" for i in range(n))]
-    for t, row in zip(times, fields):
-        lines.append(",".join([repr(float(t))] +
-                              [repr(float(v)) for v in row]))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    """A header, then t and the nodal values of each step as the repr of
+    each float, written a row at a time: no more than one row's text is
+    ever held."""
+    fields = np.asarray(fields, dtype=float)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("t," + ",".join(f"v{i}" for i in range(fields.shape[1]))
+                 + "\n")
+        for t, row in zip(times, fields):
+            fh.write(",".join(map(repr, [float(t)] + row.tolist())) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -341,17 +344,16 @@ def _cmd_parabolic(args) -> int:
                         mesh.vertices[:, 1])
     phi = _resolve_phi(cfg.get("phi"), mesh, ecfg.t_end)
     sol = solve_mild(mesh, coeffs, u0, phi, ecfg)
-
-    _write_trajectory_csv(out / "trajectory.csv", sol.times, sol.fields)
-    (out / "strip.svg").write_text(
-        render_strip(sol.fields, sol.times, mesh), encoding="utf-8",
-        newline="\n")
-
     positivity = strong_positivity_check(sol)
     bank = make_test_bank(
         mesh, sol.times, size=_number(cfg, "test_bank_size", 20, "config", int),
         seed=seed)
     residual = very_weak_residual(sol, bank)
+
+    # every check has run: a rejected config leaves no output behind
+    _write_trajectory_csv(out / "trajectory.csv", sol.times, sol.fields)
+    with open(out / "strip.svg", "w", encoding="utf-8", newline="\n") as fh:
+        render_strip(sol.fields, sol.times, mesh, fh)
     _write_json(out / "verdict.json", {
         "strong_positivity": {
             "verdict": positivity.verdict.value,

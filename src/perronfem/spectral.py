@@ -34,7 +34,7 @@ import scipy.sparse.linalg as spla
 
 from .assembly import BoundaryMode, DiscreteOperator, MassKind, \
     annihilates_constants, assemble, mass_matrix, mmatrix_certificate, \
-    mmatrix_report
+    mmatrix_report, row_sum_tol
 
 MAX_ARNOLDI_PAIRS = 64  # the doubling cap of the certified Arnoldi path
 MAX_ARNOLDI_RESTARTS = 300  # ARPACK's maxiter: a failure takes bounded time
@@ -170,14 +170,16 @@ def _hermitian_factor(op: DiscreteOperator, mass: MassKind, tol: float):
     nonsingular M-matrix, its witness A^-1*1 taken from that factor: a
     symmetric one is positive definite (Berman & Plemmons, ch. 6), so 0 is
     below both spectra, and A^-1 > 0 makes A^-1 M and A^-1 M_L nonnegative
-    iteration operators. A stiffness that annihilates constants is
-    singular and is not tried. Otherwise the pencil gets the Gershgorin
-    shift and a factor of its own, moved down once by 10 tol if that
-    factor is singular."""
+    iteration operators. A stiffness without a positive row sum, A*1 <= 0
+    (a singular one that annihilates constants among them), is not tried:
+    A^-1 >= 0 would give 1 = A^-1 (A*1) <= 0. Otherwise the pencil gets
+    the Gershgorin shift and a factor of its own, moved down once by
+    10 tol if that factor is singular."""
     def zero_shift():
         A, scan = op.stiffness, mmatrix_report(op)
         if _shift_below_spectrum(A, op.mass_lumped) >= 0.0 \
-                or not scan.irreducible or annihilates_constants(A):
+                or not scan.irreducible \
+                or (A @ np.ones(op.n_dof)).max() <= row_sum_tol(A):
             return None
         try:
             lu = factorize(A)

@@ -2,7 +2,8 @@
 
 Triangles are flat-shaded by the mean of their vertex values through a
 fixed five-stop color ramp; output bytes depend only on the input arrays,
-so images can be diffed across runs.
+so images can be diffed across runs. Renderers write to a text stream one
+heatmap at a time, so no more than one frame's text is held in memory.
 """
 
 from __future__ import annotations
@@ -52,9 +53,10 @@ def _colors(s: np.ndarray) -> list[str]:
     return ["#%02x%02x%02x" % tuple(c) for c in rgb.tolist()]
 
 
-def _triangle_points(mesh: TriMesh, x0: float, y0: float, lo: np.ndarray,
-                     hi: np.ndarray, scale: float) -> list[str]:
-    """SVG ``points`` of every triangle, with the mesh's bounding box
+def _polygons(mesh: TriMesh, s: np.ndarray, x0: float, y0: float,
+              lo: np.ndarray, hi: np.ndarray, scale: float) -> list[str]:
+    """One flat-shaded ``<polygon>`` line per triangle, colored by ``s``
+    (one ramp position per triangle), with the mesh's bounding box
     [lo, hi] scaled by ``scale`` and its top-left corner at (x0, y0).
 
     Each vertex is formatted once; the elementwise array arithmetic rounds
@@ -63,23 +65,30 @@ def _triangle_points(mesh: TriMesh, x0: float, y0: float, lo: np.ndarray,
     x = x0 + (mesh.vertices[:, 0] - lo[0]) * scale
     y = y0 + (hi[1] - mesh.vertices[:, 1]) * scale  # SVG y grows downward
     pairs = ["%.3f,%.3f" % p for p in zip(x.tolist(), y.tolist())]
-    return [f"{pairs[a]} {pairs[b]} {pairs[c]}"
-            for a, b, c in mesh.triangles.tolist()]
+    return [f'<polygon points="{pairs[a]} {pairs[b]} {pairs[c]}" '
+            f'fill="{color}" stroke="none"/>'
+            for a, b, c, color in zip(*mesh.triangles.T.tolist(), _colors(s))]
 
 
-def _svg(width: float, height: float, body: list) -> str:
-    """An SVG document of the given size: a white background, then body."""
-    return "\n".join([
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.1f}" '
-        f'height="{height:.1f}" viewBox="0 0 {width:.1f} {height:.1f}">',
-        f'<rect width="{width:.1f}" height="{height:.1f}" fill="white"/>',
-        *body, "</svg>"]) + "\n"
+def _svg(fh, width: float, height: float, body) -> None:
+    """An SVG document of the given size into the text stream fh: a white
+    background, then body, an iterable of text blocks, each written
+    before the next is made."""
+    size = f'width="{width:.1f}" height="{height:.1f}"'
+    fh.write('<?xml version="1.0" encoding="UTF-8"?>\n'
+             f'<svg xmlns="http://www.w3.org/2000/svg" {size} '
+             f'viewBox="0 0 {width:.1f} {height:.1f}">\n'
+             f'<rect {size} fill="white"/>\n')
+    for text in body:
+        fh.write(text)
+        fh.write("\n")
+    fh.write("</svg>\n")
 
 
-def render_heatmap(field: np.ndarray, mesh: TriMesh) -> str:
-    """SVG document for a nodal field; a constant field renders in the low
-    ramp color with the (equal) min and max annotated."""
+def render_heatmap(field: np.ndarray, mesh: TriMesh, fh) -> None:
+    """SVG document for a nodal field, written to the text stream fh; a
+    constant field renders in the low ramp color with the (equal) min and
+    max annotated."""
     field = np.asarray(field, dtype=float)
     if field.shape != (mesh.n_vertices,):
         raise ValueError(f"field must have one value per vertex "
@@ -99,30 +108,27 @@ def render_heatmap(field: np.ndarray, mesh: TriMesh) -> str:
     width = _CANVAS
     height = 2 * _MARGIN + span[1] * scale + 24.0
 
-    parts = []
     means = field[mesh.triangles].mean(axis=1)
-    points = _triangle_points(mesh, _MARGIN, _MARGIN, lo, hi, scale)
     s = np.ones_like(means) if vmax == lo_anchor \
         else (means - lo_anchor) / (vmax - lo_anchor)
-    for pts, color in zip(points, _colors(s)):
-        parts.append(f'<polygon points="{pts}" fill="{color}" '
-                     f'stroke="none"/>')
+    parts = _polygons(mesh, s, _MARGIN, _MARGIN, lo, hi, scale)
     label = (f"min = max = {vmin!r}" if vmin == vmax
              else f"min = {vmin!r}  max = {vmax!r}")
     parts.append(f'<text x="{_MARGIN:.1f}" y="{height - 8.0:.1f}" '
                  f'font-family="monospace" font-size="12">{label}</text>')
-    return _svg(width, height, parts)
+    _svg(fh, width, height, ["\n".join(parts)])
 
 
 def emit_heatmap(field: np.ndarray, mesh: TriMesh, path) -> None:
     """Write the heatmap to a file (bytes are deterministic)."""
-    svg = render_heatmap(field, mesh)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(svg)
+        render_heatmap(field, mesh, fh)
 
 
-def render_strip(fields: np.ndarray, times: np.ndarray, mesh: TriMesh) -> str:
-    """Row of mini heatmaps at evenly spaced times, shared color scale."""
+def render_strip(fields: np.ndarray, times: np.ndarray, mesh: TriMesh,
+                 fh) -> None:
+    """Row of mini heatmaps at evenly spaced times, shared color scale,
+    written to the text stream fh one frame at a time."""
     fields = np.asarray(fields, dtype=float)
     times = np.asarray(times, dtype=float)
     n_frames = min(STRIP_FRAMES, len(times))
@@ -140,18 +146,16 @@ def render_strip(fields: np.ndarray, times: np.ndarray, mesh: TriMesh) -> str:
 
     width = cell * len(picks)
     height = 2 * pad + span[1] * scale + 20.0
-    parts = []
-    for frame, k in enumerate(picks):
-        x0 = frame * cell + pad
-        field = fields[k]
-        means = field[mesh.triangles].mean(axis=1)
-        points = _triangle_points(mesh, x0, pad, lo, hi, scale)
+
+    def frame(index: int, k: int) -> str:
+        x0 = index * cell + pad
+        means = fields[k][mesh.triangles].mean(axis=1)
         s = np.zeros_like(means) if vmax == vmin \
             else (means - vmin) / (vmax - vmin)
-        for pts, color in zip(points, _colors(s)):
-            parts.append(f'<polygon points="{pts}" '
-                         f'fill="{color}" stroke="none"/>')
-        parts.append(f'<text x="{x0:.1f}" y="{height - 6.0:.1f}" '
-                     f'font-family="monospace" font-size="10">'
-                     f't = {times[k]:.6g}</text>')
-    return _svg(width, height, parts)
+        label = (f'<text x="{x0:.1f}" y="{height - 6.0:.1f}" '
+                 f'font-family="monospace" font-size="10">'
+                 f't = {times[k]:.6g}</text>')
+        return "\n".join(_polygons(mesh, s, x0, pad, lo, hi, scale)
+                         + [label])
+
+    _svg(fh, width, height, (frame(i, k) for i, k in enumerate(picks)))

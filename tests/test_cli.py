@@ -1,9 +1,10 @@
+import io
 import json
 
 import numpy as np
 import pytest
 
-from perronfem.cli import main, read_kernel_dump
+from perronfem.cli import _write_trajectory_csv, main, read_kernel_dump
 from perronfem.expressions import ExpressionError, evaluate_field
 from perronfem.mesh import generate_structured, load_mesh
 from perronfem.semigroup import Verdict, default_dt
@@ -675,6 +676,21 @@ def test_cli_non_finite_dt_or_t_end_is_an_error(tmp_path, capsys, command,
     assert not any((tmp_path / "out").glob("*"))
 
 
+@pytest.mark.parametrize("section, message", [
+    ({"test_bank_size": 0}, "bank size must be positive"),
+    ({"evolution": {"dt": 1e-4, "t_end": 3e-4}},
+     "need at least five sample times"),
+])
+def test_cli_rejected_parabolic_config_writes_nothing(tmp_path, capsys,
+                                                      section, message):
+    # both checks run before the trajectory and the strip are written
+    path = write_config(tmp_path / "c.json", {
+        **PARABOLIC_PROBLEM, **section, "output_dir": "out"})
+    assert main(["parabolic", "--config", path]) == 2
+    _assert_one_error_line(capsys, message)
+    assert not any((tmp_path / "out").glob("*"))
+
+
 @pytest.mark.parametrize("command", ["evolve", "parabolic"])
 @pytest.mark.parametrize("expr", ["1/0", "x/0"])
 def test_cli_field_without_a_finite_value_is_an_error(tmp_path, capsys,
@@ -1131,11 +1147,18 @@ def test_cli_verify_evolution_block_without_t_end_has_the_default_horizon(
     assert len(csv) == 1 + 81
 
 
-# -- SVG ---------------------------------------------------------------------------
+# -- SVG and CSV writers -------------------------------------------------------
+
+def _svg_text(render, *args):
+    """What a streaming renderer writes, as one string."""
+    fh = io.StringIO()
+    assert render(*args, fh) is None
+    return fh.getvalue()
+
 
 def test_heatmap_constant_field_single_color(robin_mesh8):
     field = np.full(robin_mesh8.n_vertices, 3.5)
-    svg = render_heatmap(field, robin_mesh8)
+    svg = _svg_text(render_heatmap, field, robin_mesh8)
     fills = {line.split('fill="')[1].split('"')[0]
              for line in svg.splitlines() if "<polygon" in line}
     assert len(fills) == 1
@@ -1146,7 +1169,7 @@ def test_heatmap_positive_field_avoids_zero_color(robin_op8):
     from perronfem.spectral import principal_eig
     rep = principal_eig(robin_op8)
     full = robin_op8.expand(rep.vector)
-    svg = render_heatmap(full, robin_op8.mesh)
+    svg = _svg_text(render_heatmap, full, robin_op8.mesh)
     assert _color(0.0) not in svg  # strictly positive ramp
     assert "min =" in svg and "max =" in svg
 
@@ -1154,20 +1177,84 @@ def test_heatmap_positive_field_avoids_zero_color(robin_op8):
 def test_heatmap_deterministic_bytes(robin_mesh8):
     rng = np.random.default_rng(1)
     field = rng.standard_normal(robin_mesh8.n_vertices)
-    assert render_heatmap(field, robin_mesh8) == \
-        render_heatmap(field.copy(), robin_mesh8)
+    assert _svg_text(render_heatmap, field, robin_mesh8) == \
+        _svg_text(render_heatmap, field.copy(), robin_mesh8)
 
 
 def test_heatmap_rejects_bad_size(robin_mesh8):
     with pytest.raises(ValueError):
-        render_heatmap(np.ones(3), robin_mesh8)
+        render_heatmap(np.ones(3), robin_mesh8, io.StringIO())
 
 
 def test_strip_rendering(robin_mesh8):
     fields = np.vstack([np.full(robin_mesh8.n_vertices, float(k))
                         for k in range(10)])
-    svg = render_strip(fields, np.linspace(0, 1, 10), robin_mesh8)
+    svg = _svg_text(render_strip, fields, np.linspace(0, 1, 10), robin_mesh8)
     assert svg.count("t = ") == 6
+
+
+def _reference_csv(times, fields) -> bytes:
+    """The trajectory CSV as one text, one repr(float(v)) at a time."""
+    lines = ["t," + ",".join(f"v{i}" for i in range(fields.shape[1]))]
+    for t, row in zip(times, fields):
+        lines.append(",".join([repr(float(t))] +
+                              [repr(float(v)) for v in row]))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def test_trajectory_csv_bytes_equal_the_value_by_value_text(tmp_path):
+    rng = np.random.default_rng(7)
+    fields = rng.standard_normal((5, 12)) * 10.0 ** rng.integers(-20, 20,
+                                                                (5, 12))
+    fields[0, :10] = [1e-05, 1e16, 1e15, -0.0, 5e-324, 0.1, 0.0, 1.0, -3.0,
+                      123456789.0]
+    fields[1, :3] = [np.inf, -np.inf, np.nan]
+    times = np.array([0.0, 1e-05, 0.1, 0.30000000000000004, 2.0])
+    path = tmp_path / "trajectory.csv"
+    _write_trajectory_csv(path, times, fields)
+    assert path.read_bytes() == _reference_csv(times, fields)
+
+
+def _traced_peak(write) -> int:
+    """tracemalloc's peak, in bytes, over the allocations write() makes."""
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        write()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _n64_trajectory():
+    # the parabolic-dirichlet-n64 benchmark's shape: 200 steps, 4,225 nodes
+    mesh = generate_structured("unit_square", 64, "D")
+    rng = np.random.default_rng(0)
+    return mesh, np.linspace(0.0, 1.0, 201), \
+        rng.random((201, mesh.n_vertices))
+
+
+def test_trajectory_csv_streams_row_by_row(tmp_path):
+    # the text is about 17 MB: under 2 MB, at most a row of it is held
+    _mesh, times, fields = _n64_trajectory()
+    path = tmp_path / "trajectory.csv"
+    peak = _traced_peak(lambda: _write_trajectory_csv(path, times, fields))
+    assert peak < 2 * 2 ** 20
+    assert path.stat().st_size > 15 * 2 ** 20
+
+
+def test_strip_streams_frame_by_frame(tmp_path):
+    # six frames of 8,192 triangles, about 0.8 MB of text each
+    mesh, times, fields = _n64_trajectory()
+    path = tmp_path / "strip.svg"
+
+    def write():
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            render_strip(fields, times, mesh, fh)
+    peak = _traced_peak(write)
+    assert peak < 6 * 2 ** 20
+    assert path.read_text(encoding="utf-8").count("<polygon") \
+        == 6 * mesh.n_triangles
 
 
 def test_array_colors_equal_the_scalar_ramp():

@@ -753,6 +753,25 @@ def test_the_zero_shift_is_taken_only_when_certified(case):
     assert (op.solver_cache["zero_shift_factor"] is not None) is zero
 
 
+def test_no_positive_row_sum_skips_the_zero_shift_factor(monkeypatch):
+    # Neumann with c0 = -2: A*1 < 0 rules out a nonsingular M-matrix, so A
+    # itself is not factorized; each pencil gets its Gershgorin factor
+    import scipy.sparse.linalg
+    calls = []
+    splu = scipy.sparse.linalg.splu
+    monkeypatch.setattr(scipy.sparse.linalg, "splu",
+                        lambda *a, **kw: calls.append(1) or splu(*a, **kw))
+    mesh = generate_structured("unit_square", 16, "flux")
+    op = assemble(mesh, CoefficientSet.constant(mesh, c0=-2.0),
+                  BoundaryMode.NEUMANN)
+    assert (op.stiffness @ np.ones(op.n_dof)).max() < 0.0
+    principal_eig(op)
+    spectral_gap(op, 2)
+    perron_pair(op, 1e-10)
+    assert len(calls) == 2
+    assert op.solver_cache["zero_shift_factor"] is None
+
+
 def _signed(vector, mass_lumped):
     """Unit lumped-L2 norm with a positive lumped mean, as the reports."""
     vector = vector / np.sqrt(np.real(np.vdot(vector, mass_lumped * vector)))

@@ -43,6 +43,10 @@ class AssemblyError(ValueError):
     pass
 
 
+class SolverError(RuntimeError):
+    """A factorization or eigensolve that failed."""
+
+
 def _find_malloc_trim():
     try:
         trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
@@ -142,7 +146,7 @@ class CoefficientSet:
         beta = np.asarray(self.beta)
         # a beta with no imaginary part is real, whatever its spelling
         if not (np.iscomplexobj(beta) and np.any(beta.imag != 0)):
-            beta = beta.real.astype(float)
+            beta = beta.real.astype(float, copy=False)
         object.__setattr__(self, "beta", beta)
         if self.validate:
             if self.mu <= 0:
@@ -158,24 +162,24 @@ class CoefficientSet:
                  c0=0.0, beta=0.0, mu=1.0, validate=True) -> "CoefficientSet":
         """Broadcast global coefficient values over a mesh: a is one 2x2
         matrix or one per triangle, beta a scalar or one value per boundary
-        edge."""
+        edge. Broadcast values stay read-only ``np.broadcast_to`` views, one
+        copy of the value whatever the mesh size."""
         nt = mesh.n_triangles
         nb = len(mesh.boundary_edges)
         a = np.eye(2) if a is None else np.asarray(a, dtype=float)
         if a.shape not in ((2, 2), (nt, 2, 2)):
             raise AssemblyError("a must be a 2x2 matrix or one per triangle")
         if a.shape == (2, 2):
-            a = np.broadcast_to(a, (nt, 2, 2)).copy()
-        b = np.broadcast_to(np.asarray(b, dtype=float), (nt, 2)).copy()
-        c = np.broadcast_to(np.asarray(c, dtype=float), (nt, 2)).copy()
-        c0 = np.broadcast_to(np.asarray(c0, dtype=float), (nt,)).copy()
+            a = np.broadcast_to(a, (nt, 2, 2))
+        b = np.broadcast_to(np.asarray(b, dtype=float), (nt, 2))
+        c = np.broadcast_to(np.asarray(c, dtype=float), (nt, 2))
+        c0 = np.broadcast_to(np.asarray(c0, dtype=float), (nt,))
         beta_arr = np.asarray(beta)
         if beta_arr.ndim != 0 and beta_arr.shape != (nb,):
             raise AssemblyError(f"beta must be scalar or one value per "
                                 f"boundary edge ({nb})")
-        return cls(a=a, b=b, c=c, c0=c0,
-                   beta=np.broadcast_to(beta_arr, (nb,)).copy(), mu=mu,
-                   validate=validate)
+        return cls(a=a, b=b, c=c, c0=c0, beta=np.broadcast_to(beta_arr, (nb,)),
+                   mu=mu, validate=validate)
 
     def is_a_symmetric(self) -> bool:
         return bool(np.array_equal(self.a[:, 0, 1], self.a[:, 1, 0]))
@@ -225,32 +229,48 @@ def assemble_volume(mesh: TriMesh, coeffs: CoefficientSet):
     second-order, convection, and zero-order terms (no boundary term, no
     eliminations), mass is the consistent P1 mass matrix, and mass_lumped
     is the diagonal of the row-sum lumped mass.
+
+    One matrix at a time: the (nt, 3, 3) local array of the stiffness and
+    its einsum intermediates are freed once its CSR exists, before the
+    mass's local array is made; both share one pair of int32 COO index
+    arrays, which scipy would otherwise copy down from int64 per matrix.
     """
     nv = mesh.n_vertices
     areas, g = hat_gradients(mesh)
+    index = np.int32 if nv <= np.iinfo(np.int32).max else np.int64
+    tri = mesh.triangles.astype(index)
+    rows = np.repeat(tri, 3, axis=1).ravel()
+    cols = np.tile(tri, 3).ravel()
+    del tri
+
+    def to_csr(local):
+        return sp.coo_matrix((local.ravel(), (rows, cols)),
+                             shape=(nv, nv)).tocsr()
 
     # local(i, j) = |T| * g_i . (a^T g_j)  +  |T|/3 * (b . g_i)
     #             + |T|/3 * (c . g_j)      +  c0-term
     ag = np.einsum("tkl,tjk->tjl", coeffs.a, g)      # (a^T g_j)_l
-    local = np.einsum("til,tjl->tij", g, ag) * areas[:, None, None]
-    bg = np.einsum("tk,tik->ti", coeffs.b, g) * (areas / 3.0)[:, None]
-    cg = np.einsum("tk,tjk->tj", coeffs.c, g) * (areas / 3.0)[:, None]
+    local = np.einsum("til,tjl->tij", g, ag)
+    del ag
+    local *= areas[:, None, None]
+    third = areas / 3.0
+    bg = np.einsum("tk,tik->ti", coeffs.b, g)
+    bg *= third[:, None]
     local += bg[:, :, None]
+    cg = np.einsum("tk,tjk->tj", coeffs.c, g, out=bg)
+    cg *= third[:, None]
     local += cg[:, None, :]
-    c0_diag = coeffs.c0 * areas / 3.0
-    local[:, np.arange(3), np.arange(3)] += c0_diag[:, None]
+    del g, bg, cg
+    # (c0 |T|) / 3, not c0 * third: the rounding the pinned reports hold
+    local[:, np.arange(3), np.arange(3)] += (coeffs.c0 * areas / 3.0)[:, None]
+    stiffness = to_csr(local)
 
-    rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
-    cols = np.tile(mesh.triangles, 3).ravel()
-    stiffness = sp.coo_matrix((local.ravel(), (rows, cols)),
-                              shape=(nv, nv)).tocsr()
-
-    mass_local = (areas / 12.0)[:, None, None] * (np.ones((3, 3)) + np.eye(3))
-    mass = sp.coo_matrix((mass_local.ravel(), (rows, cols)),
-                         shape=(nv, nv)).tocsr()
-    mass_lumped = np.zeros(nv)
-    np.add.at(mass_lumped, mesh.triangles.ravel(),
-              np.repeat(areas / 3.0, 3))
+    np.multiply((areas / 12.0)[:, None, None], np.ones((3, 3)) + np.eye(3),
+                out=local)
+    mass = to_csr(local)
+    del local, rows, cols
+    mass_lumped = np.bincount(mesh.triangles.ravel(),
+                              weights=np.repeat(third, 3), minlength=nv)
     return stiffness, mass, mass_lumped
 
 
@@ -318,14 +338,22 @@ class DiscreteOperator:
 
     def cached(self, key, compute):
         """``compute()`` once per operator and key, shared by every
-        caller; the arrays of a tuple result are made read-only."""
+        caller; the arrays of a tuple result are made read-only. A
+        SolverError it raises is kept too and raised again to every later
+        caller, so a failed solve costs its time once."""
         if key not in self.solver_cache:
-            value = compute()
+            try:
+                value = compute()
+            except SolverError as exc:
+                value = exc
             for array in value if isinstance(value, tuple) else ():
                 if isinstance(array, np.ndarray):
                     array.flags.writeable = False
             self.solver_cache[key] = value
-        return self.solver_cache[key]
+        value = self.solver_cache[key]
+        if isinstance(value, SolverError):
+            raise value
+        return value
 
     def expand(self, u: np.ndarray) -> np.ndarray:
         """Dof vector -> full nodal vector with exact zeros at constraints."""
@@ -397,7 +425,8 @@ def assemble(mesh: TriMesh, coeffs: CoefficientSet, mode: BoundaryMode, *,
     stiffness, mass, mass_lumped = assemble_volume(mesh, coeffs)
     if mode in _ROBIN_FAMILY:
         bterm = _boundary_term(mesh, beta, nv)
-        stiffness = (stiffness.astype(bterm.dtype) + bterm).tocsr()
+        stiffness = (stiffness.astype(bterm.dtype, copy=False)
+                     + bterm).tocsr()
 
     dof_map = np.full(nv, -1, dtype=np.int64)
     dof_map[free] = np.arange(len(free))
@@ -419,18 +448,39 @@ def apply_form(op: DiscreteOperator, u: np.ndarray, v: np.ndarray) -> complex:
     return complex(np.vdot(v, op.stiffness @ u))
 
 
+def _offdiagonal_entries(Z: sp.spmatrix, rows=slice(None)):
+    """Z in canonical CSR (no copy when it is one already) and a mask of its
+    stored nonzero entries off the diagonal in the given rows: one byte per
+    entry instead of a copy of the matrix."""
+    Z = sp.csr_matrix(Z)
+    if not Z.has_canonical_format:
+        Z = Z.copy()
+        Z.sum_duplicates()
+    selected = np.zeros(Z.shape[0], dtype=bool)
+    selected[rows] = True
+    counts = np.diff(Z.indptr)
+    keep = np.repeat(selected, counts)
+    keep &= Z.indices != np.repeat(
+        np.arange(Z.shape[0], dtype=Z.indices.dtype), counts)
+    keep &= Z.data != 0
+    return Z, keep
+
+
 def offdiag_max(Z: sp.spmatrix, rows=slice(None)) -> float:
     """The M-matrix sign scan: the larger of 0 and the largest off-diagonal
     entry in the given rows of the square matrix Z (all by default)."""
-    return float((Z - sp.diags(Z.diagonal()))[rows].max())
+    Z, keep = _offdiagonal_entries(Z, rows)
+    largest = float(np.max(Z.data, where=keep, initial=-np.inf))
+    return 0.0 if largest <= 0.0 else largest
 
 
 def offdiagonal_pattern(matrix: sp.spmatrix) -> sp.csr_matrix:
     """Unit entries at a square matrix's nonzero off-diagonal entries."""
-    pattern = abs(sp.csr_matrix(matrix - sp.diags(matrix.diagonal())))
-    pattern.eliminate_zeros()
-    pattern.data[:] = 1.0
-    return pattern
+    Z, keep = _offdiagonal_entries(matrix)
+    kept = np.zeros(len(keep) + 1, dtype=Z.indptr.dtype)
+    np.cumsum(keep, out=kept[1:])
+    return sp.csr_matrix((np.ones(int(kept[-1])), Z.indices[keep],
+                          kept[Z.indptr]), shape=Z.shape)
 
 
 def row_sum_tol(A: sp.spmatrix) -> float:

@@ -33,8 +33,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import BoundaryMode, DiscreteOperator, MassKind, \
-    annihilates_constants, assemble, mass_matrix, mmatrix_certificate, \
-    mmatrix_report, row_sum_tol
+    SolverError, annihilates_constants, assemble, mass_matrix, \
+    mmatrix_certificate, mmatrix_report, row_sum_tol
 
 MAX_ARNOLDI_PAIRS = 64  # the doubling cap of the certified Arnoldi path
 MAX_ARNOLDI_RESTARTS = 300  # ARPACK's maxiter: a failure takes bounded time
@@ -43,10 +43,6 @@ RESIDUAL_FLOOR = 1e-9
 MAX_SWEEPS = 500  # the sweep limit of block inverse iteration
 GUARD_VECTORS = 2  # extra vectors in its block
 STRICT_MARGIN = 1e-9  # the least margin complex_robin_bound calls strict
-
-
-class SolverError(RuntimeError):
-    pass
 
 
 def factorize(matrix: sp.spmatrix):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,7 +8,8 @@ import scipy.sparse as sp
 
 from perronfem.assembly import AssemblyError, BoundaryMode, CoefficientSet, \
     _boundary_term, apply_form, assemble, assemble_volume, \
-    coefficients_from_dict, ellipticity_check, mmatrix_report
+    coefficients_from_dict, ellipticity_check, mmatrix_report, offdiag_max, \
+    offdiagonal_pattern
 from perronfem.mesh import BoundaryTag, TriMesh, generate_structured
 
 REFERENCE_LOCAL_STIFFNESS = np.array([
@@ -247,6 +249,50 @@ def test_negative_reaction_does_not_touch_offdiagonals(robin_mesh8):
     assert mmatrix_report(op1).offdiag_max == mmatrix_report(op0).offdiag_max
 
 
+def _dense_offdiagonal(Z):
+    dense = Z.toarray()
+    return dense - np.diag(np.diag(dense))
+
+
+def test_sign_scan_matches_the_dense_definition():
+    rng = np.random.default_rng(7)
+    for trial in range(60):
+        n = int(rng.integers(1, 9))
+        Z = sp.random(n, n, density=rng.uniform(0.2, 1.0), format="csr",
+                      random_state=int(rng.integers(2 ** 31)))
+        Z.data -= 1.0
+        Z.data[rng.uniform(size=Z.nnz) < 0.2] = -0.0  # stored (signed) zeros
+        if trial % 4 == 0:  # duplicates that cancel
+            coo = Z.tocoo()
+            Z = sp.csr_matrix((np.r_[coo.data, -coo.data, coo.data],
+                               (np.tile(coo.row, 3), np.tile(coo.col, 3))),
+                              shape=Z.shape)
+        off = _dense_offdiagonal(Z)
+        rows = np.flatnonzero(rng.uniform(size=n) < 0.5)
+        for sel in (slice(None), rows):
+            want = max(0.0, off[sel].max()) if off[sel].size else 0.0
+            got = offdiag_max(Z, sel)
+            assert got == want and math.copysign(1.0, got) == 1.0
+        pattern = offdiagonal_pattern(Z)
+        assert np.array_equal(pattern.toarray(), (off != 0).astype(float))
+        assert np.all(pattern.data == 1.0)
+
+
+def test_sign_scan_copies_no_matrix():
+    mesh = generate_structured("unit_square", 64, "flux")
+    Z = assemble(mesh, CoefficientSet.constant(mesh),
+                 BoundaryMode.NEUMANN).stiffness
+    tracemalloc.start()
+    try:
+        scan = offdiag_max(Z)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # byte masks and an int32 row index per entry, less than one copy of
+    # Z's entries; Z - diag(Z) and its row slice made two
+    assert scan == 0.0 and peak < Z.data.nbytes + Z.indices.nbytes
+
+
 def test_mmatrix_rejects_complex(robin_mesh8):
     cc = CoefficientSet.constant(robin_mesh8, beta=1 + 1j)
     op = assemble(robin_mesh8, cc, BoundaryMode.COMPLEX_ROBIN)
@@ -420,3 +466,66 @@ def test_beta_without_an_imaginary_part_is_stored_real(robin_mesh8):
                             BoundaryMode.ROBIN).is_complex
     assert np.iscomplexobj(
         CoefficientSet.constant(robin_mesh8, beta=1.0 + 1.0j).beta)
+
+
+# -- bounded memory ----------------------------------------------------------
+
+def test_mixed_lshape_assembles_in_bounded_memory():
+    # coefficients and assembly at n = 48 (7,008 dofs) peaked at 10.5 MiB
+    # with full per-triangle copies of constant coefficients and both
+    # matrices' temporaries alive at once; they now peak near 4.8 MiB
+    tags = {seg: "N" for seg in ("right", "inner_h", "inner_v", "top",
+                                  "left")}
+    tags["bottom"] = "D"
+    mesh = generate_structured("l_shape", 48, tags)
+    tracemalloc.start()
+    try:
+        coeffs, mode = coefficients_from_dict({"mode": "mixed"}, mesh)
+        op = assemble(mesh, coeffs, mode, corkscrew_checked=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert op.n_dof == 7008
+    assert peak < 6 * 2 ** 20
+
+
+def test_constant_coefficients_are_read_only_broadcasts(robin_mesh8):
+    coeffs = CoefficientSet.constant(robin_mesh8, a=[[2.0, 0.5], [0.5, 1.0]],
+                                     b=(0.3, 0.0), c0=1.0, beta=2.0, mu=0.5)
+    for field in ("a", "b", "c", "c0", "beta"):
+        array = getattr(coeffs, field)
+        assert 0 in array.strides, field  # one value, not a copy per entry
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+    assert coeffs.a.shape == (robin_mesh8.n_triangles, 2, 2)
+    assert coeffs.beta.shape == (len(robin_mesh8.boundary_edges),)
+
+
+def test_adjoint_of_read_only_coefficients(robin_mesh8):
+    coeffs = CoefficientSet.constant(robin_mesh8, a=[[2.0, 0.5], [0.1, 1.0]],
+                                     b=(0.3, -0.2), c=(0.0, 0.4), c0=1.0,
+                                     beta=2.0, mu=0.5)
+    adj = coeffs.adjoint()
+    for field in ("a", "b", "c"):
+        getattr(adj, field)[0] = getattr(adj, field)[0]  # writable copies
+    assert np.array_equal(adj.a, coeffs.a.transpose(0, 2, 1))
+    assert np.array_equal(adj.b, coeffs.c)
+    assert np.array_equal(adj.c, coeffs.b)
+    op = assemble(robin_mesh8, coeffs, BoundaryMode.ROBIN)
+    op_adj = assemble(robin_mesh8, adj, BoundaryMode.ROBIN)
+    assert abs(op_adj.stiffness - op.stiffness.T).max() <= 1e-14
+
+
+def test_per_triangle_a_stays_a_full_array(robin_mesh8):
+    nt = robin_mesh8.n_triangles
+    a = np.broadcast_to([[2.0, 0.5], [0.5, 1.0]], (nt, 2, 2)).copy()
+    per_triangle = CoefficientSet.constant(robin_mesh8, a=a, mu=0.5)
+    assert per_triangle.a.flags.writeable and 0 not in per_triangle.a.strides
+    broadcast = CoefficientSet.constant(robin_mesh8, a=a[0], mu=0.5)
+    S, M, ML = assemble_volume(robin_mesh8, per_triangle)
+    S0, M0, ML0 = assemble_volume(robin_mesh8, broadcast)
+    for got, want in ((S, S0), (M, M0)):  # the same entries in the same order
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.data, want.data)
+    assert np.array_equal(ML, ML0)

@@ -396,7 +396,6 @@ def test_cli_parabolic(tmp_path):
     assert (tmp_path / "par" / "strip.svg").exists()
 
 
-
 # parabolic output bytes, recorded while solve_mild, the positivity check and
 # the weak residual each assembled the volume matrices themselves; the
 # trajectories and verdicts re-pinned when every factorization moved to
@@ -1011,6 +1010,28 @@ def test_verify_factorizes_each_pencil_once(monkeypatch):
     assert len(calls) == 1  # the stiffness, a certified M-matrix
     run_suite(problem, only="perron-sign-structure")
     assert len(calls) == 1  # its factor serves the lumped pencil too
+
+
+def test_a_failed_solve_runs_once(monkeypatch):
+    # a Dirichlet square of side 1/32 at n = 16 fails this way; each check
+    # that reads the pair used to run the failing sweeps again
+    import perronfem.spectral as spectral
+    calls = []
+
+    def failing(op, mass, k, tol, start):
+        calls.append((mass, k))
+        raise spectral.SolverError("inverse iteration did not converge")
+    monkeypatch.setattr(spectral, "_hermitian_pairs", failing)
+    problem = make_problem("mixed")
+    labels = ("principal-positivity", "constrained-trace-zero",
+              "perron-sign-structure", "spectral-gap")
+    for label in labels:
+        (result,) = run_suite(problem, only=label).results
+        assert result.verdict is Verdict.FAIL
+        assert result.payload == {
+            "error": "SolverError: inverse iteration did not converge",
+            "reason": "solver failure"}
+    assert calls == [(spectral.MassKind.CONSISTENT, 2)]
 
 
 def _lshape_mixed_problem(n):

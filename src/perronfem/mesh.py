@@ -12,9 +12,8 @@ A plain text format is supported for interchange, see :func:`save_mesh`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -81,6 +80,10 @@ class TriMesh:
     boundary_edges : (nb, 2) int array; exactly the edges lying in one triangle
     boundary_tags : tuple of BoundaryTag, one per boundary edge
     domain_label : free-text description
+    edge_table : ``_edge_table(triangles, nv)`` when the caller has built
+        it already, so validation does not build it again
+
+    ``h_max``, the longest triangle side, is computed with the checks.
     """
 
     vertices: np.ndarray
@@ -88,8 +91,9 @@ class TriMesh:
     boundary_edges: np.ndarray
     boundary_tags: tuple
     domain_label: str = ""
+    edge_table: InitVar[tuple | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, edge_table):
         v = np.ascontiguousarray(np.asarray(self.vertices, dtype=float))
         t = np.ascontiguousarray(np.asarray(self.triangles, dtype=np.int64))
         e = np.ascontiguousarray(np.asarray(self.boundary_edges, dtype=np.int64))
@@ -100,7 +104,7 @@ class TriMesh:
         object.__setattr__(self, "triangles", t)
         object.__setattr__(self, "boundary_edges", e)
         object.__setattr__(self, "boundary_tags", tags)
-        self._validate()
+        self._validate(edge_table)
         for arr in (v, t, e):
             arr.setflags(write=False)
 
@@ -127,10 +131,6 @@ class TriMesh:
             out[:, k] = np.linalg.norm(p[:, i] - p[:, j], axis=1)
         return out
 
-    @cached_property
-    def h_max(self) -> float:
-        return float(self.edge_lengths().max())
-
     def boundary_vertices(self) -> np.ndarray:
         """Sorted indices of vertices lying on the boundary."""
         return np.unique(self.boundary_edges)
@@ -146,7 +146,7 @@ class TriMesh:
 
     # -- validation ----------------------------------------------------------
 
-    def _validate(self):
+    def _validate(self, edge_table=None):
         nv = len(self.vertices)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise MeshError("vertices must be an (n, 2) array")
@@ -165,8 +165,11 @@ class TriMesh:
             raise MeshError(
                 f"triangle {bad[0]} has nonpositive signed area "
                 f"({areas[bad[0]]:.3e}); vertices must be counterclockwise")
+        object.__setattr__(self, "h_max",
+                           _longest_side(self.vertices, self.triangles))
 
-        edges, counts, side_edge = _edge_table(self.triangles, nv)
+        edges, counts, side_edge = _edge_table(self.triangles, nv) \
+            if edge_table is None else edge_table
         over = edges[counts > 2]
         if len(over):
             raise MeshError(f"edge {over[0].tolist()} shared by more than two "
@@ -202,6 +205,18 @@ class TriMesh:
             shape=(nt + len(edges),) * 2)
         if connected_components(graph, directed=False)[0] != 1:
             raise MeshError("triangle adjacency graph is not connected")
+
+
+def _longest_side(vertices: np.ndarray, triangles: np.ndarray) -> float:
+    """The largest of ``TriMesh.edge_lengths``, one side at a time: the
+    square root of the largest squared length, the same float because
+    sqrt is correctly rounded and monotone."""
+    longest = 0.0
+    for i, j in ((0, 1), (1, 2), (2, 0)):
+        d = vertices[triangles[:, i]] - vertices[triangles[:, j]]
+        longest = max(longest, float((d[:, 0] * d[:, 0]
+                                      + d[:, 1] * d[:, 1]).max()))
+    return math.sqrt(longest)
 
 
 def _edge_table(triangles: np.ndarray, nv: int):
@@ -342,7 +357,8 @@ def generate_structured(shape: str, n: int, tags="flux", *,
         verts, tris = _grid_mesh(2 * n, 2 * n, 2.0, 2.0,
                                  lambda i, j: (i < n) | (j < n))
 
-    edges, counts, _ = _edge_table(tris, len(verts))
+    table = _edge_table(tris, len(verts))
+    edges, counts, _ = table
     bedges = edges[counts == 1]
     btags = []
     for a, b in bedges:
@@ -354,7 +370,7 @@ def generate_structured(shape: str, n: int, tags="flux", *,
 
     label = shape if shape != "rectangle" else f"rectangle({w}x{h})"
     return TriMesh(verts, tris, bedges, tuple(btags),
-                   domain_label=f"{label} n={n}")
+                   domain_label=f"{label} n={n}", edge_table=table)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,8 @@ verification quantity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable, Iterator
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -97,13 +98,36 @@ class BoundaryData:
         return (1.0 - w) * self.values[k] + w * self.values[k + 1]
 
 
+class _Trajectory:
+    """``MildSolution.fields``: the array a solution was built with, or
+    else every marched state, stacked on first read and kept."""
+
+    def __get__(self, sol, owner=None):
+        if sol is None:
+            return None                 # the field's default: march
+        if sol._stacked is None:
+            fields = np.empty((len(sol.times), sol.mesh.n_vertices))
+            for k, state in enumerate(sol.march()):
+                fields[k] = state
+            object.__setattr__(sol, "_stacked", fields)
+        return sol._stacked
+
+    def __set__(self, sol, fields):
+        object.__setattr__(sol, "_stacked", fields)
+
+
 @dataclass(frozen=True)
 class MildSolution:
     """Trajectory of nodal fields on all mesh vertices, boundary included,
-    with the volume matrices it was marched with."""
+    with the volume matrices it was marched with.
+
+    ``solve_mild`` sets the march up without taking a step: ``states()``
+    yields u_0, ..., u_n one at a time, holding two, and ``fields`` stacks
+    them into an (n_steps + 1, n_vertices) array on first read. A
+    solution built with ``fields`` replays its rows instead.
+    ``dataclasses.replace`` reads ``fields``, so it stacks them too."""
 
     times: np.ndarray
-    fields: np.ndarray          # (n_steps + 1, n_vertices)
     mesh: TriMesh
     coeffs: CoefficientSet
     cfg: EvolutionConfig
@@ -112,20 +136,32 @@ class MildSolution:
     phi: BoundaryData
     stiffness: sp.csr_matrix
     mass_lumped: np.ndarray
+    fields: np.ndarray = _Trajectory()  # (n_steps + 1, n_vertices)
+    march: Callable[[], Iterator[np.ndarray]] | None = field(
+        default=None, repr=False)
+
+    def states(self) -> Iterator[np.ndarray]:
+        """Each state in step order: the stored rows when there are any,
+        else a new march, whose states are fresh arrays never written
+        again."""
+        return self.march() if self._stacked is None \
+            else iter(self._stacked)
 
     @property
     def u0(self) -> np.ndarray:
-        return self.fields[0]
+        return next(self.states())  # the march yields u_0 before any step
 
 
 def solve_mild(mesh: TriMesh, coeffs: CoefficientSet, u0: np.ndarray,
                phi: BoundaryData, cfg: EvolutionConfig) -> MildSolution:
-    """March the boundary-pinned problem; boundary rows of every field
+    """Set up the boundary-pinned problem; boundary rows of every state
     equal the interpolated data exactly.
 
-    Boundary tags are not consulted: this problem pins every boundary
-    vertex. Raises on initial data incompatible with phi(0); whether
-    positivity conclusions apply is ``strong_positivity_check``'s call.
+    Assembles and factorizes the interior step matrix once; the march
+    itself runs when the solution's states or fields are read. Boundary
+    tags are not consulted: this problem pins every boundary vertex.
+    Raises on initial data incompatible with phi(0); whether positivity
+    conclusions apply is ``strong_positivity_check``'s call.
     """
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != (mesh.n_vertices,):
@@ -153,23 +189,26 @@ def solve_mild(mesh: TriMesh, coeffs: CoefficientSet, u0: np.ndarray,
     lu = factorize(lhs[:, interior])
     lhs_IB = lhs[:, boundary]
     rhs_II, rhs_IB = rhs[:, interior], rhs[:, boundary]
-
     dt = cfg.dt
-    n = cfg.n_steps
-    fields = np.empty((n + 1, mesh.n_vertices))
-    fields[0] = u0
-    fields[0, boundary] = phi.at(0.0)
-    for k in range(1, n + 1):
-        g_old = fields[k - 1, boundary]
-        g_new = phi.at(k * dt)
-        fields[k, interior] = lu.solve(
-            rhs_II @ fields[k - 1, interior] + rhs_IB @ g_old
-            - lhs_IB @ g_new)
-        fields[k, boundary] = g_new
-    times = dt * np.arange(n + 1)
-    return MildSolution(times=times, fields=fields, mesh=mesh, coeffs=coeffs,
-                        cfg=cfg, boundary=boundary, interior=interior,
-                        phi=phi, stiffness=A, mass_lumped=ML)
+    start = u0.copy()
+    start[boundary] = phi.at(0.0)
+
+    def march() -> Iterator[np.ndarray]:
+        u = start
+        yield u
+        for k in range(1, cfg.n_steps + 1):
+            g_new = phi.at(k * dt)
+            nxt = np.empty(mesh.n_vertices)
+            nxt[interior] = lu.solve(rhs_II @ u[interior]
+                                     + rhs_IB @ u[boundary] - lhs_IB @ g_new)
+            nxt[boundary] = g_new
+            u = nxt
+            yield u
+
+    return MildSolution(times=dt * np.arange(cfg.n_steps + 1), mesh=mesh,
+                        coeffs=coeffs, cfg=cfg, boundary=boundary,
+                        interior=interior, phi=phi, stiffness=A,
+                        mass_lumped=ML, march=march)
 
 
 # ---------------------------------------------------------------------------
@@ -196,10 +235,15 @@ class StrongPositivityReport:
     underflow: bool = False     # a positive interior value lost to 0.0
 
 
-def strong_positivity_check(sol: MildSolution) -> StrongPositivityReport:
-    """Certify strict interior positivity from the first step the data
-    drive the interior: step 1 for a nonzero interior datum, else the first
-    step whose boundary data reach an interior row; zero data claim
+class PositivityScan:
+    """The strong-positivity check a state at a time: set up from the
+    solution's data, then fed every state in step order (``add``), then
+    read (``report``). Of the states it keeps only a violation and the
+    underflow flag.
+
+    It certifies strict interior positivity from the first step the data
+    drive the interior: step 1 for a nonzero interior datum, else the
+    first step whose boundary data reach an interior row; zero data claim
     nothing. Each implicit Euler step with lumped mass solves
     Z u_I(k+1) = M_L,II u_I(k) - dt A_IB u_B(k+1); when
     Z = (M_L + dt A)_II passes ``mmatrix_certificate`` and -A_IB >= 0,
@@ -208,49 +252,73 @@ def strong_positivity_check(sol: MildSolution) -> StrongPositivityReport:
     reports the interior graph diameter (-1 when disconnected), for
     reference only. The float cross-check tests sign: an exact 0.0 is
     flagged as underflow, a negative value fails."""
-    if sol.u0.min() < 0.0 or sol.phi.values.min() < 0.0:
-        return StrongPositivityReport(
-            Verdict.NOT_APPLICABLE, -1, -1,
-            reason="hypotheses need nonnegative initial and boundary data")
 
-    threshold = _interior_threshold(sol)
-    n_steps, dt = len(sol.times) - 1, sol.cfg.dt
-    A = sol.stiffness[sol.interior]
-    A_IB = A[:, sol.boundary]
-    if np.any(sol.u0[sol.interior] > 0.0):
-        start = 1
-    else:
-        start = next((k for k in range(1, n_steps + 1)
-                      if np.any(A_IB @ sol.phi.at(k * dt) != 0.0)), -1)
-    reason = ""
-    if start < 0:
-        reason = "zero data evolve to zero; nothing to certify"
-    elif (sol.cfg.scheme, sol.cfg.mass) != (Scheme.IMPLICIT_EULER,
-                                            MassKind.LUMPED):
-        reason = IMPLICIT_EULER_ONLY
-    else:  # the sign scan of the interior rows covers -A_IB >= 0 too
-        Z, _ = step_matrices(A[:, sol.interior],
-                             sp.diags(sol.mass_lumped[sol.interior]),
-                             sol.cfg.scheme, dt)
-        reason = mmatrix_certificate(
-            Z, "interior step matrix",
-            offdiag_max(sol.stiffness, sol.interior)).reason
-    if reason:
-        return StrongPositivityReport(Verdict.NOT_APPLICABLE, threshold,
-                                      start, reason=reason)
+    def __init__(self, sol: MildSolution):
+        self.interior, self.times = sol.interior, sol.times
+        self.underflow = False
+        self.settled = None     # a report later states cannot change
+        u0 = sol.u0
+        if u0.min() < 0.0 or sol.phi.values.min() < 0.0:
+            self.settled = StrongPositivityReport(
+                Verdict.NOT_APPLICABLE, -1, -1,
+                reason="hypotheses need nonnegative initial and boundary "
+                       "data")
+            return
 
-    underflow = False
-    for k in range(start, n_steps + 1):
-        inside = sol.fields[k, sol.interior]
+        self.threshold = _interior_threshold(sol)
+        n_steps, dt = len(sol.times) - 1, sol.cfg.dt
+        A = sol.stiffness[sol.interior]
+        A_IB = A[:, sol.boundary]
+        if np.any(u0[sol.interior] > 0.0):
+            self.start = 1
+        else:
+            self.start = next((k for k in range(1, n_steps + 1)
+                               if np.any(A_IB @ sol.phi.at(k * dt) != 0.0)),
+                              -1)
+        reason = ""
+        if self.start < 0:
+            reason = "zero data evolve to zero; nothing to certify"
+        elif (sol.cfg.scheme, sol.cfg.mass) != (Scheme.IMPLICIT_EULER,
+                                                MassKind.LUMPED):
+            reason = IMPLICIT_EULER_ONLY
+        else:  # the sign scan of the interior rows covers -A_IB >= 0 too
+            Z, _ = step_matrices(A[:, sol.interior],
+                                 sp.diags(sol.mass_lumped[sol.interior]),
+                                 sol.cfg.scheme, dt)
+            reason = mmatrix_certificate(
+                Z, "interior step matrix",
+                offdiag_max(sol.stiffness, sol.interior)).reason
+        if reason:
+            self.settled = StrongPositivityReport(
+                Verdict.NOT_APPLICABLE, self.threshold, self.start,
+                reason=reason)
+
+    def add(self, k: int, state: np.ndarray) -> None:
+        """Read the sign of step k's interior values; the first negative
+        one fails the check, and later states are not read."""
+        if self.settled or k < self.start:
+            return
+        inside = state[self.interior]
         low = float(inside.min())
         if low < 0.0:
-            return StrongPositivityReport(
-                Verdict.FAIL, threshold, start, first_violation=(
-                    float(sol.times[k]),
-                    int(sol.interior[int(np.argmin(inside))])))
-        underflow = underflow or low == 0.0
-    return StrongPositivityReport(Verdict.PASS, threshold, start,
-                                  underflow=underflow)
+            self.settled = StrongPositivityReport(
+                Verdict.FAIL, self.threshold, self.start, first_violation=(
+                    float(self.times[k]),
+                    int(self.interior[int(np.argmin(inside))])))
+        self.underflow = self.underflow or low == 0.0
+
+    def report(self) -> StrongPositivityReport:
+        return self.settled or StrongPositivityReport(
+            Verdict.PASS, self.threshold, self.start, underflow=self.underflow)
+
+
+def strong_positivity_check(sol: MildSolution) -> StrongPositivityReport:
+    """``PositivityScan`` over the solution's fields."""
+    scan = PositivityScan(sol)
+    if not scan.settled:
+        for k, state in enumerate(sol.fields):
+            scan.add(k, state)
+    return scan.report()
 
 
 # ---------------------------------------------------------------------------
@@ -365,39 +433,65 @@ def make_test_bank(mesh: TriMesh, times: np.ndarray, size: int = 20,
     return bank
 
 
-def very_weak_residual(sol: MildSolution, test_bank) -> float:
-    """Max over the bank of the discrete space-time weak-form residual
+class WeakResidual:
+    """The discrete space-time weak-form residual a state at a time: the
+    bank is checked and its spatial profiles projected once, then each
+    state adds its pairings with them (``add``, every step in order), and
+    ``value`` is the max over the bank of
 
         r(psi) = sum_k w_k * ( u_k . M_L psi'(t_k) - u_k . A^T psi(t_k) )
 
     with trapezoidal weights; A^T is the adjoint volume assembly. The
     residual of an exact trajectory vanishes; the discrete one decays
-    with dt and mesh refinement.
-    """
-    ML = sol.mass_lumped
-    AT = sol.stiffness.T.tocsr()
-    times = sol.times
-    if len(times) < 2:
-        raise ParabolicError("need at least one time step")
-    dt = float(times[1] - times[0])
-    weights = np.full(len(times), dt)
-    weights[0] = weights[-1] = 0.5 * dt
+    with dt and mesh refinement. Two pairings per test function and step
+    are kept, so the sum is taken as one array sum."""
 
-    worst = 0.0
-    for psi in test_bank:
-        if np.any(psi.spatial[sol.boundary] != 0.0):
-            raise ParabolicError("test function touches the boundary")
-        if psi.t_start < times[0] - 1e-12 or psi.t_end > times[-1] + 1e-12 \
-                or psi.window(times[0]) != 0.0 or psi.window(times[-1]) != 0.0:
-            raise ParabolicError("test function window not interior to the "
-                                 "time interval")
-        w = psi.window(times)
-        dw = psi.dwindow(times)
-        time_term = sol.fields @ (ML * psi.spatial)      # u_k . M_L s
-        space_term = sol.fields @ (AT @ psi.spatial)     # u_k . A^T s
-        r = float(np.sum(weights * (time_term * dw - space_term * w)))
-        worst = max(worst, abs(r))
-    return worst
+    def __init__(self, sol: MildSolution, test_bank):
+        times = sol.times
+        if len(times) < 2:
+            raise ParabolicError("need at least one time step")
+        for psi in test_bank:
+            if np.any(psi.spatial[sol.boundary] != 0.0):
+                raise ParabolicError("test function touches the boundary")
+            if psi.t_start < times[0] - 1e-12 \
+                    or psi.t_end > times[-1] + 1e-12 \
+                    or psi.window(times[0]) != 0.0 \
+                    or psi.window(times[-1]) != 0.0:
+                raise ParabolicError("test function window not interior to "
+                                     "the time interval")
+        self.bank, self.times = list(test_bank), times
+        AT = sol.stiffness.T.tocsr()
+        # rows: M_L s for every profile s, then A^T s for every profile
+        self.profiles = np.array(
+            [sol.mass_lumped * psi.spatial for psi in self.bank]
+            + [AT @ psi.spatial for psi in self.bank]).reshape(
+                -1, sol.mesh.n_vertices)
+        self.pairings = np.empty((len(self.profiles), len(times)))
+
+    def add(self, k: int, state: np.ndarray) -> None:
+        self.pairings[:, k] = self.profiles @ state
+
+    def value(self) -> float:
+        times = self.times
+        dt = float(times[1] - times[0])
+        weights = np.full(len(times), dt)
+        weights[0] = weights[-1] = 0.5 * dt
+        m = len(self.bank)
+        worst = 0.0
+        for psi, time_term, space_term in zip(
+                self.bank, self.pairings[:m], self.pairings[m:]):
+            r = float(np.sum(weights * (time_term * psi.dwindow(times)
+                                        - space_term * psi.window(times))))
+            worst = max(worst, abs(r))
+        return worst
+
+
+def very_weak_residual(sol: MildSolution, test_bank) -> float:
+    """``WeakResidual`` over the solution's fields."""
+    residual = WeakResidual(sol, test_bank)
+    for k, state in enumerate(sol.fields):
+        residual.add(k, state)
+    return residual.value()
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,14 @@
 
 Triangles are flat-shaded by the mean of their vertex values through a
 fixed five-stop color ramp; output bytes depend only on the input arrays,
-so images can be diffed across runs. Renderers write to a text stream one
-heatmap at a time, so no more than one frame's text is held in memory.
+so images can be diffed across runs. Renderers write to a text stream a
+block of polygons at a time, so no more than one block's text is held in
+memory.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -27,6 +30,7 @@ _RGB = np.array([c for _, c in _RAMP], dtype=float)
 _CANVAS = 420.0
 _MARGIN = 20.0
 STRIP_FRAMES = 6  # most heatmaps in one render_strip row
+_CHUNK = 1024     # triangles per block of polygon text
 
 
 def _color(s: float) -> str:
@@ -54,10 +58,11 @@ def _colors(s: np.ndarray) -> list[str]:
 
 
 def _polygons(mesh: TriMesh, s: np.ndarray, x0: float, y0: float,
-              lo: np.ndarray, hi: np.ndarray, scale: float) -> list[str]:
-    """One flat-shaded ``<polygon>`` line per triangle, colored by ``s``
+              lo: np.ndarray, hi: np.ndarray, scale: float):
+    """Flat-shaded ``<polygon>`` lines, one per triangle, colored by ``s``
     (one ramp position per triangle), with the mesh's bounding box
-    [lo, hi] scaled by ``scale`` and its top-left corner at (x0, y0).
+    [lo, hi] scaled by ``scale`` and its top-left corner at (x0, y0);
+    yielded as text blocks of ``_CHUNK`` lines, each made when asked for.
 
     Each vertex is formatted once; the elementwise array arithmetic rounds
     exactly as the scalar expression would.
@@ -65,9 +70,13 @@ def _polygons(mesh: TriMesh, s: np.ndarray, x0: float, y0: float,
     x = x0 + (mesh.vertices[:, 0] - lo[0]) * scale
     y = y0 + (hi[1] - mesh.vertices[:, 1]) * scale  # SVG y grows downward
     pairs = ["%.3f,%.3f" % p for p in zip(x.tolist(), y.tolist())]
-    return [f'<polygon points="{pairs[a]} {pairs[b]} {pairs[c]}" '
+    for i in range(0, mesh.n_triangles, _CHUNK):
+        chunk = slice(i, i + _CHUNK)
+        yield "\n".join(
+            f'<polygon points="{pairs[a]} {pairs[b]} {pairs[c]}" '
             f'fill="{color}" stroke="none"/>'
-            for a, b, c, color in zip(*mesh.triangles.T.tolist(), _colors(s))]
+            for a, b, c, color in zip(*mesh.triangles[chunk].T.tolist(),
+                                      _colors(s[chunk])))
 
 
 def _svg(fh, width: float, height: float, body) -> None:
@@ -111,12 +120,12 @@ def render_heatmap(field: np.ndarray, mesh: TriMesh, fh) -> None:
     means = field[mesh.triangles].mean(axis=1)
     s = np.ones_like(means) if vmax == lo_anchor \
         else (means - lo_anchor) / (vmax - lo_anchor)
-    parts = _polygons(mesh, s, _MARGIN, _MARGIN, lo, hi, scale)
     label = (f"min = max = {vmin!r}" if vmin == vmax
              else f"min = {vmin!r}  max = {vmax!r}")
-    parts.append(f'<text x="{_MARGIN:.1f}" y="{height - 8.0:.1f}" '
-                 f'font-family="monospace" font-size="12">{label}</text>')
-    _svg(fh, width, height, ["\n".join(parts)])
+    _svg(fh, width, height, itertools.chain(
+        _polygons(mesh, s, _MARGIN, _MARGIN, lo, hi, scale),
+        [f'<text x="{_MARGIN:.1f}" y="{height - 8.0:.1f}" '
+         f'font-family="monospace" font-size="12">{label}</text>']))
 
 
 def emit_heatmap(field: np.ndarray, mesh: TriMesh, path) -> None:
@@ -125,15 +134,21 @@ def emit_heatmap(field: np.ndarray, mesh: TriMesh, path) -> None:
         render_heatmap(field, mesh, fh)
 
 
-def render_strip(fields: np.ndarray, times: np.ndarray, mesh: TriMesh,
-                 fh) -> None:
-    """Row of mini heatmaps at evenly spaced times, shared color scale,
-    written to the text stream fh one frame at a time."""
-    fields = np.asarray(fields, dtype=float)
+def strip_steps(n_times: int) -> np.ndarray:
+    """The steps ``render_strip`` draws out of n_times: at most
+    ``STRIP_FRAMES``, evenly spaced, first and last included. Drawn from
+    its own picks alone, a strip picks every one of them again."""
+    return np.unique(np.linspace(0, n_times - 1, min(STRIP_FRAMES, n_times))
+                     .round().astype(int))
+
+
+def render_strip(fields, times: np.ndarray, mesh: TriMesh, fh) -> None:
+    """Row of mini heatmaps at the ``strip_steps`` of times, shared color
+    scale, written to the text stream fh a block at a time. fields holds
+    one nodal row per time, or only the rows of those steps."""
     times = np.asarray(times, dtype=float)
-    n_frames = min(STRIP_FRAMES, len(times))
-    picks = np.unique(np.linspace(0, len(times) - 1, n_frames).round()
-                      .astype(int))
+    picks = strip_steps(len(times))
+    frames = [np.asarray(fields[k], dtype=float) for k in picks]
 
     lo = mesh.vertices.min(axis=0)
     hi = mesh.vertices.max(axis=0)
@@ -141,21 +156,21 @@ def render_strip(fields: np.ndarray, times: np.ndarray, mesh: TriMesh,
     cell = 150.0
     pad = 12.0
     scale = (cell - 2 * pad) / max(span[0], span[1], 1e-300)
-    vmin = float(fields[picks].min())
-    vmax = float(fields[picks].max())
+    vmin = min(float(f.min()) for f in frames)
+    vmax = max(float(f.max()) for f in frames)
 
     width = cell * len(picks)
     height = 2 * pad + span[1] * scale + 20.0
 
-    def frame(index: int, k: int) -> str:
-        x0 = index * cell + pad
-        means = fields[k][mesh.triangles].mean(axis=1)
-        s = np.zeros_like(means) if vmax == vmin \
-            else (means - vmin) / (vmax - vmin)
-        label = (f'<text x="{x0:.1f}" y="{height - 6.0:.1f}" '
-                 f'font-family="monospace" font-size="10">'
-                 f't = {times[k]:.6g}</text>')
-        return "\n".join(_polygons(mesh, s, x0, pad, lo, hi, scale)
-                         + [label])
+    def blocks():
+        for index, (k, field) in enumerate(zip(picks, frames)):
+            x0 = index * cell + pad
+            means = field[mesh.triangles].mean(axis=1)
+            s = np.zeros_like(means) if vmax == vmin \
+                else (means - vmin) / (vmax - vmin)
+            yield from _polygons(mesh, s, x0, pad, lo, hi, scale)
+            yield (f'<text x="{x0:.1f}" y="{height - 6.0:.1f}" '
+                   f'font-family="monospace" font-size="10">'
+                   f't = {times[k]:.6g}</text>')
 
-    _svg(fh, width, height, (frame(i, k) for i, k in enumerate(picks)))
+    _svg(fh, width, height, blocks())

@@ -212,6 +212,31 @@ def test_ellipticity_violated_example(robin_mesh8):
         CoefficientSet.constant(robin_mesh8, a=a, mu=1e-12)
 
 
+def test_ellipticity_of_a_broadcast_a_matches_per_triangle_copies(
+        robin_mesh8):
+    a = [[1.0, 3.0], [0.0, 1.0]]
+    broadcast = CoefficientSet.constant(robin_mesh8, a=a, mu=1e-12,
+                                        validate=False)
+    copied = CoefficientSet.constant(
+        robin_mesh8, a=np.array(broadcast.a), mu=1e-12, validate=False)
+    assert broadcast.a.strides[0] == 0 and copied.a.strides[0] != 0
+    assert ellipticity_check(broadcast) == ellipticity_check(copied)
+
+
+def test_ellipticity_of_a_broadcast_a_checks_one_matrix():
+    mesh = generate_structured("unit_square", 64, "flux")
+    coeffs = CoefficientSet.constant(mesh, a=[[2.0, 0.5], [0.5, 1.0]],
+                                     mu=0.5, validate=False)
+    tracemalloc.start()
+    try:
+        rep = ellipticity_check(coeffs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one eigenvalue per triangle made several nt-long temporaries
+    assert rep.passed and peak < 8 * mesh.n_triangles
+
+
 # -- M-matrix reports --------------------------------------------------------
 
 def test_mmatrix_on_nonobtuse_mesh(robin_mesh8):

@@ -690,6 +690,60 @@ def test_cli_rejected_parabolic_config_writes_nothing(tmp_path, capsys,
     assert not any((tmp_path / "out").glob("*"))
 
 
+def test_cli_parabolic_calls_solve_mild_once_before_any_output(
+        tmp_path, monkeypatch, capsys):
+    # the benchmark's set-up time ends where the command calls solve_mild
+    import perronfem.cli as cli
+    out = tmp_path / "out"
+    listings = []
+    solve_mild = cli.solve_mild
+
+    def counted(*args, **kwargs):
+        listings.append(sorted(out.glob("*")))
+        return solve_mild(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_mild", counted)
+    path = write_config(tmp_path / "c.json", {
+        "mesh": {"shape": "unit_square", "n": 4, "tags": "D"},
+        "coefficients": {"mode": "dirichlet"}, "u0": "x*y*(1-x)*(1-y)",
+        "output_dir": "out"})
+    assert main(["parabolic", "--config", path]) == 0
+    assert listings == [[]]
+    assert (out / "verdict.json").exists()
+    capsys.readouterr()
+
+
+def _parabolic_traced_peak(tmp_path, steps):
+    import tracemalloc
+    path = write_config(tmp_path / f"c{steps}.json", {
+        "mesh": {"shape": "unit_square", "n": 16, "tags": "D"},
+        "coefficients": {"mode": "dirichlet"},
+        "evolution": {"dt": 0.4 / steps, "t_end": 0.4},
+        "u0": "1 + x*y*(1-x)*(1-y)", "phi": {"constant": 1.0},
+        "output_dir": f"out{steps}"})
+    tracemalloc.start()
+    try:
+        assert main(["parabolic", "--config", path]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_cli_parabolic_memory_does_not_grow_by_a_state_per_step(tmp_path,
+                                                                capsys):
+    # the march hands each block of states on and keeps at most six for
+    # the strip; a stacked trajectory grew the peak by 360 rows of 289
+    # vertices (832 KB). What grows is the weak residual's two pairings
+    # per test function and step (20 functions, 115 KB), and t itself.
+    _parabolic_traced_peak(tmp_path, 20)  # first-call allocations
+    short = _parabolic_traced_peak(tmp_path, 40)
+    long = _parabolic_traced_peak(tmp_path, 400)
+    row = 8 * 17 ** 2
+    pairings = 8 * 2 * 20 * 360
+    assert long - short < pairings + 8 * row
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("command", ["evolve", "parabolic"])
 @pytest.mark.parametrize("expr", ["1/0", "x/0"])
 def test_cli_field_without_a_finite_value_is_an_error(tmp_path, capsys,

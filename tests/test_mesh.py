@@ -393,16 +393,43 @@ def test_edge_table_matches_counted_edges(shape, n):
 
 
 def test_h_max_is_computed_once(monkeypatch):
+    import perronfem.mesh
     calls = []
-    lengths = TriMesh.edge_lengths
-    monkeypatch.setattr(TriMesh, "edge_lengths",
-                        lambda self: calls.append(1) or lengths(self))
+    longest = perronfem.mesh._longest_side
+    monkeypatch.setattr(perronfem.mesh, "_longest_side",
+                        lambda *a: calls.append(1) or longest(*a))
     mesh = generate_structured("unit_square", 4,
                                {"bottom": "D", "right": "N", "top": "N",
                                 "left": "N"})
     check_corkscrew(mesh, 0.1)
     assert mesh.h_max == 0.25 * math.sqrt(2)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("shape, n", [("unit_square", 7), ("l_shape", 5),
+                                      ("rectangle", 3)])
+def test_h_max_is_the_longest_edge_length(shape, n):
+    mesh = generate_structured(shape, n, "N", width=2.5, height=0.7)
+    rng = np.random.default_rng(n)
+    moved = TriMesh(mesh.vertices + rng.uniform(-0.2, 0.2, mesh.vertices.shape)
+                    / (4 * n), mesh.triangles, mesh.boundary_edges,
+                    mesh.boundary_tags)
+    for m in (mesh, moved):
+        assert m.h_max == float(m.edge_lengths().max())
+
+
+def test_generated_mesh_builds_its_edge_table_once(monkeypatch):
+    import perronfem.mesh
+    calls = []
+    table = perronfem.mesh._edge_table
+    monkeypatch.setattr(perronfem.mesh, "_edge_table",
+                        lambda *a: calls.append(1) or table(*a))
+    mesh = generate_structured("l_shape", 6, MIXED_L)
+    assert len(calls) == 1
+    # a mesh built from arrays alone, as load_mesh builds one, builds it
+    TriMesh(mesh.vertices, mesh.triangles, mesh.boundary_edges,
+            mesh.boundary_tags)
+    assert len(calls) == 2
 
 
 # save_mesh bytes of generated meshes, recorded before the edge listing was

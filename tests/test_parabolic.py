@@ -7,9 +7,9 @@ from perronfem.assembly import CoefficientSet, annihilates_constants, \
     assemble_volume
 from perronfem.mesh import generate_structured
 from perronfem.parabolic import BoundaryData, ConstancyVerdict, \
-    MildSolution, ParabolicError, constancy_principle_check, \
-    elliptic_strong_max_check, make_test_bank, solve_mild, \
-    strong_positivity_check, very_weak_residual
+    MildSolution, ParabolicError, PositivityScan, WeakResidual, \
+    constancy_principle_check, elliptic_strong_max_check, make_test_bank, \
+    solve_mild, strong_positivity_check, very_weak_residual
 from perronfem.semigroup import EvolutionConfig, MassKind, Verdict, \
     graph_diameter
 from perronfem.spectral import perron_pair
@@ -591,6 +591,94 @@ def test_strong_positivity_reads_the_sign_under_the_certificate(
             assert rep.underflow
         else:
             assert rep.first_violation == (float(sol.times[20]), int(vertex))
+
+
+def _stacked_sign_scan(sol, start):
+    """(first_violation, underflow) of the sign scan as it ran over the
+    stacked fields, before the scan took one state at a time."""
+    for k in range(start, len(sol.times)):
+        inside = sol.fields[k, sol.interior]
+        if inside.min() < 0.0:
+            return (float(sol.times[k]),
+                    int(sol.interior[int(np.argmin(inside))])), False
+    block = sol.fields[start:, sol.interior]
+    return None, bool(np.any(block.min(axis=1) == 0.0))
+
+
+@pytest.mark.parametrize("edits", [
+    {(20, 3): 0.0},                              # underflow
+    {(20, 3): -1e-300},                          # FAIL
+    {(5, 7): 0.0, (20, 3): -1e-300},             # underflow, then FAIL
+    {(31, 2): -1.0, (12, 9): -1e-300, (12, 4): -2e-300},  # earliest step
+    {(0, 5): 0.0},                               # step 0 precedes the claim
+    {(0, 5): 0.0, (32, 0): 0.0},
+])
+def test_row_scan_matches_the_stacked_scan(dirichlet_mesh8, edits):
+    sol = solve_mild(dirichlet_mesh8, laplace_coeffs(dirichlet_mesh8),
+                     np.ones(dirichlet_mesh8.n_vertices),
+                     BoundaryData.constant(dirichlet_mesh8, 1.0, 0.2),
+                     cfg_for(dirichlet_mesh8, 0.2, 32))
+    fields = sol.fields.copy()
+    for (k, i), value in edits.items():
+        fields[k, sol.interior[i]] = value
+    edited = dataclasses.replace(sol, fields=fields)
+    rep = strong_positivity_check(edited)
+    violation, underflow = _stacked_sign_scan(edited, rep.start_step)
+    assert rep.start_step == 1 and rep.first_violation == violation
+    assert rep.verdict is (Verdict.FAIL if violation else Verdict.PASS)
+    assert rep.underflow == (underflow and violation is None)
+    scan = PositivityScan(edited)
+    for k, state in enumerate(edited.states()):
+        scan.add(k, state)
+    assert scan.report() == rep
+
+
+def test_streamed_checks_match_the_checks_over_fields():
+    mesh, sol = smooth_bump_solution(8, 64)
+    bank = make_test_bank(mesh, sol.times, size=6, seed=2)
+    scan, residual = PositivityScan(sol), WeakResidual(sol, bank)
+    for k, state in enumerate(sol.states()):  # a march of its own
+        scan.add(k, state)
+        residual.add(k, state)
+    # the residual as it was summed over the stacked fields
+    weights = np.full(len(sol.times), sol.cfg.dt)
+    weights[0] = weights[-1] = 0.5 * sol.cfg.dt
+    stacked = max(abs(float(np.sum(weights * (
+        sol.fields @ (sol.mass_lumped * psi.spatial) * psi.dwindow(sol.times)
+        - sol.fields @ (sol.stiffness.T.tocsr() @ psi.spatial)
+        * psi.window(sol.times))))) for psi in bank)
+    assert residual.value() == very_weak_residual(sol, bank) == stacked
+    assert scan.report() == strong_positivity_check(sol)
+
+
+def test_a_solution_marches_only_when_read(dirichlet_mesh8, monkeypatch):
+    import perronfem.parabolic
+    solves = []
+    factorize = perronfem.parabolic.factorize
+
+    class Counted:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, rhs):
+            solves.append(1)
+            return self.lu.solve(rhs)
+
+    monkeypatch.setattr(perronfem.parabolic, "factorize",
+                        lambda matrix: Counted(factorize(matrix)))
+    mesh = dirichlet_mesh8
+    sol = solve_mild(mesh, laplace_coeffs(mesh), np.ones(mesh.n_vertices),
+                     BoundaryData.constant(mesh, 1.0, 0.1),
+                     cfg_for(mesh, 0.1, 10))
+    assert np.array_equal(sol.u0, np.ones(mesh.n_vertices)) and not solves
+    first = list(sol.states())
+    assert len(solves) == 10
+    fields = sol.fields                  # marched again, stacked, kept
+    assert len(solves) == 20 and fields is sol.fields
+    assert np.array_equal(np.array(first), fields)
+    assert all(np.shares_memory(state, fields) for state in sol.states())
+    assert strong_positivity_check(sol).verdict is Verdict.PASS
+    assert len(solves) == 20
 
 
 @pytest.mark.parametrize("change, reason", [

@@ -31,8 +31,8 @@ from .mesh import MeshError, generate_structured, load_mesh, quality, \
 from .parabolic import BoundaryData, PositivityScan, WeakResidual, \
     make_test_bank, solve_mild, strong_positivity_check, \
     very_weak_residual  # noqa: F401
-from .semigroup import EvolutionConfig, default_evolution, evolve, kernel, \
-    kernel_positivity_report
+from .semigroup import EvolutionConfig, default_evolution, kernel, \
+    kernel_positivity_report, march
 from .spectral import REGION_FOR_MODE, SolverError, certify_positivity, \
     principal_eig, spectral_gap
 from .svgplot import emit_heatmap, render_strip, strip_steps
@@ -167,16 +167,17 @@ def _write_json(path: Path | None, obj) -> None:
         path.write_text(text, encoding="utf-8", newline="\n")
 
 
-def _write_trajectory_csv(path: Path, times, rows) -> None:
+def _write_trajectory_csv(path: Path, times, rows) -> np.ndarray:
     """A header, then t and the nodal values of each row (any iterable of
-    nodal vectors, one per time) as the repr of each float, written a row
-    at a time: no more than one row's text is ever held."""
+    nodal vectors, one per time) as the repr of each float, a row at a
+    time, so one row's text is held at most; returns the last row."""
     rows = iter(rows)
     first = next(rows)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t," + ",".join(f"v{i}" for i in range(len(first))) + "\n")
         for t, row in zip(times, itertools.chain([first], rows)):
             fh.write(",".join(map(repr, [float(t)] + row.tolist())) + "\n")
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -255,12 +256,14 @@ def _cmd_evolve(args) -> int:
     op = Problem(mesh=mesh, coeffs=coeffs, mode=mode).op  # corkscrew-checked
     expr = cfg.get("u0", "1")
     u0_full = evaluate_field(expr, mesh.vertices[:, 0], mesh.vertices[:, 1])
-    traj = evolve(op, op.restrict(u0_full), ecfg)
-    fields = np.vstack([op.expand(s) for s in traj.states.real])
-    _write_trajectory_csv(out / "trajectory.csv", traj.times, fields)
-    emit_heatmap(fields[-1], mesh, out / "final_state.svg")
-    print(f"evolved {len(traj.times) - 1} steps to t = {traj.times[-1]:.6g}; "
-          f"final range [{fields[-1].min():.6g}, {fields[-1].max():.6g}]")
+    u0 = op.restrict(u0_full).astype(complex if op.is_complex else float)
+    times = ecfg.dt * np.arange(ecfg.n_steps + 1)
+    states = itertools.chain([u0], march(op, ecfg, u0, ecfg.n_steps))
+    final = _write_trajectory_csv(out / "trajectory.csv", times,
+                                  (op.expand(u.real) for u in states))
+    emit_heatmap(final, mesh, out / "final_state.svg")
+    print(f"evolved {ecfg.n_steps} steps to t = {times[-1]:.6g}; "
+          f"final range [{final.min():.6g}, {final.max():.6g}]")
     return 0
 
 

@@ -300,8 +300,7 @@ class KernelPositivityReport:
 
 
 def kernel(op: DiscreteOperator, t: float | tuple, cfg: EvolutionConfig,
-           block: np.ndarray | None = None, adjoint: bool = False,
-           resume: bool = False):
+           block: np.ndarray | None = None, adjoint: bool = False):
     """The heat kernel K(t) applied to a block Z of dof-space columns:
     K(t) Z, or K(t)^T Z with ``adjoint``, as an (n_dof, k) array.
 
@@ -315,9 +314,7 @@ def kernel(op: DiscreteOperator, t: float | tuple, cfg: EvolutionConfig,
     arrays (the marched block, a snapshot and the entries on the full
     vertex set) would exceed DENSE_KERNEL_MAX_BYTES. t may be a tuple of
     times: the block then marches once, to the latest of them, and one
-    result per time comes back in the order given. With ``resume``, the
-    block is a forward result K(s) Z and the march goes on from it, so
-    K(s + t) Z comes back, bitwise equal to one march to s + t.
+    result per time comes back in the order given, as from its own march.
     """
     single = not isinstance(t, (tuple, list))
     steps = [replace(cfg, t_end=ti).n_steps for ti in ((t,) if single else t)]
@@ -331,7 +328,7 @@ def kernel(op: DiscreteOperator, t: float | tuple, cfg: EvolutionConfig,
                 f"{need / 2 ** 20:,.1f} MiB, above the "
                 f"{DENSE_KERNEL_MAX_BYTES / 2 ** 20:,.1f} MiB limit")
         block = np.diag(1.0 / op.mass_lumped)
-    elif not (adjoint or resume):
+    elif not adjoint:
         block = block / op.mass_lumped[:, None]
     # the march holds the only reference to a dense initial block
     states = march(op, cfg,

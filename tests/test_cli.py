@@ -353,6 +353,30 @@ def test_cli_evolve_and_kernel(tmp_path):
     assert report["verdict"] == "pass"
 
 
+def test_cli_evolve_streams_its_trajectory(tmp_path, capsys):
+    import tracemalloc
+    cfg = {"mesh": {"shape": "unit_square", "n": 32, "tags": "N"},
+           "coefficients": {"beta": 1.0, "mode": "robin"},
+           "evolution": {"dt": 1e-4, "t_end": 0.04}, "u0": "1+x*y",
+           "output_dir": "run"}
+    path = write_config(tmp_path / "evolve.json", cfg)
+    tracemalloc.start()
+    try:
+        assert main(["evolve", "--config", path]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # 401 states of 1,089 nodal values: the whole trajectory is 3.3 MiB,
+    # and the command holds one state at a time, not every state twice
+    assert peak < 401 * 1089 * 8
+    rows = (tmp_path / "run" / "trajectory.csv").read_text().splitlines()
+    assert len(rows) == 402
+    final = np.array([float(v) for v in rows[-1].split(",")[1:]])
+    assert capsys.readouterr().out.strip() == (
+        f"evolved 400 steps to t = 0.04; final range "
+        f"[{final.min():.6g}, {final.max():.6g}]")
+
+
 def test_cli_kernel_verdict_reads_the_certificate(tmp_path):
     cfg = {**ROBIN_PROBLEM, "output_dir": "run",
            "evolution": {"scheme": "crank_nicolson", "dt": 0.01,
@@ -941,7 +965,10 @@ LSHAPE_MIXED_TAGS = {"bottom": "D", "right": "N", "inner_h": "N",
 # pencils began to iterate through the stiffness's own factor (shift 0 under
 # the M-matrix certificate): eigenvalues, gaps, minima and complex6's
 # real-part problem move by <= 2.2e-11 relative, the round-off-sized
-# residuals by up to 65%; no verdict moved.
+# residuals by up to 65%; no verdict moved. robin6, dirichlet6 and lshape4
+# were re-pinned when chapman-kolmogorov moved from K(2t) = K(t) M_L K(t)
+# to the split K(t) = K(t2) M_L K(t1) of the one horizon: only its
+# round-off-sized max_deviation differs.
 PINNED_REPORTS = {
     "robin6": ({
         "mesh": {"shape": "unit_square", "n": 6, "tags": "N"},
@@ -949,11 +976,11 @@ PINNED_REPORTS = {
         "oracle": {"matrix": [[-2.0, 1.0, 0.0], [0.0, -2.0, 1.0],
                               [0.5, 0.0, -2.0]],
                    "expect_irreducible": True},
-    }, "10d2f9459f30bc8fe13f1ce6f5f703850ccdca8b53de775486222d7fb5205fa0"),
+    }, "812a8f512441f402553fe1aedc6c7e25787d3ef16dabe59ee1e92fb41e99a951"),
     "dirichlet6": ({
         "mesh": {"shape": "unit_square", "n": 6, "tags": "D"},
         "coefficients": {"mode": "dirichlet"},
-    }, "b3aaeb4c1142a08f2606f07cc56a606885a4fc1ad6c1bb02743e4dc247702426"),
+    }, "dc714958122c5f02b40ec5cd74c77ed77befa7b5d44762c299dc86104a497633"),
     "complex6": ({
         "mesh": {"shape": "unit_square", "n": 6, "tags": "N"},
         "coefficients": {"beta": {"re": 1.0, "im": 0.5},
@@ -962,7 +989,7 @@ PINNED_REPORTS = {
     "lshape4": ({
         "mesh": {"shape": "l_shape", "n": 4, "tags": LSHAPE_MIXED_TAGS},
         "coefficients": {"mode": "mixed"},
-    }, "f9ea92739128aa126ecd3765645f6943c09911c8801fd096cf82634d7736935f"),
+    }, "8ffdfb4ddb9951b26ad248b24a73fbfb945c3569215e415d317984fe87f943e1"),
 }
 
 
@@ -986,6 +1013,28 @@ def test_cli_verify_report_bytes_pinned(tmp_path, name):
     for label, result in by_label.items():
         (alone,) = json.loads(run(label, "--only", label))["results"]
         assert alone == result
+
+
+def test_cli_verify_one_step_horizon_has_no_split(tmp_path):
+    # t_end = dt leaves no t1 > 0 to split the horizon at: chapman-kolmogorov
+    # is not applicable, and every other check keeps its verdict
+    cfg, _ = PINNED_REPORTS["robin6"]
+    verdicts = {}
+    for out, extra in (("default", {}),
+                       ("one_step", {"evolution": {"dt": 0.01,
+                                                   "t_end": 0.01}})):
+        path = write_config(tmp_path / f"{out}.json",
+                            dict(cfg, output_dir=out, **extra))
+        assert main(["verify", "--config", path]) == 0
+        report = json.loads(
+            (tmp_path / out / "verification_report.json").read_text())
+        verdicts[out] = {r["label"]: r for r in report["results"]}
+    ck = verdicts["one_step"].pop("chapman-kolmogorov")
+    assert ck["verdict"] == "not_applicable"
+    assert ck["payload"] == {"reason": "a one-step horizon has no split"}
+    assert verdicts["default"].pop("chapman-kolmogorov")["verdict"] == "pass"
+    assert {label: r["verdict"] for label, r in verdicts["one_step"].items()} \
+        == {label: r["verdict"] for label, r in verdicts["default"].items()}
 
 
 # eig_report.json bytes, recorded before the CLI and the suite shared one

@@ -235,13 +235,19 @@ def test_positivity_check_raises_on_a_nonpositive_indicator(robin_op8):
 
 
 def test_suite_marches_the_probe_column_budget(monkeypatch):
-    # the peripheral pair rides with the probes to t only, also on a horizon
-    # below the graph diameter (12 here); K(t)Z alone goes on to 2t, and the
-    # adjoint march carries the probes to t
+    # the peripheral pair rides with the probes to t, also on a horizon
+    # below the graph diameter (12 here), with snapshots at step 1 and
+    # t1 = floor(n / 2) steps; the adjoint march carries the probes over
+    # the other n - n1 steps: two kernel calls
     import perronfem.semigroup as semigroup
+    import perronfem.verification as verification
     from perronfem.verification import PROBES, Problem, run_suite
     columns = {"step": [], "step_adjoint": []}
     factorizations = []
+    calls = []
+    kernel_ = verification.kernel
+    monkeypatch.setattr(verification, "kernel", lambda *a, **kw:
+                        calls.append(1) or kernel_(*a, **kw))
     for name in columns:
         solve = getattr(semigroup.Stepper, name)
         monkeypatch.setattr(
@@ -256,6 +262,7 @@ def test_suite_marches_the_probe_column_budget(monkeypatch):
         for marched in columns.values():
             marched.clear()
         factorizations.clear()
+        calls.clear()
         problem = Problem(mesh=mesh,
                           coeffs=CoefficientSet.constant(mesh, beta=1.0),
                           mode=BoundaryMode.ROBIN,
@@ -263,9 +270,9 @@ def test_suite_marches_the_probe_column_budget(monkeypatch):
         report = run_suite(problem)
         assert not report.failed
         assert problem.evolution_cfg.n_steps == n
-        assert columns == {"step": [2 + 4] * n + [4] * n,
-                           "step_adjoint": [4] * n}
-        assert len(factorizations) == 1
+        assert columns == {"step": [2 + 4] * n,
+                           "step_adjoint": [4] * (n - n // 2)}
+        assert len(factorizations) == 1 and len(calls) == 2
 
 
 def test_propagation_threshold_is_grid_diameter(robin_op8):
@@ -622,14 +629,23 @@ CERTIFICATE_CASES = ("robin", "dirichlet", "neumann", "mixed_square",
 def _dense_symmetry_verdict(K):
     """The dense kernel-symmetry check the probe check replaces."""
     dev = float(np.abs(K.entries - K.entries.T).max())
-    return dev <= 1e-8 * max(1.0, float(np.abs(K.entries).max()))
+    return dev <= 1e-8 * float(np.abs(K.entries).max())
 
 
-def _dense_composition_verdict(K1, K2):
-    """The dense chapman-kolmogorov check the probe check replaces."""
-    comp = K1.entries @ (K1.lumped_mass_full[:, None] * K1.entries)
-    dev = float(np.abs(K2.entries - comp).max())
-    return dev <= 1e-6 * max(1.0, float(np.abs(K2.entries).max()))
+def _split_kernels(op, cfg):
+    """Dense K(t), K(t1) and K(t2) from one march, t1 at floor(n / 2) of
+    the n steps to t and t2 = t - t1."""
+    n1 = cfg.n_steps // 2
+    return kernel(op, (cfg.t_end, n1 * cfg.dt, (cfg.n_steps - n1) * cfg.dt),
+                  cfg)
+
+
+def _dense_composition_verdict(K, K1, K2):
+    """The dense chapman-kolmogorov check the probe check replaces:
+    K(t) against K(t2) M_L K(t1)."""
+    comp = K2.entries @ (K1.lumped_mass_full[:, None] * K1.entries)
+    dev = float(np.abs(K.entries - comp).max())
+    return dev <= 1e-6 * float(np.abs(K.entries).max())
 
 
 @pytest.mark.parametrize("n", [6, 12])
@@ -640,19 +656,20 @@ def test_certificate_and_probe_checks_agree_with_the_dense_kernel(case, n):
     problem = Problem(mesh=op.mesh, coeffs=op.coeffs, mode=op.mode)
     problem.op = op  # the cached property, given the assembled operator
     cfg = problem.evolution_cfg
-    K1, K2 = kernel(op, (cfg.t_end, 2 * cfg.n_steps * cfg.dt), cfg)
+    K, K1, K2 = _split_kernels(op, cfg)
     certificate = kernel_certificate(op, cfg)
     assert certificate.holds and certificate.min_row_sum > 0
     free = op.free_vertices
-    assert K1.entries[np.ix_(free, free)].min() > 0
+    assert K.entries[np.ix_(free, free)].min() > 0
 
     verdicts = {r.label: r.verdict for r in run_suite(problem).results}
     assert verdicts["kernel-positivity"] is Verdict.PASS
     assert verdicts["chapman-kolmogorov"] is (
-        Verdict.PASS if _dense_composition_verdict(K1, K2) else Verdict.FAIL)
+        Verdict.PASS if _dense_composition_verdict(K, K1, K2)
+        else Verdict.FAIL)
     if op.is_hermitian:
         assert verdicts["kernel-symmetry"] is (
-            Verdict.PASS if _dense_symmetry_verdict(K1) else Verdict.FAIL)
+            Verdict.PASS if _dense_symmetry_verdict(K) else Verdict.FAIL)
     else:
         assert verdicts["kernel-symmetry"] is Verdict.NOT_APPLICABLE
 
@@ -674,7 +691,7 @@ def test_probe_checks_agree_with_the_dense_kernel_outside_the_certificate(
                           t_end=20 * default_dt(mesh))
     problem = Problem(mesh=mesh, coeffs=op.coeffs, mode=op.mode,
                       evolution=cfg)
-    K1, K2 = kernel(op, (cfg.t_end, 2 * cfg.t_end), cfg)
+    K, K1, K2 = _split_kernels(op, cfg)
     results = {r.label: r for r in run_suite(problem).results}
     assert results["kernel-positivity"].verdict is Verdict.NOT_APPLICABLE
     assert reason in results["kernel-positivity"].payload["reason"]
@@ -684,9 +701,10 @@ def test_probe_checks_agree_with_the_dense_kernel_outside_the_certificate(
         assert "lumped mass" in results["kernel-symmetry"].payload["reason"]
     elif op.is_hermitian:
         assert results["kernel-symmetry"].verdict is (
-            Verdict.PASS if _dense_symmetry_verdict(K1) else Verdict.FAIL)
+            Verdict.PASS if _dense_symmetry_verdict(K) else Verdict.FAIL)
     assert results["chapman-kolmogorov"].verdict is (
-        Verdict.PASS if _dense_composition_verdict(K1, K2) else Verdict.FAIL)
+        Verdict.PASS if _dense_composition_verdict(K, K1, K2)
+        else Verdict.FAIL)
 
 
 def test_probe_columns_are_the_dense_kernel_columns():
@@ -707,16 +725,6 @@ def test_probe_columns_are_the_dense_kernel_columns():
         reference = dense.entries[np.ix_(free, free)].T[:, dofs]
         assert np.abs(adjoint - reference).max() \
             <= 1e-12 * np.abs(reference).max()
-
-
-def test_a_resumed_march_is_bitwise_one_march(robin_op8):
-    cfg = lumped_cfg(robin_op8.mesh)
-    block = np.random.default_rng(1).standard_normal((robin_op8.n_dof, 3))
-    K1, K2 = kernel(robin_op8, (cfg.t_end, 2 * cfg.n_steps * cfg.dt), cfg,
-                    block)
-    # the last two columns alone go on from K(t) to 2t
-    assert np.array_equal(kernel(robin_op8, cfg.t_end, cfg, K1[:, 1:],
-                                 resume=True), K2[:, 1:])
 
 
 def _probed_problem(monkeypatch, op, probes, seed):
@@ -745,8 +753,9 @@ def _verdict_with(problem, check, **fields):
 def test_four_probes_catch_every_defect_sixteen_catch(monkeypatch):
     # mutation sweep: an antisymmetric defect eps (e_i e_j^T - e_j e_i^T)
     # added to K(t) in the marched block must fail kernel-symmetry, and a
-    # defect eps e_i e_j^T added to K(2t) must fail chapman-kolmogorov,
-    # each at 10x the 16-probe check's scaled tolerance
+    # defect eps e_i e_j^T added to K(t), the marched side of the split
+    # t = t1 + t2, must fail chapman-kolmogorov, each at 10x the 16-probe
+    # check's scaled tolerance
     import perronfem.verification as verification
     op = _certificate_case("robin", 6)
     locations = [(0, 1), (0, op.n_dof - 1), (10, 30), (24, 25), (7, 7)]
@@ -755,10 +764,9 @@ def test_four_probes_catch_every_defect_sixteen_catch(monkeypatch):
             blocks = {probes: _probed_problem(patch, op, probes, seed)
                       for probes in (16, 4)}
         k16 = blocks[16].kernel_probes
-        eps_sym = 10 * verification.SYMMETRY_TOL * max(
-            1.0, float(np.abs(k16.probes.T @ k16.forward).max()))
-        eps_ck = 10 * verification.COMPOSITION_TOL * max(
-            1.0, float(np.abs(k16.probes.T @ k16.forward_2t).max()))
+        scale = float(np.abs(k16.probes.T @ k16.forward).max())
+        eps_sym = 10 * verification.SYMMETRY_TOL * scale
+        eps_ck = 10 * verification.COMPOSITION_TOL * scale
         caught = {}
         for probes, problem in blocks.items():
             k = problem.kernel_probes
@@ -779,10 +787,51 @@ def test_four_probes_catch_every_defect_sixteen_catch(monkeypatch):
                         forward=k.forward + antisymmetric) is Verdict.FAIL,
                     _verdict_with(
                         problem, verification._check_chapman_kolmogorov,
-                        forward_2t=k.forward_2t + composition)
+                        forward=k.forward + composition)
                     is Verdict.FAIL)
         for i, j in locations:
             assert caught[4, i, j] == caught[16, i, j] == (i != j, True)
+
+
+def test_kernel_identity_checks_scale_with_a_decayed_kernel():
+    # on the Dirichlet n = 6 square Z^T K(t) Z is about 3.4e-7: a tolerance
+    # floored at 1 would pass a 1e-3 relative antisymmetric defect, and a
+    # marched side set to zero
+    import perronfem.verification as verification
+    mesh = generate_structured("unit_square", 6, "D")
+    op = assemble(mesh, CoefficientSet.constant(mesh), BoundaryMode.DIRICHLET)
+    problem = _suite_problem(op, None)
+    k = problem.kernel_probes
+    scale = float(np.abs(k.probes.T @ k.forward).max())
+    assert scale < 1e-6
+    antisymmetric = np.zeros_like(k.probes)
+    antisymmetric[0] += 1e-3 * scale * k.probes[1]
+    antisymmetric[1] -= 1e-3 * scale * k.probes[0]
+    for check in (verification._check_kernel_symmetry,
+                  verification._check_chapman_kolmogorov):
+        assert _verdict_with(problem, check) is Verdict.PASS
+    assert _verdict_with(problem, verification._check_kernel_symmetry,
+                         forward=k.forward + antisymmetric) is Verdict.FAIL
+    assert _verdict_with(problem, verification._check_chapman_kolmogorov,
+                         forward=np.zeros_like(k.forward)) is Verdict.FAIL
+
+
+def test_kernel_identity_checks_pass_a_kernel_decayed_into_subnormals():
+    # at t = 41.5 on the Dirichlet n = 6 square Z^T K(t) Z is subnormal and
+    # both deviations are a few hundred subnormal steps: float round-off
+    # that no relative tolerance resolves
+    import perronfem.verification as verification
+    mesh = generate_structured("unit_square", 6, "D")
+    op = assemble(mesh, CoefficientSet.constant(mesh), BoundaryMode.DIRICHLET)
+    problem = _suite_problem(op, EvolutionConfig(dt=0.01, t_end=41.5))
+    k = problem.kernel_probes
+    assert 0 < np.abs(k.probes.T @ k.forward).max() < np.finfo(float).tiny
+    for check in (verification._check_kernel_symmetry,
+                  verification._check_chapman_kolmogorov):
+        verdict, payload = check(problem)
+        assert verdict is Verdict.PASS
+        assert 0 < max(payload.get("max_asymmetry", 0),
+                       payload.get("max_deviation", 0)) < 1e-320
 
 
 @pytest.mark.parametrize("case, reason", [

@@ -52,7 +52,6 @@ from .semigroup import (
     KernelMatrix,
     Scheme,
     Verdict,
-    evolve,
     kernel,
     kernel_positivity_report,
     positivity_improving_check,

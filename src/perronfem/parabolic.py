@@ -22,6 +22,7 @@ verification quantity.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
@@ -98,34 +99,15 @@ class BoundaryData:
         return (1.0 - w) * self.values[k] + w * self.values[k + 1]
 
 
-class _Trajectory:
-    """``MildSolution.fields``: the array a solution was built with, or
-    else every marched state, stacked on first read and kept."""
-
-    def __get__(self, sol, owner=None):
-        if sol is None:
-            return None                 # the field's default: march
-        if sol._stacked is None:
-            fields = np.empty((len(sol.times), sol.mesh.n_vertices))
-            for k, state in enumerate(sol.march()):
-                fields[k] = state
-            object.__setattr__(sol, "_stacked", fields)
-        return sol._stacked
-
-    def __set__(self, sol, fields):
-        object.__setattr__(sol, "_stacked", fields)
-
-
 @dataclass(frozen=True)
 class MildSolution:
     """Trajectory of nodal fields on all mesh vertices, boundary included,
     with the volume matrices it was marched with.
 
-    ``solve_mild`` sets the march up without taking a step: ``states()``
-    yields u_0, ..., u_n one at a time, holding two, and ``fields`` stacks
-    them into an (n_steps + 1, n_vertices) array on first read. A
-    solution built with ``fields`` replays its rows instead.
-    ``dataclasses.replace`` reads ``fields``, so it stacks them too."""
+    ``solve_mild`` sets the march up without taking a step: each
+    ``states()`` call runs a new march, which yields u_0, ..., u_n one at
+    a time and holds two. No trajectory is ever stacked; a caller that
+    wants other states builds the solution with another ``march``."""
 
     times: np.ndarray
     mesh: TriMesh
@@ -136,16 +118,12 @@ class MildSolution:
     phi: BoundaryData
     stiffness: sp.csr_matrix
     mass_lumped: np.ndarray
-    fields: np.ndarray = _Trajectory()  # (n_steps + 1, n_vertices)
-    march: Callable[[], Iterator[np.ndarray]] | None = field(
-        default=None, repr=False)
+    march: Callable[[], Iterator[np.ndarray]] = field(repr=False)
 
     def states(self) -> Iterator[np.ndarray]:
-        """Each state in step order: the stored rows when there are any,
-        else a new march, whose states are fresh arrays never written
-        again."""
-        return self.march() if self._stacked is None \
-            else iter(self._stacked)
+        """Each state in step order, from a new march; no state is
+        written after it is yielded."""
+        return self.march()
 
     @property
     def u0(self) -> np.ndarray:
@@ -158,7 +136,7 @@ def solve_mild(mesh: TriMesh, coeffs: CoefficientSet, u0: np.ndarray,
     equal the interpolated data exactly.
 
     Assembles and factorizes the interior step matrix once; the march
-    itself runs when the solution's states or fields are read. Boundary
+    itself runs each time the solution's states are read. Boundary
     tags are not consulted: this problem pins every boundary vertex.
     Raises on initial data incompatible with phi(0); whether positivity
     conclusions apply is ``strong_positivity_check``'s call.
@@ -313,10 +291,10 @@ class PositivityScan:
 
 
 def strong_positivity_check(sol: MildSolution) -> StrongPositivityReport:
-    """``PositivityScan`` over the solution's fields."""
+    """``PositivityScan`` over the solution's states."""
     scan = PositivityScan(sol)
     if not scan.settled:
-        for k, state in enumerate(sol.fields):
+        for k, state in enumerate(sol.states()):
             scan.add(k, state)
     return scan.report()
 
@@ -333,7 +311,7 @@ def _constancy_tolerance(sol: MildSolution) -> float:
 def constancy_principle_check(sol: MildSolution, t0: float, x0: int,
                               ) -> tuple[ConstancyVerdict, dict]:
     """If an interior node attains the running space-time maximum at t0,
-    the trajectory must have been constant up to t0."""
+    the trajectory must have been constant up to t0. Marches only to t0."""
     if not annihilates_constants(sol.stiffness, sol.interior):
         raise ParabolicError("constancy principle needs an operator that "
                              "annihilates constants")
@@ -344,14 +322,17 @@ def constancy_principle_check(sol: MildSolution, t0: float, x0: int,
         raise ParabolicError(f"t0 = {t0} is not a sample time")
 
     tol = _constancy_tolerance(sol)
-    window = sol.fields[:k0 + 1]
-    running_max = float(window.max())
-    value = float(sol.fields[k0, x0])
+    high, low = -math.inf, math.inf
+    for state in itertools.islice(sol.states(), k0 + 1):
+        high = np.maximum(high, state.max())
+        low = np.minimum(low, state.min())
+    running_max = float(high)
+    value = float(state[x0])
     payload = {"t0": float(sol.times[k0]), "x0": int(x0), "value": value,
                "running_max": running_max, "tolerance": tol}
     if value < running_max - tol:
         return ConstancyVerdict.HYPOTHESIS_NOT_MET, payload
-    spread = float(window.max() - window.min())
+    spread = float(high - low)
     payload["spread"] = spread
     if spread <= tol:
         return ConstancyVerdict.CONSTANT, payload
@@ -487,9 +468,9 @@ class WeakResidual:
 
 
 def very_weak_residual(sol: MildSolution, test_bank) -> float:
-    """``WeakResidual`` over the solution's fields."""
+    """``WeakResidual`` over the solution's states."""
     residual = WeakResidual(sol, test_bank)
-    for k, state in enumerate(sol.fields):
+    for k, state in enumerate(sol.states()):
         residual.add(k, state)
     return residual.value()
 

@@ -14,7 +14,8 @@ at the first step, where the certificate's claim begins, and at t.
 boundary-pinned solve in ``parabolic`` slices its rows. ``march`` is the
 one step loop, forward or adjoint: it factorizes the step once per
 operator and (scheme, dt, mass), by ``spectral.factorize``, and serves
-``evolve``, ``kernel`` and the certificate's witness. ``kernel`` applies
+``kernel``, the certificate's witness and the ``evolve`` command, which
+streams its states. No trajectory is stacked. ``kernel`` applies
 K(t) or K(t)^T to a block of columns; only its dense form, on the block
 of all point masses, holds an n_dof x n_dof array.
 """
@@ -89,12 +90,6 @@ def default_evolution(mesh, dt: float | None = None,
     return EvolutionConfig(dt=dt, t_end=float(t_end), **kwargs)
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    times: np.ndarray
-    states: np.ndarray  # (n_steps + 1, n_dof)
-
-
 def step_matrices(A: sp.spmatrix, M: sp.spmatrix, scheme: Scheme,
                   dt: float) -> tuple:
     """(lhs, rhs) of the one-step scheme lhs u(k+1) = rhs u(k), in CSR:
@@ -141,17 +136,6 @@ def march(op: DiscreteOperator, cfg: EvolutionConfig, u: np.ndarray,
             raise SolverError(f"linear solve failed at step {k}: {exc}") \
                 from exc
         yield u
-
-
-def evolve(op: DiscreteOperator, u0: np.ndarray,
-           cfg: EvolutionConfig) -> Trajectory:
-    """Run the one-step scheme from u0; the trajectory includes t = 0 and
-    every full step up to t_end."""
-    u0 = np.asarray(u0, dtype=complex if op.is_complex else float)
-    if u0.shape != (op.n_dof,):
-        raise ValueError(f"u0 must have length n_dof = {op.n_dof}")
-    states = np.array([u0, *march(op, cfg, u0, cfg.n_steps)])
-    return Trajectory(times=cfg.dt * np.arange(len(states)), states=states)
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +242,7 @@ class KernelMatrix:
     Column j is the evolved unit point mass at vertex columns[j] (initial
     state e_v / lumped_mass_v); rows and columns of eliminated vertices
     are exact zeros. The dense kernel has every vertex as a column, and
-    applied to the lumped-mass weighted nodal values of u it reproduces
-    the evolution of u.
+    entries @ (lumped_mass_full * u) reproduces the evolution of u.
     """
 
     t: float
@@ -268,9 +251,6 @@ class KernelMatrix:
     constrained: np.ndarray      # vertex indices with eliminated dofs
     lumped_mass_full: np.ndarray
     certificate: MMatrixCertificate
-
-    def apply(self, u_full: np.ndarray) -> np.ndarray:
-        return self.entries @ (self.lumped_mass_full * u_full)[self.columns]
 
 
 def point_mass_columns(op: DiscreteOperator, t: float, values: np.ndarray,

@@ -29,7 +29,7 @@ _RGB = np.array([c for _, c in _RAMP], dtype=float)
 
 _CANVAS = 420.0
 _MARGIN = 20.0
-STRIP_FRAMES = 6  # most heatmaps in one render_strip row
+STRIP_FRAMES = 6  # most heatmaps strip_steps picks for one strip
 _CHUNK = 1024     # triangles per block of polygon text
 
 
@@ -135,20 +135,17 @@ def emit_heatmap(field: np.ndarray, mesh: TriMesh, path) -> None:
 
 
 def strip_steps(n_times: int) -> np.ndarray:
-    """The steps ``render_strip`` draws out of n_times: at most
-    ``STRIP_FRAMES``, evenly spaced, first and last included. Drawn from
-    its own picks alone, a strip picks every one of them again."""
+    """The steps a strip of n_times states shows: at most
+    ``STRIP_FRAMES``, evenly spaced, first and last included."""
     return np.unique(np.linspace(0, n_times - 1, min(STRIP_FRAMES, n_times))
                      .round().astype(int))
 
 
-def render_strip(fields, times: np.ndarray, mesh: TriMesh, fh) -> None:
-    """Row of mini heatmaps at the ``strip_steps`` of times, shared color
-    scale, written to the text stream fh a block at a time. fields holds
-    one nodal row per time, or only the rows of those steps."""
-    times = np.asarray(times, dtype=float)
-    picks = strip_steps(len(times))
-    frames = [np.asarray(fields[k], dtype=float) for k in picks]
+def render_strip(frames, times: np.ndarray, mesh: TriMesh, fh) -> None:
+    """Row of mini heatmaps, one per nodal field in frames at the matching
+    time in times, on a shared color scale, written to the text stream fh
+    a block at a time."""
+    frames = [np.asarray(f, dtype=float) for f in frames]
 
     lo = mesh.vertices.min(axis=0)
     hi = mesh.vertices.max(axis=0)
@@ -159,11 +156,11 @@ def render_strip(fields, times: np.ndarray, mesh: TriMesh, fh) -> None:
     vmin = min(float(f.min()) for f in frames)
     vmax = max(float(f.max()) for f in frames)
 
-    width = cell * len(picks)
+    width = cell * len(frames)
     height = 2 * pad + span[1] * scale + 20.0
 
     def blocks():
-        for index, (k, field) in enumerate(zip(picks, frames)):
+        for index, (t, field) in enumerate(zip(times, frames)):
             x0 = index * cell + pad
             means = field[mesh.triangles].mean(axis=1)
             s = np.zeros_like(means) if vmax == vmin \
@@ -171,6 +168,6 @@ def render_strip(fields, times: np.ndarray, mesh: TriMesh, fh) -> None:
             yield from _polygons(mesh, s, x0, pad, lo, hi, scale)
             yield (f'<text x="{x0:.1f}" y="{height - 6.0:.1f}" '
                    f'font-family="monospace" font-size="10">'
-                   f't = {times[k]:.6g}</text>')
+                   f't = {t:.6g}</text>')
 
     _svg(fh, width, height, blocks())

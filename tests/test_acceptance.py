@@ -172,7 +172,7 @@ def test_criterion_7_parabolic_positivity_and_weak_residual():
                        np.vstack([u0[bv], 0.5 * np.ones(len(bv))]), bv)
     cfg = EvolutionConfig(dt=0.5 / 64, t_end=0.5, mass=MassKind.LUMPED)
     sol = solve_mild(mesh, coeffs, u0, phi, cfg)
-    assert sol.fields.min() >= 0.0
+    assert min(state.min() for state in sol.states()) >= 0.0
 
     positivity = strong_positivity_check(sol)
     assert positivity.verdict is Verdict.PASS

@@ -8,7 +8,8 @@ from perronfem.cli import _write_trajectory_csv, main, read_kernel_dump
 from perronfem.expressions import ExpressionError, evaluate_field
 from perronfem.mesh import generate_structured, load_mesh
 from perronfem.semigroup import Verdict, default_dt
-from perronfem.svgplot import _color, _colors, render_heatmap, render_strip
+from perronfem.svgplot import _color, _colors, render_heatmap, \
+    render_strip, strip_steps
 from perronfem.verification import Problem, run_suite
 from perronfem.assembly import BoundaryMode, CoefficientSet
 
@@ -1311,10 +1312,16 @@ def test_heatmap_rejects_bad_size(robin_mesh8):
 
 
 def test_strip_rendering(robin_mesh8):
-    fields = np.vstack([np.full(robin_mesh8.n_vertices, float(k))
-                        for k in range(10)])
-    svg = _svg_text(render_strip, fields, np.linspace(0, 1, 10), robin_mesh8)
+    times = np.linspace(0, 1, 10)
+    picks = strip_steps(len(times))
+    assert picks.tolist() == [0, 2, 4, 5, 7, 9]
+    frames = [np.full(robin_mesh8.n_vertices, float(k)) for k in picks]
+    svg = _svg_text(render_strip, frames, times[picks], robin_mesh8)
     assert svg.count("t = ") == 6
+    # the strip draws exactly the frames it is given
+    svg = _svg_text(render_strip, frames[:2], times[:2], robin_mesh8)
+    assert svg.count("t = ") == 2
+    assert svg.count("<polygon") == 2 * robin_mesh8.n_triangles
 
 
 def _reference_csv(times, fields) -> bytes:
@@ -1370,11 +1377,13 @@ def test_trajectory_csv_streams_row_by_row(tmp_path):
 def test_strip_streams_frame_by_frame(tmp_path):
     # six frames of 8,192 triangles, about 0.8 MB of text each
     mesh, times, fields = _n64_trajectory()
+    picks = strip_steps(len(times))
+    frames = [fields[k] for k in picks]
     path = tmp_path / "strip.svg"
 
     def write():
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            render_strip(fields, times, mesh, fh)
+            render_strip(frames, times[picks], mesh, fh)
     peak = _traced_peak(write)
     assert peak < 6 * 2 ** 20
     assert path.read_text(encoding="utf-8").count("<polygon") \

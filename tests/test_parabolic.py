@@ -37,6 +37,17 @@ def harmonic_extension(mesh, coeffs, boundary_values):
     return u
 
 
+def stacked(sol):
+    """The states of one march of sol as one array: the reference the
+    streamed checks are compared against."""
+    return np.array(list(sol.states()))
+
+
+def replaying(sol, rows):
+    """sol whose every march replays the given states."""
+    return dataclasses.replace(sol, march=lambda: iter(rows))
+
+
 # -- solve_mild ----------------------------------------------------------------
 
 def test_constants_are_equilibria(dirichlet_mesh8):
@@ -45,7 +56,7 @@ def test_constants_are_equilibria(dirichlet_mesh8):
     sol = solve_mild(dirichlet_mesh8, coeffs,
                      np.ones(dirichlet_mesh8.n_vertices), phi,
                      cfg_for(dirichlet_mesh8, 0.4, 40))
-    assert np.abs(sol.fields - 1.0).max() <= 1e-12
+    assert np.abs(stacked(sol) - 1.0).max() <= 1e-12
 
 
 def test_constants_are_equilibria_crank_nicolson(dirichlet_mesh8):
@@ -56,7 +67,7 @@ def test_constants_are_equilibria_crank_nicolson(dirichlet_mesh8):
                           mass=MassKind.CONSISTENT)
     sol = solve_mild(dirichlet_mesh8, coeffs,
                      np.ones(dirichlet_mesh8.n_vertices), phi, cfg)
-    assert np.abs(sol.fields - 1.0).max() <= 1e-12
+    assert np.abs(stacked(sol) - 1.0).max() <= 1e-12
 
 
 def _block_march(mesh, coeffs, u0, phi, cfg):
@@ -115,8 +126,8 @@ def test_solve_mild_equals_the_block_formulas(scheme, mass):
     u0[bv] = 0.0
     cfg = EvolutionConfig(scheme=scheme, dt=0.01, t_end=0.25, mass=mass)
     sol = solve_mild(mesh, coeffs, u0, phi, cfg)
-    assert np.array_equal(sol.fields, _block_march(mesh, coeffs, u0, phi,
-                                                   cfg))
+    assert np.array_equal(stacked(sol), _block_march(mesh, coeffs, u0, phi,
+                                                     cfg))
 
 
 def test_boundary_values_pinned_exactly(dirichlet_mesh8):
@@ -130,8 +141,8 @@ def test_boundary_values_pinned_exactly(dirichlet_mesh8):
     sol = solve_mild(dirichlet_mesh8, coeffs,
                      np.zeros(dirichlet_mesh8.n_vertices), phi,
                      cfg_for(dirichlet_mesh8, t_end, 32))
-    for k, t in enumerate(sol.times):
-        assert np.array_equal(sol.fields[k][bv], phi.at(t))
+    for t, state in zip(sol.times, sol.states(), strict=True):
+        assert np.array_equal(state[bv], phi.at(t))
 
 
 def test_compatibility_violation_rejected(dirichlet_mesh8):
@@ -171,9 +182,10 @@ def test_eigenvector_decay_with_zero_boundary(dirichlet_mesh8, dirichlet_op8):
     cfg = cfg_for(dirichlet_mesh8, 0.1, 100)
     sol = solve_mild(dirichlet_mesh8, laplace_coeffs(dirichlet_mesh8), u0,
                      phi, cfg)
+    fields = stacked(sol)
     for k in (1, 50, 100):
         factor = (1.0 + cfg.dt * lam) ** (-k)
-        np.testing.assert_allclose(sol.fields[k], factor * u0, atol=1e-12)
+        np.testing.assert_allclose(fields[k], factor * u0, atol=1e-12)
         assert factor == pytest.approx(np.exp(-lam * sol.times[k]),
                                        rel=10 * cfg.dt * lam)
 
@@ -189,7 +201,8 @@ def test_nonnegative_data_stay_nonnegative_vs_dense_oracle(dirichlet_mesh8):
         0.0, 1.0, len(bv))]), bv)
     cfg = cfg_for(mesh, 0.2, 20)
     sol = solve_mild(mesh, coeffs, u0, phi, cfg)
-    assert sol.fields.min() >= 0.0
+    fields = stacked(sol)
+    assert fields.min() >= 0.0
 
     # independent dense stepping
     A, _, ML = assemble_volume(mesh, coeffs)
@@ -203,7 +216,7 @@ def test_nonnegative_data_stay_nonnegative_vs_dense_oracle(dirichlet_mesh8):
             - cfg.dt * A[np.ix_(interior, bv)] @ g
         u[interior] = np.linalg.solve(lhs, rhs)
         u[bv] = g
-        np.testing.assert_allclose(sol.fields[k], u, atol=1e-12)
+        np.testing.assert_allclose(fields[k], u, atol=1e-12)
 
 
 def test_strong_positivity_from_interior_indicator(dirichlet_mesh8):
@@ -252,7 +265,7 @@ def test_strong_positivity_on_a_horizon_shorter_than_the_diameter(
     rep = strong_positivity_check(sol)
     assert rep.verdict is Verdict.PASS and not rep.underflow
     assert (rep.start_step, rep.threshold_step) == (1, 12)
-    assert sol.fields[1:, sol.interior].min() > 0.0
+    assert stacked(sol)[1:, sol.interior].min() > 0.0
 
 
 def test_strong_positivity_vacuous_for_zero_data(dirichlet_mesh8):
@@ -298,12 +311,16 @@ def test_constancy_checker_detects_engineered_violation(dirichlet_mesh8):
     fields = np.ones((3, mesh.n_vertices))
     fields[0, interior[0]] = 0.0  # non-constant window, max attained later
     A, _, ML = assemble_volume(mesh, laplace_coeffs(mesh))
-    sol = MildSolution(times=cfg.dt * np.arange(3), fields=fields, mesh=mesh,
+    sol = MildSolution(times=cfg.dt * np.arange(3), mesh=mesh,
                        coeffs=laplace_coeffs(mesh), cfg=cfg,
                        boundary=boundary, interior=interior, phi=phi,
-                       stiffness=A, mass_lumped=ML)
-    verdict, _ = constancy_principle_check(sol, 2 * cfg.dt, int(interior[5]))
+                       stiffness=A, mass_lumped=ML,
+                       march=lambda: iter(fields))
+    verdict, payload = constancy_principle_check(sol, 2 * cfg.dt,
+                                                 int(interior[5]))
     assert verdict is ConstancyVerdict.VIOLATION
+    assert payload["running_max"] == fields.max() == payload["value"]
+    assert payload["spread"] == fields.max() - fields.min()
 
 
 def test_constancy_requires_conservative_operator(dirichlet_mesh8):
@@ -345,11 +362,11 @@ def test_residual_detects_injected_non_solution():
     base = very_weak_residual(sol, bank)
 
     # bump one interior node at one interior time
-    fields = sol.fields.copy()
+    fields = stacked(sol)
     k = len(sol.times) // 2
     target = int(sol.interior[len(sol.interior) // 2])
     fields[k, target] += 1.0
-    broken = dataclasses.replace(sol, fields=fields)
+    broken = replaying(sol, fields)
     jumped = very_weak_residual(broken, bank)
     assert jumped > 10 * base
 
@@ -408,7 +425,7 @@ def test_identical_runs_are_bitwise_identical(dirichlet_mesh8):
                    cfg_for(mesh, 0.2, 20))
     b = solve_mild(mesh, laplace_coeffs(mesh), u0, phi,
                    cfg_for(mesh, 0.2, 20))
-    assert np.array_equal(a.fields, b.fields)
+    assert np.array_equal(stacked(a), stacked(b))
 
 
 def test_causality_boundary_changes_only_affect_later_times(dirichlet_mesh8):
@@ -428,8 +445,9 @@ def test_causality_boundary_changes_only_affect_later_times(dirichlet_mesh8):
     b = solve_mild(mesh, laplace_coeffs(mesh), u0,
                    BoundaryData(times, v2, bv), cfg)
     k_star = int(round(t_star / cfg.dt))
-    assert np.array_equal(a.fields[:k_star + 1], b.fields[:k_star + 1])
-    assert not np.array_equal(a.fields, b.fields)
+    a, b = stacked(a), stacked(b)
+    assert np.array_equal(a[:k_star + 1], b[:k_star + 1])
+    assert not np.array_equal(a, b)
 
 
 def test_comparison_principle(dirichlet_mesh8):
@@ -445,7 +463,7 @@ def test_comparison_principle(dirichlet_mesh8):
                             np.vstack([u0_high[bv], u0_high[bv] + 1.0]), bv)
     low = solve_mild(mesh, laplace_coeffs(mesh), u0_low, phi_low, cfg)
     high = solve_mild(mesh, laplace_coeffs(mesh), u0_high, phi_high, cfg)
-    assert np.all(high.fields - low.fields >= -1e-13)
+    assert np.all(stacked(high) - stacked(low) >= -1e-13)
 
 
 # -- elliptic strong maximum checks ----------------------------------------------
@@ -570,7 +588,7 @@ def test_strong_positivity_passes_a_far_corner_bump_at_a_tiny_step():
     sol = _corner_bump_solution(16, 0.01)
     rep = strong_positivity_check(sol)
     assert rep.verdict is Verdict.PASS and not rep.underflow
-    far = sol.fields[rep.start_step:, sol.interior]
+    far = stacked(sol)[rep.start_step:, sol.interior]
     assert 0.0 < far.min() < 1e-20 * far.max()
 
 
@@ -583,9 +601,9 @@ def test_strong_positivity_reads_the_sign_under_the_certificate(
     assert strong_positivity_check(sol).verdict is Verdict.PASS
     vertex = sol.interior[3]
     for bad, verdict in ((0.0, Verdict.PASS), (-1e-300, Verdict.FAIL)):
-        fields = sol.fields.copy()
+        fields = stacked(sol)
         fields[20, vertex] = bad
-        rep = strong_positivity_check(dataclasses.replace(sol, fields=fields))
+        rep = strong_positivity_check(replaying(sol, fields))
         assert rep.verdict is verdict
         if verdict is Verdict.PASS:  # a positive value lost to underflow
             assert rep.underflow
@@ -596,12 +614,13 @@ def test_strong_positivity_reads_the_sign_under_the_certificate(
 def _stacked_sign_scan(sol, start):
     """(first_violation, underflow) of the sign scan as it ran over the
     stacked fields, before the scan took one state at a time."""
+    fields = stacked(sol)
     for k in range(start, len(sol.times)):
-        inside = sol.fields[k, sol.interior]
+        inside = fields[k, sol.interior]
         if inside.min() < 0.0:
             return (float(sol.times[k]),
                     int(sol.interior[int(np.argmin(inside))])), False
-    block = sol.fields[start:, sol.interior]
+    block = fields[start:, sol.interior]
     return None, bool(np.any(block.min(axis=1) == 0.0))
 
 
@@ -618,10 +637,10 @@ def test_row_scan_matches_the_stacked_scan(dirichlet_mesh8, edits):
                      np.ones(dirichlet_mesh8.n_vertices),
                      BoundaryData.constant(dirichlet_mesh8, 1.0, 0.2),
                      cfg_for(dirichlet_mesh8, 0.2, 32))
-    fields = sol.fields.copy()
+    fields = stacked(sol)
     for (k, i), value in edits.items():
         fields[k, sol.interior[i]] = value
-    edited = dataclasses.replace(sol, fields=fields)
+    edited = replaying(sol, fields)
     rep = strong_positivity_check(edited)
     violation, underflow = _stacked_sign_scan(edited, rep.start_step)
     assert rep.start_step == 1 and rep.first_violation == violation
@@ -643,17 +662,20 @@ def test_streamed_checks_match_the_checks_over_fields():
     # the residual as it was summed over the stacked fields
     weights = np.full(len(sol.times), sol.cfg.dt)
     weights[0] = weights[-1] = 0.5 * sol.cfg.dt
-    stacked = max(abs(float(np.sum(weights * (
-        sol.fields @ (sol.mass_lumped * psi.spatial) * psi.dwindow(sol.times)
-        - sol.fields @ (sol.stiffness.T.tocsr() @ psi.spatial)
+    fields = stacked(sol)
+    reference = max(abs(float(np.sum(weights * (
+        fields @ (sol.mass_lumped * psi.spatial) * psi.dwindow(sol.times)
+        - fields @ (sol.stiffness.T.tocsr() @ psi.spatial)
         * psi.window(sol.times))))) for psi in bank)
-    assert residual.value() == very_weak_residual(sol, bank) == stacked
+    assert residual.value() == very_weak_residual(sol, bank) == reference
     assert scan.report() == strong_positivity_check(sol)
 
 
-def test_a_solution_marches_only_when_read(dirichlet_mesh8, monkeypatch):
+@pytest.fixture
+def solves(monkeypatch):
+    """One entry per interior step solve of the solutions set up after."""
     import perronfem.parabolic
-    solves = []
+    counted = []
     factorize = perronfem.parabolic.factorize
 
     class Counted:
@@ -661,24 +683,46 @@ def test_a_solution_marches_only_when_read(dirichlet_mesh8, monkeypatch):
             self.lu = lu
 
         def solve(self, rhs):
-            solves.append(1)
+            counted.append(1)
             return self.lu.solve(rhs)
 
     monkeypatch.setattr(perronfem.parabolic, "factorize",
                         lambda matrix: Counted(factorize(matrix)))
+    return counted
+
+
+def test_a_solution_marches_only_when_read(dirichlet_mesh8, solves):
     mesh = dirichlet_mesh8
     sol = solve_mild(mesh, laplace_coeffs(mesh), np.ones(mesh.n_vertices),
                      BoundaryData.constant(mesh, 1.0, 0.1),
                      cfg_for(mesh, 0.1, 10))
     assert np.array_equal(sol.u0, np.ones(mesh.n_vertices)) and not solves
+    # replace reads every init field; none of them marches
+    stiffness = sol.stiffness.copy()
+    changed = dataclasses.replace(sol, stiffness=stiffness)
+    assert changed.stiffness is stiffness and not solves
+    # each read is a fresh march of 10 solves, never a replay
     first = list(sol.states())
     assert len(solves) == 10
-    fields = sol.fields                  # marched again, stacked, kept
-    assert len(solves) == 20 and fields is sol.fields
-    assert np.array_equal(np.array(first), fields)
-    assert all(np.shares_memory(state, fields) for state in sol.states())
-    assert strong_positivity_check(sol).verdict is Verdict.PASS
+    second = list(changed.states())
     assert len(solves) == 20
+    assert np.array_equal(first, second)
+    assert not any(a is b for a, b in zip(first[1:], second[1:]))
+    assert strong_positivity_check(sol).verdict is Verdict.PASS
+    assert len(solves) == 30
+
+
+def test_constancy_marches_only_to_t0(dirichlet_mesh8, solves):
+    mesh = dirichlet_mesh8
+    sol = solve_mild(mesh, laplace_coeffs(mesh), np.ones(mesh.n_vertices),
+                     BoundaryData.constant(mesh, 1.0, 0.2),
+                     cfg_for(mesh, 0.2, 20))
+    k0 = 5
+    verdict, payload = constancy_principle_check(sol, sol.times[k0],
+                                                 int(sol.interior[3]))
+    assert verdict is ConstancyVerdict.CONSTANT
+    assert payload["t0"] == sol.times[k0]
+    assert len(solves) == k0        # not the 20 steps of the horizon
 
 
 @pytest.mark.parametrize("change, reason", [

@@ -11,8 +11,8 @@ from perronfem.assembly import BoundaryMode, CoefficientSet, assemble, \
 from perronfem.mesh import _SHAPE_SEGMENTS, BoundaryTag, TriMesh, \
     generate_structured
 from perronfem.semigroup import EvolutionConfig, MassKind, Scheme, Verdict, \
-    default_dt, default_evolution, evolve, graph_diameter, kernel, \
-    kernel_certificate, kernel_positivity_report, \
+    default_dt, default_evolution, graph_diameter, kernel, \
+    kernel_certificate, kernel_positivity_report, march, \
     positivity_improving_check, propagation_threshold
 from perronfem.spectral import perron_pair
 from tests.conftest import dense_ie_step
@@ -21,6 +21,12 @@ from tests.conftest import dense_ie_step
 def lumped_cfg(mesh, t_end=0.25, dt=None, scheme=Scheme.IMPLICIT_EULER):
     return EvolutionConfig(scheme=scheme, dt=dt or default_dt(mesh),
                            t_end=t_end, mass=MassKind.LUMPED)
+
+
+def stacked(op, u0, cfg):
+    """The states u(0), ..., u(n_steps) of one march, as one array: the
+    reference the streamed march is checked against."""
+    return np.array([u0, *march(op, cfg, u0, cfg.n_steps)])
 
 
 def test_config_validation():
@@ -37,11 +43,11 @@ def test_eigenvector_decays_like_scalar_ode(robin_op8):
     rep = perron_pair(robin_op8, 1e-10)
     lam = rep.lambda1.real
     cfg = lumped_cfg(robin_op8.mesh, t_end=0.5, dt=1e-3)
-    traj = evolve(robin_op8, rep.vector, cfg)
-    for k in (1, len(traj.times) // 2, len(traj.times) - 1):
-        t = traj.times[k]
+    states = stacked(robin_op8, rep.vector, cfg)
+    for k in (1, len(states) // 2, len(states) - 1):
+        t = k * cfg.dt
         discrete = (1.0 + cfg.dt * lam) ** (-k)
-        np.testing.assert_allclose(traj.states[k], discrete * rep.vector,
+        np.testing.assert_allclose(states[k], discrete * rep.vector,
                                    rtol=1e-10, atol=1e-14)
         assert discrete == pytest.approx(math.exp(-lam * t),
                                          abs=10 * cfg.dt * lam ** 2 * max(t, cfg.dt))
@@ -54,19 +60,18 @@ def test_neumann_mass_conservation(neumann_op8, scheme, mass):
     rng = np.random.default_rng(3)
     u0 = rng.standard_normal(neumann_op8.n_dof)
     cfg = EvolutionConfig(scheme=scheme, dt=0.01, t_end=0.1, mass=mass)
-    traj = evolve(neumann_op8, u0, cfg)
+    states = stacked(neumann_op8, u0, cfg)
     if mass is MassKind.LUMPED:
         weights = neumann_op8.mass_lumped
-        masses = traj.states @ weights
+        masses = states @ weights
     else:
-        masses = traj.states @ (neumann_op8.mass @ np.ones(neumann_op8.n_dof))
+        masses = states @ (neumann_op8.mass @ np.ones(neumann_op8.n_dof))
     np.testing.assert_allclose(masses, masses[0], rtol=1e-12)
 
 
 def test_zero_initial_state_stays_zero(robin_op8):
     cfg = lumped_cfg(robin_op8.mesh, t_end=0.05)
-    traj = evolve(robin_op8, np.zeros(robin_op8.n_dof), cfg)
-    assert np.all(traj.states == 0.0)
+    assert np.all(stacked(robin_op8, np.zeros(robin_op8.n_dof), cfg) == 0.0)
 
 
 def test_evolution_matches_dense_oracle(robin_op8):
@@ -74,32 +79,32 @@ def test_evolution_matches_dense_oracle(robin_op8):
     step = dense_ie_step(robin_op8, cfg.dt)
     u0 = np.zeros(robin_op8.n_dof)
     u0[0] = 1.0
-    traj = evolve(robin_op8, u0, cfg)
+    states = stacked(robin_op8, u0, cfg)
     u = u0.copy()
     for k in range(1, cfg.n_steps + 1):
         u = step @ u
-        np.testing.assert_allclose(traj.states[k], u, atol=1e-12)
+        np.testing.assert_allclose(states[k], u, atol=1e-12)
 
 
 def test_semigroup_property_bitwise(robin_op8):
     dt = 0.01
-    full = evolve(robin_op8, np.ones(robin_op8.n_dof),
-                  lumped_cfg(robin_op8.mesh, t_end=10 * dt, dt=dt))
-    first = evolve(robin_op8, np.ones(robin_op8.n_dof),
-                   lumped_cfg(robin_op8.mesh, t_end=4 * dt, dt=dt))
-    rest = evolve(robin_op8, first.states[-1],
-                  lumped_cfg(robin_op8.mesh, t_end=6 * dt, dt=dt))
-    assert np.array_equal(full.states[4], first.states[-1])
-    assert np.array_equal(full.states[4:], rest.states)
+    full = stacked(robin_op8, np.ones(robin_op8.n_dof),
+                   lumped_cfg(robin_op8.mesh, t_end=10 * dt, dt=dt))
+    first = stacked(robin_op8, np.ones(robin_op8.n_dof),
+                    lumped_cfg(robin_op8.mesh, t_end=4 * dt, dt=dt))
+    rest = stacked(robin_op8, first[-1],
+                   lumped_cfg(robin_op8.mesh, t_end=6 * dt, dt=dt))
+    assert np.array_equal(full[4], first[-1])
+    assert np.array_equal(full[4:], rest)
 
 
 def test_scaling_invariance_is_bitwise_for_power_of_two(robin_op8):
     cfg = lumped_cfg(robin_op8.mesh, t_end=0.1, dt=0.01)
     u0 = np.zeros(robin_op8.n_dof)
     u0[5] = 1.0
-    base = evolve(robin_op8, u0, cfg)
-    scaled = evolve(robin_op8, 32.0 * u0, cfg)
-    assert np.array_equal(scaled.states, 32.0 * base.states)
+    base = stacked(robin_op8, u0, cfg)
+    scaled = stacked(robin_op8, 32.0 * u0, cfg)
+    assert np.array_equal(scaled, 32.0 * base)
 
 
 # -- positivity improving ------------------------------------------------------
@@ -136,8 +141,9 @@ def test_positivity_improving_dirichlet_region(dirichlet_op8):
     rep = _positivity_improving(dirichlet_op8, cfg)
     assert rep.verdict is Verdict.PASS
     # constrained nodes stay exactly zero along the way
-    traj = evolve(dirichlet_op8, np.eye(dirichlet_op8.n_dof)[0], cfg)
-    full = dirichlet_op8.expand(traj.states[-1])
+    *_, last = march(dirichlet_op8, cfg, np.eye(dirichlet_op8.n_dof)[0],
+                     cfg.n_steps)
+    full = dirichlet_op8.expand(last)
     assert np.all(full[dirichlet_op8.constrained_vertices] == 0.0)
 
 
@@ -284,8 +290,7 @@ def test_contractivity_under_sup_norm(robin_op8):
     rng = np.random.default_rng(11)
     u0 = rng.uniform(0.0, 2.0, robin_op8.n_dof)
     cfg = lumped_cfg(robin_op8.mesh, t_end=0.25)
-    traj = evolve(robin_op8, u0, cfg)
-    sups = np.abs(traj.states).max(axis=1)
+    sups = np.abs(stacked(robin_op8, u0, cfg)).max(axis=1)
     assert np.all(np.diff(sups) <= 1e-14)
 
 
@@ -297,10 +302,9 @@ def test_kernel_reproduces_evolution(robin_op8):
     K = kernel(robin_op8, t, cfg)
     rng = np.random.default_rng(5)
     u0 = rng.standard_normal(robin_op8.n_dof)
-    traj = evolve(robin_op8, u0, cfg=EvolutionConfig(
-        dt=cfg.dt, t_end=t, mass=MassKind.LUMPED))
-    applied = K.apply(robin_op8.expand(u0))
-    expected = robin_op8.expand(traj.states[-1])
+    *_, last = march(robin_op8, cfg, u0, 16)
+    applied = K.entries @ (K.lumped_mass_full * robin_op8.expand(u0))
+    expected = robin_op8.expand(last)
     assert np.abs(applied - expected).max() <= 1e-10 * np.abs(u0).max()
 
 
@@ -363,15 +367,6 @@ def test_kernel_mixed_mode(mixed_mesh8):
     pinned = mixed_mesh8.dirichlet_vertices()
     assert np.all(K.entries[pinned, :] == 0.0)
     assert np.all(K.entries[:, pinned] == 0.0)
-
-
-def test_kernel_apply_matches_matrix_product(dirichlet_op8):
-    cfg = lumped_cfg(dirichlet_op8.mesh, t_end=0.25)
-    K = kernel(dirichlet_op8, 0.1, cfg)
-    rng = np.random.default_rng(8)
-    u_full = rng.standard_normal(dirichlet_op8.mesh.n_vertices)
-    np.testing.assert_allclose(
-        K.apply(u_full), K.entries @ (K.lumped_mass_full * u_full))
 
 
 def test_neumann_kernel_rank_one_limit(neumann_op8):
@@ -470,7 +465,7 @@ def test_kernel_and_trials_share_one_factorization(monkeypatch):
     cfg = lumped_cfg(op.mesh, t_end=40 * default_dt(op.mesh))
     kernel(op, (cfg.t_end, 2 * cfg.t_end), cfg)
     _positivity_improving(op, cfg)  # the indicators march with the probes
-    evolve(op, np.ones(op.n_dof), cfg)
+    list(march(op, cfg, np.ones(op.n_dof), cfg.n_steps))
     assert len(factorizations) == 1
     # another dt is another step matrix
     kernel(op, cfg.t_end, EvolutionConfig(dt=cfg.dt / 2, t_end=cfg.t_end,

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import ctypes
 import math
+import reprlib
 import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -569,27 +570,43 @@ def coefficients_from_dict(data: dict, mesh: TriMesh) -> tuple:
 
     Keys: a (2x2 or per-triangle list), b, c, c0, beta (scalar, {re, im},
     or per-edge list), mu, mode. Missing entries default to the identity
-    a, zero lower-order terms, beta = 0, mu = 1.
+    a, zero lower-order terms, beta = 0, mu = 1. A value that is not made
+    of finite numbers (null among them) is an AssemblyError.
     """
     known = {"a", "b", "c", "c0", "beta", "mu", "mode"}
     unknown = set(data) - known
     if unknown:
         raise AssemblyError(f"unknown coefficient key(s): {sorted(unknown)}")
 
+    def numbers(key, raw, scalar=False):
+        """raw as an array of finite floats, one of them if ``scalar``."""
+        try:
+            value = np.asarray(raw, dtype=float)
+        except (TypeError, ValueError):
+            value = np.array(math.nan)
+        if not np.isfinite(value).all() or scalar and value.ndim:
+            kind = "a finite number" if scalar else "finite numbers"
+            raise AssemblyError(f"{key} must be {kind}, got "
+                                f"{reprlib.repr(raw)}")
+        return value
+
     def parse_beta(raw):
         if isinstance(raw, dict):
             extra = set(raw) - {"re", "im"}
             if extra:
                 raise AssemblyError(f"unknown beta key(s): {sorted(extra)}")
-            return complex(raw.get("re", 0.0), raw.get("im", 0.0))
+            return complex(*(float(numbers("beta", raw.get(part, 0.0), True))
+                             for part in ("re", "im")))
         if isinstance(raw, list):
             return np.array([parse_beta(x) for x in raw])
-        return float(raw)
+        return float(numbers("beta", raw, True))
 
     mode = BoundaryMode(data.get("mode", "robin"))
     coeffs = CoefficientSet.constant(
-        mesh, a=np.asarray(data.get("a", np.eye(2)), dtype=float),
-        b=data.get("b", (0.0, 0.0)), c=data.get("c", (0.0, 0.0)),
-        c0=data.get("c0", 0.0), beta=parse_beta(data.get("beta", 0.0)),
-        mu=float(data.get("mu", 1.0)))
+        mesh, a=numbers("a", data.get("a", np.eye(2))),
+        b=numbers("b", data.get("b", (0.0, 0.0))),
+        c=numbers("c", data.get("c", (0.0, 0.0))),
+        c0=numbers("c0", data.get("c0", 0.0)),
+        beta=parse_beta(data.get("beta", 0.0)),
+        mu=float(numbers("mu", data.get("mu", 1.0), True)))
     return coeffs, mode

@@ -64,19 +64,39 @@ def _check_keys(data, allowed, context: str) -> dict:
 
 def _number(spec: dict, key: str, default, context: str, kind=float):
     """spec[key] as a float or an int, or default when absent (required
-    when default is None); anything but a JSON number is a CliError naming
-    the section."""
-    value = spec.get(key, default) if default is not None \
-        else _required(spec, key, context)
+    when default is None); anything but a JSON number, or for an int a
+    number with a fractional part, is a CliError naming the section."""
+    value = _required(spec, key, context, default)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise CliError(f"{context}: {key} must be a number, got {value!r}")
+    if kind is int and not float(value).is_integer():
+        raise CliError(f"{context}: {key} must be an integer, got {value!r}")
     return kind(value)
 
 
-def _required(spec: dict, key: str, context: str):
-    if key not in spec:
+def _string(spec: dict, key: str, default, context: str,
+            numbers: bool = False) -> str:
+    """spec[key] as a string, or default when absent (required when
+    default is None); with ``numbers`` a JSON number is taken as its text,
+    so a constant field may be written 5 or "5"."""
+    value = _required(spec, key, context, default)
+    if numbers and isinstance(value, (int, float)) \
+            and not isinstance(value, bool):
+        value = str(value)
+    if not isinstance(value, str):
+        kinds = "a string or a number" if numbers else "a string"
+        raise CliError(f"{context}: {key} must be {kinds}, got {value!r}")
+    return value
+
+
+def _required(spec: dict, key: str, context: str, default=None):
+    """spec[key]; default when it is absent, a CliError when there is no
+    default either."""
+    if key in spec:
+        return spec[key]
+    if default is None:
         raise CliError(f"{context}: missing key {key!r}")
-    return spec[key]
+    return default
 
 
 def _load_config(path: str) -> tuple[dict, Path]:
@@ -99,12 +119,17 @@ def _resolve_mesh(spec, base: Path):
         raise CliError("mesh: expected an object or a path string")
     if "path" in spec:
         _check_keys(spec, {"path"}, "mesh")
-        return load_mesh((base / spec["path"]).read_text(encoding="utf-8"))
+        path = base / _string(spec, "path", None, "mesh")
+        return load_mesh(path.read_text(encoding="utf-8"))
     _check_keys(spec, {"shape", "n", "tags", "width", "height"}, "mesh")
+    tags = spec.get("tags", "flux")
+    if not isinstance(tags, (str, dict)):
+        raise CliError(f"mesh: tags must be a string or an object, got "
+                       f"{tags!r}")
     try:
         return generate_structured(
-            spec.get("shape", "unit_square"),
-            _number(spec, "n", 8, "mesh", int), spec.get("tags", "flux"),
+            _string(spec, "shape", "unit_square", "mesh"),
+            _number(spec, "n", 8, "mesh", int), tags,
             width=_number(spec, "width", 1.0, "mesh"),
             height=_number(spec, "height", 1.0, "mesh"))
     except MeshError as exc:
@@ -152,7 +177,7 @@ def _load_inputs(args, keys) -> tuple:
 
 
 def _out_dir(cfg: dict, base: Path) -> Path:
-    out = base / cfg.get("output_dir", ".")
+    out = base / _string(cfg, "output_dir", ".", "config")
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -254,7 +279,7 @@ def _cmd_evolve(args) -> int:
     out = _out_dir(cfg, base)
 
     op = Problem(mesh=mesh, coeffs=coeffs, mode=mode).op  # corkscrew-checked
-    expr = cfg.get("u0", "1")
+    expr = _string(cfg, "u0", "1", "config", numbers=True)
     u0_full = evaluate_field(expr, mesh.vertices[:, 0], mesh.vertices[:, 1])
     u0 = op.restrict(u0_full).astype(complex if op.is_complex else float)
     times = ecfg.dt * np.arange(ecfg.n_steps + 1)
@@ -338,7 +363,7 @@ def _resolve_phi(spec, mesh, t_end) -> BoundaryData:
     for sample in samples:
         _check_keys(sample, {"t", "expr"}, "phi sample")
         times.append(_number(sample, "t", None, "phi sample"))
-        expr = str(_required(sample, "expr", "phi sample"))
+        expr = _string(sample, "expr", None, "phi sample", numbers=True)
         rows.append(evaluate_field(expr, xy[:, 0], xy[:, 1]))
     if not times:
         raise CliError("phi: need 'constant' or nonempty 'samples'")
@@ -352,8 +377,8 @@ def _cmd_parabolic(args) -> int:
     seed = _number(cfg, "seed", 0, "config", int)
     out = _out_dir(cfg, base)
 
-    u0 = evaluate_field(str(cfg.get("u0", "0")), mesh.vertices[:, 0],
-                        mesh.vertices[:, 1])
+    u0 = evaluate_field(_string(cfg, "u0", "0", "config", numbers=True),
+                        mesh.vertices[:, 0], mesh.vertices[:, 1])
     phi = _resolve_phi(cfg.get("phi"), mesh, ecfg.t_end)
     sol = solve_mild(mesh, coeffs, u0, phi, ecfg)
     bank = make_test_bank(
@@ -440,6 +465,9 @@ def _cmd_verify(args) -> int:
         oracle_matrix = MetzlerGenerator(
             np.asarray(_required(ospec, "matrix", "oracle"), dtype=float)).Q
         expect_irr = ospec.get("expect_irreducible")
+        if expect_irr is not None and not isinstance(expect_irr, bool):
+            raise CliError(f"oracle: expect_irreducible must be true or "
+                           f"false, got {expect_irr!r}")
     out = _out_dir(cfg, base)
 
     problem = Problem(

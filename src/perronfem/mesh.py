@@ -66,7 +66,6 @@ class CorkscrewResult:
     """
 
     ok: bool
-    delta: float
     witnesses: dict
     failure: tuple | None = None
 
@@ -79,7 +78,6 @@ class TriMesh:
     triangles : (nt, 3) int array, counterclockwise vertex triples
     boundary_edges : (nb, 2) int array; exactly the edges lying in one triangle
     boundary_tags : tuple of BoundaryTag, one per boundary edge
-    domain_label : free-text description
     edge_table : ``_edge_table(triangles, nv)`` when the caller has built
         it already, so validation does not build it again
 
@@ -90,7 +88,6 @@ class TriMesh:
     triangles: np.ndarray
     boundary_edges: np.ndarray
     boundary_tags: tuple
-    domain_label: str = ""
     edge_table: InitVar[tuple | None] = None
 
     def __post_init__(self, edge_table):
@@ -368,9 +365,7 @@ def generate_structured(shape: str, n: int, tags="flux", *,
             raise MeshError(f"boundary edge ({a}, {b}) not on any shape segment")
         btags.append(rule[seg])
 
-    label = shape if shape != "rectangle" else f"rectangle({w}x{h})"
-    return TriMesh(verts, tris, bedges, tuple(btags),
-                   domain_label=f"{label} n={n}", edge_table=table)
+    return TriMesh(verts, tris, bedges, tuple(btags), edge_table=table)
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +526,7 @@ def check_corkscrew(mesh: TriMesh, delta: float) -> CorkscrewResult:
     n_edges = mesh.edges_with_tag(BoundaryTag.FLUX)
     if len(d_edges) == 0 or len(n_edges) == 0:
         # relative boundary of D is empty; every quantifier is vacuous
-        return CorkscrewResult(ok=True, delta=delta, witnesses={})
+        return CorkscrewResult(ok=True, witnesses={})
 
     d_vertices = set(np.unique(d_edges).tolist())
     n_vertices = set(np.unique(n_edges).tolist())
@@ -559,8 +554,7 @@ def check_corkscrew(mesh: TriMesh, delta: float) -> CorkscrewResult:
             ok = (dist_to_x <= r) & (dist_to_n >= delta * r)
             hits = np.flatnonzero(ok)
             if hits.size == 0:
-                return CorkscrewResult(ok=False, delta=delta,
-                                       witnesses=witnesses,
+                return CorkscrewResult(ok=False, witnesses=witnesses,
                                        failure=(int(x_idx), r))
             witnesses[(int(x_idx), r)] = candidates[hits[0]].copy()
-    return CorkscrewResult(ok=True, delta=delta, witnesses=witnesses)
+    return CorkscrewResult(ok=True, witnesses=witnesses)

@@ -111,7 +111,6 @@ class MildSolution:
 
     times: np.ndarray
     mesh: TriMesh
-    coeffs: CoefficientSet
     cfg: EvolutionConfig
     boundary: np.ndarray        # sorted boundary vertex indices
     interior: np.ndarray
@@ -121,8 +120,8 @@ class MildSolution:
     march: Callable[[], Iterator[np.ndarray]] = field(repr=False)
 
     def states(self) -> Iterator[np.ndarray]:
-        """Each state in step order, from a new march; no state is
-        written after it is yielded."""
+        """Each state in step order, a fresh array from a new march; no
+        state is written after it is yielded."""
         return self.march()
 
     @property
@@ -172,7 +171,7 @@ def solve_mild(mesh: TriMesh, coeffs: CoefficientSet, u0: np.ndarray,
     start[boundary] = phi.at(0.0)
 
     def march() -> Iterator[np.ndarray]:
-        u = start
+        u = start.copy()  # a caller may write into u_0: keep start intact
         yield u
         for k in range(1, cfg.n_steps + 1):
             g_new = phi.at(k * dt)
@@ -184,9 +183,8 @@ def solve_mild(mesh: TriMesh, coeffs: CoefficientSet, u0: np.ndarray,
             yield u
 
     return MildSolution(times=dt * np.arange(cfg.n_steps + 1), mesh=mesh,
-                        coeffs=coeffs, cfg=cfg, boundary=boundary,
-                        interior=interior, phi=phi, stiffness=A,
-                        mass_lumped=ML, march=march)
+                        cfg=cfg, boundary=boundary, interior=interior,
+                        phi=phi, stiffness=A, mass_lumped=ML, march=march)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,8 @@ shift-invert Arnoldi, its pair count doubled until the field-of-values
 sector |Im lambda| <= Re lambda + s certifies the least real parts, each
 ARPACK call capped at MAX_ARNOLDI_RESTARTS restarts so a failure takes
 bounded time; meshes too small for ARPACK get the dense spectrum.
-``_lowest_pairs`` is the one place that picks the path.
+``_lowest_pairs`` is the one place that picks the path, and it caches
+one accepted answer per (mass, k, tol), its vectors signed once.
 ``certify_positivity`` claims a positive principal eigenvector only where
 ``assembly.mmatrix_certificate`` proves it, and is not applicable
 elsewhere."""
@@ -79,7 +80,6 @@ class EigenReport:
     residual: float
     gap: float                  # Re lambda2 - Re lambda1
     multiplicity_flag: bool     # gap below resolution => possibly degenerate
-    mode: BoundaryMode
 
 
 @dataclass(frozen=True)
@@ -134,8 +134,7 @@ def _shift_below_spectrum(A: sp.csr_matrix, mass_lumped: np.ndarray) -> float:
     min(L, 4L) - 1 is below the consistent pencil as well.
     """
     diag = A.diagonal().real
-    row_abs = np.abs(A).sum(axis=1)
-    row_abs = np.asarray(row_abs).ravel()
+    row_abs = np.asarray(np.abs(A).sum(axis=1)).ravel()
     L = float(np.min((diag - (row_abs - np.abs(diag))) / mass_lumped))
     return min(L, 4.0 * L) - 1.0
 
@@ -156,7 +155,18 @@ def _start_block(n: int, k: int) -> np.ndarray:
     return block
 
 
-def _hermitian_factor(op: DiscreteOperator, mass: MassKind, tol: float):
+def _residual_bound(tol: float) -> float:
+    """The largest relative residual an accepted eigenpair may have."""
+    return max(tol, RESIDUAL_FLOOR)
+
+
+def _gershgorin_factor(A: sp.spmatrix, M, mass_lumped: np.ndarray):
+    """The Gershgorin shift sigma of Re A and the factor of A - sigma*M."""
+    sigma = _shift_below_spectrum(A.real.tocsr(), mass_lumped)
+    return sigma, factorize(A - sigma * M)
+
+
+def _hermitian_factor(op: DiscreteOperator, mass: MassKind):
     """The shift sigma below the spectrum of the pencil (stiffness, mass)
     and the factor of A - sigma*M that the sweeps solve through.
 
@@ -169,8 +179,7 @@ def _hermitian_factor(op: DiscreteOperator, mass: MassKind, tol: float):
     iteration operators. A stiffness without a positive row sum, A*1 <= 0
     (a singular one that annihilates constants among them), is not tried:
     A^-1 >= 0 would give 1 = A^-1 (A*1) <= 0. Otherwise the pencil gets
-    the Gershgorin shift and a factor of its own, moved down once by
-    10 tol if that factor is singular."""
+    ``_gershgorin_factor``, 1 below both spectra (A - sigma*M >= M)."""
     def zero_shift():
         A, scan = op.stiffness, mmatrix_report(op)
         if _shift_below_spectrum(A, op.mass_lumped) >= 0.0 \
@@ -189,17 +198,8 @@ def _hermitian_factor(op: DiscreteOperator, mass: MassKind, tol: float):
     lu = op.cached("zero_shift_factor", zero_shift)
     if lu is not None:
         return 0.0, lu
-    A, M = op.stiffness, mass_matrix(mass, op.mass, op.mass_lumped)
-    sigma = _shift_below_spectrum(A, op.mass_lumped)
-    try:
-        return sigma, factorize(A - sigma * M)
-    except SolverError as exc:
-        sigma -= 10.0 * tol
-        try:
-            return sigma, factorize(A - sigma * M)
-        except SolverError:
-            raise SolverError(
-                f"shift adjustment failed at sigma = {sigma}") from exc
+    M = mass_matrix(mass, op.mass, op.mass_lumped)
+    return _gershgorin_factor(op.stiffness, M, op.mass_lumped)
 
 
 def _hermitian_pairs(op: DiscreteOperator, mass: MassKind, k: int,
@@ -215,10 +215,8 @@ def _hermitian_pairs(op: DiscreteOperator, mass: MassKind, k: int,
     of the deterministic start block; None keeps it.
     """
     A, n = op.stiffness, op.n_dof
-    if k > n:
-        raise ValueError(f"requested {k} eigenpairs of an {n}-dim problem")
     M = mass_matrix(mass, op.mass, op.mass_lumped)
-    _sigma, lu = _hermitian_factor(op, mass, tol)
+    _sigma, lu = _hermitian_factor(op, mass)
 
     m = min(n, k + GUARD_VECTORS)
     X = _start_block(n, m)
@@ -249,7 +247,7 @@ def _hermitian_pairs(op: DiscreteOperator, mass: MassKind, k: int,
         raise SolverError(
             "inverse iteration did not converge: residuals "
             f"{[f'{r:.3e}' for r in residuals[:k]]} > tol {tol:.3e}")
-    return values[:k].copy(), X[:, :k].copy(), residuals[:k].copy()
+    return values[:k], X[:, :k], residuals[:k]
 
 
 def _fix_sign(vector: np.ndarray, mass_lumped: np.ndarray) -> np.ndarray:
@@ -285,10 +283,8 @@ def _hermitian_lower_bound(C, M, mass_lumped: np.ndarray) -> float:
         C = sp.bmat([[C.real, -C.imag], [C.imag, C.real]], format="csr")
         M, mass_lumped = sp.block_diag((M, M)), np.tile(mass_lumped, 2)
     C = C.real.tocsr()
-    sigma = _shift_below_spectrum(C, mass_lumped)
-    shifted = C - sigma * M
-    OPinv = spla.LinearOperator(shifted.shape, matvec=factorize(shifted).solve,
-                                dtype=float)
+    sigma, lu = _gershgorin_factor(C, M, mass_lumped)
+    OPinv = spla.LinearOperator(C.shape, matvec=lu.solve, dtype=float)
     try:
         (theta,), x = spla.eigsh(C, k=1, M=M, sigma=sigma, which="LM",
                                  v0=_start_vector(C.shape[0]), OPinv=OPinv,
@@ -328,17 +324,16 @@ def _arnoldi_smallest_real(op: DiscreteOperator, M, k: int, tol: float,
 
     ARPACK tests convergence on the shift-inverted operator, so a pair it
     accepts at ``tol`` may miss it on the pencil: when a certified pair's
-    relative residual exceeds max(tol, RESIDUAL_FLOOR), the solve runs
-    once more at ARPACK's machine precision (tol=0), and a residual still
-    above the bound raises SolverError."""
-    sigma = _shift_below_spectrum(op.stiffness.real.tocsr(), op.mass_lumped)
-    shifted = op.stiffness - sigma * M
-    OPinv = spla.LinearOperator(shifted.shape, matvec=factorize(shifted).solve,
-                                dtype=shifted.dtype)
+    relative residual exceeds ``_residual_bound(tol)``, the solve runs
+    once more at ARPACK's machine precision (tol=0), whose pairs
+    ``_lowest_pairs`` accepts or rejects."""
+    A = op.stiffness
+    sigma, lu = _gershgorin_factor(A, M, op.mass_lumped)
+    OPinv = spla.LinearOperator(A.shape, matvec=lu.solve, dtype=A.dtype)
     cap, m, arpack_tol = min(MAX_ARNOLDI_PAIRS, op.n_dof - 2), k + 2, tol
     while True:
         try:
-            values, vectors = spla.eigs(op.stiffness, k=m, M=M, sigma=sigma,
+            values, vectors = spla.eigs(A, k=m, M=M, sigma=sigma,
                                         which="LM", v0=_start_vector(op.n_dof),
                                         tol=arpack_tol, OPinv=OPinv,
                                         maxiter=MAX_ARNOLDI_RESTARTS)
@@ -351,14 +346,10 @@ def _arnoldi_smallest_real(op: DiscreteOperator, M, k: int, tol: float,
         R2, c2 = np.abs(values - sigma).max() ** 2, (sigma + s) ** 2
         bound = -s if R2 <= c2 else 0.5 * (sigma - s + math.sqrt(2 * R2 - c2))
         if values[k - 1].real <= bound:
-            worst = max(_residual(op.stiffness, M, values[j], vectors[:, j])
+            worst = max(_residual(A, M, values[j], vectors[:, j])
                         for j in range(k))
-            if worst <= max(tol, RESIDUAL_FLOOR):
+            if worst <= _residual_bound(tol) or arpack_tol == 0.0:
                 return values, vectors
-            if arpack_tol == 0.0:
-                raise SolverError(
-                    f"Arnoldi residual {worst:.3e} exceeds tolerance at "
-                    f"ARPACK's machine precision")
             arpack_tol = 0.0
             continue
         if m >= cap:
@@ -371,53 +362,52 @@ def _arnoldi_smallest_real(op: DiscreteOperator, M, k: int, tol: float,
 def _lowest_pairs(op: DiscreteOperator, mass: MassKind | str, k: int,
                   tol: float):
     """The k eigenpairs of least real part of the pencil (stiffness, mass),
-    sorted by real, then imaginary part: the values, the vectors signed by
-    ``_fix_sign``, and the relative residuals.
+    sorted by real, then imaginary part: the values, a tuple of the vectors
+    signed by ``_fix_sign`` (read-only, each in its own dtype), and the
+    relative residuals, each within ``_residual_bound(tol)``.
 
     The operator alone picks the solver: a real Hermitian operator gets
     block inverse iteration, any other the sector-certified shift-invert
     Arnoldi of ``_arnoldi_smallest_real``, or the dense spectrum of the
     pencil where ARPACK cannot run (k + 2 >= n_dof - 1, a handful of
     dofs). Each solve runs once per operator and is shared by every
-    caller. The lumped inverse iteration starts from the consistent
-    pencil's two least pairs, solved first if no caller has: M_L/4 <= M
-    <= M_L and the two pencils' eigenvectors agree to O(h^2).
+    caller, a SolverError too. The lumped inverse iteration starts from
+    the consistent pencil's two least pairs, solved first if no caller
+    has: M_L/4 <= M <= M_L and the pencils' eigenvectors agree to O(h^2).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     mass = MassKind(mass)
-    M = mass_matrix(mass, op.mass, op.mass_lumped)
-    if op.is_hermitian and not op.is_complex:
-        def solve():
+
+    def solve():
+        M = mass_matrix(mass, op.mass, op.mass_lumped)
+        residuals = None
+        if op.is_hermitian and not op.is_complex:
             start = None if mass is MassKind.CONSISTENT else np.column_stack(
                 _lowest_pairs(op, MassKind.CONSISTENT, min(2, op.n_dof),
                               tol)[1])
-            return _hermitian_pairs(op, mass, k, tol, start)
-        values, vectors, residuals = op.cached(
-            ("hermitian_pairs", mass, k, tol), solve)
-        return values, [_fix_sign(v, op.mass_lumped) for v in vectors.T], \
-            residuals
-
-    def solve():
-        if k + 2 < op.n_dof - 1:  # one sector per mass kind, whatever k
-            return _arnoldi_smallest_real(op, M, k, tol, op.cached(
+            values, vectors, residuals = _hermitian_pairs(op, mass, k, tol,
+                                                          start)
+        elif k + 2 < op.n_dof - 1:  # one sector per mass kind, whatever k
+            values, vectors = _arnoldi_smallest_real(op, M, k, tol, op.cached(
                 ("sector", mass), lambda: _sector_offset(op, M)))
-        values, vectors = sla.eig(op.stiffness.toarray(), M.toarray())
-        order = np.lexsort((values.imag, values.real))
-        return values[order], vectors[:, order]
-    values, vectors = op.cached(("lowest_pairs", mass, k, tol), solve)
-    signed = [_fix_sign(vectors[:, j], op.mass_lumped) for j in range(k)]
-    residuals = np.array([_residual(op.stiffness, M, lam, v)
-                          for lam, v in zip(values, signed)])
-    return values[:k], signed, residuals
-
-
-def _checked_residual(residual: float, tol: float) -> float:
-    """The residual; SolverError above max(tol, RESIDUAL_FLOOR)."""
-    if residual > max(tol, RESIDUAL_FLOOR):
-        raise SolverError(f"eigensolve residual {residual:.3e} exceeds "
-                          f"tolerance")
-    return float(residual)
+        else:
+            values, vectors = sla.eig(op.stiffness.toarray(), M.toarray())
+            order = np.lexsort((values.imag, values.real))
+            values, vectors = values[order], vectors[:, order]
+        signed = tuple(_fix_sign(vectors[:, j], op.mass_lumped)
+                       for j in range(k))
+        if residuals is None:
+            residuals = np.array([_residual(op.stiffness, M, lam, v)
+                                  for lam, v in zip(values, signed)])
+        bound = _residual_bound(tol)
+        if not np.all(residuals <= bound):
+            raise SolverError(f"eigensolve residuals {residuals} exceed "
+                              f"the bound {bound:.3e}")
+        for v in signed:
+            v.flags.writeable = False
+        return values[:k], signed, residuals
+    return op.cached(("eigenpairs", mass, k, tol), solve)
 
 
 def principal_eig(op: DiscreteOperator, tol: float = 1e-10) -> EigenReport:
@@ -426,22 +416,20 @@ def principal_eig(op: DiscreteOperator, tol: float = 1e-10) -> EigenReport:
     values, vectors, residuals = _lowest_pairs(
         op, MassKind.CONSISTENT, min(2, op.n_dof), tol)
     lam1 = complex(values[0])
-    residual = _checked_residual(residuals[0], tol)
     gap = float(values[1].real - values[0].real) if len(values) > 1 \
         else math.inf
     scale = max(1.0, abs(lam1))
     multiplicity_flag = gap <= 100.0 * tol * scale
-    return EigenReport(lambda1=lam1, vector=vectors[0], residual=residual,
-                       gap=gap, multiplicity_flag=multiplicity_flag,
-                       mode=op.mode)
+    return EigenReport(lambda1=lam1, vector=vectors[0],
+                       residual=float(residuals[0]), gap=gap,
+                       multiplicity_flag=multiplicity_flag)
 
 
 def perron_pair(op: DiscreteOperator, tol: float) -> PerronPair:
     """The eigenpair of least real part of the lumped pencil (stiffness,
     M_L), the Perron pair of -M_L^-1 A when A is an irreducible Z-matrix;
-    a residual above max(tol, RESIDUAL_FLOOR) raises SolverError."""
-    values, vectors, residuals = _lowest_pairs(op, MassKind.LUMPED, 1, tol)
-    _checked_residual(residuals[0], tol)
+    a residual above ``_residual_bound(tol)`` raises SolverError."""
+    values, vectors, _ = _lowest_pairs(op, MassKind.LUMPED, 1, tol)
     return PerronPair(lambda1=complex(values[0]), vector=vectors[0])
 
 

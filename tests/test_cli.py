@@ -211,7 +211,7 @@ def test_suite_says_when_a_check_failed_in_the_solver(monkeypatch):
     assert result.verdict is Verdict.FAIL
     assert result.payload["reason"] == "solver failure"
     assert result.payload["error"].startswith(
-        "SolverError: shift adjustment failed")
+        "SolverError: singular step matrix or shifted pencil")
     # any other exception keeps the bare error payload
     monkeypatch.undo()
     _raising_check(monkeypatch)
@@ -808,15 +808,53 @@ def test_cli_field_without_a_finite_value_is_an_error(tmp_path, capsys,
      "mesh: n must be a number"),
     ("verify", {"oracle": {"expect_irreducible": True}},
      "oracle: missing key 'matrix'"),
+    # values of the wrong kind: each ended in a traceback, a FAIL from a
+    # NaN coefficient or the oracle, or a silently truncated n
+    ("verify", {"mesh": {"shape": [], "n": 4}},
+     "mesh: shape must be a string"),
+    ("verify", {"mesh": {"n": 4, "tags": 5}},
+     "mesh: tags must be a string or an object"),
+    ("verify", {"mesh": {"n": 4, "tags": None}},
+     "mesh: tags must be a string or an object"),
+    ("verify", {"mesh": {"path": 5}}, "mesh: path must be a string"),
+    ("verify", {"output_dir": 5}, "config: output_dir must be a string"),
+    ("verify", {"coefficients": {"beta": None}},
+     "coefficients: beta must be a finite number"),
+    ("verify", {"coefficients": {"beta": 1.0, "mu": None}},
+     "coefficients: mu must be a finite number"),
+    ("verify", {"coefficients": {"beta": {"re": "a"}}},
+     "coefficients: beta must be a finite number"),
+    ("verify", {"coefficients": {"beta": 1.0, "c0": None}},
+     "coefficients: c0 must be finite numbers"),
+    ("verify", {"oracle": {"matrix": [[-1.0, 1.0], [1.0, -1.0]],
+                           "expect_irreducible": "yes"}},
+     "oracle: expect_irreducible must be true or false"),
+    ("verify", {"mesh": {"n": 2.5, "tags": "N"}},
+     "mesh: n must be an integer"),
 ])
 def test_cli_malformed_section_is_an_error(tmp_path, capsys, command,
                                            section, message):
     base = PARABOLIC_PROBLEM if command == "parabolic" else ROBIN_PROBLEM
     path = write_config(tmp_path / "c.json",
-                        {**base, **section, "output_dir": "out"})
+                        {**base, "output_dir": "out", **section})
     assert main([command, "--config", path]) == 2
     _assert_one_error_line(capsys, message)
     assert not (tmp_path / "out" / "verification_report.json").exists()
+
+
+def test_cli_initial_data_may_be_a_json_number(tmp_path):
+    # evolve reads u0 as parabolic does: 5 and "5" are one constant field
+    outputs = []
+    for u0 in (5, "5"):
+        out = tmp_path / str(type(u0).__name__)
+        path = write_config(tmp_path / "c.json", {
+            **ROBIN_PROBLEM, "mesh": {"shape": "unit_square", "n": 4,
+                                      "tags": "N"},
+            "evolution": {"dt": 0.01, "t_end": 0.03}, "u0": u0,
+            "output_dir": str(out)})
+        assert main(["evolve", "--config", path]) == 0
+        outputs.append((out / "trajectory.csv").read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("command", ["evolve", "kernel", "parabolic"])

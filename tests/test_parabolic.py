@@ -311,8 +311,7 @@ def test_constancy_checker_detects_engineered_violation(dirichlet_mesh8):
     fields = np.ones((3, mesh.n_vertices))
     fields[0, interior[0]] = 0.0  # non-constant window, max attained later
     A, _, ML = assemble_volume(mesh, laplace_coeffs(mesh))
-    sol = MildSolution(times=cfg.dt * np.arange(3), mesh=mesh,
-                       coeffs=laplace_coeffs(mesh), cfg=cfg,
+    sol = MildSolution(times=cfg.dt * np.arange(3), mesh=mesh, cfg=cfg,
                        boundary=boundary, interior=interior, phi=phi,
                        stiffness=A, mass_lumped=ML,
                        march=lambda: iter(fields))
@@ -555,7 +554,7 @@ def test_solve_mild_keeps_the_volume_matrices_it_marched_with(
     sol = solve_mild(mesh, laplace_coeffs(mesh), np.ones(mesh.n_vertices),
                      BoundaryData.constant(mesh, 1.0, 0.1),
                      cfg_for(mesh, 0.1, 10))
-    A, _, ML = assemble_volume(mesh, sol.coeffs)
+    A, _, ML = assemble_volume(mesh, laplace_coeffs(mesh))
     assert (sol.stiffness != A).nnz == 0
     assert np.array_equal(sol.mass_lumped, ML)
 
@@ -710,6 +709,20 @@ def test_a_solution_marches_only_when_read(dirichlet_mesh8, solves):
     assert not any(a is b for a, b in zip(first[1:], second[1:]))
     assert strong_positivity_check(sol).verdict is Verdict.PASS
     assert len(solves) == 30
+
+
+def test_writing_into_u0_leaves_later_marches_alone(dirichlet_mesh8):
+    mesh = dirichlet_mesh8
+    sol = solve_mild(mesh, laplace_coeffs(mesh), np.ones(mesh.n_vertices),
+                     BoundaryData.constant(mesh, 1.0, 0.1),
+                     cfg_for(mesh, 0.1, 2))
+    first = list(sol.states())
+    sol.u0[:] = -1.0
+    next(sol.states())[:] = -2.0
+    second = list(sol.states())
+    assert np.array_equal(first, second)
+    assert np.array_equal(sol.u0, np.ones(mesh.n_vertices))
+    assert not any(a is b for a, b in zip(first, second))
 
 
 def test_constancy_marches_only_to_t0(dirichlet_mesh8, solves):

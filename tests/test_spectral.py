@@ -143,7 +143,7 @@ def test_second_eigenvector_fails_certificate(dirichlet_op8):
     second = EigenReport(lambda1=complex(gaps.values[1]),
                          vector=gaps.vectors[:, 1],
                          residual=float(gaps.residuals[1]), gap=0.0,
-                         multiplicity_flag=False, mode=dirichlet_op8.mode)
+                         multiplicity_flag=False)
     cert = certify_positivity(second, dirichlet_op8)
     assert not cert.passed
     # orthogonality to the positive principal vector forces a sign change
@@ -534,7 +534,7 @@ def test_a_later_arnoldi_pair_off_the_bound_is_solved_again(monkeypatch):
 def test_an_arnoldi_residual_off_the_bound_at_tol_zero_raises(monkeypatch):
     tols = _arnoldi_tols(monkeypatch, perturb=1e-3)
     op = _fresh(_nonhermitian_case(6, *NONHERMITIAN_CASES[0]))
-    with pytest.raises(SolverError, match="Arnoldi residual .* exceeds"):
+    with pytest.raises(SolverError, match="residuals .* exceed the bound"):
         spectral_gap(op, 2)
     assert tols == [1e-10, 0.0]
 
@@ -637,13 +637,52 @@ def test_shared_solves_are_read_only(robin_op8, robin_mesh8):
                   CoefficientSet.constant(robin_mesh8, beta=1.0 + 1.0j),
                   BoundaryMode.COMPLEX_ROBIN)
     values = spectral_gap(op, 3).values
-    key = ("lowest_pairs", MassKind.CONSISTENT, 3, 1e-10)
-    cached, vectors = op.solver_cache[key]
-    assert values.base is cached
+    key = ("eigenpairs", MassKind.CONSISTENT, 3, 1e-10)
+    cached, vectors, _ = op.solver_cache[key]
+    assert values is cached
     with pytest.raises(ValueError, match="read-only"):
         values[0] = 0.0
     with pytest.raises(ValueError, match="read-only"):
-        vectors[:, 0] *= 2.0
+        vectors[0] *= 2.0
+
+
+@pytest.mark.parametrize("beta, n", [(1.0, 8), (1.0 + 1.0j, 8),
+                                     (1.0 + 1.0j, 1)],
+                         ids=["inverse-iteration", "arnoldi", "dense"])
+def test_repeated_solves_return_one_signed_read_only_entry(beta, n):
+    # one cache entry holds the accepted answer, its vectors signed once
+    mesh = generate_structured("unit_square", n, "flux")
+    mode = BoundaryMode.ROBIN if beta == 1.0 else BoundaryMode.COMPLEX_ROBIN
+    op = assemble(mesh, CoefficientSet.constant(mesh, beta=beta), mode)
+    first = _lowest_pairs(op, MassKind.CONSISTENT, 2, 1e-10)
+    second = _lowest_pairs(op, "consistent", 2, 1e-10)
+    assert all(a is b for a, b in zip(first, second))
+    values, vectors, residuals = first
+    assert all(v is w for v, w in zip(vectors, second[1]))
+    for array in (values, residuals, *vectors):
+        assert not array.flags.writeable
+    for v in vectors:
+        assert v.flags.c_contiguous and v.shape == (op.n_dof,)
+
+
+def test_the_dense_path_checks_every_pair(monkeypatch):
+    # complex Robin at n = 1 has 4 dofs, too few for ARPACK: a spoiled
+    # second vector from the dense spectrum fails the solve, not only a
+    # spoiled first one
+    import perronfem.spectral as spectral
+    eig = spectral.sla.eig
+
+    def spoiled(A, M):
+        values, vectors = eig(A, M)
+        second = np.lexsort((values.imag, values.real))[1]
+        vectors[:, second] += 0.5
+        return values, vectors
+    monkeypatch.setattr(spectral.sla, "eig", spoiled)
+    mesh = generate_structured("unit_square", 1, "flux")
+    op = assemble(mesh, CoefficientSet.constant(mesh, beta=1.0 + 1.0j),
+                  BoundaryMode.COMPLEX_ROBIN)
+    with pytest.raises(SolverError, match="residuals .* exceed the bound"):
+        spectral_gap(op, 2)
 
 
 def test_complex_robin_bound_needs_the_complex_operator(robin_op8):
@@ -741,7 +780,7 @@ def test_the_zero_shift_is_taken_only_when_certified(case):
     op = assemble(mesh, CoefficientSet.constant(mesh, **kwargs), mode)
     gershgorin = spectral._shift_below_spectrum(op.stiffness, op.mass_lumped)
     for mass in MassKind:
-        sigma, _ = spectral._hermitian_factor(op, mass, 1e-10)
+        sigma, _ = spectral._hermitian_factor(op, mass)
         assert sigma == (0.0 if zero else gershgorin)
         values, _, residuals = _lowest_pairs(op, mass, 2, 1e-10)
         M = mass_matrix(mass, op.mass, op.mass_lumped)

@@ -206,15 +206,3 @@ def schaefer_approx_check(u: np.ndarray, v: np.ndarray) -> bool:
         raise LatticeError("u and v must be nonnegative")
     return bool(np.all(v[u == 0.0] == 0.0))
 
-
-def random_metzler(rng: np.random.Generator,
-                   n: int | None = None) -> MetzlerGenerator:
-    """Seeded generator sampler mixing sparse and dense coupling patterns."""
-    if n is None:
-        n = int(rng.integers(1, EXHAUSTIVE_DIM + 1))
-    density = float(rng.uniform(0.1, 0.9))
-    off = rng.uniform(0.0, 2.0, size=(n, n)) * \
-        (rng.uniform(size=(n, n)) < density)
-    np.fill_diagonal(off, 0.0)
-    diag = rng.uniform(-2.0, 0.5, size=n)
-    return MetzlerGenerator(off + np.diag(diag))

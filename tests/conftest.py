@@ -3,6 +3,7 @@ import pytest
 
 from perronfem import BoundaryMode, CoefficientSet, assemble, \
     generate_structured
+from perronfem.lattice import EXHAUSTIVE_DIM, MetzlerGenerator
 
 MIXED_TAGS = {"bottom": "D", "right": "N", "top": "N", "left": "N"}
 
@@ -45,3 +46,16 @@ def dense_ie_step(op, dt):
     M = np.diag(op.mass_lumped)
     A = op.stiffness.toarray().real
     return np.linalg.solve(M + dt * A, M)
+
+
+def random_metzler(rng: np.random.Generator,
+                   n: int | None = None) -> MetzlerGenerator:
+    """Seeded generator sampler mixing sparse and dense coupling patterns."""
+    if n is None:
+        n = int(rng.integers(1, EXHAUSTIVE_DIM + 1))
+    density = float(rng.uniform(0.1, 0.9))
+    off = rng.uniform(0.0, 2.0, size=(n, n)) * \
+        (rng.uniform(size=(n, n)) < density)
+    np.fill_diagonal(off, 0.0)
+    diag = rng.uniform(-2.0, 0.5, size=n)
+    return MetzlerGenerator(off + np.diag(diag))

@@ -13,8 +13,7 @@ import pytest
 
 from perronfem.assembly import BoundaryMode, CoefficientSet, assemble
 from perronfem.cli import main
-from perronfem.lattice import is_irreducible, perron_report, random_metzler, \
-    semigroup_at
+from perronfem.lattice import is_irreducible, perron_report, semigroup_at
 from perronfem.mesh import check_corkscrew, generate_structured
 from perronfem.parabolic import BoundaryData, make_test_bank, solve_mild, \
     strong_positivity_check, very_weak_residual
@@ -22,6 +21,7 @@ from perronfem.semigroup import EvolutionConfig, MassKind, Verdict, \
     kernel, kernel_positivity_report, positivity_improving_check
 from perronfem.spectral import Region, certify_positivity, \
     complex_robin_bound, principal_eig, spectral_gap
+from tests.conftest import random_metzler
 
 MIXED_TAGS = {"bottom": "D", "right": "N", "top": "N", "left": "N"}
 

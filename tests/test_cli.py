@@ -1,5 +1,6 @@
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +24,9 @@ ROBIN_PROBLEM = {
     "mesh": {"shape": "unit_square", "n": 8, "tags": "N"},
     "coefficients": {"beta": 1.0, "mode": "robin"},
 }
+
+LSHAPE_MIXED_TAGS = {"bottom": "D", "right": "N", "inner_h": "N",
+                     "inner_v": "N", "top": "N", "left": "N"}
 
 
 # -- expression grammar --------------------------------------------------------
@@ -738,6 +742,61 @@ def test_cli_parabolic_calls_solve_mild_once_before_any_output(
     capsys.readouterr()
 
 
+def test_cli_parabolic_draws_the_strip_after_the_march_is_freed(
+        tmp_path, monkeypatch, capsys):
+    # the step factor, the residual's profiles and the bank do not add to
+    # the strip's peak: nothing refers to them once the checks are read
+    import weakref
+    import perronfem.cli as cli
+    refs, alive = [], []
+
+    def tracked(make):
+        def build(*args, **kwargs):
+            obj = make(*args, **kwargs)
+            refs.append(weakref.ref(obj))
+            return obj
+        return build
+
+    def strip(*args, **kwargs):
+        alive.append([ref() is not None for ref in refs])
+        return render_strip(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_mild", tracked(cli.solve_mild))
+    monkeypatch.setattr(cli, "WeakResidual", tracked(cli.WeakResidual))
+    monkeypatch.setattr(cli, "PositivityScan", tracked(cli.PositivityScan))
+    monkeypatch.setattr(cli, "render_strip", strip)
+    path = write_config(tmp_path / "c.json", {
+        **PARABOLIC_PROBLEM, "u0": "x*y*(1-x)*(1-y)", "output_dir": "out"})
+    assert main(["parabolic", "--config", path]) == 0
+    assert alive == [[False, False, False]]
+    capsys.readouterr()
+
+
+def test_cli_only_trajectory_writers_import_orjson(tmp_path):
+    # verify, eig and kernel never write a trajectory: they keep today's
+    # imports; evolve writes one through orjson
+    import os
+    import subprocess
+    import sys
+    import perronfem
+    path = write_config(tmp_path / "c.json", {
+        **ROBIN_PROBLEM, "mesh": {"shape": "unit_square", "n": 4, "tags": "N"},
+        "evolution": {"dt": 0.01, "t_end": 0.03}, "output_dir": "out"})
+    script = (
+        "import sys\n"
+        "from perronfem.cli import main\n"
+        "for command in ('verify', 'evolve'):\n"
+        "    assert main([command, '--config', sys.argv[1]]) == 0\n"
+        "    print('orjson after', command, 'orjson' in sys.modules)\n")
+    src = str(Path(perronfem.__file__).parents[1])
+    run = subprocess.run([sys.executable, "-c", script, path],
+                         capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert [line for line in run.stdout.splitlines()
+            if line.startswith("orjson after")] == \
+        ["orjson after verify False", "orjson after evolve True"]
+
+
 def _parabolic_traced_peak(tmp_path, steps):
     import tracemalloc
     path = write_config(tmp_path / f"c{steps}.json", {
@@ -831,6 +890,23 @@ def test_cli_field_without_a_finite_value_is_an_error(tmp_path, capsys,
      "oracle: expect_irreducible must be true or false"),
     ("verify", {"mesh": {"n": 2.5, "tags": "N"}},
      "mesh: n must be an integer"),
+    # JSON's NaN and Infinity: a NaN corkscrew delta was a corkscrew FAIL
+    # and exit 1, a NaN width "boundary edge (0, 1) not on any shape segment"
+    ("verify", {"mesh": {"shape": "l_shape", "n": 4,
+                         "tags": LSHAPE_MIXED_TAGS},
+                "coefficients": {"mode": "mixed"},
+                "corkscrew_delta": float("nan")},
+     "config: corkscrew_delta must be finite, got nan"),
+    ("verify", {"mesh": {"shape": "rectangle", "n": 4, "tags": "N",
+                         "width": float("nan")}},
+     "mesh: width must be finite, got nan"),
+    ("eig", {"mesh": {"shape": "rectangle", "n": 4, "tags": "N",
+                      "height": float("inf")}},
+     "mesh: height must be finite, got inf"),
+    ("parabolic", {"phi": {"constant": float("nan")}},
+     "phi: constant must be finite, got nan"),
+    ("parabolic", {"phi": {"samples": [{"t": float("-inf"), "expr": "0"}]}},
+     "phi sample: t must be finite, got -inf"),
 ])
 def test_cli_malformed_section_is_an_error(tmp_path, capsys, command,
                                            section, message):
@@ -966,9 +1042,6 @@ def test_cli_verify_kernel_symmetry_not_applicable_under_consistent_mass(
     assert by_label["kernel-symmetry"]["verdict"] == "not_applicable"
     assert "lumped mass" in by_label["kernel-symmetry"]["payload"]["reason"]
 
-
-LSHAPE_MIXED_TAGS = {"bottom": "D", "right": "N", "inner_h": "N",
-                     "inner_v": "N", "top": "N", "left": "N"}
 
 # verification_report.json bytes of fixed configs: complex6 recorded before
 # the spectral checks shared one solve per operator, which moved no bit.
@@ -1382,6 +1455,76 @@ def test_trajectory_csv_bytes_equal_the_value_by_value_text(tmp_path):
     path = tmp_path / "trajectory.csv"
     _write_trajectory_csv(path, times, fields)
     assert path.read_bytes() == _reference_csv(times, fields)
+
+
+def _repr_text(row) -> bytes:
+    return ",".join(repr(float(v)) for v in row).encode("ascii")
+
+
+def _float_text_rows():
+    """Rows of doubles whose repr text _float_text must reproduce: in-range
+    rows that orjson writes, out-of-range rows that repr writes, and rows
+    that mix the two."""
+    rng = np.random.default_rng(26)
+    bits = rng.integers(0, 2 ** 64, size=60_000, dtype=np.uint64)
+    # random bit patterns over every exponent: nearly every row of them
+    # holds a tiny, huge or non-finite value
+    yield from bits.view(np.float64).reshape(-1, 600)
+    # random mantissas and signs with exponents 2^-14 .. 2^53, kept where
+    # 1e-4 <= |v| < 1e16, so the rows take orjson
+    exps = rng.integers(1023 - 14, 1023 + 54, size=60_000, dtype=np.uint64)
+    band = ((bits & np.uint64(0x800FFFFFFFFFFFFF)) | (exps << np.uint64(52))
+            ).view(np.float64)
+    size = np.abs(band)
+    band = band[(size >= 1e-4) & (size < 1e16)][:50_000]
+    yield from band.reshape(-1, 500)
+    logs = rng.uniform(-4.0, 16.0, size=40_000)
+    signs = rng.choice([-1.0, 1.0], size=40_000)
+    magnitudes = np.minimum(10.0 ** logs, np.nextafter(1e16, 0.0))
+    yield from (signs * np.maximum(magnitudes, 1e-4)).reshape(-1, 400)
+    # short decimals (0 to 4 places) and integers up to 2^53
+    decimals = signs * 10.0 ** rng.uniform(-4.0, 12.0, size=40_000)
+    yield from (np.round(row, k % 5)
+                for k, row in enumerate(decimals.reshape(-1, 400)))
+    yield from rng.integers(-2 ** 53, 2 ** 53, size=20_000
+                            ).astype(np.float64).reshape(-1, 400)
+    edges = np.array([
+        0.0, -0.0, 1e-4, -1e-4, np.nextafter(1e-4, 1.0),
+        np.nextafter(1e-4, 0.0), 1e16, -1e16, np.nextafter(1e16, 0.0),
+        -np.nextafter(1e16, 0.0), 5e-324, -5e-324, 2.2250738585072009e-308,
+        1e-5, 1e-300, 1.7976931348623157e308, np.nan, np.inf, -np.inf,
+        0.1, 0.30000000000000004, 1.0, 2.0 ** 53])
+    yield edges
+    for value in edges:  # each one alone, then among in-range values
+        yield np.array([value])
+        row = band[:50].copy()
+        row[25] = value
+        yield row
+    yield np.array([])
+    # a non-contiguous column, a float32 row and a big-endian row: each is
+    # written as the float64 values repr(float(v)) sees
+    yield band[:12_000].reshape(-1, 40)[:, 3]
+    yield band[:200].astype(np.float32)
+    yield band[:200].astype(">f8")
+
+
+def test_float_text_equals_repr_byte_for_byte():
+    # guards an orjson upgrade that changes its float text, and the range
+    # where the helper trusts it
+    import orjson
+    from perronfem.cli import _float_text
+    count = fast = 0
+    for row in _float_text_rows():
+        expected = _repr_text(row)
+        assert _float_text(row) == expected, row
+        count += len(row)
+        native = np.ascontiguousarray(row, dtype=np.float64)
+        size = np.abs(native)
+        if np.all((size < 1e16) & ((size >= 1e-4) | (size == 0.0))):
+            assert orjson.dumps(native, option=orjson.OPT_SERIALIZE_NUMPY
+                                )[1:-1] == expected
+            fast += len(row)
+    assert count >= 200_000 and fast >= 100_000
 
 
 def _traced_peak(write) -> int:

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from perronfem.lattice import LatticeError, MetzlerGenerator, \
     invariant_masks, is_irreducible, perron_report, \
-    point_positivity_theorem, positivity_improving_equiv, random_metzler, \
+    point_positivity_theorem, positivity_improving_equiv, \
     schaefer_approx_check, semigroup_at
+from tests.conftest import random_metzler
 
 SYMMETRIC_2X2 = MetzlerGenerator([[-1.0, 1.0], [1.0, -1.0]])
 TRIANGULAR_2X2 = MetzlerGenerator([[0.0, 1.0], [0.0, 0.0]])

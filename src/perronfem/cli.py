@@ -197,17 +197,19 @@ def _write_json(path: Path | None, obj) -> None:
         path.write_text(text, encoding="utf-8", newline="\n")
 
 
-def _float_text(row: np.ndarray) -> bytes:
+def _float_text(row: np.ndarray) -> bytes | memoryview:
     """The bytes of ``",".join(map(repr, row.tolist()))`` for a float64
     vector. orjson writes repr's shortest round-trip digits, about ten
     times faster, and its positional form for 0 and 1e-4 <= |v| < 1e16;
-    a row with any other value (repr's 1e-05, 1e+16, nan, inf) is written
+    its array text is returned as a view inside its brackets, not a copy.
+    A row with any other value (repr's 1e-05, 1e+16, nan, inf) is written
     by repr."""
     import orjson  # only trajectory writers load it
     row = np.ascontiguousarray(row, dtype=np.float64)  # native, C order
     size = np.abs(row)
     if np.all((size < 1e16) & ((size >= 1e-4) | (size == 0.0))):
-        return orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
+        return memoryview(orjson.dumps(
+            row, option=orjson.OPT_SERIALIZE_NUMPY))[1:-1]
     return ",".join(map(repr, row.tolist())).encode("ascii")
 
 
@@ -221,8 +223,9 @@ def _write_trajectory_csv(path: Path, times, rows) -> np.ndarray:
         fh.write(("t," + ",".join(f"v{i}" for i in range(len(first)))
                   + "\n").encode("ascii"))
         for t, row in zip(times, itertools.chain([first], rows)):
-            fh.write(b"%s,%s\n" % (repr(float(t)).encode("ascii"),
-                                   _float_text(row)))
+            fh.write(b"%s," % repr(float(t)).encode("ascii"))
+            fh.write(_float_text(row))
+            fh.write(b"\n")
     return row
 
 

@@ -4,7 +4,10 @@ Triangles are flat-shaded by the mean of their vertex values through a
 fixed five-stop color ramp; output bytes depend only on the input arrays,
 so images can be diffed across runs. Renderers write to a text stream a
 block of polygons at a time, so no more than one block's text is held in
-memory.
+memory. A block's text is joined from shared pieces: each distinct color
+and coordinate is formatted once, the y text once per image, and each
+polygon line is put together by array indexing, not by a Python-level
+step per triangle.
 """
 
 from __future__ import annotations
@@ -45,44 +48,75 @@ def _color(s: float) -> str:
     return "#%02x%02x%02x" % _RAMP[-1][1]
 
 
+def _text(values: np.ndarray, fmt: str) -> np.ndarray:
+    """``fmt % v`` for every value v, as an object array of str: each
+    distinct value is formatted once and shared by the entries that hold
+    it. Values that compare equal must have the same text (no -0.0 beside
+    0.0)."""
+    keys, index = np.unique(values, return_inverse=True)
+    return np.array([fmt % v for v in keys.tolist()], dtype=object)[index]
+
+
 def _colors(s: np.ndarray) -> list[str]:
     """``_color`` of every value at once, byte for byte: the same segment
     (the first stop >= s), the same float arithmetic and half-even
-    rounding, and NaN at the top of the ramp."""
+    rounding, and NaN at the top of the ramp. Each rgb is packed into one
+    int, so each distinct color is formatted once."""
     s = np.where(s <= 1.0, np.maximum(s, 0.0), 1.0)
     seg = np.searchsorted(_STOPS[1:], s)
     w = (s - _STOPS[seg]) / (_STOPS[seg + 1] - _STOPS[seg])
-    c0, c1 = _RGB[seg], _RGB[seg + 1]
-    rgb = np.rint(c0 + w[:, None] * (c1 - c0)).astype(int)
-    return ["#%02x%02x%02x" % tuple(c) for c in rgb.tolist()]
+    rgb = np.zeros(len(s), dtype=np.int64)
+    for channel in _RGB.T:  # a channel at a time keeps the temporaries small
+        c0, c1 = channel[seg], channel[seg + 1]
+        rgb = rgb << 8 | np.rint(c0 + w * (c1 - c0)).astype(np.int64)
+    return _text(rgb, "#%06x").tolist()
 
 
-def _polygons(mesh: TriMesh, s: np.ndarray, x0: float, y0: float,
-              lo: np.ndarray, hi: np.ndarray, scale: float):
-    """Flat-shaded ``<polygon>`` lines, one per triangle, colored by ``s``
-    (one ramp position per triangle), with the mesh's bounding box
-    [lo, hi] scaled by ``scale`` and its top-left corner at (x0, y0);
-    yielded as text blocks of ``_CHUNK`` lines, each made when asked for.
+def _painter(mesh: TriMesh, y0: float, lo: np.ndarray, hi: np.ndarray,
+             scale: float):
+    """A function ``polygons(s, x0)`` that yields flat-shaded
+    ``<polygon>`` lines, one per triangle, colored by ``s`` (one ramp
+    position per triangle), with the mesh's bounding box [lo, hi] scaled
+    by ``scale`` and its top-left corner at (x0, y0), as text blocks of
+    ``_CHUNK`` lines, each made when asked for and ending in a newline.
 
-    Each vertex is formatted once; the elementwise array arithmetic rounds
-    exactly as the scalar expression would.
+    The y text, which every frame of a row shares, is formatted here
+    once; each call formats its x text and its colors, one text per
+    distinct value, and joins each block's pieces by array indexing, with
+    no Python-level step per triangle. The elementwise array arithmetic
+    rounds exactly as the scalar expression would, and x and y are at
+    least the positive margins, so no coordinate is -0.0.
     """
-    x = x0 + (mesh.vertices[:, 0] - lo[0]) * scale
     y = y0 + (hi[1] - mesh.vertices[:, 1]) * scale  # SVG y grows downward
-    pairs = ["%.3f,%.3f" % p for p in zip(x.tolist(), y.tolist())]
-    for i in range(0, mesh.n_triangles, _CHUNK):
-        chunk = slice(i, i + _CHUNK)
-        yield "\n".join(
-            f'<polygon points="{pairs[a]} {pairs[b]} {pairs[c]}" '
-            f'fill="{color}" stroke="none"/>'
-            for a, b, c, color in zip(*mesh.triangles[chunk].T.tolist(),
-                                      _colors(s[chunk])))
+    y_text = _text(y, ",%.3f")
+    # one polygon line: '<polygon points="', x_a, y_a, ' ', x_b, y_b, ' ',
+    # x_c, y_c, '" fill="', color, '" stroke="none"/>\n'
+    line = np.empty((min(_CHUNK, mesh.n_triangles), 12), dtype=object)
+    line[:, 0] = '<polygon points="'
+    line[:, 3] = line[:, 6] = " "
+    line[:, 9] = '" fill="'
+    line[:, 11] = '" stroke="none"/>\n'
+
+    def polygons(s: np.ndarray, x0: float):
+        x = x0 + (mesh.vertices[:, 0] - lo[0]) * scale
+        x_text = _text(x, "%.3f")
+        fills = _colors(s)
+        for i in range(0, mesh.n_triangles, _CHUNK):
+            chunk = slice(i, i + _CHUNK)
+            triangles = mesh.triangles[chunk]
+            block = line[:len(triangles)]
+            block[:, 1:9:3] = x_text[triangles]
+            block[:, 2:9:3] = y_text[triangles]
+            block[:, 10] = fills[chunk]
+            yield "".join(block.ravel().tolist())
+
+    return polygons
 
 
 def _svg(fh, width: float, height: float, body) -> None:
     """An SVG document of the given size into the text stream fh: a white
-    background, then body, an iterable of text blocks, each written
-    before the next is made."""
+    background, then body, an iterable of text blocks, each ending in a
+    newline and written before the next is made."""
     size = f'width="{width:.1f}" height="{height:.1f}"'
     fh.write('<?xml version="1.0" encoding="UTF-8"?>\n'
              f'<svg xmlns="http://www.w3.org/2000/svg" {size} '
@@ -90,14 +124,13 @@ def _svg(fh, width: float, height: float, body) -> None:
              f'<rect {size} fill="white"/>\n')
     for text in body:
         fh.write(text)
-        fh.write("\n")
     fh.write("</svg>\n")
 
 
 def render_heatmap(field: np.ndarray, mesh: TriMesh, fh) -> None:
-    """SVG document for a nodal field, written to the text stream fh; a
-    constant field renders in the low ramp color with the (equal) min and
-    max annotated."""
+    """SVG document for a nodal field, written to the text stream fh. A
+    constant field, zero, positive or negative alike, renders in the top
+    ramp color with the (equal) min and max annotated."""
     field = np.asarray(field, dtype=float)
     if field.shape != (mesh.n_vertices,):
         raise ValueError(f"field must have one value per vertex "
@@ -122,10 +155,11 @@ def render_heatmap(field: np.ndarray, mesh: TriMesh, fh) -> None:
         else (means - lo_anchor) / (vmax - lo_anchor)
     label = (f"min = max = {vmin!r}" if vmin == vmax
              else f"min = {vmin!r}  max = {vmax!r}")
+    polygons = _painter(mesh, _MARGIN, lo, hi, scale)
     _svg(fh, width, height, itertools.chain(
-        _polygons(mesh, s, _MARGIN, _MARGIN, lo, hi, scale),
+        polygons(s, _MARGIN),
         [f'<text x="{_MARGIN:.1f}" y="{height - 8.0:.1f}" '
-         f'font-family="monospace" font-size="12">{label}</text>']))
+         f'font-family="monospace" font-size="12">{label}</text>\n']))
 
 
 def emit_heatmap(field: np.ndarray, mesh: TriMesh, path) -> None:
@@ -144,7 +178,8 @@ def strip_steps(n_times: int) -> np.ndarray:
 def render_strip(frames, times: np.ndarray, mesh: TriMesh, fh) -> None:
     """Row of mini heatmaps, one per nodal field in frames at the matching
     time in times, on a shared color scale, written to the text stream fh
-    a block at a time."""
+    a block at a time; frames that all hold one constant render in the
+    bottom ramp color."""
     frames = [np.asarray(f, dtype=float) for f in frames]
 
     lo = mesh.vertices.min(axis=0)
@@ -159,15 +194,17 @@ def render_strip(frames, times: np.ndarray, mesh: TriMesh, fh) -> None:
     width = cell * len(frames)
     height = 2 * pad + span[1] * scale + 20.0
 
+    polygons = _painter(mesh, pad, lo, hi, scale)
+
     def blocks():
         for index, (t, field) in enumerate(zip(times, frames)):
             x0 = index * cell + pad
             means = field[mesh.triangles].mean(axis=1)
             s = np.zeros_like(means) if vmax == vmin \
                 else (means - vmin) / (vmax - vmin)
-            yield from _polygons(mesh, s, x0, pad, lo, hi, scale)
+            yield from polygons(s, x0)
             yield (f'<text x="{x0:.1f}" y="{height - 6.0:.1f}" '
                    f'font-family="monospace" font-size="10">'
-                   f't = {t:.6g}</text>')
+                   f't = {t:.6g}</text>\n')
 
     _svg(fh, width, height, blocks())

@@ -4,12 +4,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perronfem.cli import _write_trajectory_csv, main, read_kernel_dump
 from perronfem.expressions import ExpressionError, evaluate_field
 from perronfem.mesh import generate_structured, load_mesh
 from perronfem.semigroup import Verdict, default_dt
-from perronfem.svgplot import _color, _colors, render_heatmap, \
+from perronfem.svgplot import _STOPS, _color, _colors, render_heatmap, \
     render_strip, strip_steps
 from perronfem.verification import Problem, run_suite
 from perronfem.assembly import BoundaryMode, CoefficientSet
@@ -773,8 +775,9 @@ def test_cli_parabolic_draws_the_strip_after_the_march_is_freed(
 
 
 def test_cli_only_trajectory_writers_import_orjson(tmp_path):
-    # verify, eig and kernel never write a trajectory: they keep today's
-    # imports; evolve writes one through orjson
+    # importing the command line (and the renderers with it) does not load
+    # orjson; verify, eig and kernel never write a trajectory: they keep
+    # today's imports; evolve writes one through orjson
     import os
     import subprocess
     import sys
@@ -785,6 +788,7 @@ def test_cli_only_trajectory_writers_import_orjson(tmp_path):
     script = (
         "import sys\n"
         "from perronfem.cli import main\n"
+        "print('orjson after import', 'orjson' in sys.modules)\n"
         "for command in ('verify', 'evolve'):\n"
         "    assert main([command, '--config', sys.argv[1]]) == 0\n"
         "    print('orjson after', command, 'orjson' in sys.modules)\n")
@@ -794,7 +798,8 @@ def test_cli_only_trajectory_writers_import_orjson(tmp_path):
                          env={**os.environ, "PYTHONPATH": src})
     assert [line for line in run.stdout.splitlines()
             if line.startswith("orjson after")] == \
-        ["orjson after verify False", "orjson after evolve True"]
+        ["orjson after import False", "orjson after verify False",
+         "orjson after evolve True"]
 
 
 def _parabolic_traced_peak(tmp_path, steps):
@@ -916,6 +921,98 @@ def test_cli_malformed_section_is_an_error(tmp_path, capsys, command,
     assert main([command, "--config", path]) == 2
     _assert_one_error_line(capsys, message)
     assert not (tmp_path / "out" / "verification_report.json").exists()
+
+
+# -- config fuzz: every accepted input ends in a verdict or one error line ----
+
+_FUZZ_BASES = {
+    "eig": {**ROBIN_PROBLEM, "mesh": {"shape": "unit_square", "n": 3,
+                                      "tags": "N"}},
+    "evolve": {**ROBIN_PROBLEM,
+               "mesh": {"shape": "unit_square", "n": 3, "tags": "N"},
+               "evolution": {"dt": 0.01, "t_end": 0.03}, "u0": "1+x*y"},
+    "parabolic": {**PARABOLIC_PROBLEM,
+                  "mesh": {"shape": "unit_square", "n": 3, "tags": "D"},
+                  "evolution": {"dt": 0.01, "t_end": 0.05},
+                  "u0": "x*y*(1-x)*(1-y)", "phi": {"constant": 0.0},
+                  "test_bank_size": 3},
+    "verify": {**ROBIN_PROBLEM,
+               "mesh": {"shape": "unit_square", "n": 3, "tags": "N"},
+               "evolution": {"dt": 0.01, "t_end": 0.03},
+               "oracle": {"matrix": [[-1.0, 1.0], [1.0, -1.0]]}},
+}
+_FUZZ_SECTIONS = {
+    "mesh": ("shape", "n", "tags", "width", "height", "path"),
+    "coefficients": ("a", "b", "c", "c0", "beta", "mu", "mode"),
+    "evolution": ("scheme", "dt", "t_end", "mass"),
+    "solver": ("tol",),
+    "phi": ("constant", "samples"),
+    "oracle": ("matrix", "expect_irreducible"),
+}
+# names the config knows, plus text it does not; none holds a path
+# separator, so output_dir stays inside the run's directory
+_FUZZ_WORDS = ("", "D", "N", "flux", "robin", "dirichlet", "neumann",
+               "mixed", "complex_robin", "unit_square", "rectangle",
+               "l_shape", "implicit_euler", "crank_nicolson", "lumped",
+               "consistent", "x*y", "1/0", "x+", "re", "im", "t", "expr",
+               "constant", "n", "out")
+
+
+# numbers are at most 3 in size and at least 0.01 away from zero (or zero),
+# so n <= 3 and no horizon takes more than 300 steps
+_FUZZ_NUMBERS = st.integers(-3, 3) | st.sampled_from(
+    [0.5, -0.5, 0.01, 2.5, -0.0, float("nan"), float("inf"), float("-inf")])
+_FUZZ_WORD = st.sampled_from(_FUZZ_WORDS)
+# mostly scalars, which a key often accepts, then nested values
+_FUZZ_VALUES = (_FUZZ_NUMBERS | _FUZZ_WORD | st.none() | st.booleans()
+                | st.recursive(_FUZZ_NUMBERS | _FUZZ_WORD,
+                               lambda inner: st.lists(inner, max_size=3)
+                               | st.dictionaries(_FUZZ_WORD, inner,
+                                                 max_size=2),
+                               max_leaves=4))
+
+
+def _fuzz_edits(command):
+    """One or two (key path, JSON value) pairs over every top-level key the
+    command accepts and every key of its sections."""
+    from perronfem import cli
+    keys = {"eig": cli._EIG_KEYS, "evolve": cli._EVOLVE_KEYS,
+            "parabolic": cli._PARABOLIC_KEYS,
+            "verify": cli._VERIFY_KEYS}[command]
+    paths = [(key,) for key in sorted(keys)] + [
+        (key, sub) for key in sorted(keys & set(_FUZZ_SECTIONS))
+        for sub in _FUZZ_SECTIONS[key]]
+    return st.lists(st.tuples(st.sampled_from(paths), _FUZZ_VALUES),
+                    min_size=1, max_size=2)
+
+
+@pytest.mark.parametrize("command", sorted(_FUZZ_BASES))
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_cli_config_fuzz_ends_in_a_verdict_or_one_error_line(command, data):
+    # random JSON values under every key a command reads: each run exits 0
+    # or 1 with a verdict, or 2 with one "error:" line, never with an
+    # exception out of main
+    import contextlib
+    import copy
+    import tempfile
+    cfg = copy.deepcopy(dict(_FUZZ_BASES[command], output_dir="out"))
+    for path, value in data.draw(_fuzz_edits(command)):
+        if len(path) == 1:
+            cfg[path[0]] = value
+        elif isinstance(cfg.setdefault(path[0], {}), dict):
+            cfg[path[0]][path[1]] = value
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main([command, "--config",
+                     write_config(Path(tmp) / "c.json", cfg)])
+    if code == 2:
+        assert err.getvalue().startswith("error: ") \
+            and err.getvalue().count("\n") == 1, (cfg, err.getvalue())
+    else:
+        assert code in (0, 1), cfg
 
 
 def test_cli_initial_data_may_be_a_json_number(tmp_path):
@@ -1579,6 +1676,112 @@ def test_array_colors_equal_the_scalar_ramp():
                         np.nextafter(_STOPS, -1.0), np.nextafter(_STOPS, 2.0),
                         [-np.inf, np.inf, np.nan, -0.0]])
     assert _colors(s) == [_color(float(v)) for v in s]
+
+
+def _fills(svg: str) -> set:
+    return {line.split('fill="')[1].split('"')[0]
+            for line in svg.splitlines() if "<polygon" in line}
+
+
+@pytest.mark.parametrize("value", [0.0, 2.0, -1.0])
+def test_constant_fields_take_the_ends_of_the_ramp(robin_mesh8, value):
+    # a constant heatmap is drawn at the top of the ramp whatever its
+    # sign; a strip of constant frames at the bottom
+    field = np.full(robin_mesh8.n_vertices, value)
+    assert _fills(_svg_text(render_heatmap, field, robin_mesh8)) \
+        == {"#fde725"} == {_color(1.0)}
+    strip = _svg_text(render_strip, [field, field], np.array([0.0, 1.0]),
+                      robin_mesh8)
+    assert _fills(strip) == {"#440154"} == {_color(0.0)}
+
+
+def _scalar_document(width, height, body) -> str:
+    """An SVG document written one value at a time: the reference for the
+    renderers' array text."""
+    size = f'width="{width:.1f}" height="{height:.1f}"'
+    return ('<?xml version="1.0" encoding="UTF-8"?>\n'
+            f'<svg xmlns="http://www.w3.org/2000/svg" {size} '
+            f'viewBox="0 0 {width:.1f} {height:.1f}">\n'
+            f'<rect {size} fill="white"/>\n' + "".join(body) + "</svg>\n")
+
+
+def _scalar_box(mesh, inner):
+    """(lo_x, hi_y, span_y, scale) of the mesh drawn in an inner square."""
+    xs = [float(x) for x, _ in mesh.vertices]
+    ys = [float(y) for _, y in mesh.vertices]
+    span_x, span_y = max(xs) - min(xs), max(ys) - min(ys)
+    return min(xs), max(ys), span_y, inner / max(span_x, span_y, 1e-300)
+
+
+def _scalar_polygons(mesh, field, anchor, top, fallback, x0, y0, box):
+    """Polygon lines one triangle at a time: the mean of its vertex values,
+    its ramp position on [anchor, top] (fallback when that is empty),
+    ``_color`` of it and "%.3f,%.3f" of each vertex."""
+    lo_x, hi_y, _, scale = box
+    values = [float(v) for v in field]
+    for a, b, c in mesh.triangles.tolist():
+        mean = (values[a] + values[b] + values[c]) / 3
+        s = fallback if top == anchor else (mean - anchor) / (top - anchor)
+        points = " ".join(
+            "%.3f,%.3f" % (x0 + (float(mesh.vertices[v, 0]) - lo_x) * scale,
+                           y0 + (hi_y - float(mesh.vertices[v, 1])) * scale)
+            for v in (a, b, c))
+        yield (f'<polygon points="{points}" fill="{_color(s)}" '
+               f'stroke="none"/>\n')
+
+
+def _scalar_heatmap(field, mesh) -> str:
+    box = _scalar_box(mesh, 420.0 - 2 * 20.0)
+    vmin, vmax = float(min(field)), float(max(field))
+    anchor = 0.0 if vmin >= 0.0 else vmin
+    height = 2 * 20.0 + box[2] * box[3] + 24.0
+    label = (f"min = max = {vmin!r}" if vmin == vmax
+             else f"min = {vmin!r}  max = {vmax!r}")
+    return _scalar_document(420.0, height, [
+        *_scalar_polygons(mesh, field, anchor, vmax, 1.0, 20.0, 20.0, box),
+        f'<text x="20.0" y="{height - 8.0:.1f}" font-family="monospace" '
+        f'font-size="12">{label}</text>\n'])
+
+
+def _scalar_strip(frames, times, mesh) -> str:
+    box = _scalar_box(mesh, 150.0 - 2 * 12.0)
+    vmin = min(float(min(f)) for f in frames)
+    vmax = max(float(max(f)) for f in frames)
+    height = 2 * 12.0 + box[2] * box[3] + 20.0
+    body = []
+    for index, (t, field) in enumerate(zip(times, frames)):
+        x0 = index * 150.0 + 12.0
+        body += _scalar_polygons(mesh, field, vmin, vmax, 0.0, x0, 12.0, box)
+        body.append(f'<text x="{x0:.1f}" y="{height - 6.0:.1f}" '
+                    f'font-family="monospace" font-size="10">'
+                    f't = {t:.6g}</text>\n')
+    return _scalar_document(150.0 * len(frames), height, body)
+
+
+@pytest.mark.parametrize("shape, n", [("unit_square", 24), ("l_shape", 16)])
+def test_renderers_equal_the_value_by_value_text(shape, n):
+    # meshes of two blocks of polygons (1,152 and 1,536 triangles); fields
+    # with negative values, constants, and triangle means on the ramp stops
+    mesh = generate_structured(shape, n, "D")
+    x, y = mesh.vertices.T
+    waves = np.sin(5.0 * x) * np.cos(3.0 * y)
+    # 0, 0.25, ... 1 in five bands
+    steps = np.minimum(np.floor(5.0 * x / x.max()), 4.0) / 4.0
+    constant = np.full(mesh.n_vertices, 0.5)
+    for field in (waves, 1.0 + waves, steps, 8.0 * steps, constant,
+                  -constant, 0.0 * constant):
+        assert _svg_text(render_heatmap, field, mesh) \
+            == _scalar_heatmap(field, mesh)
+    svg = _svg_text(render_heatmap, steps, mesh)
+    assert {_color(float(s)) for s in _STOPS} <= _fills(svg)
+    times = np.array([0.0, 0.125, 1e-7, 2.5])
+    for frames in ([waves, constant, steps, -steps], [constant] * 3,
+                   [steps, 2.0 * steps]):
+        assert _svg_text(render_strip, frames, times[:len(frames)], mesh) \
+            == _scalar_strip(frames, times[:len(frames)], mesh)
+    svg = _svg_text(render_strip, [steps, 0.0 * steps], times[:2], mesh)
+    assert {_color(float(s)) for s in _STOPS} <= _fills(svg)
+
 
 
 def test_cli_verify_complex_spelled_real_beta_is_byte_equal(tmp_path):

@@ -330,13 +330,11 @@ class DiscreteOperator:
 
     @cached_property
     def solver_cache(self) -> dict:
-        """Factorizations, spectra and graph data derived from this
-        operator, filled only through ``cached``: the step factorization
-        per scheme, dt and mass, the eigensolves per mass kind, k and tol,
-        the factor of the stiffness itself that both Hermitian pencils
-        iterate through when it is a certified M-matrix (None when it is
-        not), and the stiffness graph's diameter with its peripheral
-        pair."""
+        """Factorizations and spectra derived from this operator, filled
+        only through ``cached``: the step factorization per scheme, dt and
+        mass, the eigensolves per mass kind, k and tol, and the factor of
+        the stiffness itself that both Hermitian pencils iterate through
+        when it is a certified M-matrix (None when it is not)."""
         return {}
 
     def cached(self, key, compute):

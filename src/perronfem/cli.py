@@ -25,12 +25,8 @@ from .lattice import MetzlerGenerator, is_irreducible, perron_report, \
     positivity_improving_equiv
 from .mesh import MeshError, generate_structured, load_mesh, quality, \
     save_mesh
-# parabolic feeds PositivityScan and WeakResidual a state at a time; the
-# whole-solution checks stay bound here, where benchmarks/tracing.py wraps
-# them
 from .parabolic import BoundaryData, PositivityScan, WeakResidual, \
-    make_test_bank, solve_mild, strong_positivity_check, \
-    very_weak_residual  # noqa: F401
+    make_test_bank, solve_mild
 from .semigroup import EvolutionConfig, default_evolution, kernel, \
     kernel_positivity_report, march
 from .spectral import REGION_FOR_MODE, SolverError, certify_positivity, \
@@ -439,7 +435,6 @@ def _cmd_parabolic(args) -> int:
     _write_json(out / "verdict.json", {
         "strong_positivity": {
             "verdict": report.verdict.value,
-            "threshold_step": report.threshold_step,
             "start_step": report.start_step,
             "first_violation": report.first_violation,
             "reason": report.reason,

@@ -35,7 +35,7 @@ from .assembly import CoefficientSet, MassKind, annihilates_constants, \
     assemble_volume, mass_matrix, mmatrix_certificate, offdiag_max
 from .mesh import TriMesh
 from .semigroup import IMPLICIT_EULER_ONLY, EvolutionConfig, Scheme, \
-    Verdict, graph_diameter, step_matrices
+    Verdict, step_matrices
 from .spectral import SolverError, factorize
 
 COMPATIBILITY_TOL = 1e-10
@@ -190,21 +190,9 @@ def solve_mild(mesh: TriMesh, coeffs: CoefficientSet, u0: np.ndarray,
 # ---------------------------------------------------------------------------
 # strong positivity
 
-def _interior_threshold(sol: MildSolution) -> int:
-    """The interior graph diameter; -1 when that graph is disconnected,
-    which leaves the verdict to the certificate's "reducible" reason."""
-    try:
-        diameter, _ = graph_diameter(
-            sol.stiffness[sol.interior][:, sol.interior], LookupError())
-    except LookupError:
-        return -1
-    return diameter
-
-
 @dataclass(frozen=True)
 class StrongPositivityReport:
     verdict: Verdict
-    threshold_step: int
     start_step: int             # first step at which positivity is claimed
     first_violation: tuple | None = None   # (time, vertex)
     reason: str = ""
@@ -224,10 +212,9 @@ class PositivityScan:
     Z u_I(k+1) = M_L,II u_I(k) - dt A_IB u_B(k+1); when
     Z = (M_L + dt A)_II passes ``mmatrix_certificate`` and -A_IB >= 0,
     Z^-1 > 0 maps a nonnegative, nonzero right-hand side to a positive
-    state, and every later right-hand side is nonzero. ``threshold_step``
-    reports the interior graph diameter (-1 when disconnected), for
-    reference only. The float cross-check tests sign: an exact 0.0 is
-    flagged as underflow, a negative value fails."""
+    state, and every later right-hand side is nonzero. The float
+    cross-check tests sign: an exact 0.0 is flagged as underflow, a
+    negative value fails."""
 
     def __init__(self, sol: MildSolution):
         self.interior, self.times = sol.interior, sol.times
@@ -236,12 +223,10 @@ class PositivityScan:
         u0 = sol.u0
         if u0.min() < 0.0 or sol.phi.values.min() < 0.0:
             self.settled = StrongPositivityReport(
-                Verdict.NOT_APPLICABLE, -1, -1,
+                Verdict.NOT_APPLICABLE, -1,
                 reason="hypotheses need nonnegative initial and boundary "
                        "data")
             return
-
-        self.threshold = _interior_threshold(sol)
         n_steps, dt = len(sol.times) - 1, sol.cfg.dt
         A = sol.stiffness[sol.interior]
         A_IB = A[:, sol.boundary]
@@ -266,8 +251,7 @@ class PositivityScan:
                 offdiag_max(sol.stiffness, sol.interior)).reason
         if reason:
             self.settled = StrongPositivityReport(
-                Verdict.NOT_APPLICABLE, self.threshold, self.start,
-                reason=reason)
+                Verdict.NOT_APPLICABLE, self.start, reason=reason)
 
     def add(self, k: int, state: np.ndarray) -> None:
         """Read the sign of step k's interior values; the first negative
@@ -278,14 +262,14 @@ class PositivityScan:
         low = float(inside.min())
         if low < 0.0:
             self.settled = StrongPositivityReport(
-                Verdict.FAIL, self.threshold, self.start, first_violation=(
+                Verdict.FAIL, self.start, first_violation=(
                     float(self.times[k]),
                     int(self.interior[int(np.argmin(inside))])))
         self.underflow = self.underflow or low == 0.0
 
     def report(self) -> StrongPositivityReport:
         return self.settled or StrongPositivityReport(
-            Verdict.PASS, self.threshold, self.start, underflow=self.underflow)
+            Verdict.PASS, self.start, underflow=self.underflow)
 
 
 def strong_positivity_check(sol: MildSolution) -> StrongPositivityReport:

@@ -7,8 +7,9 @@ B^-1 > 0, every kernel K(t) = (B^-1 M_L)^n M_L^-1 is positive on the free
 pairs and every nodal indicator is positive after one step; the
 certificate alone decides both positivity verdicts. In floats, values
 decay fast with graph distance, so the cross-checks test only the sign of
-the point-mass columns at the two ends of the sparsity graph's diameter,
-at the first step, where the certificate's claim begins, and at t.
+the point-mass columns at two far-apart dofs of the sparsity graph
+(``peripheral_pair``), at the first step, where the certificate's claim
+begins, and at t.
 
 ``step_matrices`` is the one place a scheme becomes matrices; the
 boundary-pinned solve in ``parabolic`` slices its rows. ``march`` is the
@@ -139,68 +140,28 @@ def march(op: DiscreteOperator, cfg: EvolutionConfig, u: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# graph thresholds
-
-def propagation_threshold(op: DiscreteOperator) -> int:
-    """Diameter of the stiffness sparsity graph over the free dofs.
-
-    Support propagates only along nonzero couplings, so this graph (not
-    the mesh edge graph, which may contain zero-weight diagonals) governs
-    how many steps full support provably takes. Computed once per operator.
-    """
-    return _stiffness_diameter(op)[0]
-
+# probe columns
 
 def peripheral_pair(op: DiscreteOperator) -> tuple:
-    """Two free dofs at the stiffness graph's diameter from each other; the
-    one free dof of a one-vertex graph."""
-    u, v = _stiffness_diameter(op)[1]
-    return (u,) if u == v else (u, v)
+    """Two far-apart free dofs of the stiffness sparsity graph, in
+    ascending order; the one free dof of a one-vertex graph.
 
-
-def _stiffness_diameter(op: DiscreteOperator) -> tuple:
-    return op.cached("stiffness_diameter", lambda: graph_diameter(
-        op.stiffness, RuntimeError("operator sparsity graph is disconnected")))
-
-
-def graph_diameter(matrix: sp.spmatrix, disconnected: Exception) -> tuple:
-    """(diameter, (u, v)) of the undirected graph of a square matrix's
-    nonzero off-diagonal entries, with u and v at that distance from each
-    other; raises ``disconnected`` when the graph has more than one
-    component.
-
-    Exact, by bounding eccentricities (Takes & Kosters, CIKM 2011): each
-    breadth-first sweep from v, with eccentricity e and distances d, bounds
-    every vertex's eccentricity by max(d, e - d) below and e + d above.
-    Sources alternate between the largest upper and the smallest lower
-    bound among vertices that could still beat the best eccentricity found,
-    until none can. Memory is O(N); structured meshes take a handful of
-    sweeps.
+    Breadth-first sweeps start at dof 0, each later one from the farthest
+    vertex of the one before, until the eccentricity stops growing; the
+    last improving sweep's source and farthest vertex are the pair. They
+    need not sit at the graph's diameter: the pair only picks the probe
+    columns.
     """
-    pattern = offdiagonal_pattern(matrix)
+    pattern = offdiagonal_pattern(op.stiffness)
     pattern = (pattern + pattern.T).tocsr()
-    if pattern.shape[0] == 0:
-        raise ValueError("a graph without vertices has no diameter")
-    lo = np.zeros(pattern.shape[0])
-    hi = np.full(pattern.shape[0], np.inf)
-    best, ends = -1.0, None
-    largest_hi = True
+    u, v, best = 0, 0, 0.0
     while True:
-        live = np.flatnonzero(hi > best)
-        if live.size == 0:
-            return int(best), ends
-        v = live[np.argmax(hi[live])] if largest_hi \
-            else live[np.argmin(lo[live])]
-        largest_hi = not largest_hi
         # unweighted Dijkstra is scipy's breadth-first sweep with distances
         d = dijkstra(pattern, unweighted=True, indices=v)
-        e = d.max()
-        if np.isinf(e):
-            raise disconnected
-        if e > best:
-            best, ends = e, (int(v), int(np.argmax(d)))
-        lo = np.maximum(lo, np.maximum(d, e - d))
-        hi = np.minimum(hi, e + d)
+        w = int(np.argmax(d))
+        if not d[w] > best:
+            return (u,) if u == v else tuple(sorted((u, v)))
+        u, v, best = v, w, d[w]
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +322,6 @@ def kernel_positivity_report(K: KernelMatrix) -> KernelPositivityReport:
 @dataclass(frozen=True)
 class PositivityImprovingReport:
     verdict: Verdict
-    threshold_step: int = -1
     columns: tuple = ()           # vertex of each sampled indicator
     min_at_first_step: float = math.nan
     min_at_end: float = math.nan
@@ -381,8 +341,7 @@ def positivity_improving_check(op: DiscreteOperator,
     cross-check tests their sign on the region in indicator units (the
     column of vertex v times its lumped mass): an entry of exactly 0.0 is
     float underflow and is flagged as such, a negative or NaN entry is a
-    program bug and raises AssertionError. ``threshold_step`` reports the
-    sparsity-graph diameter, for reference only.
+    program bug and raises AssertionError.
     """
     if not certificate.holds:
         return PositivityImprovingReport(Verdict.NOT_APPLICABLE,
@@ -391,7 +350,6 @@ def positivity_improving_check(op: DiscreteOperator,
         return PositivityImprovingReport(
             Verdict.NOT_APPLICABLE,
             reason=f"no positivity region for mode {op.mode.value}")
-    threshold = propagation_threshold(op)
     rows = region_vertices(op, REGION_FOR_MODE[op.mode])
     low, end = (float((K.entries[rows] * K.lumped_mass_full[K.columns]).min())
                 for K in ends)
@@ -400,6 +358,6 @@ def positivity_improving_check(op: DiscreteOperator,
             f"indicator minima {low!r} at the first step and {end!r} at "
             f"t are not positive under a holding positivity certificate")
     return PositivityImprovingReport(
-        Verdict.PASS, threshold, tuple(int(v) for v in ends[-1].columns),
+        Verdict.PASS, tuple(int(v) for v in ends[-1].columns),
         min_at_first_step=low, min_at_end=end,
         underflow=min(low, end) == 0.0)

@@ -128,9 +128,11 @@ def _svg(fh, width: float, height: float, body) -> None:
 
 
 def render_heatmap(field: np.ndarray, mesh: TriMesh, fh) -> None:
-    """SVG document for a nodal field, written to the text stream fh. A
-    constant field, zero, positive or negative alike, renders in the top
-    ramp color with the (equal) min and max annotated."""
+    """SVG document for a nodal field, written to the text stream fh, with
+    its min and max annotated. A nonnegative field is colored on [0, max],
+    so a positive constant renders in the top ramp color; an all-zero or
+    negative constant field renders in the bottom one, as a strip of
+    constant frames does."""
     field = np.asarray(field, dtype=float)
     if field.shape != (mesh.n_vertices,):
         raise ValueError(f"field must have one value per vertex "
@@ -151,7 +153,7 @@ def render_heatmap(field: np.ndarray, mesh: TriMesh, fh) -> None:
     height = 2 * _MARGIN + span[1] * scale + 24.0
 
     means = field[mesh.triangles].mean(axis=1)
-    s = np.ones_like(means) if vmax == lo_anchor \
+    s = np.zeros_like(means) if vmax == lo_anchor \
         else (means - lo_anchor) / (vmax - lo_anchor)
     label = (f"min = max = {vmin!r}" if vmin == vmax
              else f"min = {vmin!r}  max = {vmax!r}")

@@ -45,7 +45,7 @@ class KernelProbes:
     """What the four kernel checks read, at the horizon t = t1 + t2."""
 
     t: float
-    ends: KernelMatrix       # K(t) on the point masses at the peripheral pair
+    ends: KernelMatrix       # K(t) on the point masses of peripheral_pair
     ends_at_first_step: KernelMatrix  # the same columns at step 1
     probes: np.ndarray       # Z, (n_dof, PROBES)
     forward: np.ndarray      # K(t) Z
@@ -95,7 +95,7 @@ class Problem:
     def kernel_probes(self) -> KernelProbes:
         """One forward march to t of a fixed-seed probe block Z and, when
         the positivity certificate holds, of the point masses at the two
-        ends of the stiffness graph's diameter, kept at step 1, where the
+        far-apart dofs of ``peripheral_pair``, kept at step 1, where the
         certificate's claim begins, and at t1 = floor(n / 2) dt; one adjoint
         march of Z to t2 = t - t1. O(n_dof * PROBES) memory."""
         op, cfg = self.op, self.evolution_cfg
@@ -208,8 +208,7 @@ def _check_positivity_improving(p: Problem):
     ends = (p.kernel_probes.ends_at_first_step, p.kernel_probes.ends) \
         if p.certificate.holds else ()
     rep = positivity_improving_check(p.op, p.certificate, ends)
-    payload = {"threshold_step": rep.threshold_step,
-               "trials": len(rep.columns)}
+    payload = {"trials": len(rep.columns)}
     if rep.reason:
         payload["reason"] = rep.reason
     if rep.columns:

@@ -435,7 +435,9 @@ def test_cli_parabolic(tmp_path):
 # moved to the M-matrix certificate: Crank-Nicolson with consistent mass is
 # outside it, and c = (0.5, 0.25) puts positive off-diagonal entries on the
 # diagonal edges; both verdicts re-pinned when the claim began at step 1
-# instead of the interior graph diameter: start_step 8 -> 1 and 6 -> 1
+# instead of the interior graph diameter: start_step 8 -> 1 and 6 -> 1;
+# both verdicts re-pinned when the interior graph diameter was no longer
+# computed: only the "threshold_step" key (8 and 6) is gone
 PINNED_PARABOLIC = {
     "implicit-euler": ({
         "mesh": {"shape": "unit_square", "n": 6, "tags": "D"},
@@ -448,7 +450,7 @@ PINNED_PARABOLIC = {
         "test_bank_size": 8, "seed": 3,
     }, {
         "verdict.json":
-            "2b467ecd785162c1bbebddd28da409b65926d0a2256430008de2052e95b07a7d",
+            "c2769aa2a2f9c60750956d54803f77ab5836b57f5a3b749e69b3052283f685a8",
         "trajectory.csv":
             "1042c9f5efa2851d0f125c5187cbe12e5d5f48081da8f8e4685fa6968b6391b0",
         "strip.svg":
@@ -466,7 +468,7 @@ PINNED_PARABOLIC = {
         "test_bank_size": 8, "seed": 1,
     }, {
         "verdict.json":
-            "804d80c1950bd5b74e2a32a00f600899434080c93b4140dc748cfe1d69005ab0",
+            "5e2d64e16983ac051edf2e5a146c9ee7161041a5d17a0f69fe74b81f7db79e82",
         "trajectory.csv":
             "34f51542678b80a31892c217586473df3c1064259814939425cabf7cc52b054b",
         "strip.svg":
@@ -1098,14 +1100,12 @@ def test_cli_parabolic_on_a_disconnected_interior_is_not_applicable(
     positivity = verdict["strong_positivity"]
     assert positivity["verdict"] == "not_applicable"
     assert reason in positivity["reason"]
-    assert positivity["threshold_step"] == -1
 
 
 def _assert_n44_robin_marches_80_steps(tmp_path, cfg):
     """positivity-improving and kernel-positivity PASS on a Robin n = 44
     square over 80 steps, though its stiffness-graph diameter is 88: the
-    certificate holds from step 1, and the diameter is reported for
-    reference."""
+    certificate holds from step 1."""
     mesh = {"shape": "unit_square", "n": 44, "tags": "N"}
     path = write_config(tmp_path / "c.json", {
         "mesh": mesh, "coefficients": {"beta": 1.0, "mode": "robin"}, **cfg})
@@ -1118,10 +1118,9 @@ def _assert_n44_robin_marches_80_steps(tmp_path, cfg):
         assert results[label]["verdict"] == "pass"
     dt = default_dt(generate_structured(mesh["shape"], mesh["n"], "N"))
     assert results["kernel-positivity"]["payload"]["t"] == 80 * dt
-    assert results["positivity-improving"]["payload"]["threshold_step"] == 88
 
 
-def test_cli_default_horizon_is_80_steps_above_the_graph_diameter(tmp_path):
+def test_cli_default_horizon_is_80_steps_at_n44(tmp_path):
     _assert_n44_robin_marches_80_steps(tmp_path, {})
 
 
@@ -1177,7 +1176,10 @@ def test_cli_verify_kernel_symmetry_not_applicable_under_consistent_mass(
 # residuals by up to 65%; no verdict moved. robin6, dirichlet6 and lshape4
 # were re-pinned when chapman-kolmogorov moved from K(2t) = K(t) M_L K(t)
 # to the split K(t) = K(t2) M_L K(t1) of the one horizon: only its
-# round-off-sized max_deviation differs.
+# round-off-sized max_deviation differs. robin6, dirichlet6 and lshape4 were
+# re-pinned when the graph diameter was no longer computed: only
+# positivity-improving's "threshold_step" line (12, 8 and 15) is gone; the
+# breadth-first sweeps pick the same probe columns.
 PINNED_REPORTS = {
     "robin6": ({
         "mesh": {"shape": "unit_square", "n": 6, "tags": "N"},
@@ -1185,11 +1187,11 @@ PINNED_REPORTS = {
         "oracle": {"matrix": [[-2.0, 1.0, 0.0], [0.0, -2.0, 1.0],
                               [0.5, 0.0, -2.0]],
                    "expect_irreducible": True},
-    }, "812a8f512441f402553fe1aedc6c7e25787d3ef16dabe59ee1e92fb41e99a951"),
+    }, "48600e4be6a7aa421ace2e08a803bd057454573cfe1394626697f7004d7ed880"),
     "dirichlet6": ({
         "mesh": {"shape": "unit_square", "n": 6, "tags": "D"},
         "coefficients": {"mode": "dirichlet"},
-    }, "dc714958122c5f02b40ec5cd74c77ed77befa7b5d44762c299dc86104a497633"),
+    }, "e2d872e8393fa4e4d24ab3eed46a476b31ec681ea0893dd173a305a0041133e7"),
     "complex6": ({
         "mesh": {"shape": "unit_square", "n": 6, "tags": "N"},
         "coefficients": {"beta": {"re": 1.0, "im": 0.5},
@@ -1198,7 +1200,7 @@ PINNED_REPORTS = {
     "lshape4": ({
         "mesh": {"shape": "l_shape", "n": 4, "tags": LSHAPE_MIXED_TAGS},
         "coefficients": {"mode": "mixed"},
-    }, "8ffdfb4ddb9951b26ad248b24a73fbfb945c3569215e415d317984fe87f943e1"),
+    }, "07b343a625664eb158c983e6fa8c5a14074dac202e8d7fdd7fd01190472e5960"),
 }
 
 
@@ -1685,11 +1687,15 @@ def _fills(svg: str) -> set:
 
 @pytest.mark.parametrize("value", [0.0, 2.0, -1.0])
 def test_constant_fields_take_the_ends_of_the_ramp(robin_mesh8, value):
-    # a constant heatmap is drawn at the top of the ramp whatever its
-    # sign; a strip of constant frames at the bottom
+    # a heatmap colors a nonnegative field on [0, max]: a positive constant
+    # is drawn at the top of the ramp, while zero, like a nonnegative
+    # field's zeros, and a negative constant are drawn at the bottom (an
+    # all-zero heatmap was once drawn at the top); a strip of constant
+    # frames is drawn at the bottom
     field = np.full(robin_mesh8.n_vertices, value)
+    top = value > 0.0
     assert _fills(_svg_text(render_heatmap, field, robin_mesh8)) \
-        == {"#fde725"} == {_color(1.0)}
+        == {"#fde725" if top else "#440154"} == {_color(float(top))}
     strip = _svg_text(render_strip, [field, field], np.array([0.0, 1.0]),
                       robin_mesh8)
     assert _fills(strip) == {"#440154"} == {_color(0.0)}
@@ -1713,15 +1719,15 @@ def _scalar_box(mesh, inner):
     return min(xs), max(ys), span_y, inner / max(span_x, span_y, 1e-300)
 
 
-def _scalar_polygons(mesh, field, anchor, top, fallback, x0, y0, box):
+def _scalar_polygons(mesh, field, anchor, top, x0, y0, box):
     """Polygon lines one triangle at a time: the mean of its vertex values,
-    its ramp position on [anchor, top] (fallback when that is empty),
+    its ramp position on [anchor, top] (0 when that is empty),
     ``_color`` of it and "%.3f,%.3f" of each vertex."""
     lo_x, hi_y, _, scale = box
     values = [float(v) for v in field]
     for a, b, c in mesh.triangles.tolist():
         mean = (values[a] + values[b] + values[c]) / 3
-        s = fallback if top == anchor else (mean - anchor) / (top - anchor)
+        s = 0.0 if top == anchor else (mean - anchor) / (top - anchor)
         points = " ".join(
             "%.3f,%.3f" % (x0 + (float(mesh.vertices[v, 0]) - lo_x) * scale,
                            y0 + (hi_y - float(mesh.vertices[v, 1])) * scale)
@@ -1738,7 +1744,7 @@ def _scalar_heatmap(field, mesh) -> str:
     label = (f"min = max = {vmin!r}" if vmin == vmax
              else f"min = {vmin!r}  max = {vmax!r}")
     return _scalar_document(420.0, height, [
-        *_scalar_polygons(mesh, field, anchor, vmax, 1.0, 20.0, 20.0, box),
+        *_scalar_polygons(mesh, field, anchor, vmax, 20.0, 20.0, box),
         f'<text x="20.0" y="{height - 8.0:.1f}" font-family="monospace" '
         f'font-size="12">{label}</text>\n'])
 
@@ -1751,7 +1757,7 @@ def _scalar_strip(frames, times, mesh) -> str:
     body = []
     for index, (t, field) in enumerate(zip(times, frames)):
         x0 = index * 150.0 + 12.0
-        body += _scalar_polygons(mesh, field, vmin, vmax, 0.0, x0, 12.0, box)
+        body += _scalar_polygons(mesh, field, vmin, vmax, x0, 12.0, box)
         body.append(f'<text x="{x0:.1f}" y="{height - 6.0:.1f}" '
                     f'font-family="monospace" font-size="10">'
                     f't = {t:.6g}</text>\n')
@@ -1809,7 +1815,7 @@ def test_cli_parabolic_default_horizon_short_of_the_claim(tmp_path, capsys):
     positivity = verdict["strong_positivity"]
     assert verdict["steps"] == 80
     assert positivity["verdict"] == "pass"
-    assert (positivity["start_step"], positivity["threshold_step"]) == (1, 92)
+    assert positivity["start_step"] == 1
     assert positivity["reason"] == ""
     assert "underflow" not in positivity
     capsys.readouterr()

@@ -10,8 +10,7 @@ from perronfem.parabolic import BoundaryData, ConstancyVerdict, \
     MildSolution, ParabolicError, PositivityScan, WeakResidual, \
     constancy_principle_check, elliptic_strong_max_check, make_test_bank, \
     solve_mild, strong_positivity_check, very_weak_residual
-from perronfem.semigroup import EvolutionConfig, MassKind, Verdict, \
-    graph_diameter
+from perronfem.semigroup import EvolutionConfig, MassKind, Verdict
 from perronfem.spectral import perron_pair
 
 
@@ -230,7 +229,7 @@ def test_strong_positivity_from_interior_indicator(dirichlet_mesh8):
                      cfg_for(mesh, 0.5, 64))
     rep = strong_positivity_check(sol)
     assert rep.verdict is Verdict.PASS
-    assert rep.start_step == 1 < rep.threshold_step
+    assert rep.start_step == 1
 
 
 def test_strong_positivity_after_boundary_switch_on(dirichlet_mesh8):
@@ -264,7 +263,7 @@ def test_strong_positivity_on_a_horizon_shorter_than_the_diameter(
                      cfg_for(mesh, 0.2 / 32 * 4, 4))
     rep = strong_positivity_check(sol)
     assert rep.verdict is Verdict.PASS and not rep.underflow
-    assert (rep.start_step, rep.threshold_step) == (1, 12)
+    assert rep.start_step == 1
     assert stacked(sol)[1:, sol.interior].min() > 0.0
 
 
@@ -514,26 +513,9 @@ def test_elliptic_check_on_a_mesh_without_interior_vertices():
     assert rep.constancy is Verdict.NOT_APPLICABLE
 
 
-# -- one graph diameter, one assembly per run --------------------------------------
+# -- reducible interiors, one assembly per run ---------------------------------
 
-def test_graph_diameter_raises_on_a_disconnected_pattern():
-    import scipy.sparse as sp
-    path = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(4, 4))
-    assert graph_diameter(path, RuntimeError("disconnected")) == (3, (0, 3))
-    with pytest.raises(ValueError, match="split"):
-        graph_diameter(sp.block_diag([path, path]), ValueError("split"))
-
-
-def test_a_disconnected_interior_is_reducible_not_an_error(dirichlet_mesh8,
-                                                          dirichlet_op8):
-    import scipy.sparse as sp
-    from perronfem.semigroup import propagation_threshold
-    split = sp.block_diag([dirichlet_op8.stiffness[:10, :10]] * 2).tocsr()
-    op = dataclasses.replace(dirichlet_op8, stiffness=split)
-    with pytest.raises(RuntimeError,
-                       match="operator sparsity graph is disconnected"):
-        propagation_threshold(op)
-
+def test_a_disconnected_interior_is_reducible_not_an_error(dirichlet_mesh8):
     mesh = dirichlet_mesh8
     sol = solve_mild(mesh, laplace_coeffs(mesh), np.ones(mesh.n_vertices),
                      BoundaryData.constant(mesh, 1.0, 0.1),
@@ -542,10 +524,10 @@ def test_a_disconnected_interior_is_reducible_not_an_error(dirichlet_mesh8,
     A[sol.interior[:10, None], sol.interior[10:]] = 0.0
     A[sol.interior[10:, None], sol.interior[:10]] = 0.0
     cut = dataclasses.replace(sol, stiffness=A.tocsr())
-    # the certificate, not the diameter, decides: no diameter, no error
+    # the certificate decides: a split interior is reducible, not an error
     rep = strong_positivity_check(cut)
     assert rep.verdict is Verdict.NOT_APPLICABLE
-    assert "reducible" in rep.reason and rep.threshold_step == -1
+    assert "reducible" in rep.reason
 
 
 def test_solve_mild_keeps_the_volume_matrices_it_marched_with(

@@ -11,9 +11,9 @@ from perronfem.assembly import BoundaryMode, CoefficientSet, assemble, \
 from perronfem.mesh import _SHAPE_SEGMENTS, BoundaryTag, TriMesh, \
     generate_structured
 from perronfem.semigroup import EvolutionConfig, MassKind, Scheme, Verdict, \
-    default_dt, default_evolution, graph_diameter, kernel, \
-    kernel_certificate, kernel_positivity_report, march, \
-    positivity_improving_check, propagation_threshold
+    default_dt, default_evolution, kernel, kernel_certificate, \
+    kernel_positivity_report, march, peripheral_pair, \
+    positivity_improving_check
 from perronfem.spectral import perron_pair
 from tests.conftest import dense_ie_step
 
@@ -129,7 +129,6 @@ def test_positivity_improving_robin_corner(robin_op8):
     cfg = EvolutionConfig(dt=1e-3, t_end=0.1, mass=MassKind.LUMPED)
     rep = _positivity_improving(robin_op8, cfg)
     assert rep.verdict is Verdict.PASS
-    assert rep.threshold_step == 16
     # the corner vertex and the one across the diagonal carry the indicators
     assert rep.columns == (0, 80)
     assert 0 < rep.min_at_first_step
@@ -197,7 +196,6 @@ def test_positivity_improving_passes_on_a_horizon_below_the_diameter():
     results = {r.label: r for r in report.results}
     for label in ("positivity-improving", "kernel-positivity"):
         assert results[label].verdict is Verdict.PASS
-    assert results["positivity-improving"].payload["threshold_step"] == 48
 
 
 def test_positivity_improving_passes_at_a_small_dt():
@@ -212,7 +210,6 @@ def test_positivity_improving_passes_at_a_small_dt():
                           mesh, dt=default_dt(mesh) / 100))
     (result,) = run_suite(problem, only="positivity-improving").results
     assert result.verdict is Verdict.PASS
-    assert result.payload["threshold_step"] == 16
     # indicators stay in [0, 1], so this one is below the old floor
     assert 0 < result.payload["min_at_first_step"] < 1e-12
 
@@ -279,11 +276,6 @@ def test_suite_marches_the_probe_column_budget(monkeypatch):
         assert columns == {"step": [2 + 4] * n,
                            "step_adjoint": [4] * (n - n // 2)}
         assert len(factorizations) == 1 and len(calls) == 2
-
-
-def test_propagation_threshold_is_grid_diameter(robin_op8):
-    # 5-point coupling graph of the n=8 square: anti-diagonal corners
-    assert propagation_threshold(robin_op8) == 16
 
 
 def test_contractivity_under_sup_norm(robin_op8):
@@ -473,27 +465,18 @@ def test_kernel_and_trials_share_one_factorization(monkeypatch):
     assert len(factorizations) == 2
 
 
-# -- graph diameter against an all-pairs reference -------------------------------
+# -- probe pair against an all-pairs reference -----------------------------------
 
 def _all_pairs_diameter(matrix):
-    """Reference: all-pairs BFS over the nonzero off-diagonal pattern, as
-    (diameter, distances); None when the graph is disconnected."""
+    """Reference: all-pairs BFS over the nonzero off-diagonal pattern of
+    a connected graph, as (diameter, distances)."""
     from scipy.sparse.csgraph import shortest_path
     dense = matrix.toarray()
     adjacency = (dense != 0) | (dense.T != 0)
     np.fill_diagonal(adjacency, False)
     dist = shortest_path(adjacency.astype(float), unweighted=True,
                          directed=False)
-    return None if np.isinf(dist).any() else (int(dist.max()), dist)
-
-
-def _assert_diameter_and_pair(matrix):
-    """graph_diameter's diameter equals the reference, and its peripheral
-    pair lies that far apart."""
-    expected, dist = _all_pairs_diameter(matrix)
-    diameter, (u, v) = graph_diameter(matrix, RuntimeError("split"))
-    assert diameter == expected
-    assert dist[u, v] == diameter
+    return int(dist.max()), dist
 
 
 def _mixed_tags(shape):
@@ -501,94 +484,64 @@ def _mixed_tags(shape):
             for seg in _SHAPE_SEGMENTS[shape]}
 
 
-@pytest.mark.parametrize("shape", ["unit_square", "rectangle", "l_shape"])
-@pytest.mark.parametrize("tags", ["D", "N", "mixed"])
-@pytest.mark.parametrize("n", [1, 5, 12])
-def test_graph_diameter_matches_all_pairs_on_meshes(shape, tags, n):
+def _mesh_case_ops(shape, tags, n):
+    """The operators of one mesh case: the Laplacian, whose diagonal
+    couplings are zero, and an anisotropic tensor, which makes them
+    nonzero; none when no dof is free."""
     mesh = generate_structured(shape, n,
                                _mixed_tags(shape) if tags == "mixed" else tags,
                                width=1.5, height=0.5)
     mode = {"D": BoundaryMode.DIRICHLET, "N": BoundaryMode.ROBIN,
             "mixed": BoundaryMode.MIXED}[tags]
-    interior = np.setdiff1d(np.arange(mesh.n_vertices),
-                            mesh.boundary_vertices())
-    # the Laplacian leaves the diagonal couplings at zero; the anisotropic
-    # tensor makes them nonzero
-    for a in (np.eye(2), np.array([[2.0, 0.5], [0.5, 1.0]])):
-        coeffs = CoefficientSet.constant(mesh, a=a, beta=1.0, mu=0.5)
-        A, _, _ = assemble_volume(mesh, coeffs)
-        blocks = [A[interior][:, interior]] if interior.size else []
-        if mode is not BoundaryMode.DIRICHLET or interior.size:  # free dofs
-            blocks.append(assemble(mesh, coeffs, mode,
-                                   corkscrew_checked=True).stiffness)
-        for block in blocks:
-            _assert_diameter_and_pair(block)
+    if mode is BoundaryMode.DIRICHLET and n == 1:
+        return []
+    return [assemble(mesh, CoefficientSet.constant(mesh, a=a, beta=1.0,
+                                                   mu=0.5),
+                     mode, corkscrew_checked=True)
+            for a in (np.eye(2), np.array([[2.0, 0.5], [0.5, 1.0]]))]
 
 
-def test_graph_diameter_of_an_empty_graph_is_an_error():
-    with pytest.raises(ValueError, match="no diameter"):
-        graph_diameter(sp.csr_matrix((0, 0)), RuntimeError("split"))
+def _pinned_op(shape, n, tags, mode, beta=0.0):
+    mesh = generate_structured(shape, n, tags)
+    return [assemble(mesh, CoefficientSet.constant(mesh, beta=beta), mode,
+                     corkscrew_checked=True)]
 
 
-@st.composite
-def _sparse_patterns(draw):
-    n = draw(st.integers(1, 24))
-    entries = draw(st.lists(st.tuples(st.integers(0, n - 1),
-                                      st.integers(0, n - 1),
-                                      st.sampled_from([0.0, -1.0, 2.5])),
-                            max_size=3 * n, unique_by=lambda e: e[:2]))
-    rows, cols, data = (list(x) for x in zip(*entries)) if entries \
-        else ([], [], [])
-    fmt = draw(st.sampled_from(["coo", "csr", "csc"]))
-    return sp.coo_matrix((data, (rows, cols)), shape=(n, n)).asformat(fmt)
-
-
-@settings(max_examples=300, deadline=None)
-@given(_sparse_patterns())
-@example(sp.csr_matrix(np.array([[3.0]])))
-@example(sp.coo_matrix(([-1.0, 0.0], ([0, 1], [1, 2])), shape=(3, 3)))
-def test_graph_diameter_matches_all_pairs_on_sparse_patterns(matrix):
-    # stored zeros and one-sided (asymmetric) storage included; the second
-    # example is disconnected only through its stored zero
-    if _all_pairs_diameter(matrix) is None:
-        with pytest.raises(RuntimeError, match="split"):
-            graph_diameter(matrix, RuntimeError("split"))
-    else:
-        _assert_diameter_and_pair(matrix)
-
-
-@pytest.mark.parametrize("shape,n", [("unit_square", 64), ("l_shape", 32)])
-def test_graph_diameter_takes_a_handful_of_sweeps(monkeypatch, shape, n):
-    import perronfem.semigroup as semigroup
-    sweeps = []
-    bfs = semigroup.dijkstra
-    monkeypatch.setattr(semigroup, "dijkstra",
-                        lambda *a, **kw: sweeps.append(1) or bfs(*a, **kw))
-    mesh = generate_structured(shape, n, "dirichlet")
-    A, _, _ = assemble_volume(mesh, CoefficientSet.constant(mesh))
-    interior = np.setdiff1d(np.arange(mesh.n_vertices),
-                            mesh.boundary_vertices())
-    diameter, _ = semigroup.graph_diameter(A[interior][:, interior],
-                                           RuntimeError("split"))
-    # 5-point coupling graph of the interior grid: opposite corners
-    assert diameter == (2 * n if shape == "unit_square" else 4 * n) - 4
-    assert len(sweeps) <= 10
-
-
-def test_propagation_threshold_memory_is_linear():
-    import tracemalloc
-    mesh = generate_structured("unit_square", 128, "flux")
-    op = assemble(mesh, CoefficientSet.constant(mesh, beta=1.0),
-                  BoundaryMode.ROBIN)
-    tracemalloc.start()
-    try:
-        threshold = propagation_threshold(op)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert threshold == 256
-    # an all-pairs distance matrix would take 16,641^2 * 8 B = 2.2 GB
-    assert peak < 32 * 2 ** 20
+@pytest.mark.parametrize("ops, exact", [
+    *(pytest.param(lambda c=(shape, tags, n): _mesh_case_ops(*c), False,
+                   id=f"{n}-{tags}-{shape}")
+      for n in (1, 5, 12) for tags in ("D", "N", "mixed")
+      for shape in ("unit_square", "rectangle", "l_shape")),
+    # the meshes of the pinned reports, whose probe columns the pair picks
+    pytest.param(lambda: _pinned_op("unit_square", 6, "N",
+                                    BoundaryMode.ROBIN, 1.5), True,
+                 id="robin6"),
+    pytest.param(lambda: _pinned_op("unit_square", 24, "N",
+                                    BoundaryMode.ROBIN, 1.0), True,
+                 id="robin24"),
+    pytest.param(lambda: _pinned_op("unit_square", 6, "D",
+                                    BoundaryMode.DIRICHLET), True,
+                 id="dirichlet6"),
+    pytest.param(lambda: _pinned_op("l_shape", 4, _mixed_tags("l_shape"),
+                                    BoundaryMode.MIXED), True, id="lshape4"),
+    pytest.param(lambda: _pinned_op("unit_square", 2, "D",
+                                    BoundaryMode.DIRICHLET), True,
+                 id="one-dof"),
+])
+def test_peripheral_pair_against_all_pairs(ops, exact):
+    # the sweeps stop when the eccentricity stops growing, so the pair is
+    # at least half the diameter apart on any connected graph; the Robin
+    # L-shapes with the Laplacian stop at 3/4 of it
+    for op in ops():
+        pair = peripheral_pair(op)
+        if op.n_dof == 1:
+            assert pair == (0,)
+            continue
+        diameter, dist = _all_pairs_diameter(op.stiffness)
+        u, v = pair
+        assert u < v
+        assert dist[u, v] == diameter if exact \
+            else 2 * dist[u, v] >= diameter
 
 
 # -- structural certificate, probe columns and the adjoint march ------------------

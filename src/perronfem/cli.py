@@ -10,6 +10,7 @@ config and seed reproduce identical bytes.
 from __future__ import annotations
 
 import argparse
+import gc
 import itertools
 import json
 import math
@@ -73,6 +74,20 @@ def _number(spec: dict, key: str, default, context: str, kind=float,
     if finite and not math.isfinite(value):
         raise CliError(f"{context}: {key} must be finite, got {value!r}")
     return kind(value)
+
+
+def _matrix(spec: dict, key: str, context: str) -> np.ndarray:
+    """spec[key], a required nonempty list of equal-length rows of finite
+    JSON numbers, as a float array; anything else is a CliError naming the
+    section and the key."""
+    rows = _required(spec, key, context)
+    if not (isinstance(rows, list) and rows and all(
+            isinstance(row, list) and len(row) == len(rows[0])
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                    and math.isfinite(v) for v in row) for row in rows)):
+        raise CliError(f"{context}: {key} must be a list of equal-length "
+                       f"rows of finite numbers")
+    return np.array(rows, dtype=float)
 
 
 def _string(spec: dict, key: str, default, context: str,
@@ -395,6 +410,9 @@ def _cmd_parabolic(args) -> int:
     cfg, base, mesh, coeffs, _mode = _load_inputs(args, _PARABOLIC_KEYS)
     ecfg = _resolve_evolution(cfg.get("evolution"), mesh)
     seed = _number(cfg, "seed", 0, "config", int)
+    if seed < 0:
+        raise CliError(f"config: seed must be a nonnegative integer, got "
+                       f"{seed}")
     out = _out_dir(cfg, base)
 
     u0 = evaluate_field(_string(cfg, "u0", "0", "config", numbers=True),
@@ -451,8 +469,9 @@ def _cmd_oracle(args) -> int:
     data = json.loads(Path(args.matrix).read_text(encoding="utf-8"))
     if isinstance(data, dict):
         _check_keys(data, {"Q"}, "oracle input")
-        data = data["Q"]
-    g = MetzlerGenerator(np.asarray(data, dtype=float))
+    else:
+        data = {"Q": data}
+    g = MetzlerGenerator(_matrix(data, "Q", "oracle input"))
     irr = is_irreducible(g)
     improving = positivity_improving_equiv(g)
     rep = perron_report(g)
@@ -485,8 +504,7 @@ def _cmd_verify(args) -> int:
     if "oracle" in cfg:
         ospec = _check_keys(cfg["oracle"], {"matrix", "expect_irreducible"},
                             "oracle")
-        oracle_matrix = MetzlerGenerator(
-            np.asarray(_required(ospec, "matrix", "oracle"), dtype=float)).Q
+        oracle_matrix = MetzlerGenerator(_matrix(ospec, "matrix", "oracle")).Q
         expect_irr = ospec.get("expect_irreducible")
         if expect_irr is not None and not isinstance(expect_irr, bool):
             raise CliError(f"oracle: expect_irreducible must be true or "
@@ -560,6 +578,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; 0 on success, 1 when ``verify`` reports a FAIL, 2
+    with a one-line error on stderr for a rejected input.
+
+    The first statement freezes every object alive at that moment (about
+    42,500 from the numpy/scipy imports) into the collector's permanent
+    generation, so no collection visits them again, the one at interpreter
+    exit included: exit falls from 0.10-0.16 s to about 0.02 s. Reference
+    counting still frees everything acyclic; a caller that runs ``main``
+    many times in one process keeps only the cyclic garbage alive at each
+    call's start until exit. Importing the module freezes nothing."""
+    gc.freeze()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -543,8 +543,17 @@ def check_corkscrew(mesh: TriMesh, delta: float) -> CorkscrewResult:
     candidates = np.vstack([
         _sample_segment(mesh.vertices[a], mesh.vertices[b], resolution)
         for a, b in d_edges])
-    dist_to_n = _distance_to_segments(candidates, mesh.vertices[n_edges[:, 0]],
-                                      mesh.vertices[n_edges[:, 1]])
+    # radii never exceed 1, so a ball test only asks whether a distance
+    # reaches delta * r <= delta. An N-edge whose box lies 2 delta or more
+    # from the candidates' box is farther than delta from every candidate,
+    # with room for rounding, so it is dropped: every distance below delta
+    # is unchanged bit for bit, and the others stay at or above delta
+    ends = mesh.vertices[n_edges]
+    gap = np.maximum(ends.min(axis=1) - candidates.max(axis=0),
+                     candidates.min(axis=0) - ends.max(axis=1))
+    near = n_edges[np.hypot(*np.maximum(gap, 0.0).T) < 2.0 * delta]
+    dist_to_n = _distance_to_segments(candidates, mesh.vertices[near[:, 0]],
+                                      mesh.vertices[near[:, 1]])
 
     witnesses = {}
     for x_idx in junction:

@@ -301,11 +301,19 @@ def _sector_offset(op: DiscreteOperator, M) -> float:
     pencil (A, M). An eigenvector x gives Re lambda = x^H A_s x / x^H M x
     and Im lambda = x^H H x / x^H M x, with A_s = (A + A^H)/2 and
     H = (A - A^H)/(2i) (Bendixson), so s = -min over +- of
-    lambda_min(A_s +- H, M). For a real A, A_s - H = conj(A_s + H)."""
+    lambda_min(A_s +- H, M). For a real A, A_s - H = conj(A_s + H). Where
+    Gershgorin shows H semidefinite (complex Robin's H is diagonal), A_s -
+    sign(H) H lies below the other side (Weyl) and is the only one solved."""
     A = op.stiffness
     A_s, H = (A + A.getH()) / 2.0, (A - A.getH()) / 2.0j
+    signs = (1.0,)
+    if op.is_complex:
+        diagonal = H.diagonal().real
+        radii = abs(H).sum(axis=1).A1 - abs(diagonal)
+        signs = (1.0,) if np.all(-diagonal >= radii) else \
+            (-1.0,) if np.all(diagonal >= radii) else (1.0, -1.0)
     return -min(_hermitian_lower_bound(A_s + sign * H, M, op.mass_lumped)
-                for sign in ((1.0, -1.0) if op.is_complex else (1.0,)))
+                for sign in signs)
 
 
 def _residual(A, M, lam: complex, x: np.ndarray) -> float:

@@ -569,6 +569,16 @@ def test_cli_oracle(tmp_path, capsys):
     assert verdict["perron"]["simple"] is False
 
 
+@pytest.mark.parametrize("data", [{"Q": [[0.0, 1.0], [0.0]]}, [[0.0], 1.0],
+                                  []])
+def test_cli_oracle_malformed_matrix_is_an_error(tmp_path, capsys, data):
+    matrix = tmp_path / "gen.json"
+    matrix.write_text(json.dumps(data))
+    assert main(["oracle", "--matrix", str(matrix)]) == 2
+    _assert_one_error_line(
+        capsys, "oracle input: Q must be a list of equal-length rows")
+
+
 def test_cli_verify_exit_codes_and_reports(tmp_path):
     cfg = dict(ROBIN_PROBLEM)
     cfg["output_dir"] = "v"
@@ -804,6 +814,31 @@ def test_cli_only_trajectory_writers_import_orjson(tmp_path):
          "orjson after evolve True"]
 
 
+def test_main_freezes_the_object_graph_and_importing_does_not(tmp_path):
+    # a command moves what is alive into the permanent generation, so the
+    # collection at exit skips the import graph; importing freezes nothing
+    import os
+    import subprocess
+    import sys
+    import perronfem
+    path = write_config(tmp_path / "c.json", {
+        **ROBIN_PROBLEM, "mesh": {"shape": "unit_square", "n": 4, "tags": "N"},
+        "evolution": {"dt": 0.01, "t_end": 0.03}, "output_dir": "out"})
+    script = (
+        "import gc, sys\n"
+        "from perronfem.cli import main\n"
+        "print('frozen after import', gc.get_freeze_count())\n"
+        "print('verify', main(['verify', '--config', sys.argv[1]]))\n"
+        "print('frozen after verify', gc.get_freeze_count() > 0)\n")
+    src = str(Path(perronfem.__file__).parents[1])
+    run = subprocess.run([sys.executable, "-c", script, path],
+                         capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert [line for line in run.stdout.splitlines()
+            if line.startswith(("frozen", "verify"))] == \
+        ["frozen after import 0", "verify 0", "frozen after verify True"]
+
+
 def _parabolic_traced_peak(tmp_path, steps):
     import tracemalloc
     path = write_config(tmp_path / f"c{steps}.json", {
@@ -914,6 +949,18 @@ def test_cli_field_without_a_finite_value_is_an_error(tmp_path, capsys,
      "phi: constant must be finite, got nan"),
     ("parabolic", {"phi": {"samples": [{"t": float("-inf"), "expr": "0"}]}},
      "phi sample: t must be finite, got -inf"),
+    # numpy's bare "expected non-negative integer" and "setting an array
+    # element with a sequence", or a TypeError traceback for an object
+    ("parabolic", {"seed": -1},
+     "config: seed must be a nonnegative integer, got -1"),
+    ("verify", {"oracle": {"matrix": [[-1.0, 1.0], [1.0]]}},
+     "oracle: matrix must be a list of equal-length rows of finite numbers"),
+    ("verify", {"oracle": {"matrix": {"Q": 1}}},
+     "oracle: matrix must be a list of equal-length rows"),
+    ("verify", {"oracle": {"matrix": [[-1.0, "1"], [1.0, -1.0]]}},
+     "oracle: matrix must be a list of equal-length rows"),
+    ("verify", {"oracle": {"matrix": [[-1.0, float("nan")], [1.0, -1.0]]}},
+     "oracle: matrix must be a list of equal-length rows of finite numbers"),
 ])
 def test_cli_malformed_section_is_an_error(tmp_path, capsys, command,
                                            section, message):

@@ -307,6 +307,42 @@ def test_corkscrew_distances_are_bitwise_those_of_the_edge_loop(monkeypatch):
                    for key in looped.witnesses)
 
 
+@pytest.mark.parametrize("delta", [0.01, 0.1, 0.25, 0.5, 1.0, 10.0])
+def test_corkscrew_prune_changes_no_result(monkeypatch, delta):
+    # the far flux edges are dropped before the distance search; measuring
+    # to every flux edge gives the same verdict, witnesses and failure
+    import perronfem.mesh as mesh_module
+    distances = mesh_module._distance_to_segments
+    square = generate_structured("unit_square", 8,
+                                 {"bottom": "D", "right": "N", "top": "D",
+                                  "left": "N"})
+    # the top edges are a box gap of 0.25 away, and nearest in the middle
+    strip = generate_structured(
+        "rectangle", 8, {"bottom": "D", "right": "N", "top": "N",
+                         "left": "N"}, width=3.0, height=0.25)
+    meshes = [mesh for mesh, _ in _corkscrew_cases()] + [square, strip]
+    searched = []
+    for mesh in meshes:
+        flux = mesh.edges_with_tag(BoundaryTag.FLUX)
+
+        def every_edge(points, a, b):
+            searched.append((len(a), len(flux)))
+            return distances(points, mesh.vertices[flux[:, 0]],
+                             mesh.vertices[flux[:, 1]])
+
+        pruned = check_corkscrew(mesh, delta)
+        with monkeypatch.context() as patch:
+            patch.setattr(mesh_module, "_distance_to_segments", every_edge)
+            full = check_corkscrew(mesh, delta)
+        assert (pruned.ok, pruned.failure) == (full.ok, full.failure)
+        assert pruned.witnesses.keys() == full.witnesses.keys()
+        assert all(np.array_equal(pruned.witnesses[key], full.witnesses[key])
+                   for key in full.witnesses)
+    if delta <= 0.1:  # the L-shape's far edges are really dropped
+        kept, total = searched[0]
+        assert kept < total
+
+
 def test_corkscrew_all_dirichlet_vacuous():
     mesh = generate_structured("unit_square", 2, "dirichlet")
     assert check_corkscrew(mesh, 0.5).ok

@@ -429,6 +429,52 @@ def test_the_sector_offset_bounds_every_eigenvalue():
         assert np.all(np.abs(values.imag) <= values.real + s)
 
 
+def _sector_sides(monkeypatch, op, M):
+    """(_sector_offset(op, M), the number of Lanczos bounds it took, the
+    offset of the least of both sides taken directly)."""
+    import perronfem.spectral as spectral
+    A = op.stiffness
+    A_s, H = (A + A.getH()) / 2.0, (A - A.getH()) / 2.0j
+    bound = spectral._hermitian_lower_bound
+    both = -min(bound(A_s + sign * H, M, op.mass_lumped)
+                for sign in (1.0, -1.0))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return bound(*args)
+    monkeypatch.setattr(spectral, "_hermitian_lower_bound", counted)
+    return spectral._sector_offset(op, M), len(calls), both
+
+
+@pytest.mark.parametrize("n", [4, 8])
+@pytest.mark.parametrize("mass", ["consistent", "lumped"])
+@pytest.mark.parametrize("beta", [1.0 + 1.0j, 2.0 - 0.5j, 0.2 + 3.0j,
+                                  1.0 - 3.0j])
+def test_a_semidefinite_h_solves_one_sector_side(monkeypatch, n, mass, beta):
+    # complex Robin's H = Im(beta) x boundary mass is diagonal, of one sign:
+    # the one side solved is the lower one, so s is bitwise that of both
+    from perronfem.assembly import mass_matrix
+    op = _nonhermitian_case(n, BoundaryMode.COMPLEX_ROBIN, beta, (0.0, 0.0))
+    M = mass_matrix(mass, op.mass, op.mass_lumped)
+    s, bounds, both = _sector_sides(monkeypatch, op, M)
+    assert (s, bounds) == (both, 1)
+
+
+def test_an_indefinite_h_solves_both_sector_sides(monkeypatch):
+    # an imaginary part off the diagonal with a zero diagonal interior: H
+    # has mixed signs, so both sides are solved and the lower one kept
+    import dataclasses
+    import scipy.sparse as sp
+    op = _nonhermitian_case(8, BoundaryMode.COMPLEX_ROBIN, 1.0 + 1.0j,
+                            (0.0, 0.0))
+    coupling = op.stiffness.real - sp.diags(op.stiffness.real.diagonal())
+    op = dataclasses.replace(op, stiffness=(op.stiffness
+                                            + 0.5j * coupling).tocsr())
+    s, bounds, both = _sector_sides(monkeypatch, op, op.mass)
+    assert (s, bounds) == (both, 2)
+
+
 def test_the_lanczos_bound_covers_an_inexact_ritz_pair(monkeypatch):
     # a Ritz pair off the eigenvector overshoots lambda_min; the residual
     # bound pulls the value back below it
@@ -498,9 +544,9 @@ def test_every_arpack_call_caps_its_restarts(monkeypatch, mode, beta, b):
     op = _nonhermitian_case(8, mode, beta, b)
     spectral_gap(op, 3)
     perron_pair(op, 1e-10)
-    # per mass kind: one Lanczos bound per sector sign, one Arnoldi solve
-    signs = 2 if op.is_complex else 1
-    assert maxiters == [spectral.MAX_ARNOLDI_RESTARTS] * (2 * (signs + 1))
+    # per mass kind: one Lanczos bound (complex Robin's H is semidefinite,
+    # so one sector side is solved) and one Arnoldi solve
+    assert maxiters == [spectral.MAX_ARNOLDI_RESTARTS] * 4
 
 
 def _arnoldi_tols(monkeypatch, perturb=0.0):

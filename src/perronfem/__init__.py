@@ -14,7 +14,6 @@ from .assembly import (
     CoefficientSet,
     DiscreteOperator,
     MassKind,
-    apply_form,
     assemble,
     ellipticity_check,
     mmatrix_report,
@@ -24,9 +23,7 @@ from .lattice import (
     invariant_masks,
     is_irreducible,
     perron_report,
-    point_positivity_theorem,
     positivity_improving_equiv,
-    schaefer_approx_check,
 )
 from .mesh import (
     BoundaryTag,

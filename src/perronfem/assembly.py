@@ -440,15 +440,6 @@ def assemble(mesh: TriMesh, coeffs: CoefficientSet, mode: BoundaryMode, *,
         dof_map=dof_map, mode=mode, mesh=mesh, coeffs=coeffs)
 
 
-def apply_form(op: DiscreteOperator, u: np.ndarray, v: np.ndarray) -> complex:
-    """Evaluate the assembled form: conj(v) . (stiffness @ u)."""
-    u = np.asarray(u)
-    v = np.asarray(v)
-    if u.shape != (op.n_dof,) or v.shape != (op.n_dof,):
-        raise AssemblyError(f"vectors must have length n_dof = {op.n_dof}")
-    return complex(np.vdot(v, op.stiffness @ u))
-
-
 def _offdiagonal_entries(Z: sp.spmatrix, rows=slice(None)):
     """Z in canonical CSR (no copy when it is one already) and a mask of its
     stored nonzero entries off the diagonal in the given rows: one byte per

@@ -4,7 +4,7 @@ matrix-semigroup oracle, and the verification suite.
 All subcommands that take ``--config`` read a strict JSON file (unknown
 keys are rejected, paths resolve relative to the config file) and write
 deterministic outputs into the configured output directory: identical
-config and seed reproduce identical bytes.
+config reproduces identical bytes.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import json
 import math
 import struct
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -28,14 +29,16 @@ from .mesh import MeshError, generate_structured, load_mesh, quality, \
     save_mesh
 from .parabolic import BoundaryData, PositivityScan, WeakResidual, \
     make_test_bank, solve_mild
-from .semigroup import EvolutionConfig, default_evolution, kernel, \
-    kernel_positivity_report, march
+from .semigroup import EvolutionConfig, default_evolution, \
+    kernel_certificate, kernel_positivity_report, march, point_mass_columns
 from .spectral import REGION_FOR_MODE, SolverError, certify_positivity, \
     principal_eig, spectral_gap
 from .svgplot import emit_heatmap, render_strip, strip_steps
 from .verification import Problem, jsonable, run_suite
 
 KERNEL_MAGIC = b"KTMAT001"
+#: largest dense kernel ``perronfem kernel`` marches, in estimated bytes
+DENSE_KERNEL_MAX_BYTES = 2 ** 30
 # states a parabolic run marches ahead of its CSV rows: one row's text
 # evicts the step factor and the residual's profiles from cache, so
 # stepping and pairing state by state between rows made the run 7% slower
@@ -264,8 +267,8 @@ def _cmd_mesh(args) -> int:
     return 0
 
 
-_EIG_KEYS = {"mesh", "coefficients", "solver", "seed", "output_dir",
-             "emit_csv", "emit_svg", "gap_count"}
+_EIG_KEYS = {"mesh", "coefficients", "solver", "output_dir", "emit_csv",
+             "emit_svg", "gap_count"}
 
 
 def _cmd_eig(args) -> int:
@@ -304,8 +307,7 @@ def _cmd_eig(args) -> int:
     return 0
 
 
-_EVOLVE_KEYS = {"mesh", "coefficients", "evolution", "u0", "seed",
-                "output_dir"}
+_EVOLVE_KEYS = {"mesh", "coefficients", "evolution", "u0", "output_dir"}
 
 
 def _cmd_evolve(args) -> int:
@@ -327,17 +329,34 @@ def _cmd_evolve(args) -> int:
     return 0
 
 
-_KERNEL_KEYS = {"mesh", "coefficients", "evolution", "seed", "output_dir"}
+_KERNEL_KEYS = {"mesh", "coefficients", "evolution", "output_dir"}
 
 
 def _cmd_kernel(args) -> int:
+    """The dense kernel K(t), every unit point mass marched as one block.
+    A complex operator (the dump is real) and a march whose three largest
+    arrays would exceed DENSE_KERNEL_MAX_BYTES are refused before the
+    output directory exists."""
     cfg, base, mesh, coeffs, mode = _load_inputs(args, _KERNEL_KEYS)
     ecfg = _resolve_evolution(cfg.get("evolution"), mesh)
-    t = args.t if args.t is not None else ecfg.t_end
+    n = replace(ecfg, t_end=ecfg.t_end if args.t is None else args.t).n_steps
+    op = Problem(mesh=mesh, coeffs=coeffs, mode=mode).op  # corkscrew-checked
+    if op.is_complex:
+        raise CliError("kernel: the kernel dump is real, so a complex "
+                       "operator is refused")
+    need = 8 * (2 * op.n_dof ** 2 + mesh.n_vertices ** 2)
+    if need > DENSE_KERNEL_MAX_BYTES:
+        raise CliError(
+            f"kernel: the dense kernel of {op.n_dof} dofs needs about "
+            f"{need / 2 ** 20:,.1f} MiB, above the "
+            f"{DENSE_KERNEL_MAX_BYTES / 2 ** 20:,.1f} MiB limit")
     out = _out_dir(cfg, base)
 
-    op = Problem(mesh=mesh, coeffs=coeffs, mode=mode).op  # corkscrew-checked
-    K = kernel(op, t, ecfg)
+    # a loop, not star-unpacking, so only the last state is kept
+    for K in march(op, ecfg, np.diag(1.0 / op.mass_lumped), n):
+        pass
+    K = point_mass_columns(op, n * ecfg.dt, K, np.arange(mesh.n_vertices),
+                           kernel_certificate(op, ecfg))
     write_kernel_dump(out / "kernel.bin", K)
     rep = kernel_positivity_report(K)
     report = {
@@ -347,8 +366,7 @@ def _cmd_kernel(args) -> int:
     if rep.reason:
         report["reason"] = rep.reason
     _write_json(out / "kernel_report.json", report)
-    emit_heatmap(np.diag(K.entries).real.copy(), mesh,
-                 out / "kernel_diagonal.svg")
+    emit_heatmap(np.diag(K.entries), mesh, out / "kernel_diagonal.svg")
     print(f"kernel at t = {K.t:.6g}: min entry {rep.min_entry:.6g}, "
           f"verdict {rep.verdict.value}")
     return 0
@@ -362,8 +380,7 @@ def write_kernel_dump(path: Path, K) -> None:
         fh.write(KERNEL_MAGIC)
         fh.write(struct.pack("<q", n))
         fh.write(struct.pack("<d", float(K.t)))
-        fh.write(np.ascontiguousarray(K.entries.real,
-                                      dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(K.entries, dtype="<f8").tobytes())
 
 
 def read_kernel_dump(path) -> tuple[float, np.ndarray]:
@@ -492,7 +509,7 @@ def _cmd_oracle(args) -> int:
 
 
 _VERIFY_KEYS = {"mesh", "coefficients", "solver", "evolution",
-                "corkscrew_delta", "oracle", "seed", "output_dir"}
+                "corkscrew_delta", "oracle", "output_dir"}
 
 
 def _cmd_verify(args) -> int:

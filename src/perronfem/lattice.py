@@ -143,22 +143,6 @@ def positivity_improving_equiv(g: MetzlerGenerator,
     return improving
 
 
-def point_positivity_theorem(g: MetzlerGenerator, x: int,
-                             t_grid=(0.1, 1.0)) -> bool:
-    """For an irreducible generator: if any state ever registers at
-    coordinate x, then every nonnegative nonzero state registers there at
-    every positive time. Verified by brute force over basis vectors."""
-    if not is_irreducible(g):
-        raise LatticeError("theorem hypotheses need an irreducible generator")
-    if not 0 <= x < g.n:
-        raise LatticeError(f"coordinate {x} out of range")
-    witnessed = any(semigroup_at(g, t)[x, j] != 0.0
-                    for t in t_grid for j in range(g.n))
-    if not witnessed:
-        return False
-    return all(np.all(semigroup_at(g, t)[x, :] > 0.0) for t in t_grid)
-
-
 @dataclass(frozen=True)
 class PerronReport:
     lambda1: float
@@ -193,16 +177,3 @@ def perron_report(g: MetzlerGenerator) -> PerronReport:
         v = -v
     snapped = np.where(np.abs(v) <= SNAP_TOL, 0.0, v)
     return PerronReport(lambda1=lam1, vector=snapped, simple=simple, gap=gap)
-
-
-def schaefer_approx_check(u: np.ndarray, v: np.ndarray) -> bool:
-    """Whether min(v, k*u) converges to v as k grows: exactly when the
-    support of v is contained in the support of u."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != v.shape or u.ndim != 1:
-        raise LatticeError("u and v must be vectors of equal length")
-    if u.min() < 0 or v.min() < 0:
-        raise LatticeError("u and v must be nonnegative")
-    return bool(np.all(v[u == 0.0] == 0.0))
-

@@ -15,10 +15,10 @@ begins, and at t.
 boundary-pinned solve in ``parabolic`` slices its rows. ``march`` is the
 one step loop, forward or adjoint: it factorizes the step once per
 operator and (scheme, dt, mass), by ``spectral.factorize``, and serves
-``kernel``, the certificate's witness and the ``evolve`` command, which
-streams its states. No trajectory is stacked. ``kernel`` applies
-K(t) or K(t)^T to a block of columns; only its dense form, on the block
-of all point masses, holds an n_dof x n_dof array.
+``kernel``, the certificate's witness and the ``perronfem evolve`` and
+``perronfem kernel`` commands, which keep one state at a time. No
+trajectory is stacked. ``kernel`` applies K(t) or K(t)^T to a block of
+columns.
 """
 
 from __future__ import annotations
@@ -167,10 +167,6 @@ def peripheral_pair(op: DiscreteOperator) -> tuple:
 # ---------------------------------------------------------------------------
 # kernels
 
-#: largest dense kernel march ``kernel`` starts, in estimated bytes
-DENSE_KERNEL_MAX_BYTES = 2 ** 30
-
-
 IMPLICIT_EULER_ONLY = "positivity certificates need implicit Euler with " \
                       "lumped mass"
 
@@ -241,7 +237,7 @@ class KernelPositivityReport:
 
 
 def kernel(op: DiscreteOperator, t: float | tuple, cfg: EvolutionConfig,
-           block: np.ndarray | None = None, adjoint: bool = False):
+           block: np.ndarray, adjoint: bool = False):
     """The heat kernel K(t) applied to a block Z of dof-space columns:
     K(t) Z, or K(t)^T Z with ``adjoint``, as an (n_dof, k) array.
 
@@ -249,43 +245,18 @@ def kernel(op: DiscreteOperator, t: float | tuple, cfg: EvolutionConfig,
     The forward march starts from M_L^-1 Z; the adjoint march steps Z with
     S^T, through the same factorization, and divides by M_L at the end.
     SuperLU solves each column alone, so a column comes out bitwise the
-    same in any block. Without a block, Z is the identity: all unit point
-    masses march as one dense block, and the dense KernelMatrix comes back;
-    a ValueError refuses it before any allocation when its three largest
-    arrays (the marched block, a snapshot and the entries on the full
-    vertex set) would exceed DENSE_KERNEL_MAX_BYTES. t may be a tuple of
-    times: the block then marches once, to the latest of them, and one
-    result per time comes back in the order given, as from its own march.
+    same in any block. t may be a tuple of times: the block then marches
+    once, to the latest of them, and one result per time comes back in the
+    order given, as from its own march.
     """
     single = not isinstance(t, (tuple, list))
     steps = [replace(cfg, t_end=ti).n_steps for ti in ((t,) if single else t)]
-    dense = block is None
-    if dense:
-        need = (16 if op.is_complex else 8) \
-            * (2 * op.n_dof ** 2 + op.mesh.n_vertices ** 2)
-        if need > DENSE_KERNEL_MAX_BYTES:
-            raise ValueError(
-                f"the dense kernel of {op.n_dof} dofs needs about "
-                f"{need / 2 ** 20:,.1f} MiB, above the "
-                f"{DENSE_KERNEL_MAX_BYTES / 2 ** 20:,.1f} MiB limit")
-        block = np.diag(1.0 / op.mass_lumped)
-    elif not adjoint:
+    if not adjoint:
         block = block / op.mass_lumped[:, None]
-    # the march holds the only reference to a dense initial block
-    states = march(op, cfg,
-                   block.astype(complex if op.is_complex else float),
-                   max(steps), adjoint)
-    del block
+    states = march(op, cfg, block, max(steps), adjoint)
     snapshots = {k: U for k, U in enumerate(states, 1) if k in steps}
-    if dense:
-        certificate = kernel_certificate(op, cfg)
-        out = [point_mass_columns(op, n * cfg.dt, snapshots[n],
-                                  np.arange(op.mesh.n_vertices), certificate)
-               for n in steps]
-    elif adjoint:
-        out = [snapshots[n] / op.mass_lumped[:, None] for n in steps]
-    else:
-        out = [snapshots[n] for n in steps]
+    out = [snapshots[n] / op.mass_lumped[:, None] if adjoint else snapshots[n]
+           for n in steps]
     return out[0] if single else tuple(out)
 
 

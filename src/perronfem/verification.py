@@ -3,8 +3,8 @@
 Each registry entry is data: a label, a human-readable statement, and the
 module call that produces a verdict plus a certificate payload. Suites
 therefore map one-to-one onto the checks they run, and reports replay
-byte-identically for a fixed config and seed (timings are reported in the
-text rendering only, never in the JSON).
+byte-identically for a fixed config (timings are reported in the text
+rendering only, never in the JSON).
 """
 
 from __future__ import annotations

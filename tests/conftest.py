@@ -1,9 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from perronfem import BoundaryMode, CoefficientSet, assemble, \
     generate_structured
 from perronfem.lattice import EXHAUSTIVE_DIM, MetzlerGenerator
+from perronfem.semigroup import kernel_certificate, march, \
+    point_mass_columns
 
 MIXED_TAGS = {"bottom": "D", "right": "N", "top": "N", "left": "N"}
 
@@ -59,3 +63,20 @@ def random_metzler(rng: np.random.Generator,
     np.fill_diagonal(off, 0.0)
     diag = rng.uniform(-2.0, 0.5, size=n)
     return MetzlerGenerator(off + np.diag(diag))
+
+
+def dense_kernel(op, t, cfg):
+    """The dense KernelMatrix of K(t), built the way ``perronfem kernel``
+    builds it: every unit point mass marched as one block from
+    diag(1/m_L), then ``point_mass_columns`` on every vertex. t may be a
+    tuple of times: one march to the latest, one KernelMatrix per time in
+    the order given."""
+    single = not isinstance(t, tuple)
+    steps = [replace(cfg, t_end=ti).n_steps for ti in ((t,) if single else t)]
+    states = march(op, cfg, np.diag(1.0 / op.mass_lumped), max(steps))
+    snapshots = {k: U for k, U in enumerate(states, 1) if k in steps}
+    certificate = kernel_certificate(op, cfg)
+    out = [point_mass_columns(op, n * cfg.dt, snapshots[n],
+                              np.arange(op.mesh.n_vertices), certificate)
+           for n in steps]
+    return out[0] if single else tuple(out)

@@ -18,10 +18,10 @@ from perronfem.mesh import check_corkscrew, generate_structured
 from perronfem.parabolic import BoundaryData, make_test_bank, solve_mild, \
     strong_positivity_check, very_weak_residual
 from perronfem.semigroup import EvolutionConfig, MassKind, Verdict, \
-    kernel, kernel_positivity_report, positivity_improving_check
+    kernel_positivity_report, positivity_improving_check
 from perronfem.spectral import Region, certify_positivity, \
     complex_robin_bound, principal_eig, spectral_gap
-from tests.conftest import random_metzler
+from tests.conftest import dense_kernel, random_metzler
 
 MIXED_TAGS = {"bottom": "D", "right": "N", "top": "N", "left": "N"}
 
@@ -119,8 +119,8 @@ def test_criterion_5_positivity_improving_exhaustive():
     cfg = EvolutionConfig(dt=mesh.h_max ** 2 / 4.0, t_end=0.25,
                           mass=MassKind.LUMPED)
     # the dense kernel at every step: column v times m_v is indicator v
-    kernels = kernel(op, tuple(k * cfg.dt for k in range(1, cfg.n_steps + 1)),
-                     cfg)
+    kernels = dense_kernel(
+        op, tuple(k * cfg.dt for k in range(1, cfg.n_steps + 1)), cfg)
     assert op.n_dof == 81 and kernels[0].entries.shape == (81, 81)
     rep = positivity_improving_check(op, kernels[0].certificate,
                                      (kernels[0], kernels[-1]))
@@ -141,12 +141,12 @@ def test_criterion_6_kernel_properties():
     cfg = EvolutionConfig(dt=mesh.h_max ** 2 / 4.0, t_end=0.25,
                           mass=MassKind.LUMPED)
     t = 16 * cfg.dt
-    K = kernel(op, t, cfg)
+    K = dense_kernel(op, t, cfg)
     assert np.abs(K.entries - K.entries.T).max() <= 1e-8
     assert kernel_positivity_report(K).verdict is Verdict.PASS
     assert K.entries.min() > 0
 
-    K2 = kernel(op, 2 * t, cfg)
+    K2 = dense_kernel(op, 2 * t, cfg)
     comp = K.entries @ (K.lumped_mass_full[:, None] * K.entries)
     ck_dev = np.abs(K2.entries - comp).max()
     assert ck_dev <= 1e-6
@@ -154,7 +154,7 @@ def test_criterion_6_kernel_properties():
     op_n = assemble(mesh, CoefficientSet.constant(mesh),
                     BoundaryMode.NEUMANN)
     cfg_n = EvolutionConfig(dt=0.25, t_end=50.0, mass=MassKind.LUMPED)
-    K_inf = kernel(op_n, 50.0, cfg_n)
+    K_inf = dense_kernel(op_n, 50.0, cfg_n)
     assert np.abs(K_inf.entries - 1.0).max() <= 0.01
     report(6, f"kernel symmetric to {np.abs(K.entries - K.entries.T).max():.1e},"
               f" positive, composition defect {ck_dev:.1e} <= 1e-6, Neumann "
@@ -224,7 +224,6 @@ def test_criterion_9_deterministic_reports(tmp_path):
     config = {
         "mesh": {"shape": "unit_square", "n": 8, "tags": "N"},
         "coefficients": {"beta": 1.0, "mode": "robin"},
-        "seed": 0,
         "output_dir": None,
     }
     verify_blobs = []
@@ -244,5 +243,5 @@ def test_criterion_9_deterministic_reports(tmp_path):
                       "eigenvector.svg")))
     assert verify_blobs[0] == verify_blobs[1]
     assert eig_blobs[0] == eig_blobs[1]
-    report(9, "repeated verify and eig runs with a fixed seed emit "
+    report(9, "repeated verify and eig runs of one config emit "
               "byte-identical JSON, CSV, and SVG")

@@ -7,9 +7,8 @@ import pytest
 import scipy.sparse as sp
 
 from perronfem.assembly import AssemblyError, BoundaryMode, CoefficientSet, \
-    _boundary_term, apply_form, assemble, assemble_volume, \
-    coefficients_from_dict, ellipticity_check, mmatrix_report, offdiag_max, \
-    offdiagonal_pattern
+    _boundary_term, assemble, assemble_volume, coefficients_from_dict, \
+    ellipticity_check, mmatrix_report, offdiag_max, offdiagonal_pattern
 from perronfem.mesh import BoundaryTag, TriMesh, generate_structured
 
 REFERENCE_LOCAL_STIFFNESS = np.array([
@@ -140,28 +139,23 @@ def test_boundary_term_is_bitwise_the_edge_by_edge_sum(n, tags):
                 getattr(want, name).tobytes()
 
 
-# -- apply_form --------------------------------------------------------------
+# -- the assembled form conj(v) . (stiffness @ u) ------------------------------
 
 def test_apply_form_zero_vector(robin_op8):
     u = np.ones(robin_op8.n_dof)
-    assert apply_form(robin_op8, u, np.zeros(robin_op8.n_dof)) == 0.0
+    assert np.vdot(np.zeros(robin_op8.n_dof), robin_op8.stiffness @ u) == 0.0
 
 
 def test_apply_form_neumann_constants(neumann_op8):
     ones = np.ones(neumann_op8.n_dof)
-    assert abs(apply_form(neumann_op8, ones, ones)) <= 1e-13
+    assert abs(np.vdot(ones, neumann_op8.stiffness @ ones)) <= 1e-13
 
 
 def test_apply_form_robin_constant_gives_perimeter(robin_op8):
     # only the boundary term survives on constants: integral of beta = |Gamma|
     ones = np.ones(robin_op8.n_dof)
-    assert apply_form(robin_op8, ones, ones).real == \
+    assert np.vdot(ones, robin_op8.stiffness @ ones).real == \
         pytest.approx(4.0, abs=1e-12)
-
-
-def test_apply_form_dimension_mismatch(robin_op8):
-    with pytest.raises(AssemblyError):
-        apply_form(robin_op8, np.ones(3), np.ones(3))
 
 
 def test_complex_robin_real_part_identity(robin_mesh8):
@@ -172,8 +166,8 @@ def test_complex_robin_real_part_identity(robin_mesh8):
     op_r = assemble(robin_mesh8, cr, BoundaryMode.ROBIN)
     rng = np.random.default_rng(7)
     u = rng.standard_normal(op_c.n_dof) + 1j * rng.standard_normal(op_c.n_dof)
-    lhs = apply_form(op_c, u, u).real
-    rhs = apply_form(op_r, u, u).real
+    lhs = np.vdot(u, op_c.stiffness @ u).real
+    rhs = np.vdot(u, op_r.stiffness @ u).real
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 

@@ -398,16 +398,47 @@ def test_cli_kernel_verdict_reads_the_certificate(tmp_path):
 
 def test_cli_kernel_refuses_a_dense_kernel_above_the_limit(tmp_path, capsys,
                                                           monkeypatch):
-    import perronfem.semigroup
-    monkeypatch.setattr(perronfem.semigroup, "DENSE_KERNEL_MAX_BYTES", 1000)
-    monkeypatch.setattr(perronfem.semigroup, "march",
+    import perronfem.cli
+    monkeypatch.setattr(perronfem.cli, "DENSE_KERNEL_MAX_BYTES", 1000)
+    monkeypatch.setattr(perronfem.cli, "march",
                         lambda *a, **kw: pytest.fail("kernel marched"))
     path = write_config(tmp_path / "c.json",
                         {**ROBIN_PROBLEM, "output_dir": "out"})
     assert main(["kernel", "--config", path]) == 2
     # 81 vertices, 81 dofs: three 81 x 81 float64 arrays
     _assert_one_error_line(capsys, "about 0.2 MiB", "limit")
-    assert not (tmp_path / "out" / "kernel.bin").exists()
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_kernel_refuses_a_complex_operator(tmp_path, capsys):
+    # the dump is real: the real part of a complex kernel would not
+    # reproduce the evolution, as the dump format promises
+    path = write_config(tmp_path / "c.json", {
+        "mesh": {"shape": "unit_square", "n": 4, "tags": "N"},
+        "coefficients": {"beta": {"re": 1.0, "im": 1.0},
+                         "mode": "complex_robin"},
+        "output_dir": "out"})
+    assert main(["kernel", "--config", path]) == 2
+    _assert_one_error_line(capsys, "kernel:", "complex operator")
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_kernel_holds_one_state_at_a_time(tmp_path, capsys):
+    # the march keeps only its last state: a stacked march of the 80
+    # default steps would hold 80 dense blocks
+    import tracemalloc
+    path = write_config(tmp_path / "c.json", {
+        "mesh": {"shape": "unit_square", "n": 24, "tags": "N"},
+        "coefficients": {"beta": 1.0, "mode": "robin"}, "output_dir": "out"})
+    tracemalloc.start()
+    try:
+        assert main(["kernel", "--config", path]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # 625 vertices, 625 dofs: one dense float64 array is 3.1 MB
+    assert peak < 4 * 625 ** 2 * 8
+    capsys.readouterr()
 
 
 def test_cli_parabolic(tmp_path):
@@ -489,7 +520,8 @@ def test_cli_parabolic_output_bytes_pinned(tmp_path, name):
 
 
 # the other commands' CSV and SVG bytes, recorded while each writer built
-# its whole text before writing it
+# its whole text before writing it; the kernel outputs, recorded while
+# semigroup.kernel still built the dense kernel for the command
 PINNED_WRITERS = {
     "evolve": ({
         "mesh": {"shape": "unit_square", "n": 6, "tags": "N"},
@@ -509,6 +541,17 @@ PINNED_WRITERS = {
         "eigenvector.svg":
             "34444795901331f58aef5b65d8c85bd78f451c2b95a1345cb0168c3ad812724a",
     }),
+    "kernel": ({
+        "mesh": {"shape": "unit_square", "n": 6, "tags": "N"},
+        "coefficients": {"beta": 1.5, "mode": "robin"},
+    }, {
+        "kernel.bin":
+            "453a84434854ecb7ea9c3fd56aac2291ae166175ba051eabaaaec24ed6d03ad1",
+        "kernel_report.json":
+            "9d68620016a79418728ffee86de2fbc398b4134c64cdac3b72d4cfb502d8d1ad",
+        "kernel_diagonal.svg":
+            "166c00a189f2dbdf6ef91059e418e60129f7947b6e1038f00b24c95386f22919",
+    }),
 }
 
 
@@ -521,6 +564,32 @@ def test_cli_writer_bytes_pinned(tmp_path, capsys, command):
     for filename, digest in digests.items():
         blob = (tmp_path / "out" / filename).read_bytes()
         assert hashlib.sha256(blob).hexdigest() == digest, filename
+    capsys.readouterr()
+
+
+def test_cli_kernel_bytes_pinned_on_the_mixed_lshape(tmp_path, capsys):
+    # recorded as PINNED_WRITERS["kernel"]; the Dirichlet vertices' rows
+    # and columns of the dump are exact zeros
+    import hashlib
+    path = write_config(tmp_path / "c.json", {
+        "mesh": {"shape": "l_shape", "n": 4, "tags": LSHAPE_MIXED_TAGS},
+        "coefficients": {"mode": "mixed"}, "output_dir": "out"})
+    assert main(["kernel", "--config", path]) == 0
+    for filename, digest in {
+            "kernel.bin": "364bc0b0eaea5c7e4aeefa4867cac67f"
+                          "ab77c31646f8ca6c73026da70632155f",
+            "kernel_report.json": "349f4cb85f6430ee0077165726f8cb8f"
+                                  "872435a3fea36d9d89c8daede509399e",
+            "kernel_diagonal.svg": "69cb40510a9660e4188d909a873f8e90"
+                                   "0e71d7e56e32d6ca31b1cae3c6b2e59f"}.items():
+        blob = (tmp_path / "out" / filename).read_bytes()
+        assert hashlib.sha256(blob).hexdigest() == digest, filename
+    _, entries = read_kernel_dump(tmp_path / "out" / "kernel.bin")
+    pinned = generate_structured("l_shape", 4, LSHAPE_MIXED_TAGS) \
+        .dirichlet_vertices()
+    assert pinned.size
+    assert np.all(entries[pinned, :] == 0.0)
+    assert np.all(entries[:, pinned] == 0.0)
     capsys.readouterr()
 
 
@@ -602,7 +671,6 @@ def test_cli_verify_repeatable_bytes(tmp_path):
     for name in ("a", "b"):
         cfg = dict(ROBIN_PROBLEM)
         cfg["output_dir"] = name
-        cfg["seed"] = 0
         path = write_config(tmp_path / f"{name}.json", cfg)
         assert main(["verify", "--config", path]) == 0
         blobs.append(
@@ -961,6 +1029,11 @@ def test_cli_field_without_a_finite_value_is_an_error(tmp_path, capsys,
      "oracle: matrix must be a list of equal-length rows"),
     ("verify", {"oracle": {"matrix": [[-1.0, float("nan")], [1.0, -1.0]]}},
      "oracle: matrix must be a list of equal-length rows of finite numbers"),
+    # only parabolic draws anything, so only it takes a seed
+    ("eig", {"seed": 0}, "config: unknown key(s) ['seed']"),
+    ("evolve", {"seed": 0}, "config: unknown key(s) ['seed']"),
+    ("kernel", {"seed": 0}, "config: unknown key(s) ['seed']"),
+    ("verify", {"seed": 0}, "config: unknown key(s) ['seed']"),
 ])
 def test_cli_malformed_section_is_an_error(tmp_path, capsys, command,
                                            section, message):

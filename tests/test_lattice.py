@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from perronfem.lattice import LatticeError, MetzlerGenerator, \
     invariant_masks, is_irreducible, perron_report, \
-    point_positivity_theorem, positivity_improving_equiv, \
-    schaefer_approx_check, semigroup_at
+    positivity_improving_equiv, semigroup_at
 from tests.conftest import random_metzler
 
 SYMMETRIC_2X2 = MetzlerGenerator([[-1.0, 1.0], [1.0, -1.0]])
@@ -95,15 +94,6 @@ def test_exponential_matches_independent_taylor_oracle():
             assert np.abs(S - T).max() <= 1e-10 * max(1.0, np.abs(T).max())
 
 
-def test_point_positivity_theorem_small_cases():
-    assert point_positivity_theorem(SYMMETRIC_2X2, 0)
-    g = cycle_generator(4)
-    for x in range(4):
-        assert point_positivity_theorem(g, x, t_grid=(0.1, 1.0))
-    with pytest.raises(LatticeError, match="irreducible"):
-        point_positivity_theorem(TRIANGULAR_2X2, 0)
-
-
 def test_perron_report_symmetric_2x2():
     rep = perron_report(SYMMETRIC_2X2)
     assert rep.lambda1 == pytest.approx(0.0, abs=1e-12)
@@ -136,39 +126,6 @@ def test_perron_vector_against_power_iteration():
     lam_power = -math.log(float(v @ (S @ v)))
     assert np.abs(v - rep.vector).max() <= 1e-8
     assert lam_power == pytest.approx(rep.lambda1, abs=1e-8)
-
-
-# -- lattice order helpers -----------------------------------------------------
-
-def lattice_limit_reaches(u, v, powers=40):
-    # direct computation of min(v, k u) for growing k
-    for p in range(powers):
-        if np.array_equal(np.minimum(v, (2.0 ** p) * u), v):
-            return True
-    return False
-
-
-def test_schaefer_examples():
-    ones = np.ones(3)
-    assert schaefer_approx_check(ones, np.array([0.0, 2.0, 5.0]))
-    assert not schaefer_approx_check(np.array([1.0, 0.0]),
-                                     np.array([0.0, 1.0]))
-    assert schaefer_approx_check(np.array([1.0, 2.0, 0.0]),
-                                 np.array([0.0, 3.0, 0.0]))
-
-
-nonneg_entry = st.one_of(st.just(0.0),
-                         st.floats(min_value=1e-6, max_value=4.0))
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(nonneg_entry, min_size=1, max_size=6),
-       st.lists(nonneg_entry, min_size=1, max_size=6))
-def test_schaefer_agrees_with_direct_lattice_limit(u, v):
-    n = min(len(u), len(v))
-    u = np.asarray(u[:n])
-    v = np.asarray(v[:n])
-    assert schaefer_approx_check(u, v) == lattice_limit_reaches(u, v)
 
 
 # -- invariances -----------------------------------------------------------------

@@ -15,7 +15,7 @@ from perronfem.semigroup import EvolutionConfig, MassKind, Scheme, Verdict, \
     kernel_positivity_report, march, peripheral_pair, \
     positivity_improving_check
 from perronfem.spectral import perron_pair
-from tests.conftest import dense_ie_step
+from tests.conftest import dense_ie_step, dense_kernel
 
 
 def lumped_cfg(mesh, t_end=0.25, dt=None, scheme=Scheme.IMPLICIT_EULER):
@@ -291,7 +291,7 @@ def test_contractivity_under_sup_norm(robin_op8):
 def test_kernel_reproduces_evolution(robin_op8):
     cfg = lumped_cfg(robin_op8.mesh, t_end=0.25)
     t = 16 * cfg.dt
-    K = kernel(robin_op8, t, cfg)
+    K = dense_kernel(robin_op8, t, cfg)
     rng = np.random.default_rng(5)
     u0 = rng.standard_normal(robin_op8.n_dof)
     *_, last = march(robin_op8, cfg, u0, 16)
@@ -302,22 +302,22 @@ def test_kernel_reproduces_evolution(robin_op8):
 
 def test_kernel_symmetry_self_adjoint(robin_op8):
     cfg = lumped_cfg(robin_op8.mesh, t_end=0.25)
-    K = kernel(robin_op8, 0.1, cfg)
+    K = dense_kernel(robin_op8, 0.1, cfg)
     assert np.abs(K.entries - K.entries.T).max() <= 1e-8
 
 
 def test_kernel_chapman_kolmogorov(robin_op8):
     cfg = lumped_cfg(robin_op8.mesh, t_end=0.25)
     t = 8 * cfg.dt
-    K1 = kernel(robin_op8, t, cfg)
-    K2 = kernel(robin_op8, 2 * t, cfg)
+    K1 = dense_kernel(robin_op8, t, cfg)
+    K2 = dense_kernel(robin_op8, 2 * t, cfg)
     comp = K1.entries @ (K1.lumped_mass_full[:, None] * K1.entries)
     assert np.abs(K2.entries - comp).max() <= 1e-6
 
 
 def test_kernel_positivity_robin(robin_op8):
     cfg = lumped_cfg(robin_op8.mesh, t_end=0.25)
-    K = kernel(robin_op8, 0.1, cfg)
+    K = dense_kernel(robin_op8, 0.1, cfg)
     rep = kernel_positivity_report(K)
     assert rep.verdict is Verdict.PASS
     assert K.entries.min() > 0
@@ -325,7 +325,7 @@ def test_kernel_positivity_robin(robin_op8):
 
 def test_kernel_dirichlet_boundary_rows_exactly_zero(dirichlet_op8):
     cfg = lumped_cfg(dirichlet_op8.mesh, t_end=0.25)
-    K = kernel(dirichlet_op8, 0.1, cfg)
+    K = dense_kernel(dirichlet_op8, 0.1, cfg)
     rep = kernel_positivity_report(K)
     assert rep.verdict is Verdict.PASS
     assert rep.boundary_rows_zero
@@ -339,7 +339,7 @@ def test_kernel_matches_spectral_decomposition_oracle(robin_op8):
     # rational propagator
     cfg = EvolutionConfig(dt=0.05, t_end=0.25, mass=MassKind.LUMPED)
     k_steps = 5
-    K = kernel(robin_op8, k_steps * cfg.dt, cfg)
+    K = dense_kernel(robin_op8, k_steps * cfg.dt, cfg)
     A = robin_op8.stiffness.toarray()
     ML = robin_op8.mass_lumped
     import scipy.linalg as sla
@@ -353,7 +353,7 @@ def test_kernel_mixed_mode(mixed_mesh8):
     op = assemble(mixed_mesh8, CoefficientSet.constant(mixed_mesh8),
                   BoundaryMode.MIXED, corkscrew_checked=True)
     cfg = lumped_cfg(mixed_mesh8, t_end=0.25)
-    K = kernel(op, 0.125, cfg)
+    K = dense_kernel(op, 0.125, cfg)
     rep = kernel_positivity_report(K)
     assert rep.verdict is Verdict.PASS
     pinned = mixed_mesh8.dirichlet_vertices()
@@ -363,7 +363,7 @@ def test_kernel_mixed_mode(mixed_mesh8):
 
 def test_neumann_kernel_rank_one_limit(neumann_op8):
     cfg = EvolutionConfig(dt=0.25, t_end=50.0, mass=MassKind.LUMPED)
-    K = kernel(neumann_op8, 50.0, cfg)
+    K = dense_kernel(neumann_op8, 50.0, cfg)
     assert np.abs(K.entries - 1.0).max() <= 0.01  # 1 / |Omega| with |Omega|=1
 
 
@@ -421,7 +421,7 @@ def test_block_kernel_equals_column_marches(case, scheme, mass):
     op = _small_op(case)
     cfg = EvolutionConfig(scheme=scheme, dt=default_dt(op.mesh), t_end=1.0,
                           mass=mass)
-    K = kernel(op, 12 * cfg.dt, cfg)
+    K = dense_kernel(op, 12 * cfg.dt, cfg)
     assert np.array_equal(K.entries, _reference_kernel(op, 12, cfg))
     assert K.entries.dtype == (complex if case == "complex_robin" else float)
     b = op.constrained_vertices
@@ -434,16 +434,16 @@ def test_block_kernel_equals_column_marches(case, scheme, mass):
 def test_kernel_time_tuple_equals_separate_calls(robin_op8):
     cfg = lumped_cfg(robin_op8.mesh, t_end=0.25)
     t = 7 * cfg.dt
-    K1, K2 = kernel(robin_op8, (t, 2 * t), cfg)
-    for K, single in ((K1, kernel(robin_op8, t, cfg)),
-                      (K2, kernel(robin_op8, 2 * t, cfg))):
-        assert K.t == single.t
-        assert np.array_equal(K.entries, single.entries)
-    assert K2.t == 2 * K1.t
-    # times come back in the order given
-    late, early = kernel(robin_op8, (2 * t, t), cfg)
-    assert np.array_equal(late.entries, K2.entries)
-    assert np.array_equal(early.entries, K1.entries)
+    block = np.random.default_rng(3).standard_normal((robin_op8.n_dof, 3))
+    for adjoint in (False, True):
+        K1, K2 = kernel(robin_op8, (t, 2 * t), cfg, block, adjoint)
+        for K, ti in ((K1, t), (K2, 2 * t)):
+            assert np.array_equal(
+                K, kernel(robin_op8, ti, cfg, block, adjoint))
+        # times come back in the order given
+        late, early = kernel(robin_op8, (2 * t, t), cfg, block, adjoint)
+        assert np.array_equal(late, K2)
+        assert np.array_equal(early, K1)
 
 
 def test_kernel_and_trials_share_one_factorization(monkeypatch):
@@ -455,13 +455,13 @@ def test_kernel_and_trials_share_one_factorization(monkeypatch):
                         or splu(A, **kw))
     op = _small_op("robin")
     cfg = lumped_cfg(op.mesh, t_end=40 * default_dt(op.mesh))
-    kernel(op, (cfg.t_end, 2 * cfg.t_end), cfg)
+    dense_kernel(op, (cfg.t_end, 2 * cfg.t_end), cfg)
     _positivity_improving(op, cfg)  # the indicators march with the probes
     list(march(op, cfg, np.ones(op.n_dof), cfg.n_steps))
     assert len(factorizations) == 1
     # another dt is another step matrix
-    kernel(op, cfg.t_end, EvolutionConfig(dt=cfg.dt / 2, t_end=cfg.t_end,
-                                          mass=MassKind.LUMPED))
+    dense_kernel(op, cfg.t_end, EvolutionConfig(
+        dt=cfg.dt / 2, t_end=cfg.t_end, mass=MassKind.LUMPED))
     assert len(factorizations) == 2
 
 
@@ -584,8 +584,8 @@ def _split_kernels(op, cfg):
     """Dense K(t), K(t1) and K(t2) from one march, t1 at floor(n / 2) of
     the n steps to t and t2 = t - t1."""
     n1 = cfg.n_steps // 2
-    return kernel(op, (cfg.t_end, n1 * cfg.dt, (cfg.n_steps - n1) * cfg.dt),
-                  cfg)
+    return dense_kernel(
+        op, (cfg.t_end, n1 * cfg.dt, (cfg.n_steps - n1) * cfg.dt), cfg)
 
 
 def _dense_composition_verdict(K, K1, K2):
@@ -660,7 +660,7 @@ def test_probe_columns_are_the_dense_kernel_columns():
         op = _certificate_case(case, 6)
         cfg = lumped_cfg(op.mesh, t_end=30 * default_dt(op.mesh))
         t = 9 * cfg.dt
-        dense = kernel(op, t, cfg)
+        dense = dense_kernel(op, t, cfg)
         free = op.free_vertices
         dofs = np.array([0, op.n_dof - 1, op.n_dof // 2])
         block = np.zeros((op.n_dof, 3))
@@ -845,7 +845,7 @@ def test_certificate_takes_the_inverse_row_sum_witness_at_an_inflow():
                          cfg.scheme, cfg.dt)
     w = np.linalg.solve(B.toarray(), np.ones(op.n_dof))
     assert w.min() == pytest.approx(18.7, abs=0.1)
-    K = kernel(op, cfg.t_end, cfg)
+    K = dense_kernel(op, cfg.t_end, cfg)
     assert K.entries.min() > 0
     assert kernel_positivity_report(K).verdict is Verdict.PASS
     problem = Problem(mesh=mesh, coeffs=coeffs, mode=BoundaryMode.NEUMANN,
@@ -859,7 +859,7 @@ def test_kernel_report_raises_on_a_nonpositive_entry_under_the_certificate():
     from dataclasses import replace
     op = _small_op("robin")
     cfg = lumped_cfg(op.mesh)
-    K = kernel(op, 4 * cfg.dt, cfg)
+    K = dense_kernel(op, 4 * cfg.dt, cfg)
     assert K.certificate.holds
     for bad in (-1e-300, math.nan):
         entries = K.entries.copy()
@@ -951,7 +951,7 @@ def test_certificate_implies_the_lattice_oracle_on_tiny_meshes(case):
     g = lattice.MetzlerGenerator(Q)
     assert lattice.is_irreducible(g)
     assert lattice.positivity_improving_equiv(g)
-    K = kernel(op, cfg.t_end, cfg)
+    K = dense_kernel(op, cfg.t_end, cfg)
     free = op.free_vertices
     assert K.entries[np.ix_(free, free)].min() > 0
     assert kernel_positivity_report(K).verdict is Verdict.PASS

@@ -46,7 +46,6 @@ from .parabolic import (
 )
 from .semigroup import (
     EvolutionConfig,
-    KernelMatrix,
     Scheme,
     Verdict,
     kernel,

@@ -30,7 +30,7 @@ from .mesh import MeshError, generate_structured, load_mesh, quality, \
 from .parabolic import BoundaryData, PositivityScan, WeakResidual, \
     make_test_bank, solve_mild
 from .semigroup import EvolutionConfig, default_evolution, \
-    kernel_certificate, kernel_positivity_report, march, point_mass_columns
+    kernel_certificate, kernel_positivity_report, march
 from .spectral import REGION_FOR_MODE, SolverError, certify_positivity, \
     principal_eig, spectral_gap
 from .svgplot import emit_heatmap, render_strip, strip_steps
@@ -267,8 +267,7 @@ def _cmd_mesh(args) -> int:
     return 0
 
 
-_EIG_KEYS = {"mesh", "coefficients", "solver", "output_dir", "emit_csv",
-             "emit_svg", "gap_count"}
+_EIG_KEYS = {"mesh", "coefficients", "solver", "output_dir", "gap_count"}
 
 
 def _cmd_eig(args) -> int:
@@ -294,14 +293,12 @@ def _cmd_eig(args) -> int:
         cert = certify_positivity(report, op)
         payload["positivity"] = {**cert.payload(), "passed": cert.passed}
     _write_json(out / "eig_report.json", payload)
-    if cfg.get("emit_csv", True):
-        lines = ["vertex,x,y,value"]
-        for i, ((x, y), v) in enumerate(zip(mesh.vertices, full)):
-            lines.append(f"{i},{float(x)!r},{float(y)!r},{float(v)!r}")
-        (out / "eigenvector.csv").write_text("\n".join(lines) + "\n",
-                                             encoding="utf-8", newline="\n")
-    if cfg.get("emit_svg", True):
-        emit_heatmap(full, mesh, out / "eigenvector.svg")
+    lines = ["vertex,x,y,value"]
+    for i, ((x, y), v) in enumerate(zip(mesh.vertices, full)):
+        lines.append(f"{i},{float(x)!r},{float(y)!r},{float(v)!r}")
+    (out / "eigenvector.csv").write_text("\n".join(lines) + "\n",
+                                         encoding="utf-8", newline="\n")
+    emit_heatmap(full, mesh, out / "eigenvector.svg")
     print(f"lambda1 = {report.lambda1:.10g} (residual {report.residual:.2e},"
           f" gap {report.gap:.6g})")
     return 0
@@ -333,10 +330,11 @@ _KERNEL_KEYS = {"mesh", "coefficients", "evolution", "output_dir"}
 
 
 def _cmd_kernel(args) -> int:
-    """The dense kernel K(t), every unit point mass marched as one block.
-    A complex operator (the dump is real) and a march whose three largest
-    arrays would exceed DENSE_KERNEL_MAX_BYTES are refused before the
-    output directory exists."""
+    """The dense kernel K(t), every unit point mass marched as one block,
+    checked in dof space, then dumped on the full vertex set with zero
+    rows and columns at eliminated vertices. A complex operator (the dump
+    is real) and a march whose three largest arrays would exceed
+    DENSE_KERNEL_MAX_BYTES are refused before the output directory exists."""
     cfg, base, mesh, coeffs, mode = _load_inputs(args, _KERNEL_KEYS)
     ecfg = _resolve_evolution(cfg.get("evolution"), mesh)
     n = replace(ecfg, t_end=ecfg.t_end if args.t is None else args.t).n_steps
@@ -355,32 +353,33 @@ def _cmd_kernel(args) -> int:
     # a loop, not star-unpacking, so only the last state is kept
     for K in march(op, ecfg, np.diag(1.0 / op.mass_lumped), n):
         pass
-    K = point_mass_columns(op, n * ecfg.dt, K, np.arange(mesh.n_vertices),
-                           kernel_certificate(op, ecfg))
-    write_kernel_dump(out / "kernel.bin", K)
-    rep = kernel_positivity_report(K)
+    t = n * ecfg.dt
+    rep = kernel_positivity_report(op, kernel_certificate(op, ecfg),
+                                   np.arange(op.n_dof), K)
+    entries = np.zeros((mesh.n_vertices, mesh.n_vertices))
+    entries[np.ix_(op.free_vertices, op.free_vertices)] = K
+    del K  # the dump's bytes are a copy: hold two dense arrays, not three
+    write_kernel_dump(out / "kernel.bin", t, entries)
     report = {
-        "t": K.t, "n": K.entries.shape[0], "verdict": rep.verdict.value,
-        "min_entry": rep.min_entry, "witness": list(rep.witness),
-        "boundary_rows_zero": rep.boundary_rows_zero}
+        "t": t, "n": mesh.n_vertices, "verdict": rep.verdict.value,
+        "min_entry": rep.min_entry, "witness": list(rep.witness)}
     if rep.reason:
         report["reason"] = rep.reason
     _write_json(out / "kernel_report.json", report)
-    emit_heatmap(np.diag(K.entries), mesh, out / "kernel_diagonal.svg")
-    print(f"kernel at t = {K.t:.6g}: min entry {rep.min_entry:.6g}, "
+    emit_heatmap(np.diag(entries), mesh, out / "kernel_diagonal.svg")
+    print(f"kernel at t = {t:.6g}: min entry {rep.min_entry:.6g}, "
           f"verdict {rep.verdict.value}")
     return 0
 
 
-def write_kernel_dump(path: Path, K) -> None:
+def write_kernel_dump(path: Path, t: float, entries: np.ndarray) -> None:
     """Binary kernel dump: 8-byte magic KTMAT001, int64 n, float64 t, then
     n*n row-major little-endian float64 entries."""
-    n = K.entries.shape[0]
     with open(path, "wb") as fh:
         fh.write(KERNEL_MAGIC)
-        fh.write(struct.pack("<q", n))
-        fh.write(struct.pack("<d", float(K.t)))
-        fh.write(np.ascontiguousarray(K.entries, dtype="<f8").tobytes())
+        fh.write(struct.pack("<q", entries.shape[0]))
+        fh.write(struct.pack("<d", float(t)))
+        fh.write(np.ascontiguousarray(entries, dtype="<f8").tobytes())
 
 
 def read_kernel_dump(path) -> tuple[float, np.ndarray]:

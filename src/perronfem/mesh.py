@@ -503,11 +503,20 @@ def _distance_to_segments(points, a, b, chunk_bytes=4 * 2 ** 20):
     return np.sqrt(best)
 
 
-def _sample_segment(a, b, resolution):
-    length = float(np.linalg.norm(b - a))
-    k = max(1, int(math.ceil(length / resolution)))
-    ts = np.linspace(0.0, 1.0, k + 1)
-    return a + ts[:, None] * (b - a)
+def _sample_segments(a, b, resolution):
+    """k_e + 1 equally spaced points on each segment [a_e, b_e], stacked,
+    k_e = max(1, ceil(length / resolution)); bitwise those of a loop of
+    ``np.linalg.norm`` (a matmul dot product) and ``np.linspace`` (i / k_e
+    as i * (1 / k_e), the last set to 1) over the segments."""
+    ab = b - a
+    length = np.sqrt((ab[:, None, :] @ ab[:, :, None])[:, 0, 0])
+    k = np.maximum(1, np.ceil(length / resolution).astype(np.int64))
+    edge = np.repeat(np.arange(len(a)), k + 1)
+    ends = np.cumsum(k + 1)
+    i = np.arange(ends[-1]) - np.repeat(ends - (k + 1), k + 1)
+    ts = i * (1.0 / k)[edge]
+    ts[ends - 1] = 1.0
+    return a[edge] + ts[:, None] * ab[edge]
 
 
 def check_corkscrew(mesh: TriMesh, delta: float) -> CorkscrewResult:
@@ -540,9 +549,8 @@ def check_corkscrew(mesh: TriMesh, delta: float) -> CorkscrewResult:
     radii.append(r)
 
     resolution = mesh.h_max / 4.0
-    candidates = np.vstack([
-        _sample_segment(mesh.vertices[a], mesh.vertices[b], resolution)
-        for a, b in d_edges])
+    candidates = _sample_segments(mesh.vertices[d_edges[:, 0]],
+                                  mesh.vertices[d_edges[:, 1]], resolution)
     # radii never exceed 1, so a ball test only asks whether a distance
     # reaches delta * r <= delta. An N-edge whose box lies 2 delta or more
     # from the candidates' box is farther than delta from every candidate,

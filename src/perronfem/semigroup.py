@@ -18,7 +18,8 @@ operator and (scheme, dt, mass), by ``spectral.factorize``, and serves
 ``kernel``, the certificate's witness and the ``perronfem evolve`` and
 ``perronfem kernel`` commands, which keep one state at a time. No
 trajectory is stacked. ``kernel`` applies K(t) or K(t)^T to a block of
-columns.
+columns. The checks take dof-space arrays and name vertices only in what
+they report; only the ``perronfem kernel`` dump spreads onto the vertices.
 """
 
 from __future__ import annotations
@@ -33,8 +34,7 @@ from scipy.sparse.csgraph import dijkstra
 
 from .assembly import DiscreteOperator, MassKind, MMatrixCertificate, \
     mass_matrix, mmatrix_certificate, mmatrix_report, offdiagonal_pattern
-from .spectral import REGION_FOR_MODE, SolverError, factorize, \
-    region_vertices
+from .spectral import REGION_FOR_MODE, SolverError, factorize
 
 
 class Scheme(Enum):
@@ -192,46 +192,10 @@ def kernel_certificate(op: DiscreteOperator,
 
 
 @dataclass(frozen=True)
-class KernelMatrix:
-    """Point-mass columns of the discrete heat kernel at time t, on the
-    full vertex set.
-
-    Column j is the evolved unit point mass at vertex columns[j] (initial
-    state e_v / lumped_mass_v); rows and columns of eliminated vertices
-    are exact zeros. The dense kernel has every vertex as a column, and
-    entries @ (lumped_mass_full * u) reproduces the evolution of u.
-    """
-
-    t: float
-    entries: np.ndarray          # (n_vertices, len(columns))
-    columns: np.ndarray          # vertex of each column
-    constrained: np.ndarray      # vertex indices with eliminated dofs
-    lumped_mass_full: np.ndarray
-    certificate: MMatrixCertificate
-
-
-def point_mass_columns(op: DiscreteOperator, t: float, values: np.ndarray,
-                       columns: np.ndarray,
-                       certificate: MMatrixCertificate) -> KernelMatrix:
-    """The KernelMatrix of the point masses at the vertices ``columns``,
-    from ``values``: K(t) on their free ones, in dof rows."""
-    nv = op.mesh.n_vertices
-    lumped_full = np.zeros(nv)
-    lumped_full[op.free_vertices] = op.mass_lumped
-    entries = np.zeros((nv, len(columns)), dtype=values.dtype)
-    entries[np.ix_(op.free_vertices,
-                   np.flatnonzero(op.dof_map[columns] >= 0))] = values
-    return KernelMatrix(t=t, entries=entries, columns=np.asarray(columns),
-                        constrained=op.constrained_vertices,
-                        lumped_mass_full=lumped_full, certificate=certificate)
-
-
-@dataclass(frozen=True)
 class KernelPositivityReport:
     verdict: Verdict
     min_entry: float
-    witness: tuple
-    boundary_rows_zero: bool
+    witness: tuple                # (row, column) vertex of min_entry
     reason: str = ""
     underflow: bool = False       # min_entry is a positive entry lost to 0.0
 
@@ -260,34 +224,29 @@ def kernel(op: DiscreteOperator, t: float | tuple, cfg: EvolutionConfig,
     return out[0] if single else tuple(out)
 
 
-def kernel_positivity_report(K: KernelMatrix) -> KernelPositivityReport:
+def kernel_positivity_report(op: DiscreteOperator,
+                             certificate: MMatrixCertificate,
+                             columns: np.ndarray,
+                             K: np.ndarray) -> KernelPositivityReport:
     """The certificate's verdict on the free pairs, cross-checked in
-    floats on K's columns: their smallest free entry, where it sits, and
-    whether eliminated rows and columns are exact zeros. Under a holding
-    certificate a sampled entry of exactly 0.0 is float underflow of a
-    positive entry and is flagged as such; a negative or NaN entry is a
-    program bug and raises AssertionError."""
-    if not K.certificate.holds:
+    floats on K, K(t) at the point masses of the dofs ``columns`` in dof
+    rows: its smallest entry and where it sits, as a pair of vertices.
+    Under a holding certificate an entry of exactly 0.0 is float underflow
+    of a positive entry and is flagged as such; a negative or NaN entry is
+    a program bug and raises AssertionError."""
+    if not certificate.holds:
         return KernelPositivityReport(Verdict.NOT_APPLICABLE, math.nan,
-                                      (-1, -1), False,
-                                      reason=K.certificate.reason)
-    rows = np.setdiff1d(np.arange(K.entries.shape[0]), K.constrained)
-    pinned = np.isin(K.columns, K.constrained)
-    boundary_ok = bool(np.all(K.entries[K.constrained, :] == 0.0)
-                       and np.all(K.entries[:, pinned] == 0.0))
-    cols = np.flatnonzero(~pinned)
-    block = K.entries[np.ix_(rows, cols)]
-    arg = np.unravel_index(int(np.argmin(block)), block.shape)
-    min_entry = float(block[arg])
-    witness = (int(rows[arg[0]]), int(K.columns[cols[arg[1]]]))
+                                      (-1, -1), reason=certificate.reason)
+    row, col = np.unravel_index(int(np.argmin(K)), K.shape)
+    min_entry = float(K[row, col])
+    witness = (int(op.free_vertices[row]),
+               int(op.free_vertices[columns[col]]))
     if not min_entry >= 0.0:
         raise AssertionError(
             f"kernel entry {min_entry!r} at {witness} is not positive "
             f"under a holding positivity certificate")
-    return KernelPositivityReport(
-        verdict=Verdict.PASS if boundary_ok else Verdict.FAIL,
-        min_entry=min_entry, witness=witness,
-        boundary_rows_zero=boundary_ok, underflow=min_entry == 0.0)
+    return KernelPositivityReport(Verdict.PASS, min_entry, witness,
+                                  underflow=min_entry == 0.0)
 
 
 @dataclass(frozen=True)
@@ -302,17 +261,19 @@ class PositivityImprovingReport:
 
 def positivity_improving_check(op: DiscreteOperator,
                                certificate: MMatrixCertificate,
+                               columns: np.ndarray = (),
                                ends: tuple = ()) -> PositivityImprovingReport:
     """The certificate's verdict that every nodal indicator is strictly
-    positive on the mode's region from the first step through t_end:
-    B^-1 > 0 maps a nonnegative, nonzero state to a positive one.
+    positive on the mode's region, which is the free vertices, from the
+    first step through t_end: B^-1 > 0 maps a nonnegative, nonzero state
+    to a positive one.
 
     When the certificate holds, ``ends`` is the pair (K at step 1, K at t)
-    on the same point-mass columns, from the caller's march, and the float
-    cross-check tests their sign on the region in indicator units (the
-    column of vertex v times its lumped mass): an entry of exactly 0.0 is
-    float underflow and is flagged as such, a negative or NaN entry is a
-    program bug and raises AssertionError.
+    at the point masses of the dofs ``columns``, in dof rows, from the
+    caller's march, and the float cross-check tests their sign in
+    indicator units (the column of dof j times its lumped mass): an entry
+    of exactly 0.0 is float underflow and is flagged as such, a negative
+    or NaN entry is a program bug and raises AssertionError.
     """
     if not certificate.holds:
         return PositivityImprovingReport(Verdict.NOT_APPLICABLE,
@@ -321,14 +282,13 @@ def positivity_improving_check(op: DiscreteOperator,
         return PositivityImprovingReport(
             Verdict.NOT_APPLICABLE,
             reason=f"no positivity region for mode {op.mode.value}")
-    rows = region_vertices(op, REGION_FOR_MODE[op.mode])
-    low, end = (float((K.entries[rows] * K.lumped_mass_full[K.columns]).min())
-                for K in ends)
+    weights = op.mass_lumped[columns]
+    low, end = (float((K * weights).min()) for K in ends)
     if not (low >= 0.0 and end >= 0.0):
         raise AssertionError(
             f"indicator minima {low!r} at the first step and {end!r} at "
             f"t are not positive under a holding positivity certificate")
     return PositivityImprovingReport(
-        Verdict.PASS, tuple(int(v) for v in ends[-1].columns),
+        Verdict.PASS, tuple(int(v) for v in op.free_vertices[columns]),
         min_at_first_step=low, min_at_end=end,
         underflow=min(low, end) == 0.0)

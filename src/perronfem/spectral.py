@@ -65,6 +65,8 @@ class Region(Enum):
     OMEGA_UNION_N = "omega_union_n"  # domain plus flux boundary part
 
 
+#: each mode's region is exactly its free vertices: Dirichlet eliminates
+#: the whole boundary, mixed its Dirichlet part, Robin and Neumann nothing
 REGION_FOR_MODE = {
     BoundaryMode.DIRICHLET: Region.INTERIOR,
     BoundaryMode.ROBIN: Region.CLOSURE,
@@ -456,17 +458,6 @@ def spectral_gap(op: DiscreteOperator, k: int, tol: float = 1e-10
 
 # ---------------------------------------------------------------------------
 # certificates
-
-def region_vertices(op: DiscreteOperator, region: Region) -> np.ndarray:
-    mesh = op.mesh
-    if region is Region.INTERIOR:
-        return np.setdiff1d(np.arange(mesh.n_vertices),
-                            mesh.boundary_vertices())
-    if region is Region.CLOSURE:
-        return np.arange(mesh.n_vertices)
-    return np.setdiff1d(np.arange(mesh.n_vertices),
-                        op.constrained_vertices)
-
 
 def certify_positivity(report: EigenReport | None,
                        op: DiscreteOperator) -> PositivityCertificate:

@@ -21,9 +21,9 @@ from .assembly import BoundaryMode, CoefficientSet, DiscreteOperator, \
     MassKind, MMatrixCertificate, assemble, ellipticity_check, \
     mmatrix_report
 from .mesh import TriMesh, check_corkscrew
-from .semigroup import EvolutionConfig, KernelMatrix, Verdict, \
-    default_evolution, kernel, kernel_certificate, kernel_positivity_report, \
-    peripheral_pair, point_mass_columns, positivity_improving_check
+from .semigroup import EvolutionConfig, Verdict, default_evolution, \
+    kernel, kernel_certificate, kernel_positivity_report, peripheral_pair, \
+    positivity_improving_check
 from .spectral import REGION_FOR_MODE, SolverError, certify_positivity, \
     complex_robin_bound, perron_pair, principal_eig, spectral_gap
 
@@ -42,11 +42,13 @@ FLOAT_FLOOR = np.finfo(float).tiny
 
 @dataclass(frozen=True)
 class KernelProbes:
-    """What the four kernel checks read, at the horizon t = t1 + t2."""
+    """What the four kernel checks read, at the horizon t = t1 + t2, all
+    in dof space."""
 
     t: float
-    ends: KernelMatrix       # K(t) on the point masses of peripheral_pair
-    ends_at_first_step: KernelMatrix  # the same columns at step 1
+    columns: np.ndarray      # peripheral_pair's dofs, if the certificate holds
+    ends: np.ndarray         # K(t) at their point masses, in dof rows
+    ends_at_first_step: np.ndarray  # the same columns at step 1
     probes: np.ndarray       # Z, (n_dof, PROBES)
     forward: np.ndarray      # K(t) Z
     forward_t1: np.ndarray | None  # K(t1) Z, t1 at floor(n / 2) of n steps
@@ -103,23 +105,20 @@ class Problem:
         n1 = cfg.n_steps // 2
         # the kernel decays with graph distance, so the float cross-checks
         # sample the columns of the two most distant dofs
-        ends = list(peripheral_pair(op)) if self.certificate.holds else []
+        columns = np.array(peripheral_pair(op) if self.certificate.holds
+                           else (), dtype=np.int64)
+        m = len(columns)
         probes = np.random.default_rng(PROBE_SEED).standard_normal(
             (op.n_dof, PROBES))
-        block = np.zeros((op.n_dof, len(ends) + PROBES))
-        block[ends, range(len(ends))] = 1.0
-        block[:, len(ends):] = probes
+        block = np.zeros((op.n_dof, m + PROBES))
+        block[columns, range(m)] = 1.0
+        block[:, m:] = probes
         times = (cfg.t_end, cfg.dt) + ((n1 * cfg.dt,) if n1 else ())
         K1, K0, *split = kernel(op, times, cfg, block)
-        columns = op.free_vertices[ends]
         return KernelProbes(
-            t=t, ends=point_mass_columns(op, t, K1[:, :len(ends)], columns,
-                                         self.certificate),
-            ends_at_first_step=point_mass_columns(
-                op, cfg.dt, K0[:, :len(ends)], columns,
-                self.certificate),
-            probes=probes, forward=K1[:, len(ends):],
-            forward_t1=split[0][:, len(ends):] if n1 else None,
+            t=t, columns=columns, ends=K1[:, :m], ends_at_first_step=K0[:, :m],
+            probes=probes, forward=K1[:, m:],
+            forward_t1=split[0][:, m:] if n1 else None,
             adjoint_t2=kernel(op, t - n1 * cfg.dt, cfg, probes,
                               adjoint=True) if n1 else None)
 
@@ -205,9 +204,9 @@ def _check_positivity_improving(p: Problem):
     if p.mode not in REGION_FOR_MODE:
         return Verdict.NOT_APPLICABLE, {"reason": "no positivity region"}
     # an unmet hypothesis needs no march
-    ends = (p.kernel_probes.ends_at_first_step, p.kernel_probes.ends) \
-        if p.certificate.holds else ()
-    rep = positivity_improving_check(p.op, p.certificate, ends)
+    k = p.kernel_probes if p.certificate.holds else None
+    rep = positivity_improving_check(p.op, p.certificate, *(
+        (k.columns, (k.ends_at_first_step, k.ends)) if k else ()))
     payload = {"trials": len(rep.columns)}
     if rep.reason:
         payload["reason"] = rep.reason
@@ -222,15 +221,14 @@ def _check_positivity_improving(p: Problem):
 def _check_kernel_positivity(p: Problem):
     if p.mode not in REGION_FOR_MODE:
         return Verdict.NOT_APPLICABLE, {"reason": "no positivity region"}
-    K = p.kernel_probes.ends
-    rep = kernel_positivity_report(K)
+    k = p.kernel_probes
+    rep = kernel_positivity_report(p.op, p.certificate, k.columns, k.ends)
     if rep.reason:
         return rep.verdict, {"reason": rep.reason}
     # min_entry and witness are over the sampled columns only
-    payload = {"t": K.t, "columns": list(K.columns),
+    payload = {"t": k.t, "columns": list(p.op.free_vertices[k.columns]),
                "min_entry": rep.min_entry, "witness": list(rep.witness),
-               "boundary_rows_zero": rep.boundary_rows_zero,
-               "min_row_sum": K.certificate.min_row_sum}
+               "min_row_sum": p.certificate.min_row_sum}
     if rep.underflow:
         payload["underflow"] = True
     return rep.verdict, payload

@@ -6,8 +6,7 @@ import pytest
 from perronfem import BoundaryMode, CoefficientSet, assemble, \
     generate_structured
 from perronfem.lattice import EXHAUSTIVE_DIM, MetzlerGenerator
-from perronfem.semigroup import kernel_certificate, march, \
-    point_mass_columns
+from perronfem.semigroup import march
 
 MIXED_TAGS = {"bottom": "D", "right": "N", "top": "N", "left": "N"}
 
@@ -66,17 +65,13 @@ def random_metzler(rng: np.random.Generator,
 
 
 def dense_kernel(op, t, cfg):
-    """The dense KernelMatrix of K(t), built the way ``perronfem kernel``
-    builds it: every unit point mass marched as one block from
-    diag(1/m_L), then ``point_mass_columns`` on every vertex. t may be a
-    tuple of times: one march to the latest, one KernelMatrix per time in
-    the order given."""
+    """The dense K(t) as an (n_dof, n_dof) array, marched the way
+    ``perronfem kernel`` marches it: every unit point mass as one block
+    from diag(1/m_L). t may be a tuple of times: one march to the latest,
+    one array per time in the order given."""
     single = not isinstance(t, tuple)
     steps = [replace(cfg, t_end=ti).n_steps for ti in ((t,) if single else t)]
     states = march(op, cfg, np.diag(1.0 / op.mass_lumped), max(steps))
     snapshots = {k: U for k, U in enumerate(states, 1) if k in steps}
-    certificate = kernel_certificate(op, cfg)
-    out = [point_mass_columns(op, n * cfg.dt, snapshots[n],
-                              np.arange(op.mesh.n_vertices), certificate)
-           for n in steps]
+    out = [snapshots[n] for n in steps]
     return out[0] if single else tuple(out)

@@ -18,7 +18,7 @@ from perronfem.mesh import check_corkscrew, generate_structured
 from perronfem.parabolic import BoundaryData, make_test_bank, solve_mild, \
     strong_positivity_check, very_weak_residual
 from perronfem.semigroup import EvolutionConfig, MassKind, Verdict, \
-    kernel_positivity_report, positivity_improving_check
+    kernel_certificate, kernel_positivity_report, positivity_improving_check
 from perronfem.spectral import Region, certify_positivity, \
     complex_robin_bound, principal_eig, spectral_gap
 from tests.conftest import dense_kernel, random_metzler
@@ -121,13 +121,14 @@ def test_criterion_5_positivity_improving_exhaustive():
     # the dense kernel at every step: column v times m_v is indicator v
     kernels = dense_kernel(
         op, tuple(k * cfg.dt for k in range(1, cfg.n_steps + 1)), cfg)
-    assert op.n_dof == 81 and kernels[0].entries.shape == (81, 81)
-    rep = positivity_improving_check(op, kernels[0].certificate,
+    assert op.n_dof == 81 and kernels[0].shape == (81, 81)
+    rep = positivity_improving_check(op, kernel_certificate(op, cfg),
+                                     np.arange(op.n_dof),
                                      (kernels[0], kernels[-1]))
     assert rep.verdict is Verdict.PASS
     assert len(rep.columns) == 81
     for K in kernels:
-        assert (K.entries * K.lumped_mass_full).min() > 0
+        assert (K * op.mass_lumped).min() > 0
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
     report(5, f"all 81 indicators fully positive from step 1, staying "
@@ -142,21 +143,23 @@ def test_criterion_6_kernel_properties():
                           mass=MassKind.LUMPED)
     t = 16 * cfg.dt
     K = dense_kernel(op, t, cfg)
-    assert np.abs(K.entries - K.entries.T).max() <= 1e-8
-    assert kernel_positivity_report(K).verdict is Verdict.PASS
-    assert K.entries.min() > 0
+    assert np.abs(K - K.T).max() <= 1e-8
+    assert kernel_positivity_report(op, kernel_certificate(op, cfg),
+                                    np.arange(op.n_dof), K).verdict \
+        is Verdict.PASS
+    assert K.min() > 0
 
     K2 = dense_kernel(op, 2 * t, cfg)
-    comp = K.entries @ (K.lumped_mass_full[:, None] * K.entries)
-    ck_dev = np.abs(K2.entries - comp).max()
+    comp = K @ (op.mass_lumped[:, None] * K)
+    ck_dev = np.abs(K2 - comp).max()
     assert ck_dev <= 1e-6
 
     op_n = assemble(mesh, CoefficientSet.constant(mesh),
                     BoundaryMode.NEUMANN)
     cfg_n = EvolutionConfig(dt=0.25, t_end=50.0, mass=MassKind.LUMPED)
     K_inf = dense_kernel(op_n, 50.0, cfg_n)
-    assert np.abs(K_inf.entries - 1.0).max() <= 0.01
-    report(6, f"kernel symmetric to {np.abs(K.entries - K.entries.T).max():.1e},"
+    assert np.abs(K_inf - 1.0).max() <= 0.01
+    report(6, f"kernel symmetric to {np.abs(K - K.T).max():.1e},"
               f" positive, composition defect {ck_dev:.1e} <= 1e-6, Neumann "
               f"kernel within 1% of 1/|Omega| at t = 50")
 

@@ -230,7 +230,7 @@ def test_suite_says_when_a_check_failed_in_the_solver(monkeypatch):
 def test_suite_raises_a_broken_invariant(monkeypatch):
     import perronfem.verification as verification
 
-    def broken(K):
+    def broken(op, certificate, columns, K):
         raise AssertionError("kernel entry 0.0 is not positive")
     monkeypatch.setattr(verification, "kernel_positivity_report", broken)
     with pytest.raises(AssertionError, match="not positive"):
@@ -521,7 +521,10 @@ def test_cli_parabolic_output_bytes_pinned(tmp_path, name):
 
 # the other commands' CSV and SVG bytes, recorded while each writer built
 # its whole text before writing it; the kernel outputs, recorded while
-# semigroup.kernel still built the dense kernel for the command
+# semigroup.kernel still built the dense kernel for the command.
+# kernel_report.json was re-pinned when the report lost its
+# "boundary_rows_zero" line, which the command's own dump makes true by
+# construction; nothing else in it moved
 PINNED_WRITERS = {
     "evolve": ({
         "mesh": {"shape": "unit_square", "n": 6, "tags": "N"},
@@ -536,7 +539,7 @@ PINNED_WRITERS = {
     }),
     "eig": ({
         "mesh": {"shape": "unit_square", "n": 6, "tags": "N"},
-        "coefficients": {"beta": 1.5, "mode": "robin"}, "emit_csv": False,
+        "coefficients": {"beta": 1.5, "mode": "robin"},
     }, {
         "eigenvector.svg":
             "34444795901331f58aef5b65d8c85bd78f451c2b95a1345cb0168c3ad812724a",
@@ -548,7 +551,7 @@ PINNED_WRITERS = {
         "kernel.bin":
             "453a84434854ecb7ea9c3fd56aac2291ae166175ba051eabaaaec24ed6d03ad1",
         "kernel_report.json":
-            "9d68620016a79418728ffee86de2fbc398b4134c64cdac3b72d4cfb502d8d1ad",
+            "a43b0f9af23688cf3ff5f9734a7456f608a2194dfb612239283574983fdc321f",
         "kernel_diagonal.svg":
             "166c00a189f2dbdf6ef91059e418e60129f7947b6e1038f00b24c95386f22919",
     }),
@@ -568,8 +571,8 @@ def test_cli_writer_bytes_pinned(tmp_path, capsys, command):
 
 
 def test_cli_kernel_bytes_pinned_on_the_mixed_lshape(tmp_path, capsys):
-    # recorded as PINNED_WRITERS["kernel"]; the Dirichlet vertices' rows
-    # and columns of the dump are exact zeros
+    # recorded and re-pinned as PINNED_WRITERS["kernel"]; the Dirichlet
+    # vertices' rows and columns of the dump are exact zeros
     import hashlib
     path = write_config(tmp_path / "c.json", {
         "mesh": {"shape": "l_shape", "n": 4, "tags": LSHAPE_MIXED_TAGS},
@@ -578,8 +581,8 @@ def test_cli_kernel_bytes_pinned_on_the_mixed_lshape(tmp_path, capsys):
     for filename, digest in {
             "kernel.bin": "364bc0b0eaea5c7e4aeefa4867cac67f"
                           "ab77c31646f8ca6c73026da70632155f",
-            "kernel_report.json": "349f4cb85f6430ee0077165726f8cb8f"
-                                  "872435a3fea36d9d89c8daede509399e",
+            "kernel_report.json": "328d6a35fe4ebec637299fa53a6a25cec"
+                                  "1bc40a86e05ff21ccd34ac22b4c2311",
             "kernel_diagonal.svg": "69cb40510a9660e4188d909a873f8e90"
                                    "0e71d7e56e32d6ca31b1cae3c6b2e59f"}.items():
         blob = (tmp_path / "out" / filename).read_bytes()
@@ -590,6 +593,30 @@ def test_cli_kernel_bytes_pinned_on_the_mixed_lshape(tmp_path, capsys):
     assert pinned.size
     assert np.all(entries[pinned, :] == 0.0)
     assert np.all(entries[:, pinned] == 0.0)
+    capsys.readouterr()
+
+
+def test_cli_kernel_dump_zeros_the_boundary_outside_the_certificate(
+        tmp_path, capsys):
+    # Crank-Nicolson is outside the positivity certificate: the verdict is
+    # not applicable, and the dump still spreads K(t) onto every vertex
+    # with exact zeros at the eliminated boundary
+    path = write_config(tmp_path / "c.json", {
+        "mesh": {"shape": "unit_square", "n": 5, "tags": "D"},
+        "coefficients": {"mode": "dirichlet"},
+        "evolution": {"scheme": "crank_nicolson", "dt": 0.01, "t_end": 0.1},
+        "output_dir": "out"})
+    assert main(["kernel", "--config", path]) == 0
+    report = json.loads((tmp_path / "out" / "kernel_report.json").read_text())
+    assert report["verdict"] == "not_applicable"
+    assert "boundary_rows_zero" not in report
+    _, entries = read_kernel_dump(tmp_path / "out" / "kernel.bin")
+    boundary = generate_structured("unit_square", 5, "D").boundary_vertices()
+    interior = np.setdiff1d(np.arange(36), boundary)
+    assert entries.shape == (36, 36) and boundary.size == 20
+    assert np.all(entries[boundary, :] == 0.0)
+    assert np.all(entries[:, boundary] == 0.0)
+    assert np.all(entries[np.ix_(interior, interior)] != 0.0)
     capsys.readouterr()
 
 
@@ -1034,6 +1061,8 @@ def test_cli_field_without_a_finite_value_is_an_error(tmp_path, capsys,
     ("evolve", {"seed": 0}, "config: unknown key(s) ['seed']"),
     ("kernel", {"seed": 0}, "config: unknown key(s) ['seed']"),
     ("verify", {"seed": 0}, "config: unknown key(s) ['seed']"),
+    # eig always writes its CSV and SVG, so it takes no switch for them
+    ("eig", {"emit_csv": False}, "config: unknown key(s) ['emit_csv']"),
 ])
 def test_cli_malformed_section_is_an_error(tmp_path, capsys, command,
                                            section, message):
@@ -1299,7 +1328,10 @@ def test_cli_verify_kernel_symmetry_not_applicable_under_consistent_mass(
 # round-off-sized max_deviation differs. robin6, dirichlet6 and lshape4 were
 # re-pinned when the graph diameter was no longer computed: only
 # positivity-improving's "threshold_step" line (12, 8 and 15) is gone; the
-# breadth-first sweeps pick the same probe columns.
+# breadth-first sweeps pick the same probe columns. robin6, dirichlet6 and
+# lshape4 were re-pinned when kernel-positivity lost its
+# "boundary_rows_zero" line, true by construction on dof-space columns;
+# nothing else moved.
 PINNED_REPORTS = {
     "robin6": ({
         "mesh": {"shape": "unit_square", "n": 6, "tags": "N"},
@@ -1307,11 +1339,11 @@ PINNED_REPORTS = {
         "oracle": {"matrix": [[-2.0, 1.0, 0.0], [0.0, -2.0, 1.0],
                               [0.5, 0.0, -2.0]],
                    "expect_irreducible": True},
-    }, "48600e4be6a7aa421ace2e08a803bd057454573cfe1394626697f7004d7ed880"),
+    }, "e4339646d3e410c509eb72b160a9fb5879789d9c8d11c7f42269344a7398acc3"),
     "dirichlet6": ({
         "mesh": {"shape": "unit_square", "n": 6, "tags": "D"},
         "coefficients": {"mode": "dirichlet"},
-    }, "e2d872e8393fa4e4d24ab3eed46a476b31ec681ea0893dd173a305a0041133e7"),
+    }, "a3a07a652e4a43ee79a10d5d4c5f1adf6b3fde6841defe7f0f020ddf783cc40a"),
     "complex6": ({
         "mesh": {"shape": "unit_square", "n": 6, "tags": "N"},
         "coefficients": {"beta": {"re": 1.0, "im": 0.5},
@@ -1320,7 +1352,7 @@ PINNED_REPORTS = {
     "lshape4": ({
         "mesh": {"shape": "l_shape", "n": 4, "tags": LSHAPE_MIXED_TAGS},
         "coefficients": {"mode": "mixed"},
-    }, "07b343a625664eb158c983e6fa8c5a14074dac202e8d7fdd7fd01190472e5960"),
+    }, "6cec77b36ca37fa938eaa6c4180910d320dfd494da386c997211e239274eaf12"),
 }
 
 
@@ -1393,8 +1425,7 @@ def test_cli_eig_report_bytes_pinned(tmp_path, name):
     coefficients, digest = PINNED_EIG_REPORTS[name]
     path = write_config(tmp_path / "c.json", {
         "mesh": {"shape": "unit_square", "n": 6, "tags": "N"},
-        "coefficients": coefficients, "gap_count": 3, "output_dir": "out",
-        "emit_csv": False, "emit_svg": False})
+        "coefficients": coefficients, "gap_count": 3, "output_dir": "out"})
     assert main(["eig", "--config", path]) == 0
     blob = (tmp_path / "out" / "eig_report.json").read_bytes()
     assert hashlib.sha256(blob).hexdigest() == digest
@@ -1571,8 +1602,7 @@ def test_cli_eig_warns_when_the_corkscrew_check_fails(tmp_path):
     thin = TriMesh(mesh.vertices, mesh.triangles, mesh.boundary_edges, tags)
     assert not check_corkscrew(thin, 0.1).ok
     (tmp_path / "thin.txt").write_text(save_mesh(thin), encoding="utf-8")
-    cfg = {"mesh": {"path": "thin.txt"}, "coefficients": {"mode": "mixed"},
-           "emit_csv": False, "emit_svg": False}
+    cfg = {"mesh": {"path": "thin.txt"}, "coefficients": {"mode": "mixed"}}
     path = write_config(tmp_path / "thin.json", cfg)
     with pytest.warns(UserWarning, match="corkscrew"):
         assert main(["eig", "--config", path]) == 0

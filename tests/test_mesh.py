@@ -307,6 +307,60 @@ def test_corkscrew_distances_are_bitwise_those_of_the_edge_loop(monkeypatch):
                    for key in looped.witnesses)
 
 
+def _samples_edge_by_edge(a, b, resolution):
+    """The per-edge sampling the broadcast replaced: np.linalg.norm for the
+    length, np.linspace for the parameters."""
+    out = []
+    for p, q in zip(a, b):
+        length = float(np.linalg.norm(q - p))
+        k = max(1, int(math.ceil(length / resolution)))
+        ts = np.linspace(0.0, 1.0, k + 1)
+        out.append(p + ts[:, None] * (q - p))
+    return np.vstack(out)
+
+
+def test_corkscrew_samples_are_bitwise_those_of_the_edge_loop(monkeypatch):
+    import perronfem.mesh as mesh_module
+    rng = np.random.default_rng(7)
+    for shape, n in (("unit_square", 8), ("l_shape", 12), ("rectangle", 5)):
+        mesh = generate_structured(shape, n, "N", width=2.5, height=0.7)
+        edges = mesh.boundary_edges
+        # turned, scaled and shifted, at spacings off the edge lengths
+        for _ in range(6):
+            angle = rng.uniform(0.0, 2 * math.pi)
+            c, s = math.cos(angle), math.sin(angle)
+            scale = rng.uniform(0.01, 50.0)
+            moved = scale * mesh.vertices @ np.array([[c, s], [-s, c]]) \
+                + rng.uniform(-3.0, 3.0, 2)
+            a, b = moved[edges[:, 0]], moved[edges[:, 1]]
+            resolution = scale * mesh.h_max * rng.uniform(0.1, 0.5)
+            assert np.array_equal(
+                mesh_module._sample_segments(a, b, resolution),
+                _samples_edge_by_edge(a, b, resolution))
+    # lengths of whole multiples of the spacing, up to rounding, where one
+    # ulp of length changes the count, and counts up to 120, where
+    # k * (1 / k) is not 1 at k = 49, 98, 103 and 107
+    angle = rng.uniform(0.0, 2 * math.pi, 2000)
+    a = rng.uniform(-1.0, 1.0, (2000, 2))
+    b = a + np.c_[np.cos(angle), np.sin(angle)] \
+        * (0.037 * rng.integers(1, 120, 2000))[:, None]
+    assert np.array_equal(mesh_module._sample_segments(a, b, 0.037),
+                          _samples_edge_by_edge(a, b, 0.037))
+    # the corkscrew payloads do not move
+    for mesh, delta in _corkscrew_cases():
+        broadcast = check_corkscrew(mesh, delta)
+        with monkeypatch.context() as patch:
+            patch.setattr(mesh_module, "_sample_segments",
+                          _samples_edge_by_edge)
+            looped = check_corkscrew(mesh, delta)
+        assert (broadcast.ok, broadcast.failure) == \
+            (looped.ok, looped.failure)
+        assert broadcast.witnesses.keys() == looped.witnesses.keys()
+        assert all(np.array_equal(broadcast.witnesses[key],
+                                  looped.witnesses[key])
+                   for key in looped.witnesses)
+
+
 @pytest.mark.parametrize("delta", [0.01, 0.1, 0.25, 0.5, 1.0, 10.0])
 def test_corkscrew_prune_changes_no_result(monkeypatch, delta):
     # the far flux edges are dropped before the distance search; measuring

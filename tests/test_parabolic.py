@@ -6,8 +6,8 @@ import pytest
 from perronfem.assembly import CoefficientSet, annihilates_constants, \
     assemble_volume
 from perronfem.mesh import generate_structured
-from perronfem.parabolic import BoundaryData, ConstancyVerdict, \
-    MildSolution, ParabolicError, PositivityScan, WeakResidual, \
+from perronfem.parabolic import BoundaryData, MildSolution, \
+    ParabolicError, PositivityScan, WeakResidual, \
     constancy_principle_check, elliptic_strong_max_check, make_test_bank, \
     solve_mild, strong_positivity_check, very_weak_residual
 from perronfem.semigroup import EvolutionConfig, MassKind, Verdict
@@ -284,7 +284,7 @@ def test_constancy_confirmed_for_constant_solution(dirichlet_mesh8):
                      phi, cfg_for(mesh, 0.2, 20))
     interior = sol.interior
     verdict, payload = constancy_principle_check(sol, 0.1, int(interior[3]))
-    assert verdict is ConstancyVerdict.CONSTANT
+    assert verdict is Verdict.PASS
     assert payload["spread"] <= payload["tolerance"]
 
 
@@ -298,7 +298,7 @@ def test_constancy_hypothesis_not_met_for_decaying_bump(dirichlet_mesh8):
                      cfg_for(mesh, 0.2, 20))
     x0 = int(sol.interior[len(sol.interior) // 2])
     verdict, _ = constancy_principle_check(sol, 0.1, x0)
-    assert verdict is ConstancyVerdict.HYPOTHESIS_NOT_MET
+    assert verdict is Verdict.NOT_APPLICABLE
 
 
 def test_constancy_checker_detects_engineered_violation(dirichlet_mesh8):
@@ -316,7 +316,7 @@ def test_constancy_checker_detects_engineered_violation(dirichlet_mesh8):
                        march=lambda: iter(fields))
     verdict, payload = constancy_principle_check(sol, 2 * cfg.dt,
                                                  int(interior[5]))
-    assert verdict is ConstancyVerdict.VIOLATION
+    assert verdict is Verdict.FAIL
     assert payload["running_max"] == fields.max() == payload["value"]
     assert payload["spread"] == fields.max() - fields.min()
 
@@ -715,7 +715,7 @@ def test_constancy_marches_only_to_t0(dirichlet_mesh8, solves):
     k0 = 5
     verdict, payload = constancy_principle_check(sol, sol.times[k0],
                                                  int(sol.interior[3]))
-    assert verdict is ConstancyVerdict.CONSTANT
+    assert verdict is Verdict.PASS
     assert payload["t0"] == sol.times[k0]
     assert len(solves) == k0        # not the 20 steps of the horizon
 

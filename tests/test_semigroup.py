@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -15,7 +16,7 @@ from perronfem.semigroup import EvolutionConfig, MassKind, Scheme, Verdict, \
     kernel_positivity_report, march, peripheral_pair, \
     positivity_improving_check
 from perronfem.spectral import perron_pair
-from tests.conftest import dense_ie_step, dense_kernel
+from tests.conftest import MIXED_TAGS, dense_ie_step, dense_kernel
 
 
 def lumped_cfg(mesh, t_end=0.25, dt=None, scheme=Scheme.IMPLICIT_EULER):
@@ -27,6 +28,25 @@ def stacked(op, u0, cfg):
     """The states u(0), ..., u(n_steps) of one march, as one array: the
     reference the streamed march is checked against."""
     return np.array([u0, *march(op, cfg, u0, cfg.n_steps)])
+
+
+def _dense_report(op, cfg, K):
+    """kernel_positivity_report on the dense kernel K, every dof a column."""
+    return kernel_positivity_report(op, kernel_certificate(op, cfg),
+                                    np.arange(op.n_dof), K)
+
+
+def _kernel_dump(tmp_path, config, t):
+    """kernel_report.json and the entries of kernel.bin that ``perronfem
+    kernel --t t`` writes for ``config``."""
+    from perronfem.cli import main, read_kernel_dump
+    path = tmp_path / "kernel.json"
+    path.write_text(json.dumps({**config, "output_dir": "out"}),
+                    encoding="utf-8")
+    assert main(["kernel", "--config", str(path), "--t", repr(t)]) == 0
+    report = json.loads((tmp_path / "out" / "kernel_report.json")
+                        .read_text())
+    return report, read_kernel_dump(tmp_path / "out" / "kernel.bin")[1]
 
 
 def test_config_validation():
@@ -121,7 +141,7 @@ def _positivity_improving(op, cfg):
     """positivity_improving_check on the columns the suite marches."""
     problem = _suite_problem(op, cfg)
     k = problem.kernel_probes
-    return positivity_improving_check(op, problem.certificate,
+    return positivity_improving_check(op, problem.certificate, k.columns,
                                       (k.ends_at_first_step, k.ends))
 
 
@@ -215,24 +235,21 @@ def test_positivity_improving_passes_at_a_small_dt():
 
 
 def test_positivity_check_raises_on_a_nonpositive_indicator(robin_op8):
-    from dataclasses import replace
     cfg = lumped_cfg(robin_op8.mesh)
     problem = _suite_problem(robin_op8, cfg)
     k = problem.kernel_probes
     for bad in (-1e-300, math.nan):
-        entries = k.ends_at_first_step.entries.copy()
-        entries[40, 1] = bad
+        first = k.ends_at_first_step.copy()
+        first[40, 1] = bad
         with pytest.raises(AssertionError,
                            match="under a holding positivity"):
-            positivity_improving_check(
-                robin_op8, problem.certificate,
-                (replace(k.ends_at_first_step, entries=entries), k.ends))
+            positivity_improving_check(robin_op8, problem.certificate,
+                                       k.columns, (first, k.ends))
     # an exact 0.0 is a positive indicator value lost to float underflow
-    entries = k.ends_at_first_step.entries.copy()
-    entries[40, 1] = 0.0
-    rep = positivity_improving_check(
-        robin_op8, problem.certificate,
-        (replace(k.ends_at_first_step, entries=entries), k.ends))
+    first = k.ends_at_first_step.copy()
+    first[40, 1] = 0.0
+    rep = positivity_improving_check(robin_op8, problem.certificate,
+                                     k.columns, (first, k.ends))
     assert rep.verdict is Verdict.PASS
     assert rep.min_at_first_step == 0.0 and rep.underflow
 
@@ -295,15 +312,14 @@ def test_kernel_reproduces_evolution(robin_op8):
     rng = np.random.default_rng(5)
     u0 = rng.standard_normal(robin_op8.n_dof)
     *_, last = march(robin_op8, cfg, u0, 16)
-    applied = K.entries @ (K.lumped_mass_full * robin_op8.expand(u0))
-    expected = robin_op8.expand(last)
-    assert np.abs(applied - expected).max() <= 1e-10 * np.abs(u0).max()
+    applied = K @ (robin_op8.mass_lumped * u0)
+    assert np.abs(applied - last).max() <= 1e-10 * np.abs(u0).max()
 
 
 def test_kernel_symmetry_self_adjoint(robin_op8):
     cfg = lumped_cfg(robin_op8.mesh, t_end=0.25)
     K = dense_kernel(robin_op8, 0.1, cfg)
-    assert np.abs(K.entries - K.entries.T).max() <= 1e-8
+    assert np.abs(K - K.T).max() <= 1e-8
 
 
 def test_kernel_chapman_kolmogorov(robin_op8):
@@ -311,27 +327,36 @@ def test_kernel_chapman_kolmogorov(robin_op8):
     t = 8 * cfg.dt
     K1 = dense_kernel(robin_op8, t, cfg)
     K2 = dense_kernel(robin_op8, 2 * t, cfg)
-    comp = K1.entries @ (K1.lumped_mass_full[:, None] * K1.entries)
-    assert np.abs(K2.entries - comp).max() <= 1e-6
+    comp = K1 @ (robin_op8.mass_lumped[:, None] * K1)
+    assert np.abs(K2 - comp).max() <= 1e-6
 
 
 def test_kernel_positivity_robin(robin_op8):
     cfg = lumped_cfg(robin_op8.mesh, t_end=0.25)
     K = dense_kernel(robin_op8, 0.1, cfg)
-    rep = kernel_positivity_report(K)
+    rep = _dense_report(robin_op8, cfg, K)
     assert rep.verdict is Verdict.PASS
-    assert K.entries.min() > 0
+    assert K.min() > 0
 
 
-def test_kernel_dirichlet_boundary_rows_exactly_zero(dirichlet_op8):
+def test_kernel_dirichlet_boundary_rows_exactly_zero(tmp_path, capsys,
+                                                     dirichlet_op8):
+    # the command's dump spreads K(t) onto every vertex: the eliminated
+    # boundary vertices' rows and columns are exact zeros
     cfg = lumped_cfg(dirichlet_op8.mesh, t_end=0.25)
     K = dense_kernel(dirichlet_op8, 0.1, cfg)
-    rep = kernel_positivity_report(K)
-    assert rep.verdict is Verdict.PASS
-    assert rep.boundary_rows_zero
-    b = dirichlet_op8.constrained_vertices
-    assert np.all(K.entries[b, :] == 0.0)
-    assert np.all(K.entries[:, b] == 0.0)
+    assert _dense_report(dirichlet_op8, cfg, K).verdict is Verdict.PASS
+    report, entries = _kernel_dump(tmp_path, {
+        "mesh": {"shape": "unit_square", "n": 8, "tags": "dirichlet"},
+        "coefficients": {"mode": "dirichlet"},
+        "evolution": {"dt": cfg.dt, "t_end": cfg.t_end}}, 0.1)
+    assert report["verdict"] == "pass"
+    b, free = dirichlet_op8.constrained_vertices, dirichlet_op8.free_vertices
+    assert b.size
+    assert np.all(entries[b, :] == 0.0)
+    assert np.all(entries[:, b] == 0.0)
+    assert np.array_equal(entries[np.ix_(free, free)], K)
+    capsys.readouterr()
 
 
 def test_kernel_matches_spectral_decomposition_oracle(robin_op8):
@@ -346,25 +371,37 @@ def test_kernel_matches_spectral_decomposition_oracle(robin_op8):
     vals, vecs = sla.eigh(A, np.diag(ML))
     D = (1.0 + cfg.dt * vals) ** (-k_steps)
     oracle = (vecs * D) @ vecs.T
-    assert np.abs(K.entries - oracle).max() <= 1e-10 * np.abs(oracle).max()
+    assert np.abs(K - oracle).max() <= 1e-10 * np.abs(oracle).max()
 
 
-def test_kernel_mixed_mode(mixed_mesh8):
+def test_kernel_mixed_mode(tmp_path, capsys, mixed_mesh8):
     op = assemble(mixed_mesh8, CoefficientSet.constant(mixed_mesh8),
                   BoundaryMode.MIXED, corkscrew_checked=True)
     cfg = lumped_cfg(mixed_mesh8, t_end=0.25)
     K = dense_kernel(op, 0.125, cfg)
-    rep = kernel_positivity_report(K)
+    rep = _dense_report(op, cfg, K)
     assert rep.verdict is Verdict.PASS
+    # the command's dump: the Dirichlet vertices' rows and columns are
+    # exact zeros
+    report, entries = _kernel_dump(tmp_path, {
+        "mesh": {"shape": "unit_square", "n": 8, "tags": MIXED_TAGS},
+        "coefficients": {"mode": "mixed"},
+        "evolution": {"dt": cfg.dt, "t_end": cfg.t_end}}, 0.125)
+    assert report["verdict"] == "pass"
+    assert report["witness"] == list(rep.witness)
     pinned = mixed_mesh8.dirichlet_vertices()
-    assert np.all(K.entries[pinned, :] == 0.0)
-    assert np.all(K.entries[:, pinned] == 0.0)
+    assert pinned.size
+    assert np.all(entries[pinned, :] == 0.0)
+    assert np.all(entries[:, pinned] == 0.0)
+    assert np.array_equal(entries[np.ix_(op.free_vertices, op.free_vertices)],
+                          K)
+    capsys.readouterr()
 
 
 def test_neumann_kernel_rank_one_limit(neumann_op8):
     cfg = EvolutionConfig(dt=0.25, t_end=50.0, mass=MassKind.LUMPED)
     K = dense_kernel(neumann_op8, 50.0, cfg)
-    assert np.abs(K.entries - 1.0).max() <= 0.01  # 1 / |Omega| with |Omega|=1
+    assert np.abs(K - 1.0).max() <= 0.01  # 1 / |Omega| with |Omega|=1
 
 
 # -- block march against per-column reference marches ---------------------------
@@ -385,14 +422,14 @@ def _reference_step(op, cfg):
 def _reference_kernel(op, n_steps, cfg):
     """Kernel entries from one march per unit point mass."""
     step = _reference_step(op, cfg)
-    nv = op.mesh.n_vertices
-    entries = np.zeros((nv, nv), dtype=complex if op.is_complex else float)
-    for dof, vertex in enumerate(op.free_vertices):
+    entries = np.zeros((op.n_dof, op.n_dof),
+                       dtype=complex if op.is_complex else float)
+    for dof in range(op.n_dof):
         u = np.zeros(op.n_dof, dtype=entries.dtype)
         u[dof] = 1.0 / op.mass_lumped[dof]
         for _ in range(n_steps):
             u = step(u)
-        entries[op.free_vertices, vertex] = u
+        entries[:, dof] = u
     return entries
 
 
@@ -417,18 +454,28 @@ def _small_op(case):
     ("robin", Scheme.CRANK_NICOLSON, MassKind.LUMPED),
     ("robin", Scheme.IMPLICIT_EULER, MassKind.CONSISTENT),
 ])
-def test_block_kernel_equals_column_marches(case, scheme, mass):
+def test_block_kernel_equals_column_marches(tmp_path, capsys, case, scheme,
+                                           mass):
     op = _small_op(case)
     cfg = EvolutionConfig(scheme=scheme, dt=default_dt(op.mesh), t_end=1.0,
                           mass=mass)
     K = dense_kernel(op, 12 * cfg.dt, cfg)
-    assert np.array_equal(K.entries, _reference_kernel(op, 12, cfg))
-    assert K.entries.dtype == (complex if case == "complex_robin" else float)
-    b = op.constrained_vertices
+    reference = _reference_kernel(op, 12, cfg)
+    assert np.array_equal(K, reference)
+    assert K.dtype == (complex if case == "complex_robin" else float)
     if case == "dirichlet":
+        # the command's dump spreads the same entries onto every vertex,
+        # with exact zeros at the eliminated boundary vertices
+        _, entries = _kernel_dump(tmp_path, {
+            "mesh": {"shape": "unit_square", "n": 5, "tags": "dirichlet"},
+            "coefficients": {"mode": "dirichlet"},
+            "evolution": {"dt": cfg.dt, "t_end": cfg.t_end}}, 12 * cfg.dt)
+        b, free = op.constrained_vertices, op.free_vertices
         assert b.size
-    assert np.all(K.entries[b, :] == 0.0)
-    assert np.all(K.entries[:, b] == 0.0)
+        assert np.all(entries[b, :] == 0.0)
+        assert np.all(entries[:, b] == 0.0)
+        assert np.array_equal(entries[np.ix_(free, free)], reference)
+        capsys.readouterr()
 
 
 def test_kernel_time_tuple_equals_separate_calls(robin_op8):
@@ -576,8 +623,8 @@ CERTIFICATE_CASES = ("robin", "dirichlet", "neumann", "mixed_square",
 
 def _dense_symmetry_verdict(K):
     """The dense kernel-symmetry check the probe check replaces."""
-    dev = float(np.abs(K.entries - K.entries.T).max())
-    return dev <= 1e-8 * float(np.abs(K.entries).max())
+    dev = float(np.abs(K - K.T).max())
+    return dev <= 1e-8 * float(np.abs(K).max())
 
 
 def _split_kernels(op, cfg):
@@ -588,12 +635,12 @@ def _split_kernels(op, cfg):
         op, (cfg.t_end, n1 * cfg.dt, (cfg.n_steps - n1) * cfg.dt), cfg)
 
 
-def _dense_composition_verdict(K, K1, K2):
+def _dense_composition_verdict(op, K, K1, K2):
     """The dense chapman-kolmogorov check the probe check replaces:
     K(t) against K(t2) M_L K(t1)."""
-    comp = K2.entries @ (K1.lumped_mass_full[:, None] * K1.entries)
-    dev = float(np.abs(K.entries - comp).max())
-    return dev <= 1e-6 * float(np.abs(K.entries).max())
+    comp = K2 @ (op.mass_lumped[:, None] * K1)
+    dev = float(np.abs(K - comp).max())
+    return dev <= 1e-6 * float(np.abs(K).max())
 
 
 @pytest.mark.parametrize("n", [6, 12])
@@ -607,13 +654,12 @@ def test_certificate_and_probe_checks_agree_with_the_dense_kernel(case, n):
     K, K1, K2 = _split_kernels(op, cfg)
     certificate = kernel_certificate(op, cfg)
     assert certificate.holds and certificate.min_row_sum > 0
-    free = op.free_vertices
-    assert K.entries[np.ix_(free, free)].min() > 0
+    assert K.min() > 0
 
     verdicts = {r.label: r.verdict for r in run_suite(problem).results}
     assert verdicts["kernel-positivity"] is Verdict.PASS
     assert verdicts["chapman-kolmogorov"] is (
-        Verdict.PASS if _dense_composition_verdict(K, K1, K2)
+        Verdict.PASS if _dense_composition_verdict(op, K, K1, K2)
         else Verdict.FAIL)
     if op.is_hermitian:
         assert verdicts["kernel-symmetry"] is (
@@ -651,7 +697,7 @@ def test_probe_checks_agree_with_the_dense_kernel_outside_the_certificate(
         assert results["kernel-symmetry"].verdict is (
             Verdict.PASS if _dense_symmetry_verdict(K) else Verdict.FAIL)
     assert results["chapman-kolmogorov"].verdict is (
-        Verdict.PASS if _dense_composition_verdict(K, K1, K2)
+        Verdict.PASS if _dense_composition_verdict(op, K, K1, K2)
         else Verdict.FAIL)
 
 
@@ -661,16 +707,14 @@ def test_probe_columns_are_the_dense_kernel_columns():
         cfg = lumped_cfg(op.mesh, t_end=30 * default_dt(op.mesh))
         t = 9 * cfg.dt
         dense = dense_kernel(op, t, cfg)
-        free = op.free_vertices
         dofs = np.array([0, op.n_dof - 1, op.n_dof // 2])
         block = np.zeros((op.n_dof, 3))
         block[dofs, [0, 1, 2]] = 1.0
         # point-mass columns come out bitwise as in the dense march
-        assert np.array_equal(kernel(op, t, cfg, block),
-                              dense.entries[np.ix_(free, free[dofs])])
+        assert np.array_equal(kernel(op, t, cfg, block), dense[:, dofs])
         # the adjoint march gives the transposed kernel's columns
         adjoint = kernel(op, t, cfg, block, adjoint=True)
-        reference = dense.entries[np.ix_(free, free)].T[:, dofs]
+        reference = dense.T[:, dofs]
         assert np.abs(adjoint - reference).max() \
             <= 1e-12 * np.abs(reference).max()
 
@@ -846,8 +890,8 @@ def test_certificate_takes_the_inverse_row_sum_witness_at_an_inflow():
     w = np.linalg.solve(B.toarray(), np.ones(op.n_dof))
     assert w.min() == pytest.approx(18.7, abs=0.1)
     K = dense_kernel(op, cfg.t_end, cfg)
-    assert K.entries.min() > 0
-    assert kernel_positivity_report(K).verdict is Verdict.PASS
+    assert K.min() > 0
+    assert _dense_report(op, cfg, K).verdict is Verdict.PASS
     problem = Problem(mesh=mesh, coeffs=coeffs, mode=BoundaryMode.NEUMANN,
                       evolution=default_evolution(mesh, dt=0.1))
     verdicts = {r.label: r.verdict for r in run_suite(problem).results}
@@ -856,23 +900,25 @@ def test_certificate_takes_the_inverse_row_sum_witness_at_an_inflow():
 
 
 def test_kernel_report_raises_on_a_nonpositive_entry_under_the_certificate():
-    from dataclasses import replace
     op = _small_op("robin")
     cfg = lumped_cfg(op.mesh)
     K = dense_kernel(op, 4 * cfg.dt, cfg)
-    assert K.certificate.holds
+    certificate = kernel_certificate(op, cfg)
+    assert certificate.holds
+    columns = np.arange(op.n_dof)
     for bad in (-1e-300, math.nan):
-        entries = K.entries.copy()
+        entries = K.copy()
         entries[3, 5] = bad
         with pytest.raises(AssertionError, match="not positive"):
-            kernel_positivity_report(replace(K, entries=entries))
+            kernel_positivity_report(op, certificate, columns, entries)
     # an exact 0.0 is a positive entry lost to float underflow
-    entries = K.entries.copy()
+    entries = K.copy()
     entries[3, 5] = 0.0
-    rep = kernel_positivity_report(replace(K, entries=entries))
+    rep = kernel_positivity_report(op, certificate, columns, entries)
     assert rep.verdict is Verdict.PASS
     assert rep.min_entry == 0.0 and rep.underflow
-    assert not kernel_positivity_report(K).underflow
+    assert rep.witness == (3, 5)
+    assert not kernel_positivity_report(op, certificate, columns, K).underflow
 
 
 def _tiny_case(shape="unit_square", mode="robin", width=1.0, s=0.0, b=0.0,
@@ -952,9 +998,8 @@ def test_certificate_implies_the_lattice_oracle_on_tiny_meshes(case):
     assert lattice.is_irreducible(g)
     assert lattice.positivity_improving_equiv(g)
     K = dense_kernel(op, cfg.t_end, cfg)
-    free = op.free_vertices
-    assert K.entries[np.ix_(free, free)].min() > 0
-    assert kernel_positivity_report(K).verdict is Verdict.PASS
+    assert K.min() > 0
+    assert _dense_report(op, cfg, K).verdict is Verdict.PASS
 
 
 @settings(max_examples=60, deadline=None)
@@ -966,7 +1011,6 @@ def test_principal_verdicts_match_the_lattice_perron_vector_on_tiny_meshes(
     # an independent dense route to the sign both checks judge
     from perronfem import lattice
     from perronfem.assembly import mmatrix_certificate
-    from perronfem.spectral import REGION_FOR_MODE, region_vertices
     from perronfem.verification import Problem, run_suite
     op, cfg = case
     assert op.n_dof <= 6
@@ -995,11 +1039,11 @@ def test_principal_verdicts_match_the_lattice_perron_vector_on_tiny_meshes(
             assert not lattice.is_irreducible(lattice.MetzlerGenerator(Q))
         return
     # a holding certificate: the lattice's Perron vector is positive on
-    # the region, and so the Hermitian operators' principal vectors
+    # the region, which is every dof, and so the Hermitian operators'
+    # principal vectors
     g = lattice.MetzlerGenerator(Q)
     assert lattice.is_irreducible(g)
-    region = op.dof_map[region_vertices(op, REGION_FOR_MODE[op.mode])]
-    assert np.all(lattice.perron_report(g).vector[region] > 0)
+    assert np.all(lattice.perron_report(g).vector > 0)
     assert sign.verdict is Verdict.PASS
     assert principal.verdict is (Verdict.PASS if op.is_hermitian
                                  else Verdict.NOT_APPLICABLE)

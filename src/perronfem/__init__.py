@@ -56,7 +56,6 @@ from .spectral import (
     EigenReport,
     PerronPair,
     PositivityCertificate,
-    Region,
     certify_positivity,
     complex_robin_bound,
     perron_pair,

@@ -31,8 +31,8 @@ from .parabolic import BoundaryData, PositivityScan, WeakResidual, \
     make_test_bank, solve_mild
 from .semigroup import EvolutionConfig, default_evolution, \
     kernel_certificate, kernel_positivity_report, march
-from .spectral import REGION_FOR_MODE, SolverError, certify_positivity, \
-    principal_eig, spectral_gap
+from .spectral import SolverError, certify_positivity, principal_eig, \
+    spectral_gap
 from .svgplot import emit_heatmap, render_strip, strip_steps
 from .verification import Problem, jsonable, run_suite
 
@@ -289,9 +289,8 @@ def _cmd_eig(args) -> int:
         "eigenvalues": [complex(v) for v in gaps.values],
     }
     full = op.expand(np.real(report.vector))
-    if mode in REGION_FOR_MODE:
-        cert = certify_positivity(report, op)
-        payload["positivity"] = {**cert.payload(), "passed": cert.passed}
+    cert = certify_positivity(report, op)
+    payload["positivity"] = {**cert.payload(), "passed": cert.passed}
     _write_json(out / "eig_report.json", payload)
     lines = ["vertex,x,y,value"]
     for i, ((x, y), v) in enumerate(zip(mesh.vertices, full)):

@@ -77,9 +77,9 @@ def semigroup_at(g: MetzlerGenerator, t: float) -> np.ndarray:
     """
     if t < 0:
         raise LatticeError("semigroup defined for t >= 0")
-    S = expm(t * g.Q)
     if t == 0:
         return np.eye(g.n)
+    S = expm(t * g.Q)
     reach = _reachability(g)
     scale = max(1.0, float(np.abs(S).max()))
     dead = ~reach
@@ -127,20 +127,16 @@ def positivity_improving_equiv(g: MetzlerGenerator,
                                t_samples=(0.01, 1.0, 10.0)) -> bool:
     """Whether exp(tQ) is entrywise positive at every sample time.
 
-    For dimension <= 6 this is asserted (column by column over all basis
-    vectors) to coincide with irreducibility.
+    For dimension <= 6 each sample is asserted to coincide with
+    irreducibility.
     """
-    improving = all(np.all(semigroup_at(g, t) > 0.0) for t in t_samples)
+    samples = [bool(np.all(semigroup_at(g, t) > 0.0)) for t in t_samples]
     if g.n <= EXHAUSTIVE_DIM:
         irr = is_irreducible(g)
-        for t in t_samples:
-            S = semigroup_at(g, t)
-            basis_ok = all(np.all(S[:, j] > 0.0) for j in range(g.n))
-            if basis_ok != irr:
-                raise LatticeError(
-                    "positivity-improving sample disagrees with "
-                    "irreducibility")
-    return improving
+        if any(ok != irr for ok in samples):
+            raise LatticeError(
+                "positivity-improving sample disagrees with irreducibility")
+    return all(samples)
 
 
 @dataclass(frozen=True)

@@ -5,11 +5,11 @@ The implicit Euler step with lumped mass is the workhorse for positivity:
 step matrix B = M_L + dt*A is an irreducible nonsingular M-matrix. Then
 B^-1 > 0, every kernel K(t) = (B^-1 M_L)^n M_L^-1 is positive on the free
 pairs and every nodal indicator is positive after one step; the
-certificate alone decides both positivity verdicts. In floats, values
-decay fast with graph distance, so the cross-checks test only the sign of
-the point-mass columns at two far-apart dofs of the sparsity graph
-(``peripheral_pair``), at the first step, where the certificate's claim
-begins, and at t.
+certificate alone decides both positivity verdicts, whatever the mode,
+and a complex operator has none. In floats, values decay fast with graph
+distance, so the cross-checks test only the sign of the point-mass
+columns at two far-apart dofs of the sparsity graph (``peripheral_pair``),
+at the first step, where the certificate's claim begins, and at t.
 
 ``step_matrices`` is the one place a scheme becomes matrices; the
 boundary-pinned solve in ``parabolic`` slices its rows. ``march`` is the
@@ -34,7 +34,7 @@ from scipy.sparse.csgraph import dijkstra
 
 from .assembly import DiscreteOperator, MassKind, MMatrixCertificate, \
     mass_matrix, mmatrix_certificate, mmatrix_report, offdiagonal_pattern
-from .spectral import REGION_FOR_MODE, SolverError, factorize
+from .spectral import SolverError, factorize
 
 
 class Scheme(Enum):
@@ -50,9 +50,9 @@ class Verdict(Enum):
 
 @dataclass(frozen=True)
 class EvolutionConfig:
+    dt: float
+    t_end: float
     scheme: Scheme = Scheme.IMPLICIT_EULER
-    dt: float = 1e-2
-    t_end: float = 1.0
     mass: MassKind = MassKind.LUMPED
 
     def __post_init__(self):
@@ -101,38 +101,26 @@ def step_matrices(A: sp.spmatrix, M: sp.spmatrix, scheme: Scheme,
     return (M + 0.5 * dt * A).tocsr(), (M - 0.5 * dt * A).tocsr()
 
 
-class Stepper:
-    """One factorized time step. step() takes a state vector or a block of
-    states, one per column; SuperLU treats each column exactly as it treats
-    a single vector, so a block march is bitwise equal to column marches.
-    step_adjoint() applies the transposed step with the same factor.
-    """
-
-    def __init__(self, op: DiscreteOperator, cfg: EvolutionConfig):
-        lhs, self._rhs = step_matrices(
-            op.stiffness, mass_matrix(cfg.mass, op.mass, op.mass_lumped),
-            cfg.scheme, cfg.dt)
-        self._lu = factorize(lhs)
-
-    def step(self, u: np.ndarray) -> np.ndarray:
-        return self._lu.solve(self._rhs @ u)
-
-    def step_adjoint(self, u: np.ndarray) -> np.ndarray:
-        return self._rhs.T @ self._lu.solve(u, trans="T")
-
-
 def march(op: DiscreteOperator, cfg: EvolutionConfig, u: np.ndarray,
           n_steps: int, adjoint: bool = False):
     """Yield the states after steps 1..n_steps from u, a state or a block
     of states (one per column); with ``adjoint``, steps of the transposed
-    scheme. The step is factorized once per operator and (scheme, dt,
-    mass); a failed factorization or solve raises SolverError."""
-    stepper = op.cached(("step", cfg.scheme, cfg.dt, cfg.mass),
-                        lambda: Stepper(op, cfg))
-    step = stepper.step_adjoint if adjoint else stepper.step
+    scheme through the same factor. SuperLU treats each column of a block
+    exactly as it treats a single vector, so a block march is bitwise
+    equal to column marches. The step is factorized once per operator and
+    (scheme, dt, mass); a failed factorization or solve raises
+    SolverError."""
+    def factor():
+        lhs, rhs = step_matrices(
+            op.stiffness, mass_matrix(cfg.mass, op.mass, op.mass_lumped),
+            cfg.scheme, cfg.dt)
+        return factorize(lhs), rhs
+
+    lu, rhs = op.cached(("step", cfg.scheme, cfg.dt, cfg.mass), factor)
     for k in range(1, n_steps + 1):
         try:
-            u = step(u)
+            u = rhs.T @ lu.solve(u, trans="T") if adjoint \
+                else lu.solve(rhs @ u)
         except RuntimeError as exc:
             raise SolverError(f"linear solve failed at step {k}: {exc}") \
                 from exc
@@ -278,10 +266,6 @@ def positivity_improving_check(op: DiscreteOperator,
     if not certificate.holds:
         return PositivityImprovingReport(Verdict.NOT_APPLICABLE,
                                          reason=certificate.reason)
-    if op.mode not in REGION_FOR_MODE:
-        return PositivityImprovingReport(
-            Verdict.NOT_APPLICABLE,
-            reason=f"no positivity region for mode {op.mode.value}")
     weights = op.mass_lumped[columns]
     low, end = (float((K * weights).min()) for K in ends)
     if not (low >= 0.0 and end >= 0.0):

@@ -18,15 +18,16 @@ ARPACK call capped at MAX_ARNOLDI_RESTARTS restarts so a failure takes
 bounded time; meshes too small for ARPACK get the dense spectrum.
 ``_lowest_pairs`` is the one place that picks the path, and it caches
 one accepted answer per (mass, k, tol), its vectors signed once.
-``certify_positivity`` claims a positive principal eigenvector only where
-``assembly.mmatrix_certificate`` proves it, and is not applicable
-elsewhere."""
+``certify_positivity`` claims a positive principal eigenvector on its
+mode's region (``REGION``, always the free dofs) only where the stiffness
+is provably a nonsingular M-matrix, by w = 1 or by the zero-shift witness
+A^-1*1 of ``_zero_shift_factor``, or annihilates constants; any other
+operator, a complex one among them, is not applicable."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from enum import Enum
 
 import numpy as np
 import scipy.linalg as sla
@@ -59,19 +60,15 @@ def factorize(matrix: sp.spmatrix):
             from exc
 
 
-class Region(Enum):
-    INTERIOR = "interior"            # open domain
-    CLOSURE = "closure"              # domain plus full boundary
-    OMEGA_UNION_N = "omega_union_n"  # domain plus flux boundary part
-
-
-#: each mode's region is exactly its free vertices: Dirichlet eliminates
-#: the whole boundary, mixed its Dirichlet part, Robin and Neumann nothing
-REGION_FOR_MODE = {
-    BoundaryMode.DIRICHLET: Region.INTERIOR,
-    BoundaryMode.ROBIN: Region.CLOSURE,
-    BoundaryMode.NEUMANN: Region.CLOSURE,
-    BoundaryMode.MIXED: Region.OMEGA_UNION_N,
+#: each mode's region, by its payload name, is exactly its free vertices:
+#: Dirichlet eliminates the whole boundary (the open domain), mixed its
+#: Dirichlet part (the domain plus the flux part), the Robin family nothing
+REGION = {
+    BoundaryMode.DIRICHLET: "interior",
+    BoundaryMode.ROBIN: "closure",
+    BoundaryMode.COMPLEX_ROBIN: "closure",
+    BoundaryMode.NEUMANN: "closure",
+    BoundaryMode.MIXED: "omega_union_n",
 }
 
 
@@ -101,7 +98,7 @@ class GapReport:
 @dataclass(frozen=True)
 class PositivityCertificate:
     passed: bool
-    region: Region | None = None
+    region: str = ""
     min_value: float = math.nan
     witness_node: int = -1      # mesh vertex index attaining the minimum
     reason: str = ""            # the unmet hypothesis: not applicable
@@ -111,7 +108,7 @@ class PositivityCertificate:
         """The reason when not applicable, else the region's minimum."""
         if self.reason:
             return {"reason": self.reason}
-        return {"region": self.region.value, "min_value": self.min_value,
+        return {"region": self.region, "min_value": self.min_value,
                 "witness_node": self.witness_node,
                 **({"underflow": True} if self.underflow else {})}
 
@@ -168,20 +165,14 @@ def _gershgorin_factor(A: sp.spmatrix, M, mass_lumped: np.ndarray):
     return sigma, factorize(A - sigma * M)
 
 
-def _hermitian_factor(op: DiscreteOperator, mass: MassKind):
-    """The shift sigma below the spectrum of the pencil (stiffness, mass)
-    and the factor of A - sigma*M that the sweeps solve through.
-
-    sigma = 0, and one factor of A itself, decided and made once per
-    operator, serves both mass kinds when the Gershgorin shift is negative
-    and ``assembly.mmatrix_certificate`` proves A an irreducible
-    nonsingular M-matrix, its witness A^-1*1 taken from that factor: a
-    symmetric one is positive definite (Berman & Plemmons, ch. 6), so 0 is
-    below both spectra, and A^-1 > 0 makes A^-1 M and A^-1 M_L nonnegative
-    iteration operators. A stiffness without a positive row sum, A*1 <= 0
-    (a singular one that annihilates constants among them), is not tried:
-    A^-1 >= 0 would give 1 = A^-1 (A*1) <= 0. Otherwise the pencil gets
-    ``_gershgorin_factor``, 1 below both spectra (A - sigma*M >= M)."""
+def _zero_shift_factor(op: DiscreteOperator):
+    """The factor of a real Hermitian operator's stiffness A, made once per
+    operator, when the Gershgorin shift is negative and
+    ``assembly.mmatrix_certificate`` proves A an irreducible nonsingular
+    M-matrix by the witness A^-1*1 taken from that factor; else None.
+    A stiffness without a positive row sum, A*1 <= 0 (a singular one that
+    annihilates constants among them), is not tried: A^-1 >= 0 would give
+    1 = A^-1 (A*1) <= 0."""
     def zero_shift():
         A, scan = op.stiffness, mmatrix_report(op)
         if _shift_below_spectrum(A, op.mass_lumped) >= 0.0 \
@@ -197,7 +188,20 @@ def _hermitian_factor(op: DiscreteOperator, mass: MassKind):
             inverse_ones=lambda: lu.solve(np.ones(op.n_dof)))
         return lu if cert.holds else None
 
-    lu = op.cached("zero_shift_factor", zero_shift)
+    return op.cached("zero_shift_factor", zero_shift)
+
+
+def _hermitian_factor(op: DiscreteOperator, mass: MassKind):
+    """The shift sigma below the spectrum of the pencil (stiffness, mass)
+    and the factor of A - sigma*M that the sweeps solve through.
+
+    sigma = 0, and the one factor of ``_zero_shift_factor``, serves both
+    mass kinds where it exists: a symmetric irreducible nonsingular
+    M-matrix is positive definite (Berman & Plemmons, ch. 6), so 0 is
+    below both spectra, and A^-1 > 0 makes A^-1 M and A^-1 M_L nonnegative
+    iteration operators. Otherwise the pencil gets ``_gershgorin_factor``,
+    1 below both spectra (A - sigma*M >= M)."""
+    lu = _zero_shift_factor(op)
     if lu is not None:
         return 0.0, lu
     M = mass_matrix(mass, op.mass, op.mass_lumped)
@@ -464,29 +468,21 @@ def certify_positivity(report: EigenReport | None,
     """Strict positivity of the principal eigenvector on its mode's region
     (the free dofs), where it is provable: a real Hermitian operator whose
     stiffness A is an irreducible Z-matrix (``mmatrix_report``) that is
-    nonsingular, by a witness or as a Stieltjes matrix with lambda1
-    resolved above 0, so A^-1 M > 0 has the lambda1 eigenvector as its
-    Perron vector; or that annihilates constants, so the Perron vector is
-    the constant. Otherwise, and for every non-Hermitian operator (whose
-    ``report`` may be None), the certificate is not applicable and
+    nonsingular, by w = 1 or by the witness of ``_zero_shift_factor``, so
+    A^-1 > 0 and A^-1 M > 0 has the lambda1 eigenvector as its Perron
+    vector; or that annihilates constants, so the Perron vector is the
+    constant. Otherwise, and for every complex or non-Hermitian operator
+    (whose ``report`` may be None), the certificate is not applicable and
     ``reason`` says why. The float cross-check tests sign: an exact 0.0 is
     flagged as underflow, a negative entry is no Perron vector and fails."""
-    if op.mode not in REGION_FOR_MODE:
-        return PositivityCertificate(
-            False, reason=f"no positivity region for mode {op.mode.value}")
-    region = REGION_FOR_MODE[op.mode]
+    region = REGION[op.mode]
     if op.is_complex or not op.is_hermitian:
         return PositivityCertificate(
             False, region, reason="no Perron argument for a non-Hermitian "
             "operator: |lambda - mu| >= lambda1 - mu does not bound Re lambda")
     cert = mmatrix_report(op)
-    # the pencil has an eigenvalue within residual * sqrt(cond M) of
-    # lambda1, and M_L/4 <= M <= M_L bounds cond M
-    ml = op.mass_lumped
-    stieltjes = report.lambda1.real \
-        > 2.0 * report.residual * math.sqrt(ml.max() / ml.min())
-    if not (cert.holds or cert.irreducible and (
-            stieltjes or annihilates_constants(op.stiffness))):
+    if not (cert.holds or _zero_shift_factor(op) is not None
+            or cert.irreducible and annihilates_constants(op.stiffness)):
         return PositivityCertificate(False, region, reason=cert.reason)
     arg = int(np.argmin(report.vector))
     min_value = float(report.vector[arg])

@@ -24,8 +24,8 @@ from .mesh import TriMesh, check_corkscrew
 from .semigroup import EvolutionConfig, Verdict, default_evolution, \
     kernel, kernel_certificate, kernel_positivity_report, peripheral_pair, \
     positivity_improving_check
-from .spectral import REGION_FOR_MODE, SolverError, certify_positivity, \
-    complex_robin_bound, perron_pair, principal_eig, spectral_gap
+from .spectral import SolverError, certify_positivity, complex_robin_bound, \
+    perron_pair, principal_eig, spectral_gap
 
 
 #: columns of the fixed-seed probe block Z of the kernel identity checks;
@@ -150,8 +150,6 @@ def _check_corkscrew(p: Problem):
 
 
 def _check_principal_positivity(p: Problem):
-    if p.mode not in REGION_FOR_MODE:
-        return Verdict.NOT_APPLICABLE, {"reason": "no positivity region"}
     # a non-Hermitian operator is outside the certificate: solve nothing
     hermitian = p.op.is_hermitian and not p.op.is_complex
     cert = certify_positivity(p.principal if hermitian else None, p.op)
@@ -201,8 +199,6 @@ def _check_spectral_gap(p: Problem):
 
 
 def _check_positivity_improving(p: Problem):
-    if p.mode not in REGION_FOR_MODE:
-        return Verdict.NOT_APPLICABLE, {"reason": "no positivity region"}
     # an unmet hypothesis needs no march
     k = p.kernel_probes if p.certificate.holds else None
     rep = positivity_improving_check(p.op, p.certificate, *(
@@ -219,12 +215,10 @@ def _check_positivity_improving(p: Problem):
 
 
 def _check_kernel_positivity(p: Problem):
-    if p.mode not in REGION_FOR_MODE:
-        return Verdict.NOT_APPLICABLE, {"reason": "no positivity region"}
+    if not p.certificate.holds:  # an unmet hypothesis needs no march
+        return Verdict.NOT_APPLICABLE, {"reason": p.certificate.reason}
     k = p.kernel_probes
     rep = kernel_positivity_report(p.op, p.certificate, k.columns, k.ends)
-    if rep.reason:
-        return rep.verdict, {"reason": rep.reason}
     # min_entry and witness are over the sampled columns only
     payload = {"t": k.t, "columns": list(p.op.free_vertices[k.columns]),
                "min_entry": rep.min_entry, "witness": list(rep.witness),

@@ -118,13 +118,34 @@ def test_suite_mixed_lshape_kernel_positivity_passes_at_n32():
     assert result.payload["min_row_sum"] > 0.0
 
 
-def test_suite_complex_robin():
+def test_suite_complex_robin(monkeypatch):
+    import perronfem.verification as verification
+    monkeypatch.setattr(verification, "kernel", lambda *a, **kw: pytest.fail(
+        "a complex operator has no kernel check to march for"))
     report = run_suite(make_problem("complex"))
     assert not report.failed
     by_label = {r.label: r for r in report.results}
     assert by_label["complex-robin-strict-bound"].verdict is Verdict.PASS
     assert by_label["complex-robin-strict-bound"].payload["margin"] > 1e-6
     assert by_label["principal-positivity"].verdict is Verdict.NOT_APPLICABLE
+
+
+def test_complex_robin_with_a_real_beta_is_certified_as_robin(tmp_path):
+    # beta with no imaginary part assembles the real Robin operator, so the
+    # operator's own certificates give Robin's verdicts and payloads
+    labels = ("principal-positivity", "positivity-improving",
+              "kernel-positivity")
+    results = {}
+    for mode, beta in (("robin", 1.0), ("complex_robin", {"re": 1, "im": 0})):
+        path = write_config(tmp_path / f"{mode}.json", {
+            "mesh": {"shape": "unit_square", "n": 6, "tags": "N"},
+            "coefficients": {"beta": beta, "mode": mode}, "output_dir": mode})
+        assert main(["verify", "--config", path]) == 0
+        report = json.loads(
+            (tmp_path / mode / "verification_report.json").read_text())
+        results[mode] = [r for r in report["results"] if r["label"] in labels]
+    assert [r["verdict"] for r in results["complex_robin"]] == ["pass"] * 3
+    assert results["complex_robin"] == results["robin"]
 
 
 @pytest.mark.parametrize("beta, b, mode", [
@@ -1331,7 +1352,11 @@ def test_cli_verify_kernel_symmetry_not_applicable_under_consistent_mass(
 # breadth-first sweeps pick the same probe columns. robin6, dirichlet6 and
 # lshape4 were re-pinned when kernel-positivity lost its
 # "boundary_rows_zero" line, true by construction on dof-space columns;
-# nothing else moved.
+# nothing else moved. complex6 was re-pinned when positivity applicability
+# came from the operator rather than the mode: principal-positivity gives
+# the non-Hermitian reason, positivity-improving and kernel-positivity the
+# "complex operator" reason (positivity-improving with "trials": 0) in
+# place of "no positivity region"; nothing else moved.
 PINNED_REPORTS = {
     "robin6": ({
         "mesh": {"shape": "unit_square", "n": 6, "tags": "N"},
@@ -1348,7 +1373,7 @@ PINNED_REPORTS = {
         "mesh": {"shape": "unit_square", "n": 6, "tags": "N"},
         "coefficients": {"beta": {"re": 1.0, "im": 0.5},
                          "mode": "complex_robin"},
-    }, "c62cb40af7de3ef809bcdbab36c23a8dc2391505ba4f4af678d8057c25752a4e"),
+    }, "c6e116a782f9a691a33808eac7f7011f7d67b0444488a8596c67ae287aec4148"),
     "lshape4": ({
         "mesh": {"shape": "l_shape", "n": 4, "tags": LSHAPE_MIXED_TAGS},
         "coefficients": {"mode": "mixed"},
@@ -1408,14 +1433,15 @@ def test_cli_verify_one_step_horizon_has_no_split(tmp_path):
 # again with certified Arnoldi (eigenvalues in the last digits, residual
 # 7.0e-13 -> 4.5e-14), robin6 again with the zero shift through the
 # stiffness's factor (eigenvalues <= 1.4e-15 relative, residual 1.3e-14 ->
-# 2.1e-14)
+# 2.1e-14), complex6 again when every mode got a positivity region (a
+# "positivity" entry with the non-Hermitian reason; nothing else moved)
 PINNED_EIG_REPORTS = {
     "robin6": (
         {"beta": 1.5, "mode": "robin"},
         "3d168066934cf0edd23501f6cf30bd0497ebdbde9e2273f85c862da506eda0ce"),
     "complex6": (
         {"beta": {"re": 1.0, "im": 0.5}, "mode": "complex_robin"},
-        "285b1524fb1da27f85a360869c65502724389350e8742accb95429b4e395ac78"),
+        "188ba47395aa54649e2dcd11bd7a1ec373ff8b9bfa8d90452d3383c011e452ca"),
 }
 
 

@@ -84,6 +84,29 @@ def test_cycle_generator_irreducible(n):
     assert positivity_improving_equiv(g)
 
 
+def test_each_sample_is_evaluated_once(monkeypatch):
+    # one exponential per sample time and one irreducibility verdict (whose
+    # mask enumeration takes exp(Q)) up to the exhaustive dimension; t = 0
+    # needs no exponential
+    import perronfem.lattice as lattice
+    calls = {"semigroup_at": [], "is_irreducible": []}
+    for name in calls:
+        real = getattr(lattice, name)
+        monkeypatch.setattr(lattice, name, lambda g, *a, _r=real, _n=name:
+                            calls[_n].append(a) or _r(g, *a))
+    for g, improving in ((cycle_generator(4), True),
+                         (cycle_generator(8), True), (TRIANGULAR_2X2, False)):
+        for c in calls.values():
+            c.clear()
+        exhaustive = g.n <= lattice.EXHAUSTIVE_DIM
+        assert lattice.positivity_improving_equiv(g) is improving
+        assert calls == {
+            "semigroup_at": [(0.01,), (1.0,), (10.0,)] + [(1.0,)] * exhaustive,
+            "is_irreducible": [()] * exhaustive}
+    monkeypatch.setattr(lattice, "expm", lambda *a: pytest.fail("expm at 0"))
+    assert np.array_equal(semigroup_at(cycle_generator(3), 0.0), np.eye(3))
+
+
 def test_exponential_matches_independent_taylor_oracle():
     rng = np.random.default_rng(42)
     for _ in range(10):

@@ -55,6 +55,11 @@ def test_config_validation():
     with pytest.raises(ValueError):
         EvolutionConfig(dt=0.5, t_end=0.1)
     assert EvolutionConfig(dt=0.1, t_end=1.0).n_steps == 10
+    # default_evolution is the one default horizon
+    with pytest.raises(TypeError):
+        EvolutionConfig()
+    with pytest.raises(TypeError):
+        EvolutionConfig(dt=0.1)
 
 
 def test_eigenvector_decays_like_scalar_ode(robin_op8):
@@ -262,20 +267,26 @@ def test_suite_marches_the_probe_column_budget(monkeypatch):
     import perronfem.semigroup as semigroup
     import perronfem.verification as verification
     from perronfem.verification import PROBES, Problem, run_suite
-    columns = {"step": [], "step_adjoint": []}
+    # block columns per solve through the step factor: trans "N" steps
+    # forward, "T" steps the adjoint
+    columns = {"N": [], "T": []}
     factorizations = []
     calls = []
     kernel_ = verification.kernel
     monkeypatch.setattr(verification, "kernel", lambda *a, **kw:
                         calls.append(1) or kernel_(*a, **kw))
-    for name in columns:
-        solve = getattr(semigroup.Stepper, name)
-        monkeypatch.setattr(
-            semigroup.Stepper, name, lambda self, u, _s=solve, _n=name:
-            columns[_n].append(u.shape[1]) or _s(self, u))
+
+    class Counted:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, rhs, trans="N"):
+            columns[trans].append(rhs.shape[1])
+            return self.lu.solve(rhs, trans=trans)
+
     factorize = semigroup.factorize
-    monkeypatch.setattr(semigroup, "factorize",
-                        lambda m: factorizations.append(1) or factorize(m))
+    monkeypatch.setattr(semigroup, "factorize", lambda m:
+                        factorizations.append(1) or Counted(factorize(m)))
     mesh = generate_structured("unit_square", 6, "N")
     assert PROBES == 4
     for t_end, n in ((None, 80), (5 * default_dt(mesh), 5)):
@@ -290,9 +301,30 @@ def test_suite_marches_the_probe_column_budget(monkeypatch):
         report = run_suite(problem)
         assert not report.failed
         assert problem.evolution_cfg.n_steps == n
-        assert columns == {"step": [2 + 4] * n,
-                           "step_adjoint": [4] * (n - n // 2)}
+        assert columns == {"N": [2 + 4] * n, "T": [4] * (n - n // 2)}
         assert len(factorizations) == 1 and len(calls) == 2
+
+
+def test_kernel_positivity_outside_the_certificate_marches_nothing(
+        monkeypatch):
+    # Crank-Nicolson has no positivity certificate: kernel-positivity alone
+    # is not applicable before any probe is marched
+    import perronfem.verification as verification
+    from perronfem.verification import Problem, run_suite
+    calls = []
+    kernel_ = verification.kernel
+    monkeypatch.setattr(verification, "kernel", lambda *a, **kw:
+                        calls.append(1) or kernel_(*a, **kw))
+    mesh = generate_structured("unit_square", 6, "N")
+    problem = Problem(
+        mesh=mesh, coeffs=CoefficientSet.constant(mesh, beta=1.0),
+        mode=BoundaryMode.ROBIN,
+        evolution=default_evolution(mesh, scheme=Scheme.CRANK_NICOLSON))
+    (result,) = run_suite(problem, only="kernel-positivity").results
+    assert result.verdict is Verdict.NOT_APPLICABLE
+    assert result.payload == {"reason": "positivity certificates need "
+                                        "implicit Euler with lumped mass"}
+    assert calls == []
 
 
 def test_contractivity_under_sup_norm(robin_op8):

@@ -9,7 +9,7 @@ from perronfem.assembly import BoundaryMode, CoefficientSet, MassKind, \
     assemble, mmatrix_report
 from perronfem.mesh import generate_structured
 from perronfem.semigroup import Verdict
-from perronfem.spectral import EigenReport, Region, SolverError, \
+from perronfem.spectral import REGION, EigenReport, SolverError, \
     _lowest_pairs, certify_positivity, complex_robin_bound, perron_pair, \
     principal_eig, spectral_gap
 
@@ -116,7 +116,7 @@ def test_robin_certificate_positive_on_closure(robin_op8):
     rep = principal_eig(robin_op8)
     cert = certify_positivity(rep, robin_op8)
     assert cert.passed
-    assert cert.region is Region.CLOSURE
+    assert cert.region == "closure"
     assert cert.min_value > 0
     # the smooth ground state is minimal at a corner of the square
     xy = robin_op8.mesh.vertices[cert.witness_node]
@@ -130,12 +130,20 @@ def test_dirichlet_certificate_interior_only(dirichlet_op8):
     rep = principal_eig(dirichlet_op8)
     cert = certify_positivity(rep, dirichlet_op8)
     assert cert.passed
-    assert cert.region is Region.INTERIOR
+    assert cert.region == "interior"
     full = dirichlet_op8.expand(rep.vector)
     boundary = dirichlet_op8.mesh.boundary_vertices()
     assert np.all(full[boundary] == 0.0)
     interior = np.setdiff1d(np.arange(len(full)), boundary)
     assert full[interior].min() > 0
+
+
+def test_every_mode_has_a_region_name():
+    # each region is the mode's free vertices; complex Robin eliminates no
+    # vertex, as Robin does
+    assert set(REGION) == set(BoundaryMode)
+    assert REGION[BoundaryMode.COMPLEX_ROBIN] == REGION[BoundaryMode.ROBIN]
+    assert set(REGION.values()) == {"interior", "closure", "omega_union_n"}
 
 
 def test_second_eigenvector_fails_certificate(dirichlet_op8):
@@ -157,7 +165,7 @@ def test_mixed_certificate(mixed_mesh8):
     rep = principal_eig(op)
     cert = certify_positivity(rep, op)
     assert cert.passed
-    assert cert.region is Region.OMEGA_UNION_N
+    assert cert.region == "omega_union_n"
     full = op.expand(rep.vector)
     bottom = [v for v in mixed_mesh8.boundary_vertices()
               if mixed_mesh8.vertices[v][1] == 0.0]
@@ -172,16 +180,17 @@ def test_certificate_rejects_complex_vector(robin_mesh8):
     rep = principal_eig(op)
     if not np.iscomplexobj(rep.vector):
         pytest.skip("eigenvector collapsed to real")
-    # outside the certificate's regime the verdict is not applicable
+    # a complex operator is outside the certificate's regime, whatever
+    # its mode: the verdict is not applicable
     cert = certify_positivity(rep, op)
-    assert not cert.passed
-    assert cert.reason == "no positivity region for mode complex_robin"
+    assert not cert.passed and cert.region == "closure"
+    assert cert.reason.startswith("no Perron argument for a non-Hermitian")
     # a real operator with convection has no Perron argument on the
     # consistent pencil, whatever its eigenvector
     coeffs = CoefficientSet.constant(robin_mesh8, beta=1.0, b=(80.0, 0.0))
     op = assemble(robin_mesh8, coeffs, BoundaryMode.ROBIN)
     cert = certify_positivity(principal_eig(op), op)
-    assert not cert.passed and cert.region is Region.CLOSURE
+    assert not cert.passed and cert.region == "closure"
     assert cert.reason.startswith("no Perron argument for a non-Hermitian")
 
 
@@ -993,7 +1002,7 @@ def test_convection_past_the_sign_pattern_is_not_applicable():
 
 def test_each_witness_of_the_stiffness_certificate(robin_op8, dirichlet_op8):
     # Robin and Dirichlet stiffnesses have zero interior row sums, so their
-    # nonsingularity comes from lambda1 > 0 (a Stieltjes matrix); the
+    # nonsingularity comes from the zero-shift witness w = A^-1*1; the
     # Neumann stiffness annihilates constants, whose Perron vector is the
     # constant; a negative c0 leaves neither, and no verdict
     for op in (robin_op8, dirichlet_op8):

@@ -1,0 +1,42 @@
+"""Every module-level function, class and constant of the package is read
+somewhere in the package or its tests, apart from its own definition: a
+name no caller reads is deleted rather than kept. ``__init__`` is left
+out, since re-exporting is its purpose."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCE = ROOT / "src" / "perronfem"
+
+
+def _defined(tree: ast.Module) -> set:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        targets = node.targets if isinstance(node, ast.Assign) else \
+            [node.target] if isinstance(node, ast.AnnAssign) else []
+        names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def _read(tree: ast.Module) -> set:
+    """Names loaded bare or as an attribute; an import alone reads none."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Attribute)}
+
+
+def test_every_module_level_name_is_read():
+    files = sorted(SOURCE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in files}
+    read = set().union(*map(_read, trees.values()))
+    modules = [p for p in trees
+               if p.parent == SOURCE and p.name != "__init__.py"]
+    assert len(modules) > 5
+    unread = {p.stem: sorted(names) for p in modules
+              if (names := _defined(trees[p]) - read)}
+    assert unread == {}

@@ -9,9 +9,9 @@ vertex partition (I, B) and one-step matrices built from the volume form,
 
 and u_B pinned to the interpolated data. With lumped mass the M_IB blocks
 vanish, so nonnegative data give strictly positive interior states when
-the interior step matrix passes ``assembly.mmatrix_certificate`` and
--A_IB >= 0; the elliptic strong minimum principle reads the same
-certificate on A_II. No verdict compares a field with a float floor.
+the interior step matrix passes ``semigroup.step_certificate`` and
+-A_IB >= 0; the elliptic strong minimum principle certifies A_II. No
+verdict compares a field with a float floor.
 
 Trajectories can be audited against the space-time weak formulation: for
 test functions vanishing at the time endpoints and on the boundary, the
@@ -30,11 +30,12 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import CoefficientSet, MassKind, annihilates_constants, \
-    assemble_volume, mass_matrix, mmatrix_certificate, offdiag_max
+from .assembly import CoefficientSet, MMatrixCertificate, \
+    annihilates_constants, assemble_volume, mass_matrix, \
+    mmatrix_certificate, offdiag_max
 from .mesh import TriMesh
-from .semigroup import IMPLICIT_EULER_ONLY, EvolutionConfig, Scheme, \
-    Verdict, step_matrices
+from .semigroup import EvolutionConfig, Verdict, step_certificate, \
+    step_matrices
 from .spectral import SolverError, factorize
 
 COMPATIBILITY_TOL = 1e-10
@@ -95,7 +96,7 @@ class BoundaryData:
 @dataclass(frozen=True)
 class MildSolution:
     """Trajectory of nodal fields on all mesh vertices, boundary included,
-    with the volume matrices it was marched with.
+    with the volume matrices it was marched with and its step certificate.
 
     ``solve_mild`` sets the march up without taking a step: each
     ``states()`` call runs a new march, which yields u_0, ..., u_n one at
@@ -110,6 +111,7 @@ class MildSolution:
     phi: BoundaryData
     stiffness: sp.csr_matrix
     mass_lumped: np.ndarray
+    certificate: MMatrixCertificate
     march: Callable[[], Iterator[np.ndarray]] = field(repr=False)
 
     def states(self) -> Iterator[np.ndarray]:
@@ -127,8 +129,8 @@ def solve_mild(mesh: TriMesh, coeffs: CoefficientSet, u0: np.ndarray,
     """Set up the boundary-pinned problem; boundary rows of every state
     equal the interpolated data exactly.
 
-    Assembles and factorizes the interior step matrix once; the march
-    itself runs each time the solution's states are read. Boundary
+    Assembles, factorizes and certifies the interior step matrix once; the
+    march itself runs each time the solution's states are read. Boundary
     tags are not consulted: this problem pins every boundary vertex.
     Raises on initial data incompatible with phi(0); whether positivity
     conclusions apply is ``strong_positivity_check``'s call.
@@ -156,8 +158,11 @@ def solve_mild(mesh: TriMesh, coeffs: CoefficientSet, u0: np.ndarray,
     lhs, rhs = step_matrices(A, mass_matrix(cfg.mass, M, ML), cfg.scheme,
                              cfg.dt)
     lhs, rhs = lhs[interior], rhs[interior]
-    lu = factorize(lhs[:, interior])
-    lhs_IB = lhs[:, boundary]
+    lhs_II, lhs_IB = lhs[:, interior], lhs[:, boundary]
+    lu = factorize(lhs_II)
+    # the sign scan of A's interior rows covers -A_IB >= 0 too
+    certificate = step_certificate(lhs_II, cfg, offdiag_max(A, interior),
+                                   lu.solve, "interior step matrix")
     rhs_II, rhs_IB = rhs[:, interior], rhs[:, boundary]
     dt = cfg.dt
     start = u0.copy()
@@ -177,7 +182,8 @@ def solve_mild(mesh: TriMesh, coeffs: CoefficientSet, u0: np.ndarray,
 
     return MildSolution(times=dt * np.arange(cfg.n_steps + 1), mesh=mesh,
                         cfg=cfg, boundary=boundary, interior=interior,
-                        phi=phi, stiffness=A, mass_lumped=ML, march=march)
+                        phi=phi, stiffness=A, mass_lumped=ML,
+                        certificate=certificate, march=march)
 
 
 # ---------------------------------------------------------------------------
@@ -202,12 +208,12 @@ class PositivityScan:
     drive the interior: step 1 for a nonzero interior datum, else the
     first step whose boundary data reach an interior row; zero data claim
     nothing. Each implicit Euler step with lumped mass solves
-    Z u_I(k+1) = M_L,II u_I(k) - dt A_IB u_B(k+1); when
-    Z = (M_L + dt A)_II passes ``mmatrix_certificate`` and -A_IB >= 0,
-    Z^-1 > 0 maps a nonnegative, nonzero right-hand side to a positive
-    state, and every later right-hand side is nonzero. The float
-    cross-check tests sign: an exact 0.0 is flagged as underflow, a
-    negative value fails."""
+    Z u_I(k+1) = M_L,II u_I(k) - dt A_IB u_B(k+1); when the solution's
+    certificate holds, Z = (M_L + dt A)_II is an irreducible nonsingular
+    M-matrix and -A_IB >= 0, so Z^-1 > 0 maps a nonnegative, nonzero
+    right-hand side to a positive state, and every later one is nonzero.
+    The float cross-check tests sign: an exact 0.0 is flagged as
+    underflow, a negative value fails."""
 
     def __init__(self, sol: MildSolution):
         self.interior, self.times = sol.interior, sol.times
@@ -221,27 +227,15 @@ class PositivityScan:
                        "data")
             return
         n_steps, dt = len(sol.times) - 1, sol.cfg.dt
-        A = sol.stiffness[sol.interior]
-        A_IB = A[:, sol.boundary]
+        A_IB = sol.stiffness[sol.interior][:, sol.boundary]
         if np.any(u0[sol.interior] > 0.0):
             self.start = 1
         else:
             self.start = next((k for k in range(1, n_steps + 1)
                                if np.any(A_IB @ sol.phi.at(k * dt) != 0.0)),
                               -1)
-        reason = ""
-        if self.start < 0:
-            reason = "zero data evolve to zero; nothing to certify"
-        elif (sol.cfg.scheme, sol.cfg.mass) != (Scheme.IMPLICIT_EULER,
-                                                MassKind.LUMPED):
-            reason = IMPLICIT_EULER_ONLY
-        else:  # the sign scan of the interior rows covers -A_IB >= 0 too
-            Z, _ = step_matrices(A[:, sol.interior],
-                                 sp.diags(sol.mass_lumped[sol.interior]),
-                                 sol.cfg.scheme, dt)
-            reason = mmatrix_certificate(
-                Z, "interior step matrix",
-                offdiag_max(sol.stiffness, sol.interior)).reason
+        reason = "zero data evolve to zero; nothing to certify" \
+            if self.start < 0 else sol.certificate.reason
         if reason:
             self.settled = StrongPositivityReport(
                 Verdict.NOT_APPLICABLE, self.start, reason=reason)
@@ -461,7 +455,6 @@ class EllipticMaxReport:
     positivity: Verdict          # interior min > 0 given u_B >= 0 reaching I
     interior_min: float
     constancy: Verdict           # constant given interior max attained
-    spread: float
     margin: float = math.nan     # |u_I - exact| <= res * max(A_II^-1 1)
     reason: str = ""             # why positivity is not applicable
 
@@ -487,7 +480,7 @@ def elliptic_strong_max_check(mesh: TriMesh, coeffs: CoefficientSet,
     scale = max(1.0, float(np.abs(A).max()) * float(np.abs(u).max()))
     if res > ELLIPTIC_TOL * scale:
         return EllipticMaxReport(False, res, Verdict.NOT_APPLICABLE,
-                                 math.nan, Verdict.NOT_APPLICABLE, math.nan)
+                                 math.nan, Verdict.NOT_APPLICABLE)
 
     interior_min = float(u[interior].min()) if interior.size else math.nan
     positivity, margin = Verdict.NOT_APPLICABLE, math.nan
@@ -521,4 +514,4 @@ def elliptic_strong_max_check(mesh: TriMesh, coeffs: CoefficientSet,
     else:
         constancy = Verdict.NOT_APPLICABLE
     return EllipticMaxReport(True, res, positivity, interior_min,
-                             constancy, spread, margin, reason)
+                             constancy, margin, reason)

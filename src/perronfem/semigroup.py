@@ -1,7 +1,7 @@
 """Discrete heat semigroups: evolution, kernels, positivity certificates.
 
 The implicit Euler step with lumped mass is the workhorse for positivity:
-``kernel_certificate`` asks ``assembly.mmatrix_certificate`` whether the
+``step_certificate`` asks ``assembly.mmatrix_certificate`` whether the
 step matrix B = M_L + dt*A is an irreducible nonsingular M-matrix. Then
 B^-1 > 0, every kernel K(t) = (B^-1 M_L)^n M_L^-1 is positive on the free
 pairs and every nodal indicator is positive after one step; the
@@ -155,28 +155,35 @@ def peripheral_pair(op: DiscreteOperator) -> tuple:
 # ---------------------------------------------------------------------------
 # kernels
 
-IMPLICIT_EULER_ONLY = "positivity certificates need implicit Euler with " \
-                      "lumped mass"
+def step_certificate(step: sp.spmatrix, cfg: EvolutionConfig, scan: float,
+                     solve, name: str) -> MMatrixCertificate:
+    """The one positivity certificate of an implicit step: implicit Euler
+    with lumped mass, whose step matrix ``step`` passes
+    ``mmatrix_certificate`` with the caller's sign ``scan`` and, when
+    step*1 > 0 fails, the witness ``solve(1)`` = step^-1*1 through the
+    factor the caller steps with."""
+    if (cfg.scheme, cfg.mass) != (Scheme.IMPLICIT_EULER, MassKind.LUMPED):
+        return MMatrixCertificate(False, reason="positivity certificates "
+                                  "need implicit Euler with lumped mass")
+    return mmatrix_certificate(
+        step, name, scan, inverse_ones=lambda: solve(np.ones(step.shape[0])))
 
 
 def kernel_certificate(op: DiscreteOperator,
                        cfg: EvolutionConfig) -> MMatrixCertificate:
     """Structural positivity certificate of the kernel: a real operator
-    and implicit Euler with lumped mass, whose step B = M_L + dt*A passes
-    ``mmatrix_certificate``. B's sign scan is the stiffness's; the witness
-    B^-1*1, when B*1 > 0 fails, comes through the step factor the march
-    caches."""
+    whose step B = M_L + dt*A passes ``step_certificate``. B's sign scan is
+    the stiffness's; its witness B^-1*1 is one step of the march, through
+    the factor it caches, from M_L^-1*1."""
     if op.is_complex:
         return MMatrixCertificate(False, reason="complex operator")
-    if (cfg.scheme, cfg.mass) != (Scheme.IMPLICIT_EULER, MassKind.LUMPED):
-        return MMatrixCertificate(False, reason=IMPLICIT_EULER_ONLY)
     B, _ = step_matrices(op.stiffness, mass_matrix(cfg.mass, op.mass,
                                                    op.mass_lumped),
                          cfg.scheme, cfg.dt)
-    # one step from M_L^-1*1 is B^-1*1
-    return mmatrix_certificate(
-        B, "step matrix", mmatrix_report(op).offdiag_max,
-        inverse_ones=lambda: next(march(op, cfg, 1.0 / op.mass_lumped, 1)))
+    return step_certificate(
+        B, cfg, mmatrix_report(op).offdiag_max,
+        lambda ones: next(march(op, cfg, ones / op.mass_lumped, 1)),
+        "step matrix")
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,8 @@ shift-invert Arnoldi, its pair count doubled until the field-of-values
 sector |Im lambda| <= Re lambda + s certifies the least real parts, each
 ARPACK call capped at MAX_ARNOLDI_RESTARTS restarts so a failure takes
 bounded time; meshes too small for ARPACK get the dense spectrum.
-``_lowest_pairs`` is the one place that picks the path, and it caches
-one accepted answer per (mass, k, tol), its vectors signed once.
+``_lowest_pairs`` is the one place that picks the path and accepts a
+pair, and it caches one answer per (mass, k, tol), its vectors signed once.
 ``certify_positivity`` claims a positive principal eigenvector on its
 mode's region (``REGION``, always the free dofs) only where the stiffness
 is provably a nonsingular M-matrix, by w = 1 or by the zero-shift witness
@@ -36,7 +36,7 @@ import scipy.sparse.linalg as spla
 
 from .assembly import BoundaryMode, DiscreteOperator, MassKind, \
     SolverError, annihilates_constants, assemble, mass_matrix, \
-    mmatrix_certificate, mmatrix_report, row_sum_tol
+    mmatrix_report, row_sum_tol
 
 MAX_ARNOLDI_PAIRS = 64  # the doubling cap of the certified Arnoldi path
 MAX_ARNOLDI_RESTARTS = 300  # ARPACK's maxiter: a failure takes bounded time
@@ -167,12 +167,12 @@ def _gershgorin_factor(A: sp.spmatrix, M, mass_lumped: np.ndarray):
 
 def _zero_shift_factor(op: DiscreteOperator):
     """The factor of a real Hermitian operator's stiffness A, made once per
-    operator, when the Gershgorin shift is negative and
-    ``assembly.mmatrix_certificate`` proves A an irreducible nonsingular
-    M-matrix by the witness A^-1*1 taken from that factor; else None.
-    A stiffness without a positive row sum, A*1 <= 0 (a singular one that
-    annihilates constants among them), is not tried: A^-1 >= 0 would give
-    1 = A^-1 (A*1) <= 0."""
+    operator, when the Gershgorin shift is negative and A is an irreducible
+    nonsingular M-matrix: ``mmatrix_report(op)`` holds, or, where only its
+    witness w = 1 failed, w = A^-1*1 taken from that factor has w > 0 and
+    A*w > 0; else None. A stiffness without a positive row sum, A*1 <= 0
+    (a singular one that annihilates constants among them), is not tried:
+    A^-1 >= 0 would give 1 = A^-1 (A*1) <= 0."""
     def zero_shift():
         A, scan = op.stiffness, mmatrix_report(op)
         if _shift_below_spectrum(A, op.mass_lumped) >= 0.0 \
@@ -183,10 +183,10 @@ def _zero_shift_factor(op: DiscreteOperator):
             lu = factorize(A)
         except SolverError:
             return None
-        cert = mmatrix_certificate(
-            A, "stiffness", scan=scan.offdiag_max,
-            inverse_ones=lambda: lu.solve(np.ones(op.n_dof)))
-        return lu if cert.holds else None
+        if scan.holds:
+            return lu
+        w = lu.solve(np.ones(op.n_dof))
+        return lu if np.all(w > 0.0) and np.all(A @ w > 0.0) else None
 
     return op.cached("zero_shift_factor", zero_shift)
 
@@ -218,7 +218,8 @@ def _hermitian_pairs(op: DiscreteOperator, mass: MassKind, k: int,
     extraction each sweep; GUARD_VECTORS ride along so clustered
     eigenvalues at the block boundary cannot stall the wanted pairs.
     ``start`` (n, j), j <= k + GUARD_VECTORS, replaces the leading columns
-    of the deterministic start block; None keeps it.
+    of the deterministic start block; None keeps it. Past MAX_SWEEPS the
+    last iterate returns: only ``_lowest_pairs`` accepts or rejects pairs.
     """
     A, n = op.stiffness, op.n_dof
     M = mass_matrix(mass, op.mass, op.mass_lumped)
@@ -229,7 +230,6 @@ def _hermitian_pairs(op: DiscreteOperator, mass: MassKind, k: int,
     if start is not None:
         X[:, :start.shape[1]] = start
     MX = M @ X
-    residuals = np.full(m, math.inf)
     for _sweep in range(MAX_SWEEPS):
         Y = lu.solve(MX)
         AY, MY = A @ Y, M @ Y
@@ -249,10 +249,6 @@ def _hermitian_pairs(op: DiscreteOperator, mass: MassKind, k: int,
             / np.linalg.norm(MX, axis=0)
         if np.all(residuals[:k] <= tol):
             break
-    else:
-        raise SolverError(
-            "inverse iteration did not converge: residuals "
-            f"{[f'{r:.3e}' for r in residuals[:k]]} > tol {tol:.3e}")
     return values[:k], X[:, :k], residuals[:k]
 
 

@@ -220,7 +220,7 @@ def _check_kernel_positivity(p: Problem):
     k = p.kernel_probes
     rep = kernel_positivity_report(p.op, p.certificate, k.columns, k.ends)
     # min_entry and witness are over the sampled columns only
-    payload = {"t": k.t, "columns": list(p.op.free_vertices[k.columns]),
+    payload = {"t": k.t, "columns": p.op.free_vertices[k.columns].tolist(),
                "min_entry": rep.min_entry, "witness": list(rep.witness),
                "min_row_sum": p.certificate.min_row_sum}
     if rep.underflow:

@@ -540,6 +540,26 @@ def test_cli_parabolic_output_bytes_pinned(tmp_path, name):
         assert hashlib.sha256(blob).hexdigest() == digest, filename
 
 
+def test_parabolic_and_verify_certify_the_same_step(tmp_path):
+    # with c0 = -110 the step Z = M_L + dt*A on the interior has a negative
+    # row sum: only the witness Z^-1*1 certifies it, in both commands
+    base = {"mesh": {"shape": "unit_square", "n": 8, "tags": "D"},
+            "coefficients": {"mode": "dirichlet", "c0": -110.0},
+            "evolution": {"dt": 0.01, "t_end": 0.1}}
+    path = write_config(tmp_path / "v.json", dict(base, output_dir="v"))
+    assert main(["verify", "--config", path]) == 0
+    results = {r["label"]: r for r in json.loads(
+        (tmp_path / "v" / "verification_report.json").read_text())["results"]}
+    kernel = results["kernel-positivity"]
+    assert kernel["verdict"] == "pass" and kernel["payload"]["min_row_sum"] < 0
+    assert results["positivity-improving"]["verdict"] == "pass"
+    path = write_config(tmp_path / "p.json", dict(
+        base, u0="x*(1-x)*y*(1-y)", output_dir="p"))
+    assert main(["parabolic", "--config", path]) == 0
+    verdict = json.loads((tmp_path / "p" / "verdict.json").read_text())
+    assert verdict["strong_positivity"]["verdict"] == "pass"
+
+
 # the other commands' CSV and SVG bytes, recorded while each writer built
 # its whole text before writing it; the kernel outputs, recorded while
 # semigroup.kernel still built the dense kernel for the command.
@@ -751,15 +771,16 @@ def test_cli_missing_mesh_file_is_an_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_cli_solver_error_is_an_error(tmp_path, capsys):
-    # inverse iteration cannot reach a residual of 1e-18
+def test_cli_solver_error_is_an_error(tmp_path, capsys, monkeypatch):
+    # one sweep of inverse iteration leaves residuals above the bound
+    import perronfem.spectral as spectral
+    monkeypatch.setattr(spectral, "MAX_SWEEPS", 1)
     path = write_config(tmp_path / "c.json", {
         "mesh": {"shape": "unit_square", "n": 4, "tags": "N"},
-        "coefficients": {"beta": 1.0, "mode": "robin"},
-        "solver": {"tol": 1e-18}})
+        "coefficients": {"beta": 1.0, "mode": "robin"}})
     assert main(["eig", "--config", path]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "did not converge" in err
+    assert err.startswith("error: ") and "exceed the bound" in err
 
 
 @pytest.mark.parametrize("mesh, mode, message", [
@@ -1503,9 +1524,51 @@ def test_verify_factorizes_each_pencil_once(monkeypatch):
     assert len(calls) == 1  # its factor serves the lumped pencil too
 
 
+@pytest.mark.parametrize("tags, coefficients", [
+    ("D", {"mode": "dirichlet"}), ("N", {"beta": 1.0, "mode": "robin"})],
+    ids=["dirichlet", "robin"])
+def test_cli_verify_a_square_of_side_one_32nd(tmp_path, tags, coefficients):
+    # inverse iteration stalls at residuals of 1.2e-10 to 1.3e-10 here:
+    # above tol 1e-10, inside the bound 1e-9 that accepts every eigenpair
+    path = write_config(tmp_path / "c.json", {
+        "mesh": {"shape": "rectangle", "n": 16, "tags": tags,
+                 "width": 0.03125, "height": 0.03125},
+        "coefficients": coefficients, "output_dir": "out"})
+    assert main(["verify", "--config", path]) == 0
+
+
+@pytest.mark.parametrize("name", ["robin6", "lshape4", "complex6"])
+def test_cli_verify_text_report_prints_no_numpy_reprs(tmp_path, capsys,
+                                                      name):
+    cfg, _ = PINNED_REPORTS[name]
+    path = write_config(tmp_path / "c.json", dict(cfg, output_dir="out"))
+    assert main(["verify", "--config", path]) == 0
+    text = (tmp_path / "out" / "verification_report.txt").read_text()
+    assert "np." not in text and "np." not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", ["robin6", "lshape4"])
+def test_verify_certifies_each_stiffness_once(tmp_path, monkeypatch, name):
+    import perronfem
+    from perronfem import assembly
+    certify, certified = assembly.mmatrix_certificate, []
+
+    def counted(Z, label, *args, **kwargs):
+        if label == "stiffness":
+            certified.append(Z)
+        return certify(Z, label, *args, **kwargs)
+    for module in vars(perronfem).values():
+        if getattr(module, "mmatrix_certificate", None) is certify:
+            monkeypatch.setattr(module, "mmatrix_certificate", counted)
+    cfg, _ = PINNED_REPORTS[name]
+    path = write_config(tmp_path / "c.json", dict(cfg, output_dir="out"))
+    assert main(["verify", "--config", path]) == 0
+    assert certified
+    assert len({id(Z) for Z in certified}) == len(certified)
+
+
 def test_a_failed_solve_runs_once(monkeypatch):
-    # a Dirichlet square of side 1/32 at n = 16 fails this way; each check
-    # that reads the pair used to run the failing sweeps again
+    # each check that reads the pair used to run the failing sweeps again
     import perronfem.spectral as spectral
     calls = []
 

@@ -3,8 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from perronfem.assembly import CoefficientSet, annihilates_constants, \
-    assemble_volume
+from perronfem.assembly import CoefficientSet, MMatrixCertificate, \
+    annihilates_constants, assemble_volume
 from perronfem.mesh import generate_structured
 from perronfem.parabolic import BoundaryData, MildSolution, \
     ParabolicError, PositivityScan, WeakResidual, \
@@ -313,6 +313,7 @@ def test_constancy_checker_detects_engineered_violation(dirichlet_mesh8):
     sol = MildSolution(times=cfg.dt * np.arange(3), mesh=mesh, cfg=cfg,
                        boundary=boundary, interior=interior, phi=phi,
                        stiffness=A, mass_lumped=ML,
+                       certificate=MMatrixCertificate(False),
                        march=lambda: iter(fields))
     verdict, payload = constancy_principle_check(sol, 2 * cfg.dt,
                                                  int(interior[5]))
@@ -515,17 +516,24 @@ def test_elliptic_check_on_a_mesh_without_interior_vertices():
 
 # -- reducible interiors, one assembly per run ---------------------------------
 
-def test_a_disconnected_interior_is_reducible_not_an_error(dirichlet_mesh8):
+def test_a_disconnected_interior_is_reducible_not_an_error(dirichlet_mesh8,
+                                                          monkeypatch):
+    import perronfem.parabolic as parabolic
     mesh = dirichlet_mesh8
+    A, M, ML = assemble_volume(mesh, laplace_coeffs(mesh))
+    interior = np.setdiff1d(np.arange(mesh.n_vertices),
+                            mesh.boundary_vertices())
+    A = A.tolil()
+    A[interior[:10, None], interior[10:]] = 0.0
+    A[interior[10:, None], interior[:10]] = 0.0
+    # the cut reaches the step matrix solve_mild factorizes and certifies
+    monkeypatch.setattr(parabolic, "assemble_volume",
+                        lambda *_: (A.tocsr(), M, ML))
     sol = solve_mild(mesh, laplace_coeffs(mesh), np.ones(mesh.n_vertices),
                      BoundaryData.constant(mesh, 1.0, 0.1),
                      cfg_for(mesh, 0.1, 10))
-    A = sol.stiffness.tolil()
-    A[sol.interior[:10, None], sol.interior[10:]] = 0.0
-    A[sol.interior[10:, None], sol.interior[:10]] = 0.0
-    cut = dataclasses.replace(sol, stiffness=A.tocsr())
     # the certificate decides: a split interior is reducible, not an error
-    rep = strong_positivity_check(cut)
+    rep = strong_positivity_check(sol)
     assert rep.verdict is Verdict.NOT_APPLICABLE
     assert "reducible" in rep.reason
 

@@ -343,12 +343,14 @@ def test_reports_are_deterministic(robin_op8):
     assert np.array_equal(a.vector, b.vector)
 
 
-def test_nonconvergence_reports_last_residual(robin_op8, monkeypatch):
+def test_nonconvergence_reports_last_residual(robin_mesh8, monkeypatch):
+    # a fresh operator: the failed solve is cached on it
     import perronfem.spectral as spectral
+    op = assemble(robin_mesh8, CoefficientSet.constant(robin_mesh8, beta=1.0),
+                  BoundaryMode.ROBIN)
     monkeypatch.setattr(spectral, "MAX_SWEEPS", 1)
-    with pytest.raises(SolverError, match="residuals.*tol"):
-        spectral._hermitian_pairs(robin_op8, MassKind.CONSISTENT, k=2,
-                                  tol=1e-10, start=None)
+    with pytest.raises(SolverError, match="residuals.*exceed the bound"):
+        spectral._lowest_pairs(op, MassKind.CONSISTENT, k=2, tol=1e-10)
 
 
 def test_arnoldi_fallback_agrees_with_dense(robin_mesh8):

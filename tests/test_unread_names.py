@@ -1,7 +1,9 @@
 """Every module-level function, class and constant of the package is read
 somewhere in the package or its tests, apart from its own definition: a
 name no caller reads is deleted rather than kept. ``__init__`` is left
-out, since re-exporting is its purpose."""
+out, since re-exporting is its purpose. Every dataclass field of the
+package is read as an attribute in the package, its tests or the
+benchmarks; an ``InitVar`` is no field."""
 
 import ast
 from pathlib import Path
@@ -40,3 +42,34 @@ def test_every_module_level_name_is_read():
     unread = {p.stem: sorted(names) for p in modules
               if (names := _defined(trees[p]) - read)}
     assert unread == {}
+
+
+def _fields(tree: ast.Module) -> set:
+    """(class, field) of each dataclass field defined in the module."""
+    return {(node.name, item.target.id)
+            for node in tree.body
+            if isinstance(node, ast.ClassDef)
+            and any(ast.unparse(d).split("(")[0] == "dataclass"
+                    for d in node.decorator_list)
+            for item in node.body
+            if isinstance(item, ast.AnnAssign)
+            and not ast.unparse(item.annotation).startswith("InitVar[")}
+
+
+def _attributes_read(tree: ast.Module) -> set:
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_dataclass_field_is_read():
+    sources = sorted(SOURCE.glob("*.py"))
+    readers = sources + sorted((ROOT / "tests").glob("*.py")) \
+        + sorted((ROOT / "benchmarks").glob("*.py"))
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in readers}
+    read = set().union(*map(_attributes_read, trees.values()))
+    fields = set().union(*(_fields(trees[p]) for p in sources))
+    assert len(fields) > 50
+    assert sorted(f"{cls}.{name}" for cls, name in fields
+                  if name not in read) == []

@@ -4,8 +4,8 @@ The package discretizes elliptic operators on triangulated polygons with
 Dirichlet, Robin, complex-Robin, and mixed boundary conditions, then
 certifies — with explicit witnesses — strict positivity of principal
 eigenvectors, positivity-improving heat semigroups and kernels, the
-complex-Robin spectral bound, and strong parabolic minimum/maximum
-principles. An exact matrix-semigroup oracle validates the abstract
+complex-Robin spectral bound, and strong positivity of boundary-pinned
+parabolic solutions. An exact matrix-semigroup oracle validates the abstract
 positivity machinery independently of any discretization.
 """
 
@@ -37,8 +37,6 @@ from .mesh import (
 from .parabolic import (
     BoundaryData,
     MildSolution,
-    constancy_principle_check,
-    elliptic_strong_max_check,
     make_test_bank,
     solve_mild,
     strong_positivity_check,

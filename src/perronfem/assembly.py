@@ -332,9 +332,10 @@ class DiscreteOperator:
     def solver_cache(self) -> dict:
         """Factorizations and spectra derived from this operator, filled
         only through ``cached``: the step factorization per scheme, dt and
-        mass, the eigensolves per mass kind, k and tol, and the factor of
-        the stiffness itself that both Hermitian pencils iterate through
-        when it is a certified M-matrix (None when it is not)."""
+        mass, the eigensolves per mass kind, k and tol, the rounding floor
+        of their residual bound, and the factor of the stiffness itself
+        that both Hermitian pencils iterate through when it is a certified
+        M-matrix (None when it is not)."""
         return {}
 
     def cached(self, key, compute):
@@ -481,10 +482,9 @@ def row_sum_tol(A: sp.spmatrix) -> float:
     return CONSTANTS_TOL * max(1.0, float(np.abs(A).max()))
 
 
-def annihilates_constants(A: sp.spmatrix, rows=slice(None)) -> bool:
-    """Whether the given rows of A (all by default) sum to zero."""
-    r = A @ np.ones(A.shape[0])
-    return bool(np.all(np.abs(r[rows]) <= row_sum_tol(A)))
+def annihilates_constants(A: sp.spmatrix) -> bool:
+    """Whether every row of A sums to zero."""
+    return bool(np.all(np.abs(A @ np.ones(A.shape[0])) <= row_sum_tol(A)))
 
 
 @dataclass(frozen=True)

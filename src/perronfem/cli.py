@@ -594,7 +594,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one command; 0 on success, 1 when ``verify`` reports a FAIL, 2
-    with a one-line error on stderr for a rejected input.
+    with a one-line error on stderr for a rejected input or an allocation
+    that failed (a process the kernel kills for memory cannot report).
 
     The first statement freezes every object alive at that moment (about
     42,500 from the numpy/scipy imports) into the collector's permanent
@@ -611,6 +612,9 @@ def main(argv=None) -> int:
     except (CliError, MeshError, AssemblyError, SolverError, OSError,
             ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory ({exc or 'no detail'})", file=sys.stderr)
         return 2
 
 

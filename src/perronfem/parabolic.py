@@ -1,4 +1,4 @@
-"""Inhomogeneous-boundary parabolic solves and strong minimum/maximum checks.
+"""Inhomogeneous-boundary parabolic solves and their strong positivity check.
 
 The boundary-value problem evolves the interior unknowns while the whole
 boundary trace is pinned to time-dependent data (a lifting step): with
@@ -10,8 +10,7 @@ vertex partition (I, B) and one-step matrices built from the volume form,
 and u_B pinned to the interpolated data. With lumped mass the M_IB blocks
 vanish, so nonnegative data give strictly positive interior states when
 the interior step matrix passes ``semigroup.step_certificate`` and
--A_IB >= 0; the elliptic strong minimum principle certifies A_II. No
-verdict compares a field with a float floor.
+-A_IB >= 0. No verdict compares a field with a float floor.
 
 Trajectories can be audited against the space-time weak formulation: for
 test functions vanishing at the time endpoints and on the boundary, the
@@ -22,8 +21,6 @@ verification quantity.
 
 from __future__ import annotations
 
-import itertools
-import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
@@ -31,15 +28,13 @@ import numpy as np
 import scipy.sparse as sp
 
 from .assembly import CoefficientSet, MMatrixCertificate, \
-    annihilates_constants, assemble_volume, mass_matrix, \
-    mmatrix_certificate, offdiag_max
+    assemble_volume, mass_matrix, offdiag_max
 from .mesh import TriMesh
 from .semigroup import EvolutionConfig, Verdict, step_certificate, \
     step_matrices
-from .spectral import SolverError, factorize
+from .spectral import factorize
 
 COMPATIBILITY_TOL = 1e-10
-ELLIPTIC_TOL = 1e-8  # elliptic_strong_max_check's relative tolerance
 
 
 class ParabolicError(ValueError):
@@ -269,47 +264,6 @@ def strong_positivity_check(sol: MildSolution) -> StrongPositivityReport:
 
 
 # ---------------------------------------------------------------------------
-# constancy (strong maximum) principle
-
-def _constancy_tolerance(sol: MildSolution) -> float:
-    span = max(float(sol.u0.max() - sol.u0.min()),
-               float(sol.phi.values.max() - sol.phi.values.min()))
-    return max(1e-8 * span, 1e-8)
-
-
-def constancy_principle_check(sol: MildSolution, t0: float, x0: int,
-                              ) -> tuple[Verdict, dict]:
-    """If an interior node attains the running space-time maximum at t0,
-    the trajectory must have been constant up to t0: PASS, FAIL, or
-    NOT_APPLICABLE when x0 does not attain it. Marches only to t0."""
-    if not annihilates_constants(sol.stiffness, sol.interior):
-        raise ParabolicError("constancy principle needs an operator that "
-                             "annihilates constants")
-    if x0 in sol.boundary:
-        raise ParabolicError(f"x0 = {x0} is not an interior vertex")
-    k0 = int(np.argmin(np.abs(sol.times - t0)))
-    if abs(sol.times[k0] - t0) > 1e-12 * max(1.0, abs(t0)):
-        raise ParabolicError(f"t0 = {t0} is not a sample time")
-
-    tol = _constancy_tolerance(sol)
-    high, low = -math.inf, math.inf
-    for state in itertools.islice(sol.states(), k0 + 1):
-        high = np.maximum(high, state.max())
-        low = np.minimum(low, state.min())
-    running_max = float(high)
-    value = float(state[x0])
-    payload = {"t0": float(sol.times[k0]), "x0": int(x0), "value": value,
-               "running_max": running_max, "tolerance": tol}
-    if value < running_max - tol:
-        return Verdict.NOT_APPLICABLE, payload
-    spread = float(high - low)
-    payload["spread"] = spread
-    if spread <= tol:
-        return Verdict.PASS, payload
-    return Verdict.FAIL, payload
-
-
-# ---------------------------------------------------------------------------
 # weak-form residual audit
 
 @dataclass(frozen=True)
@@ -444,74 +398,3 @@ def very_weak_residual(sol: MildSolution, test_bank) -> float:
         residual.add(k, state)
     return residual.value()
 
-
-# ---------------------------------------------------------------------------
-# elliptic strong maximum checks
-
-@dataclass(frozen=True)
-class EllipticMaxReport:
-    is_solution: bool
-    residual: float
-    positivity: Verdict          # interior min > 0 given u_B >= 0 reaching I
-    interior_min: float
-    constancy: Verdict           # constant given interior max attained
-    margin: float = math.nan     # |u_I - exact| <= res * max(A_II^-1 1)
-    reason: str = ""             # why positivity is not applicable
-
-
-def elliptic_strong_max_check(mesh: TriMesh, coeffs: CoefficientSet,
-                              u: np.ndarray) -> EllipticMaxReport:
-    """Audit a discrete harmonic-type field against the strong minimum and
-    maximum principles.
-
-    The field must satisfy the interior equations (rows of the volume
-    stiffness) up to tolerance; otherwise the report flags NOT A SOLUTION
-    and skips the principles. When A_II passes ``mmatrix_certificate``
-    (witness A_II^-1 1 from one solve), -A_IB >= 0 and the boundary data
-    are nonnegative and reach an interior row, the exact interior solution
-    A_II^-1 (-A_IB u_B) is positive; u differs from it by at most
-    ``margin``, which the sign test allows.
-    """
-    u = np.asarray(u, dtype=float)
-    boundary = mesh.boundary_vertices()
-    interior = np.setdiff1d(np.arange(mesh.n_vertices), boundary)
-    A, _, _ = assemble_volume(mesh, coeffs)
-    res = float(np.abs((A @ u)[interior]).max()) if interior.size else 0.0
-    scale = max(1.0, float(np.abs(A).max()) * float(np.abs(u).max()))
-    if res > ELLIPTIC_TOL * scale:
-        return EllipticMaxReport(False, res, Verdict.NOT_APPLICABLE,
-                                 math.nan, Verdict.NOT_APPLICABLE)
-
-    interior_min = float(u[interior].min()) if interior.size else math.nan
-    positivity, margin = Verdict.NOT_APPLICABLE, math.nan
-    A_I = A[interior]
-    # without interior vertices the strong principle claims nothing
-    if not interior.size:
-        reason = "no interior vertices"
-    elif u[boundary].min() < 0.0 \
-            or not np.any(A_I[:, boundary] @ u[boundary] != 0.0):
-        reason = "hypotheses need nonnegative boundary data that reach " \
-                 "the interior"
-    else:
-        A_II = A_I[:, interior]
-        try:
-            w = factorize(A_II).solve(np.ones(interior.size))
-        except SolverError:
-            w = None
-        reason = mmatrix_certificate(A_II, "interior stiffness",
-                                     offdiag_max(A, interior),
-                                     inverse_ones=lambda: w).reason
-        if not reason:
-            margin = res * float(w.max())
-            positivity = Verdict.PASS if interior_min >= -margin \
-                else Verdict.FAIL
-
-    spread = float(u.max() - u.min())
-    near = ELLIPTIC_TOL * max(1.0, spread)
-    if annihilates_constants(A, interior) \
-            and np.any(u[interior] >= float(u.max()) - near):
-        constancy = Verdict.PASS if spread <= near else Verdict.FAIL
-    else:
-        constancy = Verdict.NOT_APPLICABLE
-    return EllipticMaxReport(True, res, positivity, interior_min,
-                             constancy, margin, reason)

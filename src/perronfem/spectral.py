@@ -40,8 +40,6 @@ from .assembly import BoundaryMode, DiscreteOperator, MassKind, \
 
 MAX_ARNOLDI_PAIRS = 64  # the doubling cap of the certified Arnoldi path
 MAX_ARNOLDI_RESTARTS = 300  # ARPACK's maxiter: a failure takes bounded time
-#: an eigenpair's relative residual may exceed the solver tol up to this
-RESIDUAL_FLOOR = 1e-9
 MAX_SWEEPS = 500  # the sweep limit of block inverse iteration
 GUARD_VECTORS = 2  # extra vectors in its block
 STRICT_MARGIN = 1e-9  # the least margin complex_robin_bound calls strict
@@ -154,9 +152,17 @@ def _start_block(n: int, k: int) -> np.ndarray:
     return block
 
 
-def _residual_bound(tol: float) -> float:
-    """The largest relative residual an accepted eigenpair may have."""
-    return max(tol, RESIDUAL_FLOOR)
+def _residual_bound(tol: float, op: DiscreteOperator) -> float:
+    """The largest relative residual an accepted eigenpair may have:
+    tol, or twice the operator's rounding floor f = eps*|A|_inf / mean(M_L)
+    where that is larger. Rounding in A x alone leaves |A x - lam M x| /
+    |M x| near f, which grows like h^-2 and the inverse square of the
+    domain's side; the stalls seen sit at 0.25-0.27 f on the sweeps and at
+    up to 0.63 f on the Arnoldi path, so 2 f leaves room above the worst."""
+    floor = op.cached("rounding_floor", lambda: float(
+        np.finfo(float).eps * spla.norm(op.stiffness, np.inf)
+        / op.mass_lumped.mean()))
+    return max(tol, 2.0 * floor)
 
 
 def _gershgorin_factor(A: sp.spmatrix, M, mass_lumped: np.ndarray):
@@ -218,8 +224,10 @@ def _hermitian_pairs(op: DiscreteOperator, mass: MassKind, k: int,
     extraction each sweep; GUARD_VECTORS ride along so clustered
     eigenvalues at the block boundary cannot stall the wanted pairs.
     ``start`` (n, j), j <= k + GUARD_VECTORS, replaces the leading columns
-    of the deterministic start block; None keeps it. Past MAX_SWEEPS the
-    last iterate returns: only ``_lowest_pairs`` accepts or rejects pairs.
+    of the deterministic start block; None keeps it. The sweeps stop once
+    the k residuals are within ``_residual_bound(tol, op)``; past
+    MAX_SWEEPS the last iterate returns: only ``_lowest_pairs`` accepts or
+    rejects pairs.
     """
     A, n = op.stiffness, op.n_dof
     M = mass_matrix(mass, op.mass, op.mass_lumped)
@@ -230,6 +238,7 @@ def _hermitian_pairs(op: DiscreteOperator, mass: MassKind, k: int,
     if start is not None:
         X[:, :start.shape[1]] = start
     MX = M @ X
+    bound = _residual_bound(tol, op)
     for _sweep in range(MAX_SWEEPS):
         Y = lu.solve(MX)
         AY, MY = A @ Y, M @ Y
@@ -247,7 +256,7 @@ def _hermitian_pairs(op: DiscreteOperator, mass: MassKind, k: int,
         X, AX, MX = Y @ W, AY @ W, MY @ W
         residuals = np.linalg.norm(AX - MX * values[None, :], axis=0) \
             / np.linalg.norm(MX, axis=0)
-        if np.all(residuals[:k] <= tol):
+        if np.all(residuals[:k] <= bound):
             break
     return values[:k], X[:, :k], residuals[:k]
 
@@ -334,7 +343,7 @@ def _arnoldi_smallest_real(op: DiscreteOperator, M, k: int, tol: float,
 
     ARPACK tests convergence on the shift-inverted operator, so a pair it
     accepts at ``tol`` may miss it on the pencil: when a certified pair's
-    relative residual exceeds ``_residual_bound(tol)``, the solve runs
+    relative residual exceeds ``_residual_bound(tol, op)``, the solve runs
     once more at ARPACK's machine precision (tol=0), whose pairs
     ``_lowest_pairs`` accepts or rejects."""
     A = op.stiffness
@@ -358,7 +367,7 @@ def _arnoldi_smallest_real(op: DiscreteOperator, M, k: int, tol: float,
         if values[k - 1].real <= bound:
             worst = max(_residual(A, M, values[j], vectors[:, j])
                         for j in range(k))
-            if worst <= _residual_bound(tol) or arpack_tol == 0.0:
+            if worst <= _residual_bound(tol, op) or arpack_tol == 0.0:
                 return values, vectors
             arpack_tol = 0.0
             continue
@@ -374,7 +383,7 @@ def _lowest_pairs(op: DiscreteOperator, mass: MassKind | str, k: int,
     """The k eigenpairs of least real part of the pencil (stiffness, mass),
     sorted by real, then imaginary part: the values, a tuple of the vectors
     signed by ``_fix_sign`` (read-only, each in its own dtype), and the
-    relative residuals, each within ``_residual_bound(tol)``.
+    relative residuals, each within ``_residual_bound(tol, op)``.
 
     The operator alone picks the solver: a real Hermitian operator gets
     block inverse iteration, any other the sector-certified shift-invert
@@ -410,7 +419,7 @@ def _lowest_pairs(op: DiscreteOperator, mass: MassKind | str, k: int,
         if residuals is None:
             residuals = np.array([_residual(op.stiffness, M, lam, v)
                                   for lam, v in zip(values, signed)])
-        bound = _residual_bound(tol)
+        bound = _residual_bound(tol, op)
         if not np.all(residuals <= bound):
             raise SolverError(f"eigensolve residuals {residuals} exceed "
                               f"the bound {bound:.3e}")
@@ -438,7 +447,7 @@ def principal_eig(op: DiscreteOperator, tol: float = 1e-10) -> EigenReport:
 def perron_pair(op: DiscreteOperator, tol: float) -> PerronPair:
     """The eigenpair of least real part of the lumped pencil (stiffness,
     M_L), the Perron pair of -M_L^-1 A when A is an irreducible Z-matrix;
-    a residual above ``_residual_bound(tol)`` raises SolverError."""
+    a residual above ``_residual_bound(tol, op)`` raises SolverError."""
     values, vectors, _ = _lowest_pairs(op, MassKind.LUMPED, 1, tol)
     return PerronPair(lambda1=complex(values[0]), vector=vectors[0])
 

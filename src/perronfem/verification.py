@@ -413,7 +413,8 @@ def run_suite(problem: Problem, only: str | None = None,
               ) -> VerificationSuiteReport:
     """Execute the registry in order; a raised error becomes a FAIL verdict
     with diagnostics, a SolverError's with the reason "solver failure". An
-    AssertionError, a broken invariant of the program, propagates."""
+    AssertionError, a broken invariant of the program, and a MemoryError,
+    which says nothing of the problem, propagate."""
     results = []
     for entry in REGISTRY:
         if only is not None and entry.label != only:
@@ -425,8 +426,8 @@ def run_suite(problem: Problem, only: str | None = None,
         start = time.perf_counter()
         try:
             verdict, payload = entry.runner(problem)
-        except AssertionError:  # a broken invariant is a bug, not a verdict
-            raise
+        except (AssertionError, MemoryError):
+            raise  # a bug or the machine's limit, not a verdict
         except Exception as exc:  # surfaced as a failing verdict
             verdict = Verdict.FAIL
             payload = {"error": f"{type(exc).__name__}: {exc}"}

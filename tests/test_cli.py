@@ -783,6 +783,25 @@ def test_cli_solver_error_is_an_error(tmp_path, capsys, monkeypatch):
     assert err.startswith("error: ") and "exceed the bound" in err
 
 
+def test_cli_out_of_memory_is_a_one_line_error(tmp_path, capsys,
+                                               monkeypatch):
+    # a failed allocation ends the command: it is no verdict on the problem
+    import perronfem.spectral as spectral
+
+    def exhausted(matrix):
+        raise MemoryError("Unable to allocate 1.00 GiB for the factor")
+    monkeypatch.setattr(spectral, "factorize", exhausted)
+    path = write_config(tmp_path / "c.json", {
+        "mesh": {"shape": "unit_square", "n": 4, "tags": "N"},
+        "coefficients": {"beta": 1.0, "mode": "robin"}, "output_dir": "out"})
+    for command in ("verify", "eig"):
+        assert main([command, "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: out of memory (Unable to allocate 1.00 GiB " \
+                      "for the factor)\n"
+    assert not list(tmp_path.glob("out/*"))
+
+
 @pytest.mark.parametrize("mesh, mode, message", [
     ({"shape": "unit_square", "n": 1, "tags": "D"}, "dirichlet",
      "no degree of freedom is free"),
@@ -1529,12 +1548,27 @@ def test_verify_factorizes_each_pencil_once(monkeypatch):
     ids=["dirichlet", "robin"])
 def test_cli_verify_a_square_of_side_one_32nd(tmp_path, tags, coefficients):
     # inverse iteration stalls at residuals of 1.2e-10 to 1.3e-10 here:
-    # above tol 1e-10, inside the bound 1e-9 that accepts every eigenpair
+    # above tol 1e-10, inside the bound 2f (f = 4.7e-10 and 5.3e-10) at
+    # which the sweeps stop
     path = write_config(tmp_path / "c.json", {
         "mesh": {"shape": "rectangle", "n": 16, "tags": tags,
                  "width": 0.03125, "height": 0.03125},
         "coefficients": coefficients, "output_dir": "out"})
     assert main(["verify", "--config", path]) == 0
+
+
+def test_cli_verify_a_complex_robin_square_of_side_one_128th(tmp_path,
+                                                             capsys):
+    # shift-invert Arnoldi leaves residuals of 3.5e-9 and 5.3e-9 here, inside
+    # the bound 2f (f = 8.4e-9), which grows as the side shrinks
+    path = write_config(tmp_path / "c.json", {
+        "mesh": {"shape": "rectangle", "n": 16, "tags": "N",
+                 "width": 0.0078125, "height": 0.0078125},
+        "coefficients": {"mode": "complex_robin",
+                         "beta": {"re": 1.0, "im": 1.0}},
+        "output_dir": "out"})
+    assert main(["verify", "--config", path]) == 0
+    assert "suite: OK" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("name", ["robin6", "lshape4", "complex6"])

@@ -3,13 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from perronfem.assembly import CoefficientSet, MMatrixCertificate, \
-    annihilates_constants, assemble_volume
+from perronfem.assembly import CoefficientSet, assemble_volume
 from perronfem.mesh import generate_structured
-from perronfem.parabolic import BoundaryData, MildSolution, \
-    ParabolicError, PositivityScan, WeakResidual, \
-    constancy_principle_check, elliptic_strong_max_check, make_test_bank, \
-    solve_mild, strong_positivity_check, very_weak_residual
+from perronfem.parabolic import BoundaryData, ParabolicError, \
+    PositivityScan, WeakResidual, make_test_bank, solve_mild, \
+    strong_positivity_check, very_weak_residual
 from perronfem.semigroup import EvolutionConfig, MassKind, Verdict
 from perronfem.spectral import perron_pair
 
@@ -21,19 +19,6 @@ def laplace_coeffs(mesh):
 def cfg_for(mesh, t_end, steps):
     return EvolutionConfig(dt=t_end / steps, t_end=t_end,
                            mass=MassKind.LUMPED)
-
-
-def harmonic_extension(mesh, coeffs, boundary_values):
-    """Independent dense solve of the interior equations."""
-    A, _, _ = assemble_volume(mesh, coeffs)
-    boundary = mesh.boundary_vertices()
-    interior = np.setdiff1d(np.arange(mesh.n_vertices), boundary)
-    A = A.toarray()
-    u = np.zeros(mesh.n_vertices)
-    u[boundary] = boundary_values
-    rhs = -A[np.ix_(interior, boundary)] @ u[boundary]
-    u[interior] = np.linalg.solve(A[np.ix_(interior, interior)], rhs)
-    return u
 
 
 def stacked(sol):
@@ -275,64 +260,6 @@ def test_strong_positivity_vacuous_for_zero_data(dirichlet_mesh8):
     assert strong_positivity_check(sol).verdict is Verdict.NOT_APPLICABLE
 
 
-# -- constancy principle ---------------------------------------------------------
-
-def test_constancy_confirmed_for_constant_solution(dirichlet_mesh8):
-    mesh = dirichlet_mesh8
-    phi = BoundaryData.constant(mesh, 1.0, 0.2)
-    sol = solve_mild(mesh, laplace_coeffs(mesh), np.ones(mesh.n_vertices),
-                     phi, cfg_for(mesh, 0.2, 20))
-    interior = sol.interior
-    verdict, payload = constancy_principle_check(sol, 0.1, int(interior[3]))
-    assert verdict is Verdict.PASS
-    assert payload["spread"] <= payload["tolerance"]
-
-
-def test_constancy_hypothesis_not_met_for_decaying_bump(dirichlet_mesh8):
-    mesh = dirichlet_mesh8
-    x = mesh.vertices[:, 0]
-    y = mesh.vertices[:, 1]
-    u0 = np.sin(np.pi * x) * np.sin(np.pi * y)
-    phi = BoundaryData.constant(mesh, 0.0, 0.2)
-    sol = solve_mild(mesh, laplace_coeffs(mesh), u0, phi,
-                     cfg_for(mesh, 0.2, 20))
-    x0 = int(sol.interior[len(sol.interior) // 2])
-    verdict, _ = constancy_principle_check(sol, 0.1, x0)
-    assert verdict is Verdict.NOT_APPLICABLE
-
-
-def test_constancy_checker_detects_engineered_violation(dirichlet_mesh8):
-    mesh = dirichlet_mesh8
-    cfg = cfg_for(mesh, 0.2, 2)
-    phi = BoundaryData.constant(mesh, 1.0, 0.2)
-    boundary = mesh.boundary_vertices()
-    interior = np.setdiff1d(np.arange(mesh.n_vertices), boundary)
-    fields = np.ones((3, mesh.n_vertices))
-    fields[0, interior[0]] = 0.0  # non-constant window, max attained later
-    A, _, ML = assemble_volume(mesh, laplace_coeffs(mesh))
-    sol = MildSolution(times=cfg.dt * np.arange(3), mesh=mesh, cfg=cfg,
-                       boundary=boundary, interior=interior, phi=phi,
-                       stiffness=A, mass_lumped=ML,
-                       certificate=MMatrixCertificate(False),
-                       march=lambda: iter(fields))
-    verdict, payload = constancy_principle_check(sol, 2 * cfg.dt,
-                                                 int(interior[5]))
-    assert verdict is Verdict.FAIL
-    assert payload["running_max"] == fields.max() == payload["value"]
-    assert payload["spread"] == fields.max() - fields.min()
-
-
-def test_constancy_requires_conservative_operator(dirichlet_mesh8):
-    mesh = dirichlet_mesh8
-    coeffs = CoefficientSet.constant(mesh, c0=1.0)
-    phi = BoundaryData.constant(mesh, 0.0, 0.1)
-    sol = solve_mild(mesh, coeffs, np.zeros(mesh.n_vertices), phi,
-                     cfg_for(mesh, 0.1, 10))
-    assert not annihilates_constants(sol.stiffness, sol.interior)
-    with pytest.raises(ParabolicError, match="constants"):
-        constancy_principle_check(sol, 0.05, int(sol.interior[0]))
-
-
 # -- very weak residual ----------------------------------------------------------
 
 def smooth_bump_solution(n, steps, t_end=0.25):
@@ -465,55 +392,6 @@ def test_comparison_principle(dirichlet_mesh8):
     assert np.all(stacked(high) - stacked(low) >= -1e-13)
 
 
-# -- elliptic strong maximum checks ----------------------------------------------
-
-def test_elliptic_checks_constant_harmonic(dirichlet_mesh8):
-    mesh = dirichlet_mesh8
-    rep = elliptic_strong_max_check(mesh, laplace_coeffs(mesh),
-                                    np.ones(mesh.n_vertices))
-    assert rep.is_solution
-    assert rep.positivity is Verdict.PASS
-    assert rep.constancy is Verdict.PASS
-
-
-def test_elliptic_positivity_for_partial_boundary_data(dirichlet_mesh8):
-    mesh = dirichlet_mesh8
-    bv = mesh.boundary_vertices()
-    g = (mesh.vertices[bv][:, 1] == 0.0).astype(float)  # 1 on bottom edge
-    u = harmonic_extension(mesh, laplace_coeffs(mesh), g)
-    rep = elliptic_strong_max_check(mesh, laplace_coeffs(mesh), u)
-    assert rep.is_solution
-    assert rep.positivity is Verdict.PASS
-    assert rep.interior_min > 0
-    assert rep.constancy is Verdict.NOT_APPLICABLE
-
-
-def test_elliptic_linear_function_is_discrete_harmonic(dirichlet_mesh8):
-    mesh = dirichlet_mesh8
-    u = mesh.vertices[:, 0].copy()
-    rep = elliptic_strong_max_check(mesh, laplace_coeffs(mesh), u)
-    assert rep.is_solution
-    assert rep.positivity is Verdict.PASS  # min over interior is h > 0
-    assert rep.constancy is Verdict.NOT_APPLICABLE  # max only on boundary
-
-
-def test_elliptic_rejects_non_solution(dirichlet_mesh8):
-    mesh = dirichlet_mesh8
-    u = mesh.vertices[:, 0] ** 2
-    rep = elliptic_strong_max_check(mesh, laplace_coeffs(mesh), u)
-    assert not rep.is_solution
-    assert rep.positivity is Verdict.NOT_APPLICABLE
-
-
-def test_elliptic_check_on_a_mesh_without_interior_vertices():
-    mesh = generate_structured("unit_square", 1, "dirichlet")
-    rep = elliptic_strong_max_check(mesh, laplace_coeffs(mesh),
-                                    np.ones(mesh.n_vertices))
-    assert rep.is_solution
-    assert rep.positivity is Verdict.NOT_APPLICABLE
-    assert rep.constancy is Verdict.NOT_APPLICABLE
-
-
 # -- reducible interiors, one assembly per run ---------------------------------
 
 def test_a_disconnected_interior_is_reducible_not_an_error(dirichlet_mesh8,
@@ -549,17 +427,7 @@ def test_solve_mild_keeps_the_volume_matrices_it_marched_with(
     assert np.array_equal(sol.mass_lumped, ML)
 
 
-def test_conserves_constants_on_a_mesh_without_interior_vertices():
-    # a mesh without interior vertices has no interior rows: vacuously
-    # true, not numpy's zero-size error
-    mesh = generate_structured("unit_square", 1, "dirichlet")
-    A, _, _ = assemble_volume(mesh, laplace_coeffs(mesh))
-    interior = np.setdiff1d(np.arange(mesh.n_vertices),
-                            mesh.boundary_vertices())
-    assert interior.size == 0 and annihilates_constants(A, interior)
-
-
-# -- the M-matrix certificates of the strong minimum principles ----------------
+# -- the M-matrix certificate of the strong positivity check ------------------
 
 def _corner_bump_solution(n, dt_factor):
     from perronfem.semigroup import default_dt, default_evolution
@@ -715,19 +583,6 @@ def test_writing_into_u0_leaves_later_marches_alone(dirichlet_mesh8):
     assert not any(a is b for a, b in zip(first, second))
 
 
-def test_constancy_marches_only_to_t0(dirichlet_mesh8, solves):
-    mesh = dirichlet_mesh8
-    sol = solve_mild(mesh, laplace_coeffs(mesh), np.ones(mesh.n_vertices),
-                     BoundaryData.constant(mesh, 1.0, 0.2),
-                     cfg_for(mesh, 0.2, 20))
-    k0 = 5
-    verdict, payload = constancy_principle_check(sol, sol.times[k0],
-                                                 int(sol.interior[3]))
-    assert verdict is Verdict.PASS
-    assert payload["t0"] == sol.times[k0]
-    assert len(solves) == k0        # not the 20 steps of the horizon
-
-
 @pytest.mark.parametrize("change, reason", [
     ({"scheme": "crank_nicolson"}, "implicit Euler with lumped mass"),
     ({"mass": MassKind.CONSISTENT}, "implicit Euler with lumped mass"),
@@ -749,33 +604,3 @@ def test_strong_positivity_outside_the_certificate_is_not_applicable(
     assert reason in rep.reason
 
 
-def test_elliptic_positivity_in_a_potential_well():
-    # c0 = 2000 pushes the far interior down to 5e-19, which the old
-    # positivity floor 1e-8 * span called nonpositive
-    mesh = generate_structured("unit_square", 32, "dirichlet")
-    coeffs = CoefficientSet.constant(mesh, c0=2000.0)
-    bv = mesh.boundary_vertices()
-    u = harmonic_extension(mesh, coeffs,
-                           (mesh.vertices[bv, 0] == 0.0).astype(float))
-    rep = elliptic_strong_max_check(mesh, coeffs, u)
-    assert rep.positivity is Verdict.PASS
-    assert 0.0 < rep.interior_min < 1e-15
-    # the margin bounds |u - exact solution| by the residual
-    assert 0.0 <= rep.margin <= 1e-12 and not rep.reason
-
-
-@pytest.mark.parametrize("coeffs, data, reason", [
-    ({}, -1.0, "nonnegative boundary data"),
-    ({"b": (60.0, 0.0)}, 1.0, "interior stiffness has positive off-diagonal"),
-])
-def test_elliptic_positivity_outside_the_certificate_is_not_applicable(
-        dirichlet_mesh8, coeffs, data, reason):
-    mesh = dirichlet_mesh8
-    coeffs = CoefficientSet.constant(mesh, **coeffs)
-    bv = mesh.boundary_vertices()
-    u = harmonic_extension(mesh, coeffs,
-                           data * (mesh.vertices[bv, 1] == 0.0))
-    rep = elliptic_strong_max_check(mesh, coeffs, u)
-    assert rep.is_solution
-    assert rep.positivity is Verdict.NOT_APPLICABLE
-    assert reason in rep.reason

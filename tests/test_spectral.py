@@ -353,6 +353,44 @@ def test_nonconvergence_reports_last_residual(robin_mesh8, monkeypatch):
         spectral._lowest_pairs(op, MassKind.CONSISTENT, k=2, tol=1e-10)
 
 
+def _dirichlet_square(side, n=16):
+    mesh = generate_structured("rectangle", n, "dirichlet", width=side,
+                               height=side)
+    return assemble(mesh, CoefficientSet.constant(mesh),
+                    BoundaryMode.DIRICHLET)
+
+
+def test_residual_bound_scales_as_the_inverse_square_of_the_side():
+    # in 2D the Laplacian's stiffness does not change with the side and the
+    # mass scales as its square, so f = eps |A|_inf / mean(M_L) grows 32^2
+    from perronfem.spectral import _residual_bound
+    unit, small = _dirichlet_square(1.0), _dirichlet_square(1 / 32)
+    ratio = _residual_bound(0.0, small) / _residual_bound(0.0, unit)
+    assert ratio == pytest.approx(1024.0, rel=1e-12)
+    # a floor below tol leaves tol the bound
+    assert _residual_bound(1e-10, unit) == 1e-10 < _residual_bound(1e-10,
+                                                                   small)
+
+
+def test_sweeps_stop_at_the_rounding_floor(monkeypatch):
+    # the square of side 1/32 stalls near 1.2e-10, above tol 1e-10: the
+    # sweeps stop at 2f instead of running all MAX_SWEEPS
+    import types
+
+    import perronfem.spectral as spectral
+    op, solves = _dirichlet_square(1 / 32), []
+    factor = spectral._hermitian_factor
+
+    def counted(op, mass):
+        sigma, lu = factor(op, mass)
+        return sigma, types.SimpleNamespace(
+            solve=lambda b: solves.append(1) or lu.solve(b))
+    monkeypatch.setattr(spectral, "_hermitian_factor", counted)
+    rep = principal_eig(op)
+    assert rep.residual <= spectral._residual_bound(1e-10, op)
+    assert len(solves) < spectral.MAX_SWEEPS
+
+
 def test_arnoldi_fallback_agrees_with_dense(robin_mesh8):
     # the sector-certified shift-invert path against QZ on the whole pencil
     from perronfem.spectral import _arnoldi_smallest_real, _sector_offset

@@ -1,9 +1,11 @@
 """Every module-level function, class and constant of the package is read
 somewhere in the package or its tests, apart from its own definition: a
 name no caller reads is deleted rather than kept. ``__init__`` is left
-out, since re-exporting is its purpose. Every dataclass field of the
-package is read as an attribute in the package, its tests or the
-benchmarks; an ``InitVar`` is no field."""
+out, since re-exporting is its purpose. Every module-level function and
+class is also read by package code, so no library code lives for its
+tests alone, apart from the named exceptions of ``TEST_READ_ONLY``. Every
+dataclass field of the package is read as an attribute in the package,
+its tests or the benchmarks; an ``InitVar`` is no field."""
 
 import ast
 from pathlib import Path
@@ -42,6 +44,37 @@ def test_every_module_level_name_is_read():
     unread = {p.stem: sorted(names) for p in modules
               if (names := _defined(trees[p]) - read)}
     assert unread == {}
+
+
+#: functions and classes that no package code reads, each kept on purpose
+TEST_READ_ONLY = {
+    # the scalar reference that the vectorised ``_colors`` is tested against
+    "svgplot._color",
+    # reads the documented dump format; moving it to the tests only
+    # moves lines
+    "cli.read_kernel_dump",
+    # the exported one-march entry points of ``PositivityScan`` and
+    # ``WeakResidual``; ``perronfem parabolic`` feeds both from one march
+    "parabolic.strong_positivity_check",
+    "parabolic.very_weak_residual",
+}
+
+
+def test_every_function_and_class_is_read_by_the_package():
+    readers, defined = [], set()
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            name = None
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    and path.name != "__init__.py":
+                name = f"{path.stem}.{node.name}"
+                defined.add(name)
+            readers.append((name, _read(node)))
+    assert len(defined) > 100
+    unread = sorted(name for name in defined if not any(
+        name.split(".")[1] in read
+        for reader, read in readers if reader != name))
+    assert unread == sorted(TEST_READ_ONLY)
 
 
 def _fields(tree: ast.Module) -> set:

@@ -14,6 +14,7 @@ from .assembly import (
     CoefficientSet,
     DiscreteOperator,
     MassKind,
+    Verdict,
     assemble,
     ellipticity_check,
     mmatrix_report,
@@ -45,7 +46,6 @@ from .parabolic import (
 from .semigroup import (
     EvolutionConfig,
     Scheme,
-    Verdict,
     kernel,
     kernel_positivity_report,
     positivity_improving_check,
@@ -53,7 +53,6 @@ from .semigroup import (
 from .spectral import (
     EigenReport,
     PerronPair,
-    PositivityCertificate,
     certify_positivity,
     complex_robin_bound,
     perron_pair,

@@ -487,6 +487,15 @@ def annihilates_constants(A: sp.spmatrix) -> bool:
     return bool(np.all(np.abs(A @ np.ones(A.shape[0])) <= row_sum_tol(A)))
 
 
+class Verdict(Enum):
+    """What a positivity check concludes; every check returns one with its
+    payload, a dict of JSON-ready values."""
+
+    PASS = "pass"
+    FAIL = "fail"
+    NOT_APPLICABLE = "not_applicable"
+
+
 @dataclass(frozen=True)
 class MMatrixCertificate:
     """Whether Z is an irreducible nonsingular M-matrix, so Z^-1 > 0

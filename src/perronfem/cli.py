@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .assembly import AssemblyError, coefficients_from_dict
+from .assembly import AssemblyError, Verdict, coefficients_from_dict
 from .expressions import evaluate_field
 from .lattice import MetzlerGenerator, is_irreducible, perron_report, \
     positivity_improving_equiv
@@ -34,7 +34,7 @@ from .semigroup import EvolutionConfig, default_evolution, \
 from .spectral import SolverError, certify_positivity, principal_eig, \
     spectral_gap
 from .svgplot import emit_heatmap, render_strip, strip_steps
-from .verification import Problem, jsonable, run_suite
+from .verification import Problem, jsonable, run_suite, suite_labels
 
 KERNEL_MAGIC = b"KTMAT001"
 #: largest dense kernel ``perronfem kernel`` marches, in estimated bytes
@@ -277,8 +277,11 @@ def _cmd_eig(args) -> int:
 
     op = Problem(mesh=mesh, coeffs=coeffs, mode=mode).op  # corkscrew-checked
     report = principal_eig(op, tol=tol)
-    gaps = spectral_gap(op, k=min(_number(cfg, "gap_count", 2, "config", int),
-                                  op.n_dof), tol=tol)
+    k = min(_number(cfg, "gap_count", 2, "config", int), op.n_dof)
+    # one dof has one eigenvalue, and principal_eig's gap is inf
+    values = spectral_gap(op, k=k, tol=tol).values if op.n_dof > 1 \
+        else [report.lambda1]
+    verdict, positivity = certify_positivity(report, op)
     payload = {
         "mode": mode.value,
         "n_dof": op.n_dof,
@@ -286,11 +289,10 @@ def _cmd_eig(args) -> int:
         "residual": report.residual,
         "gap": report.gap,
         "multiplicity_flag": report.multiplicity_flag,
-        "eigenvalues": [complex(v) for v in gaps.values],
+        "eigenvalues": [complex(v) for v in values],
+        "positivity": {**positivity, "passed": verdict is Verdict.PASS},
     }
     full = op.expand(np.real(report.vector))
-    cert = certify_positivity(report, op)
-    payload["positivity"] = {**cert.payload(), "passed": cert.passed}
     _write_json(out / "eig_report.json", payload)
     lines = ["vertex,x,y,value"]
     for i, ((x, y), v) in enumerate(zip(mesh.vertices, full)):
@@ -353,21 +355,18 @@ def _cmd_kernel(args) -> int:
     for K in march(op, ecfg, np.diag(1.0 / op.mass_lumped), n):
         pass
     t = n * ecfg.dt
-    rep = kernel_positivity_report(op, kernel_certificate(op, ecfg),
-                                   np.arange(op.n_dof), K)
+    verdict, payload = kernel_positivity_report(
+        op, kernel_certificate(op, ecfg), np.arange(op.n_dof), K)
     entries = np.zeros((mesh.n_vertices, mesh.n_vertices))
     entries[np.ix_(op.free_vertices, op.free_vertices)] = K
     del K  # the dump's bytes are a copy: hold two dense arrays, not three
     write_kernel_dump(out / "kernel.bin", t, entries)
-    report = {
-        "t": t, "n": mesh.n_vertices, "verdict": rep.verdict.value,
-        "min_entry": rep.min_entry, "witness": list(rep.witness)}
-    if rep.reason:
-        report["reason"] = rep.reason
-    _write_json(out / "kernel_report.json", report)
+    _write_json(out / "kernel_report.json", {
+        "t": t, "n": mesh.n_vertices, "verdict": verdict.value, **payload})
     emit_heatmap(np.diag(entries), mesh, out / "kernel_diagonal.svg")
-    print(f"kernel at t = {t:.6g}: min entry {rep.min_entry:.6g}, "
-          f"verdict {rep.verdict.value}")
+    print(f"kernel at t = {t:.6g}: min entry "
+          f"{payload.get('min_entry', math.nan):.6g}, "
+          f"verdict {verdict.value}")
     return 0
 
 
@@ -458,7 +457,7 @@ def _cmd_parabolic(args) -> int:
 
     # every input has been validated: a rejected config leaves no output
     _write_trajectory_csv(out / "trajectory.csv", times, states())
-    report = positivity.report()
+    verdict, report = positivity.report()
     weak = residual.value()
     # the march's step factor, the residual's profiles and the bank are
     # freed before the strip's text is built, so they do not raise its peak
@@ -466,17 +465,12 @@ def _cmd_parabolic(args) -> int:
     with open(out / "strip.svg", "w", encoding="utf-8", newline="\n") as fh:
         render_strip(frames, times[picks], mesh, fh)
     _write_json(out / "verdict.json", {
-        "strong_positivity": {
-            "verdict": report.verdict.value,
-            "start_step": report.start_step,
-            "first_violation": report.first_violation,
-            "reason": report.reason,
-            **({"underflow": True} if report.underflow else {})},
+        "strong_positivity": {"verdict": verdict.value, **report},
         "very_weak_residual": weak,
         "steps": len(times) - 1,
     })
     print(f"parabolic run: {len(times) - 1} steps, strong positivity "
-          f"{report.verdict.value}, weak residual {weak:.3e}")
+          f"{verdict.value}, weak residual {weak:.3e}")
     return 0
 
 
@@ -512,6 +506,13 @@ _VERIFY_KEYS = {"mesh", "coefficients", "solver", "evolution",
 
 def _cmd_verify(args) -> int:
     cfg, base, mesh, coeffs, mode = _load_inputs(args, _VERIFY_KEYS)
+    labels = suite_labels(mode)
+    if args.only is not None and args.only not in labels:
+        raise CliError(
+            "verify: corkscrew runs only in mixed mode"
+            if args.only == "corkscrew" else
+            f"verify: no check labelled {args.only!r}; the labels are "
+            f"{', '.join(labels)}")
     tol = _solver_tol(cfg)
     evolution = _resolve_evolution(cfg.get("evolution"), mesh)
     oracle_matrix = None

@@ -10,7 +10,9 @@ vertex partition (I, B) and one-step matrices built from the volume form,
 and u_B pinned to the interpolated data. With lumped mass the M_IB blocks
 vanish, so nonnegative data give strictly positive interior states when
 the interior step matrix passes ``semigroup.step_certificate`` and
--A_IB >= 0. No verdict compares a field with a float floor.
+-A_IB >= 0. The strong positivity check returns (Verdict, payload), the
+payload as ``verdict.json`` reports it; no verdict compares a field with
+a float floor.
 
 Trajectories can be audited against the space-time weak formulation: for
 test functions vanishing at the time endpoints and on the boundary, the
@@ -27,11 +29,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import CoefficientSet, MMatrixCertificate, \
+from .assembly import CoefficientSet, MMatrixCertificate, Verdict, \
     assemble_volume, mass_matrix, offdiag_max
 from .mesh import TriMesh
-from .semigroup import EvolutionConfig, Verdict, step_certificate, \
-    step_matrices
+from .semigroup import EvolutionConfig, step_certificate, step_matrices
 from .spectral import factorize
 
 COMPATIBILITY_TOL = 1e-10
@@ -184,20 +185,11 @@ def solve_mild(mesh: TriMesh, coeffs: CoefficientSet, u0: np.ndarray,
 # ---------------------------------------------------------------------------
 # strong positivity
 
-@dataclass(frozen=True)
-class StrongPositivityReport:
-    verdict: Verdict
-    start_step: int             # first step at which positivity is claimed
-    first_violation: tuple | None = None   # (time, vertex)
-    reason: str = ""
-    underflow: bool = False     # a positive interior value lost to 0.0
-
-
 class PositivityScan:
     """The strong-positivity check a state at a time: set up from the
     solution's data, then fed every state in step order (``add``), then
-    read (``report``). Of the states it keeps only a violation and the
-    underflow flag.
+    read (``report``, a Verdict and its payload). Of the states it keeps
+    only a violation and the underflow flag.
 
     It certifies strict interior positivity from the first step the data
     drive the interior: step 1 for a nonzero interior datum, else the
@@ -208,7 +200,8 @@ class PositivityScan:
     M-matrix and -A_IB >= 0, so Z^-1 > 0 maps a nonnegative, nonzero
     right-hand side to a positive state, and every later one is nonzero.
     The float cross-check tests sign: an exact 0.0 is flagged as
-    underflow, a negative value fails."""
+    underflow on a PASS, a negative value fails at ``first_violation``,
+    [time, vertex]. ``start_step`` is -1 where nothing is claimed."""
 
     def __init__(self, sol: MildSolution):
         self.interior, self.times = sol.interior, sol.times
@@ -216,8 +209,8 @@ class PositivityScan:
         self.settled = None     # a report later states cannot change
         u0 = sol.u0
         if u0.min() < 0.0 or sol.phi.values.min() < 0.0:
-            self.settled = StrongPositivityReport(
-                Verdict.NOT_APPLICABLE, -1,
+            self.start = -1
+            self.settled = Verdict.NOT_APPLICABLE, self._payload(
                 reason="hypotheses need nonnegative initial and boundary "
                        "data")
             return
@@ -232,8 +225,12 @@ class PositivityScan:
         reason = "zero data evolve to zero; nothing to certify" \
             if self.start < 0 else sol.certificate.reason
         if reason:
-            self.settled = StrongPositivityReport(
-                Verdict.NOT_APPLICABLE, self.start, reason=reason)
+            self.settled = Verdict.NOT_APPLICABLE, self._payload(
+                reason=reason)
+
+    def _payload(self, first_violation=None, reason: str = "") -> dict:
+        return {"start_step": self.start, "first_violation": first_violation,
+                "reason": reason}
 
     def add(self, k: int, state: np.ndarray) -> None:
         """Read the sign of step k's interior values; the first negative
@@ -243,19 +240,19 @@ class PositivityScan:
         inside = state[self.interior]
         low = float(inside.min())
         if low < 0.0:
-            self.settled = StrongPositivityReport(
-                Verdict.FAIL, self.start, first_violation=(
-                    float(self.times[k]),
-                    int(self.interior[int(np.argmin(inside))])))
+            self.settled = Verdict.FAIL, self._payload([
+                float(self.times[k]),
+                int(self.interior[int(np.argmin(inside))])])
         self.underflow = self.underflow or low == 0.0
 
-    def report(self) -> StrongPositivityReport:
-        return self.settled or StrongPositivityReport(
-            Verdict.PASS, self.start, underflow=self.underflow)
+    def report(self) -> tuple:
+        return self.settled or (Verdict.PASS, {
+            **self._payload(),
+            **({"underflow": True} if self.underflow else {})})
 
 
-def strong_positivity_check(sol: MildSolution) -> StrongPositivityReport:
-    """``PositivityScan`` over the solution's states."""
+def strong_positivity_check(sol: MildSolution) -> tuple:
+    """``PositivityScan`` over the solution's states: (Verdict, payload)."""
     scan = PositivityScan(sol)
     if not scan.settled:
         for k, state in enumerate(sol.states()):

@@ -20,6 +20,8 @@ operator and (scheme, dt, mass), by ``spectral.factorize``, and serves
 trajectory is stacked. ``kernel`` applies K(t) or K(t)^T to a block of
 columns. The checks take dof-space arrays and name vertices only in what
 they report; only the ``perronfem kernel`` dump spreads onto the vertices.
+Both checks return (Verdict, payload), the payload as it is reported: the
+certificate's reason alone when it does not hold.
 """
 
 from __future__ import annotations
@@ -33,19 +35,14 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra
 
 from .assembly import DiscreteOperator, MassKind, MMatrixCertificate, \
-    mass_matrix, mmatrix_certificate, mmatrix_report, offdiagonal_pattern
+    Verdict, mass_matrix, mmatrix_certificate, mmatrix_report, \
+    offdiagonal_pattern
 from .spectral import SolverError, factorize
 
 
 class Scheme(Enum):
     IMPLICIT_EULER = "implicit_euler"
     CRANK_NICOLSON = "crank_nicolson"
-
-
-class Verdict(Enum):
-    PASS = "pass"
-    FAIL = "fail"
-    NOT_APPLICABLE = "not_applicable"
 
 
 @dataclass(frozen=True)
@@ -186,15 +183,6 @@ def kernel_certificate(op: DiscreteOperator,
         "step matrix")
 
 
-@dataclass(frozen=True)
-class KernelPositivityReport:
-    verdict: Verdict
-    min_entry: float
-    witness: tuple                # (row, column) vertex of min_entry
-    reason: str = ""
-    underflow: bool = False       # min_entry is a positive entry lost to 0.0
-
-
 def kernel(op: DiscreteOperator, t: float | tuple, cfg: EvolutionConfig,
            block: np.ndarray, adjoint: bool = False):
     """The heat kernel K(t) applied to a block Z of dof-space columns:
@@ -221,65 +209,58 @@ def kernel(op: DiscreteOperator, t: float | tuple, cfg: EvolutionConfig,
 
 def kernel_positivity_report(op: DiscreteOperator,
                              certificate: MMatrixCertificate,
-                             columns: np.ndarray,
-                             K: np.ndarray) -> KernelPositivityReport:
-    """The certificate's verdict on the free pairs, cross-checked in
-    floats on K, K(t) at the point masses of the dofs ``columns`` in dof
-    rows: its smallest entry and where it sits, as a pair of vertices.
-    Under a holding certificate an entry of exactly 0.0 is float underflow
-    of a positive entry and is flagged as such; a negative or NaN entry is
-    a program bug and raises AssertionError."""
+                             columns: np.ndarray, K: np.ndarray):
+    """(Verdict, payload): the certificate's verdict on the free pairs,
+    cross-checked in floats on K, K(t) at the point masses of the dofs
+    ``columns`` in dof rows: its smallest entry ``min_entry`` and the pair
+    of vertices ``witness`` where it sits. Without a certificate the
+    verdict is NOT_APPLICABLE and the payload is its reason alone. Under
+    a holding certificate an entry of exactly 0.0 is float underflow of a
+    positive entry and is flagged ``underflow``; a negative or NaN entry
+    is a program bug and raises AssertionError."""
     if not certificate.holds:
-        return KernelPositivityReport(Verdict.NOT_APPLICABLE, math.nan,
-                                      (-1, -1), reason=certificate.reason)
+        return Verdict.NOT_APPLICABLE, {"reason": certificate.reason}
     row, col = np.unravel_index(int(np.argmin(K)), K.shape)
     min_entry = float(K[row, col])
-    witness = (int(op.free_vertices[row]),
-               int(op.free_vertices[columns[col]]))
+    witness = [int(op.free_vertices[row]),
+               int(op.free_vertices[columns[col]])]
     if not min_entry >= 0.0:
         raise AssertionError(
             f"kernel entry {min_entry!r} at {witness} is not positive "
             f"under a holding positivity certificate")
-    return KernelPositivityReport(Verdict.PASS, min_entry, witness,
-                                  underflow=min_entry == 0.0)
-
-
-@dataclass(frozen=True)
-class PositivityImprovingReport:
-    verdict: Verdict
-    columns: tuple = ()           # vertex of each sampled indicator
-    min_at_first_step: float = math.nan
-    min_at_end: float = math.nan
-    reason: str = ""
-    underflow: bool = False       # a minimum is a positive value lost to 0.0
+    return Verdict.PASS, {"min_entry": min_entry, "witness": witness,
+                          **({"underflow": True} if min_entry == 0.0
+                             else {})}
 
 
 def positivity_improving_check(op: DiscreteOperator,
                                certificate: MMatrixCertificate,
-                               columns: np.ndarray = (),
-                               ends: tuple = ()) -> PositivityImprovingReport:
-    """The certificate's verdict that every nodal indicator is strictly
-    positive on the mode's region, which is the free vertices, from the
-    first step through t_end: B^-1 > 0 maps a nonnegative, nonzero state
-    to a positive one.
+                               columns: np.ndarray = (), ends: tuple = ()):
+    """(Verdict, payload): the certificate's verdict that every nodal
+    indicator is strictly positive on the mode's region, which is the
+    free vertices, from the first step through t_end: B^-1 > 0 maps a
+    nonnegative, nonzero state to a positive one.
 
     When the certificate holds, ``ends`` is the pair (K at step 1, K at t)
     at the point masses of the dofs ``columns``, in dof rows, from the
     caller's march, and the float cross-check tests their sign in
-    indicator units (the column of dof j times its lumped mass): an entry
-    of exactly 0.0 is float underflow and is flagged as such, a negative
-    or NaN entry is a program bug and raises AssertionError.
+    indicator units (the column of dof j times its lumped mass): the
+    payload counts the columns (``trials``) and gives the two minima; an
+    entry of exactly 0.0 is float underflow and is flagged ``underflow``,
+    a negative or NaN entry is a program bug and raises AssertionError.
+    Without a certificate the verdict is NOT_APPLICABLE with no trials and
+    the certificate's reason.
     """
     if not certificate.holds:
-        return PositivityImprovingReport(Verdict.NOT_APPLICABLE,
-                                         reason=certificate.reason)
+        return Verdict.NOT_APPLICABLE, {"trials": 0,
+                                        "reason": certificate.reason}
     weights = op.mass_lumped[columns]
     low, end = (float((K * weights).min()) for K in ends)
     if not (low >= 0.0 and end >= 0.0):
         raise AssertionError(
             f"indicator minima {low!r} at the first step and {end!r} at "
             f"t are not positive under a holding positivity certificate")
-    return PositivityImprovingReport(
-        Verdict.PASS, tuple(int(v) for v in op.free_vertices[columns]),
-        min_at_first_step=low, min_at_end=end,
-        underflow=min(low, end) == 0.0)
+    return Verdict.PASS, {"trials": len(columns), "min_at_first_step": low,
+                          "worst_min_at_end": end,
+                          **({"underflow": True} if min(low, end) == 0.0
+                             else {})}

@@ -7,10 +7,11 @@ spectrum, so one factorization (``factorize``, the package's one SuperLU
 call, which drops stored zeros first) serves every sweep and runs
 reproduce bitwise. Where the stiffness A is a certified irreducible
 nonsingular M-matrix the shift is 0, and one factor of A serves both
-pencils; elsewhere each pencil has its own Gershgorin shift and factor
-(``_hermitian_factor``). Each pencil has one route: ``principal_eig`` and
-``spectral_gap`` read the consistent pencil, ``perron_pair`` the lumped
-one, whose one pair starts from the consistent pencil's two.
+pencils; elsewhere each pencil has its own Gershgorin shift and factor,
+made once per operator (``_pencil_factor``, which Arnoldi shares). Each
+pencil has one route: ``principal_eig`` and ``spectral_gap`` read the
+consistent pencil, ``perron_pair`` the lumped one, whose one pair starts
+from the consistent pencil's two.
 Non-Hermitian problems (complex Robin, or convection with b != c) get
 shift-invert Arnoldi, its pair count doubled until the field-of-values
 sector |Im lambda| <= Re lambda + s certifies the least real parts, each
@@ -18,11 +19,12 @@ ARPACK call capped at MAX_ARNOLDI_RESTARTS restarts so a failure takes
 bounded time; meshes too small for ARPACK get the dense spectrum.
 ``_lowest_pairs`` is the one place that picks the path and accepts a
 pair, and it caches one answer per (mass, k, tol), its vectors signed once.
-``certify_positivity`` claims a positive principal eigenvector on its
-mode's region (``REGION``, always the free dofs) only where the stiffness
-is provably a nonsingular M-matrix, by w = 1 or by the zero-shift witness
-A^-1*1 of ``_zero_shift_factor``, or annihilates constants; any other
-operator, a complex one among them, is not applicable."""
+``certify_positivity`` (a Verdict and its payload) claims a positive
+principal eigenvector on its mode's region (``REGION``, always the free
+dofs) only where the stiffness is provably a nonsingular M-matrix, by
+w = 1 or by the zero-shift witness A^-1*1 of ``_zero_shift_factor``, or
+annihilates constants; any other operator, a complex one among them, is
+not applicable."""
 
 from __future__ import annotations
 
@@ -35,7 +37,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import BoundaryMode, DiscreteOperator, MassKind, \
-    SolverError, annihilates_constants, assemble, mass_matrix, \
+    SolverError, Verdict, annihilates_constants, assemble, mass_matrix, \
     mmatrix_report, row_sum_tol
 
 MAX_ARNOLDI_PAIRS = 64  # the doubling cap of the certified Arnoldi path
@@ -91,24 +93,6 @@ class GapReport:
     vectors: np.ndarray         # (n_dof, k)
     gap: float
     residuals: np.ndarray
-
-
-@dataclass(frozen=True)
-class PositivityCertificate:
-    passed: bool
-    region: str = ""
-    min_value: float = math.nan
-    witness_node: int = -1      # mesh vertex index attaining the minimum
-    reason: str = ""            # the unmet hypothesis: not applicable
-    underflow: bool = False     # min_value is a positive entry lost to 0.0
-
-    def payload(self) -> dict:
-        """The reason when not applicable, else the region's minimum."""
-        if self.reason:
-            return {"reason": self.reason}
-        return {"region": self.region, "min_value": self.min_value,
-                "witness_node": self.witness_node,
-                **({"underflow": True} if self.underflow else {})}
 
 
 @dataclass(frozen=True)
@@ -171,6 +155,14 @@ def _gershgorin_factor(A: sp.spmatrix, M, mass_lumped: np.ndarray):
     return sigma, factorize(A - sigma * M)
 
 
+def _pencil_factor(op: DiscreteOperator, mass: MassKind):
+    """``_gershgorin_factor`` of the pencil (stiffness, mass), made once per
+    operator and mass kind and shared by every k that solves it."""
+    return op.cached(("gershgorin_factor", mass), lambda: _gershgorin_factor(
+        op.stiffness, mass_matrix(mass, op.mass, op.mass_lumped),
+        op.mass_lumped))
+
+
 def _zero_shift_factor(op: DiscreteOperator):
     """The factor of a real Hermitian operator's stiffness A, made once per
     operator, when the Gershgorin shift is negative and A is an irreducible
@@ -205,13 +197,12 @@ def _hermitian_factor(op: DiscreteOperator, mass: MassKind):
     mass kinds where it exists: a symmetric irreducible nonsingular
     M-matrix is positive definite (Berman & Plemmons, ch. 6), so 0 is
     below both spectra, and A^-1 > 0 makes A^-1 M and A^-1 M_L nonnegative
-    iteration operators. Otherwise the pencil gets ``_gershgorin_factor``,
+    iteration operators. Otherwise the pencil gets ``_pencil_factor``,
     1 below both spectra (A - sigma*M >= M)."""
     lu = _zero_shift_factor(op)
     if lu is not None:
         return 0.0, lu
-    M = mass_matrix(mass, op.mass, op.mass_lumped)
-    return _gershgorin_factor(op.stiffness, M, op.mass_lumped)
+    return _pencil_factor(op, mass)
 
 
 def _hermitian_pairs(op: DiscreteOperator, mass: MassKind, k: int,
@@ -333,21 +324,22 @@ def _residual(A, M, lam: complex, x: np.ndarray) -> float:
     return float(np.linalg.norm(A @ x - lam * Mx) / np.linalg.norm(Mx))
 
 
-def _arnoldi_smallest_real(op: DiscreteOperator, M, k: int, tol: float,
-                           s: float):
-    """The eigenpairs nearest the Gershgorin shift sigma by shift-invert
-    Arnoldi, k + 2 of them, doubled until the sector certifies that the k
-    of least real part are among them: any eigenvalue Arnoldi missed lies
-    in the sector |Im z| <= Re z + s outside the disc about sigma through
-    the farthest one found. Past ``MAX_ARNOLDI_PAIRS``, SolverError.
+def _arnoldi_smallest_real(op: DiscreteOperator, mass: MassKind, k: int,
+                           tol: float, s: float):
+    """The eigenpairs of the pencil (stiffness, mass) nearest the shift
+    sigma of ``_pencil_factor`` by shift-invert Arnoldi, k + 2 of them,
+    doubled until the sector certifies that the k of least real part are
+    among them: any eigenvalue Arnoldi missed lies in the sector
+    |Im z| <= Re z + s outside the disc about sigma through the farthest
+    one found. Past ``MAX_ARNOLDI_PAIRS``, SolverError.
 
     ARPACK tests convergence on the shift-inverted operator, so a pair it
     accepts at ``tol`` may miss it on the pencil: when a certified pair's
     relative residual exceeds ``_residual_bound(tol, op)``, the solve runs
     once more at ARPACK's machine precision (tol=0), whose pairs
     ``_lowest_pairs`` accepts or rejects."""
-    A = op.stiffness
-    sigma, lu = _gershgorin_factor(A, M, op.mass_lumped)
+    A, M = op.stiffness, mass_matrix(mass, op.mass, op.mass_lumped)
+    sigma, lu = _pencil_factor(op, mass)
     OPinv = spla.LinearOperator(A.shape, matvec=lu.solve, dtype=A.dtype)
     cap, m, arpack_tol = min(MAX_ARNOLDI_PAIRS, op.n_dof - 2), k + 2, tol
     while True:
@@ -407,9 +399,9 @@ def _lowest_pairs(op: DiscreteOperator, mass: MassKind | str, k: int,
                               tol)[1])
             values, vectors, residuals = _hermitian_pairs(op, mass, k, tol,
                                                           start)
-        elif k + 2 < op.n_dof - 1:  # one sector per mass kind, whatever k
-            values, vectors = _arnoldi_smallest_real(op, M, k, tol, op.cached(
-                ("sector", mass), lambda: _sector_offset(op, M)))
+        elif k + 2 < op.n_dof - 1:  # one sector and factor per mass kind
+            s = op.cached(("sector", mass), lambda: _sector_offset(op, M))
+            values, vectors = _arnoldi_smallest_real(op, mass, k, tol, s)
         else:
             values, vectors = sla.eig(op.stiffness.toarray(), M.toarray())
             order = np.lexsort((values.imag, values.real))
@@ -468,32 +460,32 @@ def spectral_gap(op: DiscreteOperator, k: int, tol: float = 1e-10
 # ---------------------------------------------------------------------------
 # certificates
 
-def certify_positivity(report: EigenReport | None,
-                       op: DiscreteOperator) -> PositivityCertificate:
-    """Strict positivity of the principal eigenvector on its mode's region
-    (the free dofs), where it is provable: a real Hermitian operator whose
-    stiffness A is an irreducible Z-matrix (``mmatrix_report``) that is
-    nonsingular, by w = 1 or by the witness of ``_zero_shift_factor``, so
-    A^-1 > 0 and A^-1 M > 0 has the lambda1 eigenvector as its Perron
-    vector; or that annihilates constants, so the Perron vector is the
-    constant. Otherwise, and for every complex or non-Hermitian operator
-    (whose ``report`` may be None), the certificate is not applicable and
-    ``reason`` says why. The float cross-check tests sign: an exact 0.0 is
-    flagged as underflow, a negative entry is no Perron vector and fails."""
-    region = REGION[op.mode]
+def certify_positivity(report: EigenReport | None, op: DiscreteOperator):
+    """(Verdict, payload): strict positivity of the principal eigenvector
+    on its mode's region (the free dofs), where it is provable: a real
+    Hermitian operator whose stiffness A is an irreducible Z-matrix
+    (``mmatrix_report``) that is nonsingular, by w = 1 or by the witness
+    of ``_zero_shift_factor``, so A^-1 > 0 and A^-1 M > 0 has the lambda1
+    eigenvector as its Perron vector; or that annihilates constants, so
+    the Perron vector is the constant. Otherwise, and for every complex or
+    non-Hermitian operator (whose ``report`` may be None), the verdict is
+    NOT_APPLICABLE, its payload the reason. The float cross-check tests
+    the sign of ``min_value`` at ``witness_node``: an exact 0.0 is flagged
+    as underflow, a negative entry is no Perron vector and fails."""
     if op.is_complex or not op.is_hermitian:
-        return PositivityCertificate(
-            False, region, reason="no Perron argument for a non-Hermitian "
-            "operator: |lambda - mu| >= lambda1 - mu does not bound Re lambda")
+        return Verdict.NOT_APPLICABLE, {
+            "reason": "no Perron argument for a non-Hermitian operator: "
+                      "|lambda - mu| >= lambda1 - mu does not bound Re lambda"}
     cert = mmatrix_report(op)
     if not (cert.holds or _zero_shift_factor(op) is not None
             or cert.irreducible and annihilates_constants(op.stiffness)):
-        return PositivityCertificate(False, region, reason=cert.reason)
+        return Verdict.NOT_APPLICABLE, {"reason": cert.reason}
     arg = int(np.argmin(report.vector))
     min_value = float(report.vector[arg])
-    return PositivityCertificate(min_value >= 0.0, region, min_value,
-                                 int(op.free_vertices[arg]),
-                                 underflow=min_value == 0.0)
+    return (Verdict.PASS if min_value >= 0.0 else Verdict.FAIL,
+            {"region": REGION[op.mode], "min_value": min_value,
+             "witness_node": int(op.free_vertices[arg]),
+             **({"underflow": True} if min_value == 0.0 else {})})
 
 
 def complex_robin_bound(op: DiscreteOperator) -> ComplexRobinBound:

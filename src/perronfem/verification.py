@@ -1,8 +1,10 @@
 """Registry of verifiable positivity statements and the suite runner.
 
 Each registry entry is data: a label, a human-readable statement, and the
-module call that produces a verdict plus a certificate payload. Suites
-therefore map one-to-one onto the checks they run, and reports replay
+module call that produces a verdict plus a certificate payload; a
+positivity certificate returns that pair itself, and its check adds only
+what the problem knows (the eigenvalue, the horizon). Suites therefore
+map one-to-one onto the checks they run, and reports replay
 byte-identically for a fixed config (timings are reported in the text
 rendering only, never in the JSON).
 """
@@ -18,10 +20,10 @@ import numpy as np
 
 from . import lattice
 from .assembly import BoundaryMode, CoefficientSet, DiscreteOperator, \
-    MassKind, MMatrixCertificate, assemble, ellipticity_check, \
+    MassKind, MMatrixCertificate, Verdict, assemble, ellipticity_check, \
     mmatrix_report
 from .mesh import TriMesh, check_corkscrew
-from .semigroup import EvolutionConfig, Verdict, default_evolution, \
+from .semigroup import EvolutionConfig, default_evolution, \
     kernel, kernel_certificate, kernel_positivity_report, peripheral_pair, \
     positivity_improving_check
 from .spectral import SolverError, certify_positivity, complex_robin_bound, \
@@ -152,12 +154,12 @@ def _check_corkscrew(p: Problem):
 def _check_principal_positivity(p: Problem):
     # a non-Hermitian operator is outside the certificate: solve nothing
     hermitian = p.op.is_hermitian and not p.op.is_complex
-    cert = certify_positivity(p.principal if hermitian else None, p.op)
-    if cert.reason:
-        return Verdict.NOT_APPLICABLE, cert.payload()
-    return (Verdict.PASS if cert.passed else Verdict.FAIL,
-            {**cert.payload(), "lambda1": p.principal.lambda1.real,
-             "residual": p.principal.residual})
+    verdict, payload = certify_positivity(
+        p.principal if hermitian else None, p.op)
+    if verdict is not Verdict.NOT_APPLICABLE:
+        payload.update(lambda1=p.principal.lambda1.real,
+                       residual=p.principal.residual)
+    return verdict, payload
 
 
 def _check_trace_zero(p: Problem):
@@ -201,31 +203,20 @@ def _check_spectral_gap(p: Problem):
 def _check_positivity_improving(p: Problem):
     # an unmet hypothesis needs no march
     k = p.kernel_probes if p.certificate.holds else None
-    rep = positivity_improving_check(p.op, p.certificate, *(
+    return positivity_improving_check(p.op, p.certificate, *(
         (k.columns, (k.ends_at_first_step, k.ends)) if k else ()))
-    payload = {"trials": len(rep.columns)}
-    if rep.reason:
-        payload["reason"] = rep.reason
-    if rep.columns:
-        payload["worst_min_at_end"] = rep.min_at_end
-        payload["min_at_first_step"] = rep.min_at_first_step
-    if rep.underflow:
-        payload["underflow"] = True
-    return rep.verdict, payload
 
 
 def _check_kernel_positivity(p: Problem):
     if not p.certificate.holds:  # an unmet hypothesis needs no march
         return Verdict.NOT_APPLICABLE, {"reason": p.certificate.reason}
     k = p.kernel_probes
-    rep = kernel_positivity_report(p.op, p.certificate, k.columns, k.ends)
     # min_entry and witness are over the sampled columns only
-    payload = {"t": k.t, "columns": p.op.free_vertices[k.columns].tolist(),
-               "min_entry": rep.min_entry, "witness": list(rep.witness),
-               "min_row_sum": p.certificate.min_row_sum}
-    if rep.underflow:
-        payload["underflow"] = True
-    return rep.verdict, payload
+    verdict, payload = kernel_positivity_report(p.op, p.certificate,
+                                                k.columns, k.ends)
+    payload.update(t=k.t, columns=p.op.free_vertices[k.columns].tolist(),
+                   min_row_sum=p.certificate.min_row_sum)
+    return verdict, payload
 
 
 def _check_kernel_symmetry(p: Problem):
@@ -409,19 +400,26 @@ def jsonable(obj):
     return obj
 
 
+def suite_labels(mode: BoundaryMode) -> tuple:
+    """The labels ``run_suite`` runs on a problem in ``mode``, in registry
+    order: the corkscrew condition concerns the Dirichlet part of mixed
+    mode, so corkscrew runs only there."""
+    return tuple(entry.label for entry in REGISTRY
+                 if entry.label != "corkscrew" or mode is BoundaryMode.MIXED)
+
+
 def run_suite(problem: Problem, only: str | None = None,
               ) -> VerificationSuiteReport:
-    """Execute the registry in order; a raised error becomes a FAIL verdict
-    with diagnostics, a SolverError's with the reason "solver failure". An
-    AssertionError, a broken invariant of the program, and a MemoryError,
-    which says nothing of the problem, propagate."""
+    """Execute the registry in order, the checks of ``suite_labels``, or
+    only the one labelled ``only`` (a KeyError if that is not among them);
+    a raised error becomes a FAIL verdict with diagnostics, a
+    SolverError's with the reason "solver failure". An AssertionError, a
+    broken invariant of the program, and a MemoryError, which says nothing
+    of the problem, propagate."""
     results = []
+    labels = suite_labels(problem.mode)
     for entry in REGISTRY:
-        if only is not None and entry.label != only:
-            continue
-        # the corkscrew condition concerns the Dirichlet part of mixed mode
-        if entry.label == "corkscrew" and problem.mode is not \
-                BoundaryMode.MIXED:
+        if entry.label not in labels or only not in (None, entry.label):
             continue
         start = time.perf_counter()
         try:

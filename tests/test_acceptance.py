@@ -63,16 +63,16 @@ def test_criterion_2_robin_eigenvalue_and_boundary_positivity():
     rep = principal_eig(op)
     assert abs(rep.lambda1.real - exact) <= 0.02 * exact
 
-    cert = certify_positivity(rep, op)
-    assert cert.passed and cert.region == "closure"
-    assert cert.min_value > 0
+    verdict, cert = certify_positivity(rep, op)
+    assert verdict is Verdict.PASS and cert["region"] == "closure"
+    assert cert["min_value"] > 0
     full = op.expand(rep.vector)
     assert np.all(full > 0)
     assert np.all(full[mesh.boundary_vertices()] > 0)
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
     report(2, f"Robin lambda1 = {rep.lambda1.real:.5f} vs 2*mu0^2 = "
-              f"{exact:.5f}; closure minimum {cert.min_value:.4f} "
+              f"{exact:.5f}; closure minimum {cert['min_value']:.4f} "
               f"({elapsed:.2f}s)")
 
 
@@ -83,8 +83,8 @@ def test_criterion_3_mixed_boundary_positivity():
     op = assemble(mesh, CoefficientSet.constant(mesh), BoundaryMode.MIXED,
                   corkscrew_checked=True)
     rep = principal_eig(op)
-    cert = certify_positivity(rep, op)
-    assert cert.passed and cert.region == "omega_union_n"
+    verdict, cert = certify_positivity(rep, op)
+    assert verdict is Verdict.PASS and cert["region"] == "omega_union_n"
     full = op.expand(rep.vector)
     dirichlet_part = mesh.dirichlet_vertices()
     assert np.all(full[dirichlet_part] == 0.0)
@@ -122,11 +122,11 @@ def test_criterion_5_positivity_improving_exhaustive():
     kernels = dense_kernel(
         op, tuple(k * cfg.dt for k in range(1, cfg.n_steps + 1)), cfg)
     assert op.n_dof == 81 and kernels[0].shape == (81, 81)
-    rep = positivity_improving_check(op, kernel_certificate(op, cfg),
-                                     np.arange(op.n_dof),
-                                     (kernels[0], kernels[-1]))
-    assert rep.verdict is Verdict.PASS
-    assert len(rep.columns) == 81
+    verdict, rep = positivity_improving_check(
+        op, kernel_certificate(op, cfg), np.arange(op.n_dof),
+        (kernels[0], kernels[-1]))
+    assert verdict is Verdict.PASS
+    assert rep["trials"] == 81
     for K in kernels:
         assert (K * op.mass_lumped).min() > 0
     elapsed = time.perf_counter() - start
@@ -145,7 +145,7 @@ def test_criterion_6_kernel_properties():
     K = dense_kernel(op, t, cfg)
     assert np.abs(K - K.T).max() <= 1e-8
     assert kernel_positivity_report(op, kernel_certificate(op, cfg),
-                                    np.arange(op.n_dof), K).verdict \
+                                    np.arange(op.n_dof), K)[0] \
         is Verdict.PASS
     assert K.min() > 0
 
@@ -176,8 +176,8 @@ def test_criterion_7_parabolic_positivity_and_weak_residual():
     sol = solve_mild(mesh, coeffs, u0, phi, cfg)
     assert min(state.min() for state in sol.states()) >= 0.0
 
-    positivity = strong_positivity_check(sol)
-    assert positivity.verdict is Verdict.PASS
+    verdict, positivity = strong_positivity_check(sol)
+    assert verdict is Verdict.PASS
 
     residuals = []
     for n, steps in ((8, 32), (16, 64), (32, 128), (64, 256)):
@@ -195,7 +195,7 @@ def test_criterion_7_parabolic_positivity_and_weak_residual():
     for coarse, fine in zip(residuals, residuals[1:]):
         assert fine <= coarse / 2.0
     report(7, "nonnegative data preserved, strict interior positivity past "
-              f"step {positivity.start_step}; weak residuals "
+              f"step {positivity['start_step']}; weak residuals "
               f"{['%.2e' % r for r in residuals]} halve per refinement")
 
 

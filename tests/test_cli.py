@@ -359,6 +359,20 @@ def test_cli_eig_gap_count_near_n_dof_takes_the_dense_spectrum(
     assert len(calls) == 1  # k = 2 for lambda1 runs on Arnoldi
 
 
+def test_cli_eig_a_one_dof_problem(tmp_path):
+    # one free vertex has one eigenvalue: eig reports it with
+    # principal_eig's infinite gap, where spectral_gap needs k >= 2
+    path = write_config(tmp_path / "c.json", {
+        "mesh": {"shape": "unit_square", "n": 2, "tags": "D"},
+        "coefficients": {"mode": "dirichlet"}, "output_dir": "out"})
+    assert main(["eig", "--config", path]) == 0
+    report = json.loads((tmp_path / "out" / "eig_report.json").read_text())
+    assert report["n_dof"] == 1
+    assert report["eigenvalues"] == [report["lambda1"]]
+    assert report["gap"] == "inf"
+    assert report["positivity"]["passed"] is True
+
+
 def test_cli_evolve_and_kernel(tmp_path):
     cfg = dict(ROBIN_PROBLEM)
     cfg["evolution"] = {"dt": 0.01, "t_end": 0.1}
@@ -415,6 +429,36 @@ def test_cli_kernel_verdict_reads_the_certificate(tmp_path):
     assert report["verdict"] == "not_applicable"
     assert "implicit Euler with lumped mass" in report["reason"]
     assert (tmp_path / "run" / "kernel.bin").exists()
+
+
+def test_cli_kernel_report_outside_the_certificate_is_its_reason(tmp_path):
+    # a NOT_APPLICABLE report has no minimum and no witness to give
+    cfg = {**ROBIN_PROBLEM, "output_dir": "run",
+           "evolution": {"scheme": "crank_nicolson", "dt": 0.01,
+                         "t_end": 0.1}}
+    path = write_config(tmp_path / "kernel.json", cfg)
+    assert main(["kernel", "--config", path]) == 0
+    report = json.loads((tmp_path / "run" / "kernel_report.json").read_text())
+    assert sorted(report) == ["n", "reason", "t", "verdict"]
+
+
+def test_cli_kernel_flags_underflow_as_verify_does(tmp_path, capsys):
+    # at dt = t_end = 1e-12 the far entries of K(t) on the n = 24 Dirichlet
+    # square are positive values lost to 0.0: both commands say so
+    path = write_config(tmp_path / "c.json", {
+        "mesh": {"shape": "unit_square", "n": 24, "tags": "D"},
+        "coefficients": {"mode": "dirichlet"},
+        "evolution": {"dt": 1e-12, "t_end": 1e-12}, "output_dir": "out"})
+    assert main(["kernel", "--config", path]) == 0
+    report = json.loads((tmp_path / "out" / "kernel_report.json").read_text())
+    assert report["verdict"] == "pass" and report["min_entry"] == 0.0
+    assert report["underflow"] is True
+    assert main(["verify", "--config", path, "--only",
+                 "kernel-positivity"]) == 0
+    (result,) = json.loads((tmp_path / "out" / "verification_report.json")
+                           .read_text())["results"]
+    assert result["payload"]["underflow"] is True
+    capsys.readouterr()
 
 
 def test_cli_kernel_refuses_a_dense_kernel_above_the_limit(tmp_path, capsys,
@@ -694,6 +738,35 @@ def test_cli_verify_only_flag(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "spectral-gap" in out
     assert "kernel-positivity" not in out
+
+
+@pytest.mark.parametrize("label, fragments", [
+    ("corkscrew", ("verify: corkscrew runs only in mixed mode",)),
+    ("no-such-check", ("'no-such-check'", "ellipticity, mmatrix-compatible",
+                       "lattice-oracle")),
+])
+def test_cli_verify_only_rejects_a_label_it_cannot_run(
+        tmp_path, capsys, monkeypatch, label, fragments):
+    # the label is checked before the operator is assembled or the output
+    # directory made; on a Robin square corkscrew exists but does not run
+    import perronfem.verification
+    monkeypatch.setattr(perronfem.verification, "assemble",
+                        lambda *a, **kw: pytest.fail("assembled"))
+    path = write_config(tmp_path / "c.json",
+                        {**ROBIN_PROBLEM, "output_dir": "out"})
+    assert main(["verify", "--config", path, "--only", label]) == 2
+    _assert_one_error_line(capsys, *fragments)
+    assert not (tmp_path / "out").exists()
+
+
+def test_readme_typical_config_verifies(tmp_path, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    block = readme.split("A typical config:", 1)[1] \
+        .split("```json\n", 1)[1].split("```", 1)[0]
+    path = write_config(tmp_path / "verify.json", json.loads(block))
+    assert main(["verify", "--config", path]) == 0
+    assert capsys.readouterr().out.endswith("suite: OK\n")
 
 
 def test_cli_oracle(tmp_path, capsys):

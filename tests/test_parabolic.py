@@ -154,8 +154,8 @@ def test_sign_condition_warning(dirichlet_mesh8):
         sol = solve_mild(mesh, coeffs, u0, BoundaryData.constant(mesh, 0.0,
                                                                  0.1),
                          cfg_for(mesh, 0.1, 40))
-    rep = strong_positivity_check(sol)
-    assert rep.verdict is Verdict.PASS and rep.start_step == 1
+    verdict, rep = strong_positivity_check(sol)
+    assert verdict is Verdict.PASS and rep["start_step"] == 1
 
 
 def test_eigenvector_decay_with_zero_boundary(dirichlet_mesh8, dirichlet_op8):
@@ -212,9 +212,9 @@ def test_strong_positivity_from_interior_indicator(dirichlet_mesh8):
     phi = BoundaryData.constant(mesh, 0.0, 0.5)
     sol = solve_mild(mesh, laplace_coeffs(mesh), u0, phi,
                      cfg_for(mesh, 0.5, 64))
-    rep = strong_positivity_check(sol)
-    assert rep.verdict is Verdict.PASS
-    assert rep.start_step == 1
+    verdict, rep = strong_positivity_check(sol)
+    assert verdict is Verdict.PASS
+    assert rep["start_step"] == 1
 
 
 def test_strong_positivity_after_boundary_switch_on(dirichlet_mesh8):
@@ -228,11 +228,11 @@ def test_strong_positivity_after_boundary_switch_on(dirichlet_mesh8):
     sol = solve_mild(mesh, laplace_coeffs(mesh),
                      np.zeros(mesh.n_vertices), phi,
                      cfg_for(mesh, t_end, 64))
-    rep = strong_positivity_check(sol)
-    assert rep.verdict is Verdict.PASS
+    verdict, rep = strong_positivity_check(sol)
+    assert verdict is Verdict.PASS
     # phi(0.25) = 0: the first step with data on is the next one
     switch_step = int(np.ceil(0.25 / sol.cfg.dt))
-    assert rep.start_step == switch_step + 1
+    assert rep["start_step"] == switch_step + 1
 
 
 def test_strong_positivity_on_a_horizon_shorter_than_the_diameter(
@@ -246,9 +246,9 @@ def test_strong_positivity_on_a_horizon_shorter_than_the_diameter(
     sol = solve_mild(mesh, laplace_coeffs(mesh), u0,
                      BoundaryData.constant(mesh, 0.0, 1.0),
                      cfg_for(mesh, 0.2 / 32 * 4, 4))
-    rep = strong_positivity_check(sol)
-    assert rep.verdict is Verdict.PASS and not rep.underflow
-    assert rep.start_step == 1
+    verdict, rep = strong_positivity_check(sol)
+    assert verdict is Verdict.PASS and "underflow" not in rep
+    assert rep["start_step"] == 1
     assert stacked(sol)[1:, sol.interior].min() > 0.0
 
 
@@ -257,7 +257,7 @@ def test_strong_positivity_vacuous_for_zero_data(dirichlet_mesh8):
     phi = BoundaryData.constant(mesh, 0.0, 0.2)
     sol = solve_mild(mesh, laplace_coeffs(mesh), np.zeros(mesh.n_vertices),
                      phi, cfg_for(mesh, 0.2, 32))
-    assert strong_positivity_check(sol).verdict is Verdict.NOT_APPLICABLE
+    assert strong_positivity_check(sol)[0] is Verdict.NOT_APPLICABLE
 
 
 # -- very weak residual ----------------------------------------------------------
@@ -411,9 +411,9 @@ def test_a_disconnected_interior_is_reducible_not_an_error(dirichlet_mesh8,
                      BoundaryData.constant(mesh, 1.0, 0.1),
                      cfg_for(mesh, 0.1, 10))
     # the certificate decides: a split interior is reducible, not an error
-    rep = strong_positivity_check(sol)
-    assert rep.verdict is Verdict.NOT_APPLICABLE
-    assert "reducible" in rep.reason
+    verdict, rep = strong_positivity_check(sol)
+    assert verdict is Verdict.NOT_APPLICABLE
+    assert "reducible" in rep["reason"]
 
 
 def test_solve_mild_keeps_the_volume_matrices_it_marched_with(
@@ -443,9 +443,9 @@ def test_strong_positivity_passes_a_far_corner_bump_at_a_tiny_step():
     # far from the bump the field falls to ~1e-32 of its maximum, which the
     # old relative floor 1e-12 * max|u| called nonpositive at vertex 270
     sol = _corner_bump_solution(16, 0.01)
-    rep = strong_positivity_check(sol)
-    assert rep.verdict is Verdict.PASS and not rep.underflow
-    far = stacked(sol)[rep.start_step:, sol.interior]
+    verdict, rep = strong_positivity_check(sol)
+    assert verdict is Verdict.PASS and "underflow" not in rep
+    far = stacked(sol)[rep["start_step"]:, sol.interior]
     assert 0.0 < far.min() < 1e-20 * far.max()
 
 
@@ -455,17 +455,18 @@ def test_strong_positivity_reads_the_sign_under_the_certificate(
                      np.ones(dirichlet_mesh8.n_vertices),
                      BoundaryData.constant(dirichlet_mesh8, 1.0, 0.2),
                      cfg_for(dirichlet_mesh8, 0.2, 32))
-    assert strong_positivity_check(sol).verdict is Verdict.PASS
+    assert strong_positivity_check(sol)[0] is Verdict.PASS
     vertex = sol.interior[3]
     for bad, verdict in ((0.0, Verdict.PASS), (-1e-300, Verdict.FAIL)):
         fields = stacked(sol)
         fields[20, vertex] = bad
-        rep = strong_positivity_check(replaying(sol, fields))
-        assert rep.verdict is verdict
+        got, rep = strong_positivity_check(replaying(sol, fields))
+        assert got is verdict
         if verdict is Verdict.PASS:  # a positive value lost to underflow
-            assert rep.underflow
+            assert rep["underflow"]
         else:
-            assert rep.first_violation == (float(sol.times[20]), int(vertex))
+            assert rep["first_violation"] == [float(sol.times[20]),
+                                              int(vertex)]
 
 
 def _stacked_sign_scan(sol, start):
@@ -498,15 +499,16 @@ def test_row_scan_matches_the_stacked_scan(dirichlet_mesh8, edits):
     for (k, i), value in edits.items():
         fields[k, sol.interior[i]] = value
     edited = replaying(sol, fields)
-    rep = strong_positivity_check(edited)
-    violation, underflow = _stacked_sign_scan(edited, rep.start_step)
-    assert rep.start_step == 1 and rep.first_violation == violation
-    assert rep.verdict is (Verdict.FAIL if violation else Verdict.PASS)
-    assert rep.underflow == (underflow and violation is None)
+    verdict, rep = strong_positivity_check(edited)
+    violation, underflow = _stacked_sign_scan(edited, rep["start_step"])
+    assert rep["start_step"] == 1 \
+        and rep["first_violation"] == (violation and list(violation))
+    assert verdict is (Verdict.FAIL if violation else Verdict.PASS)
+    assert rep.get("underflow", False) == (underflow and violation is None)
     scan = PositivityScan(edited)
     for k, state in enumerate(edited.states()):
         scan.add(k, state)
-    assert scan.report() == rep
+    assert scan.report() == (verdict, rep)
 
 
 def test_streamed_checks_match_the_checks_over_fields():
@@ -565,7 +567,7 @@ def test_a_solution_marches_only_when_read(dirichlet_mesh8, solves):
     assert len(solves) == 20
     assert np.array_equal(first, second)
     assert not any(a is b for a, b in zip(first[1:], second[1:]))
-    assert strong_positivity_check(sol).verdict is Verdict.PASS
+    assert strong_positivity_check(sol)[0] is Verdict.PASS
     assert len(solves) == 30
 
 
@@ -599,8 +601,8 @@ def test_strong_positivity_outside_the_certificate_is_not_applicable(
                     mesh.boundary_vertices())[0]] = 1.0
     sol = solve_mild(mesh, coeffs, u0, BoundaryData.constant(mesh, 0.0, 1.0),
                      cfg)
-    rep = strong_positivity_check(sol)
-    assert rep.verdict is Verdict.NOT_APPLICABLE
-    assert reason in rep.reason
+    verdict, rep = strong_positivity_check(sol)
+    assert verdict is Verdict.NOT_APPLICABLE
+    assert reason in rep["reason"]
 
 

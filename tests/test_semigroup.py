@@ -152,18 +152,19 @@ def _positivity_improving(op, cfg):
 
 def test_positivity_improving_robin_corner(robin_op8):
     cfg = EvolutionConfig(dt=1e-3, t_end=0.1, mass=MassKind.LUMPED)
-    rep = _positivity_improving(robin_op8, cfg)
-    assert rep.verdict is Verdict.PASS
+    verdict, rep = _positivity_improving(robin_op8, cfg)
+    assert verdict is Verdict.PASS
     # the corner vertex and the one across the diagonal carry the indicators
-    assert rep.columns == (0, 80)
-    assert 0 < rep.min_at_first_step
-    assert 0 < rep.min_at_end
+    assert rep["trials"] == 2 and robin_op8.free_vertices[
+        list(peripheral_pair(robin_op8))].tolist() == [0, 80]
+    assert 0 < rep["min_at_first_step"]
+    assert 0 < rep["worst_min_at_end"]
 
 
 def test_positivity_improving_dirichlet_region(dirichlet_op8):
     cfg = lumped_cfg(dirichlet_op8.mesh, t_end=0.25)
-    rep = _positivity_improving(dirichlet_op8, cfg)
-    assert rep.verdict is Verdict.PASS
+    verdict, _ = _positivity_improving(dirichlet_op8, cfg)
+    assert verdict is Verdict.PASS
     # constrained nodes stay exactly zero along the way
     *_, last = march(dirichlet_op8, cfg, np.eye(dirichlet_op8.n_dof)[0],
                      cfg.n_steps)
@@ -189,10 +190,10 @@ def test_positivity_check_not_applicable_cases(robin_op8):
     consistent = EvolutionConfig(dt=1e-3, t_end=0.05,
                                  mass=MassKind.CONSISTENT)
     for cfg in (cn, consistent):
-        rep = positivity_improving_check(robin_op8,
-                                         kernel_certificate(robin_op8, cfg))
-        assert rep.verdict is Verdict.NOT_APPLICABLE
-        assert "implicit Euler with lumped mass" in rep.reason
+        verdict, rep = positivity_improving_check(
+            robin_op8, kernel_certificate(robin_op8, cfg))
+        assert verdict is Verdict.NOT_APPLICABLE
+        assert "implicit Euler with lumped mass" in rep["reason"]
 
 
 def test_positivity_check_not_applicable_on_obtuse_mesh():
@@ -201,9 +202,9 @@ def test_positivity_check_not_applicable_on_obtuse_mesh():
     op = assemble(mesh, CoefficientSet.constant(mesh, beta=1.0),
                   BoundaryMode.ROBIN)
     cfg = EvolutionConfig(dt=0.01, t_end=0.1, mass=MassKind.LUMPED)
-    rep = positivity_improving_check(op, kernel_certificate(op, cfg))
-    assert rep.verdict is Verdict.NOT_APPLICABLE
-    assert "off-diagonal" in rep.reason
+    verdict, rep = positivity_improving_check(op, kernel_certificate(op, cfg))
+    assert verdict is Verdict.NOT_APPLICABLE
+    assert "off-diagonal" in rep["reason"]
 
 
 def test_positivity_improving_passes_on_a_horizon_below_the_diameter():
@@ -253,10 +254,10 @@ def test_positivity_check_raises_on_a_nonpositive_indicator(robin_op8):
     # an exact 0.0 is a positive indicator value lost to float underflow
     first = k.ends_at_first_step.copy()
     first[40, 1] = 0.0
-    rep = positivity_improving_check(robin_op8, problem.certificate,
-                                     k.columns, (first, k.ends))
-    assert rep.verdict is Verdict.PASS
-    assert rep.min_at_first_step == 0.0 and rep.underflow
+    verdict, rep = positivity_improving_check(
+        robin_op8, problem.certificate, k.columns, (first, k.ends))
+    assert verdict is Verdict.PASS
+    assert rep["min_at_first_step"] == 0.0 and rep["underflow"]
 
 
 def test_suite_marches_the_probe_column_budget(monkeypatch):
@@ -366,8 +367,8 @@ def test_kernel_chapman_kolmogorov(robin_op8):
 def test_kernel_positivity_robin(robin_op8):
     cfg = lumped_cfg(robin_op8.mesh, t_end=0.25)
     K = dense_kernel(robin_op8, 0.1, cfg)
-    rep = _dense_report(robin_op8, cfg, K)
-    assert rep.verdict is Verdict.PASS
+    verdict, _ = _dense_report(robin_op8, cfg, K)
+    assert verdict is Verdict.PASS
     assert K.min() > 0
 
 
@@ -377,7 +378,7 @@ def test_kernel_dirichlet_boundary_rows_exactly_zero(tmp_path, capsys,
     # boundary vertices' rows and columns are exact zeros
     cfg = lumped_cfg(dirichlet_op8.mesh, t_end=0.25)
     K = dense_kernel(dirichlet_op8, 0.1, cfg)
-    assert _dense_report(dirichlet_op8, cfg, K).verdict is Verdict.PASS
+    assert _dense_report(dirichlet_op8, cfg, K)[0] is Verdict.PASS
     report, entries = _kernel_dump(tmp_path, {
         "mesh": {"shape": "unit_square", "n": 8, "tags": "dirichlet"},
         "coefficients": {"mode": "dirichlet"},
@@ -411,8 +412,8 @@ def test_kernel_mixed_mode(tmp_path, capsys, mixed_mesh8):
                   BoundaryMode.MIXED, corkscrew_checked=True)
     cfg = lumped_cfg(mixed_mesh8, t_end=0.25)
     K = dense_kernel(op, 0.125, cfg)
-    rep = _dense_report(op, cfg, K)
-    assert rep.verdict is Verdict.PASS
+    verdict, rep = _dense_report(op, cfg, K)
+    assert verdict is Verdict.PASS
     # the command's dump: the Dirichlet vertices' rows and columns are
     # exact zeros
     report, entries = _kernel_dump(tmp_path, {
@@ -420,7 +421,7 @@ def test_kernel_mixed_mode(tmp_path, capsys, mixed_mesh8):
         "coefficients": {"mode": "mixed"},
         "evolution": {"dt": cfg.dt, "t_end": cfg.t_end}}, 0.125)
     assert report["verdict"] == "pass"
-    assert report["witness"] == list(rep.witness)
+    assert report["witness"] == rep["witness"]
     pinned = mixed_mesh8.dirichlet_vertices()
     assert pinned.size
     assert np.all(entries[pinned, :] == 0.0)
@@ -897,9 +898,9 @@ def test_kernel_certificate_names_the_unmet_hypothesis(case, reason):
     assert not certificate.holds
     assert reason in certificate.reason
     # positivity-improving gives the certificate's reason, with no march
-    rep = positivity_improving_check(op, certificate)
-    assert rep.verdict is Verdict.NOT_APPLICABLE
-    assert rep.reason == certificate.reason
+    verdict, rep = positivity_improving_check(op, certificate)
+    assert verdict is Verdict.NOT_APPLICABLE
+    assert rep["reason"] == certificate.reason
 
 
 def test_certificate_takes_the_inverse_row_sum_witness_at_an_inflow():
@@ -923,7 +924,7 @@ def test_certificate_takes_the_inverse_row_sum_witness_at_an_inflow():
     assert w.min() == pytest.approx(18.7, abs=0.1)
     K = dense_kernel(op, cfg.t_end, cfg)
     assert K.min() > 0
-    assert _dense_report(op, cfg, K).verdict is Verdict.PASS
+    assert _dense_report(op, cfg, K)[0] is Verdict.PASS
     problem = Problem(mesh=mesh, coeffs=coeffs, mode=BoundaryMode.NEUMANN,
                       evolution=default_evolution(mesh, dt=0.1))
     verdicts = {r.label: r.verdict for r in run_suite(problem).results}
@@ -946,11 +947,12 @@ def test_kernel_report_raises_on_a_nonpositive_entry_under_the_certificate():
     # an exact 0.0 is a positive entry lost to float underflow
     entries = K.copy()
     entries[3, 5] = 0.0
-    rep = kernel_positivity_report(op, certificate, columns, entries)
-    assert rep.verdict is Verdict.PASS
-    assert rep.min_entry == 0.0 and rep.underflow
-    assert rep.witness == (3, 5)
-    assert not kernel_positivity_report(op, certificate, columns, K).underflow
+    verdict, rep = kernel_positivity_report(op, certificate, columns, entries)
+    assert verdict is Verdict.PASS
+    assert rep["min_entry"] == 0.0 and rep["underflow"]
+    assert rep["witness"] == [3, 5]
+    assert "underflow" not in kernel_positivity_report(op, certificate,
+                                                       columns, K)[1]
 
 
 def _tiny_case(shape="unit_square", mode="robin", width=1.0, s=0.0, b=0.0,
@@ -1031,7 +1033,7 @@ def test_certificate_implies_the_lattice_oracle_on_tiny_meshes(case):
     assert lattice.positivity_improving_equiv(g)
     K = dense_kernel(op, cfg.t_end, cfg)
     assert K.min() > 0
-    assert _dense_report(op, cfg, K).verdict is Verdict.PASS
+    assert _dense_report(op, cfg, K)[0] is Verdict.PASS
 
 
 @settings(max_examples=60, deadline=None)

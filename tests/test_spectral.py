@@ -114,23 +114,23 @@ def test_dirichlet_eigenvalue_converges_at_second_order():
 
 def test_robin_certificate_positive_on_closure(robin_op8):
     rep = principal_eig(robin_op8)
-    cert = certify_positivity(rep, robin_op8)
-    assert cert.passed
-    assert cert.region == "closure"
-    assert cert.min_value > 0
+    verdict, cert = certify_positivity(rep, robin_op8)
+    assert verdict is Verdict.PASS
+    assert cert["region"] == "closure"
+    assert cert["min_value"] > 0
     # the smooth ground state is minimal at a corner of the square
-    xy = robin_op8.mesh.vertices[cert.witness_node]
+    xy = robin_op8.mesh.vertices[cert["witness_node"]]
     assert set(np.round(xy, 12)) <= {0.0, 1.0}
     # dense nodal scan agrees
     full = robin_op8.expand(rep.vector)
-    assert cert.min_value == full.min()
+    assert cert["min_value"] == full.min()
 
 
 def test_dirichlet_certificate_interior_only(dirichlet_op8):
     rep = principal_eig(dirichlet_op8)
-    cert = certify_positivity(rep, dirichlet_op8)
-    assert cert.passed
-    assert cert.region == "interior"
+    verdict, cert = certify_positivity(rep, dirichlet_op8)
+    assert verdict is Verdict.PASS
+    assert cert["region"] == "interior"
     full = dirichlet_op8.expand(rep.vector)
     boundary = dirichlet_op8.mesh.boundary_vertices()
     assert np.all(full[boundary] == 0.0)
@@ -152,8 +152,8 @@ def test_second_eigenvector_fails_certificate(dirichlet_op8):
                          vector=gaps.vectors[:, 1],
                          residual=float(gaps.residuals[1]), gap=0.0,
                          multiplicity_flag=False)
-    cert = certify_positivity(second, dirichlet_op8)
-    assert not cert.passed
+    verdict, _ = certify_positivity(second, dirichlet_op8)
+    assert verdict is Verdict.FAIL
     # orthogonality to the positive principal vector forces a sign change
     assert gaps.vectors[:, 1].min() < 0 < gaps.vectors[:, 1].max()
 
@@ -163,9 +163,9 @@ def test_mixed_certificate(mixed_mesh8):
     op = assemble(mixed_mesh8, coeffs, BoundaryMode.MIXED,
                   corkscrew_checked=True)
     rep = principal_eig(op)
-    cert = certify_positivity(rep, op)
-    assert cert.passed
-    assert cert.region == "omega_union_n"
+    verdict, cert = certify_positivity(rep, op)
+    assert verdict is Verdict.PASS
+    assert cert["region"] == "omega_union_n"
     full = op.expand(rep.vector)
     bottom = [v for v in mixed_mesh8.boundary_vertices()
               if mixed_mesh8.vertices[v][1] == 0.0]
@@ -182,16 +182,16 @@ def test_certificate_rejects_complex_vector(robin_mesh8):
         pytest.skip("eigenvector collapsed to real")
     # a complex operator is outside the certificate's regime, whatever
     # its mode: the verdict is not applicable
-    cert = certify_positivity(rep, op)
-    assert not cert.passed and cert.region == "closure"
-    assert cert.reason.startswith("no Perron argument for a non-Hermitian")
+    verdict, cert = certify_positivity(rep, op)
+    assert verdict is Verdict.NOT_APPLICABLE and set(cert) == {"reason"}
+    assert cert["reason"].startswith("no Perron argument for a non-Hermitian")
     # a real operator with convection has no Perron argument on the
     # consistent pencil, whatever its eigenvector
     coeffs = CoefficientSet.constant(robin_mesh8, beta=1.0, b=(80.0, 0.0))
     op = assemble(robin_mesh8, coeffs, BoundaryMode.ROBIN)
-    cert = certify_positivity(principal_eig(op), op)
-    assert not cert.passed and cert.region == "closure"
-    assert cert.reason.startswith("no Perron argument for a non-Hermitian")
+    verdict, cert = certify_positivity(principal_eig(op), op)
+    assert verdict is Verdict.NOT_APPLICABLE and set(cert) == {"reason"}
+    assert cert["reason"].startswith("no Perron argument for a non-Hermitian")
 
 
 # -- invariants ---------------------------------------------------------------
@@ -225,7 +225,7 @@ def test_eigenvalue_monotone_in_beta(robin_mesh8):
 def test_gap_positive_when_certificate_passes(robin_op8, dirichlet_op8):
     for op in (robin_op8, dirichlet_op8):
         rep = principal_eig(op)
-        if certify_positivity(rep, op).passed:
+        if certify_positivity(rep, op)[0] is Verdict.PASS:
             assert rep.gap > 0
 
 
@@ -398,7 +398,8 @@ def test_arnoldi_fallback_agrees_with_dense(robin_mesh8):
     op = assemble(robin_mesh8, coeffs, BoundaryMode.COMPLEX_ROBIN)
     dense_vals = sla.eig(op.stiffness.toarray(), op.mass.toarray(),
                          right=False)
-    arn_vals, _ = _arnoldi_smallest_real(op, op.mass, k=4, tol=1e-12,
+    arn_vals, _ = _arnoldi_smallest_real(op, MassKind.CONSISTENT, k=4,
+                                         tol=1e-12,
                                          s=_sector_offset(op, op.mass))
     np.testing.assert_allclose(np.sort(arn_vals.real)[:3],
                                np.sort(dense_vals.real)[:3], rtol=1e-10)
@@ -574,7 +575,7 @@ def test_arnoldi_failure_is_a_solver_error(robin_mesh8, monkeypatch):
                   CoefficientSet.constant(robin_mesh8, beta=1.0 + 1.0j),
                   BoundaryMode.COMPLEX_ROBIN)
     with pytest.raises(SolverError, match="Arnoldi failed"):
-        _arnoldi_smallest_real(op, op.mass, k=4, tol=1e-12, s=0.0)
+        _arnoldi_smallest_real(op, MassKind.CONSISTENT, k=4, tol=1e-12, s=0.0)
     monkeypatch.setattr(spla, "eigsh", no_convergence)
     with pytest.raises(SolverError, match="Lanczos failed"):
         principal_eig(op)
@@ -1047,16 +1048,16 @@ def test_each_witness_of_the_stiffness_certificate(robin_op8, dirichlet_op8):
     # constant; a negative c0 leaves neither, and no verdict
     for op in (robin_op8, dirichlet_op8):
         assert not mmatrix_report(op).holds and mmatrix_report(op).irreducible
-        assert certify_positivity(principal_eig(op), op).passed
+        assert certify_positivity(principal_eig(op), op)[0] is Verdict.PASS
     mesh = robin_op8.mesh
     for c0, passed in ((0.0, True), (-1.0, False)):
         op = assemble(mesh, CoefficientSet.constant(mesh, c0=c0),
                       BoundaryMode.NEUMANN)
-        cert = certify_positivity(principal_eig(op), op)
-        assert cert.passed is passed
+        verdict, cert = certify_positivity(principal_eig(op), op)
+        assert (verdict is Verdict.PASS) is passed
         if not passed:
             assert principal_eig(op).lambda1.real < 0
-            assert "row sum <= 0 and no witness" in cert.reason
+            assert "row sum <= 0 and no witness" in cert["reason"]
 
 
 def test_a_negative_entry_under_the_certificate_fails(robin_op8):
@@ -1064,9 +1065,33 @@ def test_a_negative_entry_under_the_certificate_fails(robin_op8):
     rep = principal_eig(robin_op8)
     vector = rep.vector.copy()
     vector[5] = -1e-300
-    cert = certify_positivity(replace(rep, vector=vector), robin_op8)
-    assert not cert.passed and not cert.reason
-    assert cert.witness_node == robin_op8.free_vertices[5]
+    verdict, cert = certify_positivity(replace(rep, vector=vector), robin_op8)
+    assert verdict is Verdict.FAIL and "reason" not in cert
+    assert cert["witness_node"] == robin_op8.free_vertices[5]
     vector[5] = 0.0  # a positive entry lost to underflow
-    cert = certify_positivity(replace(rep, vector=vector), robin_op8)
-    assert cert.passed and cert.underflow and cert.min_value == 0.0
+    verdict, cert = certify_positivity(replace(rep, vector=vector), robin_op8)
+    assert verdict is Verdict.PASS and cert["underflow"] \
+        and cert["min_value"] == 0.0
+
+
+@pytest.mark.parametrize("beta, c0", [(1.0 + 1.0j, 0.0), (1.0, -30.0)])
+def test_each_shifted_pencil_is_factorized_once(monkeypatch, beta, c0):
+    # complex Robin takes the Arnoldi path, c0 = -30 the Gershgorin shift
+    # of block inverse iteration (its stiffness has no zero-shift factor):
+    # principal_eig and spectral_gap(op, 3) ask for different k of one
+    # pencil, and one Gershgorin factor serves both; the sector bound's
+    # pencil is the other factorization of the complex case, the failed
+    # zero-shift witness the other of the real one
+    from perronfem import spectral
+    mesh = generate_structured("unit_square", 6, "N")
+    coeffs = CoefficientSet.constant(mesh, beta=beta, c0=c0)
+    mode = BoundaryMode.COMPLEX_ROBIN if beta.imag else BoundaryMode.ROBIN
+    fresh = spectral_gap(assemble(mesh, coeffs, mode), 3).values
+    calls = []
+    factorize = spectral.factorize
+    monkeypatch.setattr(spectral, "factorize",
+                        lambda m: calls.append(1) or factorize(m))
+    op = assemble(mesh, coeffs, mode)
+    principal_eig(op)
+    assert np.array_equal(spectral_gap(op, 3).values, fresh)
+    assert len(calls) == 2

@@ -2,8 +2,9 @@
 somewhere in the package or its tests, apart from its own definition: a
 name no caller reads is deleted rather than kept. ``__init__`` is left
 out, since re-exporting is its purpose. Every module-level function and
-class is also read by package code, so no library code lives for its
-tests alone, apart from the named exceptions of ``TEST_READ_ONLY``. Every
+class, and every method and property of a package class, is also read by
+package code, so no library code lives for its tests alone, apart from
+the named exceptions of ``TEST_READ_ONLY``. Every
 dataclass field of the package is read as an attribute in the package,
 its tests or the benchmarks; an ``InitVar`` is no field."""
 
@@ -46,7 +47,8 @@ def test_every_module_level_name_is_read():
     assert unread == {}
 
 
-#: functions and classes that no package code reads, each kept on purpose
+#: functions, classes and methods that no package code reads, each kept on
+#: purpose
 TEST_READ_ONLY = {
     # the scalar reference that the vectorised ``_colors`` is tested against
     "svgplot._color",
@@ -57,7 +59,17 @@ TEST_READ_ONLY = {
     # ``WeakResidual``; ``perronfem parabolic`` feeds both from one march
     "parabolic.strong_positivity_check",
     "parabolic.very_weak_residual",
+    # the reference that ``mesh._longest_side`` is tested against
+    "mesh.TriMesh.edge_lengths",
 }
+
+
+def _methods(node: ast.ClassDef) -> list:
+    """The methods and properties a class defines, dunders left out: the
+    language calls those."""
+    return [item for item in node.body
+            if isinstance(item, ast.FunctionDef)
+            and not (item.name.startswith("__") and item.name.endswith("__"))]
 
 
 def test_every_function_and_class_is_read_by_the_package():
@@ -69,11 +81,22 @@ def test_every_function_and_class_is_read_by_the_package():
                     and path.name != "__init__.py":
                 name = f"{path.stem}.{node.name}"
                 defined.add(name)
+            if isinstance(node, ast.ClassDef):
+                # each method reads as itself; the rest of the class as
+                # the class
+                methods = _methods(node)
+                for method in methods:
+                    readers.append((f"{name}.{method.name}", _read(method)))
+                    defined.add(f"{name}.{method.name}")
+                node.body = [item for item in node.body
+                             if item not in methods]
             readers.append((name, _read(node)))
-    assert len(defined) > 100
+    assert len(defined) > 150
+    # a definition is read by any reader but itself and what it contains
     unread = sorted(name for name in defined if not any(
-        name.split(".")[1] in read
-        for reader, read in readers if reader != name))
+        name.rsplit(".", 1)[1] in read
+        for reader, read in readers
+        if reader is None or not (reader + ".").startswith(name + ".")))
     assert unread == sorted(TEST_READ_ONLY)
 
 

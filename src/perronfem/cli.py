@@ -145,12 +145,15 @@ def _resolve_mesh(spec, base: Path):
     if not isinstance(tags, (str, dict)):
         raise CliError(f"mesh: tags must be a string or an object, got "
                        f"{tags!r}")
+    shape = _string(spec, "shape", "unit_square", "mesh")
+    sizes = {key: _number(spec, key, None, "mesh")
+             for key in ("width", "height") if key in spec}
+    if sizes and shape != "rectangle":  # the others have fixed sizes
+        raise CliError(f"mesh: {next(iter(sizes))} applies only to the "
+                       f"rectangle shape, not {shape}")
     try:
         return generate_structured(
-            _string(spec, "shape", "unit_square", "mesh"),
-            _number(spec, "n", 8, "mesh", int), tags,
-            width=_number(spec, "width", 1.0, "mesh"),
-            height=_number(spec, "height", 1.0, "mesh"))
+            shape, _number(spec, "n", 8, "mesh", int), tags, **sizes)
     except MeshError as exc:
         raise CliError(f"mesh: {exc}") from None
 
@@ -254,8 +257,10 @@ def _cmd_mesh(args) -> int:
             seg, _, tag = part.partition("=")
             rule[seg.strip()] = tag.strip()
         tags = rule
-    mesh = generate_structured(args.shape, args.n, tags,
-                               width=args.width, height=args.height)
+    sizes = {key: getattr(args, key) for key in ("width", "height")
+             if getattr(args, key) is not None}
+    mesh = _resolve_mesh({"shape": args.shape, "n": args.n, "tags": tags,
+                          **sizes}, Path())
     Path(args.out).write_text(save_mesh(mesh), encoding="utf-8",
                               newline="\n")
     q = quality(mesh)
@@ -555,8 +560,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tags", default="N",
                    help="one tag (D/N) or segment list like "
                         "'bottom=D,right=N,top=N,left=N'")
-    p.add_argument("--width", type=float, default=1.0)
-    p.add_argument("--height", type=float, default=1.0)
+    p.add_argument("--width", type=float, help="rectangle only (default 1)")
+    p.add_argument("--height", type=float, help="rectangle only (default 1)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_mesh)
 

@@ -10,15 +10,16 @@ vertex partition (I, B) and one-step matrices built from the volume form,
 and u_B pinned to the interpolated data. With lumped mass the M_IB blocks
 vanish, so nonnegative data give strictly positive interior states when
 the interior step matrix passes ``semigroup.step_certificate`` and
--A_IB >= 0. The strong positivity check returns (Verdict, payload), the
-payload as ``verdict.json`` reports it; no verdict compares a field with
-a float floor.
+-A_IB >= 0; a state that is not finite stops the march. The strong
+positivity check returns (Verdict, payload), the payload as
+``verdict.json`` reports it; no verdict compares a field with a float
+floor.
 
 Trajectories can be audited against the space-time weak formulation: for
 test functions vanishing at the time endpoints and on the boundary, the
 pairing of u against (time derivative minus adjoint operator) of the test
 function must vanish in the limit; its discrete residual is the
-verification quantity.
+verification quantity, NaN where any test function's term is.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .assembly import CoefficientSet, MMatrixCertificate, Verdict, \
     assemble_volume, mass_matrix, offdiag_max
 from .mesh import TriMesh
 from .semigroup import EvolutionConfig, step_certificate, step_matrices
-from .spectral import factorize
+from .spectral import SolverError, factorize
 
 COMPATIBILITY_TOL = 1e-10
 
@@ -128,8 +129,9 @@ def solve_mild(mesh: TriMesh, coeffs: CoefficientSet, u0: np.ndarray,
     Assembles, factorizes and certifies the interior step matrix once; the
     march itself runs each time the solution's states are read. Boundary
     tags are not consulted: this problem pins every boundary vertex.
-    Raises on initial data incompatible with phi(0); whether positivity
-    conclusions apply is ``strong_positivity_check``'s call.
+    Raises on initial data incompatible with phi(0), the march SolverError
+    on a state that is not finite; whether positivity conclusions apply is
+    ``strong_positivity_check``'s call.
     """
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != (mesh.n_vertices,):
@@ -172,6 +174,8 @@ def solve_mild(mesh: TriMesh, coeffs: CoefficientSet, u0: np.ndarray,
             nxt = np.empty(mesh.n_vertices)
             nxt[interior] = lu.solve(rhs_II @ u[interior]
                                      + rhs_IB @ u[boundary] - lhs_IB @ g_new)
+            if not np.isfinite(nxt[interior]).all():
+                raise SolverError(f"the state at step {k} is not finite")
             nxt[boundary] = g_new
             u = nxt
             yield u
@@ -339,7 +343,7 @@ class WeakResidual:
     """The discrete space-time weak-form residual a state at a time: the
     bank is checked and its spatial profiles projected once, then each
     state adds its pairings with them (``add``, every step in order), and
-    ``value`` is the max over the bank of
+    ``value`` is the max over the bank (NaN if any term is) of
 
         r(psi) = sum_k w_k * ( u_k . M_L psi'(t_k) - u_k . A^T psi(t_k) )
 
@@ -379,13 +383,12 @@ class WeakResidual:
         weights = np.full(len(times), dt)
         weights[0] = weights[-1] = 0.5 * dt
         m = len(self.bank)
-        worst = 0.0
-        for psi, time_term, space_term in zip(
-                self.bank, self.pairings[:m], self.pairings[m:]):
-            r = float(np.sum(weights * (time_term * psi.dwindow(times)
-                                        - space_term * psi.window(times))))
-            worst = max(worst, abs(r))
-        return worst
+        # np.max, not max(): a NaN term makes the residual NaN
+        return float(np.max([abs(np.sum(weights * (
+            time_term * psi.dwindow(times) - space_term * psi.window(times))))
+            for psi, time_term, space_term in zip(
+                self.bank, self.pairings[:m], self.pairings[m:])],
+            initial=0.0))
 
 
 def very_weak_residual(sol: MildSolution, test_bank) -> float:

@@ -17,10 +17,10 @@ one step loop, forward or adjoint: it factorizes the step once per
 operator and (scheme, dt, mass), by ``spectral.factorize``, and serves
 ``kernel``, the certificate's witness and the ``perronfem evolve`` and
 ``perronfem kernel`` commands, which keep one state at a time. No
-trajectory is stacked. ``kernel`` applies K(t) or K(t)^T to a block of
-columns. The checks take dof-space arrays and name vertices only in what
-they report; only the ``perronfem kernel`` dump spreads onto the vertices.
-Both checks return (Verdict, payload), the payload as it is reported: the
+trajectory is stacked, and a state that is not finite stops the march.
+``kernel`` applies K(t) or K(t)^T to a block of columns. The checks take
+dof-space arrays and name vertices only in what they report; only the
+``perronfem kernel`` dump spreads onto the vertices. Both checks return (Verdict, payload), the payload as it is reported: the
 certificate's reason alone when it does not hold.
 """
 
@@ -105,8 +105,8 @@ def march(op: DiscreteOperator, cfg: EvolutionConfig, u: np.ndarray,
     scheme through the same factor. SuperLU treats each column of a block
     exactly as it treats a single vector, so a block march is bitwise
     equal to column marches. The step is factorized once per operator and
-    (scheme, dt, mass); a failed factorization or solve raises
-    SolverError."""
+    (scheme, dt, mass); a failed factorization or solve, or a state that
+    is not finite (lambda1 < 0 grows it), raises SolverError at its step."""
     def factor():
         lhs, rhs = step_matrices(
             op.stiffness, mass_matrix(cfg.mass, op.mass, op.mass_lumped),
@@ -121,6 +121,8 @@ def march(op: DiscreteOperator, cfg: EvolutionConfig, u: np.ndarray,
         except RuntimeError as exc:
             raise SolverError(f"linear solve failed at step {k}: {exc}") \
                 from exc
+        if not np.isfinite(u).all():
+            raise SolverError(f"the state at step {k} is not finite")
         yield u
 
 

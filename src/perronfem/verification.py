@@ -2,8 +2,9 @@
 
 Each registry entry is data: a label, a human-readable statement, and the
 module call that produces a verdict plus a certificate payload; a
-positivity certificate returns that pair itself, and its check adds only
-what the problem knows (the eigenvalue, the horizon). Suites therefore
+positivity certificate and the complex-Robin bound return that pair
+themselves, and a check adds only what the problem knows (the
+eigenvalue, the horizon, the solver tolerance). Suites therefore
 map one-to-one onto the checks they run, and reports replay
 byte-identically for a fixed config (timings are reported in the text
 rendering only, never in the JSON).
@@ -254,16 +255,11 @@ def _check_chapman_kolmogorov(p: Problem):
 def _check_complex_robin(p: Problem):
     if p.mode is not BoundaryMode.COMPLEX_ROBIN:
         return Verdict.NOT_APPLICABLE, {"reason": "mode is not complex Robin"}
-    beta = np.asarray(p.coeffs.beta, dtype=complex)
-    if np.all(beta.imag == 0):
+    if not p.op.is_complex:
         return Verdict.NOT_APPLICABLE, {
             "reason": "imaginary part of beta vanishes; strictness "
                       "hypothesis unmet"}
-    bound = complex_robin_bound(p.op)
-    return (Verdict.PASS if bound.strict else Verdict.FAIL,
-            {"re_min_complex": bound.re_min_complex,
-             "min_real_part_problem": bound.min_real_part_problem,
-             "margin": bound.margin})
+    return complex_robin_bound(p.op, p.solver_tol)
 
 
 def _check_lattice_oracle(p: Problem):

@@ -97,18 +97,18 @@ def test_criterion_3_mixed_boundary_positivity():
 
 def test_criterion_4_complex_robin_bound():
     mesh = generate_structured("unit_square", 16, "flux")
-    strict = complex_robin_bound(assemble(
+    verdict, strict = complex_robin_bound(assemble(
         mesh, CoefficientSet.constant(mesh, beta=1.0 + 1.0j),
         BoundaryMode.COMPLEX_ROBIN))
-    assert strict.strict
-    assert strict.margin > 1e-6
+    assert verdict is Verdict.PASS
+    assert strict["margin"] > 1e-6
 
-    degenerate = complex_robin_bound(assemble(
+    _, degenerate = complex_robin_bound(assemble(
         mesh, CoefficientSet.constant(mesh, beta=1.0 + 0.0j),
         BoundaryMode.COMPLEX_ROBIN))
-    assert abs(degenerate.margin) <= 1e-10
-    report(4, f"complex Robin margin {strict.margin:.4f} > 1e-6; real beta "
-              f"margin {degenerate.margin:.2e} within 1e-10")
+    assert abs(degenerate["margin"]) <= 1e-10
+    report(4, f"complex Robin margin {strict['margin']:.4f} > 1e-6; real "
+              f"beta margin {degenerate['margin']:.2e} within 1e-10")
 
 
 def test_criterion_5_positivity_improving_exhaustive():

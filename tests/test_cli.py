@@ -312,6 +312,24 @@ def test_cli_mesh_roundtrip(tmp_path, capsys):
     assert "nonobtuse=True" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--shape", "l_shape", "--width", "7"],
+     "mesh: width applies only to the rectangle shape, not l_shape"),
+    (["--height", "2"],
+     "mesh: height applies only to the rectangle shape, not unit_square"),
+])
+def test_cli_mesh_takes_sizes_only_for_a_rectangle(tmp_path, capsys, flags,
+                                                   message):
+    out = tmp_path / "mesh.txt"
+    assert main(["mesh", *flags, "--out", str(out)]) == 2
+    _assert_one_error_line(capsys, message)
+    assert not out.exists()
+    assert main(["mesh", "--shape", "rectangle", "--width", "2", "--n", "2",
+                 "--out", str(out)]) == 0
+    assert load_mesh(out.read_text(encoding="utf-8")).vertices[:, 0].max() \
+        == 2.0
+
+
 def test_cli_eig_outputs(tmp_path):
     cfg = dict(ROBIN_PROBLEM)
     cfg["output_dir"] = "out"
@@ -1197,6 +1215,14 @@ def test_cli_field_without_a_finite_value_is_an_error(tmp_path, capsys,
     ("verify", {"seed": 0}, "config: unknown key(s) ['seed']"),
     # eig always writes its CSV and SVG, so it takes no switch for them
     ("eig", {"emit_csv": False}, "config: unknown key(s) ['emit_csv']"),
+    # sizes the generator ignores: each built the fixed-size shape
+    ("eig", {"mesh": {"shape": "unit_square", "width": 5, "height": 0.01}},
+     "mesh: width applies only to the rectangle shape, not unit_square"),
+    ("verify", {"mesh": {"n": 4, "tags": "N", "height": 2.0}},
+     "mesh: height applies only to the rectangle shape, not unit_square"),
+    ("parabolic", {"mesh": {"shape": "l_shape", "n": 2, "tags": "D",
+                            "width": 7}},
+     "mesh: width applies only to the rectangle shape, not l_shape"),
 ])
 def test_cli_malformed_section_is_an_error(tmp_path, capsys, command,
                                            section, message):
@@ -1365,6 +1391,63 @@ boundary 8
 2 3 D
 3 0 D
 """
+
+
+# the Dirichlet square at n = 4 with c0 = -40: the step certificate holds,
+# but lambda1 < 0, so every step grows the state about 2.9-fold and the
+# default dt (1/32) leaves the float range near step 650 of t = 25's 800
+GROWING_PROBLEM = {
+    "mesh": {"shape": "unit_square", "n": 4, "tags": "D"},
+    "coefficients": {"mode": "dirichlet", "c0": -40},
+    "output_dir": "out",
+}
+
+
+@pytest.mark.parametrize("command, section", [
+    ("kernel", {"evolution": {"t_end": 25}}),
+    ("evolve", {"evolution": {"t_end": 25}, "u0": "1"}),
+    ("parabolic", {"u0": "1e300", "phi": {"constant": 1e300}}),
+])
+def test_cli_a_march_out_of_the_float_range_is_an_error(tmp_path, capsys,
+                                                        command, section):
+    # kernel and verify ended in an AssertionError on a NaN entry; evolve
+    # and parabolic wrote NaN rows, and parabolic a strong positivity pass
+    path = write_config(tmp_path / "c.json", {**GROWING_PROBLEM, **section})
+    assert main([command, "--config", path]) == 2
+    _assert_one_error_line(capsys, "the state at step", "is not finite")
+    if command != "kernel":
+        # the rows before the failing step stay, and none is NaN
+        text = (tmp_path / "out" / "trajectory.csv").read_text()
+        assert "nan" not in text and 2 < text.count("\n") < 802
+        assert not (tmp_path / "out" / "verdict.json").exists()
+
+
+def test_cli_verify_fails_a_march_out_of_the_float_range(tmp_path, capsys):
+    path = write_config(tmp_path / "c.json",
+                        {**GROWING_PROBLEM, "evolution": {"t_end": 25}})
+    assert main(["verify", "--config", path]) == 1
+    results = {r["label"]: r for r in json.loads(
+        (tmp_path / "out" / "verification_report.json").read_text())[
+            "results"]}
+    for label in ("positivity-improving", "kernel-positivity",
+                  "kernel-symmetry", "chapman-kolmogorov"):
+        assert results[label]["verdict"] == "fail"
+        assert results[label]["payload"]["reason"] == "solver failure"
+        assert "is not finite" in results[label]["payload"]["error"]
+    capsys.readouterr()
+
+
+def test_cli_parabolic_weak_residual_keeps_a_nan_term(tmp_path, capsys):
+    # the states stay finite, but 14 of the 20 bank terms overflow to NaN;
+    # the residual was 1.952e+292, the largest of the other six
+    path = write_config(tmp_path / "c.json", {
+        **GROWING_PROBLEM, "coefficients": {"mode": "dirichlet"},
+        "u0": "1e308", "phi": {"constant": 1e308}})
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["parabolic", "--config", path]) == 0
+    verdict = json.loads((tmp_path / "out" / "verdict.json").read_text())
+    assert verdict["very_weak_residual"] == "nan"
+    assert "weak residual nan" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("scheme, reason", [
@@ -1599,6 +1682,30 @@ def test_complex_verify_runs_one_arnoldi_solve(tmp_path, monkeypatch):
     # principal-positivity, spectral-gap and the complex Robin bound share
     # one certified solve: two pairs and two guards, no dense spectrum
     assert calls == {"eig": [], "eigs": [4]}
+
+
+def test_complex_verify_at_the_suite_tol_runs_one_arnoldi_solve(
+        tmp_path, monkeypatch):
+    # the complex Robin bound solves at solver.tol, so it reads the
+    # spectral-gap solve instead of running Arnoldi again at 1e-10
+    import scipy.sparse.linalg
+    tols = []
+    eigs = scipy.sparse.linalg.eigs
+    monkeypatch.setattr(
+        scipy.sparse.linalg, "eigs",
+        lambda *a, **kw: tols.append(kw["tol"]) or eigs(*a, **kw))
+    path = write_config(tmp_path / "c.json", {
+        "mesh": {"shape": "unit_square", "n": 20, "tags": "N"},
+        "coefficients": {"beta": {"re": 1.3, "im": 0.9},
+                         "mode": "complex_robin"},
+        "solver": {"tol": 1e-8}, "output_dir": "out"})
+    assert main(["verify", "--config", path]) == 0
+    assert tols == [1e-8]
+    results = json.loads((tmp_path / "out" / "verification_report.json")
+                         .read_text(encoding="utf-8"))["results"]
+    (bound,) = [r for r in results
+                if r["label"] == "complex-robin-strict-bound"]
+    assert bound["verdict"] == "pass"
 
 
 def test_verify_factorizes_each_pencil_once(monkeypatch):

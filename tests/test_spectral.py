@@ -270,20 +270,20 @@ def test_spectral_gap_non_hermitian_sorted(robin_mesh8):
 
 def test_complex_robin_real_beta_margin_zero(robin_mesh8):
     coeffs = CoefficientSet.constant(robin_mesh8, beta=1.0 + 0.0j)
-    bound = complex_robin_bound(
+    verdict, bound = complex_robin_bound(
         assemble(robin_mesh8, coeffs, BoundaryMode.COMPLEX_ROBIN))
-    assert not bound.strict
-    assert abs(bound.margin) <= 1e-10
+    assert verdict is not Verdict.PASS
+    assert abs(bound["margin"]) <= 1e-10
 
 
 def test_complex_robin_strict_bound():
     mesh = generate_structured("unit_square", 16, "flux")
     coeffs = CoefficientSet.constant(mesh, beta=1.0 + 1.0j)
-    bound = complex_robin_bound(
+    verdict, bound = complex_robin_bound(
         assemble(mesh, coeffs, BoundaryMode.COMPLEX_ROBIN))
-    assert bound.strict
-    assert bound.margin > 0
-    assert bound.re_min_complex > bound.min_real_part_problem
+    assert verdict is Verdict.PASS
+    assert bound["margin"] > 0
+    assert bound["re_min_complex"] > bound["min_real_part_problem"]
 
 
 def test_complex_robin_margin_decreases_with_imaginary_part(robin_mesh8):
@@ -291,8 +291,39 @@ def test_complex_robin_margin_decreases_with_imaginary_part(robin_mesh8):
     for gamma in (0.5, 0.25, 0.125):
         coeffs = CoefficientSet.constant(robin_mesh8, beta=1.0 + 1j * gamma)
         op = assemble(robin_mesh8, coeffs, BoundaryMode.COMPLEX_ROBIN)
-        margins.append(complex_robin_bound(op).margin)
+        margins.append(complex_robin_bound(op)[1]["margin"])
     assert margins[0] > margins[1] > margins[2] > 0
+
+
+@pytest.mark.parametrize("real_part", ["per_edge", "zero"])
+def test_complex_robin_real_part_operator_is_the_assembled_one(
+        robin_mesh8, monkeypatch, real_part):
+    # the bound reads its real-part problem off the complex operator; it is
+    # bit for bit the operator that assembly builds from real beta
+    import perronfem.spectral as spectral
+    rng = np.random.default_rng(3)
+    nb = len(robin_mesh8.boundary_edges)
+    beta = (rng.uniform(0.5, 2.0, nb) if real_part == "per_edge" else 0.0) \
+        + 1j * rng.uniform(-1.0, 1.0, nb)
+    solved = []
+    principal = spectral.principal_eig
+    monkeypatch.setattr(spectral, "principal_eig", lambda op, tol: (
+        solved.append(op) or principal(op, tol)))
+    complex_robin_bound(assemble(
+        robin_mesh8, CoefficientSet.constant(robin_mesh8, beta=beta),
+        BoundaryMode.COMPLEX_ROBIN))
+    derived = solved[1]
+    assembled = assemble(
+        robin_mesh8, CoefficientSet.constant(robin_mesh8, beta=beta.real),
+        BoundaryMode.ROBIN)
+    assert derived.mode is BoundaryMode.ROBIN and not derived.is_complex
+    for name in ("stiffness", "mass"):
+        a, b = getattr(derived, name), getattr(assembled, name)
+        assert a.dtype == b.dtype == float
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(a, part), getattr(b, part))
+    assert np.array_equal(derived.mass_lumped, assembled.mass_lumped)
+    assert np.array_equal(derived.coeffs.beta, beta.real)
 
 
 def test_complex_robin_eigenpair_real_part_identity(robin_mesh8):
@@ -644,10 +675,10 @@ def test_complex_robin_bound_above_the_dense_cutoff_takes_no_flag(
     reference = _dense_reference(*case, "consistent")[0].real
     calls = _counted_arnoldi(monkeypatch)
     monkeypatch.setattr(spectral.sla, "eig", None)
-    bound = complex_robin_bound(_fresh(_nonhermitian_case(*case)))
+    verdict, bound = complex_robin_bound(_fresh(_nonhermitian_case(*case)))
     assert calls == [4]
-    assert bound.strict
-    assert bound.re_min_complex == pytest.approx(reference, rel=1e-10)
+    assert verdict is Verdict.PASS
+    assert bound["re_min_complex"] == pytest.approx(reference, rel=1e-10)
 
 
 def test_complex_robin_bound_at_n38_above_the_dense_cutoff():
@@ -656,7 +687,7 @@ def test_complex_robin_bound_at_n38_above_the_dense_cutoff():
     mesh = generate_structured("unit_square", 38, "flux")
     op = assemble(mesh, CoefficientSet.constant(mesh, beta=1.0 + 1.0j),
                   BoundaryMode.COMPLEX_ROBIN)
-    assert complex_robin_bound(op).strict
+    assert complex_robin_bound(op)[0] is Verdict.PASS
 
 
 def test_complex_robin_bound_and_gap_pass_at_n64():
@@ -721,7 +752,7 @@ def test_complex_robin_bound_reads_the_suite_spectrum(robin_mesh8):
     rep = principal_eig(op)
     bound = complex_robin_bound(op)
     assert bound == complex_robin_bound(_fresh(op))
-    assert bound.re_min_complex == rep.lambda1.real
+    assert bound[1]["re_min_complex"] == rep.lambda1.real
 
 
 def test_shared_solves_are_read_only(robin_op8, robin_mesh8):

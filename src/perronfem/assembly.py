@@ -330,12 +330,14 @@ class DiscreteOperator:
 
     @cached_property
     def solver_cache(self) -> dict:
-        """Factorizations and spectra derived from this operator, filled
-        only through ``cached``: the step factorization per scheme, dt and
-        mass, the eigensolves per mass kind, k and tol, the rounding floor
-        of their residual bound, and the factor of the stiffness itself
-        that both Hermitian pencils iterate through when it is a certified
-        M-matrix (None when it is not)."""
+        """The results derived from this operator, filled only through
+        ``cached``: the stiffness's M-matrix report, the step factorization
+        and the kernel's positivity certificate per scheme, dt and mass,
+        the kernel-probe march per evolution config, the eigensolves per
+        mass kind, k and tol, the rounding floor of their residual bound,
+        and the factor of the stiffness itself that both Hermitian pencils
+        iterate through when it is a certified M-matrix (None when it is
+        not)."""
         return {}
 
     def cached(self, key, compute):

@@ -4,7 +4,8 @@ matrix-semigroup oracle, and the verification suite.
 All subcommands that take ``--config`` read a strict JSON file (unknown
 keys are rejected, paths resolve relative to the config file) and write
 deterministic outputs into the configured output directory: identical
-config reproduces identical bytes.
+config reproduces identical bytes. A command makes the directory just
+before its first write, so a rejected input or a failed solve leaves none.
 """
 
 from __future__ import annotations
@@ -198,12 +199,6 @@ def _load_inputs(args, keys) -> tuple:
             *_resolve_coefficients(cfg.get("coefficients", {}), base, mesh))
 
 
-def _out_dir(cfg: dict, base: Path) -> Path:
-    out = base / _string(cfg, "output_dir", ".", "config")
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _write_json(path: Path | None, obj) -> None:
     """obj as indented, key-sorted JSON text, to the file at path or, when
     path is None, to stdout."""
@@ -278,14 +273,16 @@ _EIG_KEYS = {"mesh", "coefficients", "solver", "output_dir", "gap_count"}
 def _cmd_eig(args) -> int:
     cfg, base, mesh, coeffs, mode = _load_inputs(args, _EIG_KEYS)
     tol = _solver_tol(cfg)
-    out = _out_dir(cfg, base)
+    k = _number(cfg, "gap_count", 2, "config", int)
+    if k < 2:
+        raise CliError(f"config: gap_count must be at least 2, got {k}")
+    out = base / _string(cfg, "output_dir", ".", "config")
 
     op = Problem(mesh=mesh, coeffs=coeffs, mode=mode).op  # corkscrew-checked
     report = principal_eig(op, tol=tol)
-    k = min(_number(cfg, "gap_count", 2, "config", int), op.n_dof)
     # one dof has one eigenvalue, and principal_eig's gap is inf
-    values = spectral_gap(op, k=k, tol=tol).values if op.n_dof > 1 \
-        else [report.lambda1]
+    values = spectral_gap(op, k=min(k, op.n_dof), tol=tol).values \
+        if op.n_dof > 1 else [report.lambda1]
     verdict, positivity = certify_positivity(report, op)
     payload = {
         "mode": mode.value,
@@ -298,6 +295,7 @@ def _cmd_eig(args) -> int:
         "positivity": {**positivity, "passed": verdict is Verdict.PASS},
     }
     full = op.expand(np.real(report.vector))
+    out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "eig_report.json", payload)
     lines = ["vertex,x,y,value"]
     for i, ((x, y), v) in enumerate(zip(mesh.vertices, full)):
@@ -316,7 +314,7 @@ _EVOLVE_KEYS = {"mesh", "coefficients", "evolution", "u0", "output_dir"}
 def _cmd_evolve(args) -> int:
     cfg, base, mesh, coeffs, mode = _load_inputs(args, _EVOLVE_KEYS)
     ecfg = _resolve_evolution(cfg.get("evolution"), mesh)
-    out = _out_dir(cfg, base)
+    out = base / _string(cfg, "output_dir", ".", "config")
 
     op = Problem(mesh=mesh, coeffs=coeffs, mode=mode).op  # corkscrew-checked
     expr = _string(cfg, "u0", "1", "config", numbers=True)
@@ -324,6 +322,7 @@ def _cmd_evolve(args) -> int:
     u0 = op.restrict(u0_full).astype(complex if op.is_complex else float)
     times = ecfg.dt * np.arange(ecfg.n_steps + 1)
     states = itertools.chain([u0], march(op, ecfg, u0, ecfg.n_steps))
+    out.mkdir(parents=True, exist_ok=True)
     final = _write_trajectory_csv(out / "trajectory.csv", times,
                                   (op.expand(u.real) for u in states))
     emit_heatmap(final, mesh, out / "final_state.svg")
@@ -340,7 +339,7 @@ def _cmd_kernel(args) -> int:
     checked in dof space, then dumped on the full vertex set with zero
     rows and columns at eliminated vertices. A complex operator (the dump
     is real) and a march whose three largest arrays would exceed
-    DENSE_KERNEL_MAX_BYTES are refused before the output directory exists."""
+    DENSE_KERNEL_MAX_BYTES are refused before the march."""
     cfg, base, mesh, coeffs, mode = _load_inputs(args, _KERNEL_KEYS)
     ecfg = _resolve_evolution(cfg.get("evolution"), mesh)
     n = replace(ecfg, t_end=ecfg.t_end if args.t is None else args.t).n_steps
@@ -354,7 +353,7 @@ def _cmd_kernel(args) -> int:
             f"kernel: the dense kernel of {op.n_dof} dofs needs about "
             f"{need / 2 ** 20:,.1f} MiB, above the "
             f"{DENSE_KERNEL_MAX_BYTES / 2 ** 20:,.1f} MiB limit")
-    out = _out_dir(cfg, base)
+    out = base / _string(cfg, "output_dir", ".", "config")
 
     # a loop, not star-unpacking, so only the last state is kept
     for K in march(op, ecfg, np.diag(1.0 / op.mass_lumped), n):
@@ -365,6 +364,7 @@ def _cmd_kernel(args) -> int:
     entries = np.zeros((mesh.n_vertices, mesh.n_vertices))
     entries[np.ix_(op.free_vertices, op.free_vertices)] = K
     del K  # the dump's bytes are a copy: hold two dense arrays, not three
+    out.mkdir(parents=True, exist_ok=True)
     write_kernel_dump(out / "kernel.bin", t, entries)
     _write_json(out / "kernel_report.json", {
         "t": t, "n": mesh.n_vertices, "verdict": verdict.value, **payload})
@@ -432,7 +432,7 @@ def _cmd_parabolic(args) -> int:
     if seed < 0:
         raise CliError(f"config: seed must be a nonnegative integer, got "
                        f"{seed}")
-    out = _out_dir(cfg, base)
+    out = base / _string(cfg, "output_dir", ".", "config")
 
     u0 = evaluate_field(_string(cfg, "u0", "0", "config", numbers=True),
                         mesh.vertices[:, 0], mesh.vertices[:, 1])
@@ -460,7 +460,7 @@ def _cmd_parabolic(args) -> int:
                     frames.append(state)
             yield from (state for _, state in block)
 
-    # every input has been validated: a rejected config leaves no output
+    out.mkdir(parents=True, exist_ok=True)
     _write_trajectory_csv(out / "trajectory.csv", times, states())
     verdict, report = positivity.report()
     weak = residual.value()
@@ -530,7 +530,7 @@ def _cmd_verify(args) -> int:
         if expect_irr is not None and not isinstance(expect_irr, bool):
             raise CliError(f"oracle: expect_irreducible must be true or "
                            f"false, got {expect_irr!r}")
-    out = _out_dir(cfg, base)
+    out = base / _string(cfg, "output_dir", ".", "config")
 
     problem = Problem(
         mesh=mesh, coeffs=coeffs, mode=mode, solver_tol=tol,
@@ -539,6 +539,7 @@ def _cmd_verify(args) -> int:
         oracle_matrix=oracle_matrix, expect_irreducible=expect_irr)
     problem.op  # an invalid problem is an error, not a suite of FAILs
     report = run_suite(problem, only=args.only)
+    out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "verification_report.json", report.to_jsonable())
     (out / "verification_report.txt").write_text(
         report.to_text(), encoding="utf-8", newline="\n")

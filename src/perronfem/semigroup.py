@@ -20,8 +20,9 @@ operator and (scheme, dt, mass), by ``spectral.factorize``, and serves
 trajectory is stacked, and a state that is not finite stops the march.
 ``kernel`` applies K(t) or K(t)^T to a block of columns. The checks take
 dof-space arrays and name vertices only in what they report; only the
-``perronfem kernel`` dump spreads onto the vertices. Both checks return (Verdict, payload), the payload as it is reported: the
-certificate's reason alone when it does not hold.
+``perronfem kernel`` dump spreads onto the vertices. Both checks return
+(Verdict, payload), the payload as it is reported: the certificate's
+reason alone when it does not hold.
 """
 
 from __future__ import annotations
@@ -173,16 +174,18 @@ def kernel_certificate(op: DiscreteOperator,
     """Structural positivity certificate of the kernel: a real operator
     whose step B = M_L + dt*A passes ``step_certificate``. B's sign scan is
     the stiffness's; its witness B^-1*1 is one step of the march, through
-    the factor it caches, from M_L^-1*1."""
-    if op.is_complex:
-        return MMatrixCertificate(False, reason="complex operator")
-    B, _ = step_matrices(op.stiffness, mass_matrix(cfg.mass, op.mass,
-                                                   op.mass_lumped),
-                         cfg.scheme, cfg.dt)
-    return step_certificate(
-        B, cfg, mmatrix_report(op).offdiag_max,
-        lambda ones: next(march(op, cfg, ones / op.mass_lumped, 1)),
-        "step matrix")
+    the factor it caches, from M_L^-1*1. Cached on the operator per
+    (scheme, dt, mass), like that factor."""
+    def certify():
+        if op.is_complex:
+            return MMatrixCertificate(False, reason="complex operator")
+        B, _ = step_matrices(op.stiffness, mass_matrix(
+            cfg.mass, op.mass, op.mass_lumped), cfg.scheme, cfg.dt)
+        return step_certificate(
+            B, cfg, mmatrix_report(op).offdiag_max,
+            lambda ones: next(march(op, cfg, ones / op.mass_lumped, 1)),
+            "step matrix")
+    return op.cached(("certificate", cfg.scheme, cfg.dt, cfg.mass), certify)
 
 
 def kernel(op: DiscreteOperator, t: float | tuple, cfg: EvolutionConfig,

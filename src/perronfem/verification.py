@@ -16,13 +16,13 @@ import math
 import time
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from . import lattice
 from .assembly import BoundaryMode, CoefficientSet, DiscreteOperator, \
-    MassKind, MMatrixCertificate, Verdict, assemble, ellipticity_check, \
-    mmatrix_report
+    MassKind, Verdict, assemble, ellipticity_check, mmatrix_report
 from .mesh import TriMesh, check_corkscrew
 from .semigroup import EvolutionConfig, default_evolution, \
     kernel, kernel_certificate, kernel_positivity_report, peripheral_pair, \
@@ -43,8 +43,7 @@ COMPOSITION_TOL = 1e-6
 FLOAT_FLOOR = np.finfo(float).tiny
 
 
-@dataclass(frozen=True)
-class KernelProbes:
+class KernelProbes(NamedTuple):
     """What the four kernel checks read, at the horizon t = t1 + t2, all
     in dof space."""
 
@@ -58,9 +57,41 @@ class KernelProbes:
     adjoint_t2: np.ndarray | None  # K(t2)^T Z; both None when n = 1
 
 
+def kernel_probes(op: DiscreteOperator, cfg: EvolutionConfig) -> KernelProbes:
+    """One forward march to t of a fixed-seed probe block Z and, when the
+    positivity certificate holds, of the point masses at the two far-apart
+    dofs of ``peripheral_pair``, kept at step 1, where the certificate's
+    claim begins, and at t1 = floor(n / 2) dt; one adjoint march of Z to
+    t2 = t - t1. O(n_dof * PROBES) memory, cached on the operator per
+    config like any derived result: read-only, and a failed march once."""
+    def probe_march():
+        t = cfg.n_steps * cfg.dt
+        n1 = cfg.n_steps // 2
+        # the kernel decays with graph distance, so the float cross-checks
+        # sample the columns of the two most distant dofs
+        columns = np.array(peripheral_pair(op) if kernel_certificate(
+            op, cfg).holds else (), dtype=np.int64)
+        m = len(columns)
+        probes = np.random.default_rng(PROBE_SEED).standard_normal(
+            (op.n_dof, PROBES))
+        block = np.zeros((op.n_dof, m + PROBES))
+        block[columns, range(m)] = 1.0
+        block[:, m:] = probes
+        times = (cfg.t_end, cfg.dt) + ((n1 * cfg.dt,) if n1 else ())
+        K1, K0, *split = kernel(op, times, cfg, block)
+        return KernelProbes(
+            t=t, columns=columns, ends=K1[:, :m], ends_at_first_step=K0[:, :m],
+            probes=probes, forward=K1[:, m:],
+            forward_t1=split[0][:, m:] if n1 else None,
+            adjoint_t2=kernel(op, t - n1 * cfg.dt, cfg, probes,
+                              adjoint=True) if n1 else None)
+    return op.cached(("kernel_probes", cfg), probe_march)
+
+
 @dataclass
 class Problem:
-    """One configured verification target."""
+    """One configured verification target: its inputs, corkscrew check and
+    operator; what derives from the operator is cached on the operator."""
 
     mesh: TriMesh
     coeffs: CoefficientSet
@@ -83,47 +114,9 @@ class Problem:
         return assemble(self.mesh, self.coeffs, self.mode,
                         corkscrew_checked=checked)
 
-    @cached_property
-    def principal(self):
-        return principal_eig(self.op, tol=self.solver_tol)
-
-    @cached_property
+    @property
     def evolution_cfg(self) -> EvolutionConfig:
         return self.evolution or default_evolution(self.mesh)
-
-    @cached_property
-    def certificate(self) -> MMatrixCertificate:
-        """The one structural certificate of both positivity checks."""
-        return kernel_certificate(self.op, self.evolution_cfg)
-
-    @cached_property
-    def kernel_probes(self) -> KernelProbes:
-        """One forward march to t of a fixed-seed probe block Z and, when
-        the positivity certificate holds, of the point masses at the two
-        far-apart dofs of ``peripheral_pair``, kept at step 1, where the
-        certificate's claim begins, and at t1 = floor(n / 2) dt; one adjoint
-        march of Z to t2 = t - t1. O(n_dof * PROBES) memory."""
-        op, cfg = self.op, self.evolution_cfg
-        t = cfg.n_steps * cfg.dt
-        n1 = cfg.n_steps // 2
-        # the kernel decays with graph distance, so the float cross-checks
-        # sample the columns of the two most distant dofs
-        columns = np.array(peripheral_pair(op) if self.certificate.holds
-                           else (), dtype=np.int64)
-        m = len(columns)
-        probes = np.random.default_rng(PROBE_SEED).standard_normal(
-            (op.n_dof, PROBES))
-        block = np.zeros((op.n_dof, m + PROBES))
-        block[columns, range(m)] = 1.0
-        block[:, m:] = probes
-        times = (cfg.t_end, cfg.dt) + ((n1 * cfg.dt,) if n1 else ())
-        K1, K0, *split = kernel(op, times, cfg, block)
-        return KernelProbes(
-            t=t, columns=columns, ends=K1[:, :m], ends_at_first_step=K0[:, :m],
-            probes=probes, forward=K1[:, m:],
-            forward_t1=split[0][:, m:] if n1 else None,
-            adjoint_t2=kernel(op, t - n1 * cfg.dt, cfg, probes,
-                              adjoint=True) if n1 else None)
 
 
 # ---------------------------------------------------------------------------
@@ -155,11 +148,11 @@ def _check_corkscrew(p: Problem):
 def _check_principal_positivity(p: Problem):
     # a non-Hermitian operator is outside the certificate: solve nothing
     hermitian = p.op.is_hermitian and not p.op.is_complex
-    verdict, payload = certify_positivity(
-        p.principal if hermitian else None, p.op)
+    principal = principal_eig(p.op, p.solver_tol) if hermitian else None
+    verdict, payload = certify_positivity(principal, p.op)
     if verdict is not Verdict.NOT_APPLICABLE:
-        payload.update(lambda1=p.principal.lambda1.real,
-                       residual=p.principal.residual)
+        payload.update(lambda1=principal.lambda1.real,
+                       residual=principal.residual)
     return verdict, payload
 
 
@@ -167,7 +160,7 @@ def _check_trace_zero(p: Problem):
     constrained = p.op.constrained_vertices
     if not constrained.size:
         return Verdict.NOT_APPLICABLE, {"reason": "no constrained nodes"}
-    full = p.op.expand(p.principal.vector)
+    full = p.op.expand(principal_eig(p.op, p.solver_tol).vector)
     exact = bool(np.all(full[constrained] == 0.0))
     return (Verdict.PASS if exact else Verdict.FAIL,
             {"constrained_nodes": int(constrained.size)})
@@ -202,21 +195,22 @@ def _check_spectral_gap(p: Problem):
 
 
 def _check_positivity_improving(p: Problem):
+    cert = kernel_certificate(p.op, p.evolution_cfg)
     # an unmet hypothesis needs no march
-    k = p.kernel_probes if p.certificate.holds else None
-    return positivity_improving_check(p.op, p.certificate, *(
+    k = kernel_probes(p.op, p.evolution_cfg) if cert.holds else None
+    return positivity_improving_check(p.op, cert, *(
         (k.columns, (k.ends_at_first_step, k.ends)) if k else ()))
 
 
 def _check_kernel_positivity(p: Problem):
-    if not p.certificate.holds:  # an unmet hypothesis needs no march
-        return Verdict.NOT_APPLICABLE, {"reason": p.certificate.reason}
-    k = p.kernel_probes
+    cert = kernel_certificate(p.op, p.evolution_cfg)
+    if not cert.holds:  # an unmet hypothesis needs no march
+        return Verdict.NOT_APPLICABLE, {"reason": cert.reason}
+    k = kernel_probes(p.op, p.evolution_cfg)
     # min_entry and witness are over the sampled columns only
-    verdict, payload = kernel_positivity_report(p.op, p.certificate,
-                                                k.columns, k.ends)
+    verdict, payload = kernel_positivity_report(p.op, cert, k.columns, k.ends)
     payload.update(t=k.t, columns=p.op.free_vertices[k.columns].tolist(),
-                   min_row_sum=p.certificate.min_row_sum)
+                   min_row_sum=cert.min_row_sum)
     return verdict, payload
 
 
@@ -227,7 +221,7 @@ def _check_kernel_symmetry(p: Problem):
         # K(t) = S^n M_L^-1 is symmetric only when S is built on M_L too
         return Verdict.NOT_APPLICABLE, {
             "reason": "the kernel is symmetric only under lumped mass"}
-    k = p.kernel_probes
+    k = kernel_probes(p.op, p.evolution_cfg)
     sampled = k.probes.T @ k.forward        # Z^T K(t) Z
     dev = float(np.abs(sampled - sampled.T).max())
     ok = dev <= max(SYMMETRY_TOL * np.abs(sampled).max(), FLOAT_FLOOR)
@@ -238,7 +232,7 @@ def _check_kernel_symmetry(p: Problem):
 def _check_chapman_kolmogorov(p: Problem):
     if p.op.is_complex:
         return Verdict.NOT_APPLICABLE, {"reason": "complex operator"}
-    k = p.kernel_probes
+    k = kernel_probes(p.op, p.evolution_cfg)
     if k.forward_t1 is None:
         return Verdict.NOT_APPLICABLE, {
             "reason": "a one-step horizon has no split"}

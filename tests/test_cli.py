@@ -1222,7 +1222,12 @@ def test_cli_field_without_a_finite_value_is_an_error(tmp_path, capsys,
      "mesh: height applies only to the rectangle shape, not unit_square"),
     ("parabolic", {"mesh": {"shape": "l_shape", "n": 2, "tags": "D",
                             "width": 7}},
-     "mesh: width applies only to the rectangle shape, not l_shape"),
+     "mesh: width applies only to the rectangle shape, not l_shape"),    # eig solved, made its output directory, then printed "k must be at
+    # least 2"
+    ("eig", {"gap_count": 1}, "config: gap_count must be at least 2, got 1"),
+    ("eig", {"gap_count": 0}, "config: gap_count must be at least 2, got 0"),
+    ("eig", {"gap_count": -3},
+     "config: gap_count must be at least 2, got -3"),
 ])
 def test_cli_malformed_section_is_an_error(tmp_path, capsys, command,
                                            section, message):
@@ -1435,6 +1440,73 @@ def test_cli_verify_fails_a_march_out_of_the_float_range(tmp_path, capsys):
         assert results[label]["payload"]["reason"] == "solver failure"
         assert "is not finite" in results[label]["payload"]["error"]
     capsys.readouterr()
+
+
+MARCH_LABELS = ("positivity-improving", "kernel-positivity",
+                "kernel-symmetry", "chapman-kolmogorov")
+
+
+def test_cli_verify_runs_a_failed_probe_march_once(tmp_path, monkeypatch,
+                                                   capsys):
+    # the march was a cached_property, which keeps no raised error, so
+    # each of the four checks that read it marched again to step 649
+    import perronfem.verification as verification
+    calls = []
+    kernel = verification.kernel
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(verification, "kernel", counted)
+    path = write_config(tmp_path / "c.json",
+                        {**GROWING_PROBLEM, "evolution": {"t_end": 25}})
+    assert main(["verify", "--config", path]) == 1
+    assert len(calls) == 1
+    results = {r["label"]: r for r in json.loads(
+        (tmp_path / "out" / "verification_report.json").read_text())[
+            "results"]}
+    errors = {results[label]["payload"]["error"] for label in MARCH_LABELS}
+    assert len(errors) == 1 and "is not finite" in errors.pop()
+    for label in MARCH_LABELS:
+        assert results[label]["verdict"] == "fail"
+        assert results[label]["payload"]["reason"] == "solver failure"
+        assert main(["verify", "--config", path, "--only", label]) == 1
+        (only,) = json.loads((tmp_path / "out" / "verification_report.json"
+                              ).read_text())["results"]
+        assert only == results[label]
+    capsys.readouterr()
+
+
+def test_kernel_probes_are_read_only():
+    from perronfem.verification import kernel_probes
+    problem = make_problem("robin")
+    probes = kernel_probes(problem.op, problem.evolution_cfg)
+    assert probes is kernel_probes(problem.op, problem.evolution_cfg)
+    arrays = [a for a in probes if isinstance(a, np.ndarray)]
+    assert len(arrays) == 7
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0.0
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("evolve", {**ROBIN_PROBLEM, "u0": "1/0"}),
+    ("parabolic", {**PARABOLIC_PROBLEM, "u0": "1", "phi": 0}),
+    # a square with no Dirichlet edge: assembly refuses mode dirichlet
+    ("verify", {"mesh": {"shape": "unit_square", "n": 4, "tags": "N"},
+                "coefficients": {"mode": "dirichlet"}}),
+    ("eig", {"mesh": {"shape": "unit_square", "n": 4, "tags": "N"},
+             "coefficients": {"mode": "dirichlet"}}),
+    ("kernel", {**GROWING_PROBLEM, "evolution": {"t_end": 25}}),
+])
+def test_cli_a_rejected_input_or_failed_solve_leaves_no_output_dir(
+        tmp_path, capsys, command, cfg):
+    # each made an empty out/ before it computed anything
+    path = write_config(tmp_path / "c.json", {**cfg, "output_dir": "out"})
+    assert main([command, "--config", path]) == 2
+    _assert_one_error_line(capsys)
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_parabolic_weak_residual_keeps_a_nan_term(tmp_path, capsys):

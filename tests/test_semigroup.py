@@ -144,10 +144,11 @@ def _suite_problem(op, cfg):
 
 def _positivity_improving(op, cfg):
     """positivity_improving_check on the columns the suite marches."""
-    problem = _suite_problem(op, cfg)
-    k = problem.kernel_probes
-    return positivity_improving_check(op, problem.certificate, k.columns,
-                                      (k.ends_at_first_step, k.ends))
+    from perronfem.verification import kernel_probes
+    k = kernel_probes(op, cfg)
+    return positivity_improving_check(
+        op, kernel_certificate(op, cfg), k.columns,
+        (k.ends_at_first_step, k.ends))
 
 
 def test_positivity_improving_robin_corner(robin_op8):
@@ -241,21 +242,22 @@ def test_positivity_improving_passes_at_a_small_dt():
 
 
 def test_positivity_check_raises_on_a_nonpositive_indicator(robin_op8):
+    from perronfem.verification import kernel_probes
     cfg = lumped_cfg(robin_op8.mesh)
-    problem = _suite_problem(robin_op8, cfg)
-    k = problem.kernel_probes
+    k = kernel_probes(robin_op8, cfg)
+    certificate = kernel_certificate(robin_op8, cfg)
     for bad in (-1e-300, math.nan):
         first = k.ends_at_first_step.copy()
         first[40, 1] = bad
         with pytest.raises(AssertionError,
                            match="under a holding positivity"):
-            positivity_improving_check(robin_op8, problem.certificate,
+            positivity_improving_check(robin_op8, certificate,
                                        k.columns, (first, k.ends))
     # an exact 0.0 is a positive indicator value lost to float underflow
     first = k.ends_at_first_step.copy()
     first[40, 1] = 0.0
     verdict, rep = positivity_improving_check(
-        robin_op8, problem.certificate, k.columns, (first, k.ends))
+        robin_op8, certificate, k.columns, (first, k.ends))
     assert verdict is Verdict.PASS
     assert rep["min_at_first_step"] == 0.0 and rep["underflow"]
 
@@ -752,27 +754,31 @@ def test_probe_columns_are_the_dense_kernel_columns():
             <= 1e-12 * np.abs(reference).max()
 
 
+def _probes(problem):
+    from perronfem.verification import kernel_probes
+    return kernel_probes(problem.op, problem.evolution_cfg)
+
+
 def _probed_problem(monkeypatch, op, probes, seed):
     """A suite problem on op whose kernel checks read ``probes`` columns
-    drawn with ``seed``, marched at once."""
+    drawn with ``seed``, marched at once into op's cache, so op must be
+    marched for no other probe block."""
     import perronfem.verification as verification
     monkeypatch.setattr(verification, "PROBES", probes)
     monkeypatch.setattr(verification, "PROBE_SEED", seed)
     problem = _suite_problem(op, None)
-    problem.kernel_probes  # noqa: B018 -- march while the patch holds
+    _probes(problem)  # march while the patch holds
     return problem
 
 
 def _verdict_with(problem, check, **fields):
     """The check's verdict on the marched probe block with ``fields``
-    replaced, then the block restored."""
-    from dataclasses import replace
-    marched = problem.kernel_probes
-    problem.kernel_probes = replace(marched, **fields)
-    try:
+    replaced; the cached block is left as it is."""
+    import perronfem.verification as verification
+    marched = _probes(problem)._replace(**fields)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verification, "kernel_probes", lambda op, cfg: marched)
         return check(problem)[0]
-    finally:
-        problem.kernel_probes = marched
 
 
 def test_four_probes_catch_every_defect_sixteen_catch(monkeypatch):
@@ -786,15 +792,17 @@ def test_four_probes_catch_every_defect_sixteen_catch(monkeypatch):
     locations = [(0, 1), (0, op.n_dof - 1), (10, 30), (24, 25), (7, 7)]
     for seed in range(3):
         with monkeypatch.context() as patch:
-            blocks = {probes: _probed_problem(patch, op, probes, seed)
-                      for probes in (16, 4)}
-        k16 = blocks[16].kernel_probes
+            # one operator per probe block: each caches its own march
+            blocks = {probes: _probed_problem(
+                patch, _certificate_case("robin", 6), probes, seed)
+                for probes in (16, 4)}
+        k16 = _probes(blocks[16])
         scale = float(np.abs(k16.probes.T @ k16.forward).max())
         eps_sym = 10 * verification.SYMMETRY_TOL * scale
         eps_ck = 10 * verification.COMPOSITION_TOL * scale
         caught = {}
         for probes, problem in blocks.items():
-            k = problem.kernel_probes
+            k = _probes(problem)
             assert _verdict_with(problem, verification._check_kernel_symmetry
                                  ) is Verdict.PASS
             assert _verdict_with(
@@ -826,7 +834,7 @@ def test_kernel_identity_checks_scale_with_a_decayed_kernel():
     mesh = generate_structured("unit_square", 6, "D")
     op = assemble(mesh, CoefficientSet.constant(mesh), BoundaryMode.DIRICHLET)
     problem = _suite_problem(op, None)
-    k = problem.kernel_probes
+    k = _probes(problem)
     scale = float(np.abs(k.probes.T @ k.forward).max())
     assert scale < 1e-6
     antisymmetric = np.zeros_like(k.probes)
@@ -849,7 +857,7 @@ def test_kernel_identity_checks_pass_a_kernel_decayed_into_subnormals():
     mesh = generate_structured("unit_square", 6, "D")
     op = assemble(mesh, CoefficientSet.constant(mesh), BoundaryMode.DIRICHLET)
     problem = _suite_problem(op, EvolutionConfig(dt=0.01, t_end=41.5))
-    k = problem.kernel_probes
+    k = _probes(problem)
     assert 0 < np.abs(k.probes.T @ k.forward).max() < np.finfo(float).tiny
     for check in (verification._check_kernel_symmetry,
                   verification._check_chapman_kolmogorov):

@@ -17,7 +17,6 @@ from .assembly import (
     Verdict,
     assemble,
     ellipticity_check,
-    mmatrix_report,
 )
 from .lattice import (
     MetzlerGenerator,
@@ -55,6 +54,7 @@ from .spectral import (
     PerronPair,
     certify_positivity,
     complex_robin_bound,
+    mmatrix_report,
     perron_pair,
     principal_eig,
     spectral_gap,

@@ -324,20 +324,22 @@ class DiscreteOperator:
 
     @cached_property
     def is_hermitian(self) -> bool:
-        d = self.stiffness - self.stiffness.getH()
-        scale = max(1.0, abs(self.stiffness).max())
-        return bool(abs(d).max() <= 1e-12 * scale) if d.nnz else True
+        """Whether the stiffness is real and symmetric, to 1e-12 of
+        max(1, its largest entry); a complex stiffness never is."""
+        A = self.stiffness
+        return not self.is_complex and bool(
+            abs(A - A.T).max() <= 1e-12 * max(1.0, abs(A).max()))
 
     @cached_property
     def solver_cache(self) -> dict:
         """The results derived from this operator, filled only through
-        ``cached``: the stiffness's M-matrix report, the step factorization
-        and the kernel's positivity certificate per scheme, dt and mass,
-        the kernel-probe march per evolution config, the eigensolves per
-        mass kind, k and tol, the rounding floor of their residual bound,
-        and the factor of the stiffness itself that both Hermitian pencils
-        iterate through when it is a certified M-matrix (None when it is
-        not)."""
+        ``cached``: the stiffness's sign scan and M-matrix certificate,
+        the factor of the stiffness itself (its witness A^-1*1, and the
+        factor both Hermitian pencils iterate through at shift 0; kept
+        only while the certificate holds), the step factorization and the
+        kernel's positivity certificate per scheme, dt and mass, the
+        kernel-probe march per evolution config, the eigensolves per mass
+        kind, k and tol, and the rounding floor of their residual bound."""
         return {}
 
     def cached(self, key, compute):
@@ -469,6 +471,12 @@ def offdiag_max(Z: sp.spmatrix, rows=slice(None)) -> float:
     return 0.0 if largest <= 0.0 else largest
 
 
+def sign_scan(op: DiscreteOperator) -> float:
+    """``offdiag_max`` of the stiffness, once per operator: whether the
+    discrete positivity certificates can apply at all."""
+    return op.cached("sign_scan", lambda: offdiag_max(op.stiffness))
+
+
 def offdiagonal_pattern(matrix: sp.spmatrix) -> sp.csr_matrix:
     """Unit entries at a square matrix's nonzero off-diagonal entries."""
     Z, keep = _offdiagonal_entries(matrix)
@@ -511,10 +519,6 @@ class MMatrixCertificate:
     min_row_sum: float = math.nan   # min(Z*1); w = 1 is a witness when > 0
     reason: str = ""
 
-    @property
-    def is_m_compatible(self) -> bool:
-        return self.offdiag_max <= 0.0
-
 
 def mmatrix_certificate(Z: sp.spmatrix, name: str, scan=None,
                         inverse_ones=None) -> MMatrixCertificate:
@@ -550,16 +554,6 @@ def mmatrix_certificate(Z: sp.spmatrix, name: str, scan=None,
     return MMatrixCertificate(
         holds, scan, True, min_row_sum, reason="" if holds else
         f"{name} has a row sum <= 0 and no witness w > 0 with {name}*w > 0")
-
-
-def mmatrix_report(op: DiscreteOperator) -> MMatrixCertificate:
-    """``mmatrix_certificate`` of a real operator's stiffness, once per
-    operator and shared by every caller; its sign scan decides whether the
-    discrete positivity certificates can apply at all."""
-    if op.is_complex:
-        raise AssemblyError("M-matrix report requires a real operator")
-    return op.cached("mmatrix", lambda: mmatrix_certificate(op.stiffness,
-                                                            "stiffness"))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .assembly import AssemblyError, Verdict, coefficients_from_dict
+from .assembly import AssemblyError, BoundaryMode, MassKind, Verdict, \
+    coefficients_from_dict
 from .expressions import evaluate_field
 from .lattice import MetzlerGenerator, is_irreducible, perron_report, \
     positivity_improving_equiv
@@ -30,7 +31,7 @@ from .mesh import MeshError, generate_structured, load_mesh, quality, \
     save_mesh
 from .parabolic import BoundaryData, PositivityScan, WeakResidual, \
     make_test_bank, solve_mild
-from .semigroup import EvolutionConfig, default_evolution, \
+from .semigroup import EvolutionConfig, Scheme, default_evolution, \
     kernel_certificate, kernel_positivity_report, march
 from .spectral import SolverError, certify_positivity, principal_eig, \
     spectral_gap
@@ -109,6 +110,14 @@ def _string(spec: dict, key: str, default, context: str,
     return value
 
 
+def _choice(spec: dict, key: str, enum, context: str) -> None:
+    """spec[key], where present, must be one of the enum's values."""
+    values = [member.value for member in enum]
+    if key in spec and spec[key] not in values:
+        raise CliError(f"{context}: {key} must be one of {values}, got "
+                       f"{spec[key]!r}")
+
+
 def _required(spec: dict, key: str, context: str, default=None):
     """spec[key]; default when it is absent, a CliError when there is no
     default either."""
@@ -164,6 +173,7 @@ def _resolve_coefficients(spec, base: Path, mesh):
         spec = json.loads((base / spec).read_text(encoding="utf-8"))
     if not isinstance(spec, dict):
         raise CliError("coefficients: expected an object or a path string")
+    _choice(spec, "mode", BoundaryMode, "coefficients")
     try:
         return coefficients_from_dict(spec, mesh)
     except (AssemblyError, ValueError) as exc:
@@ -178,7 +188,12 @@ def _resolve_evolution(spec, mesh) -> EvolutionConfig:
     for key in ("dt", "t_end"):
         if key in spec:
             _number(spec, key, None, "evolution", finite=False)
-    return default_evolution(mesh, **spec)
+    _choice(spec, "scheme", Scheme, "evolution")
+    _choice(spec, "mass", MassKind, "evolution")
+    try:
+        return default_evolution(mesh, **spec)
+    except ValueError as exc:
+        raise CliError(f"evolution: {exc}") from None
 
 
 def _solver_tol(cfg: dict) -> float:
@@ -342,6 +357,8 @@ def _cmd_kernel(args) -> int:
     DENSE_KERNEL_MAX_BYTES are refused before the march."""
     cfg, base, mesh, coeffs, mode = _load_inputs(args, _KERNEL_KEYS)
     ecfg = _resolve_evolution(cfg.get("evolution"), mesh)
+    if args.t is not None and args.t < ecfg.dt:
+        raise CliError(f"kernel: --t must be at least dt = {ecfg.dt!r}")
     n = replace(ecfg, t_end=ecfg.t_end if args.t is None else args.t).n_steps
     op = Problem(mesh=mesh, coeffs=coeffs, mode=mode).op  # corkscrew-checked
     if op.is_complex:

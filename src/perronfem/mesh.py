@@ -288,32 +288,18 @@ def _grid_mesh(nx, ny, width, height, keep_cell):
     return verts, tris
 
 
-def _segment_of_point(shape, x, y, w, h):
-    # classify a boundary-edge midpoint; tolerances are exact for grid points
+def _edge_segments(shape, mid, w, h) -> np.ndarray:
+    """The first segment of ``_SHAPE_SEGMENTS[shape]`` that each
+    boundary-edge midpoint (a row of ``mid``) lies on, "" for none; the
+    tolerance is exact for grid points."""
     eps = 1e-12 * max(w, h, 1.0)
-    if shape in ("unit_square", "rectangle"):
-        if abs(y) <= eps:
-            return "bottom"
-        if abs(x - w) <= eps:
-            return "right"
-        if abs(y - h) <= eps:
-            return "top"
-        if abs(x) <= eps:
-            return "left"
-    else:  # l_shape on [0,2]^2 minus (1,2]x(1,2]
-        if abs(y) <= eps:
-            return "bottom"
-        if abs(x - 2.0) <= eps:
-            return "right"
-        if abs(y - 1.0) <= eps and x >= 1.0 - eps:
-            return "inner_h"
-        if abs(x - 1.0) <= eps and y >= 1.0 - eps:
-            return "inner_v"
-        if abs(y - 2.0) <= eps:
-            return "top"
-        if abs(x) <= eps:
-            return "left"
-    return None
+    x, y = mid.T
+    on = [np.abs(y) <= eps, np.abs(x - w) <= eps, np.abs(y - h) <= eps,
+          np.abs(x) <= eps]
+    if shape == "l_shape":  # [0,2]^2 minus (1,2]x(1,2]
+        on[2:2] = [(np.abs(y - 1.0) <= eps) & (x >= 1.0 - eps),
+                   (np.abs(x - 1.0) <= eps) & (y >= 1.0 - eps)]
+    return np.select(on, _SHAPE_SEGMENTS[shape], "")
 
 
 def generate_structured(shape: str, n: int, tags="flux", *,
@@ -357,15 +343,12 @@ def generate_structured(shape: str, n: int, tags="flux", *,
     table = _edge_table(tris, len(verts))
     edges, counts, _ = table
     bedges = edges[counts == 1]
-    btags = []
-    for a, b in bedges:
-        mid = 0.5 * (verts[a] + verts[b])
-        seg = _segment_of_point(shape, mid[0], mid[1], w, h)
-        if seg is None:
-            raise MeshError(f"boundary edge ({a}, {b}) not on any shape segment")
-        btags.append(rule[seg])
-
-    return TriMesh(verts, tris, bedges, tuple(btags), edge_table=table)
+    seg = _edge_segments(shape, 0.5 * verts[bedges].sum(axis=1), w, h)
+    if np.any(seg == ""):
+        a, b = bedges[np.argmax(seg == "")]
+        raise MeshError(f"boundary edge ({a}, {b}) not on any shape segment")
+    return TriMesh(verts, tris, bedges, tuple(rule[s] for s in seg),
+                   edge_table=table)
 
 
 # ---------------------------------------------------------------------------

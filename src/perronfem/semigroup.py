@@ -36,8 +36,8 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra
 
 from .assembly import DiscreteOperator, MassKind, MMatrixCertificate, \
-    Verdict, mass_matrix, mmatrix_certificate, mmatrix_report, \
-    offdiagonal_pattern
+    Verdict, mass_matrix, mmatrix_certificate, offdiagonal_pattern, \
+    sign_scan
 from .spectral import SolverError, factorize
 
 
@@ -182,7 +182,7 @@ def kernel_certificate(op: DiscreteOperator,
         B, _ = step_matrices(op.stiffness, mass_matrix(
             cfg.mass, op.mass, op.mass_lumped), cfg.scheme, cfg.dt)
         return step_certificate(
-            B, cfg, mmatrix_report(op).offdiag_max,
+            B, cfg, sign_scan(op),
             lambda ones: next(march(op, cfg, ones / op.mass_lumped, 1)),
             "step matrix")
     return op.cached(("certificate", cfg.scheme, cfg.dt, cfg.mass), certify)

@@ -5,13 +5,14 @@ each sweep is one block solve, two block products and a Rayleigh-Ritz
 step on (YᵀAY, YᵀMY). The deterministic shift sits certifiably below the
 spectrum, so one factorization (``factorize``, the package's one SuperLU
 call, which drops stored zeros first) serves every sweep and runs
-reproduce bitwise. Where the stiffness A is a certified irreducible
-nonsingular M-matrix the shift is 0, and one factor of A serves both
-pencils; elsewhere each pencil has its own Gershgorin shift and factor,
-made once per operator (``_pencil_factor``, which Arnoldi shares). Each
-pencil has one route: ``principal_eig`` and ``spectral_gap`` read the
-consistent pencil, ``perron_pair`` the lumped one, whose one pair starts
-from the consistent pencil's two.
+reproduce bitwise. Where ``mmatrix_report``, the stiffness's one
+M-matrix certificate, holds the shift is 0, and the factor of A its
+witness A^-1*1 solves through serves both pencils; elsewhere each pencil
+has its own Gershgorin shift and factor, made once per operator
+(``_pencil_factor``, which Arnoldi shares). Each pencil has one route:
+``principal_eig`` and ``spectral_gap`` read the consistent pencil,
+``perron_pair`` the lumped one, whose one pair starts from the
+consistent pencil's two.
 Non-Hermitian problems (complex Robin, or convection with b != c) get
 shift-invert Arnoldi, its pair count doubled until the field-of-values
 sector |Im lambda| <= Re lambda + s certifies the least real parts, each
@@ -21,12 +22,11 @@ bounded time; meshes too small for ARPACK get the dense spectrum.
 pair, and it caches one answer per (mass, k, tol), its vectors signed once.
 ``certify_positivity`` (a Verdict and its payload) claims a positive
 principal eigenvector on its mode's region (``REGION``, always the free
-dofs) only where the stiffness is provably a nonsingular M-matrix, by
-w = 1 or by the zero-shift witness A^-1*1 of ``_zero_shift_factor``, or
-annihilates constants; any other operator, a complex one among them, is
-not applicable. ``complex_robin_bound`` (a Verdict and payload too) solves
-both its pencils at the caller's tol, its real-part operator read off the
-assembled one."""
+dofs) only where ``mmatrix_report`` holds or the stiffness is an
+irreducible Z-matrix that annihilates constants; any other operator, a
+complex one among them, is not applicable. ``complex_robin_bound`` (a
+Verdict and payload too) solves both its pencils at the caller's tol, its
+real-part operator read off the assembled one."""
 
 from __future__ import annotations
 
@@ -38,9 +38,10 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import BoundaryMode, DiscreteOperator, MassKind, \
-    SolverError, Verdict, annihilates_constants, mass_matrix, \
-    mmatrix_report, row_sum_tol
+from .assembly import AssemblyError, BoundaryMode, DiscreteOperator, \
+    MassKind, MMatrixCertificate, SolverError, Verdict, \
+    annihilates_constants, mass_matrix, mmatrix_certificate, row_sum_tol, \
+    sign_scan
 
 MAX_ARNOLDI_PAIRS = 64  # the doubling cap of the certified Arnoldi path
 MAX_ARNOLDI_RESTARTS = 300  # ARPACK's maxiter: a failure takes bounded time
@@ -60,6 +61,34 @@ def factorize(matrix: sp.spmatrix):
     except RuntimeError as exc:
         raise SolverError(f"singular step matrix or shifted pencil: {exc}") \
             from exc
+
+
+def _stiffness_factor(op: DiscreteOperator):
+    """The one factor of the stiffness, for its witness and shift-0 sweeps."""
+    return op.cached("stiffness_factor", lambda: factorize(op.stiffness))
+
+
+def mmatrix_report(op: DiscreteOperator) -> MMatrixCertificate:
+    """Whether the stiffness A of a real operator is an irreducible
+    nonsingular M-matrix, so A^-1 > 0: ``mmatrix_certificate`` with the
+    operator's ``sign_scan`` and, where w = 1 fails, the witness A^-1*1
+    through ``_stiffness_factor``, tried only for a real Hermitian A with
+    a row sum above ``row_sum_tol``. Once per operator, shared by every
+    caller; the factor stays cached only if the certificate holds."""
+    if op.is_complex:
+        raise AssemblyError("M-matrix report requires a real operator")
+
+    def certify():
+        # A*1 <= 0 rules A^-1 >= 0 out: 1 = A^-1 (A*1) would be <= 0
+        A, ones = op.stiffness, np.ones(op.n_dof)
+        witness = op.is_hermitian and (A @ ones).max() > row_sum_tol(A)
+        cert = mmatrix_certificate(
+            A, "stiffness", sign_scan(op),
+            (lambda: _stiffness_factor(op).solve(ones)) if witness else None)
+        if not cert.holds:
+            op.solver_cache.pop("stiffness_factor", None)
+        return cert
+    return op.cached("mmatrix", certify)
 
 
 #: each mode's region, by its payload name, is exactly its free vertices:
@@ -157,45 +186,21 @@ def _pencil_factor(op: DiscreteOperator, mass: MassKind):
         op.mass_lumped))
 
 
-def _zero_shift_factor(op: DiscreteOperator):
-    """The factor of a real Hermitian operator's stiffness A, made once per
-    operator, when the Gershgorin shift is negative and A is an irreducible
-    nonsingular M-matrix: ``mmatrix_report(op)`` holds, or, where only its
-    witness w = 1 failed, w = A^-1*1 taken from that factor has w > 0 and
-    A*w > 0; else None. A stiffness without a positive row sum, A*1 <= 0
-    (a singular one that annihilates constants among them), is not tried:
-    A^-1 >= 0 would give 1 = A^-1 (A*1) <= 0."""
-    def zero_shift():
-        A, scan = op.stiffness, mmatrix_report(op)
-        if _shift_below_spectrum(A, op.mass_lumped) >= 0.0 \
-                or not scan.irreducible \
-                or (A @ np.ones(op.n_dof)).max() <= row_sum_tol(A):
-            return None
-        try:
-            lu = factorize(A)
-        except SolverError:
-            return None
-        if scan.holds:
-            return lu
-        w = lu.solve(np.ones(op.n_dof))
-        return lu if np.all(w > 0.0) and np.all(A @ w > 0.0) else None
-
-    return op.cached("zero_shift_factor", zero_shift)
-
-
 def _hermitian_factor(op: DiscreteOperator, mass: MassKind):
     """The shift sigma below the spectrum of the pencil (stiffness, mass)
     and the factor of A - sigma*M that the sweeps solve through.
 
-    sigma = 0, and the one factor of ``_zero_shift_factor``, serves both
-    mass kinds where it exists: a symmetric irreducible nonsingular
+    sigma = 0 and ``_stiffness_factor`` serve both mass kinds where the
+    Gershgorin shift is negative, ``mmatrix_report`` holds and a row sum
+    exceeds ``row_sum_tol`` (under the certificate, exactly when A does
+    not annihilate constants): a symmetric irreducible nonsingular
     M-matrix is positive definite (Berman & Plemmons, ch. 6), so 0 is
     below both spectra, and A^-1 > 0 makes A^-1 M and A^-1 M_L nonnegative
-    iteration operators. Otherwise the pencil gets ``_pencil_factor``,
-    1 below both spectra (A - sigma*M >= M)."""
-    lu = _zero_shift_factor(op)
-    if lu is not None:
-        return 0.0, lu
+    iteration operators. Otherwise the pencil gets ``_pencil_factor``."""
+    A = op.stiffness
+    if _shift_below_spectrum(A, op.mass_lumped) < 0.0 \
+            and mmatrix_report(op).holds and not annihilates_constants(A):
+        return 0.0, _stiffness_factor(op)
     return _pencil_factor(op, mass)
 
 
@@ -387,7 +392,7 @@ def _lowest_pairs(op: DiscreteOperator, mass: MassKind | str, k: int,
     def solve():
         M = mass_matrix(mass, op.mass, op.mass_lumped)
         residuals = None
-        if op.is_hermitian and not op.is_complex:
+        if op.is_hermitian:
             start = None if mass is MassKind.CONSISTENT else np.column_stack(
                 _lowest_pairs(op, MassKind.CONSISTENT, min(2, op.n_dof),
                               tol)[1])
@@ -457,21 +462,21 @@ def spectral_gap(op: DiscreteOperator, k: int, tol: float = 1e-10
 def certify_positivity(report: EigenReport | None, op: DiscreteOperator):
     """(Verdict, payload): strict positivity of the principal eigenvector
     on its mode's region (the free dofs), where it is provable: a real
-    Hermitian operator whose stiffness A is an irreducible Z-matrix
-    (``mmatrix_report``) that is nonsingular, by w = 1 or by the witness
-    of ``_zero_shift_factor``, so A^-1 > 0 and A^-1 M > 0 has the lambda1
-    eigenvector as its Perron vector; or that annihilates constants, so
-    the Perron vector is the constant. Otherwise, and for every complex or
-    non-Hermitian operator (whose ``report`` may be None), the verdict is
-    NOT_APPLICABLE, its payload the reason. The float cross-check tests
-    the sign of ``min_value`` at ``witness_node``: an exact 0.0 is flagged
-    as underflow, a negative entry is no Perron vector and fails."""
-    if op.is_complex or not op.is_hermitian:
+    Hermitian operator whose stiffness A is an irreducible nonsingular
+    M-matrix (``mmatrix_report`` holds), so A^-1 > 0 and A^-1 M > 0 has
+    the lambda1 eigenvector as its Perron vector; or an irreducible
+    Z-matrix that annihilates constants, so the Perron vector is the
+    constant. Otherwise, and for every complex or non-Hermitian operator
+    (whose ``report`` may be None), the verdict is NOT_APPLICABLE, its
+    payload the reason. The float cross-check tests the sign of
+    ``min_value`` at ``witness_node``: an exact 0.0 is flagged as
+    underflow, a negative entry is no Perron vector and fails."""
+    if not op.is_hermitian:
         return Verdict.NOT_APPLICABLE, {
             "reason": "no Perron argument for a non-Hermitian operator: "
                       "|lambda - mu| >= lambda1 - mu does not bound Re lambda"}
     cert = mmatrix_report(op)
-    if not (cert.holds or _zero_shift_factor(op) is not None
+    if not (cert.holds
             or cert.irreducible and annihilates_constants(op.stiffness)):
         return Verdict.NOT_APPLICABLE, {"reason": cert.reason}
     arg = int(np.argmin(report.vector))

@@ -22,13 +22,13 @@ import numpy as np
 
 from . import lattice
 from .assembly import BoundaryMode, CoefficientSet, DiscreteOperator, \
-    MassKind, Verdict, assemble, ellipticity_check, mmatrix_report
+    MassKind, Verdict, assemble, ellipticity_check, sign_scan
 from .mesh import TriMesh, check_corkscrew
 from .semigroup import EvolutionConfig, default_evolution, \
     kernel, kernel_certificate, kernel_positivity_report, peripheral_pair, \
     positivity_improving_check
 from .spectral import SolverError, certify_positivity, complex_robin_bound, \
-    perron_pair, principal_eig, spectral_gap
+    mmatrix_report, perron_pair, principal_eig, spectral_gap
 
 
 #: columns of the fixed-seed probe block Z of the kernel identity checks;
@@ -131,9 +131,9 @@ def _check_ellipticity(p: Problem):
 def _check_mmatrix(p: Problem):
     if p.op.is_complex:
         return Verdict.NOT_APPLICABLE, {"reason": "complex operator"}
-    rep = mmatrix_report(p.op)
-    return (Verdict.PASS if rep.is_m_compatible else Verdict.FAIL,
-            {"offdiag_max": rep.offdiag_max})
+    scan = sign_scan(p.op)
+    return (Verdict.PASS if scan <= 0.0 else Verdict.FAIL,
+            {"offdiag_max": scan})
 
 
 def _check_corkscrew(p: Problem):
@@ -147,8 +147,8 @@ def _check_corkscrew(p: Problem):
 
 def _check_principal_positivity(p: Problem):
     # a non-Hermitian operator is outside the certificate: solve nothing
-    hermitian = p.op.is_hermitian and not p.op.is_complex
-    principal = principal_eig(p.op, p.solver_tol) if hermitian else None
+    principal = principal_eig(p.op, p.solver_tol) if p.op.is_hermitian \
+        else None
     verdict, payload = certify_positivity(principal, p.op)
     if verdict is not Verdict.NOT_APPLICABLE:
         payload.update(lambda1=principal.lambda1.real,
@@ -215,7 +215,7 @@ def _check_kernel_positivity(p: Problem):
 
 
 def _check_kernel_symmetry(p: Problem):
-    if p.op.is_complex or not p.op.is_hermitian:
+    if not p.op.is_hermitian:
         return Verdict.NOT_APPLICABLE, {"reason": "operator not self-adjoint"}
     if p.evolution_cfg.mass is not MassKind.LUMPED:
         # K(t) = S^n M_L^-1 is symmetric only when S is built on M_L too

@@ -8,8 +8,9 @@ import scipy.sparse as sp
 
 from perronfem.assembly import AssemblyError, BoundaryMode, CoefficientSet, \
     _boundary_term, assemble, assemble_volume, coefficients_from_dict, \
-    ellipticity_check, mmatrix_report, offdiag_max, offdiagonal_pattern
+    ellipticity_check, offdiag_max, offdiagonal_pattern
 from perronfem.mesh import BoundaryTag, TriMesh, generate_structured
+from perronfem.spectral import mmatrix_report
 
 REFERENCE_LOCAL_STIFFNESS = np.array([
     [1.0, -0.5, -0.5],
@@ -242,11 +243,11 @@ def test_mmatrix_on_nonobtuse_mesh(robin_mesh8):
         dense = op.stiffness.toarray()
         off = dense - np.diag(np.diag(dense))
         assert rep.offdiag_max == off.max()
-        assert rep.is_m_compatible
+        assert rep.offdiag_max <= 0
     # a large Robin coefficient adds to the diagonal only
     op = assemble(robin_mesh8, CoefficientSet.constant(robin_mesh8, beta=50.0),
                   BoundaryMode.ROBIN)
-    assert mmatrix_report(op).is_m_compatible
+    assert mmatrix_report(op).offdiag_max <= 0
 
 
 def test_mmatrix_fails_on_obtuse_triangle():
@@ -254,7 +255,6 @@ def test_mmatrix_fails_on_obtuse_triangle():
     op = assemble(mesh, CoefficientSet.constant(mesh), BoundaryMode.NEUMANN)
     rep = mmatrix_report(op)
     assert rep.offdiag_max > 0
-    assert not rep.is_m_compatible
 
 
 def test_negative_reaction_does_not_touch_offdiagonals(robin_mesh8):
@@ -317,6 +317,17 @@ def test_mmatrix_rejects_complex(robin_mesh8):
     op = assemble(robin_mesh8, cc, BoundaryMode.COMPLEX_ROBIN)
     with pytest.raises(AssemblyError):
         mmatrix_report(op)
+
+
+def test_a_complex_stiffness_is_never_hermitian():
+    # beta = 1 + 1e-12i keeps A - A^H inside the 1e-12 tolerance, which
+    # read as Hermitian, so every reader had to test is_complex as well
+    mesh = generate_structured("unit_square", 6, "N")
+    op = assemble(mesh, CoefficientSet.constant(mesh, beta=1.0 + 1e-12j),
+                  BoundaryMode.COMPLEX_ROBIN)
+    assert op.is_complex and not op.is_hermitian
+    assert assemble(mesh, CoefficientSet.constant(mesh, beta=1.0),
+                    BoundaryMode.ROBIN).is_hermitian
 
 
 # -- adjoint and mode consistency --------------------------------------------

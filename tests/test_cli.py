@@ -965,6 +965,15 @@ def test_cli_non_finite_dt_or_t_end_is_an_error(tmp_path, capsys, command,
     assert not any((tmp_path / "out").glob("*"))
 
 
+def test_cli_kernel_names_a_horizon_below_dt(tmp_path, capsys):
+    # the error said "t_end must be at least dt", a key the config lacks
+    path = write_config(tmp_path / "c.json",
+                        {**ROBIN_PROBLEM, "output_dir": "out"})
+    assert main(["kernel", "--config", path, "--t", "-1"]) == 2
+    _assert_one_error_line(capsys, "kernel: --t must be at least dt = ")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("section, message", [
     ({"test_bank_size": 0}, "bank size must be positive"),
     ({"evolution": {"dt": 1e-4, "t_end": 3e-4}},
@@ -1228,6 +1237,18 @@ def test_cli_field_without_a_finite_value_is_an_error(tmp_path, capsys,
     ("eig", {"gap_count": 0}, "config: gap_count must be at least 2, got 0"),
     ("eig", {"gap_count": -3},
      "config: gap_count must be at least 2, got -3"),
+    # bare "dt must be positive" and "'rk4' is not a valid Scheme": neither
+    # the section, nor the key, nor the accepted values
+    ("verify", {"evolution": {"dt": -0.01}},
+     "evolution: dt must be positive"),
+    ("evolve", {"evolution": {"scheme": "rk4"}},
+     "evolution: scheme must be one of ['implicit_euler', 'crank_nicolson'], "
+     "got 'rk4'"),
+    ("kernel", {"evolution": {"mass": "lumpy"}},
+     "evolution: mass must be one of ['consistent', 'lumped'], got 'lumpy'"),
+    ("verify", {"coefficients": {"beta": 1.0, "mode": "robyn"}},
+     "coefficients: mode must be one of ['dirichlet', 'robin', "
+     "'complex_robin', 'mixed', 'neumann'], got 'robyn'"),
 ])
 def test_cli_malformed_section_is_an_error(tmp_path, capsys, command,
                                            section, message):

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -6,12 +7,12 @@ import pytest
 import scipy.linalg as sla
 
 from perronfem.assembly import BoundaryMode, CoefficientSet, MassKind, \
-    assemble, mmatrix_report
+    assemble
 from perronfem.mesh import generate_structured
 from perronfem.semigroup import Verdict
 from perronfem.spectral import REGION, EigenReport, SolverError, \
-    _lowest_pairs, certify_positivity, complex_robin_bound, perron_pair, \
-    principal_eig, spectral_gap
+    _lowest_pairs, certify_positivity, complex_robin_bound, mmatrix_report, \
+    perron_pair, principal_eig, spectral_gap
 
 
 def robin_half_tangent_root(beta=1.0):
@@ -207,7 +208,7 @@ def test_rayleigh_consistency(robin_op8):
 @pytest.mark.parametrize("mode_fixture", ["robin_op8", "dirichlet_op8"])
 def test_perron_sign_property(mode_fixture, request):
     op = request.getfixturevalue(mode_fixture)
-    assert mmatrix_report(op).is_m_compatible
+    assert mmatrix_report(op).offdiag_max <= 0
     rep = perron_pair(op, 1e-10)
     assert np.all(rep.vector >= 0.0)  # exact assertion, no tolerance
 
@@ -916,7 +917,7 @@ def test_the_zero_shift_is_taken_only_when_certified(case):
         np.testing.assert_allclose(values, dense, rtol=1e-10,
                                    atol=1e-10 * max(1.0, abs(dense).max()))
         assert np.all(residuals <= 1e-10)
-    assert (op.solver_cache["zero_shift_factor"] is not None) is zero
+    assert ("stiffness_factor" in op.solver_cache) is zero
 
 
 def test_no_positive_row_sum_skips_the_zero_shift_factor(monkeypatch):
@@ -935,7 +936,7 @@ def test_no_positive_row_sum_skips_the_zero_shift_factor(monkeypatch):
     spectral_gap(op, 2)
     perron_pair(op, 1e-10)
     assert len(calls) == 2
-    assert op.solver_cache["zero_shift_factor"] is None
+    assert "stiffness_factor" not in op.solver_cache
 
 
 def _signed(vector, mass_lumped):
@@ -1073,12 +1074,13 @@ def test_convection_past_the_sign_pattern_is_not_applicable():
 
 
 def test_each_witness_of_the_stiffness_certificate(robin_op8, dirichlet_op8):
-    # Robin and Dirichlet stiffnesses have zero interior row sums, so their
-    # nonsingularity comes from the zero-shift witness w = A^-1*1; the
-    # Neumann stiffness annihilates constants, whose Perron vector is the
-    # constant; a negative c0 leaves neither, and no verdict
+    # Robin and Dirichlet stiffnesses have zero interior row sums, so w = 1
+    # is no witness and the certificate holds by w = A^-1*1; the Neumann
+    # stiffness annihilates constants, whose Perron vector is the constant;
+    # a negative c0 leaves neither, and no verdict
     for op in (robin_op8, dirichlet_op8):
-        assert not mmatrix_report(op).holds and mmatrix_report(op).irreducible
+        cert = mmatrix_report(op)
+        assert cert.holds and cert.min_row_sum <= 0.0
         assert certify_positivity(principal_eig(op), op)[0] is Verdict.PASS
     mesh = robin_op8.mesh
     for c0, passed in ((0.0, True), (-1.0, False)):
@@ -1089,6 +1091,43 @@ def test_each_witness_of_the_stiffness_certificate(robin_op8, dirichlet_op8):
         if not passed:
             assert principal_eig(op).lambda1.real < 0
             assert "row sum <= 0 and no witness" in cert["reason"]
+
+
+def _dense_inverse_positive(A):
+    """Dense reference: A is an irreducible Z-matrix with a positive
+    diagonal, nonsingular (condition number below 1e12; the singular
+    Neumann stiffnesses here sit near 1e16, every other below 1e4), and
+    inv(A) > 0 entrywise."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+    off = A - np.diag(np.diag(A))
+    if off.max() > 0.0 or np.any(np.diag(A) <= 0.0):
+        return False
+    n_strong, _ = connected_components(csr_matrix(off != 0.0), directed=True,
+                                       connection="strong")
+    return bool(n_strong == 1 and np.linalg.cond(A) < 1e12
+                and np.all(np.linalg.inv(A) > 0.0))
+
+
+def test_the_stiffness_certificate_matches_the_dense_inverse():
+    # an irreducible Z-matrix is a nonsingular M-matrix exactly when its
+    # inverse is positive (Berman & Plemmons, ch. 6); the witness w = 1
+    # alone missed 54 of these 280 stiffnesses
+    wrong = []
+    for n, (tags, mode, beta), c0, a in itertools.product(
+            (2, 3, 4, 6),
+            [("N", BoundaryMode.ROBIN, beta) for beta in (0.1, 1.0, -0.3)]
+            + [("D", BoundaryMode.DIRICHLET, 0.0),
+               ("N", BoundaryMode.NEUMANN, 0.0)],
+            (-40.0, -15.0, -2.0, -0.5, 0.0, 0.5, 3.0),
+            (np.eye(2), [[1.0, 0.9], [0.9, 1.0]])):
+        mesh = generate_structured("unit_square", n, tags)
+        op = assemble(mesh, CoefficientSet.constant(
+            mesh, a=a, c0=c0, beta=beta, mu=0.05), mode)
+        if mmatrix_report(op).holds != _dense_inverse_positive(
+                op.stiffness.toarray()):
+            wrong.append((n, mode.value, beta, c0, np.asarray(a)[0, 1]))
+    assert wrong == []
 
 
 def test_a_negative_entry_under_the_certificate_fails(robin_op8):

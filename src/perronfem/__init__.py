@@ -51,13 +51,10 @@ from .semigroup import (
 )
 from .spectral import (
     EigenReport,
-    PerronPair,
     certify_positivity,
     complex_robin_bound,
     mmatrix_report,
-    perron_pair,
     principal_eig,
-    spectral_gap,
 )
 
 __version__ = "0.1.0"

@@ -156,7 +156,8 @@ class CoefficientSet:
             if not report.passed:
                 raise AssemblyError(
                     f"coefficients violate ellipticity: smallest symmetric-part "
-                    f"eigenvalue {report.mu_actual:.6g} < mu = {self.mu:.6g}")
+                    f"eigenvalue {report.mu_actual!r} < mu = "
+                    f"{float(self.mu)!r}")
 
     @classmethod
     def constant(cls, mesh: TriMesh, a=None, b=(0.0, 0.0), c=(0.0, 0.0),
@@ -304,7 +305,6 @@ class DiscreteOperator:
     dof_map: np.ndarray
     mode: BoundaryMode
     mesh: TriMesh
-    coeffs: CoefficientSet
 
     @property
     def n_dof(self) -> int:
@@ -442,7 +442,7 @@ def assemble(mesh: TriMesh, coeffs: CoefficientSet, mode: BoundaryMode, *,
     _release_free_heap()
     return DiscreteOperator(
         stiffness=stiffness, mass=mass, mass_lumped=mass_lumped[free],
-        dof_map=dof_map, mode=mode, mesh=mesh, coeffs=coeffs)
+        dof_map=dof_map, mode=mode, mesh=mesh)
 
 
 def _offdiagonal_entries(Z: sp.spmatrix, rows=slice(None)):
@@ -576,7 +576,7 @@ def coefficients_from_dict(data: dict, mesh: TriMesh) -> tuple:
         """raw as an array of finite floats, one of them if ``scalar``."""
         try:
             value = np.asarray(raw, dtype=float)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):  # an int past float
             value = np.array(math.nan)
         if not np.isfinite(value).all() or scalar and value.ndim:
             kind = "a finite number" if scalar else "finite numbers"

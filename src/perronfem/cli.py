@@ -15,6 +15,7 @@ import gc
 import itertools
 import json
 import math
+import reprlib
 import struct
 import sys
 from dataclasses import replace
@@ -33,8 +34,7 @@ from .parabolic import BoundaryData, PositivityScan, WeakResidual, \
     make_test_bank, solve_mild
 from .semigroup import EvolutionConfig, Scheme, default_evolution, \
     kernel_certificate, kernel_positivity_report, march
-from .spectral import SolverError, certify_positivity, principal_eig, \
-    spectral_gap
+from .spectral import SolverError, certify_positivity, principal_eig
 from .svgplot import emit_heatmap, render_strip, strip_steps
 from .verification import Problem, jsonable, run_suite, suite_labels
 
@@ -67,16 +67,22 @@ def _check_keys(data, allowed, context: str) -> dict:
 def _number(spec: dict, key: str, default, context: str, kind=float,
             finite: bool = True):
     """spec[key] as a float or an int, or default when absent (required
-    when default is None); anything but a JSON number, for an int a number
-    with a fractional part, or (unless a caller that words its own range
-    check passes ``finite=False``) JSON's NaN or Infinity, is a CliError
-    naming the section and the key."""
+    when default is None); anything but a JSON number, an integer beyond
+    the float range, for an int a number with a fractional part, or
+    (unless a caller that words its own range check passes
+    ``finite=False``) JSON's NaN or Infinity, is a CliError naming the
+    section and the key."""
     value = _required(spec, key, context, default)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise CliError(f"{context}: {key} must be a number, got {value!r}")
-    if kind is int and not float(value).is_integer():
+    try:
+        number = float(value)
+    except OverflowError:
+        raise CliError(f"{context}: {key} must be within the float range, "
+                       f"got {reprlib.repr(value)}") from None
+    if kind is int and not number.is_integer():
         raise CliError(f"{context}: {key} must be an integer, got {value!r}")
-    if finite and not math.isfinite(value):
+    if finite and not math.isfinite(number):
         raise CliError(f"{context}: {key} must be finite, got {value!r}")
     return kind(value)
 
@@ -86,10 +92,12 @@ def _matrix(spec: dict, key: str, context: str) -> np.ndarray:
     JSON numbers, as a float array; anything else is a CliError naming the
     section and the key."""
     rows = _required(spec, key, context)
+    # |v| <= the largest float compares an int exactly, without float()
     if not (isinstance(rows, list) and rows and all(
             isinstance(row, list) and len(row) == len(rows[0])
             and all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                    and math.isfinite(v) for v in row) for row in rows)):
+                    and abs(v) <= sys.float_info.max for v in row)
+            for row in rows)):
         raise CliError(f"{context}: {key} must be a list of equal-length "
                        f"rows of finite numbers")
     return np.array(rows, dtype=float)
@@ -295,9 +303,7 @@ def _cmd_eig(args) -> int:
 
     op = Problem(mesh=mesh, coeffs=coeffs, mode=mode).op  # corkscrew-checked
     report = principal_eig(op, tol=tol)
-    # one dof has one eigenvalue, and principal_eig's gap is inf
-    values = spectral_gap(op, k=min(k, op.n_dof), tol=tol).values \
-        if op.n_dof > 1 else [report.lambda1]
+    values = principal_eig(op, tol, k).values  # at most n_dof of them
     verdict, positivity = certify_positivity(report, op)
     payload = {
         "mode": mode.value,
@@ -419,8 +425,9 @@ _PARABOLIC_KEYS = {"mesh", "coefficients", "evolution", "u0", "phi",
 def _resolve_phi(spec, mesh, t_end) -> BoundaryData:
     if spec is None:
         return BoundaryData.constant(mesh, 0.0, t_end)
-    if isinstance(spec, (int, float)):
-        return BoundaryData.constant(mesh, float(spec), t_end)
+    if isinstance(spec, (int, float)):  # a bool too, which _number refuses
+        return BoundaryData.constant(
+            mesh, _number({"phi": spec}, "phi", None, "config"), t_end)
     _check_keys(spec, {"constant", "samples"}, "phi")
     if "constant" in spec:
         return BoundaryData.constant(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import ast
 import operator
+import reprlib
 
 import numpy as np
 
@@ -28,7 +29,12 @@ def _evaluate(node, env):
         return _evaluate(node.body, env)
     if isinstance(node, ast.Constant):
         if isinstance(node.value, (int, float)):
-            return float(node.value)
+            try:
+                return float(node.value)
+            except OverflowError:
+                raise ExpressionError(
+                    f"literal {reprlib.repr(node.value)} is beyond the "
+                    f"float range") from None
         raise ExpressionError(f"literal {node.value!r} is not a number")
     if isinstance(node, ast.Name):
         if node.id in env:
@@ -56,16 +62,21 @@ def _evaluate(node, env):
 
 def evaluate_field(expr: str, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Evaluate an expression at coordinate arrays; always returns an array
-    shaped like x (constants are broadcast). A division by zero or a value
-    that is not finite (an overflow) raises ExpressionError."""
+    shaped like x (constants are broadcast). A division by zero, a value
+    that is not finite (an overflow), an integer literal beyond the float
+    range or nesting deeper than the parser or evaluator can recurse
+    raises ExpressionError."""
     expr = expr.replace("·", "*").replace("−", "-")
     try:
         tree = ast.parse(expr, mode="eval")
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = _evaluate(tree, {"x": np.asarray(x, dtype=float),
+                                     "y": np.asarray(y, dtype=float)})
     except SyntaxError as exc:
         raise ExpressionError(f"cannot parse {expr!r}: {exc.msg}") from None
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = _evaluate(tree, {"x": np.asarray(x, dtype=float),
-                                 "y": np.asarray(y, dtype=float)})
+    except RecursionError:
+        raise ExpressionError(f"{reprlib.repr(expr)} is nested too deeply") \
+            from None
     if not np.all(np.isfinite(value)):
         raise ExpressionError(f"{expr!r} is not finite at every point")
     return np.broadcast_to(np.asarray(value, dtype=float), np.shape(x)).copy()

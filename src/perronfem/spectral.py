@@ -8,11 +8,12 @@ call, which drops stored zeros first) serves every sweep and runs
 reproduce bitwise. Where ``mmatrix_report``, the stiffness's one
 M-matrix certificate, holds the shift is 0, and the factor of A its
 witness A^-1*1 solves through serves both pencils; elsewhere each pencil
-has its own Gershgorin shift and factor, made once per operator
-(``_pencil_factor``, which Arnoldi shares). Each pencil has one route:
-``principal_eig`` and ``spectral_gap`` read the consistent pencil,
-``perron_pair`` the lumped one, whose one pair starts from the
-consistent pencil's two.
+has its own Gershgorin shift and factor, made once per operator;
+``_pencil_factor`` gives the sweeps and Arnoldi their (shift, factor).
+``principal_eig(op, tol, k, mass)`` is the one eigen report, its
+multiplicity flag the one gap-below-resolution rule: the consistent
+pencil by default, the lumped one for the Perron pair, whose inverse
+iteration starts from the consistent pencil's two least pairs.
 Non-Hermitian problems (complex Robin, or convection with b != c) get
 shift-invert Arnoldi, its pair count doubled until the field-of-values
 sector |Im lambda| <= Re lambda + s certifies the least real parts, each
@@ -105,25 +106,28 @@ REGION = {
 
 @dataclass(frozen=True)
 class EigenReport:
-    lambda1: complex
-    vector: np.ndarray          # unit lumped-L2 norm, nonnegative-mean sign
-    residual: float
-    gap: float                  # Re lambda2 - Re lambda1
+    values: np.ndarray          # sorted by real, then imaginary part
+    vectors: tuple              # unit lumped-L2 norm, nonnegative-mean sign
+    residuals: np.ndarray       # relative, |A x - lam M x| / |M x|
     multiplicity_flag: bool     # gap below resolution => possibly degenerate
 
+    @property
+    def lambda1(self) -> complex:
+        return complex(self.values[0])
 
-@dataclass(frozen=True)
-class PerronPair:
-    lambda1: complex            # of the lumped pencil
-    vector: np.ndarray          # unit lumped-L2 norm, nonnegative-mean sign
+    @property
+    def vector(self) -> np.ndarray:
+        return self.vectors[0]
 
+    @property
+    def residual(self) -> float:
+        return float(self.residuals[0])
 
-@dataclass(frozen=True)
-class GapReport:
-    values: np.ndarray          # k eigenvalues sorted by real part
-    vectors: np.ndarray         # (n_dof, k)
-    gap: float
-    residuals: np.ndarray
+    @property
+    def gap(self) -> float:
+        """Re lambda2 - Re lambda1; inf for a report of one pair."""
+        return float(self.values[1].real - self.values[0].real) \
+            if len(self.values) > 1 else math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -179,36 +183,31 @@ def _gershgorin_factor(A: sp.spmatrix, M, mass_lumped: np.ndarray):
 
 
 def _pencil_factor(op: DiscreteOperator, mass: MassKind):
-    """``_gershgorin_factor`` of the pencil (stiffness, mass), made once per
-    operator and mass kind and shared by every k that solves it."""
-    return op.cached(("gershgorin_factor", mass), lambda: _gershgorin_factor(
-        op.stiffness, mass_matrix(mass, op.mass, op.mass_lumped),
-        op.mass_lumped))
+    """The shift sigma of the pencil (stiffness, mass) and the factor of
+    A - sigma*M that the sweeps and Arnoldi solve through.
 
-
-def _hermitian_factor(op: DiscreteOperator, mass: MassKind):
-    """The shift sigma below the spectrum of the pencil (stiffness, mass)
-    and the factor of A - sigma*M that the sweeps solve through.
-
-    sigma = 0 and ``_stiffness_factor`` serve both mass kinds where the
-    Gershgorin shift is negative, ``mmatrix_report`` holds and a row sum
-    exceeds ``row_sum_tol`` (under the certificate, exactly when A does
-    not annihilate constants): a symmetric irreducible nonsingular
-    M-matrix is positive definite (Berman & Plemmons, ch. 6), so 0 is
-    below both spectra, and A^-1 > 0 makes A^-1 M and A^-1 M_L nonnegative
-    iteration operators. Otherwise the pencil gets ``_pencil_factor``."""
+    sigma = 0 and ``_stiffness_factor`` serve both mass kinds of a real
+    Hermitian operator where the Gershgorin shift is negative,
+    ``mmatrix_report`` holds and a row sum exceeds ``row_sum_tol`` (under
+    the certificate, exactly when A does not annihilate constants): a
+    symmetric irreducible nonsingular M-matrix is positive definite
+    (Berman & Plemmons, ch. 6), so 0 is below both spectra, and A^-1 > 0
+    makes A^-1 M and A^-1 M_L nonnegative iteration operators. Otherwise
+    the pencil gets ``_gershgorin_factor``, the Gershgorin shift of Re A,
+    made once per operator and mass kind and shared by every k."""
     A = op.stiffness
-    if _shift_below_spectrum(A, op.mass_lumped) < 0.0 \
+    if op.is_hermitian and _shift_below_spectrum(A, op.mass_lumped) < 0.0 \
             and mmatrix_report(op).holds and not annihilates_constants(A):
         return 0.0, _stiffness_factor(op)
-    return _pencil_factor(op, mass)
+    return op.cached(("gershgorin_factor", mass), lambda: _gershgorin_factor(
+        A, mass_matrix(mass, op.mass, op.mass_lumped), op.mass_lumped))
 
 
 def _hermitian_pairs(op: DiscreteOperator, mass: MassKind, k: int,
                      tol: float, start: np.ndarray | None):
     """k smallest eigenpairs of the symmetric pencil (stiffness, mass).
 
-    Block inverse iteration through the factor of ``_hermitian_factor``
+    Block inverse iteration through the factor of ``_pencil_factor``
     (the stiffness's own, shift 0, where it is a certified M-matrix; else
     the pencil's, at the Gershgorin shift), with a Rayleigh-Ritz
     extraction each sweep; GUARD_VECTORS ride along so clustered
@@ -221,7 +220,7 @@ def _hermitian_pairs(op: DiscreteOperator, mass: MassKind, k: int,
     """
     A, n = op.stiffness, op.n_dof
     M = mass_matrix(mass, op.mass, op.mass_lumped)
-    _sigma, lu = _hermitian_factor(op, mass)
+    _sigma, lu = _pencil_factor(op, mass)
 
     m = min(n, k + GUARD_VECTORS)
     X = _start_block(n, m)
@@ -420,40 +419,21 @@ def _lowest_pairs(op: DiscreteOperator, mass: MassKind | str, k: int,
     return op.cached(("eigenpairs", mass, k, tol), solve)
 
 
-def principal_eig(op: DiscreteOperator, tol: float = 1e-10) -> EigenReport:
-    """Eigenpair of minimal real part of the consistent pencil (stiffness,
-    M), whose eigenvalues converge from above; the gap to the second."""
-    values, vectors, residuals = _lowest_pairs(
-        op, MassKind.CONSISTENT, min(2, op.n_dof), tol)
-    lam1 = complex(values[0])
-    gap = float(values[1].real - values[0].real) if len(values) > 1 \
-        else math.inf
-    scale = max(1.0, abs(lam1))
-    multiplicity_flag = gap <= 100.0 * tol * scale
-    return EigenReport(lambda1=lam1, vector=vectors[0],
-                       residual=float(residuals[0]), gap=gap,
-                       multiplicity_flag=multiplicity_flag)
-
-
-def perron_pair(op: DiscreteOperator, tol: float) -> PerronPair:
-    """The eigenpair of least real part of the lumped pencil (stiffness,
-    M_L), the Perron pair of -M_L^-1 A when A is an irreducible Z-matrix;
-    a residual above ``_residual_bound(tol, op)`` raises SolverError."""
-    values, vectors, _ = _lowest_pairs(op, MassKind.LUMPED, 1, tol)
-    return PerronPair(lambda1=complex(values[0]), vector=vectors[0])
-
-
-def spectral_gap(op: DiscreteOperator, k: int, tol: float = 1e-10
-                 ) -> GapReport:
-    """k least-Re eigenvalues of the consistent pencil; gap = Re l2 - Re l1."""
-    if k < 2:
-        raise ValueError("k must be at least 2")
-    if k > op.n_dof:
-        raise ValueError(f"k = {k} exceeds n_dof = {op.n_dof}")
-    values, vectors, residuals = _lowest_pairs(op, MassKind.CONSISTENT, k, tol)
-    gap = float(np.real(values[1]) - np.real(values[0]))
-    return GapReport(values=values, vectors=np.column_stack(vectors),
-                     gap=gap, residuals=residuals)
+def principal_eig(op: DiscreteOperator, tol: float = 1e-10, k: int = 2,
+                  mass: MassKind | str = MassKind.CONSISTENT) -> EigenReport:
+    """The min(k, n_dof) eigenpairs of least real part of the pencil
+    (stiffness, mass), from ``_lowest_pairs``: of the consistent pencil,
+    whose eigenvalues converge from above, by default; of the lumped one,
+    the Perron pair of -M_L^-1 A when A is an irreducible Z-matrix. The
+    multiplicity flag says the gap is below resolution, at most
+    100 tol max(1, |lambda1|): lambda1 is possibly degenerate."""
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+    values, vectors, residuals = _lowest_pairs(op, mass, min(k, op.n_dof),
+                                               tol)
+    report = EigenReport(values, vectors, residuals, multiplicity_flag=False)
+    resolution = 100.0 * tol * max(1.0, abs(report.lambda1))
+    return replace(report, multiplicity_flag=report.gap <= resolution)
 
 
 # ---------------------------------------------------------------------------
@@ -498,9 +478,7 @@ def complex_robin_bound(op: DiscreteOperator, tol: float = 1e-10):
     if op.mode is not BoundaryMode.COMPLEX_ROBIN:
         raise ValueError(f"expected a complex_robin operator, got "
                          f"{op.mode.value}")
-    op_r = replace(op, stiffness=op.stiffness.real, mode=BoundaryMode.ROBIN,
-                   coeffs=replace(op.coeffs, beta=op.coeffs.beta.real,
-                                  validate=False))
+    op_r = replace(op, stiffness=op.stiffness.real, mode=BoundaryMode.ROBIN)
     re_min = principal_eig(op, tol).lambda1.real
     lam1 = principal_eig(op_r, tol).lambda1.real
     margin = re_min - lam1

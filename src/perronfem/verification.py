@@ -28,7 +28,7 @@ from .semigroup import EvolutionConfig, default_evolution, \
     kernel, kernel_certificate, kernel_positivity_report, peripheral_pair, \
     positivity_improving_check
 from .spectral import SolverError, certify_positivity, complex_robin_bound, \
-    mmatrix_report, perron_pair, principal_eig, spectral_gap
+    mmatrix_report, principal_eig
 
 
 #: columns of the fixed-seed probe block Z of the kernel identity checks;
@@ -175,7 +175,7 @@ def _check_perron_sign(p: Problem):
     cert = mmatrix_report(p.op)
     if not cert.irreducible:
         return Verdict.NOT_APPLICABLE, {"reason": cert.reason}
-    rep = perron_pair(p.op, p.solver_tol)
+    rep = principal_eig(p.op, p.solver_tol, k=1, mass=MassKind.LUMPED)
     low = float(rep.vector.min())
     return (Verdict.PASS if low >= 0.0 else Verdict.FAIL,
             {"min_component": low, "lambda1_lumped": rep.lambda1.real,
@@ -186,10 +186,8 @@ def _check_spectral_gap(p: Problem):
     if p.op.n_dof < 2:
         return Verdict.NOT_APPLICABLE, {
             "reason": "one degree of freedom: no second eigenvalue"}
-    rep = spectral_gap(p.op, k=2, tol=p.solver_tol)
-    scale = max(1.0, abs(float(np.real(rep.values[0]))))
-    ok = rep.gap > 100.0 * p.solver_tol * scale
-    return (Verdict.PASS if ok else Verdict.FAIL,
+    rep = principal_eig(p.op, p.solver_tol)
+    return (Verdict.FAIL if rep.multiplicity_flag else Verdict.PASS,
             {"gap": rep.gap,
              "values": [complex(v).real for v in rep.values]})
 

@@ -20,7 +20,7 @@ from perronfem.parabolic import BoundaryData, make_test_bank, solve_mild, \
 from perronfem.semigroup import EvolutionConfig, MassKind, Verdict, \
     kernel_certificate, kernel_positivity_report, positivity_improving_check
 from perronfem.spectral import certify_positivity, complex_robin_bound, \
-    principal_eig, spectral_gap
+    principal_eig
 from tests.conftest import dense_kernel, random_metzler
 
 MIXED_TAGS = {"bottom": "D", "right": "N", "top": "N", "left": "N"}
@@ -38,7 +38,7 @@ def test_criterion_1_dirichlet_spectrum():
     exact1 = 2.0 * math.pi ** 2
     assert abs(rep.lambda1.real - exact1) <= 0.02 * exact1
 
-    gaps = spectral_gap(op, 4)
+    gaps = principal_eig(op, k=4)
     exact = math.pi ** 2 * np.array([2.0, 5.0, 5.0, 8.0])
     np.testing.assert_allclose(np.real(gaps.values), exact, rtol=0.02)
     elapsed = time.perf_counter() - start

@@ -51,6 +51,20 @@ def test_expression_rejects_unsafe_code():
         evaluate_field("z + 1", x, x)
 
 
+@pytest.mark.parametrize("expr, message", [
+    # an OverflowError from float() of the literal
+    ("1" + "0" * 400, "beyond the float range"),
+    # a RecursionError in ast.parse, then in the evaluator
+    ("-" * 5000 + "1", "nested too deeply"),
+    ("1+" * 5000 + "1", "nested too deeply"),
+    ("x" + "*x" * 2000, "nested too deeply")],
+    ids=["int-literal", "unary-chain", "sum-chain", "product-chain"])
+def test_expression_rejects_what_python_cannot_hold(expr, message):
+    x = np.zeros(2)
+    with pytest.raises(ExpressionError, match=message):
+        evaluate_field(expr, x, x)
+
+
 # -- verification suite ----------------------------------------------------------
 
 def make_problem(mode="robin", **kwargs):
@@ -379,7 +393,7 @@ def test_cli_eig_gap_count_near_n_dof_takes_the_dense_spectrum(
 
 def test_cli_eig_a_one_dof_problem(tmp_path):
     # one free vertex has one eigenvalue: eig reports it with
-    # principal_eig's infinite gap, where spectral_gap needs k >= 2
+    # principal_eig's infinite gap, a report of one pair
     path = write_config(tmp_path / "c.json", {
         "mesh": {"shape": "unit_square", "n": 2, "tags": "D"},
         "coefficients": {"mode": "dirichlet"}, "output_dir": "out"})
@@ -798,7 +812,7 @@ def test_cli_oracle(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("data", [{"Q": [[0.0, 1.0], [0.0]]}, [[0.0], 1.0],
-                                  []])
+                                  [], [[-1.0, 10 ** 400], [1.0, -1.0]]])
 def test_cli_oracle_malformed_matrix_is_an_error(tmp_path, capsys, data):
     matrix = tmp_path / "gen.json"
     matrix.write_text(json.dumps(data))
@@ -1139,6 +1153,23 @@ def test_cli_field_without_a_finite_value_is_an_error(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("command, section, message", [
+    ("evolve", {"u0": "1" + "0" * 400}, "beyond the float range"),
+    ("parabolic", {"u0": "x" + "*x" * 2000}, "nested too deeply"),
+    ("parabolic", {"phi": {"samples": [{"t": 0.0, "expr": "1" + "0" * 400}]}},
+     "beyond the float range"),
+    ("evolve", {"u0": "-" * 5000 + "1"}, "nested too deeply")])
+def test_cli_field_python_cannot_hold_is_an_error(tmp_path, capsys, command,
+                                                   section, message):
+    # each ended in an OverflowError or RecursionError traceback
+    base = ROBIN_PROBLEM if command == "evolve" else PARABOLIC_PROBLEM
+    path = write_config(tmp_path / "c.json",
+                        {**base, **section, "output_dir": "out"})
+    assert main([command, "--config", path]) == 2
+    _assert_one_error_line(capsys, message)
+    assert not (tmp_path / "out" / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("command, section, message", [
     ("eig", {"solver": [1]}, "solver: expected an object"),
     ("verify", {"solver": [1]}, "solver: expected an object"),
     ("verify", {"solver": {"tol": -1}}, "tol must be positive"),
@@ -1249,6 +1280,38 @@ def test_cli_field_without_a_finite_value_is_an_error(tmp_path, capsys,
     ("verify", {"coefficients": {"beta": 1.0, "mode": "robyn"}},
      "coefficients: mode must be one of ['dirichlet', 'robin', "
      "'complex_robin', 'mixed', 'neumann'], got 'robyn'"),
+    # an integer beyond the float range ended in "OverflowError: int too
+    # large to convert to float"
+    ("verify", {"mesh": {"n": 10 ** 400, "tags": "N"}},
+     "mesh: n must be within the float range, got 1000"),
+    ("eig", {"solver": {"tol": 10 ** 400}},
+     "solver: tol must be within the float range"),
+    ("evolve", {"evolution": {"dt": 10 ** 400}},
+     "evolution: dt must be within the float range"),
+    ("verify", {"corkscrew_delta": -10 ** 400},
+     "config: corkscrew_delta must be within the float range, got -1000"),
+    ("parabolic", {"phi": 10 ** 400},
+     "config: phi must be within the float range"),
+    ("parabolic", {"phi": {"constant": 10 ** 400}},
+     "phi: constant must be within the float range"),
+    ("verify", {"coefficients": {"beta": 1.0, "c0": 10 ** 400}},
+     "coefficients: c0 must be finite numbers"),
+    ("verify", {"coefficients": {"beta": 1.0, "mu": 10 ** 400}},
+     "coefficients: mu must be a finite number"),
+    ("verify", {"coefficients": {"beta": {"re": 10 ** 400}}},
+     "coefficients: beta must be a finite number"),
+    ("verify", {"coefficients": {"beta": {"re": 1.0, "im": 10 ** 400},
+                                 "mode": "complex_robin"}},
+     "coefficients: beta must be a finite number"),
+    ("verify", {"oracle": {"matrix": [[-1.0, 10 ** 400], [1.0, -1.0]]}},
+     "oracle: matrix must be a list of equal-length rows of finite numbers"),
+    # true was taken as phi = 1.0
+    ("parabolic", {"phi": True}, "config: phi must be a number, got True"),
+    # .6g printed both sides as 0.1
+    ("verify", {"coefficients": {"a": [[1, 0.9], [0.9, 1]], "mu": 0.1,
+                                 "mode": "robin", "beta": 1.0}},
+     "coefficients: coefficients violate ellipticity: smallest "
+     "symmetric-part eigenvalue 0.09999999999999998 < mu = 0.1"),
 ])
 def test_cli_malformed_section_is_an_error(tmp_path, capsys, command,
                                            section, message):

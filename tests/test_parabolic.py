@@ -9,7 +9,7 @@ from perronfem.parabolic import BoundaryData, ParabolicError, \
     PositivityScan, WeakResidual, make_test_bank, solve_mild, \
     strong_positivity_check, very_weak_residual
 from perronfem.semigroup import EvolutionConfig, MassKind, Verdict
-from perronfem.spectral import perron_pair
+from perronfem.spectral import principal_eig
 
 
 def laplace_coeffs(mesh):
@@ -159,7 +159,7 @@ def test_sign_condition_warning(dirichlet_mesh8):
 
 
 def test_eigenvector_decay_with_zero_boundary(dirichlet_mesh8, dirichlet_op8):
-    rep = perron_pair(dirichlet_op8, 1e-10)
+    rep = principal_eig(dirichlet_op8, 1e-10, k=1, mass=MassKind.LUMPED)
     lam = rep.lambda1.real
     u0 = dirichlet_op8.expand(rep.vector)
     phi = BoundaryData.constant(dirichlet_mesh8, 0.0, 0.1)

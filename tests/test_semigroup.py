@@ -15,7 +15,7 @@ from perronfem.semigroup import EvolutionConfig, MassKind, Scheme, Verdict, \
     default_dt, default_evolution, kernel, kernel_certificate, \
     kernel_positivity_report, march, peripheral_pair, \
     positivity_improving_check
-from perronfem.spectral import perron_pair
+from perronfem.spectral import principal_eig
 from tests.conftest import MIXED_TAGS, dense_ie_step, dense_kernel
 
 
@@ -65,7 +65,7 @@ def test_config_validation():
 def test_eigenvector_decays_like_scalar_ode(robin_op8):
     # on an eigenvector the implicit Euler recursion is exactly scalar,
     # and the scalar recursion tracks exp(-lambda t) at first order
-    rep = perron_pair(robin_op8, 1e-10)
+    rep = principal_eig(robin_op8, 1e-10, k=1, mass=MassKind.LUMPED)
     lam = rep.lambda1.real
     cfg = lumped_cfg(robin_op8.mesh, t_end=0.5, dt=1e-3)
     states = stacked(robin_op8, rep.vector, cfg)
@@ -133,14 +133,6 @@ def test_scaling_invariance_is_bitwise_for_power_of_two(robin_op8):
 
 
 # -- positivity improving ------------------------------------------------------
-
-def _suite_problem(op, cfg):
-    from perronfem.verification import Problem
-    problem = Problem(mesh=op.mesh, coeffs=op.coeffs, mode=op.mode,
-                      evolution=cfg)
-    problem.op = op  # the cached property, given the assembled operator
-    return problem
-
 
 def _positivity_improving(op, cfg):
     """positivity_improving_check on the columns the suite marches."""
@@ -632,24 +624,31 @@ ANISO = np.array([[1.0, 0.3], [0.3, 1.0]])
 
 
 def _certificate_case(case, n):
-    """Operators of the differential tests, each at subdivision n."""
+    """Suite problems of the differential tests, each at subdivision n,
+    their operators assembled."""
+    from perronfem.verification import Problem
     if case in ("mixed_square", "mixed_lshape"):
         shape = "unit_square" if case == "mixed_square" else "l_shape"
         mesh = generate_structured(shape, n, _mixed_tags(shape))
-        return assemble(mesh, CoefficientSet.constant(mesh),
-                        BoundaryMode.MIXED, corkscrew_checked=True)
-    mesh = generate_structured("unit_square", n,
-                               "D" if case == "dirichlet" else "N")
-    mode, kwargs = {
-        "robin": (BoundaryMode.ROBIN, {"beta": 1.5}),
-        "dirichlet": (BoundaryMode.DIRICHLET, {}),
-        "neumann": (BoundaryMode.NEUMANN, {}),
-        # the anisotropic tensor keeps the convective stiffness M-compatible
-        "convective_robin": (BoundaryMode.ROBIN,
-                             {"beta": 1.0, "a": ANISO, "b": (1.0, 1.0),
-                              "mu": 0.4}),
-    }[case]
-    return assemble(mesh, CoefficientSet.constant(mesh, **kwargs), mode)
+        mode, kwargs = BoundaryMode.MIXED, {}
+    else:
+        mesh = generate_structured("unit_square", n,
+                                   "D" if case == "dirichlet" else "N")
+        mode, kwargs = {
+            "robin": (BoundaryMode.ROBIN, {"beta": 1.5}),
+            "dirichlet": (BoundaryMode.DIRICHLET, {}),
+            "neumann": (BoundaryMode.NEUMANN, {}),
+            # the anisotropic tensor keeps the convective stiffness
+            # M-compatible
+            "convective_robin": (BoundaryMode.ROBIN,
+                                 {"beta": 1.0, "a": ANISO, "b": (1.0, 1.0),
+                                  "mu": 0.4}),
+        }[case]
+    coeffs = CoefficientSet.constant(mesh, **kwargs)
+    problem = Problem(mesh=mesh, coeffs=coeffs, mode=mode)
+    # the cached property, given the assembled operator
+    problem.op = assemble(mesh, coeffs, mode, corkscrew_checked=True)
+    return problem
 
 
 CERTIFICATE_CASES = ("robin", "dirichlet", "neumann", "mixed_square",
@@ -681,11 +680,9 @@ def _dense_composition_verdict(op, K, K1, K2):
 @pytest.mark.parametrize("n", [6, 12])
 @pytest.mark.parametrize("case", CERTIFICATE_CASES)
 def test_certificate_and_probe_checks_agree_with_the_dense_kernel(case, n):
-    from perronfem.verification import Problem, run_suite
-    op = _certificate_case(case, n)
-    problem = Problem(mesh=op.mesh, coeffs=op.coeffs, mode=op.mode)
-    problem.op = op  # the cached property, given the assembled operator
-    cfg = problem.evolution_cfg
+    from perronfem.verification import run_suite
+    problem = _certificate_case(case, n)
+    op, cfg = problem.op, problem.evolution_cfg
     K, K1, K2 = _split_kernels(op, cfg)
     certificate = kernel_certificate(op, cfg)
     assert certificate.holds and certificate.min_row_sum > 0
@@ -714,12 +711,11 @@ def test_probe_checks_agree_with_the_dense_kernel_outside_the_certificate(
         b, scheme, mass, reason):
     from perronfem.verification import Problem, run_suite
     mesh = generate_structured("unit_square", 6, "N")
-    op = assemble(mesh, CoefficientSet.constant(mesh, beta=1.0, b=b),
-                  BoundaryMode.ROBIN)
+    coeffs = CoefficientSet.constant(mesh, beta=1.0, b=b)
+    op = assemble(mesh, coeffs, BoundaryMode.ROBIN)
     cfg = EvolutionConfig(scheme=scheme, mass=mass, dt=default_dt(mesh),
                           t_end=20 * default_dt(mesh))
-    problem = Problem(mesh=mesh, coeffs=op.coeffs, mode=op.mode,
-                      evolution=cfg)
+    problem = Problem(mesh=mesh, coeffs=coeffs, mode=op.mode, evolution=cfg)
     K, K1, K2 = _split_kernels(op, cfg)
     results = {r.label: r for r in run_suite(problem).results}
     assert results["kernel-positivity"].verdict is Verdict.NOT_APPLICABLE
@@ -738,7 +734,7 @@ def test_probe_checks_agree_with_the_dense_kernel_outside_the_certificate(
 
 def test_probe_columns_are_the_dense_kernel_columns():
     for case in ("robin", "mixed_lshape", "convective_robin"):
-        op = _certificate_case(case, 6)
+        op = _certificate_case(case, 6).op
         cfg = lumped_cfg(op.mesh, t_end=30 * default_dt(op.mesh))
         t = 9 * cfg.dt
         dense = dense_kernel(op, t, cfg)
@@ -759,14 +755,13 @@ def _probes(problem):
     return kernel_probes(problem.op, problem.evolution_cfg)
 
 
-def _probed_problem(monkeypatch, op, probes, seed):
-    """A suite problem on op whose kernel checks read ``probes`` columns
-    drawn with ``seed``, marched at once into op's cache, so op must be
-    marched for no other probe block."""
+def _probed_problem(monkeypatch, problem, probes, seed):
+    """The suite problem with its kernel checks reading ``probes`` columns
+    drawn with ``seed``, marched at once into its operator's cache, so the
+    operator must be marched for no other probe block."""
     import perronfem.verification as verification
     monkeypatch.setattr(verification, "PROBES", probes)
     monkeypatch.setattr(verification, "PROBE_SEED", seed)
-    problem = _suite_problem(op, None)
     _probes(problem)  # march while the patch holds
     return problem
 
@@ -788,7 +783,7 @@ def test_four_probes_catch_every_defect_sixteen_catch(monkeypatch):
     # t = t1 + t2, must fail chapman-kolmogorov, each at 10x the 16-probe
     # check's scaled tolerance
     import perronfem.verification as verification
-    op = _certificate_case("robin", 6)
+    op = _certificate_case("robin", 6).op
     locations = [(0, 1), (0, op.n_dof - 1), (10, 30), (24, 25), (7, 7)]
     for seed in range(3):
         with monkeypatch.context() as patch:
@@ -831,9 +826,10 @@ def test_kernel_identity_checks_scale_with_a_decayed_kernel():
     # floored at 1 would pass a 1e-3 relative antisymmetric defect, and a
     # marched side set to zero
     import perronfem.verification as verification
+    from perronfem.verification import Problem
     mesh = generate_structured("unit_square", 6, "D")
-    op = assemble(mesh, CoefficientSet.constant(mesh), BoundaryMode.DIRICHLET)
-    problem = _suite_problem(op, None)
+    problem = Problem(mesh=mesh, coeffs=CoefficientSet.constant(mesh),
+                      mode=BoundaryMode.DIRICHLET)
     k = _probes(problem)
     scale = float(np.abs(k.probes.T @ k.forward).max())
     assert scale < 1e-6
@@ -854,9 +850,11 @@ def test_kernel_identity_checks_pass_a_kernel_decayed_into_subnormals():
     # both deviations are a few hundred subnormal steps: float round-off
     # that no relative tolerance resolves
     import perronfem.verification as verification
+    from perronfem.verification import Problem
     mesh = generate_structured("unit_square", 6, "D")
-    op = assemble(mesh, CoefficientSet.constant(mesh), BoundaryMode.DIRICHLET)
-    problem = _suite_problem(op, EvolutionConfig(dt=0.01, t_end=41.5))
+    problem = Problem(mesh=mesh, coeffs=CoefficientSet.constant(mesh),
+                      mode=BoundaryMode.DIRICHLET,
+                      evolution=EvolutionConfig(dt=0.01, t_end=41.5))
     k = _probes(problem)
     assert 0 < np.abs(k.probes.T @ k.forward).max() < np.finfo(float).tiny
     for check in (verification._check_kernel_symmetry,
@@ -965,9 +963,9 @@ def test_kernel_report_raises_on_a_nonpositive_entry_under_the_certificate():
 
 def _tiny_case(shape="unit_square", mode="robin", width=1.0, s=0.0, b=0.0,
                c0=0.0, beta=1.0, split=False, dt=0.1):
-    """An operator with at most six dofs and a lumped implicit-Euler
-    config; ``split`` cuts dof 0 off from the others, so the stiffness is
-    reducible."""
+    """An operator with at most six dofs, a lumped implicit-Euler config
+    and the coefficients; ``split`` cuts dof 0 off from the others, so the
+    stiffness is reducible."""
     from dataclasses import replace
     if shape == "l_shape" and mode != "mixed":
         shape = "unit_square"
@@ -986,7 +984,8 @@ def _tiny_case(shape="unit_square", mode="robin", width=1.0, s=0.0, b=0.0,
         A[0, 1:] = 0.0
         A[1:, 0] = 0.0
         op = replace(op, stiffness=A.tocsr())
-    return op, EvolutionConfig(dt=dt, t_end=3 * dt, mass=MassKind.LUMPED)
+    return op, EvolutionConfig(dt=dt, t_end=3 * dt, mass=MassKind.LUMPED), \
+        coeffs
 
 
 @st.composite
@@ -1022,11 +1021,11 @@ def _tiny_sides(test):
 def test_certificate_implies_the_lattice_oracle_on_tiny_meshes(case):
     from perronfem import lattice
     from perronfem.verification import Problem, run_suite
-    op, cfg = case
+    op, cfg, coeffs = case
     assert op.n_dof <= 6
     certificate = kernel_certificate(op, cfg)
     # positivity-improving passes exactly when the certificate holds
-    problem = Problem(mesh=op.mesh, coeffs=op.coeffs, mode=op.mode,
+    problem = Problem(mesh=op.mesh, coeffs=coeffs, mode=op.mode,
                       evolution=default_evolution(op.mesh, dt=cfg.dt))
     problem.op = op
     (result,) = run_suite(problem, only="positivity-improving").results
@@ -1054,9 +1053,9 @@ def test_principal_verdicts_match_the_lattice_perron_vector_on_tiny_meshes(
     from perronfem import lattice
     from perronfem.assembly import mmatrix_certificate
     from perronfem.verification import Problem, run_suite
-    op, cfg = case
+    op, cfg, coeffs = case
     assert op.n_dof <= 6
-    problem = Problem(mesh=op.mesh, coeffs=op.coeffs, mode=op.mode,
+    problem = Problem(mesh=op.mesh, coeffs=coeffs, mode=op.mode,
                       evolution=default_evolution(op.mesh, dt=cfg.dt))
     problem.op = op
     results = {label: run_suite(problem, only=label).results[0]

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from perronfem.mesh import generate_structured
 from perronfem.semigroup import Verdict
 from perronfem.spectral import REGION, EigenReport, SolverError, \
     _lowest_pairs, certify_positivity, complex_robin_bound, mmatrix_report, \
-    perron_pair, principal_eig, spectral_gap
+    principal_eig
 
 
 def robin_half_tangent_root(beta=1.0):
@@ -49,7 +50,7 @@ def test_dirichlet_principal_eigenvalue_unit_square():
 def test_dirichlet_spectrum_matches_separation_of_variables():
     mesh = generate_structured("unit_square", 32, "dirichlet")
     op = assemble(mesh, CoefficientSet.constant(mesh), BoundaryMode.DIRICHLET)
-    rep = spectral_gap(op, 4)
+    rep = principal_eig(op, k=4)
     exact = math.pi ** 2 * np.array([2.0, 5.0, 5.0, 8.0])
     np.testing.assert_allclose(np.real(rep.values), exact, rtol=0.02)
     assert rep.gap > 0
@@ -62,7 +63,7 @@ def test_neumann_principal_pair():
     assert abs(rep.lambda1) <= 1e-10
     v = rep.vector
     assert v.max() - v.min() <= 1e-8 * abs(v).max()
-    gaps = spectral_gap(op, 4)
+    gaps = principal_eig(op, k=4)
     exact = math.pi ** 2 * np.array([0.0, 1.0, 1.0, 2.0])
     np.testing.assert_allclose(np.real(gaps.values), exact, rtol=0.02,
                                atol=1e-9)
@@ -148,15 +149,14 @@ def test_every_mode_has_a_region_name():
 
 
 def test_second_eigenvector_fails_certificate(dirichlet_op8):
-    gaps = spectral_gap(dirichlet_op8, 2)
-    second = EigenReport(lambda1=complex(gaps.values[1]),
-                         vector=gaps.vectors[:, 1],
-                         residual=float(gaps.residuals[1]), gap=0.0,
+    gaps = principal_eig(dirichlet_op8, k=2)
+    second = EigenReport(values=gaps.values[1:], vectors=gaps.vectors[1:],
+                         residuals=gaps.residuals[1:],
                          multiplicity_flag=False)
     verdict, _ = certify_positivity(second, dirichlet_op8)
     assert verdict is Verdict.FAIL
     # orthogonality to the positive principal vector forces a sign change
-    assert gaps.vectors[:, 1].min() < 0 < gaps.vectors[:, 1].max()
+    assert gaps.vectors[1].min() < 0 < gaps.vectors[1].max()
 
 
 def test_mixed_certificate(mixed_mesh8):
@@ -209,7 +209,7 @@ def test_rayleigh_consistency(robin_op8):
 def test_perron_sign_property(mode_fixture, request):
     op = request.getfixturevalue(mode_fixture)
     assert mmatrix_report(op).offdiag_max <= 0
-    rep = perron_pair(op, 1e-10)
+    rep = principal_eig(op, 1e-10, k=1, mass=MassKind.LUMPED)
     assert np.all(rep.vector >= 0.0)  # exact assertion, no tolerance
 
 
@@ -260,7 +260,7 @@ def test_convection_shifts_spectrum_by_quarter_speed_squared():
 def test_spectral_gap_non_hermitian_sorted(robin_mesh8):
     coeffs = CoefficientSet.constant(robin_mesh8, beta=1.0 + 1.0j)
     op = assemble(robin_mesh8, coeffs, BoundaryMode.COMPLEX_ROBIN)
-    rep = spectral_gap(op, 4)
+    rep = principal_eig(op, k=4)
     re = np.real(rep.values)
     assert np.all(np.diff(re) >= -1e-12)
     assert rep.gap == pytest.approx(re[1] - re[0])
@@ -324,7 +324,6 @@ def test_complex_robin_real_part_operator_is_the_assembled_one(
         for part in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(a, part), getattr(b, part))
     assert np.array_equal(derived.mass_lumped, assembled.mass_lumped)
-    assert np.array_equal(derived.coeffs.beta, beta.real)
 
 
 def test_complex_robin_eigenpair_real_part_identity(robin_mesh8):
@@ -349,10 +348,11 @@ def test_complex_robin_eigenpair_real_part_identity(robin_mesh8):
 # -- solver plumbing ----------------------------------------------------------
 
 def test_spectral_gap_argument_validation(robin_op8):
-    with pytest.raises(ValueError):
-        spectral_gap(robin_op8, 1)
-    with pytest.raises(ValueError):
-        spectral_gap(robin_op8, robin_op8.n_dof + 1)
+    with pytest.raises(ValueError, match="k must be at least 1"):
+        principal_eig(robin_op8, k=0)
+    # more pairs than dofs: every pair
+    rep = principal_eig(robin_op8, k=robin_op8.n_dof + 1)
+    assert len(rep.values) == len(rep.vectors) == robin_op8.n_dof
 
 
 def test_principal_eig_rejects_bad_tol(robin_op8):
@@ -363,7 +363,8 @@ def test_principal_eig_rejects_bad_tol(robin_op8):
 def test_lumped_and_consistent_pencils_agree_to_discretization_error(
         dirichlet_op8):
     lam_c = principal_eig(dirichlet_op8).lambda1.real
-    lam_l = perron_pair(dirichlet_op8, 1e-10).lambda1.real
+    lam_l = principal_eig(dirichlet_op8, 1e-10, k=1,
+                          mass=MassKind.LUMPED).lambda1.real
     assert lam_c == pytest.approx(lam_l, rel=0.1)
     assert lam_l < 2 * math.pi ** 2 < lam_c  # lumped below, consistent above
 
@@ -411,13 +412,13 @@ def test_sweeps_stop_at_the_rounding_floor(monkeypatch):
 
     import perronfem.spectral as spectral
     op, solves = _dirichlet_square(1 / 32), []
-    factor = spectral._hermitian_factor
+    factor = spectral._pencil_factor
 
     def counted(op, mass):
         sigma, lu = factor(op, mass)
         return sigma, types.SimpleNamespace(
             solve=lambda b: solves.append(1) or lu.solve(b))
-    monkeypatch.setattr(spectral, "_hermitian_factor", counted)
+    monkeypatch.setattr(spectral, "_pencil_factor", counted)
     rep = principal_eig(op)
     assert rep.residual <= spectral._residual_bound(1e-10, op)
     assert len(solves) < spectral.MAX_SWEEPS
@@ -495,7 +496,7 @@ def test_a_strongly_imaginary_beta_doubles_the_arnoldi_pairs(monkeypatch):
     # and the sector outside the 4-pair disc reaches left of Re lambda_2
     case = (20, BoundaryMode.COMPLEX_ROBIN, 0.2 + 3.0j, (0.0, 0.0))
     calls = _counted_arnoldi(monkeypatch)
-    rep = spectral_gap(_fresh(_nonhermitian_case(*case)), 2)
+    rep = principal_eig(_fresh(_nonhermitian_case(*case)), k=2)
     assert calls == [4, 8]
     np.testing.assert_allclose(
         rep.values, _dense_reference(*case, "consistent")[:2], rtol=1e-10)
@@ -588,7 +589,7 @@ def test_tiny_meshes_take_the_dense_spectrum(monkeypatch):
     calls = _counted_arnoldi(monkeypatch)
     op = _nonhermitian_case(1, *NONHERMITIAN_CASES[0])
     assert op.n_dof == 4  # k + 2 >= n_dof - 1: ARPACK cannot run
-    rep = spectral_gap(op, 4)
+    rep = principal_eig(op, k=4)
     assert calls == []
     np.testing.assert_allclose(
         rep.values, _dense_reference(1, *NONHERMITIAN_CASES[0],
@@ -624,8 +625,8 @@ def test_every_arpack_call_caps_its_restarts(monkeypatch, mode, beta, b):
             return _solver(*args, **kwargs)
         monkeypatch.setattr(spectral.spla, name, spied)
     op = _nonhermitian_case(8, mode, beta, b)
-    spectral_gap(op, 3)
-    perron_pair(op, 1e-10)
+    principal_eig(op, k=3)
+    principal_eig(op, 1e-10, k=1, mass=MassKind.LUMPED)
     # per mass kind: one Lanczos bound (complex Robin's H is semidefinite,
     # so one sector side is solved) and one Arnoldi solve
     assert maxiters == [spectral.MAX_ARNOLDI_RESTARTS] * 4
@@ -653,7 +654,7 @@ def test_a_later_arnoldi_pair_off_the_bound_is_solved_again(monkeypatch):
     op = assemble(mesh, CoefficientSet.constant(mesh, b=(1.0, 0.0)),
                   BoundaryMode.NEUMANN)
     tols = _arnoldi_tols(monkeypatch)
-    rep = spectral_gap(op, 2, tol=1e-10)
+    rep = principal_eig(op, 1e-10, k=2)
     assert tols == [1e-10, 0.0]
     assert np.all(rep.residuals <= 1e-9)
     assert principal_eig(op, tol=1e-10).residual == rep.residuals[0]
@@ -663,7 +664,7 @@ def test_an_arnoldi_residual_off_the_bound_at_tol_zero_raises(monkeypatch):
     tols = _arnoldi_tols(monkeypatch, perturb=1e-3)
     op = _fresh(_nonhermitian_case(6, *NONHERMITIAN_CASES[0]))
     with pytest.raises(SolverError, match="residuals .* exceed the bound"):
-        spectral_gap(op, 2)
+        principal_eig(op, k=2)
     assert tols == [1e-10, 0.0]
 
 
@@ -711,7 +712,7 @@ def test_arnoldi_path_matches_the_dense_path(robin_mesh8, mode, beta, b):
     op = assemble(robin_mesh8, CoefficientSet.constant(robin_mesh8, beta=beta,
                                                        b=b), mode)
     rep = principal_eig(op)
-    gap = spectral_gap(op, 3)
+    gap = principal_eig(op, k=3)
     values, vectors = sla.eig(op.stiffness.toarray(), op.mass.toarray())
     order = np.lexsort((values.imag, values.real))
     values, vectors = values[order], vectors[:, order]
@@ -728,7 +729,8 @@ def test_arnoldi_path_matches_the_dense_path(robin_mesh8, mode, beta, b):
 # -- one solve per operator ------------------------------------------------------
 
 def _fresh(op):
-    return assemble(op.mesh, op.coeffs, op.mode)
+    """op with an empty solver cache: the same matrices, nothing solved."""
+    return replace(op)
 
 
 @pytest.mark.parametrize("beta", [1.0, 1.0 + 1.0j])
@@ -738,8 +740,8 @@ def test_spectral_gap_after_principal_eig_is_bitwise_a_fresh_solve(
     mode = BoundaryMode.ROBIN if beta == 1.0 else BoundaryMode.COMPLEX_ROBIN
     op = assemble(robin_mesh8, coeffs, mode)
     principal = principal_eig(op)
-    shared = spectral_gap(op, 2)
-    alone = spectral_gap(_fresh(op), 2)
+    shared = principal_eig(op, k=2)
+    alone = principal_eig(_fresh(op), k=2)
     assert np.array_equal(shared.values, alone.values)
     assert np.array_equal(shared.vectors, alone.vectors)
     assert np.array_equal(shared.residuals, alone.residuals)
@@ -758,13 +760,13 @@ def test_complex_robin_bound_reads_the_suite_spectrum(robin_mesh8):
 
 def test_shared_solves_are_read_only(robin_op8, robin_mesh8):
     from perronfem.assembly import MassKind
-    gap = spectral_gap(robin_op8, 3)
+    gap = principal_eig(robin_op8, k=3)
     with pytest.raises(ValueError, match="read-only"):
         gap.residuals[0] = 0.0
     op = assemble(robin_mesh8,
                   CoefficientSet.constant(robin_mesh8, beta=1.0 + 1.0j),
                   BoundaryMode.COMPLEX_ROBIN)
-    values = spectral_gap(op, 3).values
+    values = principal_eig(op, k=3).values
     key = ("eigenpairs", MassKind.CONSISTENT, 3, 1e-10)
     cached, vectors, _ = op.solver_cache[key]
     assert values is cached
@@ -810,7 +812,7 @@ def test_the_dense_path_checks_every_pair(monkeypatch):
     op = assemble(mesh, CoefficientSet.constant(mesh, beta=1.0 + 1.0j),
                   BoundaryMode.COMPLEX_ROBIN)
     with pytest.raises(SolverError, match="residuals .* exceed the bound"):
-        spectral_gap(op, 2)
+        principal_eig(op, k=2)
 
 
 def test_complex_robin_bound_needs_the_complex_operator(robin_op8):
@@ -872,8 +874,8 @@ def test_hermitian_sweep_keeps_the_sign_in_a_potential_well(mass):
     coeffs = CoefficientSet.constant(mesh, beta=1.0,
                                      c0=np.where(right, 1e6, 0.0))
     op = assemble(mesh, coeffs, BoundaryMode.ROBIN)
-    vector = (principal_eig(op) if mass == "consistent"
-              else perron_pair(op, 1e-10)).vector
+    vector = principal_eig(op, k=2 if mass == "consistent" else 1,
+                           mass=mass).vector
     assert vector.min() > 0.0
     assert vector.min() < 1e-20 * vector.max()  # the well is really deep
 
@@ -908,7 +910,7 @@ def test_the_zero_shift_is_taken_only_when_certified(case):
     op = assemble(mesh, CoefficientSet.constant(mesh, **kwargs), mode)
     gershgorin = spectral._shift_below_spectrum(op.stiffness, op.mass_lumped)
     for mass in MassKind:
-        sigma, _ = spectral._hermitian_factor(op, mass)
+        sigma, _ = spectral._pencil_factor(op, mass)
         assert sigma == (0.0 if zero else gershgorin)
         values, _, residuals = _lowest_pairs(op, mass, 2, 1e-10)
         M = mass_matrix(mass, op.mass, op.mass_lumped)
@@ -933,8 +935,8 @@ def test_no_positive_row_sum_skips_the_zero_shift_factor(monkeypatch):
                   BoundaryMode.NEUMANN)
     assert (op.stiffness @ np.ones(op.n_dof)).max() < 0.0
     principal_eig(op)
-    spectral_gap(op, 2)
-    perron_pair(op, 1e-10)
+    principal_eig(op, k=2)
+    principal_eig(op, 1e-10, k=1, mass=MassKind.LUMPED)
     assert len(calls) == 2
     assert "stiffness_factor" not in op.solver_cache
 
@@ -949,7 +951,7 @@ def _signed(vector, mass_lumped):
 @pytest.mark.parametrize("case", ["robin", "dirichlet", "l_shape_mixed"])
 def test_perron_pair_matches_dense_lumped_eigh(case):
     op = _sweep_case(case)
-    rep = perron_pair(op, 1e-10)
+    rep = principal_eig(op, 1e-10, k=1, mass=MassKind.LUMPED)
     values, vectors = sla.eigh(op.stiffness.toarray(),
                                np.diag(op.mass_lumped))
     assert rep.lambda1.real == pytest.approx(values[0], rel=1e-10)
@@ -961,7 +963,7 @@ def test_perron_pair_of_a_convective_operator_matches_dense_eig():
     # b != c: one certified Arnoldi pair of the real lumped pencil
     op = _nonhermitian_case(8, BoundaryMode.ROBIN, 1.0, (5.0, 2.0))
     assert not op.is_hermitian and not op.is_complex
-    rep = perron_pair(op, 1e-10)
+    rep = principal_eig(op, 1e-10, k=1, mass=MassKind.LUMPED)
     values, vectors = sla.eig(op.stiffness.toarray(), np.diag(op.mass_lumped))
     least = np.lexsort((values.imag, values.real))[0]
     assert rep.lambda1 == pytest.approx(values[least], rel=1e-10)
@@ -1005,7 +1007,8 @@ def test_perron_pair_starts_from_the_consistent_pairs(monkeypatch):
     op, tol = problem.op, problem.solver_tol
     assert starts[0] is None
     np.testing.assert_array_equal(starts[1],
-                                  spectral_gap(op, 2, tol).vectors)
+                                  np.column_stack(
+                                      principal_eig(op, tol, k=2).vectors))
     # cold starts of the same pencil through the same factor: the block of
     # one pair, and the two pairs with two guards
     cold = {}
@@ -1030,11 +1033,13 @@ def test_rank_deficient_sweep_is_a_solver_error(robin_op8, monkeypatch):
 # -- the M-matrix certificate of the principal eigenvector ---------------------
 
 def _potential_well(n, tags, mode, beta=0.0):
-    """c0 = 5000 on the triangles right of x = 0.5, 0 elsewhere."""
+    """The suite problem with c0 = 5000 on the triangles right of x = 0.5,
+    0 elsewhere."""
+    from perronfem.verification import Problem
     mesh = generate_structured("unit_square", n, tags)
     right = mesh.vertices[mesh.triangles].mean(axis=1)[:, 0] > 0.5
-    return assemble(mesh, CoefficientSet.constant(
-        mesh, c0=np.where(right, 5000.0, 0.0), beta=beta), mode)
+    return Problem(mesh=mesh, coeffs=CoefficientSet.constant(
+        mesh, c0=np.where(right, 5000.0, 0.0), beta=beta), mode=mode)
 
 
 @pytest.mark.parametrize("tags, mode, beta", [
@@ -1042,10 +1047,8 @@ def _potential_well(n, tags, mode, beta=0.0):
 def test_a_potential_well_passes_without_a_float_floor(tags, mode, beta):
     # the Perron vector decays to ~6e-15 of its maximum inside the well, a
     # value the old relative floor 1e-12 * max|u| called nonpositive
-    from perronfem.verification import Problem, run_suite
-    op = _potential_well(32, tags, mode, beta)
-    problem = Problem(mesh=op.mesh, coeffs=op.coeffs, mode=mode)
-    problem.op = op
+    from perronfem.verification import run_suite
+    problem = _potential_well(32, tags, mode, beta)
     results = {r.label: r for r in run_suite(problem).results
                if r.label in ("principal-positivity", "perron-sign-structure",
                               "kernel-positivity", "positivity-improving")}
@@ -1131,15 +1134,16 @@ def test_the_stiffness_certificate_matches_the_dense_inverse():
 
 
 def test_a_negative_entry_under_the_certificate_fails(robin_op8):
-    from dataclasses import replace
     rep = principal_eig(robin_op8)
     vector = rep.vector.copy()
     vector[5] = -1e-300
-    verdict, cert = certify_positivity(replace(rep, vector=vector), robin_op8)
+    verdict, cert = certify_positivity(replace(rep, vectors=(vector,)),
+                                       robin_op8)
     assert verdict is Verdict.FAIL and "reason" not in cert
     assert cert["witness_node"] == robin_op8.free_vertices[5]
     vector[5] = 0.0  # a positive entry lost to underflow
-    verdict, cert = certify_positivity(replace(rep, vector=vector), robin_op8)
+    verdict, cert = certify_positivity(replace(rep, vectors=(vector,)),
+                                       robin_op8)
     assert verdict is Verdict.PASS and cert["underflow"] \
         and cert["min_value"] == 0.0
 
@@ -1148,7 +1152,7 @@ def test_a_negative_entry_under_the_certificate_fails(robin_op8):
 def test_each_shifted_pencil_is_factorized_once(monkeypatch, beta, c0):
     # complex Robin takes the Arnoldi path, c0 = -30 the Gershgorin shift
     # of block inverse iteration (its stiffness has no zero-shift factor):
-    # principal_eig and spectral_gap(op, 3) ask for different k of one
+    # principal_eig(op) and principal_eig(op, k=3) ask for different k of one
     # pencil, and one Gershgorin factor serves both; the sector bound's
     # pencil is the other factorization of the complex case, the failed
     # zero-shift witness the other of the real one
@@ -1156,12 +1160,12 @@ def test_each_shifted_pencil_is_factorized_once(monkeypatch, beta, c0):
     mesh = generate_structured("unit_square", 6, "N")
     coeffs = CoefficientSet.constant(mesh, beta=beta, c0=c0)
     mode = BoundaryMode.COMPLEX_ROBIN if beta.imag else BoundaryMode.ROBIN
-    fresh = spectral_gap(assemble(mesh, coeffs, mode), 3).values
+    fresh = principal_eig(assemble(mesh, coeffs, mode), k=3).values
     calls = []
     factorize = spectral.factorize
     monkeypatch.setattr(spectral, "factorize",
                         lambda m: calls.append(1) or factorize(m))
     op = assemble(mesh, coeffs, mode)
     principal_eig(op)
-    assert np.array_equal(spectral_gap(op, 3).values, fresh)
+    assert np.array_equal(principal_eig(op, k=3).values, fresh)
     assert len(calls) == 2

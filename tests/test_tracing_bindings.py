@@ -1,6 +1,6 @@
 """The benchmark tracer binds package names from outside; a binding the
 package no longer has is skipped and its per-layer metrics read 0, so
-every binding must resolve, save the seven listed below."""
+every binding must resolve, save the eight listed below."""
 
 import importlib
 import importlib.util
@@ -18,11 +18,13 @@ def test_every_tracer_binding_resolves():
     # the graph diameter, the names cli imported only for the tracer,
     # region_vertices (every mode's region is the free vertices),
     # spectral's assemble (the complex-Robin bound reads its real-part
-    # operator off the assembled one) and semigroup's mmatrix_report (the
-    # kernel certificate reads the stiffness's sign scan alone) are deleted
-    # from the package, while benchmarks/tracing.py, which a change to the
-    # benchmark must edit, still binds them: their metrics read 0 until
-    # then. Any other binding that stops resolving fails here.
+    # operator off the assembled one), semigroup's mmatrix_report (the
+    # kernel certificate reads the stiffness's sign scan alone) and
+    # verification's spectral_gap (spectral-gap reads principal_eig's
+    # multiplicity flag) are deleted from the package, while
+    # benchmarks/tracing.py, which a change to the benchmark must edit,
+    # still binds them: their metrics read 0 until then. Any other binding
+    # that stops resolving fails here.
     assert tracing.BINDINGS and sorted(missing) == [
         "perronfem.cli.strong_positivity_check",
         "perronfem.cli.very_weak_residual",
@@ -31,4 +33,5 @@ def test_every_tracer_binding_resolves():
         "perronfem.semigroup.propagation_threshold",
         "perronfem.semigroup.region_vertices",
         "perronfem.spectral.assemble",
+        "perronfem.verification.spectral_gap",
     ]

@@ -39,8 +39,9 @@ from .svgplot import emit_heatmap, render_strip, strip_steps
 from .verification import Problem, jsonable, run_suite, suite_labels
 
 KERNEL_MAGIC = b"KTMAT001"
-#: largest dense kernel ``perronfem kernel`` marches, in estimated bytes
-DENSE_KERNEL_MAX_BYTES = 2 ** 30
+#: largest dense allocation a command makes, in estimated bytes: the
+#: kernel ``perronfem kernel`` marches, the bank ``perronfem parabolic`` draws
+DENSE_MAX_BYTES = 2 ** 30
 # states a parabolic run marches ahead of its CSV rows: one row's text
 # evicts the step factor and the residual's profiles from cache, so
 # stepping and pairing state by state between rows made the run 7% slower
@@ -355,12 +356,19 @@ def _cmd_evolve(args) -> int:
 _KERNEL_KEYS = {"mesh", "coefficients", "evolution", "output_dir"}
 
 
+def _refuse_above_limit(what: str, need: int) -> None:
+    """CliError naming ``what`` if ``need`` bytes exceed DENSE_MAX_BYTES."""
+    if need > DENSE_MAX_BYTES:
+        raise CliError(f"{what} needs about {need / 2 ** 20:,.1f} MiB, above "
+                       f"the {DENSE_MAX_BYTES / 2 ** 20:,.1f} MiB limit")
+
+
 def _cmd_kernel(args) -> int:
     """The dense kernel K(t), every unit point mass marched as one block,
     checked in dof space, then dumped on the full vertex set with zero
     rows and columns at eliminated vertices. A complex operator (the dump
     is real) and a march whose three largest arrays would exceed
-    DENSE_KERNEL_MAX_BYTES are refused before the march."""
+    DENSE_MAX_BYTES are refused before the march."""
     cfg, base, mesh, coeffs, mode = _load_inputs(args, _KERNEL_KEYS)
     ecfg = _resolve_evolution(cfg.get("evolution"), mesh)
     if args.t is not None and args.t < ecfg.dt:
@@ -370,12 +378,8 @@ def _cmd_kernel(args) -> int:
     if op.is_complex:
         raise CliError("kernel: the kernel dump is real, so a complex "
                        "operator is refused")
-    need = 8 * (2 * op.n_dof ** 2 + mesh.n_vertices ** 2)
-    if need > DENSE_KERNEL_MAX_BYTES:
-        raise CliError(
-            f"kernel: the dense kernel of {op.n_dof} dofs needs about "
-            f"{need / 2 ** 20:,.1f} MiB, above the "
-            f"{DENSE_KERNEL_MAX_BYTES / 2 ** 20:,.1f} MiB limit")
+    _refuse_above_limit(f"kernel: the dense kernel of {op.n_dof} dofs",
+                        8 * (2 * op.n_dof ** 2 + mesh.n_vertices ** 2))
     out = base / _string(cfg, "output_dir", ".", "config")
 
     # a loop, not star-unpacking, so only the last state is kept
@@ -461,11 +465,14 @@ def _cmd_parabolic(args) -> int:
     u0 = evaluate_field(_string(cfg, "u0", "0", "config", numbers=True),
                         mesh.vertices[:, 0], mesh.vertices[:, 1])
     phi = _resolve_phi(cfg.get("phi"), mesh, ecfg.t_end)
+    size = _number(cfg, "test_bank_size", 20, "config", int)
+    # per bump: itself and the residual's M_L psi and A^T psi on every
+    # vertex, and its two pairings at every sample time
+    _refuse_above_limit(f"config: test_bank_size {size}", 8 * size * (
+        3 * mesh.n_vertices + 2 * (ecfg.n_steps + 1)))
     sol = solve_mild(mesh, coeffs, u0, phi, ecfg)
     times = sol.times
-    bank = make_test_bank(
-        mesh, times, size=_number(cfg, "test_bank_size", 20, "config", int),
-        seed=seed)
+    bank = make_test_bank(mesh, times, size=size, seed=seed)
     positivity = PositivityScan(sol)
     residual = WeakResidual(sol, bank)
     picks = strip_steps(len(times))
@@ -645,7 +652,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:
-        print(f"error: out of memory ({exc or 'no detail'})", file=sys.stderr)
+        print(f"error: out of memory ({str(exc) or 'no detail'})",
+              file=sys.stderr)
         return 2
 
 

@@ -26,6 +26,7 @@ from scipy.sparse.csgraph import connected_components
 EXHAUSTIVE_DIM = 6
 SNAP_TOL = 1e-14
 PERRON_TOL = 1e-9  # relative width of perron_report's lambda1 cluster
+T_SAMPLES = (0.01, 1.0, 10.0)  # the times positivity_improving_equiv samples
 
 
 class LatticeError(ValueError):
@@ -123,14 +124,13 @@ def is_irreducible(g: MetzlerGenerator) -> bool:
     return verdict
 
 
-def positivity_improving_equiv(g: MetzlerGenerator,
-                               t_samples=(0.01, 1.0, 10.0)) -> bool:
-    """Whether exp(tQ) is entrywise positive at every sample time.
+def positivity_improving_equiv(g: MetzlerGenerator) -> bool:
+    """Whether exp(tQ) is entrywise positive at every time of T_SAMPLES.
 
     For dimension <= 6 each sample is asserted to coincide with
     irreducibility.
     """
-    samples = [bool(np.all(semigroup_at(g, t) > 0.0)) for t in t_samples]
+    samples = [bool(np.all(semigroup_at(g, t) > 0.0)) for t in T_SAMPLES]
     if g.n <= EXHAUSTIVE_DIM:
         irr = is_irreducible(g)
         if any(ok != irr for ok in samples):

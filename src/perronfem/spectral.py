@@ -19,8 +19,8 @@ shift-invert Arnoldi, its pair count doubled until the field-of-values
 sector |Im lambda| <= Re lambda + s certifies the least real parts, each
 ARPACK call capped at MAX_ARNOLDI_RESTARTS restarts so a failure takes
 bounded time; meshes too small for ARPACK get the dense spectrum.
-``_lowest_pairs`` is the one place that picks the path and accepts a
-pair, and it caches one answer per (mass, k, tol), its vectors signed once.
+``principal_eig`` alone picks the path and accepts a pair, and it caches
+one read-only report per (mass, k, tol), its vectors signed once.
 ``certify_positivity`` (a Verdict and its payload) claims a positive
 principal eigenvector on its mode's region (``REGION``, always the free
 dofs) only where ``mmatrix_report`` holds or the stiffness is an
@@ -215,7 +215,7 @@ def _hermitian_pairs(op: DiscreteOperator, mass: MassKind, k: int,
     ``start`` (n, j), j <= k + GUARD_VECTORS, replaces the leading columns
     of the deterministic start block; None keeps it. The sweeps stop once
     the k residuals are within ``_residual_bound(tol, op)``; past
-    MAX_SWEEPS the last iterate returns: only ``_lowest_pairs`` accepts or
+    MAX_SWEEPS the last iterate returns: only ``principal_eig`` accepts or
     rejects pairs.
     """
     A, n = op.stiffness, op.n_dof
@@ -335,7 +335,7 @@ def _arnoldi_smallest_real(op: DiscreteOperator, mass: MassKind, k: int,
     accepts at ``tol`` may miss it on the pencil: when a certified pair's
     relative residual exceeds ``_residual_bound(tol, op)``, the solve runs
     once more at ARPACK's machine precision (tol=0), whose pairs
-    ``_lowest_pairs`` accepts or rejects."""
+    ``principal_eig`` accepts or rejects."""
     A, M = op.stiffness, mass_matrix(mass, op.mass, op.mass_lumped)
     sigma, lu = _pencil_factor(op, mass)
     OPinv = spla.LinearOperator(A.shape, matvec=lu.solve, dtype=A.dtype)
@@ -368,33 +368,39 @@ def _arnoldi_smallest_real(op: DiscreteOperator, mass: MassKind, k: int,
         m = min(2 * m, cap)
 
 
-def _lowest_pairs(op: DiscreteOperator, mass: MassKind | str, k: int,
-                  tol: float):
-    """The k eigenpairs of least real part of the pencil (stiffness, mass),
-    sorted by real, then imaginary part: the values, a tuple of the vectors
-    signed by ``_fix_sign`` (read-only, each in its own dtype), and the
-    relative residuals, each within ``_residual_bound(tol, op)``.
+def principal_eig(op: DiscreteOperator, tol: float = 1e-10, k: int = 2,
+                  mass: MassKind | str = MassKind.CONSISTENT) -> EigenReport:
+    """The min(k, n_dof) eigenpairs of least real part of the pencil
+    (stiffness, mass): of the consistent pencil, whose eigenvalues converge
+    from above, by default; of the lumped one, the Perron pair of
+    -M_L^-1 A when A is an irreducible Z-matrix. The vectors are signed by
+    ``_fix_sign``, each in its own dtype, and every relative residual is
+    within ``_residual_bound(tol, op)``. The multiplicity flag says the gap
+    is below resolution, at most 100 tol max(1, |lambda1|): lambda1 is
+    possibly degenerate.
 
     The operator alone picks the solver: a real Hermitian operator gets
     block inverse iteration, any other the sector-certified shift-invert
     Arnoldi of ``_arnoldi_smallest_real``, or the dense spectrum of the
     pencil where ARPACK cannot run (k + 2 >= n_dof - 1, a handful of
-    dofs). Each solve runs once per operator and is shared by every
-    caller, a SolverError too. The lumped inverse iteration starts from
+    dofs). Each report, read-only, is cached per operator under
+    (mass, k, tol) and shared by every caller, a SolverError too: a second
+    call returns the same object. The lumped inverse iteration starts from
     the consistent pencil's two least pairs, solved first if no caller
     has: M_L/4 <= M <= M_L and the pencils' eigenvectors agree to O(h^2).
     """
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    mass = MassKind(mass)
+    mass, k = MassKind(mass), min(k, op.n_dof)
 
     def solve():
         M = mass_matrix(mass, op.mass, op.mass_lumped)
         residuals = None
         if op.is_hermitian:
-            start = None if mass is MassKind.CONSISTENT else np.column_stack(
-                _lowest_pairs(op, MassKind.CONSISTENT, min(2, op.n_dof),
-                              tol)[1])
+            start = None if mass is MassKind.CONSISTENT else \
+                np.column_stack(principal_eig(op, tol).vectors)
             values, vectors, residuals = _hermitian_pairs(op, mass, k, tol,
                                                           start)
         elif k + 2 < op.n_dof - 1:  # one sector and factor per mass kind
@@ -404,6 +410,7 @@ def _lowest_pairs(op: DiscreteOperator, mass: MassKind | str, k: int,
             values, vectors = sla.eig(op.stiffness.toarray(), M.toarray())
             order = np.lexsort((values.imag, values.real))
             values, vectors = values[order], vectors[:, order]
+        values = values[:k]
         signed = tuple(_fix_sign(vectors[:, j], op.mass_lumped)
                        for j in range(k))
         if residuals is None:
@@ -413,27 +420,12 @@ def _lowest_pairs(op: DiscreteOperator, mass: MassKind | str, k: int,
         if not np.all(residuals <= bound):
             raise SolverError(f"eigensolve residuals {residuals} exceed "
                               f"the bound {bound:.3e}")
-        for v in signed:
-            v.flags.writeable = False
-        return values[:k], signed, residuals
+        for array in (values, residuals, *signed):
+            array.flags.writeable = False
+        gap = values[1].real - values[0].real if k > 1 else math.inf
+        return EigenReport(values, signed, residuals, bool(
+            gap <= 100.0 * tol * max(1.0, abs(complex(values[0])))))
     return op.cached(("eigenpairs", mass, k, tol), solve)
-
-
-def principal_eig(op: DiscreteOperator, tol: float = 1e-10, k: int = 2,
-                  mass: MassKind | str = MassKind.CONSISTENT) -> EigenReport:
-    """The min(k, n_dof) eigenpairs of least real part of the pencil
-    (stiffness, mass), from ``_lowest_pairs``: of the consistent pencil,
-    whose eigenvalues converge from above, by default; of the lumped one,
-    the Perron pair of -M_L^-1 A when A is an irreducible Z-matrix. The
-    multiplicity flag says the gap is below resolution, at most
-    100 tol max(1, |lambda1|): lambda1 is possibly degenerate."""
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
-    values, vectors, residuals = _lowest_pairs(op, mass, min(k, op.n_dof),
-                                               tol)
-    report = EigenReport(values, vectors, residuals, multiplicity_flag=False)
-    resolution = 100.0 * tol * max(1.0, abs(report.lambda1))
-    return replace(report, multiplicity_flag=report.gap <= resolution)
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,8 @@ from .spectral import SolverError, certify_positivity, complex_robin_bound, \
 PROBES = 4
 PROBE_SEED = 0
 #: relative tolerances of kernel-symmetry and chapman-kolmogorov, scaled by
-#: the largest sampled entry, never below the smallest normal float
+#: the largest sampled entry, never below the smallest normal float; a
+#: sampled block with no normal float passes with an underflow flag
 SYMMETRY_TOL = 1e-8
 COMPOSITION_TOL = 1e-6
 FLOAT_FLOOR = np.finfo(float).tiny
@@ -221,10 +222,12 @@ def _check_kernel_symmetry(p: Problem):
             "reason": "the kernel is symmetric only under lumped mass"}
     k = kernel_probes(p.op, p.evolution_cfg)
     sampled = k.probes.T @ k.forward        # Z^T K(t) Z
-    dev = float(np.abs(sampled - sampled.T).max())
-    ok = dev <= max(SYMMETRY_TOL * np.abs(sampled).max(), FLOAT_FLOOR)
+    dev, scale = float(np.abs(sampled - sampled.T).max()), \
+        float(np.abs(sampled).max())
+    ok = dev <= max(SYMMETRY_TOL * scale, FLOAT_FLOOR)
     return (Verdict.PASS if ok else Verdict.FAIL,
-            {"max_asymmetry": dev, "probes": k.probes.shape[1], "t": k.t})
+            {"max_asymmetry": dev, "probes": k.probes.shape[1], "t": k.t,
+             **({"underflow": True} if scale < FLOAT_FLOOR else {})})
 
 
 def _check_chapman_kolmogorov(p: Problem):
@@ -238,10 +241,12 @@ def _check_chapman_kolmogorov(p: Problem):
     # left factor from the adjoint march, so the identity is not a tautology
     marched = k.probes.T @ k.forward
     composed = k.adjoint_t2.T @ (p.op.mass_lumped[:, None] * k.forward_t1)
-    dev = float(np.abs(marched - composed).max())
-    ok = dev <= max(COMPOSITION_TOL * np.abs(marched).max(), FLOAT_FLOOR)
+    dev, scale = float(np.abs(marched - composed).max()), \
+        float(np.abs(marched).max())
+    ok = dev <= max(COMPOSITION_TOL * scale, FLOAT_FLOOR)
     return (Verdict.PASS if ok else Verdict.FAIL,
-            {"max_deviation": dev, "probes": k.probes.shape[1], "t": k.t})
+            {"max_deviation": dev, "probes": k.probes.shape[1], "t": k.t,
+             **({"underflow": True} if scale < FLOAT_FLOOR else {})})
 
 
 def _check_complex_robin(p: Problem):

@@ -203,10 +203,11 @@ def test_principal_positivity_solves_nothing_for_a_non_hermitian_operator(
     # the certificate is not applicable whatever the spectrum, so a
     # spectrum that cannot be certified does not turn it into a FAIL
     import perronfem.spectral
+    import perronfem.verification
 
     def uncertified(*args, **kwargs):
         raise perronfem.spectral.SolverError("not certified")
-    monkeypatch.setattr(perronfem.spectral, "_lowest_pairs", uncertified)
+    monkeypatch.setattr(perronfem.verification, "principal_eig", uncertified)
     mesh = generate_structured("unit_square", 6, "dirichlet")
     problem = Problem(mesh=mesh,
                       coeffs=CoefficientSet.constant(mesh, b=(60.0, 0.0)),
@@ -496,7 +497,7 @@ def test_cli_kernel_flags_underflow_as_verify_does(tmp_path, capsys):
 def test_cli_kernel_refuses_a_dense_kernel_above_the_limit(tmp_path, capsys,
                                                           monkeypatch):
     import perronfem.cli
-    monkeypatch.setattr(perronfem.cli, "DENSE_KERNEL_MAX_BYTES", 1000)
+    monkeypatch.setattr(perronfem.cli, "DENSE_MAX_BYTES", 1000)
     monkeypatch.setattr(perronfem.cli, "march",
                         lambda *a, **kw: pytest.fail("kernel marched"))
     path = write_config(tmp_path / "c.json",
@@ -907,6 +908,21 @@ def test_cli_out_of_memory_is_a_one_line_error(tmp_path, capsys,
     assert not list(tmp_path.glob("out/*"))
 
 
+def test_cli_bare_out_of_memory_says_no_detail(tmp_path, capsys,
+                                               monkeypatch):
+    # a MemoryError without a message is still one readable line
+    import perronfem.spectral as spectral
+
+    def exhausted(matrix):
+        raise MemoryError
+    monkeypatch.setattr(spectral, "factorize", exhausted)
+    path = write_config(tmp_path / "c.json", {
+        "mesh": {"shape": "unit_square", "n": 4, "tags": "N"},
+        "coefficients": {"beta": 1.0, "mode": "robin"}})
+    assert main(["eig", "--config", path]) == 2
+    assert capsys.readouterr().err == "error: out of memory (no detail)\n"
+
+
 @pytest.mark.parametrize("mesh, mode, message", [
     ({"shape": "unit_square", "n": 1, "tags": "D"}, "dirichlet",
      "no degree of freedom is free"),
@@ -1001,6 +1017,21 @@ def test_cli_rejected_parabolic_config_writes_nothing(tmp_path, capsys,
     assert main(["parabolic", "--config", path]) == 2
     _assert_one_error_line(capsys, message)
     assert not any((tmp_path / "out").glob("*"))
+
+
+def test_cli_parabolic_refuses_a_bank_above_the_limit(tmp_path, capsys,
+                                                      monkeypatch):
+    # the bank is held whole: one too large is refused before the solve,
+    # not after drawing bumps until memory runs out
+    import perronfem.cli as cli
+    monkeypatch.setattr(cli, "solve_mild",
+                        lambda *a, **kw: pytest.fail("solved"))
+    path = write_config(tmp_path / "c.json", {
+        **PARABOLIC_PROBLEM, "test_bank_size": 10 ** 9, "output_dir": "out"})
+    assert main(["parabolic", "--config", path]) == 2
+    _assert_one_error_line(capsys, "config: test_bank_size 1000000000",
+                           "limit")
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_parabolic_calls_solve_mild_once_before_any_output(

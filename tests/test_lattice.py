@@ -65,7 +65,7 @@ def test_triangular_2x2_closed_form_and_reducibility():
 
 def test_symmetric_2x2_is_positivity_improving():
     assert is_irreducible(SYMMETRIC_2X2)
-    assert positivity_improving_equiv(SYMMETRIC_2X2, (0.01, 1.0, 10.0))
+    assert positivity_improving_equiv(SYMMETRIC_2X2)
 
 
 def test_block_diagonal_is_reducible():

@@ -838,7 +838,8 @@ def test_kernel_identity_checks_scale_with_a_decayed_kernel():
     antisymmetric[1] -= 1e-3 * scale * k.probes[0]
     for check in (verification._check_kernel_symmetry,
                   verification._check_chapman_kolmogorov):
-        assert _verdict_with(problem, check) is Verdict.PASS
+        verdict, payload = check(problem)
+        assert verdict is Verdict.PASS and "underflow" not in payload
     assert _verdict_with(problem, verification._check_kernel_symmetry,
                          forward=k.forward + antisymmetric) is Verdict.FAIL
     assert _verdict_with(problem, verification._check_chapman_kolmogorov,
@@ -860,9 +861,30 @@ def test_kernel_identity_checks_pass_a_kernel_decayed_into_subnormals():
     for check in (verification._check_kernel_symmetry,
                   verification._check_chapman_kolmogorov):
         verdict, payload = check(problem)
-        assert verdict is Verdict.PASS
+        assert verdict is Verdict.PASS and payload["underflow"] is True
         assert 0 < max(payload.get("max_asymmetry", 0),
                        payload.get("max_deviation", 0)) < 1e-320
+
+
+def test_kernel_identity_checks_flag_a_sampled_block_of_zeros():
+    # a = 1e8 I and beta = 1e8 on the Robin n = 16 square: Z^T K(t) Z is
+    # all zeros, so both deviations are exactly 0.0 and compare nothing;
+    # the verdict stays PASS, as for the sign checks, with the flag
+    import perronfem.verification as verification
+    from perronfem.verification import Problem
+    mesh = generate_structured("unit_square", 16, "N")
+    coeffs = CoefficientSet.constant(mesh, a=[[1e8, 0.0], [0.0, 1e8]],
+                                     beta=1e8)
+    problem = Problem(mesh=mesh, coeffs=coeffs, mode=BoundaryMode.ROBIN)
+    k = _probes(problem)
+    assert not np.any(k.probes.T @ k.forward)
+    for check, key in ((verification._check_kernel_symmetry,
+                        "max_asymmetry"),
+                       (verification._check_chapman_kolmogorov,
+                        "max_deviation")):
+        verdict, payload = check(problem)
+        assert verdict is Verdict.PASS and payload[key] == 0.0
+        assert payload["underflow"] is True
 
 
 @pytest.mark.parametrize("case, reason", [

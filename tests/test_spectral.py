@@ -12,8 +12,7 @@ from perronfem.assembly import BoundaryMode, CoefficientSet, MassKind, \
 from perronfem.mesh import generate_structured
 from perronfem.semigroup import Verdict
 from perronfem.spectral import REGION, EigenReport, SolverError, \
-    _lowest_pairs, certify_positivity, complex_robin_bound, mmatrix_report, \
-    principal_eig
+    certify_positivity, complex_robin_bound, mmatrix_report, principal_eig
 
 
 def robin_half_tangent_root(beta=1.0):
@@ -383,7 +382,7 @@ def test_nonconvergence_reports_last_residual(robin_mesh8, monkeypatch):
                   BoundaryMode.ROBIN)
     monkeypatch.setattr(spectral, "MAX_SWEEPS", 1)
     with pytest.raises(SolverError, match="residuals.*exceed the bound"):
-        spectral._lowest_pairs(op, MassKind.CONSISTENT, k=2, tol=1e-10)
+        spectral.principal_eig(op, 1e-10, k=2)
 
 
 def _dirichlet_square(side, n=16):
@@ -484,11 +483,11 @@ def test_certified_spectrum_matches_the_dense_reference(
     op = _nonhermitian_case(n, mode, beta, b)
     assert not op.is_hermitian
     calls = _counted_arnoldi(monkeypatch)
-    values, _, residuals = _lowest_pairs(_fresh(op), mass, 3, 1e-10)
+    rep = principal_eig(_fresh(op), 1e-10, k=3, mass=mass)
     assert calls == [5]
     reference = _dense_reference(n, mode, beta, b, mass)[:3]
-    np.testing.assert_allclose(values, reference, rtol=1e-10)
-    assert np.all(residuals <= 1e-8)
+    np.testing.assert_allclose(rep.values, reference, rtol=1e-10)
+    assert np.all(rep.residuals <= 1e-8)
 
 
 def test_a_strongly_imaginary_beta_doubles_the_arnoldi_pairs(monkeypatch):
@@ -766,14 +765,13 @@ def test_shared_solves_are_read_only(robin_op8, robin_mesh8):
     op = assemble(robin_mesh8,
                   CoefficientSet.constant(robin_mesh8, beta=1.0 + 1.0j),
                   BoundaryMode.COMPLEX_ROBIN)
-    values = principal_eig(op, k=3).values
+    rep = principal_eig(op, k=3)
     key = ("eigenpairs", MassKind.CONSISTENT, 3, 1e-10)
-    cached, vectors, _ = op.solver_cache[key]
-    assert values is cached
+    assert op.solver_cache[key] is rep
     with pytest.raises(ValueError, match="read-only"):
-        values[0] = 0.0
+        rep.values[0] = 0.0
     with pytest.raises(ValueError, match="read-only"):
-        vectors[0] *= 2.0
+        rep.vectors[0] *= 2.0
 
 
 @pytest.mark.parametrize("beta, n", [(1.0, 8), (1.0 + 1.0j, 8),
@@ -784,14 +782,11 @@ def test_repeated_solves_return_one_signed_read_only_entry(beta, n):
     mesh = generate_structured("unit_square", n, "flux")
     mode = BoundaryMode.ROBIN if beta == 1.0 else BoundaryMode.COMPLEX_ROBIN
     op = assemble(mesh, CoefficientSet.constant(mesh, beta=beta), mode)
-    first = _lowest_pairs(op, MassKind.CONSISTENT, 2, 1e-10)
-    second = _lowest_pairs(op, "consistent", 2, 1e-10)
-    assert all(a is b for a, b in zip(first, second))
-    values, vectors, residuals = first
-    assert all(v is w for v, w in zip(vectors, second[1]))
-    for array in (values, residuals, *vectors):
+    first = principal_eig(op, 1e-10, k=2, mass=MassKind.CONSISTENT)
+    assert principal_eig(op, 1e-10, k=2, mass="consistent") is first
+    for array in (first.values, first.residuals, *first.vectors):
         assert not array.flags.writeable
-    for v in vectors:
+    for v in first.vectors:
         assert v.flags.c_contiguous and v.shape == (op.n_dof,)
 
 
@@ -912,13 +907,13 @@ def test_the_zero_shift_is_taken_only_when_certified(case):
     for mass in MassKind:
         sigma, _ = spectral._pencil_factor(op, mass)
         assert sigma == (0.0 if zero else gershgorin)
-        values, _, residuals = _lowest_pairs(op, mass, 2, 1e-10)
+        rep = principal_eig(op, 1e-10, k=2, mass=mass)
         M = mass_matrix(mass, op.mass, op.mass_lumped)
         dense = sla.eigh(op.stiffness.toarray(), M.toarray(),
                          eigvals_only=True)[:2]
-        np.testing.assert_allclose(values, dense, rtol=1e-10,
+        np.testing.assert_allclose(rep.values, dense, rtol=1e-10,
                                    atol=1e-10 * max(1.0, abs(dense).max()))
-        assert np.all(residuals <= 1e-10)
+        assert np.all(rep.residuals <= 1e-10)
     assert ("stiffness_factor" in op.solver_cache) is zero
 
 
